@@ -3,8 +3,9 @@
 Subpackages/modules:
     linalg     -- dense complex linear algebra kernel (kron, Jacobi eigensolver, propagators)
     electronic -- 8-level electronic Hamiltonian, derived observables, cyclicity, parameter estimation
-    register   -- rotating-frame density-matrix dynamics of electron + nuclear spins
-    sequences  -- pulse-sequence experiments (Rabi, Ramsey, DD, spin-lock, nuclear gates, RB)
+    register   -- electron + nuclear register model: parameters, state, Hamiltonian
+    sequences  -- register propagation (Engine) and pulse-sequence experiments (Rabi, Ramsey,
+                  DD, spin-lock, nuclear gates, RB)
     readout    -- optical pumping and single-shot-readout photon statistics
     optics     -- driven-dissipative two-level optical dipole dynamics
     fitting    -- Levenberg-Marquardt least squares and the model registry

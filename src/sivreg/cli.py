@@ -10,7 +10,8 @@ Configuration is resolved in three layers (later wins):
 
 The config file is a single flat JSON object holding strings, numbers and
 booleans only.  Keys mirror the field names of the underlying module types;
-unknown or ill-typed keys are rejected with the key name.  Exit codes:
+unknown or ill-typed keys and non-finite numbers are rejected with the key
+name.  Exit codes:
 0 success, 2 configuration error, 3 experiment error.
 
 The environment variable SIVREG_OUTPUT_DIR sets the directory for relative
@@ -126,7 +127,7 @@ def _coerce(key, value, expected):
 
 
 def resolve_config(spec: ExperimentSpec, config_path, flag_values: dict) -> RunConfig:
-    """defaults < config file < flags; validate presence, types and sweeps."""
+    """defaults < config file < flags; validate presence, types, finiteness and sweeps."""
     schema = spec.schema()
     values = dict(spec.defaults)
 
@@ -152,6 +153,9 @@ def resolve_config(spec: ExperimentSpec, config_path, flag_values: dict) -> RunC
     for key in spec.required:
         if key not in values:
             raise ConfigError(f"missing required key '{key}' for experiment '{spec.name}'")
+    for key, val in values.items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"non-finite value {val!r} for key '{key}'")
 
     if "sweep_points" in values:
         if values["sweep_points"] < 2:

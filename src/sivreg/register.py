@@ -1,4 +1,9 @@
-"""Rotating-frame density-matrix dynamics of the electron + nuclear register.
+"""Model and state of the electron + nuclear register.
+
+This module holds the register parameters, the drive and dephasing models,
+the density-matrix state with its invariants and the Hamiltonian.  It does
+not evolve states: ``sequences.Engine`` is the one code path that turns the
+Hamiltonian into propagators and applies them.
 
 Tensor ordering: electron is the slowest index, then nucleus 1, then nucleus 2.
 Every 2-level slot is ordered (down, up), i.e. index 0 is the spin-down state
@@ -7,18 +12,19 @@ and sigma_z = diag(-1, +1).
 Model: H = Delta/2 sz_e + Omega/2 (cos(phi) sx_e + sin(phi) sy_e)
          + sum_i [ omega_L/2 sz_ni + sz_e (A_par,i/4 sz_ni + A_perp,i/4 sx_ni) ]
 (public frequencies in Hz, converted to rad/s internally).  Microwave pulses
-are decoherence-free; free evolution multiplies every coherence between the
-electron-up and electron-down blocks by exp(-(t/t_c)^beta) with the duration
-of that segment (per-segment, intentionally non-divisible for beta != 1).
+are decoherence-free; after each free-evolution segment every coherence
+between the electron-up and electron-down blocks is multiplied by
+exp(-(t/t_c)^beta) with the duration t of that segment (per-segment,
+intentionally non-divisible for beta != 1; see ``dephase_electron``).
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .linalg import hermitian_eig, kron, propagator_from_eig
+from .linalg import kron
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,8 +33,6 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SZ = np.diag([-1.0, 1.0]).astype(complex)
 ID2 = np.eye(2, dtype=complex)
-
-NO_DEPHASING = None  # sentinel accepted wherever a DephasingModel is expected
 
 
 @dataclass(frozen=True)
@@ -144,25 +148,29 @@ def hamiltonian(p: RegisterParams, d: Optional[DriveSpec] = None):
     return TWO_PI * h
 
 
-def initialize_electron(fidelity, n_nuclei=1):
-    """Electron mixture F|down><down| + (1-F)|up><up| with maximally mixed nuclei."""
+def electron_mixture(fidelity, inverted=False):
+    """(down, up) populations F, 1-F of the initialized electron, swapped when inverted."""
     if not 0.5 <= fidelity <= 1.0:
         raise ValueError("initialization fidelity must lie in [0.5, 1]")
-    rho_e = np.diag([fidelity, 1.0 - fidelity]).astype(complex)
-    rho = rho_e
-    for _ in range(n_nuclei):
-        rho = kron(rho, ID2 / 2.0)
-    return RegisterState(rho, n_nuclei)
+    return (1.0 - fidelity, fidelity) if inverted else (fidelity, 1.0 - fidelity)
 
 
-def apply_unitary(st: RegisterState, u):
-    return RegisterState(u @ st.rho @ u.conj().T, st.n_nuclei)
+def product_state(electron, nuclei=(), n_nuclei=1):
+    """Diagonal density matrix electron x nuclei from (down, up) population pairs.
+
+    ``nuclei`` lists the pairs of the leading nuclei; the remaining ones of
+    the ``n_nuclei`` are maximally mixed.
+    """
+    rho = np.array([[1.0 + 0.0j]])
+    for pops in [electron, *nuclei] + [(0.5, 0.5)] * (n_nuclei - len(nuclei)):
+        rho = kron(rho, np.diag(pops).astype(complex))
+    return rho
 
 
-def apply_pulse(st: RegisterState, p: RegisterParams, d: DriveSpec):
-    """Decoherence-free rotation exp(-iHT) including all always-on terms."""
-    u = propagator_from_eig(hermitian_eig(hamiltonian(p, d)), d.duration)
-    return apply_unitary(st, u)
+def initialize_electron(fidelity, n_nuclei=1):
+    """Electron mixture F|down><down| + (1-F)|up><up| with maximally mixed nuclei."""
+    return RegisterState(product_state(electron_mixture(fidelity), n_nuclei=n_nuclei),
+                         n_nuclei)
 
 
 def dephase_electron(rho, factor, n_nuclei):
@@ -174,20 +182,6 @@ def dephase_electron(rho, factor, n_nuclei):
     out[:half, half:] *= factor
     out[half:, :half] *= factor
     return out
-
-
-def free_evolve(st: RegisterState, p: RegisterParams, t,
-                d: Optional[DephasingModel] = None):
-    """Unitary evolution for time t followed by the per-segment electron dephasing."""
-    if t < 0:
-        raise ValueError("evolution time must be >= 0")
-    if t == 0.0:
-        return st.copy()
-    u = propagator_from_eig(hermitian_eig(hamiltonian(p, None)), t)
-    rho = u @ st.rho @ u.conj().T
-    if d is not None:
-        rho = dephase_electron(rho, d.factor(t), p.n_nuclei)
-    return RegisterState(rho, st.n_nuclei)
 
 
 def measure(st: RegisterState, observable, index=0):
@@ -208,9 +202,7 @@ def measure(st: RegisterState, observable, index=0):
 
 def repump_electron(st: RegisterState, fidelity):
     """Projective optical re-pump: replace the electron by the F-mixture, keep nuclear marginal."""
-    if not 0.5 <= fidelity <= 1.0:
-        raise ValueError("initialization fidelity must lie in [0.5, 1]")
+    rho_e = np.diag(electron_mixture(fidelity)).astype(complex)
     half = 2 ** st.n_nuclei
     nuclear = st.rho[:half, :half] + st.rho[half:, half:]
-    rho_e = np.diag([fidelity, 1.0 - fidelity]).astype(complex)
     return RegisterState(kron(rho_e, nuclear), st.n_nuclei)

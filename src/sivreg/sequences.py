@@ -1,24 +1,29 @@
-"""Pulse-sequence experiments and composite gates on the spin register.
+"""Register propagation and the pulse-sequence experiments built on it.
 
-Builds the named experiments (Rabi, Ramsey, dynamical decoupling, spin lock,
-nuclear rotations, transfer gates, randomized benchmarking) from the register
-primitives.  All DD blocks use the [tau/2 - pi - tau/2] unit with the pi-pulse
-duration included in the timing, so the pulse-center to pulse-center spacing
-is tau + t_pi; on resonance tau_rot + t_pi equals half the nuclear Larmor
-period.  Dephasing acts per free segment; pulses are decoherence-free.
+``Engine`` is the one code path that turns the register Hamiltonian of
+``sivreg.register`` into propagators: it caches eigensystems and unitaries
+per (params, dephasing) context and applies pulses and free evolution to raw
+density matrices.  The named experiments (Rabi, Ramsey, dynamical
+decoupling, spin lock, nuclear rotations, transfer gates, composite gates,
+randomized benchmarking) are all composed from it.
+
+All DD blocks use the [tau/2 - pi - tau/2] unit with the pi-pulse duration
+included in the timing, so the pulse-center to pulse-center spacing is
+tau + t_pi; on resonance tau_rot + t_pi equals half the nuclear Larmor
+period.  Dephasing acts after each free segment; pulses are decoherence-free.
 """
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import fitting
-from .linalg import hermitian_eig, kron, propagator_from_eig
-from .register import (ID2, SZ, DephasingModel, DriveSpec, RegisterParams,
-                       RegisterState, dephase_electron, hamiltonian, op_at,
-                       repump_electron)
+from .linalg import hermitian_eig, propagator_from_eig
+from .register import (SX, SY, SZ, DephasingModel, DriveSpec, RegisterParams,
+                       RegisterState, dephase_electron, electron_mixture,
+                       hamiltonian, op_at, product_state, repump_electron)
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,57 +42,6 @@ class UncalibratedGate(ValueError):
     """GateSpec lacks the calibration values the gate needs."""
 
 
-# --------------------------------------------------------------------------
-# sequence data types
-
-
-@dataclass(frozen=True)
-class Pulse:
-    drive: DriveSpec
-
-
-@dataclass(frozen=True)
-class Wait:
-    duration: float
-
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("wait duration must be >= 0")
-
-
-@dataclass(frozen=True)
-class MarkReadout:
-    pass
-
-
-@dataclass
-class SequenceProgram:
-    """Ordered pulse/wait segments with readout marks."""
-
-    segments: List[Union[Pulse, Wait, MarkReadout]]
-    name: str = ""
-    axis: str = ""
-
-    def __post_init__(self):
-        if not any(isinstance(s, MarkReadout) for s in self.segments):
-            raise ValueError("a sequence program needs at least one MarkReadout")
-
-    def run(self, state: RegisterState, p: RegisterParams,
-            dephasing: Optional[DephasingModel] = None):
-        """Execute on a state; returns electron-up population at every mark."""
-        eng = Engine(p, dephasing)
-        rho = state.rho.copy()
-        out = []
-        for seg in self.segments:
-            if isinstance(seg, Pulse):
-                rho = eng.pulse(rho, seg.drive.rabi, seg.drive.phase, seg.drive.duration)
-            elif isinstance(seg, Wait):
-                rho = eng.wait(rho, seg.duration)
-            else:
-                out.append(eng.population_up(rho))
-        return out
-
-
 @dataclass
 class SweepResult:
     """Sweep axis plus a bounded signal and optional auxiliary observables."""
@@ -103,6 +57,8 @@ class SweepResult:
         self.signal = np.asarray(self.signal, dtype=float)
         if self.axis.shape != self.signal.shape:
             raise ValueError("axis and signal lengths differ")
+        if not (np.all(np.isfinite(self.axis)) and np.all(np.isfinite(self.signal))):
+            raise ValueError("axis and signal values must be finite")
         if self.signal.size and (self.signal.min() < -1e-9 or self.signal.max() > 1 + 1e-9):
             raise ValueError("signal values must lie in [0, 1]")
         if self.aux:
@@ -163,24 +119,39 @@ class TransferMatrix:
 
 
 class Engine:
-    """Caches eigensystems and propagators for one (params, dephasing) context."""
+    """Caches eigensystems and propagators for one (params, dephasing) context.
+
+    Evolution is a list of (unitary, free time) segments: each applies
+    rho -> U rho U^dag, and a segment with free time t > 0 then dephases the
+    electron by ``DephasingModel.factor(t)``.  Pulses are segments with free
+    time 0.
+    """
 
     def __init__(self, p: RegisterParams, dephasing: Optional[DephasingModel] = None,
-                 pulse_rabi: float = 1.0 / (2.0 * T_PI_DEFAULT)):
+                 pulse_rabi: Optional[float] = None):
         self.p = p
         self.deph = dephasing
-        self.pulse_rabi = pulse_rabi
-        self.dim = p.dim
+        self.pulse_rabi = 1.0 / (2.0 * T_PI_DEFAULT) if pulse_rabi is None else pulse_rabi
         self.half = 2 ** p.n_nuclei
-        self._eig_free = hermitian_eig(hamiltonian(p, None))
-        self._eig_drive = {}
+        self._eig = {}
         self._u_free = {}
         self._u_pulse = {}
+
+    def _eigensystem(self, rabi, phase):
+        """Eigensystem of the Hamiltonian under drive (rabi, phase); rabi 0 is free."""
+        key = (rabi, phase)
+        eig = self._eig.get(key)
+        if eig is None:
+            eig = hermitian_eig(hamiltonian(self.p, DriveSpec(rabi, phase)))
+            self._eig[key] = eig
+        return eig
 
     def u_free(self, t):
         u = self._u_free.get(t)
         if u is None:
-            u = propagator_from_eig(self._eig_free, t)
+            if not t >= 0:
+                raise ValueError("evolution time must be >= 0, got %r" % (t,))
+            u = propagator_from_eig(self._eigensystem(0.0, 0.0), t)
             self._u_free[t] = u
         return u
 
@@ -188,12 +159,9 @@ class Engine:
         key = (rabi, phase, duration)
         u = self._u_pulse.get(key)
         if u is None:
-            ekey = (rabi, phase)
-            eig = self._eig_drive.get(ekey)
-            if eig is None:
-                eig = hermitian_eig(hamiltonian(self.p, DriveSpec(rabi, phase, 0.0)))
-                self._eig_drive[ekey] = eig
-            u = propagator_from_eig(eig, duration)
+            if not duration >= 0:
+                raise ValueError("pulse duration must be >= 0, got %r" % (duration,))
+            u = propagator_from_eig(self._eigensystem(rabi, phase), duration)
             self._u_pulse[key] = u
         return u
 
@@ -202,34 +170,49 @@ class Engine:
         rabi = self.pulse_rabi if rabi is None else rabi
         return self.u_pulse(rabi, phase, angle / (TWO_PI * rabi))
 
-    def pulse(self, rho, rabi, phase, duration):
-        u = self.u_pulse(rabi, phase, duration)
-        return u @ rho @ u.conj().T
+    # segment lists --------------------------------------------------------
 
-    def rotate(self, rho, angle, phase, rabi=None):
-        u = self.u_rotation(angle, phase, rabi)
-        return u @ rho @ u.conj().T
+    def free_segments(self, t):
+        """Free evolution for t; no segment at all for t == 0."""
+        return [(self.u_free(t), t)] if t != 0.0 else []
 
-    def wait(self, rho, t):
-        if t == 0.0:
-            return rho
-        u = self.u_free(t)
-        rho = u @ rho @ u.conj().T
-        if self.deph is not None:
-            rho = dephase_electron(rho, self.deph.factor(t), self.p.n_nuclei)
+    def rotation_segments(self, angle, phase, rabi=None):
+        return [(self.u_rotation(angle, phase, rabi), 0.0)]
+
+    def dd_unit_segments(self, tau, phase, pi_duration):
+        """One [tau/2 - pi - tau/2] decoupling unit (dephasing per half segment)."""
+        half = self.free_segments(tau / 2.0)
+        return half + self.rotation_segments(math.pi, phase, 1.0 / (2.0 * pi_duration)) + half
+
+    def evolve(self, rho, segments):
+        """Apply the segments in order to a raw density matrix."""
+        for u, t in segments:
+            rho = u @ rho @ u.conj().T
+            if t and self.deph is not None:
+                rho = dephase_electron(rho, self.deph.factor(t), self.p.n_nuclei)
         return rho
 
-    def dd_unit(self, rho, tau, phase, pi_duration):
-        """One [tau/2 - pi - tau/2] decoupling unit (dephasing per half segment)."""
-        rho = self.wait(rho, tau / 2.0)
-        rho = self.rotate(rho, math.pi, phase, 1.0 / (2.0 * pi_duration))
-        return self.wait(rho, tau / 2.0)
+    def evolve_reversed(self, rho, segments):
+        """Walk the segments backwards, each by its adjoint unitary and then its dephasing."""
+        return self.evolve(rho, [(u.conj().T, t) for u, t in reversed(segments)])
 
-    def dd_block(self, rho, tau, n_pulses, pi_duration, pattern=XY8_PHASES,
-                 start_index=0):
+    # state operations -----------------------------------------------------
+
+    def pulse(self, rho, rabi, phase, duration):
+        return self.evolve(rho, [(self.u_pulse(rabi, phase, duration), 0.0)])
+
+    def rotate(self, rho, angle, phase, rabi=None):
+        return self.evolve(rho, self.rotation_segments(angle, phase, rabi))
+
+    def wait(self, rho, t):
+        return self.evolve(rho, self.free_segments(t))
+
+    def dd_unit(self, rho, tau, phase, pi_duration):
+        return self.evolve(rho, self.dd_unit_segments(tau, phase, pi_duration))
+
+    def dd_block(self, rho, tau, n_pulses, pi_duration, pattern=XY8_PHASES):
         for k in range(n_pulses):
-            rho = self.dd_unit(rho, tau, pattern[(start_index + k) % len(pattern)],
-                               pi_duration)
+            rho = self.dd_unit(rho, tau, pattern[k % len(pattern)], pi_duration)
         return rho
 
     def population_up(self, rho):
@@ -242,13 +225,7 @@ class Engine:
 
 def _initial_rho(p: RegisterParams, f_ie: float, flip=False):
     """Electron initialization mixture (optionally ideally inverted) x mixed nuclei."""
-    if not 0.5 <= f_ie <= 1.0:
-        raise ValueError("initialization fidelity must lie in [0.5, 1]")
-    pops = (1.0 - f_ie, f_ie) if flip else (f_ie, 1.0 - f_ie)
-    rho = np.diag(pops).astype(complex)
-    for _ in range(p.n_nuclei):
-        rho = kron(rho, ID2 / 2.0)
-    return rho
+    return product_state(electron_mixture(f_ie, flip), n_nuclei=p.n_nuclei)
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +260,7 @@ def run_ramsey(p: RegisterParams, dephasing, delta, taus, target="electron",
     """
     params = RegisterParams(detuning=delta, larmor_n=p.larmor_n,
                             hyperfine=p.hyperfine, n_nuclei=p.n_nuclei)
-    eng = Engine(params, dephasing, **({} if pulse_rabi is None else {"pulse_rabi": pulse_rabi}))
+    eng = Engine(params, dephasing, pulse_rabi)
     taus = np.asarray(taus, dtype=float)
 
     if target == "electron":
@@ -306,11 +283,8 @@ def run_ramsey(p: RegisterParams, dephasing, delta, taus, target="electron",
     tau_rot, n_quarter = nuclear_block
 
     # electron in a definite spin state; target nucleus polarized down
-    pops = (0.0, 1.0) if electron_up else (1.0, 0.0)
-    rho0 = np.diag(pops).astype(complex)
-    rho0 = kron(rho0, np.diag([1.0, 0.0]).astype(complex))
-    for _ in range(params.n_nuclei - 1):
-        rho0 = kron(rho0, ID2 / 2.0)
+    rho0 = product_state((0.0, 1.0) if electron_up else (1.0, 0.0), [(1.0, 0.0)],
+                         params.n_nuclei)
     rho0 = eng.dd_block(rho0, tau_rot, n_quarter, T_PI_DEFAULT)
 
     signal, sigma_z = [], []
@@ -336,7 +310,7 @@ def run_dd(p: RegisterParams, dephasing, kind, n_pulses, taus, f_ie=1.0,
     if n_pulses < 0:
         raise ValueError("n_pulses must be >= 0")
     pattern = (math.pi / 2,) if kind == "CPMG" else XY8_PHASES
-    eng = Engine(p, dephasing, **({} if pulse_rabi is None else {"pulse_rabi": pulse_rabi}))
+    eng = Engine(p, dephasing, pulse_rabi)
     taus = np.asarray(taus, dtype=float)
     rho0 = eng.rotate(_initial_rho(p, f_ie), math.pi / 2, 0.0)
     signal, total_time = [], []
@@ -363,7 +337,7 @@ def run_spin_lock(p: RegisterParams, dephasing, omega_sl, tau_sl=None,
     """
     if (tau_sl is None) == (amplitudes is None):
         raise ValueError("provide exactly one of tau_sl or amplitudes")
-    eng = Engine(p, dephasing, **({} if pulse_rabi is None else {"pulse_rabi": pulse_rabi}))
+    eng = Engine(p, dephasing, pulse_rabi)
     rho0 = eng.rotate(_initial_rho(p, f_ie), math.pi / 2, 0.0)
     signal = []
     if tau_sl is not None:
@@ -401,15 +375,12 @@ def run_nuclear_rotation(p: RegisterParams, dephasing, tau_rot, n_sweep,
     n_sweep = [int(n) for n in n_sweep]
     if any(n < 0 for n in n_sweep):
         raise ValueError("pulse numbers must be >= 0")
-    eng = Engine(p, dephasing, **({} if pulse_rabi is None else {"pulse_rabi": pulse_rabi}))
+    eng = Engine(p, dephasing, pulse_rabi)
 
     # electron-signal branch: coherence interferometry around the block
     rho_sig = eng.rotate(_initial_rho(p, f_ie), math.pi / 2, 0.0)
     # conditional-rotation branch: electron down, target nucleus down, rest mixed
-    rho_rot = np.diag([f_ie, 1.0 - f_ie]).astype(complex)
-    rho_rot = kron(rho_rot, np.diag([1.0, 0.0]).astype(complex))
-    for _ in range(p.n_nuclei - 1):
-        rho_rot = kron(rho_rot, ID2 / 2.0)
+    rho_rot = product_state((f_ie, 1.0 - f_ie), [(1.0, 0.0)], p.n_nuclei)
 
     wanted = sorted(set(n_sweep))
     sig_at, sz_at = {}, {}
@@ -461,7 +432,7 @@ def calibrate_quarter_rotation(p: RegisterParams, tau_rot, n_max=400,
     single = RegisterParams(detuning=p.detuning, larmor_n=p.larmor_n,
                             hyperfine=(p.hyperfine[0],), n_nuclei=1)
     eng = Engine(single, None)
-    rho = kron(np.diag([1.0, 0.0]).astype(complex), np.diag([1.0, 0.0]).astype(complex))
+    rho = product_state((1.0, 0.0), [(1.0, 0.0)])
     trace = [eng.nuclear_sigma_z(rho, 0)]
     for n in range(1, n_max + 1):
         rho = eng.dd_unit(rho, tau_rot, XY8_PHASES[(n - 1) % 8], pi_duration)
@@ -484,42 +455,12 @@ def calibrate_quarter_rotation(p: RegisterParams, tau_rot, n_max=400,
 
 
 def _transfer_segments(eng: Engine, g: GateSpec, wait):
-    """Unitary segment list of the polarization-transfer gate (sans re-pump)."""
-    ops = [("rot", math.pi / 2, math.pi / 2)]
-    ops += [("unit", g.tau, XY8_PHASES[k % 8]) for k in range(g.n_pulses)]
-    ops += [("rot", math.pi / 2, 0.0)]
-    ops += [("wait", wait, None)]
-    ops += [("unit", g.tau, XY8_PHASES[k % 8]) for k in range(g.n_pulses)]
-    return ops
-
-
-def _apply_segments(eng: Engine, rho, ops, g: GateSpec, reverse=False):
-    if reverse:
-        for kind, a, b in reversed(ops):
-            if kind == "rot":
-                u = eng.u_rotation(a, b)
-                rho = u.conj().T @ rho @ u
-            elif kind == "wait":
-                u = eng.u_free(a)
-                rho = u.conj().T @ rho @ u
-                if eng.deph is not None:
-                    rho = dephase_electron(rho, eng.deph.factor(a), eng.p.n_nuclei)
-            else:
-                half = eng.u_free(a / 2.0)
-                pi_u = eng.u_rotation(math.pi, b, 1.0 / (2.0 * g.pi_duration))
-                u = half @ pi_u @ half
-                rho = u.conj().T @ rho @ u
-                if eng.deph is not None:
-                    rho = dephase_electron(rho, eng.deph.factor(a / 2.0) ** 2, eng.p.n_nuclei)
-        return rho
-    for kind, a, b in ops:
-        if kind == "rot":
-            rho = eng.rotate(rho, a, b)
-        elif kind == "wait":
-            rho = eng.wait(rho, a)
-        else:
-            rho = eng.dd_unit(rho, a, b, g.pi_duration)
-    return rho
+    """(unitary, free time) segments of the polarization-transfer gate (sans re-pump)."""
+    block = []
+    for k in range(g.n_pulses):
+        block += eng.dd_unit_segments(g.tau, XY8_PHASES[k % 8], g.pi_duration)
+    return (eng.rotation_segments(math.pi / 2, math.pi / 2) + block
+            + eng.rotation_segments(math.pi / 2, 0.0) + eng.free_segments(wait) + block)
 
 
 def calibrate_transfer_wait(p: RegisterParams, g: GateSpec, coarse=48, fine=33):
@@ -536,7 +477,7 @@ def calibrate_transfer_wait(p: RegisterParams, g: GateSpec, coarse=48, fine=33):
 
     def transferred(wait):
         rho = _initial_rho(single, 1.0)
-        rho = _apply_segments(eng, rho, _transfer_segments(eng, g, wait), g)
+        rho = eng.evolve(rho, _transfer_segments(eng, g, wait))
         return abs(eng.nuclear_sigma_z(rho, 0))
 
     waits = [period * i / coarse for i in range(coarse)]
@@ -563,7 +504,7 @@ def nuclear_init_gate(p: RegisterParams, dephasing, g: GateSpec, f_ie,
     wait = g.wait if g.wait is not None else calibrate_transfer_wait(p, g)
     eng = Engine(p, dephasing)
     rho = _initial_rho(p, f_ie, flip=flip_first)
-    rho = _apply_segments(eng, rho, _transfer_segments(eng, g, wait), g)
+    rho = eng.evolve(rho, _transfer_segments(eng, g, wait))
     return repump_electron(RegisterState(rho, p.n_nuclei), f_ie)
 
 
@@ -572,19 +513,20 @@ def ui_probe_signal(p: RegisterParams, dephasing, g: GateSpec, f_ie,
     """Electron-up population of the transfer-gate probe.
 
     Runs the initialization gate, then maps the prepared nuclear polarization
-    back onto the electron by the reversed conjugate transfer sequence and
-    reads the electron.  The contrast between flip_first=False and True is
+    back onto the electron by walking the same transfer segments backwards
+    with their adjoints (dephasing after each free segment) and reads the
+    electron.  The contrast between flip_first=False and True is
     the probe signal of the initialization experiment.
     """
     if g.kind != "UI":
         raise InvalidGate("ui_probe_signal needs a gate of kind 'UI'")
     wait = g.wait if g.wait is not None else calibrate_transfer_wait(p, g)
     eng = Engine(p, dephasing)
-    ops = _transfer_segments(eng, g, wait)
+    segments = _transfer_segments(eng, g, wait)
     rho = _initial_rho(p, f_ie, flip=flip_first)
-    rho = _apply_segments(eng, rho, ops, g)
+    rho = eng.evolve(rho, segments)
     rho = repump_electron(RegisterState(rho, p.n_nuclei), f_ie).rho
-    rho = _apply_segments(eng, rho, ops, g, reverse=True)
+    rho = eng.evolve_reversed(rho, segments)
     return eng.population_up(rho)
 
 
@@ -611,10 +553,8 @@ class CompositeGate:
             driven = RegisterParams(detuning=a_par / 2.0, larmor_n=self.params.larmor_n,
                                     hyperfine=self.params.hyperfine,
                                     n_nuclei=self.params.n_nuclei)
-            u = propagator_from_eig(
-                hermitian_eig(hamiltonian(driven, DriveSpec(g.rabi, 0.0, 0.0))),
-                1.0 / (2.0 * g.rabi))
-            return RegisterState(u @ rho @ u.conj().T, state.n_nuclei)
+            rho = Engine(driven).pulse(rho, g.rabi, 0.0, 1.0 / (2.0 * g.rabi))
+            return RegisterState(rho, state.n_nuclei)
         raise InvalidGate("composite_gate cannot apply kind %r" % (g.kind,))
 
 
@@ -651,16 +591,6 @@ def calibrate_cnnote(p: RegisterParams, pi_duration=T_PI_DEFAULT):
                     rabi=a_par / math.sqrt(3.0))
 
 
-def _basis_preparation(p: RegisterParams, f_ie, f_in, electron_up, nuclear_up):
-    e_pops = (1.0 - f_ie, f_ie) if electron_up else (f_ie, 1.0 - f_ie)
-    n_pops = (1.0 - f_in, f_in) if nuclear_up else (f_in, 1.0 - f_in)
-    rho = np.diag(e_pops).astype(complex)
-    rho = kron(rho, np.diag(n_pops).astype(complex))
-    for _ in range(p.n_nuclei - 1):
-        rho = kron(rho, ID2 / 2.0)
-    return RegisterState(rho, p.n_nuclei)
-
-
 def _joint_populations(state: RegisterState):
     """Populations of {down_Down, down_Up, up_Down, up_Up} of electron x target nucleus."""
     rho = state.rho
@@ -686,7 +616,9 @@ def transfer_matrix(p: RegisterParams, dephasing, g: GateSpec, f_ie, f_in):
     m_id = np.zeros((4, 4))
     for col, (e_up, n_up) in enumerate([(False, False), (False, True),
                                         (True, False), (True, True)]):
-        prep = _basis_preparation(p, f_ie, f_in, e_up, n_up)
+        e_pops = (1.0 - f_ie, f_ie) if e_up else (f_ie, 1.0 - f_ie)
+        n_pops = (1.0 - f_in, f_in) if n_up else (f_in, 1.0 - f_in)
+        prep = RegisterState(product_state(e_pops, [n_pops], p.n_nuclei), p.n_nuclei)
         m_gate[:, col] = _joint_populations(gate.apply(prep))
         m_id[:, col] = _joint_populations(ident.apply(prep))
     referenced = m_gate @ np.linalg.inv(m_id)
@@ -710,9 +642,7 @@ _CLIFFORDS = (
 
 
 def _ideal_unitary(angle, phase):
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sy = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-    axis = math.cos(phase) * sx + math.sin(phase) * sy
+    axis = math.cos(phase) * SX + math.sin(phase) * SY
     return math.cos(angle / 2.0) * np.eye(2) - 1j * math.sin(angle / 2.0) * axis
 
 
@@ -746,8 +676,10 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
     gate_fidelity_noise applied after every Clifford.  The mean signal decays
     as (F_I - 0.5) F_G^N + 0.5; the fitted F_G is reported.
     """
-    eng = Engine(p, dephasing, **({} if pulse_rabi is None else {"pulse_rabi": pulse_rabi}))
     q = gate_fidelity_noise
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("gate_fidelity_noise must lie in [0, 1], got %r" % (q,))
+    eng = Engine(p, dephasing, pulse_rabi)
     up = np.array([0.0, 1.0], dtype=complex)
     down = np.array([1.0, 0.0], dtype=complex)
 

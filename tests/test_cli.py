@@ -144,7 +144,26 @@ def test_sweep_and_register_validation(out_dir, capsys):
                      "log", "--sweep-start", "0"]) == 2
     assert cli.main(["run", "rabi", "--larmor-n", LARMOR,
                      "--n-nuclei", "3"]) == 2
+    assert cli.main(["run", "rabi", "--larmor-n", LARMOR,
+                     "--sweep-stop", "nan"]) == 2
+    assert "non-finite value nan for key 'sweep_stop'" in capsys.readouterr().err
+    assert cli.main(["run", "ramsey", "--larmor-n", LARMOR, "--t-c", "inf"]) == 2
+    nan_config = out_dir / "nan.json"
+    nan_config.write_text(json.dumps({"omega": math.nan}))
+    assert cli.main(["run", "rabi", "--larmor-n", LARMOR,
+                     "--config", str(nan_config)]) == 2
+    assert "non-finite value nan for key 'omega'" in capsys.readouterr().err
+    assert cli.main(["run", "rb", "--larmor-n", LARMOR, "--q", "2"]) == 3
+    assert not list(out_dir.glob("*.csv"))
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("experiment", ["rabi", "ramsey", "dd", "spinlock"])
+def test_negative_sweep_durations_are_experiment_errors(out_dir, capsys, experiment):
+    assert cli.main(["run", experiment, "--larmor-n", LARMOR,
+                     "--sweep-start=-1e-6"]) == 3
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not list(out_dir.glob("*.csv"))
 
 
 def test_config_file_problems_are_config_errors(out_dir, capsys):

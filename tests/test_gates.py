@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from sivreg.register import RegisterParams, RegisterState, measure
-from sivreg.sequences import (GateSpec, InvalidGate, T_PI_DEFAULT,
-                              TransferMatrix, UncalibratedGate,
+from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
+                             dephase_electron, initialize_electron, measure)
+from sivreg.sequences import (XY8_PHASES, Engine, GateSpec, InvalidGate,
+                              T_PI_DEFAULT, TransferMatrix, UncalibratedGate,
+                              _transfer_segments,
                               calibrate_cenotn, calibrate_cnnote,
                               calibrate_quarter_rotation,
                               calibrate_transfer_wait, composite_gate,
@@ -80,6 +82,49 @@ def test_single_nucleus_probe_overestimates_contrast():
         s1 = ui_probe_signal(p, None, g, F_IE, flip_first=True)
         contrasts.append(abs(s1 - s0))
     assert contrasts[0] / contrasts[1] == pytest.approx(2.0, abs=0.4)
+
+
+def _coherent_state(eng, n_nuclei):
+    """Initialized register rotated so it carries electron and nuclear coherences."""
+    rho = initialize_electron(0.9, n_nuclei).rho
+    return eng.dd_unit(eng.rotate(rho, 1.1, 0.4), 0.3e-6, 0.7, T_PI_DEFAULT)
+
+
+def test_transfer_segments_reverse_pass_undoes_forward_pass():
+    p = two_nuclei()
+    g = GateSpec(kind="UI", tau=81.5e-9, n_pulses=42, wait=0.1e-6)
+    eng = Engine(p)
+    segments = _transfer_segments(eng, g, g.wait)
+    rho = _coherent_state(eng, 2)
+    back = eng.evolve_reversed(eng.evolve(rho, segments), segments)
+    np.testing.assert_allclose(back, rho, rtol=0, atol=1e-12)
+
+
+def test_transfer_segments_reverse_pass_dephases_after_each_free_segment():
+    p = one_nucleus()
+    g = GateSpec(kind="UI", tau=81.5e-9, n_pulses=6, wait=0.1e-6)
+    deph = DephasingModel(t_c=4e-6, beta=2.0)
+    eng = Engine(p, deph)
+
+    def undo(rho, u, t=0.0):
+        rho = u.conj().T @ rho @ u
+        return dephase_electron(rho, deph.factor(t), 1) if t else rho
+
+    def undo_block(rho):
+        half = eng.u_free(g.tau / 2.0)
+        for k in reversed(range(g.n_pulses)):
+            pi_u = eng.u_rotation(math.pi, XY8_PHASES[k % 8], 1.0 / (2.0 * g.pi_duration))
+            rho = undo(undo(undo(rho, half, g.tau / 2.0), pi_u), half, g.tau / 2.0)
+        return rho
+
+    rho = _coherent_state(eng, 1)
+    expected = undo_block(rho)
+    expected = undo(expected, eng.u_free(g.wait), g.wait)
+    expected = undo(expected, eng.u_rotation(math.pi / 2, 0.0))
+    expected = undo_block(expected)
+    expected = undo(expected, eng.u_rotation(math.pi / 2, math.pi / 2))
+    got = eng.evolve_reversed(rho, _transfer_segments(eng, g, g.wait))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_init_gate_rejects_other_kinds():

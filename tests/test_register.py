@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sivreg.register import (DephasingModel, DriveSpec, ID2, RegisterParams,
-                             RegisterState, SX, SY, SZ, apply_pulse,
-                             apply_unitary, dephase_electron, free_evolve,
+                             RegisterState, SX, SY, SZ, dephase_electron,
                              hamiltonian, initialize_electron, measure, op_at,
                              repump_electron)
+from sivreg.sequences import Engine
 
 HYP1 = (621.75027e3, 140.1041e3)
 HYP2 = (50.0e3, 101.19309e3)
@@ -55,14 +55,14 @@ def test_pi_pulse_inverts_electron():
     p = RegisterParams(hyperfine=((0.0, 0.0),), n_nuclei=1)
     st0 = initialize_electron(1.0, n_nuclei=1)
     rabi = 1.0 / (2 * 55.715e-9)
-    flipped = apply_pulse(st0, p, DriveSpec(rabi, 0.0, 55.715e-9))
+    flipped = RegisterState(Engine(p).pulse(st0.rho, rabi, 0.0, 55.715e-9), 1)
     assert measure(flipped, "electron_up") == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mixed_electron_reads_half():
     st0 = initialize_electron(0.5, n_nuclei=1)
     assert measure(st0, "electron_up") == pytest.approx(0.5, abs=1e-9)
-    rotated = apply_pulse(st0, params(1), DriveSpec(8.97e6, 0.3, 30e-9))
+    rotated = RegisterState(Engine(params(1)).pulse(st0.rho, 8.97e6, 0.3, 30e-9), 1)
     assert measure(rotated, "electron_up") == pytest.approx(0.5, abs=1e-9)
 
 
@@ -84,15 +84,22 @@ def test_fidelity_range_enforced(fidelity):
 def test_free_evolution_preserves_trace_and_positivity():
     p = params(2)
     st0 = initialize_electron(0.9, n_nuclei=2)
-    rot = apply_pulse(st0, p, DriveSpec(8.97e6, 0.0, 28e-9))
-    out = free_evolve(rot, p, 1.7e-6)
+    eng = Engine(p)
+    out = RegisterState(eng.wait(eng.pulse(st0.rho, 8.97e6, 0.0, 28e-9), 1.7e-6), 2)
     assert np.trace(out.rho).real == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.eigvalsh(out.rho).min() > -1e-12
 
 
 def test_free_evolution_rejects_negative_time():
     with pytest.raises(ValueError):
-        free_evolve(initialize_electron(1.0), params(1), -1e-9)
+        Engine(params(1)).wait(initialize_electron(1.0).rho, -1e-9)
+
+
+@pytest.mark.parametrize("duration", [-1e-9, math.nan])
+def test_pulse_rejects_negative_duration(duration):
+    eng = Engine(params(1))
+    with pytest.raises(ValueError):
+        eng.pulse(initialize_electron(1.0).rho, 8.97e6, 0.0, duration)
 
 
 # --- dephasing ---------------------------------------------------------------
@@ -123,8 +130,7 @@ def test_dephasing_acts_only_on_electron_coherences():
     p = params(1)
     st0 = initialize_electron(1.0, n_nuclei=1)
     # build a state with coherences everywhere
-    rot = apply_pulse(st0, p, DriveSpec(8.97e6, 0.0, 30e-9))
-    rho = rot.rho.copy()
+    rho = Engine(p).pulse(st0.rho, 8.97e6, 0.0, 30e-9)
     rho[0, 1] = rho[1, 0] = 0.01      # nuclear coherence inside the down block
     factor = 0.3
     out = dephase_electron(rho, factor, 1)
@@ -145,7 +151,8 @@ def test_dephasing_model_validation():
 def test_repump_keeps_nuclear_marginal():
     p = params(1)
     st0 = initialize_electron(0.9, n_nuclei=1)
-    evolved = free_evolve(apply_pulse(st0, p, DriveSpec(8.97e6, 0.1, 40e-9)), p, 0.8e-6)
+    eng = Engine(p)
+    evolved = RegisterState(eng.wait(eng.pulse(st0.rho, 8.97e6, 0.1, 40e-9), 0.8e-6), 1)
     half = 2
     marginal_before = evolved.rho[:half, :half] + evolved.rho[half:, half:]
     out = repump_electron(evolved, 0.81)
@@ -188,8 +195,16 @@ def test_larmor_period():
     assert p.larmor_period * 1e9 == pytest.approx(278.8783, rel=1e-5)
 
 
-def test_apply_unitary_conjugation():
+def test_pulse_is_unitary_conjugation():
     st0 = initialize_electron(0.8, n_nuclei=1)
-    u = op_at(SX, 0, 2)      # hard electron flip
-    out = apply_unitary(st0, u)
+    eng = Engine(params(1))
+    u = eng.u_pulse(8.97e6, 0.3, 30e-9)
+    np.testing.assert_array_equal(eng.pulse(st0.rho, 8.97e6, 0.3, 30e-9),
+                                  u @ st0.rho @ u.conj().T)
+    # a pi pulse on the bare electron is the hard flip sigma_x (up to a global phase)
+    bare = Engine(RegisterParams(hyperfine=((0.0, 0.0),), n_nuclei=1))
+    rabi = 1.0 / (2 * 55.715e-9)
+    out = RegisterState(bare.pulse(st0.rho, rabi, 0.0, 55.715e-9), 1)
+    flip = op_at(SX, 0, 2)
+    np.testing.assert_allclose(out.rho, flip @ st0.rho @ flip, atol=1e-12)
     assert measure(out, "electron_up") == pytest.approx(0.8, rel=1e-12)

@@ -11,7 +11,8 @@ from sivreg.register import DephasingModel, RegisterParams, RegisterState
 from sivreg.sequences import (GateSpec, SweepResult, T_PI_DEFAULT,
                               calibrate_quarter_rotation, extract_full_rotation,
                               run_dd, run_nuclear_rotation, run_rabi,
-                              run_ramsey, run_spin_lock)
+                              run_ramsey, run_randomized_benchmarking,
+                              run_spin_lock)
 
 HYP1 = (621.75027e3, 140.1041e3)
 HYP2 = (50.0e3, 101.19309e3)
@@ -281,6 +282,10 @@ def test_sweep_result_validation():
     with pytest.raises(ValueError):
         SweepResult(np.arange(2.0), np.array([0.5, 1.4]))          # out of range
     with pytest.raises(ValueError):
+        SweepResult(np.arange(2.0), np.array([0.5, math.nan]))     # non-finite signal
+    with pytest.raises(ValueError):
+        SweepResult(np.array([0.0, math.inf]), np.array([0.5, 0.5]))  # non-finite axis
+    with pytest.raises(ValueError):
         SweepResult(np.arange(2.0), np.array([0.5, 0.5]),
                     aux={"extra": np.arange(3.0)})                  # aux mismatch
 
@@ -292,3 +297,10 @@ def test_gate_spec_validation():
         GateSpec(kind="UI", tau=0.0, n_pulses=42)                   # no spacing
     with pytest.raises(ValueError):
         GateSpec(kind="bogus")
+
+
+@pytest.mark.parametrize("q", [-0.1, 1.5, 2.0, math.nan])
+def test_rb_rejects_noise_outside_unit_interval(q):
+    with pytest.raises(ValueError):
+        run_randomized_benchmarking(bare_params(), None, [1, 2], n_random=1,
+                                    gate_fidelity_noise=q)
