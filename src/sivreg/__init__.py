@@ -1,7 +1,7 @@
 """sivreg: simulation and estimation toolkit for a strained SiV electron-nuclear spin register.
 
 Subpackages/modules:
-    linalg     -- dense complex linear algebra kernel (kron, Jacobi eigensolver, propagators)
+    linalg     -- dense complex linear algebra kernel (kron, LAPACK eigh eigensolver, propagators)
     electronic -- 8-level electronic Hamiltonian, derived observables, cyclicity, parameter estimation
     register   -- electron + nuclear register model: parameters, state, Hamiltonian
     sequences  -- register propagation (Engine) and pulse-sequence experiments (Rabi, Ramsey,

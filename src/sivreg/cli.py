@@ -167,6 +167,10 @@ def resolve_config(spec: ExperimentSpec, config_path, flag_values: dict) -> RunC
             raise ConfigError("log sweep requires positive sweep_start and sweep_stop")
     if values.get("n_nuclei") not in (None, 1, 2):
         raise ConfigError("ill-typed value for key 'n_nuclei' (expected 1 or 2)")
+    if values.get("t_pi", 1.0) <= 0.0:
+        raise ConfigError("t_pi must be > 0")
+    if values.get("n_shots", 1) < 1:
+        raise ConfigError("n_shots must be >= 1")
     return RunConfig(spec.name, values)
 
 
@@ -362,7 +366,11 @@ def _run_optical(v):
     if mode == "phase":
         t_pulse = v["t_pulse"]
         if t_pulse <= 0.0:   # default: a pi/2 area at the configured amplitude
-            t_pulse = 0.25 / (p.rabi_per_volt * v["amplitude"])
+            rabi = p.rabi_per_volt * v["amplitude"]
+            if rabi == 0.0:
+                raise ConfigError("amplitude * rabi_per_volt must be nonzero "
+                                  "to derive t_pulse")
+            t_pulse = 0.25 / rabi
         train = optics.OpticalPulseTrain(
             segments=((v["amplitude"], 0.0, t_pulse), (v["amplitude"], 0.0, t_pulse)),
             buffer=v["buffer"])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .linalg import IDENTITY2, Eigensystem, hermitian_eig, kron
+from .linalg import IDENTITY2, SX, SY, SZ, Eigensystem, hermitian_eig, kron
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 TWO_PI = 2.0 * math.pi
@@ -109,19 +109,14 @@ class EstimationResult:
 
 # --- operators in the parity x orbital x spin product basis -----------------
 
+# Parity (g, u) and spin (down, up) slots use linalg.SX/SY/SZ, so on the
+# parity slot SZ = |u><u| - |g><g|; the orbital slot keeps the standard
+# (+1, -1) convention of _OY and _OZ, with sigma_x = SX.
 _PROJ_G = np.diag([1.0, 0.0]).astype(complex)
 _PROJ_U = np.diag([0.0, 1.0]).astype(complex)
-_SZ_PAR = np.diag([-1.0, 1.0]).astype(complex)   # |u><u| - |g><g|
-_SX_PAR = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-_OX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _OY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _OZ = np.diag([1.0, -1.0]).astype(complex)
-
-# spin basis ordered (down, up): sigma_z |down> = -|down>
-_SX_SP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY_SP = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-_SZ_SP = np.diag([-1.0, 1.0]).astype(complex)
 
 
 def _kron3(a, b, c):
@@ -143,7 +138,7 @@ def build_hamiltonian(c: DefectConstants, s: StrainField, f: FieldConfig,
     bz = f.magnitude * math.cos(theta)
     mu_b = constants.bohr_magneton_over_h
 
-    sx, sy, sz = _SX_SP / 2.0, _SY_SP / 2.0, _SZ_SP / 2.0
+    sx, sy, sz = SX / 2.0, SY / 2.0, SZ / 2.0
     h = np.zeros((8, 8), dtype=complex)
     manifolds = [
         (_PROJ_G, c.lambda_g, c.p_g, c.gL_g, c.deltaP_g, s.epsilon, s.epsilon),
@@ -152,28 +147,28 @@ def build_hamiltonian(c: DefectConstants, s: StrainField, f: FieldConfig,
     ]
     for proj, lam, p, g_l, d_p, eps_x, eps_y in manifolds:
         # spin-orbit: -lambda/2 * L_z sigma_z with L_z = -sigma_y (orbital)
-        h += -lam / 2.0 * _kron3(proj, -_OY, _SZ_SP)
+        h += -lam / 2.0 * _kron3(proj, -_OY, SZ)
         # orbital Zeeman (quenched, symmetry axis only)
         h += mu_b * p * g_l * bz * _kron3(proj, -_OY, IDENTITY2)
         # spin Zeeman, full vector, plus its small anisotropy correction
         h += mu_b * c.gS * _kron3(proj, IDENTITY2, sx * bx + sy * by + sz * bz)
         h += mu_b * 2.0 * d_p * g_l * bz * _kron3(proj, IDENTITY2, sz)
         # transverse strain in the orbital doublet
-        h += _kron3(proj, eps_x * _OZ + eps_y * _OX, IDENTITY2)
+        h += _kron3(proj, eps_x * _OZ + eps_y * SX, IDENTITY2)
 
     # additive parity offset: pin the lowest u <- g gap to the optical C line
     e_g = hermitian_eig(TWO_PI * h[0:4, 0:4]).values / TWO_PI
     e_u = hermitian_eig(TWO_PI * h[4:8, 4:8]).values / TWO_PI
     f_c = SPEED_OF_LIGHT / c.transition_C_wavelength - (e_u[0] - e_g[0])
-    h = h + f_c / 2.0 * _kron3(_SZ_PAR, IDENTITY2, IDENTITY2)
+    h = h + f_c / 2.0 * _kron3(SZ, IDENTITY2, IDENTITY2)
     return TWO_PI * h
 
 
 # optical dipole operators entering the cyclicity ratio
 _DIPOLES = (
-    _kron3(_SX_PAR, _OZ, IDENTITY2),
-    _kron3(_SX_PAR, -_OX, IDENTITY2),
-    2.0 * _kron3(_SX_PAR, IDENTITY2, IDENTITY2),
+    _kron3(SX, _OZ, IDENTITY2),
+    _kron3(SX, -SX, IDENTITY2),
+    2.0 * _kron3(SX, IDENTITY2, IDENTITY2),
 )
 
 
@@ -226,7 +221,7 @@ def delta_gs_zero_field(epsilon, lambda_g=DefectConstants.lambda_g):
 
 
 # unit-strain direction of the gerade strain term, used by the Orbach rate
-_UNIT_STRAIN_G = _kron3(_PROJ_G, _OZ + _OX, IDENTITY2)
+_UNIT_STRAIN_G = _kron3(_PROJ_G, _OZ + SX, IDENTITY2)
 
 
 def orbach_rate(eig: Eigensystem, s: StrainField, temperature,

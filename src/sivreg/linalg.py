@@ -1,6 +1,6 @@
 """Dense complex linear algebra kernel.
 
-Kronecker products, Hermitian eigendecomposition (cyclic Jacobi) and unitary
+Kronecker products, Hermitian eigendecomposition (LAPACK ``eigh``) and unitary
 propagators for the small matrices this package works with (dim <= 16:
 electronic manifold is 8x8, electron + two nuclei is 8x8).
 
@@ -15,10 +15,11 @@ import numpy as np
 
 DIM_CAP = 16
 
-# Standard Pauli matrices in the conventional (+1, -1) eigenbasis ordering.
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# Pauli matrices of one spin in the (down, up) ordering: index 0 is spin down
+# and SZ = diag(-1, +1).
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SY = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
+SZ = np.diag([-1.0, 1.0]).astype(complex)
 IDENTITY2 = np.eye(2, dtype=complex)
 
 
@@ -75,75 +76,18 @@ def check_hermitian(h, tol=1e-10):
     return h
 
 
-def _off_norm(a):
-    """Frobenius norm of the off-diagonal part."""
-    return np.sqrt(max(np.sum(np.abs(a) ** 2) - np.sum(np.abs(np.diag(a)) ** 2), 0.0))
+def hermitian_eig(h):
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
-
-def hermitian_eig(h, tol=1e-10, max_sweeps=60):
-    """Eigendecomposition of a Hermitian matrix by the cyclic Jacobi method.
-
-    Unitary plane rotations annihilate one off-diagonal element at a time;
-    full cyclic sweeps repeat until the off-diagonal Frobenius norm falls
-    below 1e-14 of the matrix scale.  Returns an Eigensystem with ascending
-    eigenvalues.
-
-    Raises NotHermitian if ``h`` is not Hermitian within ``tol`` (relative).
+    Returns an Eigensystem with ascending eigenvalues.  Raises NotHermitian
+    if ``h`` is not Hermitian within the 1e-10 relative tolerance of
+    ``check_hermitian``.
     """
-    h = check_hermitian(h, tol=tol)
-    n = h.shape[0]
+    h = check_hermitian(h)
     # Work on the exactly Hermitian part so roundoff in the input cannot
     # leak imaginary components into the eigenvalues.
-    a = 0.5 * (h + h.conj().T)
-    v = np.eye(n, dtype=complex)
-
-    scale = max(np.linalg.norm(a), 1.0)
-    target = 1e-14 * scale
-
-    for _ in range(max_sweeps):
-        if _off_norm(a) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = a[p, q]
-                mag = abs(beta)
-                if mag <= 1e-300 or mag <= 1e-16 * (abs(a[p, p]) + abs(a[q, q]) + 1e-300):
-                    continue
-                phase = beta / mag
-                alpha = a[p, p].real
-                gamma = a[q, q].real
-                tau = (gamma - alpha) / (2.0 * mag)
-                # smaller-magnitude root of t^2 + 2*tau*t - 1 = 0
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c * phase  # complex sine, carries the phase of a[p,q]
-
-                # A <- J^dag A J applied in place on rows/columns p and q,
-                # J = I except J[p,p]=J[q,q]=c, J[p,q]=s, J[q,p]=-conj(s).
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - np.conj(s) * aq
-                a[:, q] = s * ap + c * aq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = np.conj(s) * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - np.conj(s) * vq
-                v[:, q] = s * vp + c * vq
-
-    values = np.real(np.diag(a))
-    order = np.argsort(values, kind="stable")
-    return Eigensystem(values=values[order], vectors=v[:, order])
+    values, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
+    return Eigensystem(values=values, vectors=vectors)
 
 
 def propagator_from_eig(eig, t):

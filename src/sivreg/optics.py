@@ -15,15 +15,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fitting
+from .linalg import SX, SY, SZ
 from .sequences import SweepResult
 
 TWO_PI = 2.0 * math.pi
 
 RABI_MAX = 1.14422658e9  # Hz, accepted maximum calibrated drive
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-_SZ = np.diag([-1.0, 1.0]).astype(complex)
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 _P_EXC = np.diag([0.0, 1.0]).astype(complex)
 
@@ -82,7 +80,7 @@ def _derivative(rho, h_angular, inv_t1, gamma_phi):
         anti = _P_EXC @ rho + rho @ _P_EXC
         out = out + inv_t1 * (l_rho_l - 0.5 * anti)
     if gamma_phi:
-        out = out + 0.5 * gamma_phi * (_SZ @ rho @ _SZ - rho)
+        out = out + 0.5 * gamma_phi * (SZ @ rho @ SZ - rho)
     return out
 
 
@@ -114,8 +112,8 @@ def evolve_lindblad(rho, p: OpticalParams, drive, t, dt=None):
     if t < 0:
         raise ValueError("evolution time must be >= 0")
 
-    h = TWO_PI * (0.5 * p.detuning * _SZ
-                  + 0.5 * omega * (math.cos(phase) * _SX + math.sin(phase) * _SY))
+    h = TWO_PI * (0.5 * p.detuning * SZ
+                  + 0.5 * omega * (math.cos(phase) * SX + math.sin(phase) * SY))
     inv_t1 = 1.0 / p.t1
     rho = np.asarray(rho, dtype=complex).copy()
     if t == 0.0:

@@ -24,15 +24,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .linalg import kron
+from .linalg import IDENTITY2 as ID2, SX, SY, SZ, kron
 
 TWO_PI = 2.0 * math.pi
-
-# single-spin operators in the (down, up) ordering
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-SZ = np.diag([-1.0, 1.0]).astype(complex)
-ID2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import fitting
-from .linalg import hermitian_eig, propagator_from_eig
-from .register import (SX, SY, SZ, DephasingModel, DriveSpec, RegisterParams,
-                       RegisterState, dephase_electron, electron_mixture,
-                       hamiltonian, op_at, product_state, repump_electron)
+from .linalg import SX, SY, SZ, hermitian_eig, propagator_from_eig
+from .register import (DephasingModel, DriveSpec, RegisterParams, RegisterState,
+                       dephase_electron, electron_mixture, hamiltonian, op_at,
+                       product_state, repump_electron)
 
 TWO_PI = 2.0 * math.pi
 
@@ -609,16 +609,21 @@ def transfer_matrix(p: RegisterParams, dephasing, g: GateSpec, f_ie, f_in):
     joint populations recorded; the raw matrix is then referenced against the
     same measurement with an identity gate, M(G) M(Id)^-1, which removes the
     preparation imperfections and makes the identity gate the exact identity.
+    Both fidelities must lie in (0.5, 1]: at 0.5 M(Id) is singular.
     """
+    for key, fidelity in (("f_ie", f_ie), ("f_in", f_in)):
+        if not 0.5 < fidelity <= 1.0:
+            raise ValueError("%s must lie in (0.5, 1] for a referenced transfer matrix, got %r"
+                             % (key, fidelity))
     gate = composite_gate(p, dephasing, g)
     ident = composite_gate(p, dephasing, GateSpec(kind="identity"))
     m_gate = np.zeros((4, 4))
     m_id = np.zeros((4, 4))
     for col, (e_up, n_up) in enumerate([(False, False), (False, True),
                                         (True, False), (True, True)]):
-        e_pops = (1.0 - f_ie, f_ie) if e_up else (f_ie, 1.0 - f_ie)
-        n_pops = (1.0 - f_in, f_in) if n_up else (f_in, 1.0 - f_in)
-        prep = RegisterState(product_state(e_pops, [n_pops], p.n_nuclei), p.n_nuclei)
+        rho = product_state(electron_mixture(f_ie, e_up), [electron_mixture(f_in, n_up)],
+                            p.n_nuclei)
+        prep = RegisterState(rho, p.n_nuclei)
         m_gate[:, col] = _joint_populations(gate.apply(prep))
         m_id[:, col] = _joint_populations(ident.apply(prep))
     referenced = m_gate @ np.linalg.inv(m_id)

@@ -154,6 +154,19 @@ def test_sweep_and_register_validation(out_dir, capsys):
                      "--config", str(nan_config)]) == 2
     assert "non-finite value nan for key 'omega'" in capsys.readouterr().err
     assert cli.main(["run", "rb", "--larmor-n", LARMOR, "--q", "2"]) == 3
+    for experiment in ("nucrot", "ramsey", "dd", "spinlock", "rb", "gates"):
+        assert cli.main(["run", experiment, "--larmor-n", LARMOR, "--t-pi", "0"]) == 2
+        assert "config error: t_pi must be > 0" in capsys.readouterr().err
+    assert cli.main(["optical", "--mode", "phase", "--amplitude", "0"]) == 2
+    assert "config error: amplitude * rabi_per_volt" in capsys.readouterr().err
+    for n_shots in ("0", "-3"):
+        assert cli.main(["ssr", "--n-shots", n_shots]) == 2
+        assert "config error: n_shots must be >= 1" in capsys.readouterr().err
+    for gate, key, value in (("cenotn", "f_ie", "0.3"), ("identity", "f_in", "0.2"),
+                             ("cnnote", "f_in", "0.5")):
+        assert cli.main(["run", "gates", "--larmor-n", LARMOR, "--gate", gate,
+                         "--" + key.replace("_", "-"), value]) == 3
+        assert "%s must lie in (0.5, 1]" % key in capsys.readouterr().err
     assert not list(out_dir.glob("*.csv"))
     capsys.readouterr()
 

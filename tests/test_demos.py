@@ -1,10 +1,9 @@
 """Smoke tests: the demo scripts run to completion against the current API.
 
 Each demo runs in a fresh interpreter, as a user would start it, and must
-exit 0.  Two demos are left out because they are too slow for the suite:
-``optical_link.py`` (about 23 s, dominated by the fixed-step RK4 Lindblad
-integration) and ``electronic_structure.py`` (about 7 s, dominated by the
-pure-Python Jacobi eigensolver).  Add them once those solvers are fast.
+exit 0.  ``optical_link.py`` is left out because it is too slow for the suite
+(about 23 s, dominated by the fixed-step RK4 Lindblad integration); add it
+once that integrator is fast.
 """
 
 import os
@@ -16,7 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ["nuclear_register.py", "electron_coherence.py", "curve_fitting.py",
-         "single_shot_readout.py"]
+         "single_shot_readout.py", "electronic_structure.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

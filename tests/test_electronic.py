@@ -7,11 +7,11 @@ import pytest
 
 from sivreg.electronic import (DefectConstants, DegenerateStates, FieldConfig,
                                PhysicalConstants, StrainField, SPEED_OF_LIGHT,
-                               build_hamiltonian, delta_gs_zero_field,
+                               build_hamiltonian, cyclicity, delta_gs_zero_field,
                                derived_observables, estimate_parameters,
                                estimation_cost, field_from_nuclear_larmor,
                                observables_at, orbach_rate)
-from sivreg.linalg import hermitian_eig
+from sivreg.linalg import Eigensystem, hermitian_eig
 
 # documented working point and its measured observables
 EPS_REF = 392.3119e9
@@ -138,3 +138,18 @@ def test_orbach_rate_follows_bose_occupation():
     expected_ratio = math.expm1(delta / (kb * 4.0)) ** -1 \
         / math.expm1(delta / (kb * 10.0)) ** -1
     assert r1 / r2 == pytest.approx(expected_ratio, rel=1e-6)
+
+
+@pytest.mark.parametrize("epsilon, alpha, theta", [(392e9, 0.68, 28.0), (150e9, 1.1, 47.0)])
+def test_observables_ignore_eigenvector_phases(epsilon, alpha, theta):
+    # each eigenvector is defined only up to a unit phase; the observables
+    # built from them must not depend on the solver's choice
+    s = StrainField(epsilon, alpha)
+    eig = hermitian_eig(build_hamiltonian(DefectConstants(), s,
+                                          FieldConfig(B_REF, theta)))
+    phases = np.exp(2j * np.pi * np.random.default_rng(7).random(eig.dim))
+    rephased = Eigensystem(eig.values, eig.vectors * phases)
+    assert cyclicity(rephased) == pytest.approx(cyclicity(eig), rel=1e-12)
+    for temperature in (4.0, 10.0):
+        assert orbach_rate(rephased, s, temperature) == pytest.approx(
+            orbach_rate(eig, s, temperature), rel=1e-12)

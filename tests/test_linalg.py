@@ -110,3 +110,16 @@ def test_kron_bilinearity(seed):
 def test_kron_rejects_non_square():
     with pytest.raises(ValueError):
         kron(np.ones((2, 3)), np.eye(2))
+
+
+def test_degenerate_spectrum_gives_orthonormal_eigenpairs():
+    # kron(diag(1, 2), I2) has two exactly doubly degenerate levels; inside each
+    # eigenspace any orthonormal basis is valid, so check the definition only
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    h = q @ kron(np.diag([1.0, 2.0]), np.eye(2)) @ q.conj().T
+    eig = hermitian_eig(h)
+    np.testing.assert_allclose(eig.values, [1.0, 1.0, 2.0, 2.0], atol=1e-12)
+    assert np.all(np.diff(eig.values) >= 0)
+    np.testing.assert_allclose(eig.vectors.conj().T @ eig.vectors, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(h @ eig.vectors, eig.vectors * eig.values, atol=1e-12)
