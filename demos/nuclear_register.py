@@ -33,7 +33,7 @@ quarter = sequences.calibrate_quarter_rotation(p1, tau_rot, force_even=True)
 print("  quarter rotation (even N): %d pulses" % quarter)
 
 # --- polarization transfer into the nuclear spin ---------------------------
-gate = GateSpec(kind="UI", tau=81.5e-9, n_pulses=42, pi_duration=T_PI_DEFAULT)
+gate = GateSpec(kind="UI", tau=81.5e-9, n_pulses=42, t_pi=T_PI_DEFAULT)
 f_ie = 0.806
 state = sequences.nuclear_init_gate(p2, None, gate, f_ie)
 for i in range(2):

@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,7 +96,7 @@ _REGISTER_DEFAULTS = {
     "t_c": 0.0,                # electron coherence time (s); 0 disables dephasing
     "beta_deph": 2.0,          # stretching exponent of the dephasing envelope
     "f_ie": 1.0,               # electron initialization fidelity
-    "t_pi": T_PI_DEFAULT,      # electron pi time (s), sets the default Rabi rate
+    "t_pi": T_PI_DEFAULT,      # electron pi time (s) of every nominal rotation
 }
 
 
@@ -182,6 +182,8 @@ def _sweep_axis(v):
 
 def _int_axis(v):
     axis = np.unique(np.rint(_sweep_axis(v)).astype(int))
+    if axis.max() < 0:
+        raise ConfigError("sweep_start..sweep_stop holds no count >= 0")
     return axis[axis >= 0]
 
 
@@ -197,10 +199,6 @@ def _dephasing(v):
     if v["t_c"] <= 0.0:
         return None
     return DephasingModel(t_c=v["t_c"], beta=v["beta_deph"])
-
-
-def _pulse_rabi(v):
-    return 1.0 / (2.0 * v["t_pi"])
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +242,7 @@ def _run_rabi(v):
 def _run_ramsey(v):
     sweep = sequences.run_ramsey(_register_params(v), _dephasing(v), v["delta_ramsey"],
                                  _sweep_axis(v), target=v["target"],
-                                 f_ie=v["f_ie"], pulse_rabi=_pulse_rabi(v))
+                                 f_ie=v["f_ie"], t_pi=v["t_pi"])
     cols, rows = _sweep_table(sweep)
     return cols, rows, {}
 
@@ -252,13 +250,13 @@ def _run_ramsey(v):
 def _run_dd(v):
     sweep = sequences.run_dd(_register_params(v), _dephasing(v), v["kind"],
                              v["n_pulses"], _sweep_axis(v), f_ie=v["f_ie"],
-                             pulse_rabi=_pulse_rabi(v))
+                             t_pi=v["t_pi"])
     cols, rows = _sweep_table(sweep)
     return cols, rows, {}
 
 
 def _run_spinlock(v):
-    kwargs = {"f_ie": v["f_ie"], "pulse_rabi": _pulse_rabi(v)}
+    kwargs = {"f_ie": v["f_ie"], "t_pi": v["t_pi"]}
     if v["mode"] == "tau":
         kwargs["tau_sl"] = _sweep_axis(v)
     elif v["mode"] == "amplitude":
@@ -278,8 +276,7 @@ def _run_nucrot(v):
         tau_rot = 0.5 / v["larmor_n"] - v["t_pi"]
     sweep = sequences.run_nuclear_rotation(_register_params(v), _dephasing(v),
                                            tau_rot, _int_axis(v), f_ie=v["f_ie"],
-                                           pulse_rabi=_pulse_rabi(v),
-                                           pi_duration=v["t_pi"])
+                                           t_pi=v["t_pi"])
     cols, rows = _sweep_table(sweep)
     return cols, rows, {"tau_rot": tau_rot}
 
@@ -289,24 +286,20 @@ def _run_gates(v):
     dephasing = _dephasing(v)
     gate = v["gate"].lower()
     if gate == "ui":
-        wait = v["wait"] if v["wait"] >= 0 else None
-        g = GateSpec(kind="UI", tau=v["tau"], n_pulses=v["n_pulses"],
-                     pi_duration=v["t_pi"], wait=wait)
-        if g.wait is None:
-            g = GateSpec(kind="UI", tau=g.tau, n_pulses=g.n_pulses,
-                         pi_duration=g.pi_duration,
-                         wait=sequences.calibrate_transfer_wait(p, g))
+        g = GateSpec(kind="UI", tau=v["tau"], n_pulses=v["n_pulses"], t_pi=v["t_pi"])
+        g = replace(g, wait=v["wait"] if v["wait"] >= 0
+                    else sequences.calibrate_transfer_wait(p, g))
         state = sequences.nuclear_init_gate(p, dephasing, g, v["f_ie"])
         rows = [(i, measure(state, "nuclear_sigma_z", i)) for i in range(p.n_nuclei)]
         extras = {"wait": g.wait,
                   "probe_signal": sequences.ui_probe_signal(p, dephasing, g, v["f_ie"])}
         return ["nucleus", "sigma_z"], rows, extras
     if gate == "cenotn":
-        g = sequences.calibrate_cenotn(p, pi_duration=v["t_pi"])
+        g = sequences.calibrate_cenotn(p, t_pi=v["t_pi"])
         extras = {"tau": g.tau, "n_pulses": g.n_pulses,
                   "uncond_tau": g.uncond_tau, "uncond_n": g.uncond_n}
     elif gate == "cnnote":
-        g = sequences.calibrate_cnnote(p, pi_duration=v["t_pi"])
+        g = sequences.calibrate_cnnote(p, t_pi=v["t_pi"])
         extras = {"rabi": g.rabi}
     elif gate == "identity":
         g = GateSpec(kind="identity")
@@ -324,7 +317,7 @@ def _run_rb(v):
     res = sequences.run_randomized_benchmarking(
         _register_params(v), _dephasing(v), _int_axis(v),
         n_random=v["n_random"], gate_fidelity_noise=v["q"], seed=v["seed"],
-        f_ie=v["f_ie"], pulse_rabi=_pulse_rabi(v))
+        f_ie=v["f_ie"], t_pi=v["t_pi"])
     cols, rows = _sweep_table(res.sweep)
     extras = {"gate_fidelity": res.gate_fidelity,
               "decay_base": res.fit["f_g"],
@@ -346,12 +339,13 @@ def _run_ssr(v):
     cols = ["shot", "counts", "initial_state", "final_state", "label"]
     rows = [(i, int(record.counts[i]), record.initial_state[i],
              record.final_state[i], res.labels[i]) for i in range(len(record))]
-    extras = {"fidelity_bright": res.fidelity_bright,
-              "fidelity_dark": res.fidelity_dark,
-              "posterior_bright": res.posterior_bright,
-              "posterior_dark": res.posterior_dark,
-              "equal_threshold": res.equal_threshold,
-              "bright_survival_loss": loss}
+    rates = {"fidelity_bright": res.fidelity_bright,
+             "fidelity_dark": res.fidelity_dark,
+             "posterior_bright": res.posterior_bright,
+             "posterior_dark": res.posterior_dark}
+    # a rate with no shot behind it (no shot prepared or labelled in that class) is left out
+    extras = {key: rate for key, rate in rates.items() if not math.isnan(rate)}
+    extras.update(equal_threshold=res.equal_threshold, bright_survival_loss=loss)
     return cols, rows, extras
 
 
@@ -603,6 +597,7 @@ _HELP = {
     "btheta": "magnetic field polar angle (deg)",
     "b": "magnetic field magnitude (T)",
     "larmor_n": "nuclear Larmor frequency (Hz)",
+    "t_pi": "electron pi time (s) of every pi/2, DD pi and Clifford pulse",
     "seed": "64-bit seed for stochastic experiments",
     "output": "output CSV path (relative paths land in SIVREG_OUTPUT_DIR)",
     "sweep_start": "sweep axis start",

@@ -239,7 +239,8 @@ def least_squares(model: ModelSpec, x, y, weights=None, init=None,
         idx = [names.index(n) for n in free]
         jac_p = np.empty((x.size, n_free))
         for col, i in enumerate(idx):
-            h = 1e-6 * abs(params[i]) or 1e-6
+            # relative to the start value too: a fitted value near 0 gives no usable step
+            h = 1e-6 * max(abs(params[i]), abs(start[names[i]])) or 1e-6
             up, dn = params.copy(), params.copy()
             up[i] += h
             dn[i] -= h

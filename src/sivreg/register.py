@@ -58,17 +58,14 @@ class RegisterParams:
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Microwave drive: Rabi frequency (Hz), phase (rad), duration (s)."""
+    """Microwave drive: Rabi frequency (Hz) and phase (rad)."""
 
     rabi: float
     phase: float = 0.0
-    duration: float = 0.0
 
     def __post_init__(self):
         if self.rabi < 0:
             raise ValueError("rabi must be >= 0")
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -79,13 +76,13 @@ class DephasingModel:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not self.t_c > 0:
-            raise ValueError("t_c must be > 0 (math.inf disables dephasing)")
+        if not 0 < self.t_c < math.inf:
+            raise ValueError("t_c must be finite and > 0 (use no model to disable dephasing)")
         if not 0.5 <= self.beta <= 3.0:
             raise ValueError("beta must lie in [0.5, 3]")
 
     def factor(self, t):
-        if not math.isfinite(self.t_c) or t == 0.0:
+        if t == 0.0:
             return 1.0
         return math.exp(-((t / self.t_c) ** self.beta))
 

@@ -2,11 +2,14 @@
 
 ``Engine`` is the one code path that turns the register Hamiltonian of
 ``sivreg.register`` into propagators: it caches eigensystems and unitaries
-per (params, dephasing) context and applies pulses and free evolution to raw
-density matrices.  The named experiments (Rabi, Ramsey, dynamical
+per (params, dephasing, t_pi) context and applies pulses and free evolution
+to raw density matrices.  The named experiments (Rabi, Ramsey, dynamical
 decoupling, spin lock, nuclear rotations, transfer gates, composite gates,
 randomized benchmarking) are all composed from it.
 
+The pi time is ``Engine.t_pi``: every nominal rotation (pi/2 pulses, DD pi
+pulses, RB Cliffords) is driven at the Rabi rate 1/(2 t_pi).  Only explicit
+drives (a Rabi or spin-lock amplitude, the CnNOTe drive) set their own rate.
 All DD blocks use the [tau/2 - pi - tau/2] unit with the pi-pulse duration
 included in the timing, so the pulse-center to pulse-center spacing is
 tau + t_pi; on resonance tau_rot + t_pi equals half the nuclear Larmor
@@ -71,16 +74,17 @@ class SweepResult:
 class GateSpec:
     """Calibration record for DD-composed and driven gates.
 
-    tau/n_pulses/pi_duration describe the (conditional) DD block; the
-    unconditional block of a CeNOTn and the drive of a CnNOTe carry their own
-    fields.  ``wait`` is the calibrated free evolution inserted between the
-    two blocks of a transfer gate (computed on demand when None).
+    tau/n_pulses describe the (conditional) DD block and t_pi is the pi time
+    of its rotations; the unconditional block of a CeNOTn and the drive of a
+    CnNOTe carry their own fields.  ``wait`` is the calibrated free evolution
+    inserted between the two blocks of a transfer gate (computed on demand
+    when None).
     """
 
     kind: str
     tau: float = 0.0
     n_pulses: int = 0
-    pi_duration: float = T_PI_DEFAULT
+    t_pi: float = T_PI_DEFAULT
     rabi: Optional[float] = None
     uncond_tau: Optional[float] = None
     uncond_n: Optional[int] = None
@@ -119,7 +123,7 @@ class TransferMatrix:
 
 
 class Engine:
-    """Caches eigensystems and propagators for one (params, dephasing) context.
+    """Caches eigensystems and propagators for one (params, dephasing, t_pi) context.
 
     Evolution is a list of (unitary, free time) segments: each applies
     rho -> U rho U^dag, and a segment with free time t > 0 then dephases the
@@ -128,10 +132,12 @@ class Engine:
     """
 
     def __init__(self, p: RegisterParams, dephasing: Optional[DephasingModel] = None,
-                 pulse_rabi: Optional[float] = None):
+                 t_pi: float = T_PI_DEFAULT):
+        if not t_pi > 0:
+            raise ValueError("t_pi must be > 0, got %r" % (t_pi,))
         self.p = p
         self.deph = dephasing
-        self.pulse_rabi = 1.0 / (2.0 * T_PI_DEFAULT) if pulse_rabi is None else pulse_rabi
+        self.t_pi = t_pi
         self.half = 2 ** p.n_nuclei
         self._eig = {}
         self._u_free = {}
@@ -165,9 +171,9 @@ class Engine:
             self._u_pulse[key] = u
         return u
 
-    def u_rotation(self, angle, phase, rabi=None):
-        """Pulse unitary for a nominal rotation angle (duration = angle / (2 pi Omega))."""
-        rabi = self.pulse_rabi if rabi is None else rabi
+    def u_rotation(self, angle, phase):
+        """Pulse unitary for a nominal rotation angle at Rabi rate 1/(2 t_pi)."""
+        rabi = 1.0 / (2.0 * self.t_pi)
         return self.u_pulse(rabi, phase, angle / (TWO_PI * rabi))
 
     # segment lists --------------------------------------------------------
@@ -176,13 +182,13 @@ class Engine:
         """Free evolution for t; no segment at all for t == 0."""
         return [(self.u_free(t), t)] if t != 0.0 else []
 
-    def rotation_segments(self, angle, phase, rabi=None):
-        return [(self.u_rotation(angle, phase, rabi), 0.0)]
+    def rotation_segments(self, angle, phase):
+        return [(self.u_rotation(angle, phase), 0.0)]
 
-    def dd_unit_segments(self, tau, phase, pi_duration):
+    def dd_unit_segments(self, tau, phase):
         """One [tau/2 - pi - tau/2] decoupling unit (dephasing per half segment)."""
         half = self.free_segments(tau / 2.0)
-        return half + self.rotation_segments(math.pi, phase, 1.0 / (2.0 * pi_duration)) + half
+        return half + self.rotation_segments(math.pi, phase) + half
 
     def evolve(self, rho, segments):
         """Apply the segments in order to a raw density matrix."""
@@ -201,18 +207,18 @@ class Engine:
     def pulse(self, rho, rabi, phase, duration):
         return self.evolve(rho, [(self.u_pulse(rabi, phase, duration), 0.0)])
 
-    def rotate(self, rho, angle, phase, rabi=None):
-        return self.evolve(rho, self.rotation_segments(angle, phase, rabi))
+    def rotate(self, rho, angle, phase):
+        return self.evolve(rho, self.rotation_segments(angle, phase))
 
     def wait(self, rho, t):
         return self.evolve(rho, self.free_segments(t))
 
-    def dd_unit(self, rho, tau, phase, pi_duration):
-        return self.evolve(rho, self.dd_unit_segments(tau, phase, pi_duration))
+    def dd_unit(self, rho, tau, phase):
+        return self.evolve(rho, self.dd_unit_segments(tau, phase))
 
-    def dd_block(self, rho, tau, n_pulses, pi_duration, pattern=XY8_PHASES):
+    def dd_block(self, rho, tau, n_pulses, pattern=XY8_PHASES):
         for k in range(n_pulses):
-            rho = self.dd_unit(rho, tau, pattern[k % len(pattern)], pi_duration)
+            rho = self.dd_unit(rho, tau, pattern[k % len(pattern)])
         return rho
 
     def population_up(self, rho):
@@ -246,8 +252,7 @@ def run_rabi(p: RegisterParams, dephasing, omega, durations, f_ie=1.0,
 
 
 def run_ramsey(p: RegisterParams, dephasing, delta, taus, target="electron",
-               f_ie=1.0, pulse_rabi=None, electron_up=False,
-               nuclear_block=None):
+               f_ie=1.0, t_pi=T_PI_DEFAULT, electron_up=False):
     """pi/2 - free(tau) - pi/2 interference.
 
     target='electron': both pi/2 pulses on the electron, detuning delta.
@@ -260,7 +265,7 @@ def run_ramsey(p: RegisterParams, dephasing, delta, taus, target="electron",
     """
     params = RegisterParams(detuning=delta, larmor_n=p.larmor_n,
                             hyperfine=p.hyperfine, n_nuclei=p.n_nuclei)
-    eng = Engine(params, dephasing, pulse_rabi)
+    eng = Engine(params, dephasing, t_pi)
     taus = np.asarray(taus, dtype=float)
 
     if target == "electron":
@@ -276,21 +281,18 @@ def run_ramsey(p: RegisterParams, dephasing, delta, taus, target="electron",
     if target != "nuclear":
         raise ValueError("target must be 'electron' or 'nuclear'")
 
-    if nuclear_block is None:
-        tau_rot = params.larmor_period / 2.0 - T_PI_DEFAULT
-        n_quarter = calibrate_quarter_rotation(params, tau_rot)
-        nuclear_block = (tau_rot, n_quarter)
-    tau_rot, n_quarter = nuclear_block
+    tau_rot = params.larmor_period / 2.0 - t_pi
+    n_quarter = calibrate_quarter_rotation(params, tau_rot, t_pi=t_pi)
 
     # electron in a definite spin state; target nucleus polarized down
     rho0 = product_state((0.0, 1.0) if electron_up else (1.0, 0.0), [(1.0, 0.0)],
                          params.n_nuclei)
-    rho0 = eng.dd_block(rho0, tau_rot, n_quarter, T_PI_DEFAULT)
+    rho0 = eng.dd_block(rho0, tau_rot, n_quarter)
 
     signal, sigma_z = [], []
     for tau in taus:
         rho = eng.wait(rho0.copy(), float(tau))
-        rho = eng.dd_block(rho, tau_rot, n_quarter, T_PI_DEFAULT)
+        rho = eng.dd_block(rho, tau_rot, n_quarter)
         sz = eng.nuclear_sigma_z(rho, 0)
         sigma_z.append(sz)
         signal.append(0.5 * (1.0 + sz))
@@ -299,7 +301,7 @@ def run_ramsey(p: RegisterParams, dephasing, delta, taus, target="electron",
 
 
 def run_dd(p: RegisterParams, dephasing, kind, n_pulses, taus, f_ie=1.0,
-           pulse_rabi=None, pi_duration=T_PI_DEFAULT):
+           t_pi=T_PI_DEFAULT):
     """pi/2 - [tau/2 - pi - tau/2]^N - pi/2 coherence sweep.
 
     kind='CPMG' uses pi pulses 90 degrees from the initial pi/2; kind='XY'
@@ -310,7 +312,7 @@ def run_dd(p: RegisterParams, dephasing, kind, n_pulses, taus, f_ie=1.0,
     if n_pulses < 0:
         raise ValueError("n_pulses must be >= 0")
     pattern = (math.pi / 2,) if kind == "CPMG" else XY8_PHASES
-    eng = Engine(p, dephasing, pulse_rabi)
+    eng = Engine(p, dephasing, t_pi)
     taus = np.asarray(taus, dtype=float)
     rho0 = eng.rotate(_initial_rho(p, f_ie), math.pi / 2, 0.0)
     signal, total_time = [], []
@@ -319,16 +321,16 @@ def run_dd(p: RegisterParams, dephasing, kind, n_pulses, taus, f_ie=1.0,
         if n_pulses == 0:
             rho = eng.wait(rho, float(tau))
         else:
-            rho = eng.dd_block(rho, float(tau), n_pulses, pi_duration, pattern)
+            rho = eng.dd_block(rho, float(tau), n_pulses, pattern)
         rho = eng.rotate(rho, math.pi / 2, 0.0)
         signal.append(eng.population_up(rho))
-        total_time.append(float(tau) if n_pulses == 0 else n_pulses * (float(tau) + pi_duration))
+        total_time.append(float(tau) if n_pulses == 0 else n_pulses * (float(tau) + t_pi))
     return SweepResult(taus, signal, aux={"total_time": total_time},
                        name="dd_%s_%d" % (kind.lower(), n_pulses), axis_label="tau (s)")
 
 
 def run_spin_lock(p: RegisterParams, dephasing, omega_sl, tau_sl=None,
-                  amplitudes=None, tau_fixed=None, f_ie=1.0, pulse_rabi=None):
+                  amplitudes=None, tau_fixed=None, f_ie=1.0, t_pi=T_PI_DEFAULT):
     """pi/2(x) - y drive - pi/2(x) locking sequence.
 
     Either sweep the locking duration at fixed omega_sl (tau_sl), or sweep
@@ -337,7 +339,7 @@ def run_spin_lock(p: RegisterParams, dephasing, omega_sl, tau_sl=None,
     """
     if (tau_sl is None) == (amplitudes is None):
         raise ValueError("provide exactly one of tau_sl or amplitudes")
-    eng = Engine(p, dephasing, pulse_rabi)
+    eng = Engine(p, dephasing, t_pi)
     rho0 = eng.rotate(_initial_rho(p, f_ie), math.pi / 2, 0.0)
     signal = []
     if tau_sl is not None:
@@ -362,7 +364,7 @@ def run_spin_lock(p: RegisterParams, dephasing, omega_sl, tau_sl=None,
 
 
 def run_nuclear_rotation(p: RegisterParams, dephasing, tau_rot, n_sweep,
-                         f_ie=1.0, pulse_rabi=None, pi_duration=T_PI_DEFAULT):
+                         f_ie=1.0, t_pi=T_PI_DEFAULT):
     """DD block with inter-pulse gap tau_rot, sweeping the pulse number N.
 
     Reports the electron coherence signal (pi/2 - N units - pi/2) and, as an
@@ -375,7 +377,7 @@ def run_nuclear_rotation(p: RegisterParams, dephasing, tau_rot, n_sweep,
     n_sweep = [int(n) for n in n_sweep]
     if any(n < 0 for n in n_sweep):
         raise ValueError("pulse numbers must be >= 0")
-    eng = Engine(p, dephasing, pulse_rabi)
+    eng = Engine(p, dephasing, t_pi)
 
     # electron-signal branch: coherence interferometry around the block
     rho_sig = eng.rotate(_initial_rho(p, f_ie), math.pi / 2, 0.0)
@@ -388,8 +390,8 @@ def run_nuclear_rotation(p: RegisterParams, dephasing, tau_rot, n_sweep,
     for n in range(wanted[-1] + 1):
         if n > 0:
             phase = XY8_PHASES[(n - 1) % 8]
-            rho_sig = eng.dd_unit(rho_sig, tau_rot, phase, pi_duration)
-            rho_rot = eng.dd_unit(rho_rot, tau_rot, phase, pi_duration)
+            rho_sig = eng.dd_unit(rho_sig, tau_rot, phase)
+            rho_rot = eng.dd_unit(rho_rot, tau_rot, phase)
         if n == wanted[k]:
             probe = eng.rotate(rho_sig.copy(), math.pi / 2, 0.0)
             sig_at[n] = eng.population_up(probe)
@@ -421,7 +423,7 @@ def extract_full_rotation(ns, sigma_z):
 
 
 def calibrate_quarter_rotation(p: RegisterParams, tau_rot, n_max=400,
-                               pi_duration=T_PI_DEFAULT, force_even=False):
+                               t_pi=T_PI_DEFAULT, force_even=False):
     """Smallest N whose conditional rotation angle is a quarter turn.
 
     Simulates the ideal-limit sigma_z trace of the target nucleus and returns
@@ -431,11 +433,11 @@ def calibrate_quarter_rotation(p: RegisterParams, tau_rot, n_max=400,
     """
     single = RegisterParams(detuning=p.detuning, larmor_n=p.larmor_n,
                             hyperfine=(p.hyperfine[0],), n_nuclei=1)
-    eng = Engine(single, None)
+    eng = Engine(single, None, t_pi)
     rho = product_state((1.0, 0.0), [(1.0, 0.0)])
     trace = [eng.nuclear_sigma_z(rho, 0)]
     for n in range(1, n_max + 1):
-        rho = eng.dd_unit(rho, tau_rot, XY8_PHASES[(n - 1) % 8], pi_duration)
+        rho = eng.dd_unit(rho, tau_rot, XY8_PHASES[(n - 1) % 8])
         trace.append(eng.nuclear_sigma_z(rho, 0))
         if trace[-1] >= 0.0:
             if force_even:
@@ -443,7 +445,7 @@ def calibrate_quarter_rotation(p: RegisterParams, tau_rot, n_max=400,
                 hi = lo + 2
                 if hi > n_max or lo < 1:
                     break
-                rho = eng.dd_unit(rho, tau_rot, XY8_PHASES[n % 8], pi_duration)
+                rho = eng.dd_unit(rho, tau_rot, XY8_PHASES[n % 8])
                 trace.append(eng.nuclear_sigma_z(rho, 0))
                 return lo if abs(trace[lo]) <= abs(trace[hi]) else hi
             return n if abs(trace[n]) <= abs(trace[n - 1]) else n - 1
@@ -458,7 +460,7 @@ def _transfer_segments(eng: Engine, g: GateSpec, wait):
     """(unitary, free time) segments of the polarization-transfer gate (sans re-pump)."""
     block = []
     for k in range(g.n_pulses):
-        block += eng.dd_unit_segments(g.tau, XY8_PHASES[k % 8], g.pi_duration)
+        block += eng.dd_unit_segments(g.tau, XY8_PHASES[k % 8])
     return (eng.rotation_segments(math.pi / 2, math.pi / 2) + block
             + eng.rotation_segments(math.pi / 2, 0.0) + eng.free_segments(wait) + block)
 
@@ -472,7 +474,7 @@ def calibrate_transfer_wait(p: RegisterParams, g: GateSpec, coarse=48, fine=33):
     """
     single = RegisterParams(detuning=p.detuning, larmor_n=p.larmor_n,
                             hyperfine=(p.hyperfine[0],), n_nuclei=1)
-    eng = Engine(single, None)
+    eng = Engine(single, None, g.t_pi)
     period = single.larmor_period
 
     def transferred(wait):
@@ -502,7 +504,7 @@ def nuclear_init_gate(p: RegisterParams, dephasing, g: GateSpec, f_ie,
     if g.kind != "UI":
         raise InvalidGate("nuclear_init_gate needs a gate of kind 'UI'")
     wait = g.wait if g.wait is not None else calibrate_transfer_wait(p, g)
-    eng = Engine(p, dephasing)
+    eng = Engine(p, dephasing, g.t_pi)
     rho = _initial_rho(p, f_ie, flip=flip_first)
     rho = eng.evolve(rho, _transfer_segments(eng, g, wait))
     return repump_electron(RegisterState(rho, p.n_nuclei), f_ie)
@@ -521,7 +523,7 @@ def ui_probe_signal(p: RegisterParams, dephasing, g: GateSpec, f_ie,
     if g.kind != "UI":
         raise InvalidGate("ui_probe_signal needs a gate of kind 'UI'")
     wait = g.wait if g.wait is not None else calibrate_transfer_wait(p, g)
-    eng = Engine(p, dephasing)
+    eng = Engine(p, dephasing, g.t_pi)
     segments = _transfer_segments(eng, g, wait)
     rho = _initial_rho(p, f_ie, flip=flip_first)
     rho = eng.evolve(rho, segments)
@@ -539,14 +541,14 @@ class CompositeGate:
     dephasing: Optional[DephasingModel]
 
     def apply(self, state: RegisterState):
-        eng = Engine(self.params, self.dephasing)
-        rho = state.rho.copy()
         g = self.spec
+        eng = Engine(self.params, self.dephasing, g.t_pi)
+        rho = state.rho.copy()
         if g.kind == "identity":
             return RegisterState(rho, state.n_nuclei)
         if g.kind == "CeNOTn":
-            rho = eng.dd_block(rho, g.tau, g.n_pulses, g.pi_duration)
-            rho = eng.dd_block(rho, g.uncond_tau, g.uncond_n, g.pi_duration)
+            rho = eng.dd_block(rho, g.tau, g.n_pulses)
+            rho = eng.dd_block(rho, g.uncond_tau, g.uncond_n)
             return RegisterState(rho, state.n_nuclei)
         if g.kind == "CnNOTe":
             a_par = self.params.hyperfine[0][0]
@@ -571,24 +573,21 @@ def composite_gate(p: RegisterParams, dephasing, g: GateSpec):
     return CompositeGate(g, p, dephasing)
 
 
-def calibrate_cenotn(p: RegisterParams, pi_duration=T_PI_DEFAULT, n_max=900):
+def calibrate_cenotn(p: RegisterParams, t_pi=T_PI_DEFAULT, n_max=900):
     """GateSpec for a CeNOTn: conditional + unconditional quarter rotations."""
     t_l = p.larmor_period
-    tau_c = t_l / 2.0 - pi_duration
-    tau_u = t_l - pi_duration
-    n_c = calibrate_quarter_rotation(p, tau_c, n_max=n_max, pi_duration=pi_duration,
-                                     force_even=True)
-    n_u = calibrate_quarter_rotation(p, tau_u, n_max=n_max, pi_duration=pi_duration,
-                                     force_even=True)
+    tau_c = t_l / 2.0 - t_pi
+    tau_u = t_l - t_pi
+    n_c = calibrate_quarter_rotation(p, tau_c, n_max=n_max, t_pi=t_pi, force_even=True)
+    n_u = calibrate_quarter_rotation(p, tau_u, n_max=n_max, t_pi=t_pi, force_even=True)
     return GateSpec(kind="CeNOTn", tau=tau_c, n_pulses=n_c,
-                    pi_duration=pi_duration, uncond_tau=tau_u, uncond_n=n_u)
+                    t_pi=t_pi, uncond_tau=tau_u, uncond_n=n_u)
 
 
-def calibrate_cnnote(p: RegisterParams, pi_duration=T_PI_DEFAULT):
+def calibrate_cnnote(p: RegisterParams, t_pi=T_PI_DEFAULT):
     """GateSpec for a CnNOTe: drive amplitude A_par/sqrt(3) on the down manifold."""
     a_par = p.hyperfine[0][0]
-    return GateSpec(kind="CnNOTe", pi_duration=pi_duration,
-                    rabi=a_par / math.sqrt(3.0))
+    return GateSpec(kind="CnNOTe", t_pi=t_pi, rabi=a_par / math.sqrt(3.0))
 
 
 def _joint_populations(state: RegisterState):
@@ -672,7 +671,7 @@ class RbResult:
 
 def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
                                 n_random=20, gate_fidelity_noise=0.0, seed=0,
-                                f_ie=1.0, pulse_rabi=None):
+                                f_ie=1.0, t_pi=T_PI_DEFAULT):
     """Clifford randomized benchmarking of the electron.
 
     Random sequences from {+-X/2, +-X, +-Y/2, +-Y}, a final inversion element
@@ -684,7 +683,7 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
     q = gate_fidelity_noise
     if not 0.0 <= q <= 1.0:
         raise ValueError("gate_fidelity_noise must lie in [0, 1], got %r" % (q,))
-    eng = Engine(p, dephasing, pulse_rabi)
+    eng = Engine(p, dephasing, t_pi)
     up = np.array([0.0, 1.0], dtype=complex)
     down = np.array([1.0, 0.0], dtype=complex)
 

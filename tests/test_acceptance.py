@@ -132,7 +132,7 @@ def test_04_conditional_nuclear_rotation():
     p = RegisterParams(hyperfine=((621.75027e3, 140.1e3),), n_nuclei=1,
                        larmor_n=larmor)
     sweep = sequences.run_nuclear_rotation(p, None, half_period - t_pi,
-                                           range(0, 211), pi_duration=t_pi)
+                                           range(0, 211), t_pi=t_pi)
     n_star = sequences.extract_full_rotation(sweep.axis,
                                              sweep.aux["nuclear_sigma_z"])
     rate = 1.0 / (169 * half_period)
@@ -151,7 +151,7 @@ def test_04_conditional_nuclear_rotation():
 def test_05_nuclear_initialization_and_probe_bias():
     p_two = RegisterParams(hyperfine=HYPERFINE, n_nuclei=2, larmor_n=LARMOR)
     p_one = RegisterParams(hyperfine=(HYPERFINE[0],), n_nuclei=1, larmor_n=LARMOR)
-    gate = GateSpec(kind="UI", tau=81.5e-9, n_pulses=42, pi_duration=T_PI_DEFAULT)
+    gate = GateSpec(kind="UI", tau=81.5e-9, n_pulses=42, t_pi=T_PI_DEFAULT)
     f_ie = 0.806
     state = sequences.nuclear_init_gate(p_two, None, gate, f_ie)
     sigma_z = measure(state, "nuclear_sigma_z", 0)

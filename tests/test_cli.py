@@ -154,6 +154,10 @@ def test_sweep_and_register_validation(out_dir, capsys):
                      "--config", str(nan_config)]) == 2
     assert "non-finite value nan for key 'omega'" in capsys.readouterr().err
     assert cli.main(["run", "rb", "--larmor-n", LARMOR, "--q", "2"]) == 3
+    for experiment in ("nucrot", "rb"):
+        assert cli.main(["run", experiment, "--larmor-n", LARMOR,
+                         "--sweep-start=-10", "--sweep-stop=-5"]) == 2
+        assert "sweep_start..sweep_stop holds no count >= 0" in capsys.readouterr().err
     for experiment in ("nucrot", "ramsey", "dd", "spinlock", "rb", "gates"):
         assert cli.main(["run", experiment, "--larmor-n", LARMOR, "--t-pi", "0"]) == 2
         assert "config error: t_pi must be > 0" in capsys.readouterr().err
@@ -200,6 +204,18 @@ def test_module_failures_exit_three(out_dir, capsys):
     capsys.readouterr()
 
 
+def test_ssr_leaves_out_the_rates_of_a_class_with_no_shots(out_dir):
+    runs = [(["--initial", "bright"], "fidelity_bright", "fidelity_dark"),
+            (["--initial", "dark"], "fidelity_dark", "fidelity_bright"),
+            (["--n-shots", "1"], "fidelity_bright", "fidelity_dark")]
+    for i, (flags, kept, missing) in enumerate(runs):
+        output = "ssr%d.csv" % i
+        assert cli.main(["ssr", "--n-shots", "50", *flags, "--output", output]) == 0
+        _, result, _, _ = parse_csv(out_dir / output)
+        assert kept in result and missing not in result
+        assert all(math.isfinite(float(value)) for value in result.values())
+
+
 def test_fit_consumes_generated_artifact(out_dir):
     assert cli.main(["optical", "--mode", "decay", "--sweep-start", "0",
                      "--sweep-stop", "8e-9", "--sweep-points", "60",
@@ -215,8 +231,20 @@ def test_fit_consumes_generated_artifact(out_dir):
     assert values["a"] == pytest.approx(1.0, rel=1e-6)
     assert values["t"] == pytest.approx(1.6535e-9, rel=1e-6)
     assert abs(values["c"]) < 1e-9
+    assert all(math.isfinite(float(row[2])) for row in rows)
     assert result["converged"] == "true"
     assert result["n_points"] == "60"
+
+
+def test_dd_total_time_uses_the_configured_pi_time(out_dir):
+    assert cli.main(["run", "dd", "--larmor-n", LARMOR, "--t-pi", "1e-7",
+                     "--sweep-points", "3"]) == 0
+    config, _, columns, rows = parse_csv(out_dir / "dd.csv")
+    n_pulses = int(config["n_pulses"])
+    total = columns.index("total_time")
+    for row in rows:
+        assert float(row[total]) == pytest.approx(n_pulses * (float(row[0]) + 1e-7),
+                                                  rel=1e-12)
 
 
 def test_nuclear_rotation_defaults_resonant_delay(out_dir):

@@ -87,7 +87,7 @@ def test_single_nucleus_probe_overestimates_contrast():
 def _coherent_state(eng, n_nuclei):
     """Initialized register rotated so it carries electron and nuclear coherences."""
     rho = initialize_electron(0.9, n_nuclei).rho
-    return eng.dd_unit(eng.rotate(rho, 1.1, 0.4), 0.3e-6, 0.7, T_PI_DEFAULT)
+    return eng.dd_unit(eng.rotate(rho, 1.1, 0.4), 0.3e-6, 0.7)
 
 
 def test_transfer_segments_reverse_pass_undoes_forward_pass():
@@ -104,7 +104,7 @@ def test_transfer_segments_reverse_pass_dephases_after_each_free_segment():
     p = one_nucleus()
     g = GateSpec(kind="UI", tau=81.5e-9, n_pulses=6, wait=0.1e-6)
     deph = DephasingModel(t_c=4e-6, beta=2.0)
-    eng = Engine(p, deph)
+    eng = Engine(p, deph, g.t_pi)
 
     def undo(rho, u, t=0.0):
         rho = u.conj().T @ rho @ u
@@ -113,7 +113,7 @@ def test_transfer_segments_reverse_pass_dephases_after_each_free_segment():
     def undo_block(rho):
         half = eng.u_free(g.tau / 2.0)
         for k in reversed(range(g.n_pulses)):
-            pi_u = eng.u_rotation(math.pi, XY8_PHASES[k % 8], 1.0 / (2.0 * g.pi_duration))
+            pi_u = eng.u_rotation(math.pi, XY8_PHASES[k % 8])
             rho = undo(undo(undo(rho, half, g.tau / 2.0), pi_u), half, g.tau / 2.0)
         return rho
 

@@ -45,7 +45,7 @@ def test_hamiltonian_block_diagonal_without_drive():
 
 def test_drive_adds_transverse_term():
     p = params(1)
-    d = DriveSpec(rabi=8.97e6, phase=math.pi / 2, duration=55.715e-9)
+    d = DriveSpec(rabi=8.97e6, phase=math.pi / 2)
     h = hamiltonian(p, d) - hamiltonian(p)
     expected = 2 * math.pi * d.rabi / 2 * op_at(SY, 0, 2)
     np.testing.assert_allclose(h, expected, atol=1e-6)
@@ -144,6 +144,8 @@ def test_dephasing_model_validation():
         DephasingModel(t_c=0.0, beta=2.0)
     with pytest.raises(ValueError):
         DephasingModel(t_c=1e-6, beta=4.0)
+    with pytest.raises(ValueError):
+        DephasingModel(t_c=math.inf, beta=2.0)
 
 
 # --- repump and state validation ---------------------------------------------

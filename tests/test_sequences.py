@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from sivreg import fitting
-from sivreg.register import DephasingModel, RegisterParams, RegisterState
-from sivreg.sequences import (GateSpec, SweepResult, T_PI_DEFAULT,
-                              calibrate_quarter_rotation, extract_full_rotation,
+from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
+                             initialize_electron)
+from sivreg.sequences import (Engine, GateSpec, SweepResult, T_PI_DEFAULT,
+                              calibrate_quarter_rotation, composite_gate,
+                              extract_full_rotation, nuclear_init_gate,
                               run_dd, run_nuclear_rotation, run_rabi,
                               run_ramsey, run_randomized_benchmarking,
-                              run_spin_lock)
+                              run_spin_lock, ui_probe_signal)
 
 HYP1 = (621.75027e3, 140.1041e3)
 HYP2 = (50.0e3, 101.19309e3)
@@ -304,3 +306,50 @@ def test_rb_rejects_noise_outside_unit_interval(q):
     with pytest.raises(ValueError):
         run_randomized_benchmarking(bare_params(), None, [1, 2], n_random=1,
                                     gate_fidelity_noise=q)
+
+
+# --- the one pi time ----------------------------------------------------------
+
+@pytest.mark.parametrize("t_pi", [0.0, -1e-9, math.nan])
+def test_engine_rejects_nonpositive_pi_time(t_pi):
+    with pytest.raises(ValueError, match="t_pi"):
+        Engine(one_nucleus(), None, t_pi)
+
+
+def test_every_rotation_pulse_runs_at_the_engine_pi_time(monkeypatch):
+    """All pi/2, DD pi and Clifford pulses use Rabi rate 1/(2 t_pi) of the caller's t_pi."""
+    t_pi = 1e-7
+    pulses = []
+    u_pulse = Engine.u_pulse
+
+    def recording(eng, rabi, phase, duration):
+        pulses.append((rabi, duration))
+        return u_pulse(eng, rabi, phase, duration)
+
+    monkeypatch.setattr(Engine, "u_pulse", recording)
+    p = RegisterParams(larmor_n=LARMOR_N, hyperfine=(HYP1,), n_nuclei=1)
+    tau_rot = 0.5 * p.larmor_period - t_pi
+    taus = [0.0, 1e-6]
+    runs = {
+        "ramsey": lambda: run_ramsey(p, None, 1e6, taus, t_pi=t_pi),
+        "nuclear ramsey": lambda: run_ramsey(p, None, 0.0, taus, target="nuclear",
+                                             t_pi=t_pi),
+        "dd": lambda: run_dd(p, None, "XY", 8, [1e-7, 2e-7], t_pi=t_pi),
+        "nuclear rotation": lambda: run_nuclear_rotation(p, None, tau_rot, [0, 3],
+                                                         t_pi=t_pi),
+        "rb": lambda: run_randomized_benchmarking(p, None, [1, 3, 5, 8], n_random=2,
+                                                  t_pi=t_pi),
+    }
+    ui = GateSpec(kind="UI", tau=81.5e-9, n_pulses=6, t_pi=t_pi)
+    runs["UI gate"] = lambda: nuclear_init_gate(p, None, ui, 0.9)
+    runs["UI probe"] = lambda: ui_probe_signal(p, None, ui, 0.9)
+    cenotn = GateSpec(kind="CeNOTn", tau=tau_rot, n_pulses=2, t_pi=t_pi,
+                      uncond_tau=2 * tau_rot, uncond_n=2)
+    runs["CeNOTn"] = lambda: composite_gate(p, None, cenotn).apply(initialize_electron(0.9))
+    for name, run in runs.items():
+        pulses.clear()
+        run()
+        assert pulses, name
+        for rabi, duration in pulses:
+            assert rabi == pytest.approx(1.0 / (2.0 * t_pi), rel=1e-12), name
+            assert min(abs(duration - t_pi), abs(duration - t_pi / 2)) < 1e-12 * t_pi, name
