@@ -8,7 +8,8 @@ Subpackages/modules:
                   DD, spin-lock, nuclear gates, RB)
     readout    -- optical pumping and single-shot-readout photon statistics
     optics     -- driven-dissipative two-level optical dipole dynamics
-    fitting    -- Levenberg-Marquardt least squares and the model registry
+    fitting    -- Levenberg-Marquardt least squares (also behind the strain estimate), model registry
+    constants  -- physical constants shared by electronic and fitting
     cli        -- command line front end
 
 Unit convention: every public interface takes and returns ordinary frequencies in Hz

@@ -314,8 +314,12 @@ def _run_gates(v):
 
 
 def _run_rb(v):
+    n_cliffords = _int_axis(v)
+    if n_cliffords.size < 2:
+        raise ConfigError("sweep_points over sweep_start..sweep_stop give < 2 distinct "
+                          "Clifford counts")
     res = sequences.run_randomized_benchmarking(
-        _register_params(v), _dephasing(v), _int_axis(v),
+        _register_params(v), _dephasing(v), n_cliffords,
         n_random=v["n_random"], gate_fidelity_noise=v["q"], seed=v["seed"],
         f_ie=v["f_ie"], t_pi=v["t_pi"])
     cols, rows = _sweep_table(res.sweep)
@@ -372,6 +376,8 @@ def _run_optical(v):
         cols, rows = _sweep_table(sweep)
         return cols, rows, {"t_pulse": t_pulse}
     if mode == "decay":
+        if v["sweep_points"] < 4:
+            raise ConfigError("sweep_points must be >= 4 for the lifetime fit of mode 'decay'")
         times = _sweep_axis(v)
         trace = optics.fluorescence_decay(p, times, p_e0=v["p_e0"])
         t1_fit, amp_fit = optics.extract_lifetime((times, trace))

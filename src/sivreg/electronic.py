@@ -12,12 +12,14 @@ Eigensystems derived from it are angular (rad/s).  derived_observables
 converts back to Hz.
 """
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from . import fitting
+from .constants import PhysicalConstants
 from .linalg import IDENTITY2, SX, SY, SZ, Eigensystem, hermitian_eig, kron
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -26,13 +28,6 @@ TWO_PI = 2.0 * math.pi
 
 class DegenerateStates(RuntimeError):
     """State labeling by energy order is ambiguous (E0 and E1 coincide)."""
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    bohr_magneton_over_h: float = 13.996245e9  # Hz/T
-    boltzmann_over_h: float = 20.836619e9      # Hz/K
-    gyromag_13C: float = 10.7084e6             # Hz/T
 
 
 @dataclass(frozen=True)
@@ -123,20 +118,19 @@ def _kron3(a, b, c):
     return kron(kron(a, b), c)
 
 
-def field_from_nuclear_larmor(larmor_n, constants=PhysicalConstants()):
+def field_from_nuclear_larmor(larmor_n):
     """Field magnitude (T) implied by a 13C nuclear Larmor frequency (Hz)."""
-    return larmor_n / constants.gyromag_13C
+    return larmor_n / PhysicalConstants().gyromag_13C
 
 
-def build_hamiltonian(c: DefectConstants, s: StrainField, f: FieldConfig,
-                      constants=PhysicalConstants()):
+def build_hamiltonian(c: DefectConstants, s: StrainField, f: FieldConfig):
     """Assemble the 8x8 electronic Hamiltonian (rad/s)."""
     theta = math.radians(f.theta)
     phi = math.radians(f.phi)
     bx = f.magnitude * math.sin(theta) * math.cos(phi)
     by = f.magnitude * math.sin(theta) * math.sin(phi)
     bz = f.magnitude * math.cos(theta)
-    mu_b = constants.bohr_magneton_over_h
+    mu_b = PhysicalConstants().bohr_magneton_over_h
 
     sx, sy, sz = SX / 2.0, SY / 2.0, SZ / 2.0
     h = np.zeros((8, 8), dtype=complex)
@@ -207,11 +201,10 @@ def derived_observables(eig: Eigensystem):
     )
 
 
-def observables_at(epsilon, alpha, theta, b_field, defect=DefectConstants(),
-                   constants=PhysicalConstants()):
+def observables_at(epsilon, alpha, theta, b_field):
     """Forward model: (epsilon, alpha, theta) + field magnitude -> observables."""
-    h = build_hamiltonian(defect, StrainField(epsilon, alpha),
-                          FieldConfig(b_field, theta), constants)
+    h = build_hamiltonian(DefectConstants(), StrainField(epsilon, alpha),
+                          FieldConfig(b_field, theta))
     return derived_observables(hermitian_eig(h))
 
 
@@ -224,8 +217,7 @@ def delta_gs_zero_field(epsilon, lambda_g=DefectConstants.lambda_g):
 _UNIT_STRAIN_G = _kron3(_PROJ_G, _OZ + SX, IDENTITY2)
 
 
-def orbach_rate(eig: Eigensystem, s: StrainField, temperature,
-                constants=PhysicalConstants()):
+def orbach_rate(eig: Eigensystem, s: StrainField, temperature):
     """Relative two-phonon Orbach spin-relaxation rate (proportionality constant 1).
 
     Cubic gap factor times a Bose occupation of the upper orbital branch,
@@ -237,7 +229,7 @@ def orbach_rate(eig: Eigensystem, s: StrainField, temperature,
         raise ValueError("temperature must be > 0")
     e = eig.values / TWO_PI
     delta_gs = 0.5 * (e[2] + e[3]) - 0.5 * (e[0] + e[1])
-    x = delta_gs / (constants.boltzmann_over_h * temperature)
+    x = delta_gs / (PhysicalConstants().boltzmann_over_h * temperature)
     if x > 700.0:
         bose = 0.0
     else:
@@ -253,74 +245,61 @@ def orbach_rate(eig: Eigensystem, s: StrainField, temperature,
 
 
 DEFAULT_BOUNDS = ((0.0, 1e12), (0.1, 2.0), (0.0, 60.0))  # epsilon (Hz), alpha, theta (deg)
+_STRAIN_PARAMS = tuple(map(fitting.ParamSpec, ("epsilon", "alpha", "theta"), ("Hz", "", "deg"),
+                           DEFAULT_BOUNDS))
 
 
-def estimation_cost(params, targets, b_field, defect=DefectConstants(),
-                    constants=PhysicalConstants(), bounds=DEFAULT_BOUNDS):
-    """Relative-squared mismatch over the four observables, +inf outside physics."""
-    eps, alpha, theta = params
-    penalty = 0.0
-    lo_hi = list(zip(*bounds))
-    clipped = np.clip(params, lo_hi[0], lo_hi[1])
-    penalty = 1e3 * float(np.sum(((params - clipped) / (np.array(lo_hi[1]) - np.array(lo_hi[0]))) ** 2))
-    eps, alpha, theta = clipped
+def _relative_observables(params, targets, b_field):
+    """Model observables over targets; +inf outside DEFAULT_BOUNDS or on DegenerateStates."""
+    if not all(lo <= v <= hi for v, (lo, hi) in zip(params, DEFAULT_BOUNDS)):
+        return np.full(4, math.inf)
     try:
-        obs = observables_at(eps, alpha, theta, b_field, defect, constants)
+        obs = observables_at(*params, b_field)
     except DegenerateStates:
-        return math.inf
-    cost = 0.0
-    for model, target in zip(obs.as_tuple(), targets):
-        if not math.isfinite(model):
-            return math.inf
-        cost += ((model - target) / target) ** 2
-    return cost + penalty
+        return np.full(4, math.inf)
+    return np.array(obs.as_tuple()) / targets
 
 
-def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6,
-                        bounds=DEFAULT_BOUNDS, defect=DefectConstants(),
-                        constants=PhysicalConstants()):
+def estimation_cost(params, targets, b_field):
+    """Relative-squared mismatch over the four observables, +inf outside physics."""
+    return float(np.sum((_relative_observables(params, targets, b_field) - 1.0) ** 2))
+
+
+def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
     """Estimate (epsilon, alpha, theta) from measured observables.
 
     targets -- (omega_L_e, delta_ss, delta_gs, cyclicity), Hz/Hz/Hz/ratio
     b_field -- field magnitude (T); defaults to larmor_n / gyromag_13C
 
-    Multi-start Nelder-Mead (8 deterministic starts on a coarse grid inside
-    the bounds box).  The ``converged`` flag is False when the best cost
+    Multi-start Levenberg-Marquardt (fitting.least_squares on the four
+    relative residuals, from 8 deterministic starts at 1/3 and 2/3 of each
+    DEFAULT_BOUNDS side).  The ``converged`` flag is False when the best cost
     stalls above 1e-2; the best point is reported either way.
     """
-    targets = tuple(float(t) for t in targets)
+    targets = np.array([float(t) for t in targets])
     if len(targets) != 4 or not all(math.isfinite(t) and t > 0 for t in targets):
         raise ValueError("targets must be four finite positive numbers")
     if b_field is None:
-        b_field = field_from_nuclear_larmor(larmor_n, constants)
+        b_field = field_from_nuclear_larmor(larmor_n)
 
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    span = hi - lo
-    starts = [np.array([fe, fa, ft])
-              for fe in (1.0 / 3.0, 2.0 / 3.0)
-              for fa in (1.0 / 3.0, 2.0 / 3.0)
-              for ft in (1.0 / 3.0, 2.0 / 3.0)]
-
-    # optimize in box-normalized coordinates so the simplex tolerances are
-    # meaningful across the very different parameter scales
-    cost = lambda u: estimation_cost(lo + u * span, targets, b_field,
-                                     defect, constants, bounds)
-    best = None
-    for start in starts:
-        res = optimize.minimize(
-            cost, start, method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 500})
-        candidate = (float(res.fun), tuple(float(v) for v in lo + res.x * span))
-        if best is None or candidate < best:
-            best = candidate
-    cost_opt, opt = best
-    eps, alpha, theta = (float(v) for v in np.clip(opt, lo, hi))
-    obs = observables_at(eps, alpha, theta, b_field, defect, constants)
+    model = fitting.ModelSpec("strain", _STRAIN_PARAMS,
+                              lambda x, *p: _relative_observables(p, targets, b_field))
+    fits = []
+    for start in itertools.product((1.0 / 3.0, 2.0 / 3.0), repeat=3):
+        init = [lo + f * (hi - lo) for f, (lo, hi) in zip(start, DEFAULT_BOUNDS)]
+        try:
+            fits.append(fitting.least_squares(model, np.arange(4.0), np.ones(4), init=init))
+        except (fitting.SingularNormalMatrix, fitting.MaxIterations):
+            pass   # the other starts still count
+    if not fits:
+        raise fitting.SingularNormalMatrix("no start of the strain estimate converged")
+    best = min(fits, key=lambda fit: fit.residual_norm)
+    eps, alpha, theta = (float(v) for v in best.params)
+    cost = best.residual_norm ** 2
     return EstimationResult(
         strain=StrainField(eps, alpha),
         theta=theta,
-        cost=cost_opt,
-        converged=bool(cost_opt <= 1e-2),
-        observables=obs,
+        cost=cost,
+        converged=bool(cost <= 1e-2),
+        observables=observables_at(eps, alpha, theta, b_field),
     )

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .electronic import PhysicalConstants
+from .constants import PhysicalConstants
 
 _KB_H = PhysicalConstants().boltzmann_over_h  # Hz/K
 
@@ -245,7 +245,8 @@ def least_squares(model: ModelSpec, x, y, weights=None, init=None,
             up[i] += h
             dn[i] -= h
             jac_p[:, col] = w_sqrt * (model(x, up) - model(x, dn)) / (2.0 * h)
-        a = jac_p.T @ jac_p
+        with np.errstate(invalid="ignore"):   # a step past a bound gives inf columns
+            a = jac_p.T @ jac_p
         try:
             inv = np.linalg.inv(a)
         except np.linalg.LinAlgError:

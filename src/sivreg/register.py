@@ -84,7 +84,8 @@ class DephasingModel:
     def factor(self, t):
         if t == 0.0:
             return 1.0
-        return math.exp(-((t / self.t_c) ** self.beta))
+        # t / t_c capped at 1e100 keeps the power finite for beta <= 3; exp gives 0.0 either way
+        return math.exp(-(min(t / self.t_c, 1e100) ** self.beta))
 
 
 @dataclass

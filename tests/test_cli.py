@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +167,12 @@ def test_sweep_and_register_validation(out_dir, capsys):
         assert "config error: t_pi must be > 0" in capsys.readouterr().err
     assert cli.main(["optical", "--mode", "phase", "--amplitude", "0"]) == 2
     assert "config error: amplitude * rabi_per_volt" in capsys.readouterr().err
+    # sweeps too short for the fit they feed
+    assert cli.main(["optical", "--mode", "decay", "--sweep-points", "3"]) == 2
+    assert "sweep_points" in capsys.readouterr().err
+    assert cli.main(["run", "rb", "--larmor-n", LARMOR, "--sweep-start", "1",
+                     "--sweep-stop", "1.4"]) == 2
+    assert "sweep_points" in capsys.readouterr().err
     for n_shots in ("0", "-3"):
         assert cli.main(["ssr", "--n-shots", n_shots]) == 2
         assert "config error: n_shots must be >= 1" in capsys.readouterr().err
@@ -288,6 +298,32 @@ def test_estimate_subcommand_recovers_strain_parameters(out_dir):
     assert row["omega_l_e_hz"] == pytest.approx(9.431e9, rel=0.01)
     assert row["cyclicity"] == pytest.approx(816.285, rel=0.01)
     assert result["converged"] == "true"
+    # targets no strain reproduces: the best start is reported, flagged unconverged
+    assert cli.main(["estimate", "--wl", "1", "--dss", "2", "--dgs", "3", "--eta", "4"]) == 0
+    _, result, columns, rows = parse_csv(out_dir / "estimate.csv")
+    assert result["converged"] == "false"
+    assert all(math.isfinite(float(cell)) for cell in rows[0])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # a fresh interpreter, importing the same sivreg package as this suite
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, sivreg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_dd_with_a_vanishing_coherence_time_dephases_fully(out_dir):
+    assert cli.main(["run", "dd", "--larmor-n", LARMOR, "--t-c", "1e-300",
+                     "--sweep-points", "5"]) == 0
+    _, _, columns, rows = parse_csv(out_dir / "dd.csv")
+    signal = [float(row[columns.index("signal")]) for row in rows]
+    assert signal == pytest.approx([0.5] * 5, abs=1e-6)
 
 
 def test_argparse_level_failures(capsys):

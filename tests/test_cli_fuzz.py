@@ -1,11 +1,12 @@
 """Property test of the command line over drawn configurations.
 
 Every invocation ends in one of the documented exit codes (0 success, 2
-configuration error, 3 experiment error), never in an uncaught exception,
-and a successful one writes a CSV whose numeric cells are all finite, apart
-from the documented non-finite outputs: a fit sigma is nan when the fit
-covariance is singular, and the cyclicity is inf when the spin-flip channel
-is dark.
+configuration error, 3 experiment error), never in an uncaught exception.
+No experiment error comes from a float overflow or from a fit handed a sweep
+too short for it.  A successful one writes a CSV whose numeric cells are all
+finite, apart from the documented non-finite outputs: a fit sigma is nan when
+the fit covariance is singular, and the cyclicity is inf when the spin-flip
+channel is dark.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from sivreg import cli
 
@@ -24,7 +25,7 @@ def _flags(**values):
 
 
 def _mostly(valid, *bad):
-    """Values from the valid range, with about one draw in ten from the bad ones."""
+    """Values from the valid range, with about one draw in ten from the bad or extreme ones."""
     return st.sampled_from(range(10)).flatmap(
         lambda i: st.sampled_from(bad) if i == 0 else valid)
 
@@ -33,7 +34,7 @@ def _sweep(stop_max):
     valid = st.fixed_dictionaries({
         "sweep_start": st.floats(0.0, 0.5 * stop_max),
         "sweep_stop": st.floats(0.0, stop_max),
-        "sweep_points": st.integers(2, 9),
+        "sweep_points": st.integers(1, 9),
     })
     return _mostly(valid, {"sweep_start": -0.1 * stop_max, "sweep_stop": -0.05 * stop_max,
                            "sweep_points": 3},
@@ -45,7 +46,7 @@ _REGISTER = st.fixed_dictionaries({
     "larmor_n": _mostly(st.floats(1e6, 5e6), 0.0, -1e6),
     "delta": st.floats(-2e6, 2e6),
     "n_nuclei": st.integers(1, 2),
-    "t_c": st.floats(0.0, 2e-5),
+    "t_c": _mostly(st.floats(0.0, 2e-5), 1e-300),
     "beta_deph": _mostly(st.floats(0.5, 3.0), 0.3, 3.5),
     "f_ie": _mostly(st.floats(0.5, 1.0), 0.0, 1.2),
     "t_pi": _mostly(st.floats(2e-8, 1.2e-7), 0.0, -1e-8),
@@ -129,6 +130,11 @@ def _undocumented_non_finite_cells(path):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(config=_CONFIGS)
+@example(config=(["optical"], {"mode": "decay"}, {"sweep_points": 3}))
+@example(config=(["run", "rb"], {"larmor_n": 3.5857929e6},
+                 {"sweep_start": 1.0, "sweep_stop": 1.4}))
+@example(config=(["run", "dd"], {"larmor_n": 3.5857929e6, "t_c": 1e-300},
+                 {"sweep_points": 5}))
 def test_cli_exits_cleanly_and_writes_only_finite_values(config):
     argv = _argv(config)
     with tempfile.TemporaryDirectory() as out_dir:
@@ -137,6 +143,10 @@ def test_cli_exits_cleanly_and_writes_only_finite_values(config):
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = cli.main(argv + ["--output", path])
         assert code in (0, 2, 3), (argv, err.getvalue())
+        # a sweep too short for its fit and a float overflow are caught before they reach
+        # the physics: exit 2, or a result
+        assert not any(fault in err.getvalue() for fault in (
+            "OverflowError", "n_free_params", ">= 4 points")), (argv, err.getvalue())
         event("%s exit %d" % (" ".join(argv[:2]) if argv[0] == "run" else argv[0], code))
         if code == 0:
             assert _undocumented_non_finite_cells(path) == [], argv

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from sivreg.electronic import (DefectConstants, DegenerateStates, FieldConfig,
+from sivreg.electronic import (DEFAULT_BOUNDS, DefectConstants, DegenerateStates, FieldConfig,
                                PhysicalConstants, StrainField, SPEED_OF_LIGHT,
                                build_hamiltonian, cyclicity, delta_gs_zero_field,
                                derived_observables, estimate_parameters,
@@ -117,6 +118,50 @@ def test_estimator_recovers_reference_parameters(estimate_result):
     # forward observables reproduce the targets
     for got, want in zip(res.observables.as_tuple(), TARGETS):
         assert got == pytest.approx(want, rel=1e-2)
+
+
+def _nelder_mead_reference(targets, b_field):
+    """The former estimator: 8-start Nelder-Mead in box-normalized coordinates,
+    with the parameters clipped into DEFAULT_BOUNDS plus a quadratic penalty."""
+    lo, hi = np.array(DEFAULT_BOUNDS).T
+
+    def cost(u):
+        clipped = np.clip(u, 0.0, 1.0)
+        try:
+            obs = observables_at(*(lo + clipped * (hi - lo)), b_field)
+        except DegenerateStates:
+            return math.inf
+        return (sum(((m - t) / t) ** 2 for m, t in zip(obs.as_tuple(), targets))
+                + 1e3 * float(np.sum((u - clipped) ** 2)))
+
+    best = None
+    for start in ([a, b, c] for a in (1 / 3, 2 / 3) for b in (1 / 3, 2 / 3) for c in (1 / 3, 2 / 3)):
+        res = optimize.minimize(cost, start, method="Nelder-Mead",
+                                options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 500})
+        if best is None or res.fun < best[0]:
+            best = (float(res.fun), lo + np.clip(res.x, 0.0, 1.0) * (hi - lo))
+    return best
+
+
+@pytest.mark.parametrize("scale", [(1.0, 1.0, 1.0, 1.0), (1.01, 0.99, 1.01, 0.99)])
+def test_estimator_matches_the_nelder_mead_reference(scale):
+    targets = tuple(t * f for t, f in zip(TARGETS, scale))
+    b_field = field_from_nuclear_larmor(3.5857929e6)
+    nm_cost, nm_params = _nelder_mead_reference(targets, b_field)
+    res = estimate_parameters(targets)
+    np.testing.assert_allclose((res.strain.epsilon, res.strain.alpha, res.theta),
+                               nm_params, rtol=1e-5)
+    assert res.cost <= nm_cost * (1 + 1e-6)
+    assert res.cost == pytest.approx(estimation_cost(
+        (res.strain.epsilon, res.strain.alpha, res.theta), targets, b_field), rel=1e-9)
+
+
+def test_estimation_cost_is_infinite_outside_the_bounds():
+    obs = observables_at(EPS_REF, ALPHA_REF, THETA_REF, B_REF).as_tuple()
+    for params in ((-1.0, ALPHA_REF, THETA_REF), (EPS_REF, 2.5, THETA_REF),
+                   (EPS_REF, ALPHA_REF, 61.0)):
+        assert estimation_cost(params, obs, B_REF) == math.inf
+    assert estimation_cost((EPS_REF, ALPHA_REF, THETA_REF), obs, 0.0) == math.inf
 
 
 def test_estimate_rejects_bad_targets():

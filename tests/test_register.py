@@ -139,6 +139,12 @@ def test_dephasing_acts_only_on_electron_coherences():
     np.testing.assert_allclose(out[:2, 2:], factor * rho[:2, 2:], atol=1e-15)
 
 
+def test_dephasing_factor_underflows_to_zero():
+    # (t / t_c) ** beta beyond the float range: full dephasing, not an OverflowError
+    assert DephasingModel(t_c=1e-300, beta=2.0).factor(1e-7) == 0.0
+    assert DephasingModel(t_c=1e-300, beta=3.0).factor(1e300) == 0.0
+
+
 def test_dephasing_model_validation():
     with pytest.raises(ValueError):
         DephasingModel(t_c=0.0, beta=2.0)
