@@ -49,6 +49,6 @@ h = electronic.build_hamiltonian(electronic.DefectConstants(), strain,
                                  electronic.FieldConfig(B_FIELD, res.theta))
 eig = hermitian_eig(h)
 temperatures = np.array([3.0, 4.0, 5.0, 7.0, 10.0])
-rates = np.array([electronic.orbach_rate(eig, strain, t) for t in temperatures])
+rates = np.array([electronic.orbach_rate(eig, t) for t in temperatures])
 for t, r in zip(temperatures, rates / rates[-1]):
     print("T = %4.1f K: rate %10.3e" % (t, r))

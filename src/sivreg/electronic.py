@@ -217,7 +217,7 @@ def delta_gs_zero_field(epsilon, lambda_g=DefectConstants.lambda_g):
 _UNIT_STRAIN_G = _kron3(_PROJ_G, _OZ + SX, IDENTITY2)
 
 
-def orbach_rate(eig: Eigensystem, s: StrainField, temperature):
+def orbach_rate(eig: Eigensystem, temperature):
     """Relative two-phonon Orbach spin-relaxation rate (proportionality constant 1).
 
     Cubic gap factor times a Bose occupation of the upper orbital branch,

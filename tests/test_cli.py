@@ -167,6 +167,8 @@ def test_sweep_and_register_validation(out_dir, capsys):
         assert "config error: t_pi must be > 0" in capsys.readouterr().err
     assert cli.main(["optical", "--mode", "phase", "--amplitude", "0"]) == 2
     assert "config error: amplitude * rabi_per_volt" in capsys.readouterr().err
+    assert cli.main(["optical", "--mode", "rabi", "--sweep-start=-1e-9"]) == 3
+    assert "evolution time must be >= 0" in capsys.readouterr().err
     # sweeps too short for the fit they feed
     assert cli.main(["optical", "--mode", "decay", "--sweep-points", "3"]) == 2
     assert "sweep_points" in capsys.readouterr().err

@@ -135,6 +135,10 @@ def _undocumented_non_finite_cells(path):
                  {"sweep_start": 1.0, "sweep_stop": 1.4}))
 @example(config=(["run", "dd"], {"larmor_n": 3.5857929e6, "t_c": 1e-300},
                  {"sweep_points": 5}))
+@example(config=(["optical"], {"mode": "rabi", "amplitude": 0.02103022451, "gamma_phi": 0.0},
+                 {"sweep_points": 9}))
+@example(config=(["optical"], {"mode": "phase", "gamma_phi": 1e9, "t1": 5e-10},
+                 {"sweep_points": 9}))
 def test_cli_exits_cleanly_and_writes_only_finite_values(config):
     argv = _argv(config)
     with tempfile.TemporaryDirectory() as out_dir:

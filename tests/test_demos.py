@@ -1,9 +1,7 @@
 """Smoke tests: the demo scripts run to completion against the current API.
 
 Each demo runs in a fresh interpreter, as a user would start it, and must
-exit 0.  ``optical_link.py`` is left out because it is too slow for the suite
-(about 23 s, dominated by the fixed-step RK4 Lindblad integration); add it
-once that integrator is fast.
+exit 0.
 """
 
 import os
@@ -15,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ["nuclear_register.py", "electron_coherence.py", "curve_fitting.py",
-         "single_shot_readout.py", "electronic_structure.py"]
+         "single_shot_readout.py", "electronic_structure.py", "optical_link.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

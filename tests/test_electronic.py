@@ -178,7 +178,7 @@ def test_orbach_rate_follows_bose_occupation():
     kb = PhysicalConstants().boltzmann_over_h
     e = eig.values / (2 * math.pi)
     delta = 0.5 * (e[2] + e[3]) - 0.5 * (e[0] + e[1])
-    r1, r2 = orbach_rate(eig, s, 4.0), orbach_rate(eig, s, 10.0)
+    r1, r2 = orbach_rate(eig, 4.0), orbach_rate(eig, 10.0)
     assert 0 < r1 < r2
     expected_ratio = math.expm1(delta / (kb * 4.0)) ** -1 \
         / math.expm1(delta / (kb * 10.0)) ** -1
@@ -196,5 +196,5 @@ def test_observables_ignore_eigenvector_phases(epsilon, alpha, theta):
     rephased = Eigensystem(eig.values, eig.vectors * phases)
     assert cyclicity(rephased) == pytest.approx(cyclicity(eig), rel=1e-12)
     for temperature in (4.0, 10.0):
-        assert orbach_rate(rephased, s, temperature) == pytest.approx(
-            orbach_rate(eig, s, temperature), rel=1e-12)
+        assert orbach_rate(rephased, temperature) == pytest.approx(
+            orbach_rate(eig, temperature), rel=1e-12)

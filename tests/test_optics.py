@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sivreg import fitting
+from sivreg import fitting, optics
 from sivreg.optics import (GROUND, RABI_MAX, FitFailed, OpticalParams,
                            OpticalPulseTrain, StepTooLarge, evolve_lindblad,
                            excited_population, extract_lifetime,
@@ -181,6 +181,100 @@ def test_phase_control_requires_two_segments():
     p = OpticalParams(t1=T1)
     with pytest.raises(ValueError):
         run_phase_control(p, OpticalPulseTrain(((0.5, 0.0, 1e-9),)), [0.0])
+
+
+# --------------------------------------------------------------------------
+# exact sweep propagation against the RK4 reference
+
+
+def _rk4(rho, p, drive, t):
+    return evolve_lindblad(rho, p, drive, t, dt=max_stable_step(p, drive[0]) / 64)
+
+
+def test_liouvillian_matches_the_rk4_derivative():
+    p = OpticalParams(detuning=3e8, t1=T1, gamma_phi=2e8)
+    amplitude, phase = 0.4, 0.7
+    rho = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
+    h = 2.0 * math.pi * (0.5 * p.detuning * optics.SZ + 0.5 * amplitude * RABI_MAX
+                         * (math.cos(phase) * optics.SX + math.sin(phase) * optics.SY))
+    expected = optics._derivative(rho, h, 1.0 / T1, p.gamma_phi).reshape(4)
+    got = optics._liouvillian(p, amplitude, phase) @ rho.reshape(4)
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-15 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("gamma_phi", [0.0, 2e8])
+@pytest.mark.parametrize("detuning", [0.0, 3e8])
+def test_exact_rabi_sweep_matches_fine_rk4(gamma_phi, detuning):
+    p = OpticalParams(detuning=detuning, t1=T1, gamma_phi=gamma_phi)
+    amplitude = 0.5
+    times = np.array([0.0, 0.45e-9, 1.3e-9, 3e-9])
+    sweep = run_optical_rabi(p, amplitude, times)
+    for t, value in zip(times, sweep.signal):
+        reference = excited_population(_rk4(GROUND, p, (amplitude, 0.0), float(t)))
+        assert abs(value - reference) < 1e-11
+
+
+@pytest.mark.parametrize("detuning", [0.0, 3e8])
+def test_exact_phase_sweep_matches_fine_rk4(detuning):
+    p = OpticalParams(detuning=detuning, t1=T1, gamma_phi=gamma_phi_from_t2(1.18e-9, T1))
+    amplitude = 1.0 / (4.0 * 0.35e-9 * RABI_MAX)
+    train = OpticalPulseTrain(((amplitude, 0.0, 0.35e-9), (amplitude, 0.3, 0.35e-9)),
+                              buffer=0.8e-9)
+    phases = np.array([0.0, 1.1, 2.5, 4.0])
+    sweep = run_phase_control(p, train, phases)
+    for rel, value in zip(phases, sweep.signal):
+        rho = _rk4(GROUND, p, (amplitude, 0.0), 0.35e-9)
+        rho = _rk4(rho, p, (0.0, 0.0), 0.8e-9)
+        rho = _rk4(rho, p, (amplitude, 0.3 + rel), 0.35e-9)
+        assert abs(value - excited_population(rho)) < 1e-11
+
+
+def test_exact_sweep_holds_at_the_exceptional_point():
+    # Omega = gamma/4: the damped resonant Liouvillian is defective there
+    p = OpticalParams(t1=T1)
+    amplitude = 1.0 / (8.0 * math.pi * T1 * RABI_MAX)
+    vectors = np.linalg.eig(optics._liouvillian(p, amplitude, 0.0))[1]
+    assert np.linalg.cond(vectors) > 1e7
+    times = np.array([0.3e-9, 2e-9, 6e-9])
+    sweep = run_optical_rabi(p, amplitude, times)
+    for t, value in zip(times, sweep.signal):
+        reference = excited_population(_rk4(GROUND, p, (amplitude, 0.0), float(t)))
+        assert abs(value - reference) < 1e-12
+
+
+@pytest.mark.parametrize("gamma_phi", [0.0, 2e8])
+@pytest.mark.parametrize("detuning", [0.0, 3e8])
+def test_long_sweep_reaches_the_analytic_steady_state(gamma_phi, detuning):
+    # rho_ee = sat / (2 (1 + sat)), sat = Omega^2 / (Gamma gamma_2 (1 + Delta^2 / gamma_2^2))
+    p = OpticalParams(detuning=detuning, t1=T1, gamma_phi=gamma_phi)
+    omega = 2.0 * math.pi * 0.5 * RABI_MAX
+    gamma_2 = 0.5 / T1 + gamma_phi
+    sat = omega ** 2 * T1 / gamma_2 / (1.0 + (2.0 * math.pi * detuning / gamma_2) ** 2)
+    sweep = run_optical_rabi(p, 0.5, [1e-7, 1e-2, 1.0, 1e100])
+    assert np.abs(sweep.signal - 0.5 * sat / (1.0 + sat)).max() < 1e-12
+
+
+def test_exact_propagation_keeps_a_physical_state():
+    p = OpticalParams(detuning=3e8, t1=T1, gamma_phi=2e8)
+    times = np.linspace(0.0, 8e-9, 201)
+    rhos = optics._propagate(optics._liouvillian(p, 0.7, 0.4)[None], times,
+                             GROUND.reshape(4)).reshape(-1, 2, 2)
+    traces = np.trace(rhos, axis1=1, axis2=2)
+    assert np.abs(traces - 1.0).max() < 1e-12
+    assert np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() < 1e-12
+    hermitian = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+    assert np.linalg.eigvalsh(hermitian).min() > -1e-12
+
+
+def test_negative_sweep_time_rejected():
+    p = OpticalParams(t1=T1)
+    with pytest.raises(ValueError):
+        run_optical_rabi(p, 0.5, [0.0, -1e-9, 1e-9])
+    with pytest.raises(ValueError):   # the pulse train rejects it before the sweep runs
+        run_phase_control(p, OpticalPulseTrain(((0.5, 0.0, -1e-9), (0.5, 0.0, 1e-9))),
+                          [0.0])
+    with pytest.raises(ValueError):
+        optics._propagate(optics._liouvillian(p, 0.5, 0.0), -1e-9, GROUND.reshape(4))
 
 
 # --------------------------------------------------------------------------
