@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fitting
 from .constants import PhysicalConstants
-from .linalg import IDENTITY2, SX, SY, SZ, Eigensystem, hermitian_eig, kron
+from .linalg import IDENTITY2, SX, SZ, Eigensystem, hermitian_eig, kron
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 TWO_PI = 2.0 * math.pi
@@ -67,11 +67,10 @@ class StrainField:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Static magnetic field: magnitude (T), polar angle theta (deg), azimuth phi (deg, fixed 0)."""
+    """Static magnetic field: magnitude (T) and polar angle theta (deg), in the x-z plane."""
 
     magnitude: float
     theta: float = 0.0
-    phi: float = 0.0
 
     def __post_init__(self):
         if self.magnitude < 0:
@@ -104,7 +103,7 @@ class EstimationResult:
 
 # --- operators in the parity x orbital x spin product basis -----------------
 
-# Parity (g, u) and spin (down, up) slots use linalg.SX/SY/SZ, so on the
+# Parity (g, u) and spin (down, up) slots use linalg.SX/SZ, so on the
 # parity slot SZ = |u><u| - |g><g|; the orbital slot keeps the standard
 # (+1, -1) convention of _OY and _OZ, with sigma_x = SX.
 _PROJ_G = np.diag([1.0, 0.0]).astype(complex)
@@ -126,13 +125,11 @@ def field_from_nuclear_larmor(larmor_n):
 def build_hamiltonian(c: DefectConstants, s: StrainField, f: FieldConfig):
     """Assemble the 8x8 electronic Hamiltonian (rad/s)."""
     theta = math.radians(f.theta)
-    phi = math.radians(f.phi)
-    bx = f.magnitude * math.sin(theta) * math.cos(phi)
-    by = f.magnitude * math.sin(theta) * math.sin(phi)
+    bx = f.magnitude * math.sin(theta)
     bz = f.magnitude * math.cos(theta)
     mu_b = PhysicalConstants().bohr_magneton_over_h
 
-    sx, sy, sz = SX / 2.0, SY / 2.0, SZ / 2.0
+    sx, sz = SX / 2.0, SZ / 2.0
     h = np.zeros((8, 8), dtype=complex)
     manifolds = [
         (_PROJ_G, c.lambda_g, c.p_g, c.gL_g, c.deltaP_g, s.epsilon, s.epsilon),
@@ -145,7 +142,7 @@ def build_hamiltonian(c: DefectConstants, s: StrainField, f: FieldConfig):
         # orbital Zeeman (quenched, symmetry axis only)
         h += mu_b * p * g_l * bz * _kron3(proj, -_OY, IDENTITY2)
         # spin Zeeman, full vector, plus its small anisotropy correction
-        h += mu_b * c.gS * _kron3(proj, IDENTITY2, sx * bx + sy * by + sz * bz)
+        h += mu_b * c.gS * _kron3(proj, IDENTITY2, sx * bx + sz * bz)
         h += mu_b * 2.0 * d_p * g_l * bz * _kron3(proj, IDENTITY2, sz)
         # transverse strain in the orbital doublet
         h += _kron3(proj, eps_x * _OZ + eps_y * SX, IDENTITY2)
@@ -208,9 +205,9 @@ def observables_at(epsilon, alpha, theta, b_field):
     return derived_observables(hermitian_eig(h))
 
 
-def delta_gs_zero_field(epsilon, lambda_g=DefectConstants.lambda_g):
+def delta_gs_zero_field(epsilon):
     """Closed-form ground-state splitting at B = 0: sqrt(lambda_g^2 + 8 eps^2)."""
-    return math.sqrt(lambda_g ** 2 + 8.0 * epsilon ** 2)
+    return math.sqrt(DefectConstants.lambda_g ** 2 + 8.0 * epsilon ** 2)
 
 
 # unit-strain direction of the gerade strain term, used by the Orbach rate

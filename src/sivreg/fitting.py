@@ -33,6 +33,10 @@ class MaxIterations(RuntimeError):
     """Iteration limit reached before the convergence criterion held."""
 
 
+class FitFailed(RuntimeError):
+    """An extraction fit (optics, readout) did not describe the data."""
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     name: str

@@ -64,12 +64,12 @@ def kron(a, b):
     return np.kron(a, b)
 
 
-def check_hermitian(h, tol=1e-10):
-    """Return h validated as Hermitian within a relative Frobenius tolerance."""
+def check_hermitian(h):
+    """Return h validated as Hermitian within a 1e-10 relative Frobenius tolerance."""
     h = _as_square(h)
     scale = np.linalg.norm(h)
     defect = np.linalg.norm(h - h.conj().T)
-    if defect > tol * max(scale, 1.0):
+    if defect > 1e-10 * max(scale, 1.0):
         raise NotHermitian(
             "matrix is not Hermitian: ||h - h^dag|| = %.3e (scale %.3e)" % (defect, scale)
         )

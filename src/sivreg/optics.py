@@ -20,6 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from . import fitting
+from .fitting import FitFailed
 from .linalg import SX, SY, SZ
 from .sequences import SweepResult
 
@@ -33,10 +34,6 @@ _P_EXC = np.diag([0.0, 1.0]).astype(complex)
 
 class StepTooLarge(ValueError):
     """Integration step exceeds the stability limit for these parameters."""
-
-
-class FitFailed(RuntimeError):
-    """Lifetime fit did not describe the trace."""
 
 
 @dataclass(frozen=True)
@@ -234,10 +231,12 @@ def fluorescence_decay(p: OpticalParams, times, p_e0=1.0):
     return p_e0 * np.exp(-np.asarray(times, dtype=float) / p.t1)
 
 
-def extract_lifetime(decay_trace, fail_threshold=0.5):
+def extract_lifetime(decay_trace):
     """Single-exponential fit of a fluorescence decay; returns (t1, amplitude).
 
     decay_trace is (times, values); the trace must start at the decay onset.
+    Raises FitFailed when the residual norm exceeds half the trace's centered
+    norm or the fitted amplitude is not positive.
     """
     t, y = (np.asarray(a, dtype=float) for a in decay_trace)
     if t.shape != y.shape or t.size < 4:
@@ -247,7 +246,7 @@ def extract_lifetime(decay_trace, fail_threshold=0.5):
     except (fitting.SingularNormalMatrix, fitting.MaxIterations) as exc:
         raise FitFailed("lifetime fit failed: %s" % exc)
     scale = np.linalg.norm(y - y.mean())
-    if scale > 0 and res.residual_norm > fail_threshold * scale:
+    if scale > 0 and res.residual_norm > 0.5 * scale:
         raise FitFailed("lifetime fit residual %.3g exceeds threshold"
                         % res.residual_norm)
     if res["a"] <= 0:

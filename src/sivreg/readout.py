@@ -14,10 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fitting
-
-
-class FitFailed(RuntimeError):
-    """Extraction fit did not describe the data."""
+from .fitting import FitFailed
 
 
 # --------------------------------------------------------------------------
@@ -79,24 +76,24 @@ def _fit_exponential(t, y, t_bounds=None, nss_bounds=None):
     return fitting.least_squares(spec, t, y)
 
 
-def extract_pulse_metrics(counts_trace, bin_time=1.0, fail_threshold=0.5):
+def extract_pulse_metrics(counts_trace):
     """Initialization-fidelity metrics from time-binned pump fluorescence.
 
-    Fits a * exp(-t / T_p) + n_ss and reports fidelity a / (a + n_ss).  A 2-D
-    trace (pulses x bins) is fit collectively on the pulse average first; the
-    per-pulse fits then constrain T_p and n_ss to +-3 sigma of the collective
-    values.  Raises FitFailed when the residual norm exceeds fail_threshold
-    of the data's centered norm.
+    Fits a * exp(-t / T_p) + n_ss over the bin index (T_p in bins) and reports
+    fidelity a / (a + n_ss).  A 2-D trace (pulses x bins) is fit collectively
+    on the pulse average first; the per-pulse fits then constrain T_p and n_ss
+    to +-3 sigma of the collective values.  Raises FitFailed when the residual
+    norm exceeds half the data's centered norm.
     """
     trace = np.asarray(counts_trace, dtype=float)
     collective = trace.mean(axis=0) if trace.ndim == 2 else trace
     if collective.size < 10:
         raise ValueError("need at least 10 time bins")
-    t = np.arange(collective.size) * bin_time
+    t = np.arange(collective.size, dtype=float)
 
     res = _fit_exponential(t, collective)
     scale = np.linalg.norm(collective - collective.mean())
-    if scale > 0 and res.residual_norm > fail_threshold * scale:
+    if scale > 0 and res.residual_norm > 0.5 * scale:
         raise FitFailed("pump-decay fit residual %.3g exceeds threshold"
                         % res.residual_norm)
     a, t_p, n_ss = res["a"], res["t"], res["c"]
@@ -279,7 +276,7 @@ class MixtureFit:
     residual_norm: float
 
 
-def fit_photon_histogram(counts, bin_width=1) -> MixtureFit:
+def fit_photon_histogram(counts) -> MixtureFit:
     """Three-component normal fit of the window-count histogram.
 
     Bins the counts on an integer grid and least-squares fits a sum of three
@@ -291,14 +288,14 @@ def fit_photon_histogram(counts, bin_width=1) -> MixtureFit:
         raise ValueError("need at least 500 shots to fit the histogram")
     if np.ptp(counts) <= 0:
         raise FitFailed("histogram is degenerate (all counts identical)")
-    edges = np.arange(counts.min() - 0.5, counts.max() + 0.5 + bin_width, bin_width)
+    edges = np.arange(counts.min() - 0.5, counts.max() + 1.5)
     hist, edges = np.histogram(counts, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     # generic mixture model, with means confined to the data range and widths
     # to the data span so the zero-count spike cannot open a flat ridge
     generic = fitting.get_model("three_normal_mixture")
-    mu_b = (centers[0] - 0.5 * bin_width, centers[-1] + 0.5 * bin_width)
+    mu_b = (centers[0] - 0.5, centers[-1] + 0.5)
     s_b = (0.25, max(float(np.ptp(centers)), 1.0))
     params = []
     for spec in generic.params:

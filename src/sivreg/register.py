@@ -1,9 +1,11 @@
 """Model and state of the electron + nuclear register.
 
 This module holds the register parameters, the drive and dephasing models,
-the density-matrix state with its invariants and the Hamiltonian.  It does
-not evolve states: ``sequences.Engine`` is the one code path that turns the
-Hamiltonian into propagators and applies them.
+the density-matrix state with its invariants, the Hamiltonian and the
+readouts.  It does not evolve states: ``sequences.Engine`` is the one code
+path that turns the Hamiltonian into propagators and applies them.  Every
+readout reads the real diagonal of rho (``populations``): the electron-up
+population and the nuclear sigma_z are sums over it.
 
 Tensor ordering: electron is the slowest index, then nucleus 1, then nucleus 2.
 Every 2-level slot is ordered (down, up), i.e. index 0 is the spin-down state
@@ -99,16 +101,17 @@ class RegisterState:
         self.rho = np.asarray(self.rho, dtype=complex)
         self.validate()
 
-    def validate(self, tol_trace=1e-9, tol_herm=1e-10, tol_pos=1e-9):
+    def validate(self):
+        """Shape, trace 1 (to 1e-9), Hermitian (1e-10 relative) and eigenvalues >= -1e-9."""
         dim = 2 ** (1 + self.n_nuclei)
         if self.rho.shape != (dim, dim):
             raise ValueError("rho has shape %r, expected (%d, %d)" % (self.rho.shape, dim, dim))
-        if abs(np.trace(self.rho) - 1.0) > tol_trace:
+        if abs(np.trace(self.rho) - 1.0) > 1e-9:
             raise ValueError("trace(rho) = %r deviates from 1" % np.trace(self.rho))
-        if np.linalg.norm(self.rho - self.rho.conj().T) > tol_herm * max(1.0, np.linalg.norm(self.rho)):
+        if np.linalg.norm(self.rho - self.rho.conj().T) > 1e-10 * max(1.0, np.linalg.norm(self.rho)):
             raise ValueError("rho is not Hermitian")
         evals = np.linalg.eigvalsh(self.rho)
-        if evals.min() < -tol_pos:
+        if evals.min() < -1e-9:
             raise ValueError("rho has negative eigenvalue %g" % evals.min())
         return self
 
@@ -176,25 +179,42 @@ def dephase_electron(rho, factor, n_nuclei):
     return out
 
 
+def populations(rho):
+    """Real diagonal of rho as a (2,)*(1+n_nuclei) array, one axis per tensor slot."""
+    return np.real(np.diagonal(rho)).reshape((2,) * (rho.shape[0].bit_length() - 1))
+
+
+def electron_up_population(rho):
+    """Population of the electron-up block."""
+    return float(populations(rho)[1].sum())
+
+
+def nuclear_sigma_z(rho, index=0):
+    """sigma_z expectation of nucleus ``index``: its up minus its down population."""
+    pops = np.moveaxis(populations(rho), 1 + index, 0)
+    return float(pops[1].sum() - pops[0].sum())
+
+
 def measure(st: RegisterState, observable, index=0):
     """Expectation values: 'electron_up' / 'electron_down' populations or 'nuclear_sigma_z'."""
-    n = 1 + st.n_nuclei
     if observable == "electron_up":
-        proj = op_at(np.diag([0.0, 1.0]).astype(complex), 0, n)
-    elif observable == "electron_down":
-        proj = op_at(np.diag([1.0, 0.0]).astype(complex), 0, n)
-    elif observable == "nuclear_sigma_z":
+        return electron_up_population(st.rho)
+    if observable == "electron_down":
+        return float(populations(st.rho)[0].sum())
+    if observable == "nuclear_sigma_z":
         if not 0 <= index < st.n_nuclei:
             raise ValueError("invalid nucleus index %r for %d nuclei" % (index, st.n_nuclei))
-        proj = op_at(SZ, 1 + index, n)
-    else:
-        raise ValueError("unknown observable %r" % (observable,))
-    return float(np.real(np.trace(st.rho @ proj)))
+        return nuclear_sigma_z(st.rho, index)
+    raise ValueError("unknown observable %r" % (observable,))
+
+
+def trace_electron(rho):
+    """Nuclear marginal of rho: the partial trace over the electron."""
+    half = rho.shape[0] // 2
+    return rho[:half, :half] + rho[half:, half:]
 
 
 def repump_electron(st: RegisterState, fidelity):
     """Projective optical re-pump: replace the electron by the F-mixture, keep nuclear marginal."""
     rho_e = np.diag(electron_mixture(fidelity)).astype(complex)
-    half = 2 ** st.n_nuclei
-    nuclear = st.rho[:half, :half] + st.rho[half:, half:]
-    return RegisterState(kron(rho_e, nuclear), st.n_nuclei)
+    return RegisterState(kron(rho_e, trace_electron(st.rho)), st.n_nuclei)

@@ -2,10 +2,15 @@
 
 ``Engine`` is the one code path that turns the register Hamiltonian of
 ``sivreg.register`` into propagators: it caches eigensystems and unitaries
-per (params, dephasing, t_pi) context and applies pulses and free evolution
-to raw density matrices.  The named experiments (Rabi, Ramsey, dynamical
-decoupling, spin lock, nuclear rotations, transfer gates, composite gates,
-randomized benchmarking) are all composed from it.
+per (params, dephasing, t_pi) context and hands out (unitary, free time)
+segment lists.  ``Engine.evolve`` walks such a list over a raw density
+matrix and is the only way any experiment moves a state; every signal is
+read from the diagonal of the result (``register.populations``).  The named
+experiments (Rabi, Ramsey, dynamical decoupling, spin lock, nuclear
+rotations, transfer gates, composite gates, randomized benchmarking) are
+all composed from segment lists.  A sweep over independent points evolves
+one prepared state through the segments of each point; a sweep over the
+pulse number N steps one unit at a time instead of restarting at every N.
 
 The pi time is ``Engine.t_pi``: every nominal rotation (pi/2 pulses, DD pi
 pulses, RB Cliffords) is driven at the Rabi rate 1/(2 t_pi).  Only explicit
@@ -17,16 +22,17 @@ period.  Dephasing acts after each free segment; pulses are decoherence-free.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import fitting
-from .linalg import SX, SY, SZ, hermitian_eig, propagator_from_eig
+from .linalg import SX, SY, hermitian_eig, propagator_from_eig
 from .register import (DephasingModel, DriveSpec, RegisterParams, RegisterState,
-                       dephase_electron, electron_mixture, hamiltonian, op_at,
-                       product_state, repump_electron)
+                       dephase_electron, electron_mixture, electron_up_population,
+                       hamiltonian, nuclear_sigma_z, populations, product_state,
+                       repump_electron, trace_electron)
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,6 +41,8 @@ T_PI_DEFAULT = 55.715e-9  # s, microwave pi-pulse duration used throughout
 # phase pattern (rad) of the XY-8 block, relative to the initial pi/2 at phase 0
 XY8_PHASES = (0.0, math.pi / 2, 0.0, math.pi / 2,
               math.pi / 2, 0.0, math.pi / 2, 0.0)
+# phase pattern of the CPMG block: every pi pulse 90 degrees from the initial pi/2
+CPMG_PHASES = (math.pi / 2,)
 
 
 class InvalidGate(ValueError):
@@ -138,7 +146,6 @@ class Engine:
         self.p = p
         self.deph = dephasing
         self.t_pi = t_pi
-        self.half = 2 ** p.n_nuclei
         self._eig = {}
         self._u_free = {}
         self._u_pulse = {}
@@ -182,6 +189,10 @@ class Engine:
         """Free evolution for t; no segment at all for t == 0."""
         return [(self.u_free(t), t)] if t != 0.0 else []
 
+    def pulse_segments(self, rabi, phase, duration):
+        """Drive at (rabi, phase) for duration."""
+        return [(self.u_pulse(rabi, phase, duration), 0.0)]
+
     def rotation_segments(self, angle, phase):
         return [(self.u_rotation(angle, phase), 0.0)]
 
@@ -189,6 +200,11 @@ class Engine:
         """One [tau/2 - pi - tau/2] decoupling unit (dephasing per half segment)."""
         half = self.free_segments(tau / 2.0)
         return half + self.rotation_segments(math.pi, phase) + half
+
+    def dd_block_segments(self, tau, n_pulses, pattern=XY8_PHASES):
+        """n_pulses decoupling units, the k-th with pi-pulse phase pattern[k % len(pattern)]."""
+        return [segment for k in range(n_pulses)
+                for segment in self.dd_unit_segments(tau, pattern[k % len(pattern)])]
 
     def evolve(self, rho, segments):
         """Apply the segments in order to a raw density matrix."""
@@ -201,32 +217,6 @@ class Engine:
     def evolve_reversed(self, rho, segments):
         """Walk the segments backwards, each by its adjoint unitary and then its dephasing."""
         return self.evolve(rho, [(u.conj().T, t) for u, t in reversed(segments)])
-
-    # state operations -----------------------------------------------------
-
-    def pulse(self, rho, rabi, phase, duration):
-        return self.evolve(rho, [(self.u_pulse(rabi, phase, duration), 0.0)])
-
-    def rotate(self, rho, angle, phase):
-        return self.evolve(rho, self.rotation_segments(angle, phase))
-
-    def wait(self, rho, t):
-        return self.evolve(rho, self.free_segments(t))
-
-    def dd_unit(self, rho, tau, phase):
-        return self.evolve(rho, self.dd_unit_segments(tau, phase))
-
-    def dd_block(self, rho, tau, n_pulses, pattern=XY8_PHASES):
-        for k in range(n_pulses):
-            rho = self.dd_unit(rho, tau, pattern[k % len(pattern)])
-        return rho
-
-    def population_up(self, rho):
-        return float(np.real(np.trace(rho[self.half:, self.half:])))
-
-    def nuclear_sigma_z(self, rho, index=0):
-        op = op_at(SZ, 1 + index, 1 + self.p.n_nuclei)
-        return float(np.real(np.trace(rho @ op)))
 
 
 def _initial_rho(p: RegisterParams, f_ie: float, flip=False):
@@ -243,10 +233,9 @@ def run_rabi(p: RegisterParams, dephasing, omega, durations, f_ie=1.0,
     """Initialize, drive for each duration, read the electron-up population."""
     eng = Engine(p, dephasing)
     rho0 = initial.rho if initial is not None else _initial_rho(p, f_ie)
-    signal = []
-    for t in durations:
-        rho = eng.pulse(rho0.copy(), omega, 0.0, t) if omega > 0 else eng.wait(rho0.copy(), t)
-        signal.append(eng.population_up(rho))
+    drive = ((lambda t: eng.pulse_segments(omega, 0.0, t)) if omega > 0
+             else eng.free_segments)
+    signal = [electron_up_population(eng.evolve(rho0, drive(t))) for t in durations]
     return SweepResult(np.asarray(durations, float), signal, name="rabi",
                        axis_label="pulse duration (s)")
 
@@ -263,19 +252,16 @@ def run_ramsey(p: RegisterParams, dephasing, delta, taus, target="electron",
     returned signal is (1 + sigma_z)/2 of the target nucleus; raw sigma_z
     values ride along in aux.
     """
-    params = RegisterParams(detuning=delta, larmor_n=p.larmor_n,
-                            hyperfine=p.hyperfine, n_nuclei=p.n_nuclei)
+    params = replace(p, detuning=delta)
     eng = Engine(params, dephasing, t_pi)
     taus = np.asarray(taus, dtype=float)
 
     if target == "electron":
-        rho0 = _initial_rho(params, f_ie)
-        rho0 = eng.rotate(rho0, math.pi / 2, 0.0)
-        signal = []
-        for tau in taus:
-            rho = eng.wait(rho0.copy(), float(tau))
-            rho = eng.rotate(rho, math.pi / 2, 0.0)
-            signal.append(eng.population_up(rho))
+        half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+        rho0 = eng.evolve(_initial_rho(params, f_ie), half_pi)
+        signal = [electron_up_population(eng.evolve(rho0, eng.free_segments(float(tau))
+                                                    + half_pi))
+                  for tau in taus]
         return SweepResult(taus, signal, name="ramsey", axis_label="tau (s)")
 
     if target != "nuclear":
@@ -283,20 +269,15 @@ def run_ramsey(p: RegisterParams, dephasing, delta, taus, target="electron",
 
     tau_rot = params.larmor_period / 2.0 - t_pi
     n_quarter = calibrate_quarter_rotation(params, tau_rot, t_pi=t_pi)
-
+    block = eng.dd_block_segments(tau_rot, n_quarter)
     # electron in a definite spin state; target nucleus polarized down
     rho0 = product_state((0.0, 1.0) if electron_up else (1.0, 0.0), [(1.0, 0.0)],
                          params.n_nuclei)
-    rho0 = eng.dd_block(rho0, tau_rot, n_quarter)
-
-    signal, sigma_z = [], []
-    for tau in taus:
-        rho = eng.wait(rho0.copy(), float(tau))
-        rho = eng.dd_block(rho, tau_rot, n_quarter)
-        sz = eng.nuclear_sigma_z(rho, 0)
-        sigma_z.append(sz)
-        signal.append(0.5 * (1.0 + sz))
-    return SweepResult(taus, signal, aux={"nuclear_sigma_z": sigma_z},
+    rho0 = eng.evolve(rho0, block)
+    sigma_z = [nuclear_sigma_z(eng.evolve(rho0, eng.free_segments(float(tau)) + block))
+               for tau in taus]
+    return SweepResult(taus, [0.5 * (1.0 + sz) for sz in sigma_z],
+                       aux={"nuclear_sigma_z": sigma_z},
                        name="nuclear_ramsey", axis_label="tau (s)")
 
 
@@ -311,20 +292,21 @@ def run_dd(p: RegisterParams, dephasing, kind, n_pulses, taus, f_ie=1.0,
         raise ValueError("kind must be 'CPMG' or 'XY'")
     if n_pulses < 0:
         raise ValueError("n_pulses must be >= 0")
-    pattern = (math.pi / 2,) if kind == "CPMG" else XY8_PHASES
+    pattern = CPMG_PHASES if kind == "CPMG" else XY8_PHASES
     eng = Engine(p, dephasing, t_pi)
     taus = np.asarray(taus, dtype=float)
-    rho0 = eng.rotate(_initial_rho(p, f_ie), math.pi / 2, 0.0)
-    signal, total_time = [], []
-    for tau in taus:
-        rho = rho0.copy()
+    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    rho0 = eng.evolve(_initial_rho(p, f_ie), half_pi)
+
+    def block(tau):
         if n_pulses == 0:
-            rho = eng.wait(rho, float(tau))
-        else:
-            rho = eng.dd_block(rho, float(tau), n_pulses, pattern)
-        rho = eng.rotate(rho, math.pi / 2, 0.0)
-        signal.append(eng.population_up(rho))
-        total_time.append(float(tau) if n_pulses == 0 else n_pulses * (float(tau) + t_pi))
+            return eng.free_segments(tau)
+        return eng.dd_block_segments(tau, n_pulses, pattern)
+
+    signal = [electron_up_population(eng.evolve(rho0, block(float(tau)) + half_pi))
+              for tau in taus]
+    total_time = [float(tau) if n_pulses == 0 else n_pulses * (float(tau) + t_pi)
+                  for tau in taus]
     return SweepResult(taus, signal, aux={"total_time": total_time},
                        name="dd_%s_%d" % (kind.lower(), n_pulses), axis_label="tau (s)")
 
@@ -339,27 +321,22 @@ def run_spin_lock(p: RegisterParams, dephasing, omega_sl, tau_sl=None,
     """
     if (tau_sl is None) == (amplitudes is None):
         raise ValueError("provide exactly one of tau_sl or amplitudes")
-    eng = Engine(p, dephasing, t_pi)
-    rho0 = eng.rotate(_initial_rho(p, f_ie), math.pi / 2, 0.0)
-    signal = []
     if tau_sl is not None:
         axis = np.asarray(tau_sl, dtype=float)
-        for tau in axis:
-            rho = eng.pulse(rho0.copy(), omega_sl, math.pi / 2, float(tau))
-            rho = eng.rotate(rho, math.pi / 2, 0.0)
-            signal.append(eng.population_up(rho))
-        label = "lock duration (s)"
-        name = "spin_lock_time"
+        drives = [(omega_sl, float(tau)) for tau in axis]
+        label, name = "lock duration (s)", "spin_lock_time"
     else:
         if tau_fixed is None:
             raise ValueError("amplitude sweep needs tau_fixed")
         axis = np.asarray(amplitudes, dtype=float)
-        for omega in axis:
-            rho = eng.pulse(rho0.copy(), float(omega), math.pi / 2, tau_fixed)
-            rho = eng.rotate(rho, math.pi / 2, 0.0)
-            signal.append(eng.population_up(rho))
-        label = "lock amplitude (Hz)"
-        name = "spin_lock_amplitude"
+        drives = [(float(omega), tau_fixed) for omega in axis]
+        label, name = "lock amplitude (Hz)", "spin_lock_amplitude"
+    eng = Engine(p, dephasing, t_pi)
+    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    rho0 = eng.evolve(_initial_rho(p, f_ie), half_pi)
+    signal = [electron_up_population(eng.evolve(
+        rho0, eng.pulse_segments(rabi, math.pi / 2, duration) + half_pi))
+        for rabi, duration in drives]
     return SweepResult(axis, signal, name=name, axis_label=label)
 
 
@@ -370,7 +347,8 @@ def run_nuclear_rotation(p: RegisterParams, dephasing, tau_rot, n_sweep,
     Reports the electron coherence signal (pi/2 - N units - pi/2) and, as an
     auxiliary observable, the sigma_z of the target nucleus prepared spin-down
     under an electron prepared spin-down: the conditional-rotation bookkeeping
-    whose first return to the initial value marks one full rotation.
+    whose first return to the initial value marks one full rotation.  Both
+    branches step one unit at a time up to the largest N.
     """
     if not tau_rot > 0:
         raise ValueError("tau_rot must be > 0")
@@ -378,9 +356,10 @@ def run_nuclear_rotation(p: RegisterParams, dephasing, tau_rot, n_sweep,
     if any(n < 0 for n in n_sweep):
         raise ValueError("pulse numbers must be >= 0")
     eng = Engine(p, dephasing, t_pi)
+    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
 
     # electron-signal branch: coherence interferometry around the block
-    rho_sig = eng.rotate(_initial_rho(p, f_ie), math.pi / 2, 0.0)
+    rho_sig = eng.evolve(_initial_rho(p, f_ie), half_pi)
     # conditional-rotation branch: electron down, target nucleus down, rest mixed
     rho_rot = product_state((f_ie, 1.0 - f_ie), [(1.0, 0.0)], p.n_nuclei)
 
@@ -389,13 +368,12 @@ def run_nuclear_rotation(p: RegisterParams, dephasing, tau_rot, n_sweep,
     k = 0
     for n in range(wanted[-1] + 1):
         if n > 0:
-            phase = XY8_PHASES[(n - 1) % 8]
-            rho_sig = eng.dd_unit(rho_sig, tau_rot, phase)
-            rho_rot = eng.dd_unit(rho_rot, tau_rot, phase)
+            unit = eng.dd_unit_segments(tau_rot, XY8_PHASES[(n - 1) % 8])
+            rho_sig = eng.evolve(rho_sig, unit)
+            rho_rot = eng.evolve(rho_rot, unit)
         if n == wanted[k]:
-            probe = eng.rotate(rho_sig.copy(), math.pi / 2, 0.0)
-            sig_at[n] = eng.population_up(probe)
-            sz_at[n] = eng.nuclear_sigma_z(rho_rot, 0)
+            sig_at[n] = electron_up_population(eng.evolve(rho_sig, half_pi))
+            sz_at[n] = nuclear_sigma_z(rho_rot)
             k += 1
             if k == len(wanted):
                 break
@@ -431,22 +409,20 @@ def calibrate_quarter_rotation(p: RegisterParams, tau_rot, n_max=400,
     force_even, the nearer of the two even neighbours, so the pi pulses leave
     the electron state unchanged.
     """
-    single = RegisterParams(detuning=p.detuning, larmor_n=p.larmor_n,
-                            hyperfine=(p.hyperfine[0],), n_nuclei=1)
-    eng = Engine(single, None, t_pi)
+    eng = Engine(replace(p, hyperfine=p.hyperfine[:1], n_nuclei=1), None, t_pi)
     rho = product_state((1.0, 0.0), [(1.0, 0.0)])
-    trace = [eng.nuclear_sigma_z(rho, 0)]
+    trace = [nuclear_sigma_z(rho)]
     for n in range(1, n_max + 1):
-        rho = eng.dd_unit(rho, tau_rot, XY8_PHASES[(n - 1) % 8])
-        trace.append(eng.nuclear_sigma_z(rho, 0))
+        rho = eng.evolve(rho, eng.dd_unit_segments(tau_rot, XY8_PHASES[(n - 1) % 8]))
+        trace.append(nuclear_sigma_z(rho))
         if trace[-1] >= 0.0:
             if force_even:
                 lo = n - 2 + (n % 2)  # largest even <= n-1
                 hi = lo + 2
                 if hi > n_max or lo < 1:
                     break
-                rho = eng.dd_unit(rho, tau_rot, XY8_PHASES[n % 8])
-                trace.append(eng.nuclear_sigma_z(rho, 0))
+                rho = eng.evolve(rho, eng.dd_unit_segments(tau_rot, XY8_PHASES[n % 8]))
+                trace.append(nuclear_sigma_z(rho))
                 return lo if abs(trace[lo]) <= abs(trace[hi]) else hi
             return n if abs(trace[n]) <= abs(trace[n - 1]) else n - 1
     raise ValueError("no quarter rotation found below n_max; check tau_rot")
@@ -458,29 +434,26 @@ def calibrate_quarter_rotation(p: RegisterParams, tau_rot, n_max=400,
 
 def _transfer_segments(eng: Engine, g: GateSpec, wait):
     """(unitary, free time) segments of the polarization-transfer gate (sans re-pump)."""
-    block = []
-    for k in range(g.n_pulses):
-        block += eng.dd_unit_segments(g.tau, XY8_PHASES[k % 8])
+    block = eng.dd_block_segments(g.tau, g.n_pulses)
     return (eng.rotation_segments(math.pi / 2, math.pi / 2) + block
             + eng.rotation_segments(math.pi / 2, 0.0) + eng.free_segments(wait) + block)
 
 
-def calibrate_transfer_wait(p: RegisterParams, g: GateSpec, coarse=48, fine=33):
+def calibrate_transfer_wait(p: RegisterParams, g: GateSpec):
     """Free-evolution time between the two transfer blocks.
 
     Chosen in the ideal limit (perfect electron initialization, target nucleus
-    only) by maximizing the transferred |sigma_z|: a coarse scan over one
-    Larmor period followed by a local refinement.
+    only) by maximizing the transferred |sigma_z|: a coarse scan of 48 waits
+    over one Larmor period followed by a 33-point refinement around the best.
     """
-    single = RegisterParams(detuning=p.detuning, larmor_n=p.larmor_n,
-                            hyperfine=(p.hyperfine[0],), n_nuclei=1)
+    coarse, fine = 48, 33
+    single = replace(p, hyperfine=p.hyperfine[:1], n_nuclei=1)
     eng = Engine(single, None, g.t_pi)
     period = single.larmor_period
 
     def transferred(wait):
-        rho = _initial_rho(single, 1.0)
-        rho = eng.evolve(rho, _transfer_segments(eng, g, wait))
-        return abs(eng.nuclear_sigma_z(rho, 0))
+        rho = eng.evolve(_initial_rho(single, 1.0), _transfer_segments(eng, g, wait))
+        return abs(nuclear_sigma_z(rho))
 
     waits = [period * i / coarse for i in range(coarse)]
     scores = [transferred(w) for w in waits]
@@ -492,6 +465,17 @@ def calibrate_transfer_wait(p: RegisterParams, g: GateSpec, coarse=48, fine=33):
     return max(fine_grid[int(np.argmax(fine_scores))], 0.0)
 
 
+def _ui_forward(p: RegisterParams, dephasing, g: GateSpec, f_ie, flip_first):
+    """Engine, transfer segments and re-pumped final state of the initialization gate."""
+    if g.kind != "UI":
+        raise InvalidGate("the nuclear initialization gate needs a gate of kind 'UI'")
+    wait = g.wait if g.wait is not None else calibrate_transfer_wait(p, g)
+    eng = Engine(p, dephasing, g.t_pi)
+    segments = _transfer_segments(eng, g, wait)
+    rho = eng.evolve(_initial_rho(p, f_ie, flip=flip_first), segments)
+    return eng, segments, repump_electron(RegisterState(rho, p.n_nuclei), f_ie)
+
+
 def nuclear_init_gate(p: RegisterParams, dephasing, g: GateSpec, f_ie,
                       flip_first=False):
     """Polarization-transfer initialization of the target nuclear spin.
@@ -501,13 +485,7 @@ def nuclear_init_gate(p: RegisterParams, dephasing, g: GateSpec, f_ie,
     calibrated free evolution -> conditional DD block(tau, N) -> projective
     optical re-pump of the electron.  Returns the final register state.
     """
-    if g.kind != "UI":
-        raise InvalidGate("nuclear_init_gate needs a gate of kind 'UI'")
-    wait = g.wait if g.wait is not None else calibrate_transfer_wait(p, g)
-    eng = Engine(p, dephasing, g.t_pi)
-    rho = _initial_rho(p, f_ie, flip=flip_first)
-    rho = eng.evolve(rho, _transfer_segments(eng, g, wait))
-    return repump_electron(RegisterState(rho, p.n_nuclei), f_ie)
+    return _ui_forward(p, dephasing, g, f_ie, flip_first)[2]
 
 
 def ui_probe_signal(p: RegisterParams, dephasing, g: GateSpec, f_ie,
@@ -520,16 +498,8 @@ def ui_probe_signal(p: RegisterParams, dephasing, g: GateSpec, f_ie,
     electron.  The contrast between flip_first=False and True is
     the probe signal of the initialization experiment.
     """
-    if g.kind != "UI":
-        raise InvalidGate("ui_probe_signal needs a gate of kind 'UI'")
-    wait = g.wait if g.wait is not None else calibrate_transfer_wait(p, g)
-    eng = Engine(p, dephasing, g.t_pi)
-    segments = _transfer_segments(eng, g, wait)
-    rho = _initial_rho(p, f_ie, flip=flip_first)
-    rho = eng.evolve(rho, segments)
-    rho = repump_electron(RegisterState(rho, p.n_nuclei), f_ie).rho
-    rho = eng.evolve_reversed(rho, segments)
-    return eng.population_up(rho)
+    eng, segments, state = _ui_forward(p, dephasing, g, f_ie, flip_first)
+    return electron_up_population(eng.evolve_reversed(state.rho, segments))
 
 
 @dataclass
@@ -542,22 +512,19 @@ class CompositeGate:
 
     def apply(self, state: RegisterState):
         g = self.spec
-        eng = Engine(self.params, self.dephasing, g.t_pi)
-        rho = state.rho.copy()
         if g.kind == "identity":
-            return RegisterState(rho, state.n_nuclei)
+            return RegisterState(state.rho.copy(), state.n_nuclei)
         if g.kind == "CeNOTn":
-            rho = eng.dd_block(rho, g.tau, g.n_pulses)
-            rho = eng.dd_block(rho, g.uncond_tau, g.uncond_n)
-            return RegisterState(rho, state.n_nuclei)
-        if g.kind == "CnNOTe":
-            a_par = self.params.hyperfine[0][0]
-            driven = RegisterParams(detuning=a_par / 2.0, larmor_n=self.params.larmor_n,
-                                    hyperfine=self.params.hyperfine,
-                                    n_nuclei=self.params.n_nuclei)
-            rho = Engine(driven).pulse(rho, g.rabi, 0.0, 1.0 / (2.0 * g.rabi))
-            return RegisterState(rho, state.n_nuclei)
-        raise InvalidGate("composite_gate cannot apply kind %r" % (g.kind,))
+            eng = Engine(self.params, self.dephasing, g.t_pi)
+            segments = (eng.dd_block_segments(g.tau, g.n_pulses)
+                        + eng.dd_block_segments(g.uncond_tau, g.uncond_n))
+        elif g.kind == "CnNOTe":
+            # drive resonant with the electron transition of the nuclear-down manifold
+            eng = Engine(replace(self.params, detuning=self.params.hyperfine[0][0] / 2.0))
+            segments = eng.pulse_segments(g.rabi, 0.0, 1.0 / (2.0 * g.rabi))
+        else:
+            raise InvalidGate("composite_gate cannot apply kind %r" % (g.kind,))
+        return RegisterState(eng.evolve(state.rho, segments), state.n_nuclei)
 
 
 def composite_gate(p: RegisterParams, dephasing, g: GateSpec):
@@ -592,12 +559,7 @@ def calibrate_cnnote(p: RegisterParams, t_pi=T_PI_DEFAULT):
 
 def _joint_populations(state: RegisterState):
     """Populations of {down_Down, down_Up, up_Down, up_Up} of electron x target nucleus."""
-    rho = state.rho
-    n_aux = state.n_nuclei - 1
-    probs = np.real(np.diag(rho)).reshape((2, 2) + (2,) * n_aux)
-    while probs.ndim > 2:
-        probs = probs.sum(axis=-1)
-    return probs.reshape(4)
+    return populations(state.rho).reshape(4, -1).sum(axis=1)
 
 
 def transfer_matrix(p: RegisterParams, dephasing, g: GateSpec, f_ie, f_in):
@@ -650,12 +612,11 @@ def _ideal_unitary(angle, phase):
     return math.cos(angle / 2.0) * np.eye(2) - 1j * math.sin(angle / 2.0) * axis
 
 
-def _depolarize_electron(rho, q, n_nuclei):
+def _depolarize_electron(rho, q):
     if q == 0.0:
         return rho
-    half = 2 ** n_nuclei
-    blocks = rho.reshape(2, half, 2, half)
-    nuclear = blocks[0, :, 0, :] + blocks[1, :, 1, :]
+    half = rho.shape[0] // 2
+    nuclear = trace_electron(rho)
     mixed = np.zeros_like(rho)
     mixed[:half, :half] = nuclear / 2.0
     mixed[half:, half:] = nuclear / 2.0
@@ -699,8 +660,8 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
             ideal = np.eye(2, dtype=complex)
             for k in picks:
                 _, angle, phase = _CLIFFORDS[k]
-                rho = eng.rotate(rho, angle, phase)
-                rho = _depolarize_electron(rho, q, p.n_nuclei)
+                rho = eng.evolve(rho, eng.rotation_segments(angle, phase))
+                rho = _depolarize_electron(rho, q)
                 ideal = _ideal_unitary(angle, phase) @ ideal
             # inversion element: best mapping of the ideal state onto |up>
             best, best_overlap = None, -1.0
@@ -710,8 +671,8 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
                 if overlap > best_overlap + 1e-12:
                     best, best_overlap = (angle, phase), overlap
             if best[0] > 0.0:
-                rho = eng.rotate(rho, best[0], best[1])
-            acc += eng.population_up(rho)
+                rho = eng.evolve(rho, eng.rotation_segments(*best))
+            acc += electron_up_population(rho)
         signal.append(acc / n_random)
 
     sweep = SweepResult(np.asarray(n_list, float), signal, name="rb",

@@ -72,12 +72,19 @@ def test_header_block_and_float_formatting(out_dir):
         assert repr(float(cell)) == cell
 
 
-def test_same_invocation_twice_is_byte_identical(out_dir):
-    argv = ["ssr", "--n-shots", "60", "--seed", "5"]
-    cli.main(argv)
-    first = (out_dir / "ssr.csv").read_bytes()
-    cli.main(argv)
-    assert (out_dir / "ssr.csv").read_bytes() == first
+@pytest.mark.parametrize("argv", [
+    ["ssr", "--n-shots", "60", "--seed", "5"],
+    ["run", "ramsey", "--larmor-n", LARMOR, "--target", "nuclear", "--n-nuclei", "2",
+     "--t-c", "4e-6"],
+    ["run", "nucrot", "--larmor-n", LARMOR, "--sweep-points", "21"],
+    ["run", "gates", "--larmor-n", LARMOR, "--gate", "cenotn"],
+], ids=["ssr", "ramsey_nuclear", "nucrot", "gates_cenotn"])
+def test_same_invocation_twice_is_byte_identical(out_dir, argv):
+    name = argv[1] if argv[0] == "run" else argv[0]
+    assert cli.main(argv) == 0
+    first = (out_dir / (name + ".csv")).read_bytes()
+    assert cli.main(argv) == 0
+    assert (out_dir / (name + ".csv")).read_bytes() == first
 
 
 def test_embedded_config_reruns_to_identical_results(out_dir):

@@ -87,7 +87,7 @@ def test_single_nucleus_probe_overestimates_contrast():
 def _coherent_state(eng, n_nuclei):
     """Initialized register rotated so it carries electron and nuclear coherences."""
     rho = initialize_electron(0.9, n_nuclei).rho
-    return eng.dd_unit(eng.rotate(rho, 1.1, 0.4), 0.3e-6, 0.7)
+    return eng.evolve(rho, eng.rotation_segments(1.1, 0.4) + eng.dd_unit_segments(0.3e-6, 0.7))
 
 
 def test_transfer_segments_reverse_pass_undoes_forward_pass():

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from sivreg.register import (DephasingModel, DriveSpec, ID2, RegisterParams,
                              RegisterState, SX, SY, SZ, dephase_electron,
-                             hamiltonian, initialize_electron, measure, op_at,
+                             electron_up_population, hamiltonian, initialize_electron,
+                             measure, nuclear_sigma_z, op_at, populations,
                              repump_electron)
-from sivreg.sequences import Engine
+from sivreg.sequences import Engine, _joint_populations
 
 HYP1 = (621.75027e3, 140.1041e3)
 HYP2 = (50.0e3, 101.19309e3)
@@ -55,14 +56,16 @@ def test_pi_pulse_inverts_electron():
     p = RegisterParams(hyperfine=((0.0, 0.0),), n_nuclei=1)
     st0 = initialize_electron(1.0, n_nuclei=1)
     rabi = 1.0 / (2 * 55.715e-9)
-    flipped = RegisterState(Engine(p).pulse(st0.rho, rabi, 0.0, 55.715e-9), 1)
+    eng = Engine(p)
+    flipped = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(rabi, 0.0, 55.715e-9)), 1)
     assert measure(flipped, "electron_up") == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mixed_electron_reads_half():
     st0 = initialize_electron(0.5, n_nuclei=1)
     assert measure(st0, "electron_up") == pytest.approx(0.5, abs=1e-9)
-    rotated = RegisterState(Engine(params(1)).pulse(st0.rho, 8.97e6, 0.3, 30e-9), 1)
+    eng = Engine(params(1))
+    rotated = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.3, 30e-9)), 1)
     assert measure(rotated, "electron_up") == pytest.approx(0.5, abs=1e-9)
 
 
@@ -85,21 +88,23 @@ def test_free_evolution_preserves_trace_and_positivity():
     p = params(2)
     st0 = initialize_electron(0.9, n_nuclei=2)
     eng = Engine(p)
-    out = RegisterState(eng.wait(eng.pulse(st0.rho, 8.97e6, 0.0, 28e-9), 1.7e-6), 2)
+    out = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.0, 28e-9)
+                                    + eng.free_segments(1.7e-6)), 2)
     assert np.trace(out.rho).real == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.eigvalsh(out.rho).min() > -1e-12
 
 
 def test_free_evolution_rejects_negative_time():
     with pytest.raises(ValueError):
-        Engine(params(1)).wait(initialize_electron(1.0).rho, -1e-9)
+        eng = Engine(params(1))
+        eng.evolve(initialize_electron(1.0).rho, eng.free_segments(-1e-9))
 
 
 @pytest.mark.parametrize("duration", [-1e-9, math.nan])
 def test_pulse_rejects_negative_duration(duration):
     eng = Engine(params(1))
     with pytest.raises(ValueError):
-        eng.pulse(initialize_electron(1.0).rho, 8.97e6, 0.0, duration)
+        eng.evolve(initialize_electron(1.0).rho, eng.pulse_segments(8.97e6, 0.0, duration))
 
 
 # --- dephasing ---------------------------------------------------------------
@@ -130,7 +135,8 @@ def test_dephasing_acts_only_on_electron_coherences():
     p = params(1)
     st0 = initialize_electron(1.0, n_nuclei=1)
     # build a state with coherences everywhere
-    rho = Engine(p).pulse(st0.rho, 8.97e6, 0.0, 30e-9)
+    eng = Engine(p)
+    rho = eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.0, 30e-9))
     rho[0, 1] = rho[1, 0] = 0.01      # nuclear coherence inside the down block
     factor = 0.3
     out = dephase_electron(rho, factor, 1)
@@ -160,7 +166,8 @@ def test_repump_keeps_nuclear_marginal():
     p = params(1)
     st0 = initialize_electron(0.9, n_nuclei=1)
     eng = Engine(p)
-    evolved = RegisterState(eng.wait(eng.pulse(st0.rho, 8.97e6, 0.1, 40e-9), 0.8e-6), 1)
+    evolved = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.1, 40e-9)
+                                       + eng.free_segments(0.8e-6)), 1)
     half = 2
     marginal_before = evolved.rho[:half, :half] + evolved.rho[half:, half:]
     out = repump_electron(evolved, 0.81)
@@ -207,12 +214,49 @@ def test_pulse_is_unitary_conjugation():
     st0 = initialize_electron(0.8, n_nuclei=1)
     eng = Engine(params(1))
     u = eng.u_pulse(8.97e6, 0.3, 30e-9)
-    np.testing.assert_array_equal(eng.pulse(st0.rho, 8.97e6, 0.3, 30e-9),
+    np.testing.assert_array_equal(eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.3, 30e-9)),
                                   u @ st0.rho @ u.conj().T)
     # a pi pulse on the bare electron is the hard flip sigma_x (up to a global phase)
     bare = Engine(RegisterParams(hyperfine=((0.0, 0.0),), n_nuclei=1))
     rabi = 1.0 / (2 * 55.715e-9)
-    out = RegisterState(bare.pulse(st0.rho, rabi, 0.0, 55.715e-9), 1)
+    out = RegisterState(bare.evolve(st0.rho, bare.pulse_segments(rabi, 0.0, 55.715e-9)), 1)
     flip = op_at(SX, 0, 2)
     np.testing.assert_allclose(out.rho, flip @ st0.rho @ flip, atol=1e-12)
     assert measure(out, "electron_up") == pytest.approx(0.8, rel=1e-12)
+
+
+# --- diagonal readouts ---------------------------------------------------------
+
+def random_state(rng, n_nuclei):
+    """Random full-rank density matrix with coherences everywhere."""
+    dim = 2 ** (1 + n_nuclei)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return RegisterState(rho / np.trace(rho).real, n_nuclei)
+
+
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+def test_diagonal_readouts_match_projector_traces(n_nuclei):
+    """Each readout equals its definition trace(rho . op_at(...)) to 1e-15."""
+    rng = np.random.default_rng(40 + n_nuclei)
+    n = 1 + n_nuclei
+    down = np.diag([1.0, 0.0]).astype(complex)
+    up = np.diag([0.0, 1.0]).astype(complex)
+    for _ in range(5):
+        state = random_state(rng, n_nuclei)
+
+        def expectation(op):
+            return np.real(np.trace(state.rho @ op))
+
+        assert populations(state.rho).shape == (2,) * n
+        e_up = expectation(op_at(up, 0, n))
+        assert abs(electron_up_population(state.rho) - e_up) <= 1e-15
+        assert abs(measure(state, "electron_up") - e_up) <= 1e-15
+        assert abs(measure(state, "electron_down") - expectation(op_at(down, 0, n))) <= 1e-15
+        for i in range(n_nuclei):
+            sz = expectation(op_at(SZ, 1 + i, n))
+            assert abs(nuclear_sigma_z(state.rho, i) - sz) <= 1e-15
+            assert abs(measure(state, "nuclear_sigma_z", i) - sz) <= 1e-15
+        joint = [expectation(op_at(e, 0, n) @ op_at(m, 1, n))
+                 for e in (down, up) for m in (down, up)]
+        np.testing.assert_allclose(_joint_populations(state), joint, rtol=0, atol=1e-15)

@@ -9,12 +9,13 @@ import pytest
 from sivreg import fitting
 from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
                              initialize_electron)
-from sivreg.sequences import (Engine, GateSpec, SweepResult, T_PI_DEFAULT,
+from sivreg.sequences import (CPMG_PHASES, XY8_PHASES, Engine, GateSpec, SweepResult,
+                              T_PI_DEFAULT, calibrate_cenotn,
                               calibrate_quarter_rotation, composite_gate,
                               extract_full_rotation, nuclear_init_gate,
                               run_dd, run_nuclear_rotation, run_rabi,
                               run_ramsey, run_randomized_benchmarking,
-                              run_spin_lock, ui_probe_signal)
+                              run_spin_lock, transfer_matrix, ui_probe_signal)
 
 HYP1 = (621.75027e3, 140.1041e3)
 HYP2 = (50.0e3, 101.19309e3)
@@ -353,3 +354,67 @@ def test_every_rotation_pulse_runs_at_the_engine_pi_time(monkeypatch):
         for rabi, duration in pulses:
             assert rabi == pytest.approx(1.0 / (2.0 * t_pi), rel=1e-12), name
             assert min(abs(duration - t_pi), abs(duration - t_pi / 2)) < 1e-12 * t_pi, name
+
+
+# --- segment lists and state invariants ---------------------------------------
+
+def two_nuclei():
+    return RegisterParams(larmor_n=LARMOR_N, hyperfine=(HYP1, HYP2), n_nuclei=2)
+
+
+@pytest.mark.parametrize("pattern", [XY8_PHASES, CPMG_PHASES], ids=["XY8", "CPMG"])
+def test_dd_block_segments_equal_successive_units(pattern):
+    eng = Engine(two_nuclei(), DephasingModel(t_c=4e-6, beta=2.0))
+    rho0 = eng.evolve(initialize_electron(0.9, 2).rho,
+                      eng.rotation_segments(math.pi / 2, 0.0))
+    tau, n_pulses = 0.3e-6, 11
+    stepped = rho0
+    for k in range(n_pulses):
+        stepped = eng.evolve(stepped, eng.dd_unit_segments(tau, pattern[k % len(pattern)]))
+    np.testing.assert_array_equal(
+        eng.evolve(rho0, eng.dd_block_segments(tau, n_pulses, pattern)), stepped)
+
+
+def test_every_evolved_state_is_a_valid_density_matrix(monkeypatch):
+    """Every rho that Engine.evolve returns has trace 1, is Hermitian and positive.
+
+    Engine.evolve is the only way an experiment moves a state, so wrapping it
+    checks the state invariants of every experiment on its raw arrays.
+    """
+    calls = []
+    evolve = Engine.evolve
+
+    def checked(eng, rho, segments):
+        out = evolve(eng, rho, segments)
+        RegisterState(out, eng.p.n_nuclei).validate()
+        calls.append(eng)
+        return out
+
+    monkeypatch.setattr(Engine, "evolve", checked)
+    p = two_nuclei()
+    deph = DephasingModel(t_c=4e-6, beta=2.0)
+    taus = [0.0, 0.4e-6, 1.3e-6]
+    tau_rot = 0.5 * p.larmor_period - T_PI_DEFAULT
+    ui = GateSpec(kind="UI", tau=81.5e-9, n_pulses=6)
+    runs = {
+        "rabi": lambda: run_rabi(p, deph, 5e6, taus, f_ie=0.9),
+        "ramsey": lambda: run_ramsey(p, deph, 1e6, taus, f_ie=0.9),
+        "nuclear ramsey": lambda: run_ramsey(p, deph, 0.0, taus, target="nuclear"),
+        "dd XY": lambda: run_dd(p, deph, "XY", 8, [1e-7, 2e-7], f_ie=0.9),
+        "dd CPMG": lambda: run_dd(p, deph, "CPMG", 4, [1e-7, 2e-7], f_ie=0.9),
+        "spin lock time": lambda: run_spin_lock(p, deph, LARMOR_N, tau_sl=taus, f_ie=0.9),
+        "spin lock amplitude": lambda: run_spin_lock(p, deph, LARMOR_N,
+                                                     amplitudes=[1e6, 3e6], tau_fixed=1e-6),
+        "nuclear rotation": lambda: run_nuclear_rotation(p, deph, tau_rot, [0, 5, 12],
+                                                         f_ie=0.9),
+        "UI gate": lambda: nuclear_init_gate(p, deph, ui, 0.9),
+        "UI probe": lambda: ui_probe_signal(p, deph, ui, 0.9),
+        "CeNOTn transfer matrix": lambda: transfer_matrix(p, deph, calibrate_cenotn(p),
+                                                          0.9, 0.9),
+        "rb": lambda: run_randomized_benchmarking(p, deph, [1, 3, 5, 8], n_random=2,
+                                                  gate_fidelity_noise=0.01),
+    }
+    for name, run in runs.items():
+        before = len(calls)
+        run()
+        assert len(calls) > before, name
