@@ -60,10 +60,6 @@ class RunConfig:
     values: dict
 
     @property
-    def seed(self):
-        return self.values.get("seed", 0)
-
-    @property
     def output(self):
         return self.values.get("output", "")
 

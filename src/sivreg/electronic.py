@@ -283,7 +283,8 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
                               lambda x, *p: _relative_observables(p, targets, b_field))
     fits = []
     for start in itertools.product((1.0 / 3.0, 2.0 / 3.0), repeat=3):
-        init = [lo + f * (hi - lo) for f, (lo, hi) in zip(start, DEFAULT_BOUNDS)]
+        init = {name: lo + f * (hi - lo)
+                for name, f, (lo, hi) in zip(model.param_names, start, DEFAULT_BOUNDS)}
         try:
             fits.append(fitting.least_squares(model, np.arange(4.0), np.ones(4), init=init))
         except (fitting.SingularNormalMatrix, fitting.MaxIterations):

@@ -130,12 +130,13 @@ def _to_external(u, lo, hi):
     return u
 
 
-def least_squares(model: ModelSpec, x, y, weights=None, init=None,
+def least_squares(model: ModelSpec, x, y, weights=None,
+                  init: Optional[Dict[str, float]] = None,
                   fixed: Optional[Dict[str, float]] = None,
                   max_iterations=200):
     """Damped Gauss-Newton fit of a registry model.
 
-    init may be a dict of starting values (missing entries fall back to the
+    init is a dict of starting values (missing entries fall back to the
     model's initial-guess rule); fixed pins named parameters and removes them
     from the optimization and the reported uncertainties.
     """
@@ -160,11 +161,7 @@ def least_squares(model: ModelSpec, x, y, weights=None, init=None,
         w_sqrt = np.sqrt(w)
 
     start = model.initial_guess(x, y)
-    if init is not None:
-        if isinstance(init, dict):
-            start.update(init)
-        else:
-            start.update(dict(zip(names, init)))
+    start.update(init or {})
     start.update(fixed)
 
     bounds = {p.name: p.bounds for p in model.params}

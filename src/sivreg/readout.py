@@ -23,15 +23,14 @@ from .fitting import FitFailed
 
 @dataclass(frozen=True)
 class PumpParams:
-    """Zero-power linewidth gamma0 (Hz), cyclicity eta, saturation s, pulse length (s)."""
+    """Zero-power linewidth gamma0 (Hz), cyclicity eta and saturation s."""
 
     gamma0: float
     eta: float
     s: float
-    t_pulse: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma0", "eta", "s", "t_pulse"):
+        for name in ("gamma0", "eta", "s"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be >= 0" % name)
 
@@ -248,12 +247,19 @@ def classify_threshold(record: PhotonRecord, threshold) -> ClassifyResult:
     p_b = float(np.mean(final_bright[labels])) if labels.any() else math.nan
     p_d = float(np.mean(~final_bright[~labels])) if (~labels).any() else math.nan
 
-    best, best_gap = int(threshold), math.inf
-    for thr in range(int(record.counts.max()) + 1):
-        _, fb, fd = _class_fidelities(record, thr)
-        gap = abs(fb - fd)
-        if math.isfinite(gap) and gap < best_gap:
-            best, best_gap = thr, gap
+    # over thresholds 0..max: shots of each class at or below each threshold, from one
+    # histogram (count > thr exactly when ceil(count) > thr); the first minimum gap wins
+    n_thr = int(record.counts.max()) + 1
+    best = int(threshold)
+    b0 = record.initial_state == "bright"
+    d0 = record.initial_state == "dark"
+    if b0.any() and d0.any():
+        ceil_counts = np.ceil(record.counts).astype(np.int64)
+        at_or_below = [np.cumsum(np.bincount(ceil_counts[cls], minlength=n_thr)[:n_thr])
+                       for cls in (b0, d0)]
+        n_b, n_d = int(b0.sum()), int(d0.sum())
+        gap = np.abs((n_b - at_or_below[0]) / n_b - at_or_below[1] / n_d)
+        best = int(np.argmin(gap))
     return ClassifyResult(labels, f_b, f_d, p_b, p_d, best)
 
 

@@ -115,9 +115,6 @@ class RegisterState:
             raise ValueError("rho has negative eigenvalue %g" % evals.min())
         return self
 
-    def copy(self):
-        return RegisterState(self.rho.copy(), self.n_nuclei)
-
 
 def op_at(op, slot, n_slots):
     """Embed a single-spin operator at a tensor slot (0 = electron)."""

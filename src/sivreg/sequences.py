@@ -7,10 +7,13 @@ segment lists.  ``Engine.evolve`` walks such a list over a raw density
 matrix and is the only way any experiment moves a state; every signal is
 read from the diagonal of the result (``register.populations``).  The named
 experiments (Rabi, Ramsey, dynamical decoupling, spin lock, nuclear
-rotations, transfer gates, composite gates, randomized benchmarking) are
-all composed from segment lists.  A sweep over independent points evolves
-one prepared state through the segments of each point; a sweep over the
-pulse number N steps one unit at a time instead of restarting at every N.
+rotations, transfer gates, randomized benchmarking) are all composed from
+segment lists, and so are the two-qubit gates: ``gate_segments`` returns the
+Engine and segments of a CeNOTn, a CnNOTe or the identity, and
+``transfer_matrix`` evolves each basis preparation through them.  A sweep
+over independent points evolves one prepared state through the segments of
+each point; a sweep over the pulse number N steps one unit at a time instead
+of restarting at every N.
 
 The pi time is ``Engine.t_pi``: every nominal rotation (pi/2 pulses, DD pi
 pulses, RB Cliffords) is driven at the Rabi rate 1/(2 t_pi).  Only explicit
@@ -106,6 +109,10 @@ class GateSpec:
                 raise ValueError("DD-based gates need an even, positive n_pulses")
             if not self.tau > 0:
                 raise ValueError("DD-based gates need tau > 0")
+        if self.kind == "CeNOTn" and (self.uncond_tau is None or self.uncond_n is None):
+            raise UncalibratedGate("CeNOTn needs uncond_tau and uncond_n")
+        if self.kind == "CnNOTe" and (self.rabi is None or not self.rabi > 0):
+            raise UncalibratedGate("CnNOTe needs the calibrated drive amplitude")
 
 
 @dataclass
@@ -429,7 +436,7 @@ def calibrate_quarter_rotation(p: RegisterParams, tau_rot, n_max=400,
 
 
 # --------------------------------------------------------------------------
-# transfer gate and composite gates
+# transfer gate and two-qubit gates
 
 
 def _transfer_segments(eng: Engine, g: GateSpec, wait):
@@ -450,9 +457,13 @@ def calibrate_transfer_wait(p: RegisterParams, g: GateSpec):
     single = replace(p, hyperfine=p.hyperfine[:1], n_nuclei=1)
     eng = Engine(single, None, g.t_pi)
     period = single.larmor_period
+    # the gate is head + free(wait) + block: evolve the wait-independent head once
+    block = eng.dd_block_segments(g.tau, g.n_pulses)
+    head = _transfer_segments(eng, g, 0.0)[:-len(block)]
+    rho_head = eng.evolve(_initial_rho(single, 1.0), head)
 
     def transferred(wait):
-        rho = eng.evolve(_initial_rho(single, 1.0), _transfer_segments(eng, g, wait))
+        rho = eng.evolve(rho_head, eng.free_segments(wait) + block)
         return abs(nuclear_sigma_z(rho))
 
     waits = [period * i / coarse for i in range(coarse)]
@@ -502,42 +513,23 @@ def ui_probe_signal(p: RegisterParams, dephasing, g: GateSpec, f_ie,
     return electron_up_population(eng.evolve_reversed(state.rho, segments))
 
 
-@dataclass
-class CompositeGate:
-    """Applies a calibrated gate to register states."""
+def gate_segments(p: RegisterParams, dephasing, g: GateSpec):
+    """Engine and (unitary, free time) segments of a CeNOTn, a CnNOTe or the identity.
 
-    spec: GateSpec
-    params: RegisterParams
-    dephasing: Optional[DephasingModel]
-
-    def apply(self, state: RegisterState):
-        g = self.spec
-        if g.kind == "identity":
-            return RegisterState(state.rho.copy(), state.n_nuclei)
-        if g.kind == "CeNOTn":
-            eng = Engine(self.params, self.dephasing, g.t_pi)
-            segments = (eng.dd_block_segments(g.tau, g.n_pulses)
-                        + eng.dd_block_segments(g.uncond_tau, g.uncond_n))
-        elif g.kind == "CnNOTe":
-            # drive resonant with the electron transition of the nuclear-down manifold
-            eng = Engine(replace(self.params, detuning=self.params.hyperfine[0][0] / 2.0))
-            segments = eng.pulse_segments(g.rabi, 0.0, 1.0 / (2.0 * g.rabi))
-        else:
-            raise InvalidGate("composite_gate cannot apply kind %r" % (g.kind,))
-        return RegisterState(eng.evolve(state.rho, segments), state.n_nuclei)
-
-
-def composite_gate(p: RegisterParams, dephasing, g: GateSpec):
-    """Validated, applicable composite gate (CeNOTn, CnNOTe or identity)."""
-    if g.kind == "CeNOTn":
-        if g.uncond_tau is None or g.uncond_n is None:
-            raise UncalibratedGate("CeNOTn needs uncond_tau and uncond_n")
-    elif g.kind == "CnNOTe":
-        if g.rabi is None or not g.rabi > 0:
-            raise UncalibratedGate("CnNOTe needs the calibrated drive amplitude")
-    elif g.kind == "UI":
+    The identity has no segments.  A UI gate raises InvalidGate: it ends in a
+    re-pump and runs through nuclear_init_gate.
+    """
+    if g.kind == "UI":
         raise InvalidGate("use nuclear_init_gate for transfer gates")
-    return CompositeGate(g, p, dephasing)
+    if g.kind == "CnNOTe":
+        # drive resonant with the electron transition of the nuclear-down manifold
+        eng = Engine(replace(p, detuning=p.hyperfine[0][0] / 2.0))
+        return eng, eng.pulse_segments(g.rabi, 0.0, 1.0 / (2.0 * g.rabi))
+    eng = Engine(p, dephasing, g.t_pi)
+    if g.kind == "identity":
+        return eng, []
+    return eng, (eng.dd_block_segments(g.tau, g.n_pulses)
+                 + eng.dd_block_segments(g.uncond_tau, g.uncond_n))
 
 
 def calibrate_cenotn(p: RegisterParams, t_pi=T_PI_DEFAULT, n_max=900):
@@ -557,9 +549,9 @@ def calibrate_cnnote(p: RegisterParams, t_pi=T_PI_DEFAULT):
     return GateSpec(kind="CnNOTe", t_pi=t_pi, rabi=a_par / math.sqrt(3.0))
 
 
-def _joint_populations(state: RegisterState):
+def _joint_populations(rho):
     """Populations of {down_Down, down_Up, up_Down, up_Up} of electron x target nucleus."""
-    return populations(state.rho).reshape(4, -1).sum(axis=1)
+    return populations(rho).reshape(4, -1).sum(axis=1)
 
 
 def transfer_matrix(p: RegisterParams, dephasing, g: GateSpec, f_ie, f_in):
@@ -568,25 +560,24 @@ def transfer_matrix(p: RegisterParams, dephasing, g: GateSpec, f_ie, f_in):
     Each of the four basis preparations (electron x target nucleus, with the
     stated initialization fidelities) is propagated through the gate and its
     joint populations recorded; the raw matrix is then referenced against the
-    same measurement with an identity gate, M(G) M(Id)^-1, which removes the
-    preparation imperfections and makes the identity gate the exact identity.
+    same measurement with an identity gate (the joint populations of the
+    preparations themselves), M(G) M(Id)^-1, which removes the preparation
+    imperfections and makes the identity gate the exact identity.
     Both fidelities must lie in (0.5, 1]: at 0.5 M(Id) is singular.
     """
     for key, fidelity in (("f_ie", f_ie), ("f_in", f_in)):
         if not 0.5 < fidelity <= 1.0:
             raise ValueError("%s must lie in (0.5, 1] for a referenced transfer matrix, got %r"
                              % (key, fidelity))
-    gate = composite_gate(p, dephasing, g)
-    ident = composite_gate(p, dephasing, GateSpec(kind="identity"))
+    eng, segments = gate_segments(p, dephasing, g)
     m_gate = np.zeros((4, 4))
     m_id = np.zeros((4, 4))
     for col, (e_up, n_up) in enumerate([(False, False), (False, True),
                                         (True, False), (True, True)]):
         rho = product_state(electron_mixture(f_ie, e_up), [electron_mixture(f_in, n_up)],
                             p.n_nuclei)
-        prep = RegisterState(rho, p.n_nuclei)
-        m_gate[:, col] = _joint_populations(gate.apply(prep))
-        m_id[:, col] = _joint_populations(ident.apply(prep))
+        m_gate[:, col] = _joint_populations(eng.evolve(rho, segments))
+        m_id[:, col] = _joint_populations(rho)
     referenced = m_gate @ np.linalg.inv(m_id)
     return TransferMatrix(np.clip(referenced, 0.0, 1.0))
 

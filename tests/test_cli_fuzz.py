@@ -74,6 +74,12 @@ _CONFIGS = st.one_of(
                       "tau_fixed": st.floats(0.0, 2e-5)},
          _sweep(5e-5)),
     _run("nucrot", {"tau_rot": st.floats(0.0, 3e-7)}, _sweep(200.0)),
+    st.tuples(st.just(["run", "gates"]), _REGISTER, st.fixed_dictionaries({
+        "gate": _mostly(st.sampled_from(["UI", "CeNOTn", "CnNOTe", "identity"]), "CNOT"),
+        "tau": _mostly(st.floats(2e-8, 2e-7), 0.0, -1e-8),
+        "n_pulses": _mostly(st.integers(1, 25).map(lambda k: 2 * k), 0, 1, 7),
+        "wait": st.one_of(st.just(-1.0), st.floats(0.0, 1e-6)),
+        "f_in": _mostly(st.floats(0.5, 1.0), 0.3)})),
     _run("rb", {"q": _mostly(st.floats(0.0, 0.2), 1.0, 1.5), "n_random": st.integers(1, 3)},
          _sweep(30.0)),
     st.tuples(st.just(["ssr"]), st.fixed_dictionaries({

@@ -1,4 +1,4 @@
-"""Nuclear initialization gate, composite two-qubit gates, transfer matrices,
+"""Nuclear initialization gate, two-qubit gates, transfer matrices,
 randomized benchmarking."""
 
 import math
@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sivreg import sequences
 from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
                              dephase_electron, initialize_electron, measure)
 from sivreg.sequences import (XY8_PHASES, Engine, GateSpec, InvalidGate,
@@ -13,7 +14,7 @@ from sivreg.sequences import (XY8_PHASES, Engine, GateSpec, InvalidGate,
                               _transfer_segments,
                               calibrate_cenotn, calibrate_cnnote,
                               calibrate_quarter_rotation,
-                              calibrate_transfer_wait, composite_gate,
+                              calibrate_transfer_wait, gate_segments,
                               nuclear_init_gate, run_randomized_benchmarking,
                               transfer_matrix, ui_probe_signal)
 
@@ -134,7 +135,7 @@ def test_init_gate_rejects_other_kinds():
         nuclear_init_gate(p, None, g, f_ie=1.0)
 
 
-# --- composite gates --------------------------------------------------------------
+# --- two-qubit gates ----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def cenotn():
@@ -150,52 +151,52 @@ def test_cnnote_truth_table():
     p = one_nucleus()
     g = calibrate_cnnote(p)
     assert g.rabi == pytest.approx(A_PAR / math.sqrt(3.0), rel=1e-12)
-    gate = composite_gate(p, None, g)
+    eng, segments = gate_segments(p, None, g)
     # electron flips when the nucleus is down, returns when the nucleus is up
-    lo = RegisterState(np.diag([1.0, 0, 0, 0]).astype(complex), 1)
-    hi = RegisterState(np.diag([0, 1.0, 0, 0]).astype(complex), 1)
-    out_lo = gate.apply(lo)
-    out_hi = gate.apply(hi)
-    assert np.real(out_lo.rho[2, 2]) >= 0.99
-    assert np.real(out_hi.rho[1, 1]) >= 0.99
+    lo = np.diag([1.0, 0, 0, 0]).astype(complex)
+    hi = np.diag([0, 1.0, 0, 0]).astype(complex)
+    out_lo = eng.evolve(lo, segments)
+    out_hi = eng.evolve(hi, segments)
+    assert np.real(out_lo[2, 2]) >= 0.99
+    assert np.real(out_hi[1, 1]) >= 0.99
 
 
 def test_cnnote_accepts_reference_calibration_period():
     # measured-period calibration (2.8706 us) instead of the analytic power
     p = one_nucleus()
     g = GateSpec(kind="CnNOTe", rabi=1.0 / 2.8706e-6)
-    gate = composite_gate(p, None, g)
-    lo = RegisterState(np.diag([1.0, 0, 0, 0]).astype(complex), 1)
-    hi = RegisterState(np.diag([0, 1.0, 0, 0]).astype(complex), 1)
-    assert np.real(gate.apply(lo).rho[2, 2]) >= 0.99
-    assert np.real(gate.apply(hi).rho[1, 1]) >= 0.99
+    eng, segments = gate_segments(p, None, g)
+    lo = np.diag([1.0, 0, 0, 0]).astype(complex)
+    hi = np.diag([0, 1.0, 0, 0]).astype(complex)
+    assert np.real(eng.evolve(lo, segments)[2, 2]) >= 0.99
+    assert np.real(eng.evolve(hi, segments)[1, 1]) >= 0.99
 
 
 def test_cenotn_is_involution_on_nuclear_axis(cenotn):
     p = one_nucleus()
-    gate = composite_gate(p, None, cenotn)
+    eng, segments = gate_segments(p, None, cenotn)
     state = RegisterState(np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex), 1)
-    twice = gate.apply(gate.apply(state))
+    twice = RegisterState(eng.evolve(eng.evolve(state.rho, segments), segments), 1)
     assert measure(twice, "nuclear_sigma_z") == pytest.approx(
         measure(state, "nuclear_sigma_z"), abs=0.02)
 
 
-def test_composite_gate_validation(cenotn):
+def test_gate_segments_validation(cenotn):
     p = one_nucleus()
     with pytest.raises(UncalibratedGate):
-        composite_gate(p, None, GateSpec(kind="CeNOTn", tau=cenotn.tau,
-                                         n_pulses=cenotn.n_pulses))
+        gate_segments(p, None, GateSpec(kind="CeNOTn", tau=cenotn.tau,
+                                        n_pulses=cenotn.n_pulses))
     with pytest.raises(UncalibratedGate):
-        composite_gate(p, None, GateSpec(kind="CnNOTe"))
+        gate_segments(p, None, GateSpec(kind="CnNOTe"))
     with pytest.raises(InvalidGate):
-        composite_gate(p, None, GateSpec(kind="UI", tau=81.5e-9, n_pulses=42))
+        gate_segments(p, None, GateSpec(kind="UI", tau=81.5e-9, n_pulses=42))
 
 
-def test_composite_gate_identity_is_noop():
+def test_gate_segments_identity_is_noop():
     p = one_nucleus()
-    gate = composite_gate(p, None, GateSpec(kind="identity"))
+    eng, segments = gate_segments(p, None, GateSpec(kind="identity"))
     state = RegisterState(np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex), 1)
-    np.testing.assert_allclose(gate.apply(state).rho, state.rho, atol=1e-15)
+    np.testing.assert_allclose(eng.evolve(state.rho, segments), state.rho, atol=1e-15)
 
 
 # --- transfer matrices --------------------------------------------------------------
@@ -225,6 +226,29 @@ def test_cenotn_transfer_referencing_removes_preparation_errors(cenotn):
     perm[1, 0] = perm[0, 1] = perm[2, 2] = perm[3, 3] = 1.0
     inferred = float(np.sum(faulty.matrix * perm) / 4.0)
     assert inferred > 0.9
+
+
+@pytest.mark.parametrize("params", [one_nucleus, two_nuclei], ids=["1", "2"])
+@pytest.mark.parametrize("kind, n_drives", [("CeNOTn", 3), ("CnNOTe", 1), ("identity", 0)])
+def test_transfer_matrix_solves_each_drive_once(monkeypatch, cenotn, params, kind, n_drives):
+    """One eigensolve per distinct drive over all four preparations.
+
+    A CeNOTn has the free drive and the X and Y pi drives, a CnNOTe its one
+    drive, and the identity gate none.
+    """
+    p = params()
+    g = {"CeNOTn": cenotn, "CnNOTe": calibrate_cnnote(p),
+         "identity": GateSpec(kind="identity")}[kind]
+    solves = []
+    eig = sequences.hermitian_eig
+
+    def counting(h):
+        solves.append(h.shape)
+        return eig(h)
+
+    monkeypatch.setattr(sequences, "hermitian_eig", counting)
+    transfer_matrix(p, DephasingModel(t_c=4e-6, beta=2.0), g, f_ie=0.9, f_in=0.8)
+    assert len(solves) == n_drives
 
 
 def test_transfer_matrix_validation():

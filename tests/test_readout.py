@@ -223,6 +223,35 @@ def test_classification_fidelities_at_paper_parameters(paper_record):
     assert res.fidelity_bright > 0.9 and res.fidelity_dark > 0.95
 
 
+def _scanned_equal_threshold(record, threshold):
+    """Equal-fidelity threshold by classifying every shot at every threshold."""
+    best, best_gap = int(threshold), math.inf
+    b0 = record.initial_state == "bright"
+    d0 = record.initial_state == "dark"
+    for thr in range(int(record.counts.max()) + 1):
+        labels = record.counts > thr
+        f_b = float(np.mean(labels[b0])) if b0.any() else math.nan
+        f_d = float(np.mean(~labels[d0])) if d0.any() else math.nan
+        gap = abs(f_b - f_d)
+        if math.isfinite(gap) and gap < best_gap:
+            best, best_gap = thr, gap
+    return best
+
+
+def test_equal_threshold_matches_scan_over_every_threshold(paper_record):
+    cfg, rec = paper_record
+    records = [rec] + [simulate_ssr(cfg, initial, n)
+                       for initial, n in (("alternate", 1000), ("alternate", 7),
+                                          ("bright", 500), ("dark", 500))]
+    # fractional (drift-corrected) counts, and a gap that ties at thresholds 1, 2 and 3
+    states = np.array(["bright", "dark", "dark", "bright", "offres"], dtype=object)
+    records.append(PhotonRecord(np.array([2.5, 0.5, 3.0, 4.0, 7.2]), states, states))
+    records.append(PhotonRecord(np.array([1, 2, 2, 4]), states[:4], states[:4]))
+    for record in records:
+        assert classify_threshold(record, 21).equal_threshold == \
+            _scanned_equal_threshold(record, 21), record.counts[:8]
+
+
 def test_equalizing_threshold_minimizes_class_gap(paper_record):
     cfg, rec = paper_record
     res = classify_threshold(rec, cfg.threshold)

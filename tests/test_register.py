@@ -259,4 +259,4 @@ def test_diagonal_readouts_match_projector_traces(n_nuclei):
             assert abs(measure(state, "nuclear_sigma_z", i) - sz) <= 1e-15
         joint = [expectation(op_at(e, 0, n) @ op_at(m, 1, n))
                  for e in (down, up) for m in (down, up)]
-        np.testing.assert_allclose(_joint_populations(state), joint, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_joint_populations(state.rho), joint, rtol=0, atol=1e-15)

@@ -10,8 +10,8 @@ from sivreg import fitting
 from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
                              initialize_electron)
 from sivreg.sequences import (CPMG_PHASES, XY8_PHASES, Engine, GateSpec, SweepResult,
-                              T_PI_DEFAULT, calibrate_cenotn,
-                              calibrate_quarter_rotation, composite_gate,
+                              T_PI_DEFAULT, calibrate_cenotn, calibrate_cnnote,
+                              calibrate_quarter_rotation, gate_segments,
                               extract_full_rotation, nuclear_init_gate,
                               run_dd, run_nuclear_rotation, run_rabi,
                               run_ramsey, run_randomized_benchmarking,
@@ -346,7 +346,12 @@ def test_every_rotation_pulse_runs_at_the_engine_pi_time(monkeypatch):
     runs["UI probe"] = lambda: ui_probe_signal(p, None, ui, 0.9)
     cenotn = GateSpec(kind="CeNOTn", tau=tau_rot, n_pulses=2, t_pi=t_pi,
                       uncond_tau=2 * tau_rot, uncond_n=2)
-    runs["CeNOTn"] = lambda: composite_gate(p, None, cenotn).apply(initialize_electron(0.9))
+
+    def cenotn_gate():
+        eng, segments = gate_segments(p, None, cenotn)
+        return eng.evolve(initialize_electron(0.9).rho, segments)
+
+    runs["CeNOTn"] = cenotn_gate
     for name, run in runs.items():
         pulses.clear()
         run()
@@ -410,6 +415,8 @@ def test_every_evolved_state_is_a_valid_density_matrix(monkeypatch):
         "UI gate": lambda: nuclear_init_gate(p, deph, ui, 0.9),
         "UI probe": lambda: ui_probe_signal(p, deph, ui, 0.9),
         "CeNOTn transfer matrix": lambda: transfer_matrix(p, deph, calibrate_cenotn(p),
+                                                          0.9, 0.9),
+        "CnNOTe transfer matrix": lambda: transfer_matrix(p, deph, calibrate_cnnote(p),
                                                           0.9, 0.9),
         "rb": lambda: run_randomized_benchmarking(p, deph, [1, 3, 5, 8], n_random=2,
                                                   gate_fidelity_noise=0.01),
