@@ -10,8 +10,8 @@ Configuration is resolved in three layers (later wins):
 
 The config file is a single flat JSON object holding strings, numbers and
 booleans only.  Keys mirror the field names of the underlying module types;
-unknown or ill-typed keys and non-finite numbers are rejected with the key
-name.  Exit codes:
+unknown or ill-typed keys, non-finite numbers and values outside a model's
+domain are rejected with the key name.  Exit codes:
 0 success, 2 configuration error, 3 experiment error.
 
 The environment variable SIVREG_OUTPUT_DIR sets the directory for relative
@@ -72,6 +72,7 @@ class ExperimentSpec:
     defaults: dict        # key -> default value (type inferred)
     runner: object        # cfg values dict -> (columns, rows, extras)
     help: str = ""
+    check: object = None  # cfg values dict -> None; raises ConfigError naming the key
 
     def schema(self):
         keys = dict(self.required)
@@ -165,8 +166,14 @@ def resolve_config(spec: ExperimentSpec, config_path, flag_values: dict) -> RunC
         raise ConfigError("ill-typed value for key 'n_nuclei' (expected 1 or 2)")
     if values.get("t_pi", 1.0) <= 0.0:
         raise ConfigError("t_pi must be > 0")
+    if values.get("larmor_n", 1.0) <= 0.0:
+        raise ConfigError("larmor_n must be > 0")
+    if values.get("t_c", 0.0) > 0.0 and not 0.5 <= values["beta_deph"] <= 3.0:
+        raise ConfigError("beta_deph must lie in [0.5, 3] when t_c > 0")
     if values.get("n_shots", 1) < 1:
         raise ConfigError("n_shots must be >= 1")
+    if spec.check is not None:
+        spec.check(values)
     return RunConfig(spec.name, values)
 
 
@@ -195,6 +202,55 @@ def _dephasing(v):
     if v["t_c"] <= 0.0:
         return None
     return DephasingModel(t_c=v["t_c"], beta=v["beta_deph"])
+
+
+# ---------------------------------------------------------------------------
+# per-experiment domain checks: values dict -> None, or ConfigError naming the key
+
+
+def _check_structure(v):
+    if v["epsilon"] < 0.0:
+        raise ConfigError("epsilon must be >= 0")
+    if not v["alpha"] > 0.0:
+        raise ConfigError("alpha must be > 0")
+    if not 0.0 <= v["btheta"] <= 90.0:
+        raise ConfigError("btheta must lie in [0, 90] degrees")
+    if v["b"] < 0.0:
+        raise ConfigError("b must be >= 0")
+
+
+def _check_estimate(v):
+    for key in ("wl", "dss", "dgs", "eta"):
+        if not v[key] > 0.0:
+            raise ConfigError(f"{key} must be > 0")
+    if v["b"] < 0.0:
+        raise ConfigError("b must be >= 0 (0 derives it from larmor_n)")
+
+
+def _check_half_period_delay(v):
+    """The delay T_L/2 - t_pi derived from larmor_n must stay positive."""
+    if not 0.5 / v["larmor_n"] - v["t_pi"] > 0.0:
+        raise ConfigError("t_pi must be < 1/(2 larmor_n) = %r s: the delay T_L/2 - t_pi "
+                          "derived from it is not positive" % (0.5 / v["larmor_n"]))
+
+
+def _check_nucrot(v):
+    if v["tau_rot"] <= 0.0:
+        _check_half_period_delay(v)
+
+
+def _check_gates(v):
+    gate = v["gate"].lower()
+    if gate not in ("ui", "cenotn", "cnnote", "identity"):
+        raise ConfigError("ill-typed value for key 'gate' "
+                          "(expected 'UI', 'CeNOTn', 'CnNOTe' or 'identity')")
+    if gate == "ui":
+        if v["n_pulses"] <= 0 or v["n_pulses"] % 2:
+            raise ConfigError("n_pulses must be even and > 0 for gate 'UI'")
+        if not v["tau"] > 0.0:
+            raise ConfigError("tau must be > 0 for gate 'UI'")
+    if gate == "cenotn":
+        _check_half_period_delay(v)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +353,9 @@ def _run_gates(v):
     elif gate == "cnnote":
         g = sequences.calibrate_cnnote(p, t_pi=v["t_pi"])
         extras = {"rabi": g.rabi}
-    elif gate == "identity":
+    else:
         g = GateSpec(kind="identity")
         extras = {}
-    else:
-        raise ConfigError("ill-typed value for key 'gate' "
-                          "(expected 'UI', 'CeNOTn', 'CnNOTe' or 'identity')")
     tm = sequences.transfer_matrix(p, dephasing, g, v["f_ie"], v["f_in"])
     cols = ["output_state"] + ["in_" + lab for lab in tm.labels]
     rows = [(tm.labels[i], *tm.matrix[i]) for i in range(4)]
@@ -439,7 +492,8 @@ _register(ExperimentSpec(
     required={"epsilon": float, "alpha": float, "btheta": float, "b": float},
     defaults={**_COMMON},
     runner=_run_structure,
-    help="derived observables of the 8-level electronic model at one working point"))
+    help="derived observables of the 8-level electronic model at one working point",
+    check=_check_structure))
 
 _register(ExperimentSpec(
     "estimate", "",
@@ -447,7 +501,8 @@ _register(ExperimentSpec(
     defaults={**_COMMON, "wl": 9.431e9, "dss": 254.654e6, "dgs": 1110.755e9,
               "eta": 816.285, "b": 0.0, "larmor_n": 3.5857929e6},
     runner=_run_estimate,
-    help="fit (epsilon, alpha, btheta) to measured observables"))
+    help="fit (epsilon, alpha, btheta) to measured observables",
+    check=_check_estimate))
 
 _register(ExperimentSpec(
     "rabi", "run",
@@ -488,7 +543,8 @@ _register(ExperimentSpec(
     defaults={**_COMMON, **_REGISTER_DEFAULTS, "tau_rot": 0.0,
               **_sweep_defaults(0.0, 200.0, 201)},
     runner=_run_nucrot,
-    help="conditional nuclear rotation vs pulse number"))
+    help="conditional nuclear rotation vs pulse number",
+    check=_check_nucrot))
 
 _register(ExperimentSpec(
     "gates", "run",
@@ -496,7 +552,8 @@ _register(ExperimentSpec(
     defaults={**_COMMON, **_REGISTER_DEFAULTS, "gate": "UI", "tau": 81.5e-9,
               "n_pulses": 42, "wait": -1.0, "f_in": 1.0},
     runner=_run_gates,
-    help="nuclear initialization or two-qubit gate characterization"))
+    help="nuclear initialization or two-qubit gate characterization",
+    check=_check_gates))
 
 _register(ExperimentSpec(
     "rb", "run",
@@ -598,6 +655,7 @@ _HELP = {
     "alpha": "excited/ground strain susceptibility ratio",
     "btheta": "magnetic field polar angle (deg)",
     "b": "magnetic field magnitude (T)",
+    ("estimate", "b"): "magnetic field magnitude (T); 0 = derived from larmor_n",
     "larmor_n": "nuclear Larmor frequency (Hz)",
     "t_pi": "electron pi time (s) of every pi/2, DD pi and Clifford pulse",
     "seed": "64-bit seed for stochastic experiments",
@@ -613,7 +671,7 @@ def _add_flags(parser, spec: ExperimentSpec):
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="flat JSON config file (flags override it)")
     for key, typ in sorted(spec.schema().items()):
-        note = _HELP.get(key, "")
+        note = _HELP.get((spec.name, key), _HELP.get(key, ""))
         if key in spec.required:
             note = (note + " " if note else "") + "(required)"
         else:

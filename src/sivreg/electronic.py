@@ -15,6 +15,7 @@ converts back to Hz.
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -94,11 +95,23 @@ class DerivedObservables:
 
 @dataclass
 class EstimationResult:
+    """Best start of the strain estimate.
+
+    sigma -- one-standard-deviation uncertainties (epsilon in Hz, alpha,
+             theta in degrees) from the best start's Levenberg-Marquardt
+             covariance s^2 (J^T J)^-1, s^2 the residual sum of squares per
+             degree of freedom (More, Lecture Notes in Mathematics 630, 105
+             (1978)).  A sigma is nan when the best point sits at a
+             DEFAULT_BOUNDS edge: the covariance step there meets the +inf
+             residual outside the bounds.
+    """
+
     strain: StrainField
     theta: float
     cost: float
     converged: bool
-    observables: DerivedObservables = None
+    observables: DerivedObservables
+    sigma: Tuple[float, float, float]
 
 
 # --- operators in the parity x orbital x spin product basis -----------------
@@ -117,41 +130,63 @@ def _kron3(a, b, c):
     return kron(kron(a, b), c)
 
 
+def _manifold_operators(proj):
+    """The six Hamiltonian operators of one parity manifold, in assembly order.
+
+    spin-orbit (L_z sigma_z with L_z = -sigma_y orbital), orbital Zeeman
+    (quenched, symmetry axis only), spin x, spin z, strain along _OZ and
+    strain along SX (transverse strain in the orbital doublet).
+    """
+    return (_kron3(proj, -_OY, SZ), _kron3(proj, -_OY, IDENTITY2),
+            _kron3(proj, IDENTITY2, SX / 2.0), _kron3(proj, IDENTITY2, SZ / 2.0),
+            _kron3(proj, _OZ, IDENTITY2), _kron3(proj, SX, IDENTITY2))
+
+
+_OPS_G = _manifold_operators(_PROJ_G)
+_OPS_U = _manifold_operators(_PROJ_U)
+_PARITY = _kron3(SZ, IDENTITY2, IDENTITY2)
+_MU_B = PhysicalConstants().bohr_magneton_over_h
+
+
 def field_from_nuclear_larmor(larmor_n):
     """Field magnitude (T) implied by a 13C nuclear Larmor frequency (Hz)."""
     return larmor_n / PhysicalConstants().gyromag_13C
 
 
 def build_hamiltonian(c: DefectConstants, s: StrainField, f: FieldConfig):
-    """Assemble the 8x8 electronic Hamiltonian (rad/s)."""
+    """Assemble the 8x8 electronic Hamiltonian (rad/s).
+
+    H is a sum of scalar coefficients times the operators precomputed in
+    _OPS_G/_OPS_U, plus the parity offset: no Kronecker product is formed
+    per call.  The terms are added in the order of the term-by-term
+    Kronecker assembly, and the spin x/z and strain pairs it added as one
+    term have disjoint support, so H equals that assembly bit for bit
+    (tests/test_electronic.py keeps it as the oracle).
+    """
     theta = math.radians(f.theta)
     bx = f.magnitude * math.sin(theta)
     bz = f.magnitude * math.cos(theta)
-    mu_b = PhysicalConstants().bohr_magneton_over_h
 
-    sx, sz = SX / 2.0, SZ / 2.0
     h = np.zeros((8, 8), dtype=complex)
     manifolds = [
-        (_PROJ_G, c.lambda_g, c.p_g, c.gL_g, c.deltaP_g, s.epsilon, s.epsilon),
-        (_PROJ_U, c.lambda_u, c.p_u, c.gL_u, c.deltaP_u,
-         s.alpha * s.epsilon, s.alpha * s.epsilon),
+        (_OPS_G, c.lambda_g, c.p_g, c.gL_g, c.deltaP_g, s.epsilon),
+        (_OPS_U, c.lambda_u, c.p_u, c.gL_u, c.deltaP_u, s.alpha * s.epsilon),
     ]
-    for proj, lam, p, g_l, d_p, eps_x, eps_y in manifolds:
-        # spin-orbit: -lambda/2 * L_z sigma_z with L_z = -sigma_y (orbital)
-        h += -lam / 2.0 * _kron3(proj, -_OY, SZ)
-        # orbital Zeeman (quenched, symmetry axis only)
-        h += mu_b * p * g_l * bz * _kron3(proj, -_OY, IDENTITY2)
+    for (so, orb, spin_x, spin_z, strain_z, strain_x), lam, p, g_l, d_p, eps in manifolds:
+        h += -lam / 2.0 * so
+        h += _MU_B * p * g_l * bz * orb
         # spin Zeeman, full vector, plus its small anisotropy correction
-        h += mu_b * c.gS * _kron3(proj, IDENTITY2, sx * bx + sz * bz)
-        h += mu_b * 2.0 * d_p * g_l * bz * _kron3(proj, IDENTITY2, sz)
-        # transverse strain in the orbital doublet
-        h += _kron3(proj, eps_x * _OZ + eps_y * SX, IDENTITY2)
+        h += _MU_B * c.gS * bx * spin_x
+        h += _MU_B * c.gS * bz * spin_z
+        h += _MU_B * 2.0 * d_p * g_l * bz * spin_z
+        h += eps * strain_z
+        h += eps * strain_x
 
     # additive parity offset: pin the lowest u <- g gap to the optical C line
     e_g = hermitian_eig(TWO_PI * h[0:4, 0:4]).values / TWO_PI
     e_u = hermitian_eig(TWO_PI * h[4:8, 4:8]).values / TWO_PI
     f_c = SPEED_OF_LIGHT / c.transition_C_wavelength - (e_u[0] - e_g[0])
-    h = h + f_c / 2.0 * _kron3(SZ, IDENTITY2, IDENTITY2)
+    h = h + f_c / 2.0 * _PARITY
     return TWO_PI * h
 
 
@@ -271,7 +306,8 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
     Multi-start Levenberg-Marquardt (fitting.least_squares on the four
     relative residuals, from 8 deterministic starts at 1/3 and 2/3 of each
     DEFAULT_BOUNDS side).  The ``converged`` flag is False when the best cost
-    stalls above 1e-2; the best point is reported either way.
+    stalls above 1e-2; the best point is reported either way, with the
+    sigmas of its covariance (see EstimationResult).
     """
     targets = np.array([float(t) for t in targets])
     if len(targets) != 4 or not all(math.isfinite(t) and t > 0 for t in targets):
@@ -300,4 +336,5 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
         cost=cost,
         converged=bool(cost <= 1e-2),
         observables=observables_at(eps, alpha, theta, b_field),
+        sigma=tuple(float(v) for v in best.sigma),
     )

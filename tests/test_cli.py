@@ -194,6 +194,48 @@ def test_sweep_and_register_validation(out_dir, capsys):
     capsys.readouterr()
 
 
+_STRUCTURE_AT = {"epsilon": "392e9", "alpha": "0.68", "btheta": "28", "b": "0.335"}
+_GATES = ["run", "gates", "--larmor-n", LARMOR]
+
+
+def _structure_with(key, value):
+    values = dict(_STRUCTURE_AT, **{key: value})
+    return ["structure"] + ["--%s=%s" % item for item in values.items()]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_structure_with("epsilon", "-1e9"), "epsilon must be >= 0"),
+    (_structure_with("alpha", "0"), "alpha must be > 0"),
+    (_structure_with("btheta", "-1"), "btheta must lie in [0, 90]"),
+    (_structure_with("btheta", "120"), "btheta must lie in [0, 90]"),
+    (_structure_with("b", "-0.1"), "b must be >= 0"),
+    (["estimate", "--wl", "0"], "wl must be > 0"),
+    (["estimate", "--dss=-254.654e6"], "dss must be > 0"),
+    (["estimate", "--dgs", "0"], "dgs must be > 0"),
+    (["estimate", "--eta=-1"], "eta must be > 0"),
+    (["estimate", "--larmor-n", "0"], "larmor_n must be > 0"),
+    (["estimate", "--b=-1"], "b must be >= 0"),
+    (_GATES + ["--t-c", "4e-6", "--beta-deph", "0.3"], "beta_deph must lie in [0.5, 3]"),
+    (["run", "gates", "--larmor-n=-1e6"], "larmor_n must be > 0"),
+    (_GATES + ["--n-pulses", "7"], "n_pulses must be even and > 0"),
+    (_GATES + ["--tau", "0"], "tau must be > 0"),
+    (["run", "gates", "--gate", "cenotn", "--t-pi", "1.2e-7", "--larmor-n", "5e6"],
+     "t_pi must be < 1/(2 larmor_n)"),
+    (["run", "nucrot", "--t-pi", "1.2e-7", "--larmor-n", "5e6"],
+     "t_pi must be < 1/(2 larmor_n)"),
+])
+def test_out_of_domain_values_are_config_errors_naming_the_key(out_dir, capsys, argv, message):
+    assert cli.main(argv) == 2
+    assert "config error: " + message in capsys.readouterr().err
+    assert not list(out_dir.glob("*.csv"))
+
+
+def test_estimate_help_says_zero_field_is_derived(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["estimate", "--help"])
+    assert "0 = derived from larmor_n" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("experiment", ["rabi", "ramsey", "dd", "spinlock"])
 def test_negative_sweep_durations_are_experiment_errors(out_dir, capsys, experiment):
     assert cli.main(["run", experiment, "--larmor-n", LARMOR,

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from sivreg import electronic
 from sivreg.electronic import (DEFAULT_BOUNDS, DefectConstants, DegenerateStates, FieldConfig,
                                PhysicalConstants, StrainField, SPEED_OF_LIGHT,
                                build_hamiltonian, cyclicity, delta_gs_zero_field,
                                derived_observables, estimate_parameters,
                                estimation_cost, field_from_nuclear_larmor,
                                observables_at, orbach_rate)
-from sivreg.linalg import Eigensystem, hermitian_eig
+from sivreg.linalg import IDENTITY2, SX, SZ, Eigensystem, hermitian_eig, kron
 
 # documented working point and its measured observables
 EPS_REF = 392.3119e9
@@ -36,6 +37,71 @@ def test_zero_field_ground_splitting_closed_form(epsilon):
     delta_gs = 0.5 * (e[2] + e[3]) - 0.5 * (e[0] + e[1])
     expected = delta_gs_zero_field(epsilon)
     assert delta_gs == pytest.approx(expected, rel=1e-9, abs=1e-3)
+
+
+def _kron_reference_hamiltonian(c, s, f):
+    """The term-by-term assembly: every operator is a fresh Kronecker product."""
+    proj_g, proj_u = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    o_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+    o_z = np.diag([1.0, -1.0]).astype(complex)
+
+    def kron3(a, b, d):
+        return kron(kron(a, b), d)
+
+    theta = math.radians(f.theta)
+    bx = f.magnitude * math.sin(theta)
+    bz = f.magnitude * math.cos(theta)
+    mu_b = PhysicalConstants().bohr_magneton_over_h
+    sx, sz = SX / 2.0, SZ / 2.0
+    h = np.zeros((8, 8), dtype=complex)
+    manifolds = [
+        (proj_g, c.lambda_g, c.p_g, c.gL_g, c.deltaP_g, s.epsilon, s.epsilon),
+        (proj_u, c.lambda_u, c.p_u, c.gL_u, c.deltaP_u,
+         s.alpha * s.epsilon, s.alpha * s.epsilon),
+    ]
+    for proj, lam, p, g_l, d_p, eps_x, eps_y in manifolds:
+        h += -lam / 2.0 * kron3(proj, -o_y, SZ)
+        h += mu_b * p * g_l * bz * kron3(proj, -o_y, IDENTITY2)
+        h += mu_b * c.gS * kron3(proj, IDENTITY2, sx * bx + sz * bz)
+        h += mu_b * 2.0 * d_p * g_l * bz * kron3(proj, IDENTITY2, sz)
+        h += kron3(proj, eps_x * o_z + eps_y * SX, IDENTITY2)
+    e_g = hermitian_eig(2 * math.pi * h[0:4, 0:4]).values / (2 * math.pi)
+    e_u = hermitian_eig(2 * math.pi * h[4:8, 4:8]).values / (2 * math.pi)
+    f_c = SPEED_OF_LIGHT / c.transition_C_wavelength - (e_u[0] - e_g[0])
+    h = h + f_c / 2.0 * kron3(SZ, IDENTITY2, IDENTITY2)
+    return 2 * math.pi * h
+
+
+def test_assembly_equals_the_kron_reference_exactly():
+    rng = np.random.default_rng(20)
+    edges = [(0.0, 0.68, 28.0, B_REF), (EPS_REF, ALPHA_REF, 0.0, B_REF),
+             (EPS_REF, ALPHA_REF, 90.0, B_REF), (EPS_REF, ALPHA_REF, THETA_REF, 0.0),
+             (EPS_REF, 0.1, THETA_REF, B_REF), (EPS_REF, 2.0, THETA_REF, B_REF),
+             (0.0, 0.1, 90.0, 0.0)]
+    drawn = zip(rng.uniform(0.0, 1e12, 1000), rng.uniform(0.1, 2.0, 1000),
+                rng.uniform(0.0, 90.0, 1000), rng.uniform(0.0, 1.0, 1000))
+    c = DefectConstants()
+    for eps, alpha, theta, b in edges + list(drawn):
+        s, f = StrainField(eps, alpha), FieldConfig(b, theta)
+        assert np.array_equal(build_hamiltonian(c, s, f),
+                              _kron_reference_hamiltonian(c, s, f)), (eps, alpha, theta, b)
+
+
+def test_one_forward_call_forms_no_kron_and_solves_three_times(monkeypatch):
+    calls = {"kron": 0, "eig": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(electronic, "kron", counted("kron", electronic.kron))
+    monkeypatch.setattr(electronic, "hermitian_eig",
+                        counted("eig", electronic.hermitian_eig))
+    observables_at(EPS_REF, ALPHA_REF, THETA_REF, B_REF)
+    # the two 4x4 manifold solves of the parity offset, then the 8x8 solve
+    assert calls == {"kron": 0, "eig": 3}
 
 
 def test_closed_form_reference_value():
@@ -118,6 +184,21 @@ def test_estimator_recovers_reference_parameters(estimate_result):
     # forward observables reproduce the targets
     for got, want in zip(res.observables.as_tuple(), TARGETS):
         assert got == pytest.approx(want, rel=1e-2)
+
+
+def test_estimate_reports_finite_small_sigmas_at_the_working_point(estimate_result):
+    res = estimate_result
+    for sigma, value in zip(res.sigma, (res.strain.epsilon, res.strain.alpha, res.theta)):
+        assert math.isfinite(sigma)
+        assert 0.0 <= sigma < 1e-2 * value
+
+
+def test_estimate_sigma_is_nan_at_a_bound():
+    # targets no strain reproduces: the best start ends on DEFAULT_BOUNDS edges
+    res = estimate_parameters((1.0, 2.0, 3.0, 4.0))
+    assert not res.converged
+    assert (res.strain.epsilon, res.strain.alpha) == (DEFAULT_BOUNDS[0][0], DEFAULT_BOUNDS[1][0])
+    assert all(math.isnan(sigma) for sigma in res.sigma)
 
 
 def _nelder_mead_reference(targets, b_field):
