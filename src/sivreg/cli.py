@@ -170,6 +170,8 @@ def resolve_config(spec: ExperimentSpec, config_path, flag_values: dict) -> RunC
         raise ConfigError("larmor_n must be > 0")
     if values.get("t_c", 0.0) > 0.0 and not 0.5 <= values["beta_deph"] <= 3.0:
         raise ConfigError("beta_deph must lie in [0.5, 3] when t_c > 0")
+    if not 0.5 <= values.get("f_ie", 1.0) <= 1.0:
+        raise ConfigError("f_ie must lie in [0.5, 1]")
     if values.get("n_shots", 1) < 1:
         raise ConfigError("n_shots must be >= 1")
     if spec.check is not None:
@@ -249,8 +251,42 @@ def _check_gates(v):
             raise ConfigError("n_pulses must be even and > 0 for gate 'UI'")
         if not v["tau"] > 0.0:
             raise ConfigError("tau must be > 0 for gate 'UI'")
+    if not 0.5 < v["f_in"] <= 1.0:
+        raise ConfigError("f_in must lie in (0.5, 1]")
+    if gate != "ui" and not v["f_ie"] > 0.5:
+        raise ConfigError("f_ie must lie in (0.5, 1] for a referenced transfer matrix")
     if gate == "cenotn":
         _check_half_period_delay(v)
+
+
+def _check_seed(v):
+    """Seeded randomness takes a non-negative integer entropy."""
+    if v["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
+
+
+def _check_rb(v):
+    _check_seed(v)
+    if not 0.0 <= v["q"] <= 1.0:
+        raise ConfigError("q must lie in [0, 1]")
+
+
+def _ssr_config(v):
+    return readout.SsrConfig(n_blocks=v["n_blocks"], t_block=v["t_block"],
+                             mean_bright=v["mean_bright"], mean_dark=v["mean_dark"],
+                             p_offres=v["p_offres"], t_pol_n=v["t_pol_n"],
+                             threshold=v["threshold"], seed=v["seed"])
+
+
+def _check_ssr(v):
+    _check_seed(v)
+    if v["initial"] not in ("bright", "dark", "alternate"):
+        raise ConfigError("ill-typed value for key 'initial' "
+                          "(expected 'bright', 'dark' or 'alternate')")
+    try:   # SsrConfig names the field, which is the key, in each of its domain checks
+        _ssr_config(v)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +416,7 @@ def _run_rb(v):
 
 
 def _run_ssr(v):
-    cfg = readout.SsrConfig(n_blocks=v["n_blocks"], t_block=v["t_block"],
-                            mean_bright=v["mean_bright"], mean_dark=v["mean_dark"],
-                            p_offres=v["p_offres"], t_pol_n=v["t_pol_n"],
-                            threshold=v["threshold"], seed=v["seed"])
+    cfg = _ssr_config(v)
     record = readout.simulate_ssr(cfg, initial_nuclear=v["initial"],
                                   n_shots=v["n_shots"])
     res = readout.classify_threshold(record, cfg.threshold)
@@ -561,7 +594,8 @@ _register(ExperimentSpec(
     defaults={**_COMMON, **{**_REGISTER_DEFAULTS, "a_par": 0.0, "a_perp": 0.0},
               "n_random": 20, "q": 0.0, **_sweep_defaults(1.0, 100.0, 8)},
     runner=_run_rb,
-    help="randomized benchmarking of the electron Clifford set"))
+    help="randomized benchmarking of the electron Clifford set",
+    check=_check_rb))
 
 _register(ExperimentSpec(
     "ssr", "",
@@ -571,7 +605,8 @@ _register(ExperimentSpec(
               "t_pol_n": 41.6178057e-3, "threshold": 21, "n_shots": 1000,
               "initial": "alternate"},
     runner=_run_ssr,
-    help="Monte-Carlo single-shot readout windows and threshold classification"))
+    help="Monte-Carlo single-shot readout windows and threshold classification",
+    check=_check_ssr))
 
 _register(ExperimentSpec(
     "optical", "",

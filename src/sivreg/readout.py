@@ -168,6 +168,10 @@ class PhotonRecord:
         return len(self.counts)
 
 
+# one shared string object per state: a shot's entry costs one 8-byte reference
+_STATES = np.array(["bright", "dark", "offres"], dtype=object)
+
+
 def simulate_ssr(c: SsrConfig, initial_nuclear="bright", n_shots=1) -> PhotonRecord:
     """Monte-Carlo single-shot readout windows.
 
@@ -177,38 +181,47 @@ def simulate_ssr(c: SsrConfig, initial_nuclear="bright", n_shots=1) -> PhotonRec
     flips (per-block flip probability 1 - exp(-t_block / t_pol_n)), after
     which the dark rate applies; a dark nucleus is absorbing and the window
     aggregates to Poisson(mean_dark).  initial_nuclear: 'bright' | 'dark' |
-    'alternate' (even shots bright).  Reproducible from c.seed.
+    'alternate' (even shots bright).
+
+    Reproducible from c.seed, which is spawned into three generators, one per
+    variate: the off-resonant uniform, the geometric block at whose end a
+    bright nucleus flips, and the Poisson window count.  Each draws exactly
+    one variate per shot, in shot order, whatever the shot's branch, so shot i
+    depends only on c.seed and i: a run of n shots is a prefix of any longer
+    run with the same seed and preparation (the count stream holds this too,
+    although Poisson sampling rejects a varying number of uniforms, because
+    shot i's draws follow those of shots 0..i-1 only).
     """
     if initial_nuclear not in ("bright", "dark", "alternate"):
         raise ValueError("initial_nuclear must be 'bright', 'dark' or 'alternate'")
+    offres_rng, flip_rng, count_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(c.seed).spawn(3))
     p_flip = -math.expm1(-c.t_block / c.t_pol_n)
-    lam_b = c.mean_bright / c.n_blocks
-    lam_d = c.mean_dark / c.n_blocks
 
-    counts = np.zeros(n_shots, dtype=np.int64)
-    initial = np.empty(n_shots, dtype=object)
-    final = np.empty(n_shots, dtype=object)
-    for i in range(n_shots):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=c.seed, spawn_key=(i,)))
-        bright0 = initial_nuclear == "bright" or (
-            initial_nuclear == "alternate" and i % 2 == 0)
-        if rng.random() < c.p_offres:
-            initial[i] = "offres"
-            final[i] = "bright" if bright0 else "dark"
-            counts[i] = 0
-            continue
-        initial[i] = "bright" if bright0 else "dark"
-        if not bright0:
-            counts[i] = rng.poisson(c.mean_dark)
-            final[i] = "dark"
-            continue
-        # block index at whose end the nucleus flips (1-based)
-        g = rng.geometric(p_flip) if p_flip > 0 else c.n_blocks + 1
-        n_bright = min(g, c.n_blocks)
-        counts[i] = rng.poisson(lam_b * n_bright + lam_d * (c.n_blocks - n_bright))
-        final[i] = "bright" if g > c.n_blocks else "dark"
-    return PhotonRecord(counts, initial, final)
+    offres = offres_rng.random(n_shots) < c.p_offres
+    dark0 = np.full(n_shots, initial_nuclear == "dark")
+    if initial_nuclear == "alternate":
+        dark0[1::2] = True
+    # block index at whose end the nucleus flips (1-based); past the window it never does
+    if p_flip > 0:
+        g = flip_rng.geometric(p_flip, n_shots)
+    else:
+        g = np.full(n_shots, c.n_blocks + 1, dtype=np.int64)
+    final_dark = dark0 | (~offres & (g <= c.n_blocks))
+    # bright blocks in the window: dark shots have none and aggregate to mean_dark.
+    # Each per-shot temporary is dropped once spent, so peak memory stays near the record's.
+    np.minimum(g, c.n_blocks, out=g)
+    g[dark0] = 0
+    mean = np.multiply(g, (c.mean_bright - c.mean_dark) / c.n_blocks)
+    del g
+    mean += c.mean_dark
+    counts = count_rng.poisson(mean)
+    del mean
+    counts[offres] = 0
+
+    initial = dark0.view(np.int8)   # codes into _STATES, written over dark0
+    initial[offres] = 2
+    return PhotonRecord(counts, _STATES[initial], _STATES[final_dark.view(np.int8)])
 
 
 @dataclass
@@ -282,12 +295,31 @@ class MixtureFit:
     residual_norm: float
 
 
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _binned_normal_mixture(x, *params):
+    """Sum of normal components, each integrated over the unit bins centred on x.
+
+    Component i contributes a_i [Phi((x + 1/2 - mu_i) / s_i) - Phi((x - 1/2 - mu_i) / s_i)],
+    so a_i is its area however narrow it is; x must be the centres of adjacent unit bins.
+    """
+    edges = np.append(x - 0.5, x[-1] + 0.5)
+    out = np.zeros_like(x)
+    for a, mu, s in zip(params[0::3], params[1::3], params[2::3]):
+        out += 0.5 * a * np.diff(_erf((edges - mu) / (s * math.sqrt(2.0))).astype(float))
+    return out
+
+
 def fit_photon_histogram(counts) -> MixtureFit:
     """Three-component normal fit of the window-count histogram.
 
     Bins the counts on an integer grid and least-squares fits a sum of three
-    normal components, returned ordered by mean with area weights normalized
-    to 1.  Raises FitFailed on degenerate histograms or a diverged fit.
+    normal components integrated over each bin (Baker and Cousins, Nucl.
+    Instrum. Methods 221, 437 (1984)), so the off-resonant spike at exactly
+    zero counts is one narrow component whose area is its shot count.  The
+    components are returned ordered by mean with area weights normalized to
+    1.  Raises FitFailed on degenerate histograms or a diverged fit.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.size < 500:
@@ -298,10 +330,10 @@ def fit_photon_histogram(counts) -> MixtureFit:
     hist, edges = np.histogram(counts, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
-    # generic mixture model, with means confined to the data range and widths
-    # to the data span so the zero-count spike cannot open a flat ridge
+    # the registry's mixture parameters, with means confined to the counts seen and
+    # widths to the data span so the zero-count spike cannot open a flat ridge
     generic = fitting.get_model("three_normal_mixture")
-    mu_b = (centers[0] - 0.5, centers[-1] + 0.5)
+    mu_b = (centers[0], centers[-1])
     s_b = (0.25, max(float(np.ptp(centers)), 1.0))
     params = []
     for spec in generic.params:
@@ -311,7 +343,8 @@ def fit_photon_histogram(counts) -> MixtureFit:
             params.append(fitting.ParamSpec(spec.name, spec.unit, s_b))
         else:
             params.append(spec)
-    model = fitting.ModelSpec(generic.name, tuple(params), generic.func, generic.guess)
+    model = fitting.ModelSpec(generic.name, tuple(params), _binned_normal_mixture,
+                              generic.guess)
     try:
         res = fitting.least_squares(model, centers, hist.astype(float),
                                     max_iterations=2000)

@@ -164,7 +164,8 @@ def test_sweep_and_register_validation(out_dir, capsys):
     assert cli.main(["run", "rabi", "--larmor-n", LARMOR,
                      "--config", str(nan_config)]) == 2
     assert "non-finite value nan for key 'omega'" in capsys.readouterr().err
-    assert cli.main(["run", "rb", "--larmor-n", LARMOR, "--q", "2"]) == 3
+    assert cli.main(["run", "rb", "--larmor-n", LARMOR, "--q", "2"]) == 2
+    assert "config error: q must lie in [0, 1]" in capsys.readouterr().err
     for experiment in ("nucrot", "rb"):
         assert cli.main(["run", experiment, "--larmor-n", LARMOR,
                          "--sweep-start=-10", "--sweep-stop=-5"]) == 2
@@ -185,11 +186,12 @@ def test_sweep_and_register_validation(out_dir, capsys):
     for n_shots in ("0", "-3"):
         assert cli.main(["ssr", "--n-shots", n_shots]) == 2
         assert "config error: n_shots must be >= 1" in capsys.readouterr().err
-    for gate, key, value in (("cenotn", "f_ie", "0.3"), ("identity", "f_in", "0.2"),
-                             ("cnnote", "f_in", "0.5")):
+    for gate, key, value, domain in (("cenotn", "f_ie", "0.3", "[0.5, 1]"),
+                                     ("identity", "f_in", "0.2", "(0.5, 1]"),
+                                     ("cnnote", "f_in", "0.5", "(0.5, 1]")):
         assert cli.main(["run", "gates", "--larmor-n", LARMOR, "--gate", gate,
-                         "--" + key.replace("_", "-"), value]) == 3
-        assert "%s must lie in (0.5, 1]" % key in capsys.readouterr().err
+                         "--" + key.replace("_", "-"), value]) == 2
+        assert "config error: %s must lie in %s" % (key, domain) in capsys.readouterr().err
     assert not list(out_dir.glob("*.csv"))
     capsys.readouterr()
 
@@ -223,6 +225,20 @@ def _structure_with(key, value):
      "t_pi must be < 1/(2 larmor_n)"),
     (["run", "nucrot", "--t-pi", "1.2e-7", "--larmor-n", "5e6"],
      "t_pi must be < 1/(2 larmor_n)"),
+    (["ssr", "--p-offres", "1.5"], "p_offres must lie in [0, 1)"),
+    (["ssr", "--mean-dark", "40"], "need mean_bright > mean_dark >= 0"),
+    (["ssr", "--n-blocks", "0"], "n_blocks must be >= 1"),
+    (["ssr", "--t-block", "0"], "t_block must be > 0"),
+    (["ssr", "--t-pol-n=-1"], "t_pol_n must be > 0"),
+    (["ssr", "--threshold=-1"], "threshold must be >= 0"),
+    (["ssr", "--initial", "sideways"], "ill-typed value for key 'initial'"),
+    (["ssr", "--seed=-1"], "seed must be >= 0"),
+    (["run", "rb", "--larmor-n", LARMOR, "--seed=-1"], "seed must be >= 0"),
+    (_GATES + ["--gate", "UI", "--f-in", "1.5"], "f_in must lie in (0.5, 1]"),
+    (_GATES + ["--gate", "cenotn", "--f-ie", "0.5"],
+     "f_ie must lie in (0.5, 1] for a referenced transfer matrix"),
+    (["run", "rabi", "--larmor-n", LARMOR, "--f-ie", "1.5"], "f_ie must lie in [0.5, 1]"),
+    (["run", "rb", "--larmor-n", LARMOR, "--q", "1.5"], "q must lie in [0, 1]"),
 ])
 def test_out_of_domain_values_are_config_errors_naming_the_key(out_dir, capsys, argv, message):
     assert cli.main(argv) == 2

@@ -3,10 +3,11 @@
 Every invocation ends in one of the documented exit codes (0 success, 2
 configuration error, 3 experiment error), never in an uncaught exception.
 No experiment error comes from a float overflow or from a fit handed a sweep
-too short for it.  A successful one writes a CSV whose numeric cells are all
-finite, apart from the documented non-finite outputs: a fit sigma is nan when
-the fit covariance is singular, and the cyclicity is inf when the spin-flip
-channel is dark.
+too short for it, and a value drawn outside the domain of f_ie, f_in, q,
+p_offres, n_blocks or mean_dark is a configuration error.  A successful one
+writes a CSV whose numeric cells are all finite, apart from the documented
+non-finite outputs: a fit sigma is nan when the fit covariance is singular,
+and the cyclicity is inf when the spin-flip channel is dark.
 """
 
 import contextlib
@@ -83,9 +84,9 @@ _CONFIGS = st.one_of(
     _run("rb", {"q": _mostly(st.floats(0.0, 0.2), 1.0, 1.5), "n_random": st.integers(1, 3)},
          _sweep(30.0)),
     st.tuples(st.just(["ssr"]), st.fixed_dictionaries({
-        "n_shots": st.integers(1, 200), "n_blocks": st.integers(1, 300),
+        "n_shots": st.integers(1, 200), "n_blocks": _mostly(st.integers(1, 300), 0, -5),
         "mean_bright": st.floats(20.0, 50.0), "mean_dark": _mostly(st.floats(0.0, 15.0), 60.0),
-        "p_offres": st.floats(0.0, 0.5), "threshold": st.integers(0, 40),
+        "p_offres": _mostly(st.floats(0.0, 0.5), 1.0, 1.5, -0.1), "threshold": st.integers(0, 40),
         "initial": st.sampled_from(["alternate", "bright", "dark"]),
         "seed": st.integers(0, 2 ** 32)})),
     st.tuples(st.just(["optical"]), st.fixed_dictionaries({
@@ -103,6 +104,24 @@ def _argv(config):
     for group in groups:
         argv += _flags(**group)
     return argv
+
+
+# drawn values outside these domains are config errors (exit 2), never a model failure
+_DOMAINS = {
+    "f_ie": lambda v: 0.5 <= v <= 1.0,
+    "f_in": lambda v: 0.5 < v <= 1.0,
+    "q": lambda v: 0.0 <= v <= 1.0,
+    "p_offres": lambda v: 0.0 <= v < 1.0,
+    "n_blocks": lambda v: v >= 1,
+}
+
+
+def _out_of_domain(config):
+    values = {key: value for group in config[1:] for key, value in group.items()}
+    bad = [key for key, inside in _DOMAINS.items() if key in values and not inside(values[key])]
+    if values.get("mean_dark", 0.0) >= values.get("mean_bright", math.inf):
+        bad.append("mean_dark")
+    return bad
 
 
 def _documented(name, value):
@@ -145,6 +164,9 @@ def _undocumented_non_finite_cells(path):
                  {"sweep_points": 9}))
 @example(config=(["optical"], {"mode": "phase", "gamma_phi": 1e9, "t1": 5e-10},
                  {"sweep_points": 9}))
+@example(config=(["ssr"], {"p_offres": 1.5, "n_blocks": 0}))
+@example(config=(["run", "gates"], {"larmor_n": 3.5857929e6, "f_ie": 1.2},
+                 {"gate": "UI", "f_in": 1.5}))
 def test_cli_exits_cleanly_and_writes_only_finite_values(config):
     argv = _argv(config)
     with tempfile.TemporaryDirectory() as out_dir:
@@ -158,6 +180,8 @@ def test_cli_exits_cleanly_and_writes_only_finite_values(config):
         assert not any(fault in err.getvalue() for fault in (
             "OverflowError", "n_free_params", ">= 4 points")), (argv, err.getvalue())
         event("%s exit %d" % (" ".join(argv[:2]) if argv[0] == "run" else argv[0], code))
+        if _out_of_domain(config):
+            assert code == 2, (argv, _out_of_domain(config), err.getvalue())
         if code == 0:
             assert _undocumented_non_finite_cells(path) == [], argv
         else:

@@ -169,6 +169,117 @@ def test_ssr_bit_reproducible_and_prefix_stable():
     assert not np.array_equal(a.counts, c.counts)
 
 
+def _per_shot_reference_ssr(c, initial_nuclear="bright", n_shots=1):
+    """The per-shot Monte Carlo simulate_ssr replaced: one generator per shot."""
+    if initial_nuclear not in ("bright", "dark", "alternate"):
+        raise ValueError("initial_nuclear must be 'bright', 'dark' or 'alternate'")
+    p_flip = -math.expm1(-c.t_block / c.t_pol_n)
+    lam_b = c.mean_bright / c.n_blocks
+    lam_d = c.mean_dark / c.n_blocks
+
+    counts = np.zeros(n_shots, dtype=np.int64)
+    initial = np.empty(n_shots, dtype=object)
+    final = np.empty(n_shots, dtype=object)
+    for i in range(n_shots):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=c.seed, spawn_key=(i,)))
+        bright0 = initial_nuclear == "bright" or (
+            initial_nuclear == "alternate" and i % 2 == 0)
+        if rng.random() < c.p_offres:
+            initial[i] = "offres"
+            final[i] = "bright" if bright0 else "dark"
+            counts[i] = 0
+            continue
+        initial[i] = "bright" if bright0 else "dark"
+        if not bright0:
+            counts[i] = rng.poisson(c.mean_dark)
+            final[i] = "dark"
+            continue
+        # block index at whose end the nucleus flips (1-based)
+        g = rng.geometric(p_flip) if p_flip > 0 else c.n_blocks + 1
+        n_bright = min(g, c.n_blocks)
+        counts[i] = rng.poisson(lam_b * n_bright + lam_d * (c.n_blocks - n_bright))
+        final[i] = "bright" if g > c.n_blocks else "dark"
+    return PhotonRecord(counts, initial, final)
+
+
+def _proportion_gap_sigma(p_a, n_a, p_b, n_b):
+    p = (p_a * n_a + p_b * n_b) / (n_a + n_b)
+    return math.sqrt(p * (1 - p) * (1.0 / n_a + 1.0 / n_b))
+
+
+def _pooled_columns(table, min_total=10):
+    """Merge adjacent histogram columns left to right until each holds min_total shots."""
+    cols, acc = [], np.zeros(table.shape[0], dtype=table.dtype)
+    for col in table.T:
+        acc = acc + col
+        if acc.sum() >= min_total:
+            cols.append(acc)
+            acc = np.zeros_like(acc)
+    cols[-1] = cols[-1] + acc
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("initial", ["bright", "dark", "alternate"])
+def test_batched_ssr_matches_the_per_shot_reference(initial):
+    """Different streams, same distribution: at 60k shots the class means, the
+    off-resonant fraction and the bright loss agree within 4 sigma, and a
+    two-sample chi-squared test does not tell the count histograms apart."""
+    n = 60000
+    cfg = SsrConfig(seed=11)
+    new, ref = simulate_ssr(cfg, initial, n), _per_shot_reference_ssr(cfg, initial, n)
+    classes = ("bright", "dark") if initial == "alternate" else (initial,)
+    for state in classes:
+        a, b = new.counts[new.initial_state == state], ref.counts[ref.initial_state == state]
+        sigma = math.sqrt(a.var() / a.size + b.var() / b.size)
+        assert abs(a.mean() - b.mean()) <= 4.0 * sigma, (state, a.mean(), b.mean())
+    f_a, f_b = np.mean(new.initial_state == "offres"), np.mean(ref.initial_state == "offres")
+    assert abs(f_a - f_b) <= 4.0 * _proportion_gap_sigma(f_a, n, f_b, n)
+    if "bright" in classes:
+        bright_a, bright_b = new.initial_state == "bright", ref.initial_state == "bright"
+        loss_a = np.mean(new.final_state[bright_a] == "dark")
+        loss_b = np.mean(ref.final_state[bright_b] == "dark")
+        assert abs(loss_a - loss_b) <= 4.0 * _proportion_gap_sigma(
+            loss_a, bright_a.sum(), loss_b, bright_b.sum())
+    n_bins = int(max(new.counts.max(), ref.counts.max())) + 1
+    table = _pooled_columns(np.array([np.bincount(new.counts, minlength=n_bins),
+                                      np.bincount(ref.counts, minlength=n_bins)]))
+    _, p_value, _, _ = stats.chi2_contingency(table)
+    assert p_value > 1e-3, p_value
+
+
+@pytest.mark.parametrize("initial", ["bright", "dark", "alternate"])
+def test_off_resonant_shots_emit_nothing_and_keep_their_prepared_state(initial):
+    rec = simulate_ssr(SsrConfig(seed=4, p_offres=0.3), initial, 4000)
+    offres = rec.initial_state == "offres"
+    assert 0 < offres.sum() < len(rec)
+    assert np.all(rec.counts[offres] == 0)
+    shot = np.arange(len(rec))
+    prepared = np.where((initial == "dark") | ((initial == "alternate") & (shot % 2 == 1)),
+                        "dark", "bright")
+    assert np.array_equal(rec.final_state[offres], prepared[offres])
+    assert np.array_equal(rec.initial_state[~offres], prepared[~offres])
+
+
+@pytest.mark.parametrize("initial", ["bright", "dark", "alternate"])
+def test_ssr_runs_are_prefixes_of_longer_runs(initial):
+    cfg = SsrConfig(seed=42)
+    for short, long in ((1, 200), (60, 200), (10000, 60000)):
+        a, b = simulate_ssr(cfg, initial, short), simulate_ssr(cfg, initial, long)
+        assert len(a) == short and len(b) == long
+        assert np.array_equal(a.counts, b.counts[:short]), (short, long)
+        assert np.array_equal(a.initial_state, b.initial_state[:short]), (short, long)
+        assert np.array_equal(a.final_state, b.final_state[:short]), (short, long)
+
+
+def test_ssr_without_flips_keeps_every_bright_nucleus():
+    # t_block / t_pol_n underflows to 0: the per-block flip probability is exactly 0
+    cfg = SsrConfig(t_block=5e-324, t_pol_n=10.0, p_offres=0.0)
+    rec = simulate_ssr(cfg, "bright", 3000)
+    assert np.all(rec.final_state == "bright")
+    assert rec.counts.mean() == pytest.approx(32.0, abs=4.0 * math.sqrt(32.0 / 3000))
+
+
 def test_ssr_config_validation():
     with pytest.raises(ValueError):
         SsrConfig(n_blocks=0)
@@ -324,6 +435,15 @@ def test_histogram_fit_on_simulated_readout(paper_record):
     assert abs(fit.means[2] - cfg.mean_bright) <= 1.0
     # the zero-count component carries roughly the off-resonant fraction
     assert fit.weights[0] == pytest.approx(cfg.p_offres, abs=0.04)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_histogram_zero_count_weight_at_lab_scale(seed):
+    """At 60k alternating shots the zero-count component carries the off-resonant
+    fraction, as it does at 10k shots."""
+    cfg = SsrConfig(seed=seed)
+    fit = fit_photon_histogram(simulate_ssr(cfg, "alternate", 60000).counts)
+    assert fit.weights[0] == pytest.approx(cfg.p_offres, abs=0.01)
 
 
 def test_histogram_fit_single_component_input():
