@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from sivreg import electronic
-from sivreg.linalg import hermitian_eig
 
 B_FIELD = 0.3348577        # T, from the nuclear Larmor frequency
 TARGETS = (9.431e9, 254.654e6, 1110.755e9, 816.285)
@@ -34,10 +33,10 @@ for name, got, want in zip(("omega_L_e", "delta_ss", "delta_gs", "cyclicity"),
 
 print("\n== zero-field closed form ==")
 for eps in (200e9, 392e9, 700e9):
-    h = electronic.build_hamiltonian(electronic.DefectConstants(),
-                                     electronic.StrainField(eps, 0.68),
-                                     electronic.FieldConfig(0.0, 0.0))
-    levels = np.sort(hermitian_eig(h).values) / (2.0 * math.pi)
+    eig = electronic.eigensystem(electronic.DefectConstants(),
+                                 electronic.StrainField(eps, 0.68),
+                                 electronic.FieldConfig(0.0, 0.0))
+    levels = eig.values / (2.0 * math.pi)
     split = 0.5 * (levels[2] + levels[3]) - 0.5 * (levels[0] + levels[1])
     closed = electronic.delta_gs_zero_field(eps)
     print("eps = %4.0f GHz: diagonalized %9.4f GHz, closed form %9.4f GHz"
@@ -45,9 +44,8 @@ for eps in (200e9, 392e9, 700e9):
 
 print("\n== two-phonon relaxation vs temperature (normalized at 10 K) ==")
 strain = res.strain
-h = electronic.build_hamiltonian(electronic.DefectConstants(), strain,
-                                 electronic.FieldConfig(B_FIELD, res.theta))
-eig = hermitian_eig(h)
+eig = electronic.eigensystem(electronic.DefectConstants(), strain,
+                             electronic.FieldConfig(B_FIELD, res.theta))
 temperatures = np.array([3.0, 4.0, 5.0, 7.0, 10.0])
 rates = np.array([electronic.orbach_rate(eig, t) for t in temperatures])
 for t, r in zip(temperatures, rates / rates[-1]):

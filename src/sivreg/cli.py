@@ -265,10 +265,20 @@ def _check_seed(v):
         raise ConfigError("seed must be >= 0")
 
 
+def _check_rabi(v):
+    if v["omega"] < 0.0:
+        raise ConfigError("omega must be >= 0 (0 is free evolution)")
+
+
 def _check_rb(v):
     _check_seed(v)
     if not 0.0 <= v["q"] <= 1.0:
         raise ConfigError("q must lie in [0, 1]")
+    if not v["f_ie"] > 0.5:
+        raise ConfigError("f_ie must lie in (0.5, 1] for randomized benchmarking: "
+                          "at 0.5 the signal is flat")
+    if v["n_random"] < 1:
+        raise ConfigError("n_random must be >= 1")
 
 
 def _ssr_config(v):
@@ -543,7 +553,8 @@ _register(ExperimentSpec(
     defaults={**_COMMON, **_REGISTER_DEFAULTS, "omega": 5.0e6,
               **_sweep_defaults(0.0, 1.0e-6, 201)},
     runner=_run_rabi,
-    help="electron Rabi oscillation vs pulse duration"))
+    help="electron Rabi oscillation vs pulse duration",
+    check=_check_rabi))
 
 _register(ExperimentSpec(
     "ramsey", "run",

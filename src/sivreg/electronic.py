@@ -1,11 +1,12 @@
 """8-level electronic model of a strained SiV center.
 
 Basis ordering: parity {g, u} (slowest) x orbital {e_x, e_y} x spin {down, up}
-(fastest).  The Hamiltonian collects spin-orbit, orbital and spin Zeeman,
-strain, and the additive gerade/ungerade optical offset; the offset is chosen
-so the lowest g -> u transition energy equals c / transition_C_wavelength,
-which keeps eigenindices 0..3 in the ground manifold and 4..7 in the excited
-manifold.
+(fastest).  Spin-orbit, orbital and spin Zeeman and strain act inside one
+parity manifold, so H = H_g (+) H_u, plus the optical offset -f_c/2 (g),
++f_c/2 (u) that sets the lowest g -> u transition to c /
+transition_C_wavelength.  Both 4x4 blocks are sums of one set of six orbital
+x spin operators; each is solved once, and the 8-level Eigensystem holds the
+ground manifold at indices 0..3 and the excited one at 4..7.
 
 Inputs are ordinary frequencies (Hz); the assembled Hamiltonian and the
 Eigensystems derived from it are angular (rad/s).  derived_observables
@@ -114,38 +115,28 @@ class EstimationResult:
     sigma: Tuple[float, float, float]
 
 
-# --- operators in the parity x orbital x spin product basis -----------------
+# --- operators of one parity block (orbital x spin) --------------------------
 
-# Parity (g, u) and spin (down, up) slots use linalg.SX/SZ, so on the
-# parity slot SZ = |u><u| - |g><g|; the orbital slot keeps the standard
-# (+1, -1) convention of _OY and _OZ, with sigma_x = SX.
-_PROJ_G = np.diag([1.0, 0.0]).astype(complex)
-_PROJ_U = np.diag([0.0, 1.0]).astype(complex)
-
+# The spin slot uses linalg.SX/SZ (SZ = |up><up| - |down><down|); the orbital
+# slot keeps the standard (+1, -1) convention of _OY and _OZ, with sigma_x = SX.
 _OY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _OZ = np.diag([1.0, -1.0]).astype(complex)
 
-
-def _kron3(a, b, c):
-    return kron(kron(a, b), c)
-
-
-def _manifold_operators(proj):
-    """The six Hamiltonian operators of one parity manifold, in assembly order.
-
-    spin-orbit (L_z sigma_z with L_z = -sigma_y orbital), orbital Zeeman
-    (quenched, symmetry axis only), spin x, spin z, strain along _OZ and
-    strain along SX (transverse strain in the orbital doublet).
-    """
-    return (_kron3(proj, -_OY, SZ), _kron3(proj, -_OY, IDENTITY2),
-            _kron3(proj, IDENTITY2, SX / 2.0), _kron3(proj, IDENTITY2, SZ / 2.0),
-            _kron3(proj, _OZ, IDENTITY2), _kron3(proj, SX, IDENTITY2))
-
-
-_OPS_G = _manifold_operators(_PROJ_G)
-_OPS_U = _manifold_operators(_PROJ_U)
-_PARITY = _kron3(SZ, IDENTITY2, IDENTITY2)
+# spin-orbit (L_z sigma_z with L_z = -sigma_y orbital), orbital Zeeman
+# (quenched, symmetry axis only), spin x, spin z, strain along _OZ and strain
+# along SX (transverse strain in the orbital doublet), shared by both blocks
+_SO, _ORB, _SPIN_X, _SPIN_Z, _STRAIN_Z, _STRAIN_X = (
+    kron(-_OY, SZ), kron(-_OY, IDENTITY2), kron(IDENTITY2, SX / 2.0),
+    kron(IDENTITY2, SZ / 2.0), kron(_OZ, IDENTITY2), kron(SX, IDENTITY2))
+_EYE4 = np.eye(4, dtype=complex)
 _MU_B = PhysicalConstants().bohr_magneton_over_h
+
+
+def _direct_sum(g, u):
+    """The 8x8 matrix g (+) u: g on the gerade indices 0..3, u on 4..7."""
+    out = np.zeros((8, 8), dtype=complex)
+    out[:4, :4], out[4:, 4:] = g, u
+    return out
 
 
 def field_from_nuclear_larmor(larmor_n):
@@ -153,49 +144,58 @@ def field_from_nuclear_larmor(larmor_n):
     return larmor_n / PhysicalConstants().gyromag_13C
 
 
-def build_hamiltonian(c: DefectConstants, s: StrainField, f: FieldConfig):
-    """Assemble the 8x8 electronic Hamiltonian (rad/s).
+def _parity_blocks(c: DefectConstants, s: StrainField, f: FieldConfig):
+    """Assemble the g and u blocks and solve each once.
 
-    H is a sum of scalar coefficients times the operators precomputed in
-    _OPS_G/_OPS_U, plus the parity offset: no Kronecker product is formed
-    per call.  The terms are added in the order of the term-by-term
-    Kronecker assembly, and the spin x/z and strain pairs it added as one
-    term have disjoint support, so H equals that assembly bit for bit
-    (tests/test_electronic.py keeps it as the oracle).
+    Returns the two 4x4 blocks (Hz, no offset), their Eigensystems (rad/s,
+    no offset) and the offset f_c (Hz) that pins the lowest u <- g gap to
+    c / transition_C_wavelength.
     """
     theta = math.radians(f.theta)
-    bx = f.magnitude * math.sin(theta)
-    bz = f.magnitude * math.cos(theta)
-
-    h = np.zeros((8, 8), dtype=complex)
-    manifolds = [
-        (_OPS_G, c.lambda_g, c.p_g, c.gL_g, c.deltaP_g, s.epsilon),
-        (_OPS_U, c.lambda_u, c.p_u, c.gL_u, c.deltaP_u, s.alpha * s.epsilon),
-    ]
-    for (so, orb, spin_x, spin_z, strain_z, strain_x), lam, p, g_l, d_p, eps in manifolds:
-        h += -lam / 2.0 * so
-        h += _MU_B * p * g_l * bz * orb
+    bx, bz = f.magnitude * math.sin(theta), f.magnitude * math.cos(theta)
+    blocks = []
+    for lam, p, g_l, d_p, eps in ((c.lambda_g, c.p_g, c.gL_g, c.deltaP_g, s.epsilon),
+                                  (c.lambda_u, c.p_u, c.gL_u, c.deltaP_u, s.alpha * s.epsilon)):
+        h = -lam / 2.0 * _SO
+        h += _MU_B * p * g_l * bz * _ORB
         # spin Zeeman, full vector, plus its small anisotropy correction
-        h += _MU_B * c.gS * bx * spin_x
-        h += _MU_B * c.gS * bz * spin_z
-        h += _MU_B * 2.0 * d_p * g_l * bz * spin_z
-        h += eps * strain_z
-        h += eps * strain_x
-
-    # additive parity offset: pin the lowest u <- g gap to the optical C line
-    e_g = hermitian_eig(TWO_PI * h[0:4, 0:4]).values / TWO_PI
-    e_u = hermitian_eig(TWO_PI * h[4:8, 4:8]).values / TWO_PI
-    f_c = SPEED_OF_LIGHT / c.transition_C_wavelength - (e_u[0] - e_g[0])
-    h = h + f_c / 2.0 * _PARITY
-    return TWO_PI * h
+        h += _MU_B * c.gS * bx * _SPIN_X
+        h += _MU_B * c.gS * bz * _SPIN_Z
+        h += _MU_B * 2.0 * d_p * g_l * bz * _SPIN_Z
+        h += eps * _STRAIN_Z
+        h += eps * _STRAIN_X
+        blocks.append(h)
+    eig_g, eig_u = (hermitian_eig(TWO_PI * h) for h in blocks)
+    # divide first: subtracting at the rad/s scale would move f_c by an ulp
+    gap = eig_u.values[0] / TWO_PI - eig_g.values[0] / TWO_PI
+    return blocks, (eig_g, eig_u), SPEED_OF_LIGHT / c.transition_C_wavelength - gap
 
 
-# optical dipole operators entering the cyclicity ratio
-_DIPOLES = (
-    _kron3(SX, _OZ, IDENTITY2),
-    _kron3(SX, -SX, IDENTITY2),
-    2.0 * _kron3(SX, IDENTITY2, IDENTITY2),
-)
+def build_hamiltonian(c: DefectConstants, s: StrainField, f: FieldConfig):
+    """The 8x8 electronic Hamiltonian (rad/s): H_g - f_c/2 (+) H_u + f_c/2.
+
+    Each block adds its terms in the order of the term-by-term Kronecker
+    assembly, whose spin x/z and strain pairs have disjoint support, so H
+    equals that assembly bit for bit (tests/test_electronic.py keeps it as
+    the oracle).
+    """
+    (h_g, h_u), _, f_c = _parity_blocks(c, s, f)
+    return TWO_PI * _direct_sum(h_g - f_c / 2.0 * _EYE4, h_u + f_c / 2.0 * _EYE4)
+
+
+def eigensystem(c: DefectConstants, s: StrainField, f: FieldConfig):
+    """Eigensystem of build_hamiltonian (rad/s) from the two block solves, no 8x8 solve.
+
+    values are 2 pi [e_g - f_c/2, e_u + f_c/2]; vectors are embedded block by block.
+    """
+    _, (eig_g, eig_u), f_c = _parity_blocks(c, s, f)
+    values = TWO_PI * np.concatenate((eig_g.values / TWO_PI - f_c / 2.0,
+                                      eig_u.values / TWO_PI + f_c / 2.0))
+    return Eigensystem(values, _direct_sum(eig_g.vectors, eig_u.vectors))
+
+
+# optical dipole operators entering the cyclicity ratio: SX on the parity slot
+_DIPOLES = tuple(kron(SX, d) for d in (_STRAIN_Z, -_STRAIN_X, 2.0 * _EYE4))
 
 
 def cyclicity(eig: Eigensystem):
@@ -235,9 +235,8 @@ def derived_observables(eig: Eigensystem):
 
 def observables_at(epsilon, alpha, theta, b_field):
     """Forward model: (epsilon, alpha, theta) + field magnitude -> observables."""
-    h = build_hamiltonian(DefectConstants(), StrainField(epsilon, alpha),
-                          FieldConfig(b_field, theta))
-    return derived_observables(hermitian_eig(h))
+    return derived_observables(eigensystem(DefectConstants(), StrainField(epsilon, alpha),
+                                           FieldConfig(b_field, theta)))
 
 
 def delta_gs_zero_field(epsilon):
@@ -246,7 +245,7 @@ def delta_gs_zero_field(epsilon):
 
 
 # unit-strain direction of the gerade strain term, used by the Orbach rate
-_UNIT_STRAIN_G = _kron3(_PROJ_G, _OZ + SX, IDENTITY2)
+_UNIT_STRAIN_G = _direct_sum(_STRAIN_Z + _STRAIN_X, np.zeros((4, 4)))
 
 
 def orbach_rate(eig: Eigensystem, temperature):

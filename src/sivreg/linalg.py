@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernel.
 
 Kronecker products, Hermitian eigendecomposition (LAPACK ``eigh``) and unitary
-propagators for the small matrices this package works with (dim <= 16:
-electronic manifold is 8x8, electron + two nuclei is 8x8).
+propagators for the small matrices this package works with (dim <= 16: the
+electronic parity blocks are 4x4, electron + two nuclei is 8x8).
 
 Eigensystem values follow the internal convention of the package: whatever
 units the Hamiltonian was assembled in (angular frequency, rad/s, for all
@@ -94,8 +94,3 @@ def propagator_from_eig(eig, t):
     """exp(-i H t) assembled from a precomputed Eigensystem of H."""
     phases = np.exp(-1j * eig.values * t)
     return (eig.vectors * phases) @ eig.vectors.conj().T
-
-
-def propagator(h, t):
-    """Unitary propagator exp(-i h t) for Hermitian h (h in rad/s, t in s)."""
-    return propagator_from_eig(hermitian_eig(h), t)

@@ -237,7 +237,10 @@ def _initial_rho(p: RegisterParams, f_ie: float, flip=False):
 
 def run_rabi(p: RegisterParams, dephasing, omega, durations, f_ie=1.0,
              initial: Optional[RegisterState] = None):
-    """Initialize, drive for each duration, read the electron-up population."""
+    """Initialize, drive at omega >= 0 (0: free evolution) for each duration, read the
+    electron-up population."""
+    if not omega >= 0.0:
+        raise ValueError("omega must be >= 0, got %r" % (omega,))
     eng = Engine(p, dephasing)
     rho0 = initial.rho if initial is not None else _initial_rho(p, f_ie)
     drive = ((lambda t: eng.pulse_segments(omega, 0.0, t)) if omega > 0
@@ -630,11 +633,16 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
     (from the same set or the identity) mapping the ideal state onto the state
     opposite initialization, and an optional depolarizing channel of strength
     gate_fidelity_noise applied after every Clifford.  The mean signal decays
-    as (F_I - 0.5) F_G^N + 0.5; the fitted F_G is reported.
+    as (F_I - 0.5) F_G^N + 0.5; the fitted F_G is reported.  At f_ie = 0.5
+    the signal is flat and holds no F_G, so f_ie must lie in (0.5, 1].
     """
     q = gate_fidelity_noise
     if not 0.0 <= q <= 1.0:
         raise ValueError("gate_fidelity_noise must lie in [0, 1], got %r" % (q,))
+    if not 0.5 < f_ie <= 1.0:
+        raise ValueError("f_ie must lie in (0.5, 1], got %r" % (f_ie,))
+    if n_random < 1:
+        raise ValueError("n_random must be >= 1, got %r" % (n_random,))
     eng = Engine(p, dephasing, t_pi)
     up = np.array([0.0, 1.0], dtype=complex)
     down = np.array([1.0, 0.0], dtype=complex)

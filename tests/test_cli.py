@@ -239,6 +239,10 @@ def _structure_with(key, value):
      "f_ie must lie in (0.5, 1] for a referenced transfer matrix"),
     (["run", "rabi", "--larmor-n", LARMOR, "--f-ie", "1.5"], "f_ie must lie in [0.5, 1]"),
     (["run", "rb", "--larmor-n", LARMOR, "--q", "1.5"], "q must lie in [0, 1]"),
+    (["run", "rb", "--larmor-n", LARMOR, "--f-ie", "0.5"],
+     "f_ie must lie in (0.5, 1] for randomized benchmarking"),
+    (["run", "rb", "--larmor-n", LARMOR, "--n-random", "0"], "n_random must be >= 1"),
+    (["run", "rabi", "--larmor-n", LARMOR, "--omega=-1"], "omega must be >= 0"),
 ])
 def test_out_of_domain_values_are_config_errors_naming_the_key(out_dir, capsys, argv, message):
     assert cli.main(argv) == 2

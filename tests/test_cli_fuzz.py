@@ -4,10 +4,10 @@ Every invocation ends in one of the documented exit codes (0 success, 2
 configuration error, 3 experiment error), never in an uncaught exception.
 No experiment error comes from a float overflow or from a fit handed a sweep
 too short for it, and a value drawn outside the domain of f_ie, f_in, q,
-p_offres, n_blocks or mean_dark is a configuration error.  A successful one
-writes a CSV whose numeric cells are all finite, apart from the documented
-non-finite outputs: a fit sigma is nan when the fit covariance is singular,
-and the cyclicity is inf when the spin-flip channel is dark.
+p_offres, n_blocks, omega, n_random or mean_dark is a configuration error.
+A successful one writes a CSV whose numeric cells are all finite, apart from
+the documented non-finite outputs: a fit sigma is nan when the fit covariance
+is singular, and the cyclicity is inf when the spin-flip channel is dark.
 """
 
 import contextlib
@@ -64,7 +64,7 @@ _CONFIGS = st.one_of(
         "alpha": _mostly(st.floats(0.1, 2.0), 0.0),
         "btheta": _mostly(st.floats(0.0, 90.0), 120.0),
         "b": st.floats(0.0, 1.0)})),
-    _run("rabi", {"omega": st.floats(0.0, 2e7)}, _sweep(2e-6)),
+    _run("rabi", {"omega": _mostly(st.floats(0.0, 2e7), -1.0, -5e6)}, _sweep(2e-6)),
     _run("ramsey", {"delta_ramsey": st.floats(-2e6, 2e6),
                     "target": st.sampled_from(["electron", "nuclear"])},
          _sweep(5e-6)),
@@ -81,7 +81,8 @@ _CONFIGS = st.one_of(
         "n_pulses": _mostly(st.integers(1, 25).map(lambda k: 2 * k), 0, 1, 7),
         "wait": st.one_of(st.just(-1.0), st.floats(0.0, 1e-6)),
         "f_in": _mostly(st.floats(0.5, 1.0), 0.3)})),
-    _run("rb", {"q": _mostly(st.floats(0.0, 0.2), 1.0, 1.5), "n_random": st.integers(1, 3)},
+    _run("rb", {"q": _mostly(st.floats(0.0, 0.2), 1.0, 1.5),
+                "n_random": _mostly(st.integers(1, 3), 0)},
          _sweep(30.0)),
     st.tuples(st.just(["ssr"]), st.fixed_dictionaries({
         "n_shots": st.integers(1, 200), "n_blocks": _mostly(st.integers(1, 300), 0, -5),
@@ -113,6 +114,8 @@ _DOMAINS = {
     "q": lambda v: 0.0 <= v <= 1.0,
     "p_offres": lambda v: 0.0 <= v < 1.0,
     "n_blocks": lambda v: v >= 1,
+    "omega": lambda v: v >= 0.0,
+    "n_random": lambda v: v >= 1,
 }
 
 

@@ -10,7 +10,7 @@ from sivreg import electronic
 from sivreg.electronic import (DEFAULT_BOUNDS, DefectConstants, DegenerateStates, FieldConfig,
                                PhysicalConstants, StrainField, SPEED_OF_LIGHT,
                                build_hamiltonian, cyclicity, delta_gs_zero_field,
-                               derived_observables, estimate_parameters,
+                               derived_observables, eigensystem, estimate_parameters,
                                estimation_cost, field_from_nuclear_larmor,
                                observables_at, orbach_rate)
 from sivreg.linalg import IDENTITY2, SX, SZ, Eigensystem, hermitian_eig, kron
@@ -87,12 +87,12 @@ def test_assembly_equals_the_kron_reference_exactly():
                               _kron_reference_hamiltonian(c, s, f)), (eps, alpha, theta, b)
 
 
-def test_one_forward_call_forms_no_kron_and_solves_three_times(monkeypatch):
-    calls = {"kron": 0, "eig": 0}
+def test_one_forward_call_forms_no_kron_and_solves_each_block_once(monkeypatch):
+    calls = {"kron": [], "eig": []}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append(np.shape(args[0]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -100,8 +100,46 @@ def test_one_forward_call_forms_no_kron_and_solves_three_times(monkeypatch):
     monkeypatch.setattr(electronic, "hermitian_eig",
                         counted("eig", electronic.hermitian_eig))
     observables_at(EPS_REF, ALPHA_REF, THETA_REF, B_REF)
-    # the two 4x4 manifold solves of the parity offset, then the 8x8 solve
-    assert calls == {"kron": 0, "eig": 3}
+    # one 4x4 solve per parity block, and no 8x8 solve
+    assert calls == {"kron": [], "eig": [(4, 4), (4, 4)]}
+
+
+def _strain_map_box(n, seed):
+    """Seeded points of the strain-map box: eps 250-550 GHz, alpha 0.5-0.9, theta 10-38 deg."""
+    rng = np.random.default_rng(seed)
+    return zip(rng.uniform(250e9, 550e9, n), rng.uniform(0.5, 0.9, n), rng.uniform(10.0, 38.0, n))
+
+
+def test_block_eigensystem_matches_the_full_eigensolve():
+    b_field = field_from_nuclear_larmor(3.5857929e6)
+    c = DefectConstants()
+    for eps, alpha, theta in _strain_map_box(300, seed=21):
+        s, f = StrainField(eps, alpha), FieldConfig(b_field, theta)
+        full = hermitian_eig(build_hamiltonian(c, s, f))
+        np.testing.assert_allclose(eigensystem(c, s, f).values, full.values, rtol=1e-14)
+        got = observables_at(eps, alpha, theta, b_field).as_tuple()
+        want = derived_observables(full).as_tuple()
+        for g, w, rtol in zip(got, want, (1e-10, 1e-7, 1e-12, 1e-8)):
+            assert g == pytest.approx(w, rel=rtol), (eps, alpha, theta)
+
+
+def test_block_observables_are_within_a_tenth_of_a_hertz_of_extended_precision():
+    mpmath = pytest.importorskip("mpmath")
+    b_field = field_from_nuclear_larmor(3.5857929e6)
+    c = DefectConstants()
+    for eps, alpha, theta in _strain_map_box(5, seed=21):
+        s, f = StrainField(eps, alpha), FieldConfig(b_field, theta)
+        blocks, _, _ = electronic._parity_blocks(c, s, f)
+        with mpmath.workdps(40):
+            # the offset cancels in both splittings, so the float blocks suffice
+            (g0, g1), (u0, u1) = (sorted(mpmath.eighe(mpmath.matrix((2 * math.pi * h).tolist()),
+                                                      eigvals_only=True))[:2]
+                                  for h in blocks)
+            omega_l = float((g1 - g0) / (2 * math.pi))
+            delta_ss = float(((u1 - u0) - (g1 - g0)) / (2 * math.pi))
+        obs = observables_at(eps, alpha, theta, b_field)
+        assert abs(obs.omega_L_e - omega_l) < 0.1, (eps, alpha, theta)
+        assert abs(obs.delta_ss - delta_ss) < 0.1, (eps, alpha, theta)
 
 
 def test_closed_form_reference_value():

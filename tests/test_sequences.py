@@ -309,6 +309,19 @@ def test_rb_rejects_noise_outside_unit_interval(q):
                                     gate_fidelity_noise=q)
 
 
+@pytest.mark.parametrize("kwargs", [{"f_ie": 0.5}, {"f_ie": 0.4}, {"f_ie": 1.1},
+                                    {"f_ie": math.nan}, {"n_random": 0}])
+def test_rb_rejects_flat_signal_and_empty_sequence_sets(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        run_randomized_benchmarking(bare_params(), None, [1, 2], **{"n_random": 1, **kwargs})
+
+
+@pytest.mark.parametrize("omega", [-1.0, -5e6, math.nan])
+def test_rabi_rejects_negative_drive(omega):
+    with pytest.raises(ValueError, match="omega"):
+        run_rabi(bare_params(), None, omega, [0.0, 1e-7])
+
+
 # --- the one pi time ----------------------------------------------------------
 
 @pytest.mark.parametrize("t_pi", [0.0, -1e-9, math.nan])
