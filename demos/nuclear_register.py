@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from sivreg import sequences
-from sivreg.register import RegisterParams, RegisterState, measure
+from sivreg.register import RegisterParams, nuclear_sigma_z
 from sivreg.sequences import GateSpec, T_PI_DEFAULT
 
 LARMOR = 3.5857929e6
@@ -37,7 +37,7 @@ gate = GateSpec(kind="UI", tau=81.5e-9, n_pulses=42, t_pi=T_PI_DEFAULT)
 f_ie = 0.806
 state = sequences.nuclear_init_gate(p2, None, gate, f_ie)
 for i in range(2):
-    sz = measure(state, "nuclear_sigma_z", i)
+    sz = nuclear_sigma_z(state.rho, i)
     print("nucleus %d after transfer gate: sigma_z = %+.4f (population %.3f)"
           % (i, sz, 0.5 * (1.0 - sz)))
 

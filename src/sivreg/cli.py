@@ -8,8 +8,8 @@ Configuration is resolved in three layers (later wins):
 
     built-in defaults  <  flat JSON config file (--config)  <  command flags
 
-The config file is a single flat JSON object holding strings, numbers and
-booleans only.  Keys mirror the field names of the underlying module types;
+The config file is a single flat JSON object holding strings and numbers
+only.  Keys mirror the field names of the underlying module types;
 unknown or ill-typed keys, non-finite numbers and values outside a model's
 domain are rejected with the key name.  Exit codes:
 0 success, 2 configuration error, 3 experiment error.
@@ -25,12 +25,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import electronic, fitting, optics, readout, sequences
-from .register import DephasingModel, RegisterParams, measure
+from .register import DephasingModel, RegisterParams, nuclear_sigma_z
 from .sequences import GateSpec, T_PI_DEFAULT
 
 TWO_PI = 2.0 * math.pi
@@ -68,11 +68,11 @@ class RunConfig:
 class ExperimentSpec:
     name: str
     group: str            # "" for top-level subcommands, "run" for run group
-    required: dict        # key -> type (no default exists; must be provided)
     defaults: dict        # key -> default value (type inferred)
     runner: object        # cfg values dict -> (columns, rows, extras)
     help: str = ""
     check: object = None  # cfg values dict -> None; raises ConfigError naming the key
+    required: dict = field(default_factory=dict)   # key -> type (no default; must be provided)
 
     def schema(self):
         keys = dict(self.required)
@@ -103,8 +103,8 @@ def _sweep_defaults(start, stop, points):
 
 
 def _coerce(key, value, expected):
-    """Coerce a JSON config value to the expected scalar type."""
-    if isinstance(value, bool) and expected is not bool:
+    """Coerce a JSON config value to the expected scalar type: float, int or str."""
+    if isinstance(value, bool):
         raise ConfigError(f"ill-typed value for key '{key}' (expected {expected.__name__})")
     if expected is float:
         if isinstance(value, (int, float)):
@@ -116,9 +116,6 @@ def _coerce(key, value, expected):
             return int(value)
     elif expected is str:
         if isinstance(value, str):
-            return value
-    elif expected is bool:
-        if isinstance(value, bool):
             return value
     raise ConfigError(f"ill-typed value for key '{key}' (expected {expected.__name__})")
 
@@ -265,9 +262,41 @@ def _check_seed(v):
         raise ConfigError("seed must be >= 0")
 
 
+def _check_nonnegative_sweep(v):
+    """A sweep of durations, delays or drive amplitudes holds no negative value."""
+    for key in ("sweep_start", "sweep_stop"):
+        if v[key] < 0.0:
+            raise ConfigError(f"{key} must be >= 0")
+
+
 def _check_rabi(v):
     if v["omega"] < 0.0:
         raise ConfigError("omega must be >= 0 (0 is free evolution)")
+    _check_nonnegative_sweep(v)
+
+
+def _check_ramsey(v):
+    if v["target"] not in ("electron", "nuclear"):
+        raise ConfigError("ill-typed value for key 'target' (expected 'electron' or 'nuclear')")
+    _check_nonnegative_sweep(v)
+
+
+def _check_dd(v):
+    if v["kind"] not in ("CPMG", "XY"):
+        raise ConfigError("ill-typed value for key 'kind' (expected 'CPMG' or 'XY')")
+    if v["n_pulses"] < 0:
+        raise ConfigError("n_pulses must be >= 0")
+    _check_nonnegative_sweep(v)
+
+
+def _check_spinlock(v):
+    if v["mode"] not in ("tau", "amplitude"):
+        raise ConfigError("ill-typed value for key 'mode' (expected 'tau' or 'amplitude')")
+    if v["omega_sl"] < 0.0:
+        raise ConfigError("omega_sl must be >= 0")
+    if v["tau_fixed"] < 0.0:
+        raise ConfigError("tau_fixed must be >= 0")
+    _check_nonnegative_sweep(v)
 
 
 def _check_rb(v):
@@ -299,17 +328,41 @@ def _check_ssr(v):
         raise ConfigError(str(exc))
 
 
+def _optical_params(v):
+    return optics.OpticalParams(rabi_per_volt=v["rabi_per_volt"], detuning=v["detuning"],
+                                t1=v["t1"], gamma_phi=v["gamma_phi"])
+
+
+def _check_optical(v):
+    if v["mode"] not in ("rabi", "phase", "decay"):
+        raise ConfigError("ill-typed value for key 'mode' "
+                          "(expected 'rabi', 'phase' or 'decay')")
+    try:   # OpticalParams names the field, which is the key, in each of its domain checks
+        _optical_params(v)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    if v["buffer"] < 0.0:
+        raise ConfigError("buffer must be >= 0")
+    if not 0.0 <= v["p_e0"] <= 1.0:
+        raise ConfigError("p_e0 must lie in [0, 1]")
+    if v["mode"] != "phase":   # the rabi and decay axes are times; a phase may be negative
+        _check_nonnegative_sweep(v)
+    if v["mode"] == "decay" and v["sweep_points"] < 4:
+        raise ConfigError("sweep_points must be >= 4 for the lifetime fit of mode 'decay'")
+
+
 # ---------------------------------------------------------------------------
 # runners: values dict -> (columns, rows, extras)
 
 
-def _sweep_table(sweep):
+def _sweep_table(sweep, **extras):
+    """A sweep as (columns, rows, extras): axis, signal, then the aux series by name."""
     cols = [sweep.axis_label or "axis", "signal"]
     arrays = [np.asarray(sweep.axis, float), np.asarray(sweep.signal, float)]
     for key in sorted(sweep.aux or {}):
         cols.append(key)
         arrays.append(np.asarray(sweep.aux[key], float))
-    return cols, list(zip(*arrays))
+    return cols, list(zip(*arrays)), extras
 
 
 def _run_structure(v):
@@ -331,41 +384,31 @@ def _run_estimate(v):
 
 
 def _run_rabi(v):
-    sweep = sequences.run_rabi(_register_params(v), _dephasing(v), v["omega"],
-                               _sweep_axis(v), f_ie=v["f_ie"])
-    cols, rows = _sweep_table(sweep)
-    return cols, rows, {}
+    return _sweep_table(sequences.run_rabi(_register_params(v), _dephasing(v), v["omega"],
+                                           _sweep_axis(v), f_ie=v["f_ie"]))
 
 
 def _run_ramsey(v):
-    sweep = sequences.run_ramsey(_register_params(v), _dephasing(v), v["delta_ramsey"],
-                                 _sweep_axis(v), target=v["target"],
-                                 f_ie=v["f_ie"], t_pi=v["t_pi"])
-    cols, rows = _sweep_table(sweep)
-    return cols, rows, {}
+    return _sweep_table(sequences.run_ramsey(
+        _register_params(v), _dephasing(v), v["delta_ramsey"], _sweep_axis(v),
+        target=v["target"], f_ie=v["f_ie"], t_pi=v["t_pi"]))
 
 
 def _run_dd(v):
-    sweep = sequences.run_dd(_register_params(v), _dephasing(v), v["kind"],
-                             v["n_pulses"], _sweep_axis(v), f_ie=v["f_ie"],
-                             t_pi=v["t_pi"])
-    cols, rows = _sweep_table(sweep)
-    return cols, rows, {}
+    return _sweep_table(sequences.run_dd(
+        _register_params(v), _dephasing(v), v["kind"], v["n_pulses"], _sweep_axis(v),
+        f_ie=v["f_ie"], t_pi=v["t_pi"]))
 
 
 def _run_spinlock(v):
     kwargs = {"f_ie": v["f_ie"], "t_pi": v["t_pi"]}
     if v["mode"] == "tau":
         kwargs["tau_sl"] = _sweep_axis(v)
-    elif v["mode"] == "amplitude":
+    else:
         kwargs["amplitudes"] = _sweep_axis(v)
         kwargs["tau_fixed"] = v["tau_fixed"]
-    else:
-        raise ConfigError("ill-typed value for key 'mode' (expected 'tau' or 'amplitude')")
-    sweep = sequences.run_spin_lock(_register_params(v), _dephasing(v),
-                                    v["omega_sl"], **kwargs)
-    cols, rows = _sweep_table(sweep)
-    return cols, rows, {}
+    return _sweep_table(sequences.run_spin_lock(_register_params(v), _dephasing(v),
+                                                v["omega_sl"], **kwargs))
 
 
 def _run_nucrot(v):
@@ -375,8 +418,7 @@ def _run_nucrot(v):
     sweep = sequences.run_nuclear_rotation(_register_params(v), _dephasing(v),
                                            tau_rot, _int_axis(v), f_ie=v["f_ie"],
                                            t_pi=v["t_pi"])
-    cols, rows = _sweep_table(sweep)
-    return cols, rows, {"tau_rot": tau_rot}
+    return _sweep_table(sweep, tau_rot=tau_rot)
 
 
 def _run_gates(v):
@@ -388,7 +430,7 @@ def _run_gates(v):
         g = replace(g, wait=v["wait"] if v["wait"] >= 0
                     else sequences.calibrate_transfer_wait(p, g))
         state = sequences.nuclear_init_gate(p, dephasing, g, v["f_ie"])
-        rows = [(i, measure(state, "nuclear_sigma_z", i)) for i in range(p.n_nuclei)]
+        rows = [(i, nuclear_sigma_z(state.rho, i)) for i in range(p.n_nuclei)]
         extras = {"wait": g.wait,
                   "probe_signal": sequences.ui_probe_signal(p, dephasing, g, v["f_ie"])}
         return ["nucleus", "sigma_z"], rows, extras
@@ -417,12 +459,9 @@ def _run_rb(v):
         _register_params(v), _dephasing(v), n_cliffords,
         n_random=v["n_random"], gate_fidelity_noise=v["q"], seed=v["seed"],
         f_ie=v["f_ie"], t_pi=v["t_pi"])
-    cols, rows = _sweep_table(res.sweep)
-    extras = {"gate_fidelity": res.gate_fidelity,
-              "decay_base": res.fit["f_g"],
-              "decay_base_sigma": res.fit.error("f_g"),
-              "fit_converged": res.fit.converged}
-    return cols, rows, extras
+    return _sweep_table(res.sweep, gate_fidelity=res.gate_fidelity,
+                        decay_base=res.fit["f_g"], decay_base_sigma=res.fit.error("f_g"),
+                        fit_converged=res.fit.converged)
 
 
 def _run_ssr(v):
@@ -446,13 +485,10 @@ def _run_ssr(v):
 
 
 def _run_optical(v):
-    p = optics.OpticalParams(rabi_per_volt=v["rabi_per_volt"], detuning=v["detuning"],
-                             t1=v["t1"], gamma_phi=v["gamma_phi"])
+    p = _optical_params(v)
     mode = v["mode"]
     if mode == "rabi":
-        sweep = optics.run_optical_rabi(p, v["amplitude"], _sweep_axis(v))
-        cols, rows = _sweep_table(sweep)
-        return cols, rows, {}
+        return _sweep_table(optics.run_optical_rabi(p, v["amplitude"], _sweep_axis(v)))
     if mode == "phase":
         t_pulse = v["t_pulse"]
         if t_pulse <= 0.0:   # default: a pi/2 area at the configured amplitude
@@ -464,20 +500,14 @@ def _run_optical(v):
         train = optics.OpticalPulseTrain(
             segments=((v["amplitude"], 0.0, t_pulse), (v["amplitude"], 0.0, t_pulse)),
             buffer=v["buffer"])
-        sweep = optics.run_phase_control(p, train, _sweep_axis(v))
-        cols, rows = _sweep_table(sweep)
-        return cols, rows, {"t_pulse": t_pulse}
-    if mode == "decay":
-        if v["sweep_points"] < 4:
-            raise ConfigError("sweep_points must be >= 4 for the lifetime fit of mode 'decay'")
-        times = _sweep_axis(v)
-        trace = optics.fluorescence_decay(p, times, p_e0=v["p_e0"])
-        t1_fit, amp_fit = optics.extract_lifetime((times, trace))
-        rows = list(zip(times, trace))
-        return ["time (s)", "excited_population"], rows, {
-            "t1_fit": t1_fit, "amplitude_fit": amp_fit}
-    raise ConfigError("ill-typed value for key 'mode' "
-                      "(expected 'rabi', 'phase' or 'decay')")
+        return _sweep_table(optics.run_phase_control(p, train, _sweep_axis(v)),
+                            t_pulse=t_pulse)
+    times = _sweep_axis(v)
+    trace = optics.fluorescence_decay(p, times, p_e0=v["p_e0"])
+    t1_fit, amp_fit = optics.extract_lifetime((times, trace))
+    rows = list(zip(times, trace))
+    return ["time (s)", "excited_population"], rows, {
+        "t1_fit": t1_fit, "amplitude_fit": amp_fit}
 
 
 def _read_xy(path, x_col, y_col):
@@ -527,21 +557,24 @@ EXPERIMENTS = {}
 
 
 def _register(spec: ExperimentSpec):
-    EXPERIMENTS[spec.name] = spec
+    """Add the keys every spec shares: _COMMON, and for the run group the register model."""
+    if spec.group == "run":
+        spec = replace(spec, required={"larmor_n": float, **spec.required},
+                       defaults={**_REGISTER_DEFAULTS, **spec.defaults})
+    EXPERIMENTS[spec.name] = replace(spec, defaults={**_COMMON, **spec.defaults})
 
 
 _register(ExperimentSpec(
     "structure", "",
     required={"epsilon": float, "alpha": float, "btheta": float, "b": float},
-    defaults={**_COMMON},
+    defaults={},
     runner=_run_structure,
     help="derived observables of the 8-level electronic model at one working point",
     check=_check_structure))
 
 _register(ExperimentSpec(
     "estimate", "",
-    required={},
-    defaults={**_COMMON, "wl": 9.431e9, "dss": 254.654e6, "dgs": 1110.755e9,
+    defaults={"wl": 9.431e9, "dss": 254.654e6, "dgs": 1110.755e9,
               "eta": 816.285, "b": 0.0, "larmor_n": 3.5857929e6},
     runner=_run_estimate,
     help="fit (epsilon, alpha, btheta) to measured observables",
@@ -549,69 +582,59 @@ _register(ExperimentSpec(
 
 _register(ExperimentSpec(
     "rabi", "run",
-    required={"larmor_n": float},
-    defaults={**_COMMON, **_REGISTER_DEFAULTS, "omega": 5.0e6,
-              **_sweep_defaults(0.0, 1.0e-6, 201)},
+    defaults={"omega": 5.0e6, **_sweep_defaults(0.0, 1.0e-6, 201)},
     runner=_run_rabi,
     help="electron Rabi oscillation vs pulse duration",
     check=_check_rabi))
 
 _register(ExperimentSpec(
     "ramsey", "run",
-    required={"larmor_n": float},
-    defaults={**_COMMON, **_REGISTER_DEFAULTS, "delta_ramsey": 1.0e6,
-              "target": "electron", **_sweep_defaults(0.0, 5.0e-6, 201)},
+    defaults={"delta_ramsey": 1.0e6, "target": "electron",
+              **_sweep_defaults(0.0, 5.0e-6, 201)},
     runner=_run_ramsey,
-    help="electron or nuclear Ramsey fringes vs free-evolution time"))
+    help="electron or nuclear Ramsey fringes vs free-evolution time",
+    check=_check_ramsey))
 
 _register(ExperimentSpec(
     "dd", "run",
-    required={"larmor_n": float},
-    defaults={**_COMMON, **_REGISTER_DEFAULTS, "kind": "XY", "n_pulses": 8,
-              **_sweep_defaults(1.0e-7, 1.0e-5, 101)},
+    defaults={"kind": "XY", "n_pulses": 8, **_sweep_defaults(1.0e-7, 1.0e-5, 101)},
     runner=_run_dd,
-    help="dynamical-decoupling signal vs inter-pulse spacing"))
+    help="dynamical-decoupling signal vs inter-pulse spacing",
+    check=_check_dd))
 
 _register(ExperimentSpec(
     "spinlock", "run",
-    required={"larmor_n": float},
-    defaults={**_COMMON, **_REGISTER_DEFAULTS, "omega_sl": 3.5857929e6,
-              "mode": "tau", "tau_fixed": 2.0e-5,
+    defaults={"omega_sl": 3.5857929e6, "mode": "tau", "tau_fixed": 2.0e-5,
               **_sweep_defaults(0.0, 5.0e-5, 101)},
     runner=_run_spinlock,
-    help="spin-locking sweep over lock duration or drive amplitude"))
+    help="spin-locking sweep over lock duration or drive amplitude",
+    check=_check_spinlock))
 
 _register(ExperimentSpec(
     "nucrot", "run",
-    required={"larmor_n": float},
-    defaults={**_COMMON, **_REGISTER_DEFAULTS, "tau_rot": 0.0,
-              **_sweep_defaults(0.0, 200.0, 201)},
+    defaults={"tau_rot": 0.0, **_sweep_defaults(0.0, 200.0, 201)},
     runner=_run_nucrot,
     help="conditional nuclear rotation vs pulse number",
     check=_check_nucrot))
 
 _register(ExperimentSpec(
     "gates", "run",
-    required={"larmor_n": float},
-    defaults={**_COMMON, **_REGISTER_DEFAULTS, "gate": "UI", "tau": 81.5e-9,
-              "n_pulses": 42, "wait": -1.0, "f_in": 1.0},
+    defaults={"gate": "UI", "tau": 81.5e-9, "n_pulses": 42, "wait": -1.0, "f_in": 1.0},
     runner=_run_gates,
     help="nuclear initialization or two-qubit gate characterization",
     check=_check_gates))
 
 _register(ExperimentSpec(
     "rb", "run",
-    required={"larmor_n": float},
-    defaults={**_COMMON, **{**_REGISTER_DEFAULTS, "a_par": 0.0, "a_perp": 0.0},
-              "n_random": 20, "q": 0.0, **_sweep_defaults(1.0, 100.0, 8)},
+    defaults={"a_par": 0.0, "a_perp": 0.0, "n_random": 20, "q": 0.0,
+              **_sweep_defaults(1.0, 100.0, 8)},
     runner=_run_rb,
     help="randomized benchmarking of the electron Clifford set",
     check=_check_rb))
 
 _register(ExperimentSpec(
     "ssr", "",
-    required={},
-    defaults={**_COMMON, "n_blocks": 280, "t_block": 3.0e-3 / 280,
+    defaults={"n_blocks": 280, "t_block": 3.0e-3 / 280,
               "mean_bright": 32.0, "mean_dark": 10.0, "p_offres": 0.07,
               "t_pol_n": 41.6178057e-3, "threshold": 21, "n_shots": 1000,
               "initial": "alternate"},
@@ -621,19 +644,19 @@ _register(ExperimentSpec(
 
 _register(ExperimentSpec(
     "optical", "",
-    required={},
-    defaults={**_COMMON, "mode": "rabi", "amplitude": 0.5, "detuning": 0.0,
+    defaults={"mode": "rabi", "amplitude": 0.5, "detuning": 0.0,
               "t1": 1.6535e-9, "gamma_phi": 0.0,
               "rabi_per_volt": optics.RABI_MAX, "t_pulse": 0.0,
               "buffer": 0.8e-9, "p_e0": 1.0,
               **_sweep_defaults(0.0, 5.0e-9, 201)},
     runner=_run_optical,
-    help="driven-dissipative optical dynamics: Rabi, phase control or decay"))
+    help="driven-dissipative optical dynamics: Rabi, phase control or decay",
+    check=_check_optical))
 
 _register(ExperimentSpec(
     "fit", "",
     required={"model": str, "data": str},
-    defaults={**_COMMON, "x_col": 0, "y_col": 1},
+    defaults={"x_col": 0, "y_col": 1},
     runner=_run_fit,
     help="least-squares fit of a registry model to a two-column CSV"))
 

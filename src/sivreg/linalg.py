@@ -39,10 +39,6 @@ class Eigensystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self):
-        return self.values.shape[0]
-
 
 def _as_square(a):
     a = np.asarray(a, dtype=complex)

@@ -131,10 +131,6 @@ def evolve_lindblad(rho, p: OpticalParams, drive, t, dt=None):
     return rho
 
 
-def excited_population(rho):
-    return float(np.real(rho[1, 1]))
-
-
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 _TRACE = np.eye(2).reshape(4)  # tr(rho) = _TRACE @ rho.reshape(4)
 

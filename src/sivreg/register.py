@@ -50,10 +50,6 @@ class RegisterParams:
             raise ValueError("larmor_n must be > 0")
 
     @property
-    def dim(self):
-        return 2 ** (1 + self.n_nuclei)
-
-    @property
     def larmor_period(self):
         return 1.0 / self.larmor_n
 
@@ -92,10 +88,9 @@ class DephasingModel:
 
 @dataclass
 class RegisterState:
-    """Density matrix over electron x nuclei with trace/Hermiticity invariants."""
+    """Density matrix, 4x4 or 8x8 (electron x 1 or 2 nuclei), with trace/Hermiticity invariants."""
 
     rho: np.ndarray
-    n_nuclei: int
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=complex)
@@ -103,9 +98,9 @@ class RegisterState:
 
     def validate(self):
         """Shape, trace 1 (to 1e-9), Hermitian (1e-10 relative) and eigenvalues >= -1e-9."""
-        dim = 2 ** (1 + self.n_nuclei)
-        if self.rho.shape != (dim, dim):
-            raise ValueError("rho has shape %r, expected (%d, %d)" % (self.rho.shape, dim, dim))
+        if self.rho.shape not in ((4, 4), (8, 8)):
+            raise ValueError("rho has shape %r, expected (4, 4) or (8, 8) for 1 or 2 nuclei"
+                             % (self.rho.shape,))
         if abs(np.trace(self.rho) - 1.0) > 1e-9:
             raise ValueError("trace(rho) = %r deviates from 1" % np.trace(self.rho))
         if np.linalg.norm(self.rho - self.rho.conj().T) > 1e-10 * max(1.0, np.linalg.norm(self.rho)):
@@ -159,12 +154,6 @@ def product_state(electron, nuclei=(), n_nuclei=1):
     return rho
 
 
-def initialize_electron(fidelity, n_nuclei=1):
-    """Electron mixture F|down><down| + (1-F)|up><up| with maximally mixed nuclei."""
-    return RegisterState(product_state(electron_mixture(fidelity), n_nuclei=n_nuclei),
-                         n_nuclei)
-
-
 def dephase_electron(rho, factor, n_nuclei):
     """Scale all coherences between the electron-down and electron-up blocks."""
     if factor == 1.0:
@@ -188,21 +177,12 @@ def electron_up_population(rho):
 
 def nuclear_sigma_z(rho, index=0):
     """sigma_z expectation of nucleus ``index``: its up minus its down population."""
-    pops = np.moveaxis(populations(rho), 1 + index, 0)
+    pops = populations(rho)
+    n_nuclei = pops.ndim - 1
+    if not 0 <= index < n_nuclei:
+        raise ValueError("invalid nucleus index %r for %d nuclei" % (index, n_nuclei))
+    pops = np.moveaxis(pops, 1 + index, 0)
     return float(pops[1].sum() - pops[0].sum())
-
-
-def measure(st: RegisterState, observable, index=0):
-    """Expectation values: 'electron_up' / 'electron_down' populations or 'nuclear_sigma_z'."""
-    if observable == "electron_up":
-        return electron_up_population(st.rho)
-    if observable == "electron_down":
-        return float(populations(st.rho)[0].sum())
-    if observable == "nuclear_sigma_z":
-        if not 0 <= index < st.n_nuclei:
-            raise ValueError("invalid nucleus index %r for %d nuclei" % (index, st.n_nuclei))
-        return nuclear_sigma_z(st.rho, index)
-    raise ValueError("unknown observable %r" % (observable,))
 
 
 def trace_electron(rho):
@@ -214,4 +194,4 @@ def trace_electron(rho):
 def repump_electron(st: RegisterState, fidelity):
     """Projective optical re-pump: replace the electron by the F-mixture, keep nuclear marginal."""
     rho_e = np.diag(electron_mixture(fidelity)).astype(complex)
-    return RegisterState(kron(rho_e, trace_electron(st.rho)), st.n_nuclei)
+    return RegisterState(kron(rho_e, trace_electron(st.rho)))

@@ -487,7 +487,7 @@ def _ui_forward(p: RegisterParams, dephasing, g: GateSpec, f_ie, flip_first):
     eng = Engine(p, dephasing, g.t_pi)
     segments = _transfer_segments(eng, g, wait)
     rho = eng.evolve(_initial_rho(p, f_ie, flip=flip_first), segments)
-    return eng, segments, repump_electron(RegisterState(rho, p.n_nuclei), f_ie)
+    return eng, segments, repump_electron(RegisterState(rho), f_ie)
 
 
 def nuclear_init_gate(p: RegisterParams, dephasing, g: GateSpec, f_ie,

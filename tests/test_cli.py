@@ -175,8 +175,8 @@ def test_sweep_and_register_validation(out_dir, capsys):
         assert "config error: t_pi must be > 0" in capsys.readouterr().err
     assert cli.main(["optical", "--mode", "phase", "--amplitude", "0"]) == 2
     assert "config error: amplitude * rabi_per_volt" in capsys.readouterr().err
-    assert cli.main(["optical", "--mode", "rabi", "--sweep-start=-1e-9"]) == 3
-    assert "evolution time must be >= 0" in capsys.readouterr().err
+    assert cli.main(["optical", "--mode", "rabi", "--sweep-start=-1e-9"]) == 2
+    assert "config error: sweep_start must be >= 0" in capsys.readouterr().err
     # sweeps too short for the fit they feed
     assert cli.main(["optical", "--mode", "decay", "--sweep-points", "3"]) == 2
     assert "sweep_points" in capsys.readouterr().err
@@ -243,6 +243,21 @@ def _structure_with(key, value):
      "f_ie must lie in (0.5, 1] for randomized benchmarking"),
     (["run", "rb", "--larmor-n", LARMOR, "--n-random", "0"], "n_random must be >= 1"),
     (["run", "rabi", "--larmor-n", LARMOR, "--omega=-1"], "omega must be >= 0"),
+    (["optical", "--t1", "0"], "t1 must be > 0"),
+    (["optical", "--gamma-phi=-1"], "gamma_phi must be >= 0"),
+    (["optical", "--buffer=-1"], "buffer must be >= 0"),
+    (["optical", "--mode", "decay", "--p-e0", "5"], "p_e0 must lie in [0, 1]"),
+    (["optical", "--mode", "decay", "--p-e0=-0.5"], "p_e0 must lie in [0, 1]"),
+    (["optical", "--mode", "decay", "--sweep-start=-1e-9"], "sweep_start must be >= 0"),
+    (["optical", "--mode", "rabi", "--sweep-stop=-1e-9"], "sweep_stop must be >= 0"),
+    (["run", "dd", "--larmor-n", LARMOR, "--kind", "foo"], "ill-typed value for key 'kind'"),
+    (["run", "dd", "--larmor-n", LARMOR, "--n-pulses=-1"], "n_pulses must be >= 0"),
+    (["run", "ramsey", "--larmor-n", LARMOR, "--target", "foo"],
+     "ill-typed value for key 'target'"),
+    (["run", "spinlock", "--larmor-n", LARMOR, "--tau-fixed=-1"], "tau_fixed must be >= 0"),
+    (["run", "spinlock", "--larmor-n", LARMOR, "--omega-sl=-1"], "omega_sl must be >= 0"),
+    (["run", "spinlock", "--larmor-n", LARMOR, "--mode", "amplitude", "--sweep-start=-1e6"],
+     "sweep_start must be >= 0"),
 ])
 def test_out_of_domain_values_are_config_errors_naming_the_key(out_dir, capsys, argv, message):
     assert cli.main(argv) == 2
@@ -257,10 +272,10 @@ def test_estimate_help_says_zero_field_is_derived(capsys):
 
 
 @pytest.mark.parametrize("experiment", ["rabi", "ramsey", "dd", "spinlock"])
-def test_negative_sweep_durations_are_experiment_errors(out_dir, capsys, experiment):
+def test_negative_sweep_axes_are_config_errors(out_dir, capsys, experiment):
     assert cli.main(["run", experiment, "--larmor-n", LARMOR,
-                     "--sweep-start=-1e-6"]) == 3
-    assert "must be >= 0" in capsys.readouterr().err
+                     "--sweep-start=-1e-6"]) == 2
+    assert "config error: sweep_start must be >= 0" in capsys.readouterr().err
     assert not list(out_dir.glob("*.csv"))
 
 

@@ -3,11 +3,15 @@
 Every invocation ends in one of the documented exit codes (0 success, 2
 configuration error, 3 experiment error), never in an uncaught exception.
 No experiment error comes from a float overflow or from a fit handed a sweep
-too short for it, and a value drawn outside the domain of f_ie, f_in, q,
-p_offres, n_blocks, omega, n_random or mean_dark is a configuration error.
+too short for it.  A value drawn outside the domain of f_ie, f_in, q,
+p_offres, n_blocks, omega, n_random, mean_dark, t1, gamma_phi, buffer, p_e0,
+tau_fixed, the dd kind and n_pulses or the Ramsey target, and a negative
+sweep of durations, delays or amplitudes, is a configuration error.
 A successful one writes a CSV whose numeric cells are all finite, apart from
 the documented non-finite outputs: a fit sigma is nan when the fit covariance
 is singular, and the cyclicity is inf when the spin-flip channel is dark.
+Its signal and excited-population cells are probabilities: they lie in [0, 1]
+to within 1e-9.
 """
 
 import contextlib
@@ -66,13 +70,14 @@ _CONFIGS = st.one_of(
         "b": st.floats(0.0, 1.0)})),
     _run("rabi", {"omega": _mostly(st.floats(0.0, 2e7), -1.0, -5e6)}, _sweep(2e-6)),
     _run("ramsey", {"delta_ramsey": st.floats(-2e6, 2e6),
-                    "target": st.sampled_from(["electron", "nuclear"])},
+                    "target": _mostly(st.sampled_from(["electron", "nuclear"]), "foo")},
          _sweep(5e-6)),
-    _run("dd", {"kind": st.sampled_from(["CPMG", "XY"]), "n_pulses": st.integers(0, 16)},
+    _run("dd", {"kind": _mostly(st.sampled_from(["CPMG", "XY"]), "foo"),
+                "n_pulses": _mostly(st.integers(0, 16), -1)},
          _sweep(1e-5)),
     _run("spinlock", {"omega_sl": st.floats(0.0, 1e7),
                       "mode": st.sampled_from(["tau", "amplitude"]),
-                      "tau_fixed": st.floats(0.0, 2e-5)},
+                      "tau_fixed": _mostly(st.floats(0.0, 2e-5), -1e-6)},
          _sweep(5e-5)),
     _run("nucrot", {"tau_rot": st.floats(0.0, 3e-7)}, _sweep(200.0)),
     st.tuples(st.just(["run", "gates"]), _REGISTER, st.fixed_dictionaries({
@@ -93,9 +98,10 @@ _CONFIGS = st.one_of(
     st.tuples(st.just(["optical"]), st.fixed_dictionaries({
         "mode": st.sampled_from(["rabi", "phase", "decay"]),
         "amplitude": st.floats(0.0, 2.0), "detuning": st.floats(-5e8, 5e8),
-        "t1": st.floats(5e-10, 1e-8), "gamma_phi": st.floats(0.0, 1e9),
-        "t_pulse": st.floats(0.0, 1e-9), "buffer": st.floats(0.0, 1e-9),
-        "p_e0": st.floats(0.0, 1.0)}), _sweep(5e-9)),
+        "t1": _mostly(st.floats(5e-10, 1e-8), 0.0, -1e-9),
+        "gamma_phi": _mostly(st.floats(0.0, 1e9), -1.0),
+        "t_pulse": st.floats(0.0, 1e-9), "buffer": _mostly(st.floats(0.0, 1e-9), -1e-9),
+        "p_e0": _mostly(st.floats(0.0, 1.0), 1.5, 5.0, -0.5)}), _sweep(5e-9)),
 )
 
 
@@ -116,14 +122,33 @@ _DOMAINS = {
     "n_blocks": lambda v: v >= 1,
     "omega": lambda v: v >= 0.0,
     "n_random": lambda v: v >= 1,
+    "t1": lambda v: v > 0.0,
+    "gamma_phi": lambda v: v >= 0.0,
+    "buffer": lambda v: v >= 0.0,
+    "p_e0": lambda v: 0.0 <= v <= 1.0,
+    "tau_fixed": lambda v: v >= 0.0,
+    "kind": lambda v: v in ("CPMG", "XY"),
+    "target": lambda v: v in ("electron", "nuclear"),
 }
+
+# experiments whose sweep axis holds durations, delays or drive amplitudes;
+# the axis of optical mode 'phase' is a phase and may be negative
+_NONNEGATIVE_SWEEPS = ("rabi", "ramsey", "dd", "spinlock", "optical")
+
+# CSV cells that hold a population or a probability
+_PROBABILITIES = ("signal", "excited_population")
 
 
 def _out_of_domain(config):
+    experiment = config[0][-1]
     values = {key: value for group in config[1:] for key, value in group.items()}
     bad = [key for key, inside in _DOMAINS.items() if key in values and not inside(values[key])]
     if values.get("mean_dark", 0.0) >= values.get("mean_bright", math.inf):
         bad.append("mean_dark")
+    if experiment == "dd" and values.get("n_pulses", 0) < 0:
+        bad.append("n_pulses")
+    if experiment in _NONNEGATIVE_SWEEPS and values.get("mode") != "phase":
+        bad += [key for key in ("sweep_start", "sweep_stop") if values.get(key, 0.0) < 0.0]
     return bad
 
 
@@ -132,8 +157,9 @@ def _documented(name, value):
             or (name == "cyclicity" and value == math.inf))
 
 
-def _undocumented_non_finite_cells(path):
-    bad, columns = [], None
+def _numeric_cells(path):
+    """(column or result name, value, line) of every numeric cell of a CSV artifact."""
+    columns = None
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -151,9 +177,7 @@ def _undocumented_non_finite_cells(path):
                     value = float(cell)
                 except ValueError:
                     continue
-                if not (math.isfinite(value) or _documented(name, value)):
-                    bad.append(line)
-    return bad
+                yield name, value, line
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -170,6 +194,7 @@ def _undocumented_non_finite_cells(path):
 @example(config=(["ssr"], {"p_offres": 1.5, "n_blocks": 0}))
 @example(config=(["run", "gates"], {"larmor_n": 3.5857929e6, "f_ie": 1.2},
                  {"gate": "UI", "f_in": 1.5}))
+@example(config=(["optical"], {"mode": "decay"}, {"sweep_start": -1e-9}))
 def test_cli_exits_cleanly_and_writes_only_finite_values(config):
     argv = _argv(config)
     with tempfile.TemporaryDirectory() as out_dir:
@@ -186,6 +211,10 @@ def test_cli_exits_cleanly_and_writes_only_finite_values(config):
         if _out_of_domain(config):
             assert code == 2, (argv, _out_of_domain(config), err.getvalue())
         if code == 0:
-            assert _undocumented_non_finite_cells(path) == [], argv
+            cells = list(_numeric_cells(path))
+            assert [line for name, value, line in cells
+                    if not (math.isfinite(value) or _documented(name, value))] == [], argv
+            assert [line for name, value, line in cells if name in _PROBABILITIES
+                    and not -1e-9 <= value <= 1.0 + 1e-9] == [], argv
         else:
             assert not os.path.exists(path), argv

@@ -311,7 +311,7 @@ def test_observables_ignore_eigenvector_phases(epsilon, alpha, theta):
     s = StrainField(epsilon, alpha)
     eig = hermitian_eig(build_hamiltonian(DefectConstants(), s,
                                           FieldConfig(B_REF, theta)))
-    phases = np.exp(2j * np.pi * np.random.default_rng(7).random(eig.dim))
+    phases = np.exp(2j * np.pi * np.random.default_rng(7).random(eig.values.size))
     rephased = Eigensystem(eig.values, eig.vectors * phases)
     assert cyclicity(rephased) == pytest.approx(cyclicity(eig), rel=1e-12)
     for temperature in (4.0, 10.0):

@@ -8,7 +8,8 @@ import pytest
 
 from sivreg import sequences
 from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
-                             dephase_electron, initialize_electron, measure)
+                             dephase_electron, electron_mixture, nuclear_sigma_z,
+                             product_state)
 from sivreg.sequences import (XY8_PHASES, Engine, GateSpec, InvalidGate,
                               T_PI_DEFAULT, TransferMatrix, UncalibratedGate,
                               _transfer_segments,
@@ -46,13 +47,13 @@ def test_init_gate_ideal_limit_polarizes_nucleus():
     tau_res = 0.5 * p.larmor_period - T_PI_DEFAULT
     n = calibrate_quarter_rotation(p, tau_res, force_even=True)
     state = nuclear_init_gate(p, None, ui_gate(p, tau=tau_res, n_pulses=n), f_ie=1.0)
-    assert abs(measure(state, "nuclear_sigma_z")) > 0.95
+    assert abs(nuclear_sigma_z(state.rho)) > 0.95
 
 
 def test_init_gate_two_nuclei_reference_polarization():
     p = two_nuclei()
     state = nuclear_init_gate(p, None, ui_gate(p), f_ie=F_IE)
-    sz = measure(state, "nuclear_sigma_z", 0)
+    sz = nuclear_sigma_z(state.rho, 0)
     fidelity = 0.5 * (1.0 + abs(sz))
     assert fidelity == pytest.approx(0.647, abs=0.03)
 
@@ -62,15 +63,15 @@ def test_init_gate_flip_inverts_polarization_exactly():
     g = ui_gate(p)
     plain = nuclear_init_gate(p, None, g, f_ie=F_IE)
     flipped = nuclear_init_gate(p, None, g, f_ie=F_IE, flip_first=True)
-    sz0 = measure(plain, "nuclear_sigma_z", 0)
-    sz1 = measure(flipped, "nuclear_sigma_z", 0)
+    sz0 = nuclear_sigma_z(plain.rho, 0)
+    sz1 = nuclear_sigma_z(flipped.rho, 0)
     assert sz1 == pytest.approx(-sz0, abs=1e-6)
 
 
 def test_init_gate_unpolarized_electron_transfers_nothing():
     p = one_nucleus()
     state = nuclear_init_gate(p, None, ui_gate(p), f_ie=0.5)
-    assert measure(state, "nuclear_sigma_z") == pytest.approx(0.0, abs=1e-9)
+    assert nuclear_sigma_z(state.rho) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_single_nucleus_probe_overestimates_contrast():
@@ -87,7 +88,7 @@ def test_single_nucleus_probe_overestimates_contrast():
 
 def _coherent_state(eng, n_nuclei):
     """Initialized register rotated so it carries electron and nuclear coherences."""
-    rho = initialize_electron(0.9, n_nuclei).rho
+    rho = product_state(electron_mixture(0.9), n_nuclei=n_nuclei)
     return eng.evolve(rho, eng.rotation_segments(1.1, 0.4) + eng.dd_unit_segments(0.3e-6, 0.7))
 
 
@@ -175,10 +176,10 @@ def test_cnnote_accepts_reference_calibration_period():
 def test_cenotn_is_involution_on_nuclear_axis(cenotn):
     p = one_nucleus()
     eng, segments = gate_segments(p, None, cenotn)
-    state = RegisterState(np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex), 1)
-    twice = RegisterState(eng.evolve(eng.evolve(state.rho, segments), segments), 1)
-    assert measure(twice, "nuclear_sigma_z") == pytest.approx(
-        measure(state, "nuclear_sigma_z"), abs=0.02)
+    state = RegisterState(np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex))
+    twice = RegisterState(eng.evolve(eng.evolve(state.rho, segments), segments))
+    assert nuclear_sigma_z(twice.rho) == pytest.approx(
+        nuclear_sigma_z(state.rho), abs=0.02)
 
 
 def test_gate_segments_validation(cenotn):
@@ -195,7 +196,7 @@ def test_gate_segments_validation(cenotn):
 def test_gate_segments_identity_is_noop():
     p = one_nucleus()
     eng, segments = gate_segments(p, None, GateSpec(kind="identity"))
-    state = RegisterState(np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex), 1)
+    state = RegisterState(np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex))
     np.testing.assert_allclose(eng.evolve(state.rho, segments), state.rho, atol=1e-15)
 
 

@@ -79,7 +79,7 @@ def test_propagator_is_unitary_and_composes():
     u2 = propagator_from_eig(eig, 2e-9)
     np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(6), atol=1e-12)
     np.testing.assert_allclose(u1 @ u1, u2, atol=1e-12)
-    assert isinstance(eig, Eigensystem) and eig.dim == 6
+    assert isinstance(eig, Eigensystem) and eig.values.shape == (6,)
 
 
 small_matrix = st.integers(min_value=0, max_value=2).flatmap(

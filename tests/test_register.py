@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sivreg.register import (DephasingModel, DriveSpec, ID2, RegisterParams,
-                             RegisterState, SX, SY, SZ, dephase_electron,
-                             electron_up_population, hamiltonian, initialize_electron,
-                             measure, nuclear_sigma_z, op_at, populations,
-                             repump_electron)
+                             RegisterState, SX, SY, SZ, dephase_electron, electron_mixture,
+                             electron_up_population, hamiltonian, nuclear_sigma_z, op_at,
+                             populations, product_state, repump_electron)
 from sivreg.sequences import Engine, _joint_populations
 
 HYP1 = (621.75027e3, 140.1041e3)
@@ -54,24 +53,24 @@ def test_drive_adds_transverse_term():
 
 def test_pi_pulse_inverts_electron():
     p = RegisterParams(hyperfine=((0.0, 0.0),), n_nuclei=1)
-    st0 = initialize_electron(1.0, n_nuclei=1)
+    st0 = RegisterState(product_state(electron_mixture(1.0), n_nuclei=1))
     rabi = 1.0 / (2 * 55.715e-9)
     eng = Engine(p)
-    flipped = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(rabi, 0.0, 55.715e-9)), 1)
-    assert measure(flipped, "electron_up") == pytest.approx(1.0, abs=1e-9)
+    flipped = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(rabi, 0.0, 55.715e-9)))
+    assert electron_up_population(flipped.rho) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mixed_electron_reads_half():
-    st0 = initialize_electron(0.5, n_nuclei=1)
-    assert measure(st0, "electron_up") == pytest.approx(0.5, abs=1e-9)
+    st0 = RegisterState(product_state(electron_mixture(0.5), n_nuclei=1))
+    assert electron_up_population(st0.rho) == pytest.approx(0.5, abs=1e-9)
     eng = Engine(params(1))
-    rotated = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.3, 30e-9)), 1)
-    assert measure(rotated, "electron_up") == pytest.approx(0.5, abs=1e-9)
+    rotated = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.3, 30e-9)))
+    assert electron_up_population(rotated.rho) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_initialization_population_convention():
-    st0 = initialize_electron(0.84, n_nuclei=1)
-    assert measure(st0, "electron_down") == pytest.approx(0.84, rel=1e-12)
+    st0 = RegisterState(product_state(electron_mixture(0.84), n_nuclei=1))
+    assert populations(st0.rho)[0].sum() == pytest.approx(0.84, rel=1e-12)
     sz = np.real(np.trace(st0.rho @ op_at(SZ, 0, 2)))
     assert sz == pytest.approx(-0.68, abs=1e-12)
 
@@ -79,17 +78,17 @@ def test_initialization_population_convention():
 @pytest.mark.parametrize("fidelity", [0.4, 1.1, -0.2])
 def test_fidelity_range_enforced(fidelity):
     with pytest.raises(ValueError):
-        initialize_electron(fidelity)
+        RegisterState(product_state(electron_mixture(fidelity)))
     with pytest.raises(ValueError):
-        repump_electron(initialize_electron(0.9), fidelity)
+        repump_electron(RegisterState(product_state(electron_mixture(0.9))), fidelity)
 
 
 def test_free_evolution_preserves_trace_and_positivity():
     p = params(2)
-    st0 = initialize_electron(0.9, n_nuclei=2)
+    st0 = RegisterState(product_state(electron_mixture(0.9), n_nuclei=2))
     eng = Engine(p)
     out = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.0, 28e-9)
-                                    + eng.free_segments(1.7e-6)), 2)
+                                    + eng.free_segments(1.7e-6)))
     assert np.trace(out.rho).real == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.eigvalsh(out.rho).min() > -1e-12
 
@@ -97,14 +96,15 @@ def test_free_evolution_preserves_trace_and_positivity():
 def test_free_evolution_rejects_negative_time():
     with pytest.raises(ValueError):
         eng = Engine(params(1))
-        eng.evolve(initialize_electron(1.0).rho, eng.free_segments(-1e-9))
+        eng.evolve(product_state(electron_mixture(1.0)), eng.free_segments(-1e-9))
 
 
 @pytest.mark.parametrize("duration", [-1e-9, math.nan])
 def test_pulse_rejects_negative_duration(duration):
     eng = Engine(params(1))
     with pytest.raises(ValueError):
-        eng.evolve(initialize_electron(1.0).rho, eng.pulse_segments(8.97e6, 0.0, duration))
+        eng.evolve(product_state(electron_mixture(1.0)),
+                   eng.pulse_segments(8.97e6, 0.0, duration))
 
 
 # --- dephasing ---------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_dephasing_divisible_only_for_exponential(beta, t1, t2):
 
 def test_dephasing_acts_only_on_electron_coherences():
     p = params(1)
-    st0 = initialize_electron(1.0, n_nuclei=1)
+    st0 = RegisterState(product_state(electron_mixture(1.0), n_nuclei=1))
     # build a state with coherences everywhere
     eng = Engine(p)
     rho = eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.0, 30e-9))
@@ -164,27 +164,30 @@ def test_dephasing_model_validation():
 
 def test_repump_keeps_nuclear_marginal():
     p = params(1)
-    st0 = initialize_electron(0.9, n_nuclei=1)
+    st0 = RegisterState(product_state(electron_mixture(0.9), n_nuclei=1))
     eng = Engine(p)
     evolved = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.1, 40e-9)
-                                       + eng.free_segments(0.8e-6)), 1)
+                                       + eng.free_segments(0.8e-6)))
     half = 2
     marginal_before = evolved.rho[:half, :half] + evolved.rho[half:, half:]
     out = repump_electron(evolved, 0.81)
     marginal_after = out.rho[:half, :half] + out.rho[half:, half:]
     np.testing.assert_allclose(marginal_after, marginal_before, atol=1e-12)
-    assert measure(out, "electron_down") == pytest.approx(0.81, abs=1e-12)
+    assert populations(out.rho)[0].sum() == pytest.approx(0.81, abs=1e-12)
 
 
 def test_state_validation_rejects_garbage():
     with pytest.raises(ValueError):
-        RegisterState(np.eye(4, dtype=complex), 1)            # trace 4
+        RegisterState(np.eye(4, dtype=complex))                # trace 4
     with pytest.raises(ValueError):
-        RegisterState(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), 1)
+        RegisterState(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
     bad = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     bad[0, 1] = 0.3                                            # not Hermitian
     with pytest.raises(ValueError):
-        RegisterState(bad, 1)
+        RegisterState(bad)
+    for side in (2, 16):                                       # neither 1 nor 2 nuclei
+        with pytest.raises(ValueError, match="expected \\(4, 4\\) or \\(8, 8\\)"):
+            RegisterState(np.eye(side, dtype=complex) / side)
 
 
 def test_register_params_validation():
@@ -196,12 +199,13 @@ def test_register_params_validation():
         RegisterParams(hyperfine=(HYP1,), n_nuclei=1, larmor_n=0.0)
 
 
-def test_measure_errors():
-    st0 = initialize_electron(1.0, n_nuclei=1)
-    with pytest.raises(ValueError):
-        measure(st0, "nuclear_sigma_z", index=1)
-    with pytest.raises(ValueError):
-        measure(st0, "bogus")
+def test_nuclear_sigma_z_rejects_an_invalid_index():
+    # -1 is a valid array axis, the electron's, so it needs the explicit check
+    for n_nuclei in (1, 2):
+        rho = product_state(electron_mixture(1.0), n_nuclei=n_nuclei)
+        for index in (-1, n_nuclei):
+            with pytest.raises(ValueError, match="invalid nucleus index"):
+                nuclear_sigma_z(rho, index)
 
 
 def test_larmor_period():
@@ -211,7 +215,7 @@ def test_larmor_period():
 
 
 def test_pulse_is_unitary_conjugation():
-    st0 = initialize_electron(0.8, n_nuclei=1)
+    st0 = RegisterState(product_state(electron_mixture(0.8), n_nuclei=1))
     eng = Engine(params(1))
     u = eng.u_pulse(8.97e6, 0.3, 30e-9)
     np.testing.assert_array_equal(eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.3, 30e-9)),
@@ -219,10 +223,10 @@ def test_pulse_is_unitary_conjugation():
     # a pi pulse on the bare electron is the hard flip sigma_x (up to a global phase)
     bare = Engine(RegisterParams(hyperfine=((0.0, 0.0),), n_nuclei=1))
     rabi = 1.0 / (2 * 55.715e-9)
-    out = RegisterState(bare.evolve(st0.rho, bare.pulse_segments(rabi, 0.0, 55.715e-9)), 1)
+    out = RegisterState(bare.evolve(st0.rho, bare.pulse_segments(rabi, 0.0, 55.715e-9)))
     flip = op_at(SX, 0, 2)
     np.testing.assert_allclose(out.rho, flip @ st0.rho @ flip, atol=1e-12)
-    assert measure(out, "electron_up") == pytest.approx(0.8, rel=1e-12)
+    assert electron_up_population(out.rho) == pytest.approx(0.8, rel=1e-12)
 
 
 # --- diagonal readouts ---------------------------------------------------------
@@ -232,7 +236,7 @@ def random_state(rng, n_nuclei):
     dim = 2 ** (1 + n_nuclei)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
-    return RegisterState(rho / np.trace(rho).real, n_nuclei)
+    return RegisterState(rho / np.trace(rho).real)
 
 
 @pytest.mark.parametrize("n_nuclei", [1, 2])
@@ -251,12 +255,10 @@ def test_diagonal_readouts_match_projector_traces(n_nuclei):
         assert populations(state.rho).shape == (2,) * n
         e_up = expectation(op_at(up, 0, n))
         assert abs(electron_up_population(state.rho) - e_up) <= 1e-15
-        assert abs(measure(state, "electron_up") - e_up) <= 1e-15
-        assert abs(measure(state, "electron_down") - expectation(op_at(down, 0, n))) <= 1e-15
+        assert abs(populations(state.rho)[0].sum() - expectation(op_at(down, 0, n))) <= 1e-15
         for i in range(n_nuclei):
             sz = expectation(op_at(SZ, 1 + i, n))
             assert abs(nuclear_sigma_z(state.rho, i) - sz) <= 1e-15
-            assert abs(measure(state, "nuclear_sigma_z", i) - sz) <= 1e-15
         joint = [expectation(op_at(e, 0, n) @ op_at(m, 1, n))
                  for e in (down, up) for m in (down, up)]
         np.testing.assert_allclose(_joint_populations(state.rho), joint, rtol=0, atol=1e-15)

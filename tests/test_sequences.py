@@ -8,7 +8,7 @@ import pytest
 
 from sivreg import fitting
 from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
-                             initialize_electron)
+                             electron_mixture, product_state)
 from sivreg.sequences import (CPMG_PHASES, XY8_PHASES, Engine, GateSpec, SweepResult,
                               T_PI_DEFAULT, calibrate_cenotn, calibrate_cnnote,
                               calibrate_quarter_rotation, gate_segments,
@@ -35,7 +35,7 @@ def one_nucleus(detuning=0.0):
 def pure_state(electron_up, nuclear_up):
     rho = np.zeros((4, 4), dtype=complex)
     rho[2 * electron_up + nuclear_up, 2 * electron_up + nuclear_up] = 1.0
-    return RegisterState(rho, 1)
+    return RegisterState(rho)
 
 
 # --- Rabi ---------------------------------------------------------------------
@@ -362,7 +362,7 @@ def test_every_rotation_pulse_runs_at_the_engine_pi_time(monkeypatch):
 
     def cenotn_gate():
         eng, segments = gate_segments(p, None, cenotn)
-        return eng.evolve(initialize_electron(0.9).rho, segments)
+        return eng.evolve(product_state(electron_mixture(0.9)), segments)
 
     runs["CeNOTn"] = cenotn_gate
     for name, run in runs.items():
@@ -383,7 +383,7 @@ def two_nuclei():
 @pytest.mark.parametrize("pattern", [XY8_PHASES, CPMG_PHASES], ids=["XY8", "CPMG"])
 def test_dd_block_segments_equal_successive_units(pattern):
     eng = Engine(two_nuclei(), DephasingModel(t_c=4e-6, beta=2.0))
-    rho0 = eng.evolve(initialize_electron(0.9, 2).rho,
+    rho0 = eng.evolve(product_state(electron_mixture(0.9), n_nuclei=2),
                       eng.rotation_segments(math.pi / 2, 0.0))
     tau, n_pulses = 0.3e-6, 11
     stepped = rho0
@@ -404,7 +404,8 @@ def test_every_evolved_state_is_a_valid_density_matrix(monkeypatch):
 
     def checked(eng, rho, segments):
         out = evolve(eng, rho, segments)
-        RegisterState(out, eng.p.n_nuclei).validate()
+        assert out.shape == (2 ** (1 + eng.p.n_nuclei),) * 2
+        RegisterState(out).validate()
         calls.append(eng)
         return out
 
