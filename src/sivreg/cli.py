@@ -183,10 +183,7 @@ def _sweep_axis(v):
 
 
 def _int_axis(v):
-    axis = np.unique(np.rint(_sweep_axis(v)).astype(int))
-    if axis.max() < 0:
-        raise ConfigError("sweep_start..sweep_stop holds no count >= 0")
-    return axis[axis >= 0]
+    return np.unique(np.rint(_sweep_axis(v)).astype(int))
 
 
 def _register_params(v):
@@ -236,6 +233,7 @@ def _check_half_period_delay(v):
 def _check_nucrot(v):
     if v["tau_rot"] <= 0.0:
         _check_half_period_delay(v)
+    _check_nonnegative_sweep(v)
 
 
 def _check_gates(v):
@@ -263,7 +261,7 @@ def _check_seed(v):
 
 
 def _check_nonnegative_sweep(v):
-    """A sweep of durations, delays or drive amplitudes holds no negative value."""
+    """A sweep of durations, delays, drive amplitudes or counts holds no negative value."""
     for key in ("sweep_start", "sweep_stop"):
         if v[key] < 0.0:
             raise ConfigError(f"{key} must be >= 0")
@@ -308,6 +306,7 @@ def _check_rb(v):
                           "at 0.5 the signal is flat")
     if v["n_random"] < 1:
         raise ConfigError("n_random must be >= 1")
+    _check_nonnegative_sweep(v)
 
 
 def _ssr_config(v):

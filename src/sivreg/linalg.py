@@ -87,6 +87,9 @@ def hermitian_eig(h):
 
 
 def propagator_from_eig(eig, t):
-    """exp(-i H t) assembled from a precomputed Eigensystem of H."""
-    phases = np.exp(-1j * eig.values * t)
-    return (eig.vectors * phases) @ eig.vectors.conj().T
+    """exp(-i H t) assembled from a precomputed Eigensystem of H.
+
+    An array of times gives the stack of propagators, shape t.shape + (d, d).
+    """
+    phases = np.exp(-1j * np.multiply.outer(t, eig.values))
+    return (eig.vectors * phases[..., None, :]) @ eig.vectors.conj().T

@@ -5,7 +5,9 @@ the density-matrix state with its invariants, the Hamiltonian and the
 readouts.  It does not evolve states: ``sequences.Engine`` is the one code
 path that turns the Hamiltonian into propagators and applies them.  Every
 readout reads the real diagonal of rho (``populations``): the electron-up
-population and the nuclear sigma_z are sums over it.
+population and the nuclear sigma_z are sums over it.  The dephasing, the
+partial trace and the readouts also take a stack of density matrices,
+shape (..., d, d), and then act on (or return one value per) leading index.
 
 Tensor ordering: electron is the slowest index, then nucleus 1, then nucleus 2.
 Every 2-level slot is ordered (down, up), i.e. index 0 is the spin-down state
@@ -80,6 +82,11 @@ class DephasingModel:
             raise ValueError("beta must lie in [0.5, 3]")
 
     def factor(self, t):
+        """exp(-(t/t_c)^beta), elementwise for an array of durations."""
+        if isinstance(t, np.ndarray):
+            with np.errstate(over="ignore"):   # t / t_c may overflow to inf: capped below
+                ratio = np.minimum(t / self.t_c, 1e100)
+            return np.exp(-(ratio ** self.beta))
         if t == 0.0:
             return 1.0
         # t / t_c capped at 1e100 keeps the power finite for beta <= 3; exp gives 0.0 either way
@@ -155,40 +162,62 @@ def product_state(electron, nuclei=(), n_nuclei=1):
 
 
 def dephase_electron(rho, factor, n_nuclei):
-    """Scale all coherences between the electron-down and electron-up blocks."""
-    if factor == 1.0:
+    """Scale all coherences between the electron-down and electron-up blocks.
+
+    For a stack of rho, ``factor`` may hold one value per leading index.
+    """
+    if isinstance(factor, np.ndarray):
+        factor = factor[..., None, None]
+    elif factor == 1.0:
         return rho
     half = 2 ** n_nuclei
     out = rho.copy()
-    out[:half, half:] *= factor
-    out[half:, :half] *= factor
+    out[..., :half, half:] *= factor
+    out[..., half:, :half] *= factor
     return out
 
 
+def _n_slots(rho):
+    """Tensor slots (electron + nuclei) of a d x d density matrix, d = 2**slots."""
+    return rho.shape[-1].bit_length() - 1
+
+
 def populations(rho):
-    """Real diagonal of rho as a (2,)*(1+n_nuclei) array, one axis per tensor slot."""
-    return np.real(np.diagonal(rho)).reshape((2,) * (rho.shape[0].bit_length() - 1))
+    """Real diagonal of rho with one axis of 2 per tensor slot after the stack axes."""
+    diag = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+    return diag.reshape(diag.shape[:-1] + (2,) * _n_slots(rho))
+
+
+def _slot_populations(rho, slot):
+    """(down, up) populations of tensor slot ``slot`` (0 = electron), summed over the others."""
+    pops = populations(rho).reshape(rho.shape[:-2] + (2 ** slot, 2, -1))
+    return pops.sum(axis=(-3, -1))
+
+
+def _value(x):
+    """A float for a single rho, the array of values for a stack."""
+    return float(x) if x.ndim == 0 else x
 
 
 def electron_up_population(rho):
-    """Population of the electron-up block."""
-    return float(populations(rho)[1].sum())
+    """Population of the electron-up block (one per rho of a stack)."""
+    return _value(_slot_populations(rho, 0)[..., 1])
 
 
 def nuclear_sigma_z(rho, index=0):
-    """sigma_z expectation of nucleus ``index``: its up minus its down population."""
-    pops = populations(rho)
-    n_nuclei = pops.ndim - 1
+    """sigma_z expectation of nucleus ``index``: its up minus its down population
+    (one per rho of a stack)."""
+    n_nuclei = _n_slots(rho) - 1
     if not 0 <= index < n_nuclei:
         raise ValueError("invalid nucleus index %r for %d nuclei" % (index, n_nuclei))
-    pops = np.moveaxis(pops, 1 + index, 0)
-    return float(pops[1].sum() - pops[0].sum())
+    pops = _slot_populations(rho, 1 + index)
+    return _value(pops[..., 1] - pops[..., 0])
 
 
 def trace_electron(rho):
     """Nuclear marginal of rho: the partial trace over the electron."""
-    half = rho.shape[0] // 2
-    return rho[:half, :half] + rho[half:, half:]
+    half = rho.shape[-1] // 2
+    return rho[..., :half, :half] + rho[..., half:, half:]
 
 
 def repump_electron(st: RegisterState, fidelity):

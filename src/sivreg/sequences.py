@@ -4,16 +4,20 @@
 ``sivreg.register`` into propagators: it caches eigensystems and unitaries
 per (params, dephasing, t_pi) context and hands out (unitary, free time)
 segment lists.  ``Engine.evolve`` walks such a list over a raw density
-matrix and is the only way any experiment moves a state; every signal is
-read from the diagonal of the result (``register.populations``).  The named
-experiments (Rabi, Ramsey, dynamical decoupling, spin lock, nuclear
-rotations, transfer gates, randomized benchmarking) are all composed from
-segment lists, and so are the two-qubit gates: ``gate_segments`` returns the
-Engine and segments of a CeNOTn, a CnNOTe or the identity, and
-``transfer_matrix`` evolves each basis preparation through them.  A sweep
-over independent points evolves one prepared state through the segments of
-each point; a sweep over the pulse number N steps one unit at a time instead
-of restarting at every N.
+matrix, or over a stack of them (shape (..., d, d)), and is the only way any
+experiment moves a state; every signal is read from the diagonal of the
+result (``register.populations``).  The named experiments (Rabi, Ramsey,
+dynamical decoupling, spin lock, nuclear rotations, transfer gates,
+randomized benchmarking) are all composed from segment lists, and so are the
+two-qubit gates: ``gate_segments`` returns the Engine and segments of a
+CeNOTn, a CnNOTe or the identity, and ``transfer_matrix`` evolves each basis
+preparation through them.  A sweep over independent points evolves one
+stack, one state per point, segment by segment: its segments carry a stack
+of unitaries (``u_free`` and ``u_pulse`` of an array of times) and one free
+time per point.  Randomized benchmarking evolves the randomizations of one
+sequence length as a stack.  The per-point loops these replaced live in the
+tests as references.  A sweep over the pulse number N steps one unit at a
+time instead of restarting at every N.
 
 The pi time is ``Engine.t_pi``: every nominal rotation (pi/2 pulses, DD pi
 pulses, RB Cliffords) is driven at the Rabi rate 1/(2 t_pi).  Only explicit
@@ -166,23 +170,29 @@ class Engine:
             self._eig[key] = eig
         return eig
 
+    def _propagator(self, rabi, phase, t, what):
+        """exp(-i H t) under drive (rabi, phase); a stack for an array of times."""
+        if not np.all(np.asarray(t) >= 0):
+            raise ValueError("%s must be >= 0, got %r" % (what, float(np.min(t))))
+        return propagator_from_eig(self._eigensystem(rabi, phase), t)
+
     def u_free(self, t):
+        """Free propagator for time t; an array of times gives an uncached stack."""
+        if isinstance(t, np.ndarray):
+            return self._propagator(0.0, 0.0, t, "evolution time")
         u = self._u_free.get(t)
         if u is None:
-            if not t >= 0:
-                raise ValueError("evolution time must be >= 0, got %r" % (t,))
-            u = propagator_from_eig(self._eigensystem(0.0, 0.0), t)
-            self._u_free[t] = u
+            u = self._u_free[t] = self._propagator(0.0, 0.0, t, "evolution time")
         return u
 
     def u_pulse(self, rabi, phase, duration):
+        """Pulse propagator; an array of durations gives an uncached stack."""
+        if isinstance(duration, np.ndarray):
+            return self._propagator(rabi, phase, duration, "pulse duration")
         key = (rabi, phase, duration)
         u = self._u_pulse.get(key)
         if u is None:
-            if not duration >= 0:
-                raise ValueError("pulse duration must be >= 0, got %r" % (duration,))
-            u = propagator_from_eig(self._eigensystem(rabi, phase), duration)
-            self._u_pulse[key] = u
+            u = self._u_pulse[key] = self._propagator(rabi, phase, duration, "pulse duration")
         return u
 
     def u_rotation(self, angle, phase):
@@ -193,8 +203,8 @@ class Engine:
     # segment lists --------------------------------------------------------
 
     def free_segments(self, t):
-        """Free evolution for t; no segment at all for t == 0."""
-        return [(self.u_free(t), t)] if t != 0.0 else []
+        """Free evolution for t; no segment at all for a scalar t == 0."""
+        return [(self.u_free(t), t)] if isinstance(t, np.ndarray) or t != 0.0 else []
 
     def pulse_segments(self, rabi, phase, duration):
         """Drive at (rabi, phase) for duration."""
@@ -205,25 +215,35 @@ class Engine:
 
     def dd_unit_segments(self, tau, phase):
         """One [tau/2 - pi - tau/2] decoupling unit (dephasing per half segment)."""
-        half = self.free_segments(tau / 2.0)
-        return half + self.rotation_segments(math.pi, phase) + half
+        return self.dd_block_segments(tau, 1, (phase,))
 
     def dd_block_segments(self, tau, n_pulses, pattern=XY8_PHASES):
-        """n_pulses decoupling units, the k-th with pi-pulse phase pattern[k % len(pattern)]."""
+        """n_pulses decoupling units, the k-th with pi-pulse phase pattern[k % len(pattern)].
+
+        The half gaps of every unit share one free segment, so an array of taus
+        propagates its stack of U(tau/2) once per block.
+        """
+        half = self.free_segments(tau / 2.0)
         return [segment for k in range(n_pulses)
-                for segment in self.dd_unit_segments(tau, pattern[k % len(pattern)])]
+                for segment in half + self.rotation_segments(math.pi, pattern[k % len(pattern)])
+                + half]
 
     def evolve(self, rho, segments):
-        """Apply the segments in order to a raw density matrix."""
+        """Apply the segments in order to a raw density matrix or a stack of them.
+
+        A segment's unitary may be one matrix or a stack, and its free time a
+        scalar or an array with one value per stacked unitary; rho and the
+        unitaries broadcast over their leading axes.
+        """
         for u, t in segments:
-            rho = u @ rho @ u.conj().T
-            if t and self.deph is not None:
+            rho = u @ rho @ u.conj().swapaxes(-1, -2)
+            if self.deph is not None and (isinstance(t, np.ndarray) or t):
                 rho = dephase_electron(rho, self.deph.factor(t), self.p.n_nuclei)
         return rho
 
     def evolve_reversed(self, rho, segments):
         """Walk the segments backwards, each by its adjoint unitary and then its dephasing."""
-        return self.evolve(rho, [(u.conj().T, t) for u, t in reversed(segments)])
+        return self.evolve(rho, [(u.conj().swapaxes(-1, -2), t) for u, t in reversed(segments)])
 
 
 def _initial_rho(p: RegisterParams, f_ie: float, flip=False):
@@ -242,12 +262,12 @@ def run_rabi(p: RegisterParams, dephasing, omega, durations, f_ie=1.0,
     if not omega >= 0.0:
         raise ValueError("omega must be >= 0, got %r" % (omega,))
     eng = Engine(p, dephasing)
+    durations = np.asarray(durations, dtype=float)
     rho0 = initial.rho if initial is not None else _initial_rho(p, f_ie)
-    drive = ((lambda t: eng.pulse_segments(omega, 0.0, t)) if omega > 0
-             else eng.free_segments)
-    signal = [electron_up_population(eng.evolve(rho0, drive(t))) for t in durations]
-    return SweepResult(np.asarray(durations, float), signal, name="rabi",
-                       axis_label="pulse duration (s)")
+    drive = (eng.pulse_segments(omega, 0.0, durations) if omega > 0
+             else eng.free_segments(durations))
+    signal = electron_up_population(eng.evolve(rho0, drive))
+    return SweepResult(durations, signal, name="rabi", axis_label="pulse duration (s)")
 
 
 def run_ramsey(p: RegisterParams, dephasing, delta, taus, target="electron",
@@ -269,9 +289,7 @@ def run_ramsey(p: RegisterParams, dephasing, delta, taus, target="electron",
     if target == "electron":
         half_pi = eng.rotation_segments(math.pi / 2, 0.0)
         rho0 = eng.evolve(_initial_rho(params, f_ie), half_pi)
-        signal = [electron_up_population(eng.evolve(rho0, eng.free_segments(float(tau))
-                                                    + half_pi))
-                  for tau in taus]
+        signal = electron_up_population(eng.evolve(rho0, eng.free_segments(taus) + half_pi))
         return SweepResult(taus, signal, name="ramsey", axis_label="tau (s)")
 
     if target != "nuclear":
@@ -284,9 +302,8 @@ def run_ramsey(p: RegisterParams, dephasing, delta, taus, target="electron",
     rho0 = product_state((0.0, 1.0) if electron_up else (1.0, 0.0), [(1.0, 0.0)],
                          params.n_nuclei)
     rho0 = eng.evolve(rho0, block)
-    sigma_z = [nuclear_sigma_z(eng.evolve(rho0, eng.free_segments(float(tau)) + block))
-               for tau in taus]
-    return SweepResult(taus, [0.5 * (1.0 + sz) for sz in sigma_z],
+    sigma_z = nuclear_sigma_z(eng.evolve(rho0, eng.free_segments(taus) + block))
+    return SweepResult(taus, 0.5 * (1.0 + sigma_z),
                        aux={"nuclear_sigma_z": sigma_z},
                        name="nuclear_ramsey", axis_label="tau (s)")
 
@@ -307,14 +324,9 @@ def run_dd(p: RegisterParams, dephasing, kind, n_pulses, taus, f_ie=1.0,
     taus = np.asarray(taus, dtype=float)
     half_pi = eng.rotation_segments(math.pi / 2, 0.0)
     rho0 = eng.evolve(_initial_rho(p, f_ie), half_pi)
-
-    def block(tau):
-        if n_pulses == 0:
-            return eng.free_segments(tau)
-        return eng.dd_block_segments(tau, n_pulses, pattern)
-
-    signal = [electron_up_population(eng.evolve(rho0, block(float(tau)) + half_pi))
-              for tau in taus]
+    block = (eng.free_segments(taus) if n_pulses == 0
+             else eng.dd_block_segments(taus, n_pulses, pattern))
+    signal = electron_up_population(eng.evolve(rho0, block + half_pi))
     total_time = [float(tau) if n_pulses == 0 else n_pulses * (float(tau) + t_pi)
                   for tau in taus]
     return SweepResult(taus, signal, aux={"total_time": total_time},
@@ -331,22 +343,22 @@ def run_spin_lock(p: RegisterParams, dephasing, omega_sl, tau_sl=None,
     """
     if (tau_sl is None) == (amplitudes is None):
         raise ValueError("provide exactly one of tau_sl or amplitudes")
+    eng = Engine(p, dephasing, t_pi)
+    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    rho0 = eng.evolve(_initial_rho(p, f_ie), half_pi)
     if tau_sl is not None:
         axis = np.asarray(tau_sl, dtype=float)
-        drives = [(omega_sl, float(tau)) for tau in axis]
+        lock = eng.pulse_segments(omega_sl, math.pi / 2, axis)
         label, name = "lock duration (s)", "spin_lock_time"
     else:
         if tau_fixed is None:
             raise ValueError("amplitude sweep needs tau_fixed")
         axis = np.asarray(amplitudes, dtype=float)
-        drives = [(float(omega), tau_fixed) for omega in axis]
+        # one drive Hamiltonian per amplitude: its unitaries stacked along the axis
+        units = [eng.u_pulse(float(omega), math.pi / 2, tau_fixed) for omega in axis]
+        lock = [(np.array(units).reshape(axis.shape + rho0.shape), 0.0)]
         label, name = "lock amplitude (Hz)", "spin_lock_amplitude"
-    eng = Engine(p, dephasing, t_pi)
-    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
-    rho0 = eng.evolve(_initial_rho(p, f_ie), half_pi)
-    signal = [electron_up_population(eng.evolve(
-        rho0, eng.pulse_segments(rabi, math.pi / 2, duration) + half_pi))
-        for rabi, duration in drives]
+    signal = electron_up_population(eng.evolve(rho0, lock + half_pi))
     return SweepResult(axis, signal, name=name, axis_label=label)
 
 
@@ -609,11 +621,11 @@ def _ideal_unitary(angle, phase):
 def _depolarize_electron(rho, q):
     if q == 0.0:
         return rho
-    half = rho.shape[0] // 2
+    half = rho.shape[-1] // 2
     nuclear = trace_electron(rho)
     mixed = np.zeros_like(rho)
-    mixed[:half, :half] = nuclear / 2.0
-    mixed[half:, half:] = nuclear / 2.0
+    mixed[..., :half, :half] = nuclear / 2.0
+    mixed[..., half:, half:] = nuclear / 2.0
     return (1.0 - q) * rho + q * mixed
 
 
@@ -644,34 +656,40 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
     if n_random < 1:
         raise ValueError("n_random must be >= 1, got %r" % (n_random,))
     eng = Engine(p, dephasing, t_pi)
-    up = np.array([0.0, 1.0], dtype=complex)
-    down = np.array([1.0, 0.0], dtype=complex)
+    n_cliffords = len(_CLIFFORDS)
+    unitaries = np.array([eng.u_rotation(angle, phase) for _, angle, phase in _CLIFFORDS])
+    # ideal 2x2 Cliffords, then the identity as the last inversion candidate
+    ideals = np.array([_ideal_unitary(angle, phase)
+                       for _, angle, phase in _CLIFFORDS + (("I", 0.0, 0.0),)])
 
     n_list = [int(n) for n in n_list]
     signal = []
     for i_n, n_cliff in enumerate(n_list):
+        # sequence i_r draws its picks from its own stream, as if run alone
+        picks = np.array([np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(i_n, i_r))).integers(
+                0, n_cliffords, size=n_cliff) for i_r in range(n_random)])
+        rho = np.repeat(_initial_rho(p, f_ie)[None], n_random, axis=0)
+        ideal = np.broadcast_to(np.eye(2, dtype=complex), (n_random, 2, 2))
+        for k in range(n_cliff):
+            rho = eng.evolve(rho, [(unitaries[picks[:, k]], 0.0)])
+            rho = _depolarize_electron(rho, q)
+            ideal = ideals[picks[:, k]] @ ideal
+        # inversion element: the first candidate that best maps the ideal state
+        # (ideal |down>) onto |up>
+        up_amplitudes = ideals[:, 1, :] @ ideal[:, :, 0].T
+        best = np.zeros(n_random, dtype=int)
+        best_overlap = np.full(n_random, -1.0)
+        for candidate, overlap in enumerate(np.abs(up_amplitudes) ** 2):
+            better = overlap > best_overlap + 1e-12
+            best[better] = candidate
+            best_overlap[better] = overlap[better]
+        invert = best < n_cliffords   # the identity needs no pulse
+        if invert.any():
+            rho[invert] = eng.evolve(rho[invert], [(unitaries[best[invert]], 0.0)])
         acc = 0.0
-        for i_r in range(n_random):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(i_n, i_r)))
-            picks = rng.integers(0, len(_CLIFFORDS), size=n_cliff)
-            rho = _initial_rho(p, f_ie)
-            ideal = np.eye(2, dtype=complex)
-            for k in picks:
-                _, angle, phase = _CLIFFORDS[k]
-                rho = eng.evolve(rho, eng.rotation_segments(angle, phase))
-                rho = _depolarize_electron(rho, q)
-                ideal = _ideal_unitary(angle, phase) @ ideal
-            # inversion element: best mapping of the ideal state onto |up>
-            best, best_overlap = None, -1.0
-            vec = ideal @ down
-            for name, angle, phase in _CLIFFORDS + (("I", 0.0, 0.0),):
-                overlap = abs(np.vdot(up, _ideal_unitary(angle, phase) @ vec)) ** 2
-                if overlap > best_overlap + 1e-12:
-                    best, best_overlap = (angle, phase), overlap
-            if best[0] > 0.0:
-                rho = eng.evolve(rho, eng.rotation_segments(*best))
-            acc += electron_up_population(rho)
+        for value in electron_up_population(rho):   # summed in sequence order
+            acc += value
         signal.append(acc / n_random)
 
     sweep = SweepResult(np.asarray(n_list, float), signal, name="rb",

@@ -169,7 +169,7 @@ def test_sweep_and_register_validation(out_dir, capsys):
     for experiment in ("nucrot", "rb"):
         assert cli.main(["run", experiment, "--larmor-n", LARMOR,
                          "--sweep-start=-10", "--sweep-stop=-5"]) == 2
-        assert "sweep_start..sweep_stop holds no count >= 0" in capsys.readouterr().err
+        assert "config error: sweep_start must be >= 0" in capsys.readouterr().err
     for experiment in ("nucrot", "ramsey", "dd", "spinlock", "rb", "gates"):
         assert cli.main(["run", experiment, "--larmor-n", LARMOR, "--t-pi", "0"]) == 2
         assert "config error: t_pi must be > 0" in capsys.readouterr().err
@@ -275,6 +275,15 @@ def test_estimate_help_says_zero_field_is_derived(capsys):
 def test_negative_sweep_axes_are_config_errors(out_dir, capsys, experiment):
     assert cli.main(["run", experiment, "--larmor-n", LARMOR,
                      "--sweep-start=-1e-6"]) == 2
+    assert "config error: sweep_start must be >= 0" in capsys.readouterr().err
+    assert not list(out_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("experiment", ["nucrot", "rb"])
+def test_negative_counts_are_config_errors(out_dir, capsys, experiment):
+    """A count axis reaching below 0 is rejected, not cut down to its counts >= 0."""
+    assert cli.main(["run", experiment, "--larmor-n", LARMOR,
+                     "--sweep-start=-5", "--sweep-stop", "10"]) == 2
     assert "config error: sweep_start must be >= 0" in capsys.readouterr().err
     assert not list(out_dir.glob("*.csv"))
 

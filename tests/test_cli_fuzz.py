@@ -6,7 +6,7 @@ No experiment error comes from a float overflow or from a fit handed a sweep
 too short for it.  A value drawn outside the domain of f_ie, f_in, q,
 p_offres, n_blocks, omega, n_random, mean_dark, t1, gamma_phi, buffer, p_e0,
 tau_fixed, the dd kind and n_pulses or the Ramsey target, and a negative
-sweep of durations, delays or amplitudes, is a configuration error.
+sweep of durations, delays, amplitudes or counts, is a configuration error.
 A successful one writes a CSV whose numeric cells are all finite, apart from
 the documented non-finite outputs: a fit sigma is nan when the fit covariance
 is singular, and the cyclicity is inf when the spin-flip channel is dark.
@@ -131,9 +131,9 @@ _DOMAINS = {
     "target": lambda v: v in ("electron", "nuclear"),
 }
 
-# experiments whose sweep axis holds durations, delays or drive amplitudes;
+# experiments whose sweep axis holds durations, delays, drive amplitudes or counts;
 # the axis of optical mode 'phase' is a phase and may be negative
-_NONNEGATIVE_SWEEPS = ("rabi", "ramsey", "dd", "spinlock", "optical")
+_NONNEGATIVE_SWEEPS = ("rabi", "ramsey", "dd", "spinlock", "nucrot", "rb", "optical")
 
 # CSV cells that hold a population or a probability
 _PROBABILITIES = ("signal", "excited_population")

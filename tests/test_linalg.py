@@ -82,6 +82,16 @@ def test_propagator_is_unitary_and_composes():
     assert isinstance(eig, Eigensystem) and eig.values.shape == (6,)
 
 
+def test_propagator_of_a_time_array_stacks_the_single_time_propagators():
+    eig = hermitian_eig(random_hermitian(8, np.random.default_rng(7), scale=1e7))
+    times = np.array([[0.0, 1e-8], [3e-7, 2.5e-6]])
+    stack = propagator_from_eig(eig, times)
+    assert stack.shape == (2, 2, 8, 8)
+    for index in np.ndindex(times.shape):
+        np.testing.assert_allclose(stack[index], propagator_from_eig(eig, times[index]),
+                                   rtol=0, atol=1e-15)
+
+
 small_matrix = st.integers(min_value=0, max_value=2).flatmap(
     lambda seed: st.just(np.random.default_rng(seed)))
 

@@ -145,6 +145,30 @@ def test_dephasing_acts_only_on_electron_coherences():
     np.testing.assert_allclose(out[:2, 2:], factor * rho[:2, 2:], atol=1e-15)
 
 
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+def test_stacked_readouts_and_dephasing_act_per_density_matrix(n_nuclei):
+    """A (3, d, d) stack reads and dephases as its three matrices do one at a time."""
+    eng = Engine(params(n_nuclei, detuning=1e6))
+    rho0 = product_state(electron_mixture(0.9), [(0.8, 0.2)], n_nuclei)
+    stack = np.array([eng.evolve(rho0, eng.pulse_segments(8e6, 0.3, t) + eng.free_segments(u))
+                      for t, u in ((10e-9, 0.2e-6), (40e-9, 0.0), (70e-9, 1.1e-6))])
+    model = DephasingModel(t_c=1e-6, beta=1.5)
+    times = np.array([0.0, 0.4e-6, 2e-6])
+    factors = model.factor(times)
+    np.testing.assert_allclose(factors, [model.factor(float(t)) for t in times],
+                               rtol=1e-15, atol=0)
+    dephased = dephase_electron(stack, factors, n_nuclei)
+    assert populations(stack).shape == (3,) + (2,) * (1 + n_nuclei)
+    for k, rho in enumerate(stack):
+        np.testing.assert_array_equal(dephased[k], dephase_electron(rho, factors[k], n_nuclei))
+        np.testing.assert_array_equal(populations(stack)[k], populations(rho))
+        assert electron_up_population(stack)[k] == pytest.approx(
+            electron_up_population(rho), rel=0, abs=1e-15)
+        for i in range(n_nuclei):
+            assert nuclear_sigma_z(stack, i)[k] == pytest.approx(
+                nuclear_sigma_z(rho, i), rel=0, abs=1e-15)
+
+
 def test_dephasing_factor_underflows_to_zero():
     # (t / t_c) ** beta beyond the float range: full dephasing, not an OverflowError
     assert DephasingModel(t_c=1e-300, beta=2.0).factor(1e-7) == 0.0

@@ -2,16 +2,19 @@
 conditional nuclear rotations."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sivreg import fitting
 from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
-                             electron_mixture, product_state)
+                             electron_mixture, electron_up_population, nuclear_sigma_z,
+                             product_state)
 from sivreg.sequences import (CPMG_PHASES, XY8_PHASES, Engine, GateSpec, SweepResult,
-                              T_PI_DEFAULT, calibrate_cenotn, calibrate_cnnote,
-                              calibrate_quarter_rotation, gate_segments,
+                              T_PI_DEFAULT, _CLIFFORDS, _depolarize_electron,
+                              _ideal_unitary, _initial_rho, calibrate_cenotn,
+                              calibrate_cnnote, calibrate_quarter_rotation, gate_segments,
                               extract_full_rotation, nuclear_init_gate,
                               run_dd, run_nuclear_rotation, run_rabi,
                               run_ramsey, run_randomized_benchmarking,
@@ -397,15 +400,17 @@ def test_every_evolved_state_is_a_valid_density_matrix(monkeypatch):
     """Every rho that Engine.evolve returns has trace 1, is Hermitian and positive.
 
     Engine.evolve is the only way an experiment moves a state, so wrapping it
-    checks the state invariants of every experiment on its raw arrays.
+    checks the state invariants of every experiment on its raw arrays, one
+    matrix at a time when it returns a stack.
     """
     calls = []
     evolve = Engine.evolve
 
     def checked(eng, rho, segments):
         out = evolve(eng, rho, segments)
-        assert out.shape == (2 ** (1 + eng.p.n_nuclei),) * 2
-        RegisterState(out).validate()
+        assert out.shape[-2:] == (2 ** (1 + eng.p.n_nuclei),) * 2
+        for single in out.reshape((-1,) + out.shape[-2:]):
+            RegisterState(single).validate()
         calls.append(eng)
         return out
 
@@ -439,3 +444,195 @@ def test_every_evolved_state_is_a_valid_density_matrix(monkeypatch):
         before = len(calls)
         run()
         assert len(calls) > before, name
+
+
+# --- stacked sweeps against their per-point references -------------------------
+#
+# The sweeps and RB evolve one stack of density matrices.  The loops below are
+# the per-point forms they replaced: every point (every RB sequence) evolves
+# its own 2-D rho through Engine.evolve, and a zero free time adds no segment.
+
+DEPH = DephasingModel(t_c=4e-6, beta=2.0)
+
+
+def _register(n_nuclei, detuning=0.0):
+    return one_nucleus(detuning) if n_nuclei == 1 else replace(two_nuclei(), detuning=detuning)
+
+
+def _reference_rabi(p, dephasing, omega, durations, f_ie):
+    eng = Engine(p, dephasing)
+    rho0 = _initial_rho(p, f_ie)
+    drive = ((lambda t: eng.pulse_segments(omega, 0.0, t)) if omega > 0
+             else eng.free_segments)
+    return [electron_up_population(eng.evolve(rho0, drive(float(t)))) for t in durations]
+
+
+def _reference_ramsey(p, dephasing, delta, taus, target, f_ie, electron_up):
+    params = replace(p, detuning=delta)
+    eng = Engine(params, dephasing)
+    if target == "electron":
+        half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+        rho0 = eng.evolve(_initial_rho(params, f_ie), half_pi)
+        return [electron_up_population(eng.evolve(rho0, eng.free_segments(float(tau))
+                                                   + half_pi)) for tau in taus]
+    tau_rot = params.larmor_period / 2.0 - T_PI_DEFAULT
+    block = eng.dd_block_segments(tau_rot, calibrate_quarter_rotation(params, tau_rot))
+    rho0 = product_state((0.0, 1.0) if electron_up else (1.0, 0.0), [(1.0, 0.0)],
+                         params.n_nuclei)
+    rho0 = eng.evolve(rho0, block)
+    return [nuclear_sigma_z(eng.evolve(rho0, eng.free_segments(float(tau)) + block))
+            for tau in taus]
+
+
+def _reference_dd(p, dephasing, kind, n_pulses, taus, f_ie):
+    pattern = CPMG_PHASES if kind == "CPMG" else XY8_PHASES
+    eng = Engine(p, dephasing)
+    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    rho0 = eng.evolve(_initial_rho(p, f_ie), half_pi)
+
+    def block(tau):
+        if n_pulses == 0:
+            return eng.free_segments(tau)
+        return eng.dd_block_segments(tau, n_pulses, pattern)
+
+    return [electron_up_population(eng.evolve(rho0, block(float(tau)) + half_pi))
+            for tau in taus]
+
+
+def _reference_spin_lock(p, dephasing, drives, f_ie):
+    eng = Engine(p, dephasing)
+    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    rho0 = eng.evolve(_initial_rho(p, f_ie), half_pi)
+    return [electron_up_population(eng.evolve(
+        rho0, eng.pulse_segments(rabi, math.pi / 2, duration) + half_pi))
+        for rabi, duration in drives]
+
+
+def _reference_rb(p, dephasing, n_list, n_random, q, seed, f_ie):
+    """Per-sequence RB: mean signal per length, the picks (n_random, n) of each length
+    and the inversion element of each sequence (index into _CLIFFORDS, len for I)."""
+    eng = Engine(p, dephasing)
+    up = np.array([0.0, 1.0], dtype=complex)
+    down = np.array([1.0, 0.0], dtype=complex)
+    candidates = _CLIFFORDS + (("I", 0.0, 0.0),)
+    signal, picks_at, inversions_at = [], [], []
+    for i_n, n_cliff in enumerate(n_list):
+        acc = 0.0
+        picks_at.append([])
+        inversions_at.append([])
+        for i_r in range(n_random):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(i_n, i_r)))
+            picks = rng.integers(0, len(_CLIFFORDS), size=n_cliff)
+            rho = _initial_rho(p, f_ie)
+            ideal = np.eye(2, dtype=complex)
+            for k in picks:
+                _, angle, phase = _CLIFFORDS[k]
+                rho = eng.evolve(rho, eng.rotation_segments(angle, phase))
+                rho = _depolarize_electron(rho, q)
+                ideal = _ideal_unitary(angle, phase) @ ideal
+            best, best_overlap = None, -1.0
+            vec = ideal @ down
+            for c, (_, angle, phase) in enumerate(candidates):
+                overlap = abs(np.vdot(up, _ideal_unitary(angle, phase) @ vec)) ** 2
+                if overlap > best_overlap + 1e-12:
+                    best, best_overlap = c, overlap
+            _, angle, phase = candidates[best]
+            if angle > 0.0:
+                rho = eng.evolve(rho, eng.rotation_segments(angle, phase))
+            acc += electron_up_population(rho)
+            picks_at[-1].append(picks)
+            inversions_at[-1].append(best)
+        signal.append(acc / n_random)
+    return signal, [np.array(picks) for picks in picks_at], inversions_at
+
+
+def _assert_matches(stacked, reference):
+    stacked = np.asarray(stacked, dtype=float)
+    assert stacked.shape == (len(reference),)
+    np.testing.assert_allclose(stacked, reference, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+@pytest.mark.parametrize("omega", [5e6, 0.0])
+def test_stacked_rabi_matches_the_per_point_reference(n_nuclei, omega):
+    p = _register(n_nuclei, detuning=0.3e6)
+    durations = np.linspace(0.0, 1.2e-6, 13)
+    sweep = run_rabi(p, DEPH, omega, durations, f_ie=0.9)
+    _assert_matches(sweep.signal, _reference_rabi(p, DEPH, omega, durations, 0.9))
+
+
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+@pytest.mark.parametrize("target,electron_up", [("electron", False), ("nuclear", False),
+                                                ("nuclear", True)])
+def test_stacked_ramsey_matches_the_per_point_reference(n_nuclei, target, electron_up):
+    p = _register(n_nuclei)
+    taus = np.linspace(0.0, 2e-6, 11)
+    sweep = run_ramsey(p, DEPH, 0.8e6, taus, target=target, f_ie=0.9,
+                       electron_up=electron_up)
+    reference = _reference_ramsey(p, DEPH, 0.8e6, taus, target, 0.9, electron_up)
+    if target == "nuclear":
+        _assert_matches(sweep.aux["nuclear_sigma_z"], reference)
+        reference = [0.5 * (1.0 + sz) for sz in reference]
+    _assert_matches(sweep.signal, reference)
+
+
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+@pytest.mark.parametrize("kind,n_pulses", [("CPMG", 4), ("XY", 8), ("XY", 0)])
+def test_stacked_dd_matches_the_per_point_reference(n_nuclei, kind, n_pulses):
+    p = _register(n_nuclei, detuning=0.2e6)
+    taus = np.linspace(0.0, 1e-6, 11)
+    sweep = run_dd(p, DEPH, kind, n_pulses, taus, f_ie=0.9)
+    _assert_matches(sweep.signal, _reference_dd(p, DEPH, kind, n_pulses, taus, 0.9))
+
+
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+@pytest.mark.parametrize("mode", ["tau", "amplitude"])
+def test_stacked_spin_lock_matches_the_per_point_reference(n_nuclei, mode):
+    p = _register(n_nuclei)
+    if mode == "tau":
+        axis = np.linspace(0.0, 2e-5, 11)
+        sweep = run_spin_lock(p, DEPH, LARMOR_N, tau_sl=axis, f_ie=0.9)
+        drives = [(LARMOR_N, float(tau)) for tau in axis]
+    else:
+        axis = np.linspace(2.6e6, 4.6e6, 11)
+        sweep = run_spin_lock(p, DEPH, 0.0, amplitudes=axis, tau_fixed=1e-5, f_ie=0.9)
+        drives = [(float(omega), 1e-5) for omega in axis]
+    _assert_matches(sweep.signal, _reference_spin_lock(p, DEPH, drives, 0.9))
+
+
+def _clifford_index(eng, stack):
+    """Index into _CLIFFORDS of each unitary of a stack, by exact equality."""
+    table = np.array([eng.u_rotation(angle, phase) for _, angle, phase in _CLIFFORDS])
+    match = np.all(stack[:, None] == table[None], axis=(-2, -1))
+    assert np.all(match.sum(axis=1) == 1)
+    return match.argmax(axis=1)
+
+
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+@pytest.mark.parametrize("q", [0.0, 0.01])
+def test_stacked_rb_matches_the_per_sequence_reference(monkeypatch, n_nuclei, q):
+    """Same picks and inversion elements as the per-sequence loop, same signal to 1e-12."""
+    p = _register(n_nuclei)
+    n_list, n_random, seed = [0, 1, 3, 8, 15], 6, 5
+    signal, picks_at, inversions_at = _reference_rb(p, DEPH, n_list, n_random, q, seed, 0.9)
+
+    applied = []   # Clifford indices of every stacked evolve, in call order
+    evolve = Engine.evolve
+
+    def recording(eng, rho, segments):
+        for u, _ in segments:
+            applied.append(_clifford_index(eng, u))
+        return evolve(eng, rho, segments)
+
+    monkeypatch.setattr(Engine, "evolve", recording)
+    res = run_randomized_benchmarking(p, DEPH, n_list, n_random=n_random,
+                                      gate_fidelity_noise=q, seed=seed, f_ie=0.9)
+    _assert_matches(res.sweep.signal, signal)
+    for n_cliff, picks, inversions in zip(n_list, picks_at, inversions_at):
+        steps, applied = applied[:n_cliff], applied[n_cliff:]
+        np.testing.assert_array_equal(np.array(steps).reshape(n_cliff, n_random).T, picks)
+        inverted = [c for c in inversions if c < len(_CLIFFORDS)]
+        if inverted:
+            np.testing.assert_array_equal(applied.pop(0), inverted)
+    assert applied == []
