@@ -471,8 +471,8 @@ def _run_ssr(v):
     bright0 = record.initial_state == "bright"
     loss = float(np.mean(record.final_state[bright0] == "dark")) if bright0.any() else 0.0
     cols = ["shot", "counts", "initial_state", "final_state", "label"]
-    rows = [(i, int(record.counts[i]), record.initial_state[i],
-             record.final_state[i], res.labels[i]) for i in range(len(record))]
+    rows = list(zip(range(len(record)), record.counts.tolist(), record.initial_state.tolist(),
+                    record.final_state.tolist(), res.labels.tolist()))
     rates = {"fidelity_bright": res.fidelity_bright,
              "fidelity_dark": res.fidelity_dark,
              "posterior_bright": res.posterior_bright,
@@ -674,6 +674,19 @@ def _fmt(value):
     return str(value)
 
 
+# _fmt of every value of one exact type, as one C-level call per cell
+_TRUE_FALSE = {True: "true", False: "false"}.__getitem__
+_COLUMN_FMT = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__,
+               str: str, bool: _TRUE_FALSE, np.bool_: _TRUE_FALSE}
+
+
+def _fmt_column(values):
+    """_fmt of each value, dispatched once when every value has the same type."""
+    kinds = set(map(type, values))
+    fmt = _COLUMN_FMT.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(fmt or _fmt, values))
+
+
 def _output_path(cfg: RunConfig):
     name = cfg.output or (cfg.experiment + ".csv")
     if not os.path.isabs(name):
@@ -689,8 +702,8 @@ def write_csv(path, cfg: RunConfig, columns, rows, extras):
     for key in sorted(extras):
         lines.append("# result %s=%s" % (key, _fmt(extras[key])))
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    # rows have one cell per column: format column by column, join row by row
+    lines.extend(map(",".join, zip(*map(_fmt_column, zip(*rows)))))
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)

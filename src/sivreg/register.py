@@ -126,17 +126,20 @@ def op_at(op, slot, n_slots):
     return full
 
 
+# (SX, SY, SZ) embedded at every tensor slot, per number of nuclei: built once
+_SLOT_OPS = {n_nuclei: [tuple(op_at(op, slot, 1 + n_nuclei) for op in (SX, SY, SZ))
+                        for slot in range(1 + n_nuclei)]
+             for n_nuclei in (1, 2)}
+
+
 def hamiltonian(p: RegisterParams, d: Optional[DriveSpec] = None):
     """Register Hamiltonian in rad/s; drive terms included when d is given."""
-    n = 1 + p.n_nuclei
-    sz_e = op_at(SZ, 0, n)
+    ops = _SLOT_OPS[p.n_nuclei]
+    sx_e, sy_e, sz_e = ops[0]
     h = p.detuning / 2.0 * sz_e
     if d is not None and d.rabi != 0.0:
-        h = h + d.rabi / 2.0 * (math.cos(d.phase) * op_at(SX, 0, n)
-                                + math.sin(d.phase) * op_at(SY, 0, n))
-    for i, (a_par, a_perp) in enumerate(p.hyperfine):
-        sz_n = op_at(SZ, 1 + i, n)
-        sx_n = op_at(SX, 1 + i, n)
+        h = h + d.rabi / 2.0 * (math.cos(d.phase) * sx_e + math.sin(d.phase) * sy_e)
+    for (a_par, a_perp), (sx_n, _, sz_n) in zip(p.hyperfine, ops[1:]):
         h = h + p.larmor_n / 2.0 * sz_n
         h = h + sz_e @ (a_par / 4.0 * sz_n + a_perp / 4.0 * sx_n)
     return TWO_PI * h

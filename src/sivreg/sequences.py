@@ -10,14 +10,17 @@ result (``register.populations``).  The named experiments (Rabi, Ramsey,
 dynamical decoupling, spin lock, nuclear rotations, transfer gates,
 randomized benchmarking) are all composed from segment lists, and so are the
 two-qubit gates: ``gate_segments`` returns the Engine and segments of a
-CeNOTn, a CnNOTe or the identity, and ``transfer_matrix`` evolves each basis
-preparation through them.  A sweep over independent points evolves one
-stack, one state per point, segment by segment: its segments carry a stack
-of unitaries (``u_free`` and ``u_pulse`` of an array of times) and one free
-time per point.  Randomized benchmarking evolves the randomizations of one
-sequence length as a stack.  The per-point loops these replaced live in the
-tests as references.  A sweep over the pulse number N steps one unit at a
-time instead of restarting at every N.
+CeNOTn, a CnNOTe or the identity, and ``transfer_matrix`` evolves the four
+basis preparations through them as one stack.  A sweep over independent
+points evolves one stack, one state per point, segment by segment: its
+segments carry a stack of unitaries (``u_free`` and ``u_pulse`` of an array
+of times) and one free time per point; so do the two wait scans of the
+transfer-gate calibration.  Randomized benchmarking evolves the
+randomizations of one sequence length as a stack.  The per-point loops these
+replaced live in the tests as references.  A sweep over the pulse number N
+steps one unit at a time instead of restarting at every N, and so do the
+quarter-rotation search and each RB sequence: every step there continues the
+one before.
 
 The pi time is ``Engine.t_pi``: every nominal rotation (pi/2 pulses, DD pi
 pulses, RB Cliffords) is driven at the Rabi rate 1/(2 t_pi).  Only explicit
@@ -369,8 +372,11 @@ def run_nuclear_rotation(p: RegisterParams, dephasing, tau_rot, n_sweep,
     Reports the electron coherence signal (pi/2 - N units - pi/2) and, as an
     auxiliary observable, the sigma_z of the target nucleus prepared spin-down
     under an electron prepared spin-down: the conditional-rotation bookkeeping
-    whose first return to the initial value marks one full rotation.  Both
-    branches step one unit at a time up to the largest N.
+    whose first return to the initial value marks one full rotation.  The two
+    branches get the same unit at every step, so they step as one (2, d, d)
+    stack, one unit at a time up to the largest N (each N continues the one
+    before); the stack at every wanted N is kept and all of them are read at
+    the end with one stacked pi/2.
     """
     if not tau_rot > 0:
         raise ValueError("tau_rot must be > 0")
@@ -380,29 +386,23 @@ def run_nuclear_rotation(p: RegisterParams, dephasing, tau_rot, n_sweep,
     eng = Engine(p, dephasing, t_pi)
     half_pi = eng.rotation_segments(math.pi / 2, 0.0)
 
-    # electron-signal branch: coherence interferometry around the block
-    rho_sig = eng.evolve(_initial_rho(p, f_ie), half_pi)
-    # conditional-rotation branch: electron down, target nucleus down, rest mixed
-    rho_rot = product_state((f_ie, 1.0 - f_ie), [(1.0, 0.0)], p.n_nuclei)
-
+    # the two branches as one stack: [0] the electron signal (coherence
+    # interferometry around the block), [1] the conditional rotation (electron
+    # down, target nucleus down, rest mixed)
+    rho = np.array([eng.evolve(_initial_rho(p, f_ie), half_pi),
+                    product_state((f_ie, 1.0 - f_ie), [(1.0, 0.0)], p.n_nuclei)])
     wanted = sorted(set(n_sweep))
-    sig_at, sz_at = {}, {}
-    k = 0
-    for n in range(wanted[-1] + 1):
-        if n > 0:
-            unit = eng.dd_unit_segments(tau_rot, XY8_PHASES[(n - 1) % 8])
-            rho_sig = eng.evolve(rho_sig, unit)
-            rho_rot = eng.evolve(rho_rot, unit)
-        if n == wanted[k]:
-            sig_at[n] = electron_up_population(eng.evolve(rho_sig, half_pi))
-            sz_at[n] = nuclear_sigma_z(rho_rot)
-            k += 1
-            if k == len(wanted):
-                break
+    snapshots = [rho] if wanted[0] == 0 else []
+    for n in range(1, wanted[-1] + 1):
+        rho = eng.evolve(rho, eng.dd_unit_segments(tau_rot, XY8_PHASES[(n - 1) % 8]))
+        if n == wanted[len(snapshots)]:
+            snapshots.append(rho)
+    snapshots = np.array(snapshots)
+    signal_at = electron_up_population(eng.evolve(snapshots[:, 0], half_pi))
+    sigma_z_at = nuclear_sigma_z(snapshots[:, 1])
+    index = np.searchsorted(wanted, n_sweep)
     axis = np.asarray(n_sweep, dtype=float)
-    signal = [sig_at[n] for n in n_sweep]
-    sigma_z = [sz_at[n] for n in n_sweep]
-    return SweepResult(axis, signal, aux={"nuclear_sigma_z": sigma_z},
+    return SweepResult(axis, signal_at[index], aux={"nuclear_sigma_z": sigma_z_at[index]},
                        name="nuclear_rotation", axis_label="pulse number N")
 
 
@@ -467,6 +467,9 @@ def calibrate_transfer_wait(p: RegisterParams, g: GateSpec):
     Chosen in the ideal limit (perfect electron initialization, target nucleus
     only) by maximizing the transferred |sigma_z|: a coarse scan of 48 waits
     over one Larmor period followed by a 33-point refinement around the best.
+    The waits are independent points: the wait-independent head of the gate is
+    evolved once, then each scan evolves one stack, one rho per wait, through
+    free(wait) and the second block.
     """
     coarse, fine = 48, 33
     single = replace(p, hyperfine=p.hyperfine[:1], n_nuclei=1)
@@ -477,17 +480,20 @@ def calibrate_transfer_wait(p: RegisterParams, g: GateSpec):
     head = _transfer_segments(eng, g, 0.0)[:-len(block)]
     rho_head = eng.evolve(_initial_rho(single, 1.0), head)
 
-    def transferred(wait):
-        rho = eng.evolve(rho_head, eng.free_segments(wait) + block)
-        return abs(nuclear_sigma_z(rho))
+    def transferred(waits):
+        """|sigma_z| after free(wait) + block, one stacked rho per wait."""
+        waits = np.array(waits)
+        segments = eng.free_segments(waits) + block
+        # a zero wait adds no segment, so its unitary is the identity, not U(0)
+        segments[0][0][waits == 0.0] = np.eye(rho_head.shape[-1])
+        return np.abs(nuclear_sigma_z(eng.evolve(rho_head, segments)))
 
     waits = [period * i / coarse for i in range(coarse)]
-    scores = [transferred(w) for w in waits]
-    best = int(np.argmax(scores))
+    best = int(np.argmax(transferred(waits)))
     lo = waits[best] - period / coarse
     hi = waits[best] + period / coarse
     fine_grid = [lo + (hi - lo) * i / (fine - 1) for i in range(fine)]
-    fine_scores = [transferred(max(w, 0.0)) for w in fine_grid]
+    fine_scores = transferred([max(w, 0.0) for w in fine_grid])
     return max(fine_grid[int(np.argmax(fine_scores))], 0.0)
 
 
@@ -565,18 +571,20 @@ def calibrate_cnnote(p: RegisterParams, t_pi=T_PI_DEFAULT):
 
 
 def _joint_populations(rho):
-    """Populations of {down_Down, down_Up, up_Down, up_Up} of electron x target nucleus."""
-    return populations(rho).reshape(4, -1).sum(axis=1)
+    """Populations of {down_Down, down_Up, up_Down, up_Up} of electron x target nucleus,
+    one row per rho of a stack."""
+    return populations(rho).reshape(rho.shape[:-2] + (4, -1)).sum(axis=-1)
 
 
 def transfer_matrix(p: RegisterParams, dephasing, g: GateSpec, f_ie, f_in):
     """Referenced population-transfer matrix of a gate.
 
-    Each of the four basis preparations (electron x target nucleus, with the
-    stated initialization fidelities) is propagated through the gate and its
-    joint populations recorded; the raw matrix is then referenced against the
-    same measurement with an identity gate (the joint populations of the
-    preparations themselves), M(G) M(Id)^-1, which removes the preparation
+    The four basis preparations (electron x target nucleus, with the stated
+    initialization fidelities) are propagated through the gate as one
+    (4, d, d) stack and their joint populations recorded, one column each;
+    the raw matrix is then referenced against the same measurement with an
+    identity gate (the joint populations of the preparations themselves),
+    M(G) M(Id)^-1, which removes the preparation
     imperfections and makes the identity gate the exact identity.
     Both fidelities must lie in (0.5, 1]: at 0.5 M(Id) is singular.
     """
@@ -585,14 +593,11 @@ def transfer_matrix(p: RegisterParams, dephasing, g: GateSpec, f_ie, f_in):
             raise ValueError("%s must lie in (0.5, 1] for a referenced transfer matrix, got %r"
                              % (key, fidelity))
     eng, segments = gate_segments(p, dephasing, g)
-    m_gate = np.zeros((4, 4))
-    m_id = np.zeros((4, 4))
-    for col, (e_up, n_up) in enumerate([(False, False), (False, True),
-                                        (True, False), (True, True)]):
-        rho = product_state(electron_mixture(f_ie, e_up), [electron_mixture(f_in, n_up)],
-                            p.n_nuclei)
-        m_gate[:, col] = _joint_populations(eng.evolve(rho, segments))
-        m_id[:, col] = _joint_populations(rho)
+    rho = np.array([product_state(electron_mixture(f_ie, e_up), [electron_mixture(f_in, n_up)],
+                                  p.n_nuclei)
+                    for e_up in (False, True) for n_up in (False, True)])
+    m_gate = _joint_populations(eng.evolve(rho, segments)).T
+    m_id = _joint_populations(rho).T
     referenced = m_gate @ np.linalg.inv(m_id)
     return TransferMatrix(np.clip(referenced, 0.0, 1.0))
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sivreg import cli
@@ -72,13 +73,40 @@ def test_header_block_and_float_formatting(out_dir):
         assert repr(float(cell)) == cell
 
 
+def test_csv_cells_are_formatted_as_each_value_alone(tmp_path):
+    """Column-wise formatting writes each cell as _fmt writes that value alone,
+    in uniform columns of every cell type and in mixed ones."""
+    columns = [
+        [0.1, -2.5e-300, math.nan, math.inf, 1e16],
+        [np.float64(0.1), np.float64(-0.0), np.float64(3.0), np.float64(1e-7), np.float64(2)],
+        [np.float32(0.1), np.float32(1.5), np.float32(-2), np.float32(0), np.float32(7)],
+        [0, -3, 2 ** 70, 12, 1],
+        [np.int64(4), np.int64(-1), np.int64(0), np.int64(9), np.int64(2 ** 40)],
+        [True, False, False, True, True],
+        [np.True_, np.False_, np.True_, np.True_, np.False_],
+        ["bright", "dark", "", "a,b", "x"],
+        [np.str_("down_Down"), np.str_("up"), np.str_(""), np.str_("u"), np.str_("d")],
+        [1, 1.0, True, np.float64(0.5), "label"],
+        [np.bool_(True), True, np.int64(3), 3, None],
+    ]
+    rows = list(zip(*columns))
+    path = tmp_path / "cells.csv"
+    cli.write_csv(str(path), cli.RunConfig("cells", {}), [str(i) for i in range(len(columns))],
+                  rows, {})
+    body = path.read_text().splitlines()[3:]
+    assert body == [",".join(cli._fmt(v) for v in row) for row in rows]
+    assert body[0].split(",")[:2] == ["0.1", "0.1"] and body[0].split(",")[5:7] == ["true"] * 2
+
+
 @pytest.mark.parametrize("argv", [
     ["ssr", "--n-shots", "60", "--seed", "5"],
     ["run", "ramsey", "--larmor-n", LARMOR, "--target", "nuclear", "--n-nuclei", "2",
      "--t-c", "4e-6"],
     ["run", "nucrot", "--larmor-n", LARMOR, "--sweep-points", "21"],
     ["run", "gates", "--larmor-n", LARMOR, "--gate", "cenotn"],
-], ids=["ssr", "ramsey_nuclear", "nucrot", "gates_cenotn"])
+    ["run", "gates", "--larmor-n", LARMOR],
+    ["run", "gates", "--larmor-n", LARMOR, "--n-nuclei", "2", "--t-c", "4e-6"],
+], ids=["ssr", "ramsey_nuclear", "nucrot", "gates_cenotn", "gates_ui", "gates_ui_2_nuclei"])
 def test_same_invocation_twice_is_byte_identical(out_dir, argv):
     name = argv[1] if argv[0] == "run" else argv[0]
     assert cli.main(argv) == 0

@@ -37,6 +37,31 @@ def test_hamiltonian_matches_direct_kron_construction():
     np.testing.assert_allclose(hamiltonian(p), 2 * math.pi * h_ref, atol=1e-3)
 
 
+def _op_at_hamiltonian(p, d=None):
+    """The Hamiltonian with every operator embedded by op_at at each call."""
+    n = 1 + p.n_nuclei
+    sz_e = op_at(SZ, 0, n)
+    h = p.detuning / 2.0 * sz_e
+    if d is not None and d.rabi != 0.0:
+        h = h + d.rabi / 2.0 * (math.cos(d.phase) * op_at(SX, 0, n)
+                                + math.sin(d.phase) * op_at(SY, 0, n))
+    for i, (a_par, a_perp) in enumerate(p.hyperfine):
+        sz_n = op_at(SZ, 1 + i, n)
+        sx_n = op_at(SX, 1 + i, n)
+        h = h + p.larmor_n / 2.0 * sz_n
+        h = h + sz_e @ (a_par / 4.0 * sz_n + a_perp / 4.0 * sx_n)
+    return 2.0 * math.pi * h
+
+
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+@pytest.mark.parametrize("drive", [None, DriveSpec(0.0, 1.0)]
+                         + [DriveSpec(8.97e6, phase)
+                            for phase in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 0.7)])
+def test_hamiltonian_from_precomputed_operators_equals_the_op_at_form(n_nuclei, drive):
+    p = params(n_nuclei, detuning=-0.37e6)
+    np.testing.assert_array_equal(hamiltonian(p, drive), _op_at_hamiltonian(p, drive))
+
+
 def test_hamiltonian_block_diagonal_without_drive():
     h = hamiltonian(params(2))
     half = 4

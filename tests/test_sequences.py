@@ -10,11 +10,12 @@ import pytest
 from sivreg import fitting
 from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
                              electron_mixture, electron_up_population, nuclear_sigma_z,
-                             product_state)
+                             populations, product_state)
 from sivreg.sequences import (CPMG_PHASES, XY8_PHASES, Engine, GateSpec, SweepResult,
                               T_PI_DEFAULT, _CLIFFORDS, _depolarize_electron,
-                              _ideal_unitary, _initial_rho, calibrate_cenotn,
-                              calibrate_cnnote, calibrate_quarter_rotation, gate_segments,
+                              _ideal_unitary, _initial_rho, _transfer_segments,
+                              calibrate_cenotn, calibrate_cnnote, calibrate_quarter_rotation,
+                              calibrate_transfer_wait, gate_segments,
                               extract_full_rotation, nuclear_init_gate,
                               run_dd, run_nuclear_rotation, run_rabi,
                               run_ramsey, run_randomized_benchmarking,
@@ -411,7 +412,7 @@ def test_every_evolved_state_is_a_valid_density_matrix(monkeypatch):
         assert out.shape[-2:] == (2 ** (1 + eng.p.n_nuclei),) * 2
         for single in out.reshape((-1,) + out.shape[-2:]):
             RegisterState(single).validate()
-        calls.append(eng)
+        calls.append(out.shape)
         return out
 
     monkeypatch.setattr(Engine, "evolve", checked)
@@ -419,7 +420,7 @@ def test_every_evolved_state_is_a_valid_density_matrix(monkeypatch):
     deph = DephasingModel(t_c=4e-6, beta=2.0)
     taus = [0.0, 0.4e-6, 1.3e-6]
     tau_rot = 0.5 * p.larmor_period - T_PI_DEFAULT
-    ui = GateSpec(kind="UI", tau=81.5e-9, n_pulses=6)
+    ui = GateSpec(kind="UI", tau=81.5e-9, n_pulses=6)   # wait=None: the gate runs the scan
     runs = {
         "rabi": lambda: run_rabi(p, deph, 5e6, taus, f_ie=0.9),
         "ramsey": lambda: run_ramsey(p, deph, 1e6, taus, f_ie=0.9),
@@ -444,6 +445,8 @@ def test_every_evolved_state_is_a_valid_density_matrix(monkeypatch):
         before = len(calls)
         run()
         assert len(calls) > before, name
+        if name == "UI gate":   # every rho of the coarse and the fine wait stack was checked
+            assert {(48, 4, 4), (33, 4, 4)} <= set(calls[before:])
 
 
 # --- stacked sweeps against their per-point references -------------------------
@@ -636,3 +639,133 @@ def test_stacked_rb_matches_the_per_sequence_reference(monkeypatch, n_nuclei, q)
         if inverted:
             np.testing.assert_array_equal(applied.pop(0), inverted)
     assert applied == []
+
+
+# --- stacked transfer-wait scan, transfer matrix and rotation branches ----------
+#
+# Each loop below is the form the stacked code replaced, one rho per wait, per
+# preparation or per branch; the stacked form must give the same bits.
+
+def _reference_transfer_wait(p, g):
+    """Per-wait scan: the coarse scores, the fine scores and the chosen wait."""
+    coarse, fine = 48, 33
+    single = replace(p, hyperfine=p.hyperfine[:1], n_nuclei=1)
+    eng = Engine(single, None, g.t_pi)
+    period = single.larmor_period
+    block = eng.dd_block_segments(g.tau, g.n_pulses)
+    head = _transfer_segments(eng, g, 0.0)[:-len(block)]
+    rho_head = eng.evolve(_initial_rho(single, 1.0), head)
+
+    def transferred(wait):
+        return abs(nuclear_sigma_z(eng.evolve(rho_head, eng.free_segments(wait) + block)))
+
+    waits = [period * i / coarse for i in range(coarse)]
+    scores = [transferred(w) for w in waits]
+    best = int(np.argmax(scores))
+    lo = waits[best] - period / coarse
+    hi = waits[best] + period / coarse
+    fine_grid = [lo + (hi - lo) * i / (fine - 1) for i in range(fine)]
+    fine_scores = [transferred(max(w, 0.0)) for w in fine_grid]
+    return scores, fine_scores, max(fine_grid[int(np.argmax(fine_scores))], 0.0)
+
+
+def _recording_evolve(monkeypatch):
+    """Patch Engine.evolve to record every returned rho (or stack); return the record."""
+    outputs = []
+    evolve = Engine.evolve
+
+    def recording(eng, rho, segments):
+        outputs.append(evolve(eng, rho, segments))
+        return outputs[-1]
+
+    monkeypatch.setattr(Engine, "evolve", recording)
+    return outputs
+
+
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+@pytest.mark.parametrize("tau,n_pulses", [(81.5e-9, 42), (81.5e-9, 6), (0.2e-6, 10)])
+def test_stacked_transfer_wait_scan_matches_the_per_wait_reference(monkeypatch, n_nuclei,
+                                                                   tau, n_pulses):
+    """Same coarse and fine scores bit for bit, same wait, from three evolves:
+    the wait-independent head, the coarse stack and the fine stack."""
+    p = _register(n_nuclei)
+    g = GateSpec(kind="UI", tau=tau, n_pulses=n_pulses)
+    scores, fine_scores, wait = _reference_transfer_wait(p, g)
+    outputs = _recording_evolve(monkeypatch)
+    assert calibrate_transfer_wait(p, g) == wait
+    assert len(outputs) == 3
+    np.testing.assert_array_equal(np.abs(nuclear_sigma_z(outputs[1])), scores)
+    np.testing.assert_array_equal(np.abs(nuclear_sigma_z(outputs[2])), fine_scores)
+
+
+def _reference_transfer_matrix(p, dephasing, g, f_ie, f_in):
+    """Per-preparation transfer matrix, one column per evolved preparation."""
+    eng, segments = gate_segments(p, dephasing, g)
+    m_gate = np.zeros((4, 4))
+    m_id = np.zeros((4, 4))
+    for col, (e_up, n_up) in enumerate([(False, False), (False, True),
+                                        (True, False), (True, True)]):
+        rho = product_state(electron_mixture(f_ie, e_up), [electron_mixture(f_in, n_up)],
+                            p.n_nuclei)
+        m_gate[:, col] = populations(eng.evolve(rho, segments)).reshape(4, -1).sum(axis=1)
+        m_id[:, col] = populations(rho).reshape(4, -1).sum(axis=1)
+    return np.clip(m_gate @ np.linalg.inv(m_id), 0.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def matrix_gates():
+    """The CeNOTn, CnNOTe and identity GateSpec of each register size."""
+    return {n: [calibrate_cenotn(_register(n)), calibrate_cnnote(_register(n)),
+                GateSpec(kind="identity")] for n in (1, 2)}
+
+
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+@pytest.mark.parametrize("dephasing", [None, DEPH], ids=["ideal", "dephasing"])
+@pytest.mark.parametrize("f_ie,f_in", [(1.0, 1.0), (0.9, 0.8)])
+def test_stacked_transfer_matrix_matches_the_per_preparation_reference(
+        monkeypatch, matrix_gates, n_nuclei, dephasing, f_ie, f_in):
+    """Same matrix bit for bit for every gate, the four preparations in one evolve."""
+    p = _register(n_nuclei)
+    gates = matrix_gates[n_nuclei]
+    references = [_reference_transfer_matrix(p, dephasing, g, f_ie, f_in) for g in gates]
+    outputs = _recording_evolve(monkeypatch)
+    for g, reference in zip(gates, references):
+        outputs.clear()
+        tm = transfer_matrix(p, dephasing, g, f_ie, f_in)
+        np.testing.assert_array_equal(tm.matrix, reference, err_msg=g.kind)
+        assert len(outputs) == 1 and outputs[0].shape[0] == 4, g.kind
+
+
+def _reference_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie):
+    """The two branches stepped one after the other: the signal and sigma_z per N."""
+    eng = Engine(p, dephasing)
+    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    rho_sig = eng.evolve(_initial_rho(p, f_ie), half_pi)
+    rho_rot = product_state((f_ie, 1.0 - f_ie), [(1.0, 0.0)], p.n_nuclei)
+    sig_at, sz_at = {}, {}
+    for n in range(max(n_sweep) + 1):
+        if n > 0:
+            unit = eng.dd_unit_segments(tau_rot, XY8_PHASES[(n - 1) % 8])
+            rho_sig = eng.evolve(rho_sig, unit)
+            rho_rot = eng.evolve(rho_rot, unit)
+        sig_at[n] = electron_up_population(eng.evolve(rho_sig, half_pi))
+        sz_at[n] = nuclear_sigma_z(rho_rot)
+    return [sig_at[n] for n in n_sweep], [sz_at[n] for n in n_sweep]
+
+
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+@pytest.mark.parametrize("dephasing", [None, DEPH], ids=["ideal", "dephasing"])
+@pytest.mark.parametrize("f_ie", [1.0, 0.9])
+@pytest.mark.parametrize("n_sweep", [[0, 5, 3, 12, 5, 30], [4, 9, 17]], ids=["from0", "from4"])
+def test_stacked_nuclear_rotation_matches_the_two_branch_reference(
+        monkeypatch, n_nuclei, dephasing, f_ie, n_sweep):
+    """Same signal and sigma_z bit for bit; one evolve per unit step, plus the
+    initial pi/2 and the one stacked readout."""
+    p = _register(n_nuclei)
+    tau_rot = 0.5 * p.larmor_period - T_PI_DEFAULT
+    signal, sigma_z = _reference_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie)
+    outputs = _recording_evolve(monkeypatch)
+    sweep = run_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie=f_ie)
+    np.testing.assert_array_equal(sweep.signal, signal)
+    np.testing.assert_array_equal(sweep.aux["nuclear_sigma_z"], sigma_z)
+    assert len(outputs) == max(n_sweep) + 2
