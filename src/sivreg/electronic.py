@@ -6,11 +6,15 @@ parity manifold, so H = H_g (+) H_u, plus the optical offset -f_c/2 (g),
 +f_c/2 (u) that sets the lowest g -> u transition to c /
 transition_C_wavelength.  Both 4x4 blocks are sums of one set of six orbital
 x spin operators; each is solved once, and the 8-level Eigensystem holds the
-ground manifold at indices 0..3 and the excited one at 4..7.
+ground manifold at indices 0..3 and the excited one at 4..7.  The forward
+model (observables_and_jacobian, observables_at) reads its observables from
+the offset-free block eigenvalues and, for the strain estimate, their
+analytic derivatives in (epsilon, alpha, theta).
 
 Inputs are ordinary frequencies (Hz); the assembled Hamiltonian and the
 Eigensystems derived from it are angular (rad/s).  derived_observables
-converts back to Hz.
+reads the same observables (Hz) from an 8-level Eigensystem, where they
+carry the rounding of the ~2e14 Hz optical offset.
 """
 
 import itertools
@@ -102,9 +106,11 @@ class EstimationResult:
              theta in degrees) from the best start's Levenberg-Marquardt
              covariance s^2 (J^T J)^-1, s^2 the residual sum of squares per
              degree of freedom (More, Lecture Notes in Mathematics 630, 105
-             (1978)).  A sigma is nan when the best point sits at a
-             DEFAULT_BOUNDS edge: the covariance step there meets the +inf
-             residual outside the bounds.
+             (1978)).  J there is still the central-difference Jacobian of
+             fitting.least_squares, not the analytic one of the steps, so a
+             sigma is nan when the best point sits at a DEFAULT_BOUNDS edge:
+             the covariance step there meets the +inf residual outside the
+             bounds.
     """
 
     strain: StrainField
@@ -194,8 +200,10 @@ def eigensystem(c: DefectConstants, s: StrainField, f: FieldConfig):
     return Eigensystem(values, _direct_sum(eig_g.vectors, eig_u.vectors))
 
 
-# optical dipole operators entering the cyclicity ratio: SX on the parity slot
-_DIPOLES = tuple(kron(SX, d) for d in (_STRAIN_Z, -_STRAIN_X, 2.0 * _EYE4))
+# optical dipole operators entering the cyclicity ratio: SX on the parity slot,
+# so each couples g and u through one 4x4 block of _DIPOLE_BLOCKS
+_DIPOLE_BLOCKS = np.stack((_STRAIN_Z, -_STRAIN_X, 2.0 * _EYE4))
+_DIPOLES = tuple(kron(SX, d) for d in _DIPOLE_BLOCKS)
 
 
 def cyclicity(eig: Eigensystem):
@@ -233,10 +241,93 @@ def derived_observables(eig: Eigensystem):
     )
 
 
+# the operators the parameter derivatives of a block are made of: strain
+# pair, orbital Zeeman, spin x, spin z
+_DERIVATIVE_OPS = np.stack((_STRAIN_Z + _STRAIN_X, _ORB, _SPIN_X, _SPIN_Z)).reshape(4, 16)
+
+
+def _block_derivatives(c: DefectConstants, s: StrainField, f: FieldConfig):
+    """d H_b / d (epsilon, alpha, theta) of the blocks of _parity_blocks.
+
+    Shape (block g/u, param, 4, 4), in Hz per Hz, Hz and Hz per degree.
+    epsilon and alpha enter through the strain pair (epsilon on g, alpha
+    epsilon on u); theta only through the field terms, with d(bx, bz)/d theta
+    = (bz, -bx) per radian.
+    """
+    theta = math.radians(f.theta)
+    bx, bz = f.magnitude * math.sin(theta), f.magnitude * math.cos(theta)
+    k = math.radians(1.0) * _MU_B
+    coef = [[[strain_eps, 0.0, 0.0, 0.0], [strain_alpha, 0.0, 0.0, 0.0],
+             [0.0, -k * p * g_l * bx, k * c.gS * bz, -k * (c.gS + 2.0 * d_p * g_l) * bx]]
+            for strain_eps, strain_alpha, p, g_l, d_p in (
+                (1.0, 0.0, c.p_g, c.gL_g, c.deltaP_g),
+                (s.alpha, s.epsilon, c.p_u, c.gL_u, c.deltaP_u))]
+    return (np.array(coef) @ _DERIVATIVE_OPS).reshape(2, 3, 4, 4)
+
+
+def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
+    """Forward model and its analytic Jacobian from one solve of each parity block.
+
+    Returns (DerivedObservables, jac) with jac[i, j] = d observable_i /
+    d parameter_j, shape (4, 3), the parameters being epsilon (Hz), alpha and
+    theta (degrees); jac is None when jacobian is False.  All four
+    observables come from the offset-free block eigenvalues e_g, e_u (Hz):
+    omega_L_e = e_g1 - e_g0, delta_ss = (e_u1 - e_u0) - (e_g1 - e_g0),
+    delta_gs the mean gap of the upper and lower g pairs; cyclicity as in
+    cyclicity().  Eigenvalue derivatives are Hellmann-Feynman, <v_n|dH|v_n>
+    (Feynman, Phys. Rev. 56, 340 (1939)); the cyclicity also needs the
+    first-order shifts dv_n = sum_{m != n} v_m <v_m|dH|v_n> / (E_n - E_m) of
+    g0, g1 and u0 inside their blocks.  Raises DegenerateStates when e_g0 and
+    e_g1 lie within 1 Hz.
+    """
+    c, s, f = DefectConstants(), StrainField(epsilon, alpha), FieldConfig(b_field, theta)
+    _, (eig_g, eig_u), _ = _parity_blocks(c, s, f)
+    e_g, e_u = eig_g.values / TWO_PI, eig_u.values / TWO_PI
+    if e_g[1] - e_g[0] < 1.0:
+        raise DegenerateStates("E0 and E1 degenerate within 1 Hz; ordering ambiguous")
+    g01, u0 = eig_g.vectors[:, :2], eig_u.vectors[:, 0]
+    dip_u0 = _DIPOLE_BLOCKS @ u0                      # (dipole, 4)
+    amp = g01.conj().T @ dip_u0.T                     # <g_n| d |u0>, (n, dipole)
+    num, den = np.sum(np.abs(amp) ** 2, axis=1)
+    cyc = math.inf if den < 1e-30 else float(num / den)
+    omega_l = e_g[1] - e_g[0]
+    obs = DerivedObservables(
+        omega_L_e=omega_l,
+        delta_ss=(e_u[1] - e_u[0]) - omega_l,
+        delta_gs=0.5 * (e_g[2] + e_g[3]) - 0.5 * (e_g[0] + e_g[1]),
+        cyclicity=cyc,
+    )
+    if not jacobian:
+        return obs, None
+
+    vecs = np.stack((eig_g.vectors, eig_u.vectors))
+    # <v_m| dH/dp |v_n> in each block, (block, param, m, n)
+    m = np.swapaxes(vecs.conj(), 1, 2)[:, None] @ _block_derivatives(c, s, f) @ vecs[:, None]
+    de_g, de_u = m.diagonal(axis1=2, axis2=3).real
+    d_omega = de_g[:, 1] - de_g[:, 0]
+    d_dss = (de_u[:, 1] - de_u[:, 0]) - d_omega
+    d_dgs = 0.5 * (de_g[:, 2] + de_g[:, 3]) - 0.5 * (de_g[:, 0] + de_g[:, 1])
+
+    # first-order shifts d v_n = sum_{m != n} v_m m_mn / (E_n - E_m): gap[m, n]
+    # = E_n - E_m, infinite on the diagonal so v_n gets no component along itself
+    e = np.stack((e_g, e_u))
+    gap = e[:, None, :] - e[:, :, None] + np.diag(np.full(4, math.inf))
+    dv = vecs[:, None] @ (m / gap[:, None])
+    dg01, du0 = dv[0, :, :, :2], dv[1, :, :, 0]
+    # d <g_n| d |u0> = <dg_n| d |u0> + <g_n| d |du0>, (param, n, dipole)
+    d_amp = (np.einsum("pin,di->pnd", dg01.conj(), dip_u0)
+             + np.einsum("in,dij,pj->pnd", g01.conj(), _DIPOLE_BLOCKS, du0))
+    d_num, d_den = 2.0 * np.sum((amp.conj() * d_amp).real, axis=2).T
+    d_cyc = (d_num - cyc * d_den) / den
+    return obs, np.array([d_omega, d_dss, d_dgs, d_cyc])
+
+
 def observables_at(epsilon, alpha, theta, b_field):
-    """Forward model: (epsilon, alpha, theta) + field magnitude -> observables."""
-    return derived_observables(eigensystem(DefectConstants(), StrainField(epsilon, alpha),
-                                           FieldConfig(b_field, theta)))
+    """Forward model: (epsilon, alpha, theta) + field magnitude -> observables.
+
+    The value half of observables_and_jacobian: two 4x4 block solves.
+    """
+    return observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=False)[0]
 
 
 def delta_gs_zero_field(epsilon):
@@ -291,6 +382,15 @@ def _relative_observables(params, targets, b_field):
     return np.array(obs.as_tuple()) / targets
 
 
+def _relative_jacobian(params, targets, b_field):
+    """d _relative_observables / d params, (4, 3); nan on DegenerateStates."""
+    try:
+        _, jac = observables_and_jacobian(*params, b_field)
+    except DegenerateStates:
+        return np.full((4, 3), math.nan)
+    return jac / targets[:, None]
+
+
 def estimation_cost(params, targets, b_field):
     """Relative-squared mismatch over the four observables, +inf outside physics."""
     return float(np.sum((_relative_observables(params, targets, b_field) - 1.0) ** 2))
@@ -304,9 +404,11 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
 
     Multi-start Levenberg-Marquardt (fitting.least_squares on the four
     relative residuals, from 8 deterministic starts at 1/3 and 2/3 of each
-    DEFAULT_BOUNDS side).  The ``converged`` flag is False when the best cost
-    stalls above 1e-2; the best point is reported either way, with the
-    sigmas of its covariance (see EstimationResult).
+    DEFAULT_BOUNDS side).  Its steps use the analytic Jacobian of
+    observables_and_jacobian; the covariance behind the sigmas keeps the
+    central differences of least_squares, nan at a DEFAULT_BOUNDS edge (see
+    EstimationResult).  The ``converged`` flag is False when the best cost
+    stalls above 1e-2; the best point is reported either way.
     """
     targets = np.array([float(t) for t in targets])
     if len(targets) != 4 or not all(math.isfinite(t) and t > 0 for t in targets):
@@ -315,7 +417,8 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
         b_field = field_from_nuclear_larmor(larmor_n)
 
     model = fitting.ModelSpec("strain", _STRAIN_PARAMS,
-                              lambda x, *p: _relative_observables(p, targets, b_field))
+                              lambda x, *p: _relative_observables(p, targets, b_field),
+                              jacobian=lambda x, p: _relative_jacobian(p, targets, b_field))
     fits = []
     for start in itertools.product((1.0 / 3.0, 2.0 / 3.0), repeat=3):
         init = {name: lo + f * (hi - lo)

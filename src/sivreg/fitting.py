@@ -1,10 +1,13 @@
 """Nonlinear least squares plus the registry of phenomenological models.
 
-The solver is a damped Gauss-Newton (Levenberg-Marquardt style) with a
-central-difference numerical Jacobian.  Bounded parameters are handled by a
-logistic (two-sided) or exponential (one-sided) change of variables so the
-core iteration stays unconstrained; standard errors come from the
-residual-scaled inverse normal matrix at the solution.
+The solver is a damped Gauss-Newton (Levenberg-Marquardt style).  Its
+Jacobian is the model's analytic one when the ModelSpec carries a
+``jacobian`` rule, and a central-difference numerical one otherwise.
+Bounded parameters are handled by a logistic (two-sided) or exponential
+(one-sided) change of variables so the core iteration stays unconstrained;
+an analytic Jacobian is carried into those coordinates by the chain rule.
+Standard errors come from the residual-scaled inverse normal matrix at the
+solution, always from central differences in the parameters themselves.
 
 All frequency-like parameters are ordinary frequencies (Hz); model formulas
 carry the 2*pi explicitly.
@@ -50,12 +53,21 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Named model: parameter specs, evaluation rule, initial-guess rule."""
+    """Named model: parameter specs, evaluation rule, initial-guess rule.
+
+    jacobian -- optional analytic derivative rule, called as
+                jacobian(x, params) with the full parameter vector and
+                returning d model / d params, shape (len(x), len(params)), in
+                the parameters themselves (not the bound-transformed
+                coordinates).  least_squares uses it for its steps; without
+                it the steps use central differences.
+    """
 
     name: str
     params: Tuple[ParamSpec, ...]
     func: Callable
     guess: Optional[Callable] = None
+    jacobian: Optional[Callable] = None
 
     @property
     def param_names(self):
@@ -130,6 +142,18 @@ def _to_external(u, lo, hi):
     return u
 
 
+def _external_derivative(u, lo, hi):
+    """d _to_external / du, branch by branch."""
+    if math.isfinite(lo) and math.isfinite(hi):
+        e = math.exp(-abs(u))
+        return (hi - lo) * e / (1.0 + e) ** 2
+    if not (math.isfinite(lo) or math.isfinite(hi)):
+        return 1.0
+    if u >= 700.0:   # the one-sided _to_external is flat past its clamp
+        return 0.0
+    return math.exp(u) if math.isfinite(lo) else -math.exp(u)
+
+
 def least_squares(model: ModelSpec, x, y, weights=None,
                   init: Optional[Dict[str, float]] = None,
                   fixed: Optional[Dict[str, float]] = None,
@@ -138,7 +162,9 @@ def least_squares(model: ModelSpec, x, y, weights=None,
 
     init is a dict of starting values (missing entries fall back to the
     model's initial-guess rule); fixed pins named parameters and removes them
-    from the optimization and the reported uncertainties.
+    from the optimization and the reported uncertainties.  The steps use
+    model.jacobian when the model has one (see ModelSpec); the reported
+    uncertainties always come from central differences.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -179,7 +205,13 @@ def least_squares(model: ModelSpec, x, y, weights=None,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return w_sqrt * (model(x, external(u_vec)) - y)
 
+    free_idx = [names.index(n) for n in free]
+
     def jacobian(u_vec):
+        if model.jacobian is not None:
+            dp_du = [_external_derivative(ui, *bounds[n]) for n, ui in zip(free, u_vec)]
+            jac_p = np.asarray(model.jacobian(x, external(u_vec)), dtype=float)
+            return w_sqrt[:, None] * jac_p[:, free_idx] * np.array(dp_du)
         jac = np.empty((x.size, u_vec.size))
         for i in range(u_vec.size):
             h = 1e-6 * abs(u_vec[i]) or 1e-6
@@ -237,9 +269,8 @@ def least_squares(model: ModelSpec, x, y, weights=None,
     sigma = np.zeros(len(names))
     cov_full = np.zeros((len(names), len(names)))
     if n_free and x.size > n_free:
-        idx = [names.index(n) for n in free]
         jac_p = np.empty((x.size, n_free))
-        for col, i in enumerate(idx):
+        for col, i in enumerate(free_idx):
             # relative to the start value too: a fitted value near 0 gives no usable step
             h = 1e-6 * max(abs(params[i]), abs(start[names[i]])) or 1e-6
             up, dn = params.copy(), params.copy()
@@ -255,9 +286,9 @@ def least_squares(model: ModelSpec, x, y, weights=None,
         s2 = 2.0 * cost / (x.size - n_free)
         cov = s2 * inv
         cov = 0.5 * (cov + cov.T)
-        for rlab, i in enumerate(idx):
+        for rlab, i in enumerate(free_idx):
             sigma[i] = math.sqrt(max(cov[rlab, rlab], 0.0)) if np.isfinite(cov[rlab, rlab]) else np.nan
-            for clab, j in enumerate(idx):
+            for clab, j in enumerate(free_idx):
                 cov_full[i, j] = cov[rlab, clab]
 
     return FitResult(params=params, sigma=sigma,

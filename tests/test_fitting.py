@@ -202,6 +202,89 @@ def test_zero_weight_points_are_ignored():
 
 
 # --------------------------------------------------------------------------
+# analytic Jacobian hook vs the central-difference path
+
+
+def _single_exp_jacobian(x, params):
+    a, t, _ = params
+    e = np.exp(-x / t)
+    return np.column_stack([e, a * x / t ** 2 * e, np.ones_like(x)])
+
+
+def test_single_exp_analytic_jacobian_matches_central_differences():
+    base = get_model("single_exp")
+    analytic = ModelSpec(base.name, base.params, base.func, base.guess,
+                         jacobian=_single_exp_jacobian)
+    rng = np.random.default_rng(17)
+    x = np.linspace(0.0, 2.0, 80)
+    for true in ([0.8, 0.3, 0.2], [-1.5, 0.05, 3.0], [2.0, 1.7, -0.4]):
+        y = base(x, true) + 1e-3 * rng.standard_normal(x.size)
+        want = least_squares(base, x, y)
+        got = least_squares(analytic, x, y)
+        assert got.converged
+        assert np.all(np.abs(got.params - want.params) <= 1e-8 * np.abs(want.params)), \
+            (true, got.params, want.params)
+        # the uncertainties still come from central differences
+        np.testing.assert_allclose(got.sigma, want.sigma, rtol=1e-6)
+
+
+# one parameter per bound transform: two-sided, lower-only, upper-only, free
+_BRANCH_PARAMS = (ParamSpec("a", bounds=(0.0, 5.0)), ParamSpec("k", bounds=(0.5, math.inf)),
+                  ParamSpec("m", bounds=(-math.inf, -0.2)), ParamSpec("c"))
+
+
+def _branch_model(x, a, k, m, c):
+    return a * np.exp(-k * x) + m * x ** 2 + c
+
+
+def _branch_jacobian(x, params):
+    a, k, m, _ = params
+    e = np.exp(-k * x)
+    return np.column_stack([e, -a * x * e, x ** 2, np.ones_like(x)])
+
+
+@pytest.mark.parametrize("start", [{"a": 1.0, "k": 1.0, "m": -1.0, "c": 0.0},
+                                   {"a": 4.5, "k": 3.0, "m": -0.3, "c": 2.0}])
+def test_analytic_jacobian_through_every_bound_transform(start):
+    x = np.linspace(0.0, 3.0, 60)
+    true = [2.2, 1.6, -0.7, 0.35]
+    y = _branch_model(x, *true)
+    numeric = ModelSpec("branches", _BRANCH_PARAMS, _branch_model)
+    analytic = ModelSpec("branches", _BRANCH_PARAMS, _branch_model,
+                         jacobian=_branch_jacobian)
+    want = least_squares(numeric, x, y, init=start)
+    got = least_squares(analytic, x, y, init=start)
+    assert got.converged
+    for value, ref, exact in zip(got.params, want.params, true):
+        assert abs(value - exact) <= 1e-8 * abs(exact)
+        assert abs(value - ref) <= 1e-8 * abs(ref)
+
+
+def test_analytic_jacobian_skips_fixed_columns():
+    x = np.linspace(0.0, 3.0, 60)
+    y = _branch_model(x, 2.2, 1.6, -0.7, 0.35)
+    analytic = ModelSpec("branches", _BRANCH_PARAMS, _branch_model,
+                         jacobian=_branch_jacobian)
+    got = least_squares(analytic, x, y, fixed={"k": 1.6},
+                        init={"a": 1.0, "m": -1.0, "c": 0.0})
+    np.testing.assert_allclose(got.params, [2.2, 1.6, -0.7, 0.35], rtol=1e-8)
+    assert got.error("k") == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.floats(-30.0, 30.0),
+       bounds=st.sampled_from([(-2.0, 3.0), (1e-3, 1e3), (-1.0, math.inf), (1e-300, math.inf),
+                               (-math.inf, 4.0), (-math.inf, math.inf)]))
+def test_transform_derivative_matches_finite_difference(u, bounds):
+    h = 1e-5 * max(1.0, abs(u))
+    fd = (fitting._to_external(u + h, *bounds) - fitting._to_external(u - h, *bounds)) / (2 * h)
+    got = fitting._external_derivative(u, *bounds)
+    # rounding of _to_external near |p| over the step, plus the O(h^2) truncation
+    p = abs(fitting._to_external(u, *bounds))
+    assert abs(got - fd) <= 1e-6 * abs(got) + 1e-10 * max(p, 1.0) / h, (u, bounds, got, fd)
+
+
+# --------------------------------------------------------------------------
 # statistical behaviour of the reported uncertainties
 
 
