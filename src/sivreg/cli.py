@@ -9,10 +9,11 @@ Configuration is resolved in three layers (later wins):
     built-in defaults  <  flat JSON config file (--config)  <  command flags
 
 The config file is a single flat JSON object holding strings and numbers
-only.  Keys mirror the field names of the underlying module types;
-unknown or ill-typed keys, non-finite numbers and values outside a model's
-domain are rejected with the key name.  Exit codes:
-0 success, 2 configuration error, 3 experiment error.
+only.  Keys mirror the field names of the underlying module types.  Unknown
+or ill-typed keys, non-finite numbers, values outside the key's domain in
+_DOMAINS (which --help prints) and breaches of the rules over several keys
+are rejected with the key name.  Exit codes: 0 success, 2 configuration
+error, 3 experiment error.
 
 The environment variable SIVREG_OUTPUT_DIR sets the directory for relative
 output paths (default: current directory).
@@ -71,7 +72,7 @@ class ExperimentSpec:
     defaults: dict        # key -> default value (type inferred)
     runner: object        # cfg values dict -> (columns, rows, extras)
     help: str = ""
-    check: object = None  # cfg values dict -> None; raises ConfigError naming the key
+    rules: tuple = ()     # cfg values dict -> None, run after _DOMAINS; raise ConfigError
     required: dict = field(default_factory=dict)   # key -> type (no default; must be provided)
 
     def schema(self):
@@ -102,6 +103,113 @@ def _sweep_defaults(start, stop, points):
             "sweep_points": int(points), "sweep_scale": "linear"}
 
 
+@dataclass(frozen=True)
+class Interval:
+    """The numbers from lo to hi, or up from lo when hi is None, with the ends written
+    as in interval notation: "[)" is lo <= v < hi and "()" is lo < v < hi.
+
+    The note says what a value at a bound means; the unit follows the bounds."""
+
+    lo: float
+    hi: float = None
+    ends: str = "[)"
+    note: str = ""
+    unit: str = ""
+
+    def __str__(self):
+        if self.hi is None:
+            text = "%s %g" % (">" if self.ends[0] == "(" else ">=", self.lo)
+        else:
+            text = "in %s%g, %g%s" % (self.ends[0], self.lo, self.hi, self.ends[1])
+        return text + (" " + self.unit if self.unit else "")
+
+    def help(self):
+        return "%s; %s" % (self, self.note) if self.note else str(self)
+
+    def check(self, key, value):
+        above = value > self.lo if self.ends[0] == "(" else value >= self.lo
+        below = self.hi is None or (value < self.hi if self.ends[1] == ")" else value <= self.hi)
+        if not (above and below):
+            note = " (%s)" % self.note if self.note else ""
+            raise ConfigError("%s must %s %s%s"
+                              % (key, "be" if self.hi is None else "lie", self, note))
+
+
+@dataclass(frozen=True)
+class Choices:
+    """One value out of a fixed set, matched exactly."""
+
+    options: tuple
+
+    def help(self):
+        return " | ".join(map(str, self.options))
+
+    def check(self, key, value):
+        if value not in self.options:
+            *head, last = map(repr, self.options)
+            raise ConfigError("ill-typed value for key '%s' (expected %s or %s)"
+                              % (key, ", ".join(head), last))
+
+
+# The domain of each key, looked up as (experiment, key) first, then as the key: one
+# entry serves every experiment that shares the key, and None leaves a key to its rules.
+_DOMAINS = {
+    "larmor_n": Interval(0.0, ends="()"),
+    "n_nuclei": Choices((1, 2)),
+    "t_c": Interval(0.0, note="0 disables dephasing"),
+    "f_ie": Interval(0.5, 1.0, "[]"),
+    "t_pi": Interval(0.0, ends="()"),
+    # sweep keys: an axis of durations, delays, drive amplitudes or counts
+    "sweep_start": Interval(0.0),
+    "sweep_stop": Interval(0.0),
+    "sweep_points": Interval(2),
+    "sweep_scale": Choices(("linear", "log")),
+    # the optical axis is a phase in mode 'phase', so a rule checks it by mode
+    ("optical", "sweep_start"): None,
+    ("optical", "sweep_stop"): None,
+    "epsilon": Interval(0.0),
+    "alpha": Interval(0.0, ends="()"),
+    "btheta": Interval(0.0, 90.0, "[]", unit="degrees"),
+    "b": Interval(0.0),
+    ("estimate", "b"): Interval(0.0, note="0 derives it from larmor_n"),
+    "wl": Interval(0.0, ends="()"),
+    "dss": Interval(0.0, ends="()"),
+    "dgs": Interval(0.0, ends="()"),
+    "eta": Interval(0.0, ends="()"),
+    "omega": Interval(0.0, note="0 is free evolution"),
+    "target": Choices(("electron", "nuclear")),
+    "kind": Choices(("CPMG", "XY")),
+    ("dd", "n_pulses"): Interval(0),
+    ("spinlock", "mode"): Choices(("tau", "amplitude")),
+    "omega_sl": Interval(0.0),
+    "tau_fixed": Interval(0.0),
+    "f_in": Interval(0.5, 1.0, "(]"),
+    "q": Interval(0.0, 1.0, "[]"),
+    "n_random": Interval(1),
+    # seeded randomness takes a non-negative integer entropy
+    ("rb", "seed"): Interval(0),
+    ("ssr", "seed"): Interval(0),
+    "initial": Choices(("bright", "dark", "alternate")),
+    "n_blocks": Interval(1),
+    "t_block": Interval(0.0, ends="()"),
+    "p_offres": Interval(0.0, 1.0, "[)"),
+    "t_pol_n": Interval(0.0, ends="()"),
+    "threshold": Interval(0),
+    "n_shots": Interval(1),
+    ("optical", "mode"): Choices(("rabi", "phase", "decay")),
+    "t1": Interval(0.0, ends="()"),
+    "gamma_phi": Interval(0.0),
+    "buffer": Interval(0.0),
+    "p_e0": Interval(0.0, 1.0, "[]"),
+    "x_col": Interval(0),
+    "y_col": Interval(0),
+}
+
+
+def _domain(experiment, key):
+    return _DOMAINS.get((experiment, key), _DOMAINS.get(key))
+
+
 def _coerce(key, value, expected):
     """Coerce a JSON config value to the expected scalar type: float, int or str."""
     if isinstance(value, bool):
@@ -121,7 +229,8 @@ def _coerce(key, value, expected):
 
 
 def resolve_config(spec: ExperimentSpec, config_path, flag_values: dict) -> RunConfig:
-    """defaults < config file < flags; validate presence, types, finiteness and sweeps."""
+    """defaults < config file < flags; validate presence, types, finiteness, the domain
+    of each key and then the rules of the experiment."""
     schema = spec.schema()
     values = dict(spec.defaults)
 
@@ -151,28 +260,12 @@ def resolve_config(spec: ExperimentSpec, config_path, flag_values: dict) -> RunC
         if isinstance(val, float) and not math.isfinite(val):
             raise ConfigError(f"non-finite value {val!r} for key '{key}'")
 
-    if "sweep_points" in values:
-        if values["sweep_points"] < 2:
-            raise ConfigError("sweep_points must be >= 2")
-        if values["sweep_scale"] not in ("linear", "log"):
-            raise ConfigError("ill-typed value for key 'sweep_scale' (expected 'linear' or 'log')")
-        if values["sweep_scale"] == "log" and (
-                values["sweep_start"] <= 0 or values["sweep_stop"] <= 0):
-            raise ConfigError("log sweep requires positive sweep_start and sweep_stop")
-    if values.get("n_nuclei") not in (None, 1, 2):
-        raise ConfigError("ill-typed value for key 'n_nuclei' (expected 1 or 2)")
-    if values.get("t_pi", 1.0) <= 0.0:
-        raise ConfigError("t_pi must be > 0")
-    if values.get("larmor_n", 1.0) <= 0.0:
-        raise ConfigError("larmor_n must be > 0")
-    if values.get("t_c", 0.0) > 0.0 and not 0.5 <= values["beta_deph"] <= 3.0:
-        raise ConfigError("beta_deph must lie in [0.5, 3] when t_c > 0")
-    if not 0.5 <= values.get("f_ie", 1.0) <= 1.0:
-        raise ConfigError("f_ie must lie in [0.5, 1]")
-    if values.get("n_shots", 1) < 1:
-        raise ConfigError("n_shots must be >= 1")
-    if spec.check is not None:
-        spec.check(values)
+    for key in schema:
+        domain = _domain(spec.name, key)
+        if domain is not None:
+            domain.check(key, values[key])
+    for rule in (_log_sweep, _dephasing_exponent, *spec.rules):
+        rule(values)
     return RunConfig(spec.name, values)
 
 
@@ -201,42 +294,33 @@ def _dephasing(v):
 
 
 # ---------------------------------------------------------------------------
-# per-experiment domain checks: values dict -> None, or ConfigError naming the key
+# rules over more than one key, or over a mode: values dict -> None, or ConfigError
+# naming the key; resolve_config runs the shared two, where their keys are present,
+# and then an experiment's own rules, after the domain table
 
 
-def _check_structure(v):
-    if v["epsilon"] < 0.0:
-        raise ConfigError("epsilon must be >= 0")
-    if not v["alpha"] > 0.0:
-        raise ConfigError("alpha must be > 0")
-    if not 0.0 <= v["btheta"] <= 90.0:
-        raise ConfigError("btheta must lie in [0, 90] degrees")
-    if v["b"] < 0.0:
-        raise ConfigError("b must be >= 0")
+def _log_sweep(v):
+    if v.get("sweep_scale") == "log" and (v["sweep_start"] <= 0 or v["sweep_stop"] <= 0):
+        raise ConfigError("log sweep requires positive sweep_start and sweep_stop")
 
 
-def _check_estimate(v):
-    for key in ("wl", "dss", "dgs", "eta"):
-        if not v[key] > 0.0:
-            raise ConfigError(f"{key} must be > 0")
-    if v["b"] < 0.0:
-        raise ConfigError("b must be >= 0 (0 derives it from larmor_n)")
+def _dephasing_exponent(v):
+    if v.get("t_c", 0.0) > 0.0 and not 0.5 <= v["beta_deph"] <= 3.0:
+        raise ConfigError("beta_deph must lie in [0.5, 3] when t_c > 0")
 
 
-def _check_half_period_delay(v):
-    """The delay T_L/2 - t_pi derived from larmor_n must stay positive."""
-    if not 0.5 / v["larmor_n"] - v["t_pi"] > 0.0:
+def _half_period_delay(v):
+    """A CeNOTn gate, and nucrot at its default tau_rot <= 0, wait T_L/2 - t_pi derived
+    from larmor_n, which must stay positive."""
+    waits = v.get("gate", "").lower() == "cenotn" or v.get("tau_rot", 1.0) <= 0.0
+    if waits and not 0.5 / v["larmor_n"] - v["t_pi"] > 0.0:
         raise ConfigError("t_pi must be < 1/(2 larmor_n) = %r s: the delay T_L/2 - t_pi "
                           "derived from it is not positive" % (0.5 / v["larmor_n"]))
 
 
-def _check_nucrot(v):
-    if v["tau_rot"] <= 0.0:
-        _check_half_period_delay(v)
-    _check_nonnegative_sweep(v)
-
-
-def _check_gates(v):
+def _gate(v):
+    """The gate name matches without regard to case; the UI gate runs its own DD block,
+    the others give a transfer matrix referenced to the initialization fidelity."""
     gate = v["gate"].lower()
     if gate not in ("ui", "cenotn", "cnnote", "identity"):
         raise ConfigError("ill-typed value for key 'gate' "
@@ -246,108 +330,33 @@ def _check_gates(v):
             raise ConfigError("n_pulses must be even and > 0 for gate 'UI'")
         if not v["tau"] > 0.0:
             raise ConfigError("tau must be > 0 for gate 'UI'")
-    if not 0.5 < v["f_in"] <= 1.0:
-        raise ConfigError("f_in must lie in (0.5, 1]")
-    if gate != "ui" and not v["f_ie"] > 0.5:
+    elif not v["f_ie"] > 0.5:
         raise ConfigError("f_ie must lie in (0.5, 1] for a referenced transfer matrix")
-    if gate == "cenotn":
-        _check_half_period_delay(v)
 
 
-def _check_seed(v):
-    """Seeded randomness takes a non-negative integer entropy."""
-    if v["seed"] < 0:
-        raise ConfigError("seed must be >= 0")
-
-
-def _check_nonnegative_sweep(v):
-    """A sweep of durations, delays, drive amplitudes or counts holds no negative value."""
-    for key in ("sweep_start", "sweep_stop"):
-        if v[key] < 0.0:
-            raise ConfigError(f"{key} must be >= 0")
-
-
-def _check_rabi(v):
-    if v["omega"] < 0.0:
-        raise ConfigError("omega must be >= 0 (0 is free evolution)")
-    _check_nonnegative_sweep(v)
-
-
-def _check_ramsey(v):
-    if v["target"] not in ("electron", "nuclear"):
-        raise ConfigError("ill-typed value for key 'target' (expected 'electron' or 'nuclear')")
-    _check_nonnegative_sweep(v)
-
-
-def _check_dd(v):
-    if v["kind"] not in ("CPMG", "XY"):
-        raise ConfigError("ill-typed value for key 'kind' (expected 'CPMG' or 'XY')")
-    if v["n_pulses"] < 0:
-        raise ConfigError("n_pulses must be >= 0")
-    _check_nonnegative_sweep(v)
-
-
-def _check_spinlock(v):
-    if v["mode"] not in ("tau", "amplitude"):
-        raise ConfigError("ill-typed value for key 'mode' (expected 'tau' or 'amplitude')")
-    if v["omega_sl"] < 0.0:
-        raise ConfigError("omega_sl must be >= 0")
-    if v["tau_fixed"] < 0.0:
-        raise ConfigError("tau_fixed must be >= 0")
-    _check_nonnegative_sweep(v)
-
-
-def _check_rb(v):
-    _check_seed(v)
-    if not 0.0 <= v["q"] <= 1.0:
-        raise ConfigError("q must lie in [0, 1]")
+def _rb(v):
     if not v["f_ie"] > 0.5:
         raise ConfigError("f_ie must lie in (0.5, 1] for randomized benchmarking: "
                           "at 0.5 the signal is flat")
-    if v["n_random"] < 1:
-        raise ConfigError("n_random must be >= 1")
-    _check_nonnegative_sweep(v)
+    if _int_axis(v).size < 2:
+        raise ConfigError("sweep_points over sweep_start..sweep_stop give < 2 distinct "
+                          "Clifford counts")
 
 
-def _ssr_config(v):
-    return readout.SsrConfig(n_blocks=v["n_blocks"], t_block=v["t_block"],
-                             mean_bright=v["mean_bright"], mean_dark=v["mean_dark"],
-                             p_offres=v["p_offres"], t_pol_n=v["t_pol_n"],
-                             threshold=v["threshold"], seed=v["seed"])
+def _ssr_means(v):
+    if not v["mean_bright"] > v["mean_dark"] or v["mean_dark"] < 0:
+        raise ConfigError("need mean_bright > mean_dark >= 0")
 
 
-def _check_ssr(v):
-    _check_seed(v)
-    if v["initial"] not in ("bright", "dark", "alternate"):
-        raise ConfigError("ill-typed value for key 'initial' "
-                          "(expected 'bright', 'dark' or 'alternate')")
-    try:   # SsrConfig names the field, which is the key, in each of its domain checks
-        _ssr_config(v)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _optical_params(v):
-    return optics.OpticalParams(rabi_per_volt=v["rabi_per_volt"], detuning=v["detuning"],
-                                t1=v["t1"], gamma_phi=v["gamma_phi"])
-
-
-def _check_optical(v):
-    if v["mode"] not in ("rabi", "phase", "decay"):
-        raise ConfigError("ill-typed value for key 'mode' "
-                          "(expected 'rabi', 'phase' or 'decay')")
-    try:   # OpticalParams names the field, which is the key, in each of its domain checks
-        _optical_params(v)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    if v["buffer"] < 0.0:
-        raise ConfigError("buffer must be >= 0")
-    if not 0.0 <= v["p_e0"] <= 1.0:
-        raise ConfigError("p_e0 must lie in [0, 1]")
+def _optical(v):
     if v["mode"] != "phase":   # the rabi and decay axes are times; a phase may be negative
-        _check_nonnegative_sweep(v)
+        for key in ("sweep_start", "sweep_stop"):
+            _DOMAINS[key].check(key, v[key])
     if v["mode"] == "decay" and v["sweep_points"] < 4:
         raise ConfigError("sweep_points must be >= 4 for the lifetime fit of mode 'decay'")
+    if (v["mode"] == "phase" and v["t_pulse"] <= 0.0   # t_pulse <= 0 derives it from them
+            and v["rabi_per_volt"] * v["amplitude"] == 0.0):
+        raise ConfigError("amplitude * rabi_per_volt must be nonzero to derive t_pulse")
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +459,8 @@ def _run_gates(v):
 
 
 def _run_rb(v):
-    n_cliffords = _int_axis(v)
-    if n_cliffords.size < 2:
-        raise ConfigError("sweep_points over sweep_start..sweep_stop give < 2 distinct "
-                          "Clifford counts")
     res = sequences.run_randomized_benchmarking(
-        _register_params(v), _dephasing(v), n_cliffords,
+        _register_params(v), _dephasing(v), _int_axis(v),
         n_random=v["n_random"], gate_fidelity_noise=v["q"], seed=v["seed"],
         f_ie=v["f_ie"], t_pi=v["t_pi"])
     return _sweep_table(res.sweep, gate_fidelity=res.gate_fidelity,
@@ -464,7 +469,10 @@ def _run_rb(v):
 
 
 def _run_ssr(v):
-    cfg = _ssr_config(v)
+    cfg = readout.SsrConfig(n_blocks=v["n_blocks"], t_block=v["t_block"],
+                            mean_bright=v["mean_bright"], mean_dark=v["mean_dark"],
+                            p_offres=v["p_offres"], t_pol_n=v["t_pol_n"],
+                            threshold=v["threshold"], seed=v["seed"])
     record = readout.simulate_ssr(cfg, initial_nuclear=v["initial"],
                                   n_shots=v["n_shots"])
     res = readout.classify_threshold(record, cfg.threshold)
@@ -484,18 +492,15 @@ def _run_ssr(v):
 
 
 def _run_optical(v):
-    p = _optical_params(v)
+    p = optics.OpticalParams(rabi_per_volt=v["rabi_per_volt"], detuning=v["detuning"],
+                             t1=v["t1"], gamma_phi=v["gamma_phi"])
     mode = v["mode"]
     if mode == "rabi":
         return _sweep_table(optics.run_optical_rabi(p, v["amplitude"], _sweep_axis(v)))
     if mode == "phase":
         t_pulse = v["t_pulse"]
         if t_pulse <= 0.0:   # default: a pi/2 area at the configured amplitude
-            rabi = p.rabi_per_volt * v["amplitude"]
-            if rabi == 0.0:
-                raise ConfigError("amplitude * rabi_per_volt must be nonzero "
-                                  "to derive t_pulse")
-            t_pulse = 0.25 / rabi
+            t_pulse = 0.25 / (p.rabi_per_volt * v["amplitude"])
         train = optics.OpticalPulseTrain(
             segments=((v["amplitude"], 0.0, t_pulse), (v["amplitude"], 0.0, t_pulse)),
             buffer=v["buffer"])
@@ -568,60 +573,54 @@ _register(ExperimentSpec(
     required={"epsilon": float, "alpha": float, "btheta": float, "b": float},
     defaults={},
     runner=_run_structure,
-    help="derived observables of the 8-level electronic model at one working point",
-    check=_check_structure))
+    help="derived observables of the 8-level electronic model at one working point"))
 
 _register(ExperimentSpec(
     "estimate", "",
     defaults={"wl": 9.431e9, "dss": 254.654e6, "dgs": 1110.755e9,
               "eta": 816.285, "b": 0.0, "larmor_n": 3.5857929e6},
     runner=_run_estimate,
-    help="fit (epsilon, alpha, btheta) to measured observables",
-    check=_check_estimate))
+    help="fit (epsilon, alpha, btheta) to measured observables"))
 
 _register(ExperimentSpec(
     "rabi", "run",
     defaults={"omega": 5.0e6, **_sweep_defaults(0.0, 1.0e-6, 201)},
     runner=_run_rabi,
-    help="electron Rabi oscillation vs pulse duration",
-    check=_check_rabi))
+    help="electron Rabi oscillation vs pulse duration"))
 
 _register(ExperimentSpec(
     "ramsey", "run",
     defaults={"delta_ramsey": 1.0e6, "target": "electron",
               **_sweep_defaults(0.0, 5.0e-6, 201)},
     runner=_run_ramsey,
-    help="electron or nuclear Ramsey fringes vs free-evolution time",
-    check=_check_ramsey))
+    help="electron or nuclear Ramsey fringes vs free-evolution time"))
 
 _register(ExperimentSpec(
     "dd", "run",
     defaults={"kind": "XY", "n_pulses": 8, **_sweep_defaults(1.0e-7, 1.0e-5, 101)},
     runner=_run_dd,
-    help="dynamical-decoupling signal vs inter-pulse spacing",
-    check=_check_dd))
+    help="dynamical-decoupling signal vs inter-pulse spacing"))
 
 _register(ExperimentSpec(
     "spinlock", "run",
     defaults={"omega_sl": 3.5857929e6, "mode": "tau", "tau_fixed": 2.0e-5,
               **_sweep_defaults(0.0, 5.0e-5, 101)},
     runner=_run_spinlock,
-    help="spin-locking sweep over lock duration or drive amplitude",
-    check=_check_spinlock))
+    help="spin-locking sweep over lock duration or drive amplitude"))
 
 _register(ExperimentSpec(
     "nucrot", "run",
     defaults={"tau_rot": 0.0, **_sweep_defaults(0.0, 200.0, 201)},
     runner=_run_nucrot,
     help="conditional nuclear rotation vs pulse number",
-    check=_check_nucrot))
+    rules=(_half_period_delay,)))
 
 _register(ExperimentSpec(
     "gates", "run",
     defaults={"gate": "UI", "tau": 81.5e-9, "n_pulses": 42, "wait": -1.0, "f_in": 1.0},
     runner=_run_gates,
     help="nuclear initialization or two-qubit gate characterization",
-    check=_check_gates))
+    rules=(_gate, _half_period_delay)))
 
 _register(ExperimentSpec(
     "rb", "run",
@@ -629,7 +628,7 @@ _register(ExperimentSpec(
               **_sweep_defaults(1.0, 100.0, 8)},
     runner=_run_rb,
     help="randomized benchmarking of the electron Clifford set",
-    check=_check_rb))
+    rules=(_rb,)))
 
 _register(ExperimentSpec(
     "ssr", "",
@@ -639,7 +638,7 @@ _register(ExperimentSpec(
               "initial": "alternate"},
     runner=_run_ssr,
     help="Monte-Carlo single-shot readout windows and threshold classification",
-    check=_check_ssr))
+    rules=(_ssr_means,)))
 
 _register(ExperimentSpec(
     "optical", "",
@@ -650,7 +649,7 @@ _register(ExperimentSpec(
               **_sweep_defaults(0.0, 5.0e-9, 201)},
     runner=_run_optical,
     help="driven-dissipative optical dynamics: Rabi, phase control or decay",
-    check=_check_optical))
+    rules=(_optical,)))
 
 _register(ExperimentSpec(
     "fit", "",
@@ -716,7 +715,7 @@ def dispatch(cfg: RunConfig):
     spec = EXPERIMENTS[cfg.experiment]
     try:
         columns, rows, extras = spec.runner(cfg.values)
-    except ConfigError:
+    except ExperimentError:   # raised here with its message already worded
         raise
     except (ValueError, KeyError, RuntimeError, ArithmeticError) as exc:
         raise ExperimentError("%s: %s" % (type(exc).__name__, exc))
@@ -736,15 +735,14 @@ _HELP = {
     "alpha": "excited/ground strain susceptibility ratio",
     "btheta": "magnetic field polar angle (deg)",
     "b": "magnetic field magnitude (T)",
-    ("estimate", "b"): "magnetic field magnitude (T); 0 = derived from larmor_n",
     "larmor_n": "nuclear Larmor frequency (Hz)",
     "t_pi": "electron pi time (s) of every pi/2, DD pi and Clifford pulse",
     "seed": "64-bit seed for stochastic experiments",
     "output": "output CSV path (relative paths land in SIVREG_OUTPUT_DIR)",
     "sweep_start": "sweep axis start",
     "sweep_stop": "sweep axis stop",
-    "sweep_points": "number of sweep points (>= 2)",
-    "sweep_scale": "sweep spacing: linear | log",
+    "sweep_points": "number of sweep points",
+    "sweep_scale": "sweep spacing",
 }
 
 
@@ -752,14 +750,12 @@ def _add_flags(parser, spec: ExperimentSpec):
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="flat JSON config file (flags override it)")
     for key, typ in sorted(spec.schema().items()):
-        note = _HELP.get((spec.name, key), _HELP.get(key, ""))
-        if key in spec.required:
-            note = (note + " " if note else "") + "(required)"
-        else:
-            note = (note + " " if note else "") + \
-                "(default: %s)" % _fmt(spec.defaults[key])
+        domain = _domain(spec.name, key)
+        note = [_HELP.get(key, ""), "(%s)" % domain.help() if domain is not None else "",
+                "(required)" if key in spec.required
+                else "(default: %s)" % _fmt(spec.defaults[key])]
         parser.add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
-                            default=argparse.SUPPRESS, help=note)
+                            default=argparse.SUPPRESS, help=" ".join(filter(None, note)))
     parser.set_defaults(experiment=spec.name)
 
 

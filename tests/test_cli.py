@@ -286,6 +286,10 @@ def _structure_with(key, value):
     (["run", "spinlock", "--larmor-n", LARMOR, "--omega-sl=-1"], "omega_sl must be >= 0"),
     (["run", "spinlock", "--larmor-n", LARMOR, "--mode", "amplitude", "--sweep-start=-1e6"],
      "sweep_start must be >= 0"),
+    (["run", "dd", "--larmor-n", LARMOR, "--t-c=-1"],
+     "t_c must be >= 0 (0 disables dephasing)"),
+    (["fit", "--model", "single_exp", "--data", "data.csv", "--x-col=-2"], "x_col must be >= 0"),
+    (["fit", "--model", "single_exp", "--data", "data.csv", "--y-col=-1"], "y_col must be >= 0"),
 ])
 def test_out_of_domain_values_are_config_errors_naming_the_key(out_dir, capsys, argv, message):
     assert cli.main(argv) == 2
@@ -296,7 +300,29 @@ def test_out_of_domain_values_are_config_errors_naming_the_key(out_dir, capsys, 
 def test_estimate_help_says_zero_field_is_derived(capsys):
     with pytest.raises(SystemExit):
         cli.main(["estimate", "--help"])
-    assert "0 = derived from larmor_n" in " ".join(capsys.readouterr().out.split())
+    assert "0 derives it from larmor_n" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command, expected", [
+    (["run", "rabi"], "--f-ie F_IE (in [0.5, 1]) (default: 1.0)"),
+    (["ssr"], "--p-offres P_OFFRES (in [0, 1)) (default: 0.07)"),
+    (["run", "rabi"], "--omega OMEGA (>= 0; 0 is free evolution) (default: 5000000.0)"),
+    (["run", "dd"], "--kind KIND (CPMG | XY) (default: XY)"),
+], ids=["closed", "half_open", "bound_with_note", "choices"])
+def test_help_states_each_kind_of_domain(capsys, command, expected):
+    with pytest.raises(SystemExit):
+        cli.main(command + ["--help"])
+    assert expected in " ".join(capsys.readouterr().out.split())
+
+
+def test_every_domain_entry_names_a_key_of_some_experiment():
+    schemas = {name: spec.schema() for name, spec in cli.EXPERIMENTS.items()}
+    for entry in cli._DOMAINS:
+        if isinstance(entry, tuple):
+            experiment, key = entry
+            assert key in schemas[experiment], entry
+        else:
+            assert any(entry in schema for schema in schemas.values()), entry
 
 
 @pytest.mark.parametrize("experiment", ["rabi", "ramsey", "dd", "spinlock"])
@@ -330,6 +356,7 @@ def test_config_file_problems_are_config_errors(out_dir, capsys):
 def test_module_failures_exit_three(out_dir, capsys):
     assert cli.main(["fit", "--model", "single_exp",
                      "--data", str(out_dir / "absent.csv")]) == 3
+    assert capsys.readouterr().err.startswith("experiment error: cannot read data file: ")
     tiny = out_dir / "tiny.csv"
     tiny.write_text("x,y\n1,2\n")
     assert cli.main(["fit", "--model", "single_exp", "--data", str(tiny)]) == 3
