@@ -220,7 +220,7 @@ def _coerce(key, value, expected):
     elif expected is int:
         if isinstance(value, int):
             return int(value)
-        if isinstance(value, float) and value == int(value):
+        if isinstance(value, float) and value.is_integer():   # False for inf and nan
             return int(value)
     elif expected is str:
         if isinstance(value, str):
@@ -743,6 +743,11 @@ _HELP = {
     "sweep_stop": "sweep axis stop",
     "sweep_points": "number of sweep points",
     "sweep_scale": "sweep spacing",
+    "tau_rot": "inter-pulse gap (s) of the DD block; <= 0 derives T_L/2 - t_pi "
+               "from larmor_n",
+    "t_pulse": "duration (s) of each phase-mode pulse; <= 0 derives a pi/2 area, "
+               "0.25 / (rabi_per_volt * amplitude)",
+    "wait": "transfer wait (s) of the UI gate; < 0 calibrates it by a wait scan",
 }
 
 

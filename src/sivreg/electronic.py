@@ -265,7 +265,7 @@ def _block_derivatives(c: DefectConstants, s: StrainField, f: FieldConfig):
     return (np.array(coef) @ _DERIVATIVE_OPS).reshape(2, 3, 4, 4)
 
 
-def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
+def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True, last_solve=None):
     """Forward model and its analytic Jacobian from one solve of each parity block.
 
     Returns (DerivedObservables, jac) with jac[i, j] = d observable_i /
@@ -279,9 +279,19 @@ def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
     first-order shifts dv_n = sum_{m != n} v_m <v_m|dH|v_n> / (E_n - E_m) of
     g0, g1 and u0 inside their blocks.  Raises DegenerateStates when e_g0 and
     e_g1 lie within 1 Hz.
+
+    last_solve, when given, is a dict holding the latest block solve keyed on the
+    exact (epsilon, alpha, theta, b_field): a call at that key reuses it, any other
+    call solves and replaces it.
     """
-    c, s, f = DefectConstants(), StrainField(epsilon, alpha), FieldConfig(b_field, theta)
-    _, (eig_g, eig_u), _ = _parity_blocks(c, s, f)
+    key = (epsilon, alpha, theta, b_field)
+    if last_solve is not None and last_solve.get("key") == key:
+        c, s, f, eig_g, eig_u = last_solve["blocks"]
+    else:
+        c, s, f = DefectConstants(), StrainField(epsilon, alpha), FieldConfig(b_field, theta)
+        _, (eig_g, eig_u), _ = _parity_blocks(c, s, f)
+        if last_solve is not None:
+            last_solve.update(key=key, blocks=(c, s, f, eig_g, eig_u))
     e_g, e_u = eig_g.values / TWO_PI, eig_u.values / TWO_PI
     if e_g[1] - e_g[0] < 1.0:
         raise DegenerateStates("E0 and E1 degenerate within 1 Hz; ordering ambiguous")
@@ -322,12 +332,14 @@ def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
     return obs, np.array([d_omega, d_dss, d_dgs, d_cyc])
 
 
-def observables_at(epsilon, alpha, theta, b_field):
+def observables_at(epsilon, alpha, theta, b_field, last_solve=None):
     """Forward model: (epsilon, alpha, theta) + field magnitude -> observables.
 
-    The value half of observables_and_jacobian: two 4x4 block solves.
+    The value half of observables_and_jacobian: two 4x4 block solves, kept in
+    last_solve when it is given (see observables_and_jacobian).
     """
-    return observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=False)[0]
+    return observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=False,
+                                    last_solve=last_solve)[0]
 
 
 def delta_gs_zero_field(epsilon):
@@ -371,21 +383,21 @@ _STRAIN_PARAMS = tuple(map(fitting.ParamSpec, ("epsilon", "alpha", "theta"), ("H
                            DEFAULT_BOUNDS))
 
 
-def _relative_observables(params, targets, b_field):
+def _relative_observables(params, targets, b_field, last_solve=None):
     """Model observables over targets; +inf outside DEFAULT_BOUNDS or on DegenerateStates."""
     if not all(lo <= v <= hi for v, (lo, hi) in zip(params, DEFAULT_BOUNDS)):
         return np.full(4, math.inf)
     try:
-        obs = observables_at(*params, b_field)
+        obs = observables_at(*params, b_field, last_solve=last_solve)
     except DegenerateStates:
         return np.full(4, math.inf)
     return np.array(obs.as_tuple()) / targets
 
 
-def _relative_jacobian(params, targets, b_field):
+def _relative_jacobian(params, targets, b_field, last_solve=None):
     """d _relative_observables / d params, (4, 3); nan on DegenerateStates."""
     try:
-        _, jac = observables_and_jacobian(*params, b_field)
+        _, jac = observables_and_jacobian(*params, b_field, last_solve=last_solve)
     except DegenerateStates:
         return np.full((4, 3), math.nan)
     return jac / targets[:, None]
@@ -416,9 +428,13 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
     if b_field is None:
         b_field = field_from_nuclear_larmor(larmor_n)
 
-    model = fitting.ModelSpec("strain", _STRAIN_PARAMS,
-                              lambda x, *p: _relative_observables(p, targets, b_field),
-                              jacobian=lambda x, p: _relative_jacobian(p, targets, b_field))
+    # least_squares asks for the Jacobian at the point it has just evaluated, so the
+    # steps reuse that point's block solve
+    last_solve = {}
+    model = fitting.ModelSpec(
+        "strain", _STRAIN_PARAMS,
+        lambda x, *p: _relative_observables(p, targets, b_field, last_solve),
+        jacobian=lambda x, p: _relative_jacobian(p, targets, b_field, last_solve))
     fits = []
     for start in itertools.product((1.0 / 3.0, 2.0 / 3.0), repeat=3):
         init = {name: lo + f * (hi - lo)

@@ -2,10 +2,13 @@
 
 The solver is a damped Gauss-Newton (Levenberg-Marquardt style).  Its
 Jacobian is the model's analytic one when the ModelSpec carries a
-``jacobian`` rule, and a central-difference numerical one otherwise.
-Bounded parameters are handled by a logistic (two-sided) or exponential
-(one-sided) change of variables so the core iteration stays unconstrained;
-an analytic Jacobian is carried into those coordinates by the chain rule.
+``jacobian`` rule, and a central-difference numerical one otherwise.  In the
+registry, single_exp, exp_recovery, rb_decay and rabi_beat (rabi_beat_model(k)
+for any k) carry one; so do readout's binned photon-count mixture and the
+strain estimate of electronic.  Bounded parameters are handled by a logistic
+(two-sided) or exponential (one-sided) change of variables, chosen once per
+parameter and fit, so the core iteration stays unconstrained; an analytic
+Jacobian is carried into those coordinates by the chain rule.
 Standard errors come from the residual-scaled inverse normal matrix at the
 solution, always from central differences in the parameters themselves.
 
@@ -13,6 +16,7 @@ All frequency-like parameters are ordinary frequencies (Hz); model formulas
 carry the 2*pi explicitly.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -60,7 +64,9 @@ class ModelSpec:
                 returning d model / d params, shape (len(x), len(params)), in
                 the parameters themselves (not the bound-transformed
                 coordinates).  least_squares uses it for its steps; without
-                it the steps use central differences.
+                it the steps use central differences.  In the registry,
+                single_exp, exp_recovery, rb_decay and rabi_beat (and every
+                rabi_beat_model(k)) carry one.
     """
 
     name: str
@@ -154,6 +160,35 @@ def _external_derivative(u, lo, hi):
     return math.exp(u) if math.isfinite(lo) else -math.exp(u)
 
 
+def _bound_transform(lo, hi):
+    """(p(u), dp/du) for one parameter's bounds, the branch picked once.
+
+    The same math.exp formulas, to the bit, as _to_external and
+    _external_derivative, without their branch tests on every call;
+    least_squares picks one pair per free parameter per fit.
+    """
+    if math.isfinite(lo) and math.isfinite(hi):
+        width = hi - lo
+
+        def to_external(u):
+            if u >= 0:
+                return lo + width / (1.0 + math.exp(-u))
+            e = math.exp(u)
+            return lo + width * e / (1.0 + e)
+
+        def derivative(u):
+            e = math.exp(-abs(u))
+            return width * e / (1.0 + e) ** 2
+        return to_external, derivative
+    if math.isfinite(lo):
+        return (lambda u: lo + math.exp(min(u, 700.0)),
+                lambda u: 0.0 if u >= 700.0 else math.exp(u))
+    if math.isfinite(hi):
+        return (lambda u: hi - math.exp(min(u, 700.0)),
+                lambda u: 0.0 if u >= 700.0 else -math.exp(u))
+    return (lambda u: u), (lambda u: 1.0)
+
+
 def least_squares(model: ModelSpec, x, y, weights=None,
                   init: Optional[Dict[str, float]] = None,
                   fixed: Optional[Dict[str, float]] = None,
@@ -192,24 +227,21 @@ def least_squares(model: ModelSpec, x, y, weights=None,
 
     bounds = {p.name: p.bounds for p in model.params}
     u = np.array([_to_internal(start[n], *bounds[n]) for n in free], dtype=float)
+    free_idx = [names.index(n) for n in free]
+    transforms = [_bound_transform(*bounds[n]) for n in free]
+    held = np.array([fixed.get(n, 0.0) for n in names], dtype=float)
 
     def external(u_vec):
-        full = dict(fixed)
-        for n, ui in zip(free, u_vec):
-            full[n] = _to_external(ui, *bounds[n])
-        return np.array([full[n] for n in names], dtype=float)
+        full = held.copy()
+        full[free_idx] = [to_p(ui) for (to_p, _), ui in zip(transforms, u_vec.tolist())]
+        return full
 
     def residual(u_vec):
-        # overflows during trial steps produce a non-finite cost, which
-        # simply rejects the step; keep them from spamming warnings
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return w_sqrt * (model(x, external(u_vec)) - y)
-
-    free_idx = [names.index(n) for n in free]
+        return w_sqrt * (model(x, external(u_vec)) - y)
 
     def jacobian(u_vec):
         if model.jacobian is not None:
-            dp_du = [_external_derivative(ui, *bounds[n]) for n, ui in zip(free, u_vec)]
+            dp_du = [dp(ui) for (_, dp), ui in zip(transforms, u_vec.tolist())]
             jac_p = np.asarray(model.jacobian(x, external(u_vec)), dtype=float)
             return w_sqrt[:, None] * jac_p[:, free_idx] * np.array(dp_du)
         jac = np.empty((x.size, u_vec.size))
@@ -221,46 +253,49 @@ def least_squares(model: ModelSpec, x, y, weights=None,
             jac[:, i] = (residual(up) - residual(dn)) / (2.0 * h)
         return jac
 
-    r = residual(u)
-    cost = 0.5 * float(r @ r)
-    lam = 1e-3
-    flat_count = 0
-    converged = False
-    for _ in range(max_iterations):
-        jac = jacobian(u)
-        g = jac.T @ r
-        a = jac.T @ jac
-        stepped = False
-        while lam < 1e14:
-            m = a + lam * np.diag(np.maximum(np.diag(a), 1e-300))
-            try:
-                step = np.linalg.solve(m, -g)
-            except np.linalg.LinAlgError:
-                raise SingularNormalMatrix(
-                    "normal matrix is singular for model %r" % model.name)
-            if not np.all(np.isfinite(step)):
-                raise SingularNormalMatrix(
-                    "normal matrix is singular for model %r" % model.name)
-            r_new = residual(u + step)
-            cost_new = 0.5 * float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new <= cost:
-                rel = abs(cost - cost_new) / max(cost, 1e-300)
-                flat_count = flat_count + 1 if rel < 1e-10 else 0
-                u = u + step
-                r, cost = r_new, cost_new
-                lam = max(lam / 10.0, 1e-12)
-                stepped = True
-                if flat_count >= 3:
-                    converged = True
+    # overflows during trial steps produce a non-finite cost, which simply
+    # rejects the step; keep them from spamming warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = residual(u)
+        cost = 0.5 * float(r @ r)
+        lam = 1e-3
+        flat_count = 0
+        converged = False
+        for _ in range(max_iterations):
+            jac = jacobian(u)
+            g = jac.T @ r
+            a = jac.T @ jac
+            stepped = False
+            while lam < 1e14:
+                m = a + lam * np.diag(np.maximum(np.diag(a), 1e-300))
+                try:
+                    step = np.linalg.solve(m, -g)
+                except np.linalg.LinAlgError:
+                    raise SingularNormalMatrix(
+                        "normal matrix is singular for model %r" % model.name)
+                if not np.all(np.isfinite(step)):
+                    raise SingularNormalMatrix(
+                        "normal matrix is singular for model %r" % model.name)
+                r_new = residual(u + step)
+                cost_new = 0.5 * float(r_new @ r_new)
+                if np.isfinite(cost_new) and cost_new <= cost:
+                    rel = abs(cost - cost_new) / max(cost, 1e-300)
+                    flat_count = flat_count + 1 if rel < 1e-10 else 0
+                    u = u + step
+                    r, cost = r_new, cost_new
+                    lam = max(lam / 10.0, 1e-12)
+                    stepped = True
+                    if flat_count >= 3:
+                        converged = True
+                    break
+                lam *= 10.0
+            if not stepped:
+                # no downhill step exists at any damping: stationary point
+                converged = True
+            if converged:
                 break
-            lam *= 10.0
-        if not stepped:
-            # no downhill step exists at any damping: stationary point
-            converged = True
-        if converged:
-            break
-    else:
-        raise MaxIterations("no convergence within %d iterations" % max_iterations)
+        else:
+            raise MaxIterations("no convergence within %d iterations" % max_iterations)
 
     params = external(u)
 
@@ -401,6 +436,11 @@ def _rb_decay(x, f_i, f_g):
     return (f_i - 0.5) * f_g ** x + 0.5
 
 
+def _rb_decay_jacobian(x, p):
+    f_i, f_g = p
+    return np.column_stack([f_g ** x, (f_i - 0.5) * x * f_g ** (x - 1.0)])
+
+
 def _rb_decay_free(x, a, f_g, c):
     return a * f_g ** x + c
 
@@ -415,12 +455,33 @@ def _make_rabi_beat(k):
     return func
 
 
+def _make_rabi_beat_jacobian(k):
+    def jacobian(x, p):
+        cols = []
+        for i in range(k):
+            a, f, phi, t = p[4 * i: 4 * i + 4]
+            arg = 2 * np.pi * f * x + phi
+            env = np.exp(-x / t)
+            sin_env, cos_env = np.sin(arg) * env, np.cos(arg) * env
+            cols += [sin_env, a * 2 * np.pi * x * cos_env, a * cos_env,
+                     a * x / t ** 2 * sin_env]
+        cols.append(np.ones_like(x))
+        return np.column_stack(cols)
+    return jacobian
+
+
 def _gamma2r_model(x, a, b, c):
     return a / x + b * x + c
 
 
 def _single_exp(x, a, t, c):
     return a * np.exp(-x / t) + c
+
+
+def _single_exp_jacobian(x, p):
+    a, t, _ = p
+    e = np.exp(-x / t)
+    return np.column_stack([e, a * x / t ** 2 * e, np.ones_like(x)])
 
 
 def _gaussian(x, a, mu, sigma, c):
@@ -620,7 +681,8 @@ def rabi_beat_model(k):
                    _p("t%d" % i, "s", _POS)]
     params.append(_p("c"))
     return ModelSpec("rabi_beat_%d" % k, tuple(params),
-                     _make_rabi_beat(k), _make_guess_damped_sum(k, False))
+                     _make_rabi_beat(k), _make_guess_damped_sum(k, False),
+                     _make_rabi_beat_jacobian(k))
 
 
 def model_registry() -> Dict[str, ModelSpec]:
@@ -655,7 +717,7 @@ def model_registry() -> Dict[str, ModelSpec]:
             _power_law_offset, _guess_power_offset),
         "rb_decay": ModelSpec("rb_decay", (
             _p("f_i", "", (0.5, 1.0)), _p("f_g", "", (0.0, 1.0))),
-            _rb_decay, _guess_rb),
+            _rb_decay, _guess_rb, _rb_decay_jacobian),
         "rb_decay_free": ModelSpec("rb_decay_free", (
             _p("a"), _p("f_g", "", (0.0, 1.0)), _p("c")),
             _rb_decay_free, _guess_rb),
@@ -663,9 +725,11 @@ def model_registry() -> Dict[str, ModelSpec]:
             _p("a", "", _POS), _p("b", "", _POS), _p("c")),
             _gamma2r_model, _guess_gamma2r),
         "exp_recovery": ModelSpec("exp_recovery", (
-            _p("a"), _p("t", "s", _POS), _p("c")), _single_exp, _guess_single_exp),
+            _p("a"), _p("t", "s", _POS), _p("c")),
+            _single_exp, _guess_single_exp, _single_exp_jacobian),
         "single_exp": ModelSpec("single_exp", (
-            _p("a"), _p("t", "s", _POS), _p("c")), _single_exp, _guess_single_exp),
+            _p("a"), _p("t", "s", _POS), _p("c")),
+            _single_exp, _guess_single_exp, _single_exp_jacobian),
         "gaussian": ModelSpec("gaussian", (
             _p("a"), _p("mu"), _p("sigma", "", _POS), _p("c")),
             _gaussian, _guess_gaussian),
@@ -680,9 +744,17 @@ def model_registry() -> Dict[str, ModelSpec]:
     return reg
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_registry() -> Dict[str, ModelSpec]:
+    """The registry get_model reads, built on its first call; never handed out."""
+    return model_registry()
+
+
 def get_model(name: str) -> ModelSpec:
-    """Registry lookup; raises UnknownModel for unrecognized names."""
-    reg = model_registry()
+    """Registry lookup; raises UnknownModel for unrecognized names.
+
+    Every call for a name returns the same (frozen) spec."""
+    reg = _shared_registry()
     if name not in reg:
         raise UnknownModel("unknown model %r; known: %s"
                            % (name, ", ".join(sorted(reg))))

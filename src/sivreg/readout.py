@@ -311,6 +311,42 @@ def _binned_normal_mixture(x, *params):
     return out
 
 
+def _binned_normal_mixture_jacobian(x, params):
+    """d _binned_normal_mixture / d (a_i, mu_i, s_i), shape (len(x), len(params)).
+
+    With z = (edge - mu_i) / s_i at the bin edges: diff(Phi(z)), -a_i/s_i diff(phi(z))
+    and -a_i/s_i diff(z phi(z)), the erf of all components taken in one pass.
+    """
+    a, mu, s = (np.asarray(params[i::3], dtype=float)[:, None] for i in range(3))
+    z = (np.append(x - 0.5, x[-1] + 0.5) - mu) / s
+    big_phi = 0.5 * _erf(z / math.sqrt(2.0)).astype(float)
+    phi = np.exp(-0.5 * z ** 2) / math.sqrt(2.0 * math.pi)
+    cols = np.stack([np.diff(big_phi), -a / s * np.diff(phi), -a / s * np.diff(z * phi)],
+                    axis=1)   # (component, a/mu/s, bin)
+    return cols.reshape(len(params), x.size).T
+
+
+def _mixture_model(centers):
+    """The registry's three-normal mixture, binned on the unit bins centred on centers.
+
+    Means are confined to the counts seen and widths to the data span, so the
+    zero-count spike cannot open a flat ridge.
+    """
+    generic = fitting.get_model("three_normal_mixture")
+    mu_b = (centers[0], centers[-1])
+    s_b = (0.25, max(float(np.ptp(centers)), 1.0))
+    params = []
+    for spec in generic.params:
+        if spec.name.startswith("mu"):
+            params.append(fitting.ParamSpec(spec.name, spec.unit, mu_b))
+        elif spec.name.startswith("s"):
+            params.append(fitting.ParamSpec(spec.name, spec.unit, s_b))
+        else:
+            params.append(spec)
+    return fitting.ModelSpec(generic.name, tuple(params), _binned_normal_mixture,
+                             generic.guess, _binned_normal_mixture_jacobian)
+
+
 def fit_photon_histogram(counts) -> MixtureFit:
     """Three-component normal fit of the window-count histogram.
 
@@ -330,21 +366,7 @@ def fit_photon_histogram(counts) -> MixtureFit:
     hist, edges = np.histogram(counts, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
-    # the registry's mixture parameters, with means confined to the counts seen and
-    # widths to the data span so the zero-count spike cannot open a flat ridge
-    generic = fitting.get_model("three_normal_mixture")
-    mu_b = (centers[0], centers[-1])
-    s_b = (0.25, max(float(np.ptp(centers)), 1.0))
-    params = []
-    for spec in generic.params:
-        if spec.name.startswith("mu"):
-            params.append(fitting.ParamSpec(spec.name, spec.unit, mu_b))
-        elif spec.name.startswith("s"):
-            params.append(fitting.ParamSpec(spec.name, spec.unit, s_b))
-        else:
-            params.append(spec)
-    model = fitting.ModelSpec(generic.name, tuple(params), _binned_normal_mixture,
-                              generic.guess)
+    model = _mixture_model(centers)
     try:
         res = fitting.least_squares(model, centers, hist.astype(float),
                                     max_iterations=2000)

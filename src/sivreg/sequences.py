@@ -699,7 +699,7 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
 
     sweep = SweepResult(np.asarray(n_list, float), signal, name="rb",
                         axis_label="number of Cliffords")
-    model = fitting.model_registry()["rb_decay"]
+    model = fitting.get_model("rb_decay")
     fit = fitting.least_squares(model, sweep.axis, sweep.signal,
                                 init={"f_i": f_ie, "f_g": 0.99},
                                 fixed={"f_i": f_ie})

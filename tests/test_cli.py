@@ -176,6 +176,14 @@ def test_ill_typed_config_value_rejected(out_dir, capsys, raw):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [math.inf, math.nan])
+def test_non_finite_config_value_for_integer_key_rejected(out_dir, capsys, raw):
+    path = out_dir / "bad.json"
+    path.write_text(json.dumps({"n_shots": raw}))
+    assert cli.main(["ssr", "--config", str(path)]) == 2
+    assert "ill-typed value for key 'n_shots' (expected int)" in capsys.readouterr().err
+
+
 def test_sweep_and_register_validation(out_dir, capsys):
     assert cli.main(["run", "rabi", "--larmor-n", LARMOR,
                      "--sweep-points", "1"]) == 2

@@ -246,7 +246,8 @@ def _grid_polish_oracle(targets, b_field):
 
 
 def test_default_estimate_makes_at_most_900_block_eigensolves(monkeypatch):
-    # analytic Jacobian: 586 block solves (1,678 with central-difference columns)
+    # analytic Jacobian on the kept solve: 402 block solves (604 solving again for
+    # each Jacobian, 1,678 with central-difference columns)
     calls = []
 
     def counted(h):
@@ -258,6 +259,41 @@ def test_default_estimate_makes_at_most_900_block_eigensolves(monkeypatch):
     assert res.converged
     assert set(calls) == {(4, 4)}
     assert len(calls) <= 900
+
+
+def test_estimate_jacobians_add_no_block_solve(monkeypatch):
+    # least_squares asks for each Jacobian at the point it has just evaluated
+    solves, with_jacobian = [], []
+    forward = electronic.observables_and_jacobian
+
+    def counted_eig(h):
+        solves.append(h)
+        return hermitian_eig(h)
+
+    def counted_forward(*args, jacobian=True, **kwargs):
+        with_jacobian.append(jacobian)
+        return forward(*args, jacobian=jacobian, **kwargs)
+
+    monkeypatch.setattr(electronic, "hermitian_eig", counted_eig)
+    monkeypatch.setattr(electronic, "observables_and_jacobian", counted_forward)
+    estimate_parameters(TARGETS)
+    assert any(with_jacobian)
+    assert len(solves) <= 2 * with_jacobian.count(False)
+
+
+def test_kept_block_solve_gives_the_fresh_result_bit_for_bit():
+    kept = {}
+    point = (EPS_REF, ALPHA_REF, THETA_REF, B_REF)
+    assert observables_at(*point, last_solve=kept) == observables_at(*point)
+    obs, jac = electronic.observables_and_jacobian(*point, last_solve=kept)
+    fresh_obs, fresh_jac = electronic.observables_and_jacobian(*point)
+    assert obs == fresh_obs
+    assert np.array_equal(jac, fresh_jac)
+    # a call at another point solves afresh and replaces the kept solve
+    moved = (EPS_REF * (1 + 1e-9),) + point[1:]
+    obs, _ = electronic.observables_and_jacobian(*moved, last_solve=kept)
+    assert obs == observables_at(*moved)
+    assert kept["key"] == moved
 
 
 def test_estimator_agrees_with_independent_search(estimate_result):

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sivreg import fitting
+from sivreg import fitting, readout
 from sivreg.fitting import (MaxIterations, ModelSpec, ParamSpec,
                             SingularNormalMatrix, UnknownModel,
                             damped_sine_sum_model, get_model, least_squares,
-                            model_registry)
+                            model_registry, rabi_beat_model)
 
 # --------------------------------------------------------------------------
 # zero-noise recovery over random in-bounds parameters
@@ -205,27 +205,83 @@ def test_zero_weight_points_are_ignored():
 # analytic Jacobian hook vs the central-difference path
 
 
-def _single_exp_jacobian(x, params):
-    a, t, _ = params
-    e = np.exp(-x / t)
-    return np.column_stack([e, a * x / t ** 2 * e, np.ones_like(x)])
-
-
 def test_single_exp_analytic_jacobian_matches_central_differences():
-    base = get_model("single_exp")
-    analytic = ModelSpec(base.name, base.params, base.func, base.guess,
-                         jacobian=_single_exp_jacobian)
+    analytic = get_model("single_exp")
+    assert analytic.jacobian is not None
+    numeric = ModelSpec(analytic.name, analytic.params, analytic.func, analytic.guess)
     rng = np.random.default_rng(17)
     x = np.linspace(0.0, 2.0, 80)
     for true in ([0.8, 0.3, 0.2], [-1.5, 0.05, 3.0], [2.0, 1.7, -0.4]):
-        y = base(x, true) + 1e-3 * rng.standard_normal(x.size)
-        want = least_squares(base, x, y)
+        y = analytic(x, true) + 1e-3 * rng.standard_normal(x.size)
+        want = least_squares(numeric, x, y)
         got = least_squares(analytic, x, y)
         assert got.converged
         assert np.all(np.abs(got.params - want.params) <= 1e-8 * np.abs(want.params)), \
             (true, got.params, want.params)
         # the uncertainties still come from central differences
         np.testing.assert_allclose(got.sigma, want.sigma, rtol=1e-6)
+
+
+# Every model that carries a jacobian rule: the registry's (on their recovery
+# grids), rabi_beat with one component, and readout's binned photon-count mixture.
+_JACOBIAN_CASES = {name: (get_model(name),) + RECOVERY_CASES[name][:2]
+                   for name, model in sorted(model_registry().items())
+                   if model.jacobian is not None}
+_JACOBIAN_CASES["rabi_beat_1"] = (
+    rabi_beat_model(1), np.linspace(0.0, 20e-6, 400),
+    lambda r: {"a1": r.uniform(0.3, 0.5), "f1": r.uniform(0.4e6, 1.2e6),
+               "phi1": r.uniform(0.3, 1.2), "t1": r.uniform(4e-6, 8e-6),
+               "c": r.uniform(0.3, 0.6)})
+_JACOBIAN_CASES["readout_mixture"] = (
+    readout._mixture_model(RECOVERY_CASES["three_normal_mixture"][0]),
+    *RECOVERY_CASES["three_normal_mixture"][:2])
+
+
+def _central_difference_jacobian(model, x, p):
+    """Columns and their rounding floors, about 500 ulp of the model value over the step."""
+    cols, floors = [], []
+    for i in range(p.size):
+        h = 1e-6 * abs(p[i]) or 1e-6
+        up, dn = p.copy(), p.copy()
+        up[i] += h
+        dn[i] -= h
+        cols.append((model(x, up) - model(x, dn)) / (2.0 * h))
+        floors.append(1e-13 * np.max(np.abs(model(x, p))) / h)
+    return np.column_stack(cols), np.array(floors)
+
+
+def _near_each_bound(model, p):
+    """p with one parameter moved to a thousandth of its distance from a finite bound."""
+    for i, spec in enumerate(model.params):
+        for edge in spec.bounds:
+            if math.isfinite(edge):
+                q = p.copy()
+                q[i] = edge + 1e-3 * (p[i] - edge)
+                yield q
+
+
+def test_every_model_with_a_jacobian_is_checked():
+    assert {"single_exp", "exp_recovery", "rb_decay", "rabi_beat"} <= set(_JACOBIAN_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(_JACOBIAN_CASES))
+def test_analytic_jacobian_matches_central_differences(name):
+    """At the guess, at a fitted point and next to each bound, column by column."""
+    model, x, draw = _JACOBIAN_CASES[name]
+    rng = np.random.default_rng(23)
+    true = np.array([draw(rng)[n] for n in model.param_names])
+    y = model(x, true)
+    y = y + 1e-3 * np.ptp(y) * rng.standard_normal(x.size)
+    guess = model.initial_guess(x, y)
+    fitted = least_squares(model, x, y, max_iterations=2000).params
+    points = [np.array([guess[n] for n in model.param_names]), fitted,
+              *_near_each_bound(model, fitted)]
+    for p in points:
+        got = np.asarray(model.jacobian(x, p))
+        want, floor = _central_difference_jacobian(model, x, p)
+        assert got.shape == (x.size, p.size)
+        scale = np.max(np.abs(got), axis=0)
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-6 * scale + floor), (name, p)
 
 
 # one parameter per bound transform: two-sided, lower-only, upper-only, free
@@ -449,6 +505,37 @@ def test_bound_transform_round_trip_half_open(lo, offset):
 
 def test_registry_returns_fresh_specs():
     assert model_registry()["ramsey"] is not model_registry()["ramsey"]
+
+
+def test_get_model_returns_one_spec_per_name():
+    for name in model_registry():
+        assert get_model(name) is get_model(name)
+
+
+def test_mutating_a_registry_copy_does_not_reach_get_model():
+    reg = model_registry()
+    reg["single_exp"] = reg["ramsey"]
+    del reg["gaussian"]
+    assert get_model("single_exp").name == "single_exp"
+    assert get_model("gaussian").name == "gaussian"
+
+
+# u on both sides of 0, of the +-700 clamp of the one-sided transforms and of
+# exp under- and overflow
+_U_GRID = [-800.0, -745.5, -700.5, -700.0, -699.5, -40.0, -1.0, -1e-300, -0.0, 0.0,
+           1e-300, 1.0, 40.0, 699.5, 700.0, 700.5, 745.5, 800.0,
+           *np.linspace(-50.0, 50.0, 41).tolist()]
+
+
+@pytest.mark.parametrize("bounds", [(-2.0, 3.0), (0.5, 1.0), (1e-300, math.inf),
+                                    (-1.0, math.inf), (-math.inf, 4.0),
+                                    (-math.inf, math.inf)])
+def test_once_chosen_transform_is_bit_identical(bounds):
+    to_external, derivative = fitting._bound_transform(*bounds)
+    for u in _U_GRID:
+        assert float(to_external(u)).hex() == float(fitting._to_external(u, *bounds)).hex()
+        assert float(derivative(u)).hex() == \
+            float(fitting._external_derivative(u, *bounds)).hex()
 
 
 def test_damped_sine_sum_parameter_count_scales_with_components():
