@@ -6,8 +6,8 @@ Jacobian is the model's analytic one when the ModelSpec carries a
 registry, single_exp, exp_recovery, rb_decay and rabi_beat (rabi_beat_model(k)
 for any k) carry one; so do readout's binned photon-count mixture and the
 strain estimate of electronic.  Bounded parameters are handled by a logistic
-(two-sided) or exponential (one-sided) change of variables, chosen once per
-parameter and fit, so the core iteration stays unconstrained; an analytic
+(two-sided) or exponential (one-sided) change of variables, so the core
+iteration stays unconstrained; an analytic
 Jacobian is carried into those coordinates by the chain rule.
 Standard errors come from the residual-scaled inverse normal matrix at the
 solution, always from central differences in the parameters themselves.
@@ -160,35 +160,6 @@ def _external_derivative(u, lo, hi):
     return math.exp(u) if math.isfinite(lo) else -math.exp(u)
 
 
-def _bound_transform(lo, hi):
-    """(p(u), dp/du) for one parameter's bounds, the branch picked once.
-
-    The same math.exp formulas, to the bit, as _to_external and
-    _external_derivative, without their branch tests on every call;
-    least_squares picks one pair per free parameter per fit.
-    """
-    if math.isfinite(lo) and math.isfinite(hi):
-        width = hi - lo
-
-        def to_external(u):
-            if u >= 0:
-                return lo + width / (1.0 + math.exp(-u))
-            e = math.exp(u)
-            return lo + width * e / (1.0 + e)
-
-        def derivative(u):
-            e = math.exp(-abs(u))
-            return width * e / (1.0 + e) ** 2
-        return to_external, derivative
-    if math.isfinite(lo):
-        return (lambda u: lo + math.exp(min(u, 700.0)),
-                lambda u: 0.0 if u >= 700.0 else math.exp(u))
-    if math.isfinite(hi):
-        return (lambda u: hi - math.exp(min(u, 700.0)),
-                lambda u: 0.0 if u >= 700.0 else -math.exp(u))
-    return (lambda u: u), (lambda u: 1.0)
-
-
 def least_squares(model: ModelSpec, x, y, weights=None,
                   init: Optional[Dict[str, float]] = None,
                   fixed: Optional[Dict[str, float]] = None,
@@ -228,12 +199,13 @@ def least_squares(model: ModelSpec, x, y, weights=None,
     bounds = {p.name: p.bounds for p in model.params}
     u = np.array([_to_internal(start[n], *bounds[n]) for n in free], dtype=float)
     free_idx = [names.index(n) for n in free]
-    transforms = [_bound_transform(*bounds[n]) for n in free]
+    free_bounds = [bounds[n] for n in free]
     held = np.array([fixed.get(n, 0.0) for n in names], dtype=float)
 
     def external(u_vec):
         full = held.copy()
-        full[free_idx] = [to_p(ui) for (to_p, _), ui in zip(transforms, u_vec.tolist())]
+        full[free_idx] = [_to_external(ui, lo, hi)
+                          for ui, (lo, hi) in zip(u_vec.tolist(), free_bounds)]
         return full
 
     def residual(u_vec):
@@ -241,7 +213,8 @@ def least_squares(model: ModelSpec, x, y, weights=None,
 
     def jacobian(u_vec):
         if model.jacobian is not None:
-            dp_du = [dp(ui) for (_, dp), ui in zip(transforms, u_vec.tolist())]
+            dp_du = [_external_derivative(ui, lo, hi)
+                     for ui, (lo, hi) in zip(u_vec.tolist(), free_bounds)]
             jac_p = np.asarray(model.jacobian(x, external(u_vec)), dtype=float)
             return w_sqrt[:, None] * jac_p[:, free_idx] * np.array(dp_du)
         jac = np.empty((x.size, u_vec.size))
