@@ -162,7 +162,7 @@ _DOMAINS = {
     # sweep keys: an axis of durations, delays, drive amplitudes or counts
     "sweep_start": Interval(0.0),
     "sweep_stop": Interval(0.0),
-    "sweep_points": Interval(2),
+    "sweep_points": Interval(2, 10 ** 5, "[]"),
     "sweep_scale": Choices(("linear", "log")),
     # the optical axis is a phase in mode 'phase', so a rule checks it by mode
     ("optical", "sweep_start"): None,
@@ -195,7 +195,7 @@ _DOMAINS = {
     "p_offres": Interval(0.0, 1.0, "[)"),
     "t_pol_n": Interval(0.0, ends="()"),
     "threshold": Interval(0),
-    "n_shots": Interval(1),
+    "n_shots": Interval(1, 10 ** 6, "[]"),
     ("optical", "mode"): Choices(("rabi", "phase", "decay")),
     "t1": Interval(0.0, ends="()"),
     "gamma_phi": Interval(0.0),
@@ -748,6 +748,13 @@ _HELP = {
     "t_pulse": "duration (s) of each phase-mode pulse; <= 0 derives a pi/2 area, "
                "0.25 / (rabi_per_volt * amplitude)",
     "wait": "transfer wait (s) of the UI gate; < 0 calibrates it by a wait scan",
+    "beta_deph": "stretching exponent of the dephasing envelope; in [0.5, 3] when t_c > 0",
+    "gate": "UI, CeNOTn, CnNOTe or identity, in any case; CeNOTn, CnNOTe and identity "
+            "need f_ie > 0.5",
+    "n_pulses": "number of DD pi pulses; even and > 0 for gate 'UI'",
+    "tau": "inter-pulse spacing (s) of the UI gate's DD block; > 0 for gate 'UI'",
+    "mean_bright": "mean window count of a bright nucleus; > mean_dark",
+    "mean_dark": "mean window count of a dark nucleus; >= 0 and < mean_bright",
 }
 
 

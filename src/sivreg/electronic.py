@@ -17,6 +17,7 @@ reads the same observables (Hz) from an 8-level Eigensystem, where they
 carry the rounding of the ~2e14 Hz optical offset.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -106,11 +107,8 @@ class EstimationResult:
              theta in degrees) from the best start's Levenberg-Marquardt
              covariance s^2 (J^T J)^-1, s^2 the residual sum of squares per
              degree of freedom (More, Lecture Notes in Mathematics 630, 105
-             (1978)).  J there is still the central-difference Jacobian of
-             fitting.least_squares, not the analytic one of the steps, so a
-             sigma is nan when the best point sits at a DEFAULT_BOUNDS edge:
-             the covariance step there meets the +inf residual outside the
-             bounds.
+             (1978)), J the analytic Jacobian of observables_and_jacobian
+             that the steps use.
     """
 
     strain: StrainField
@@ -265,7 +263,18 @@ def _block_derivatives(c: DefectConstants, s: StrainField, f: FieldConfig):
     return (np.array(coef) @ _DERIVATIVE_OPS).reshape(2, 3, 4, 4)
 
 
-def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True, last_solve=None):
+@functools.lru_cache(maxsize=1)
+def _block_solve(epsilon, alpha, theta, b_field):
+    """The parity-block solves at one point: (constants, strain, field, eig_g, eig_u).
+
+    Keeps the latest point: the strain estimate asks for each Jacobian at the point it
+    has just evaluated, and that call reuses the solve."""
+    c, s, f = DefectConstants(), StrainField(epsilon, alpha), FieldConfig(b_field, theta)
+    _, (eig_g, eig_u), _ = _parity_blocks(c, s, f)
+    return c, s, f, eig_g, eig_u
+
+
+def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
     """Forward model and its analytic Jacobian from one solve of each parity block.
 
     Returns (DerivedObservables, jac) with jac[i, j] = d observable_i /
@@ -278,20 +287,9 @@ def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True, last
     (Feynman, Phys. Rev. 56, 340 (1939)); the cyclicity also needs the
     first-order shifts dv_n = sum_{m != n} v_m <v_m|dH|v_n> / (E_n - E_m) of
     g0, g1 and u0 inside their blocks.  Raises DegenerateStates when e_g0 and
-    e_g1 lie within 1 Hz.
-
-    last_solve, when given, is a dict holding the latest block solve keyed on the
-    exact (epsilon, alpha, theta, b_field): a call at that key reuses it, any other
-    call solves and replaces it.
+    e_g1 lie within 1 Hz.  The block solve of the latest point is kept (_block_solve).
     """
-    key = (epsilon, alpha, theta, b_field)
-    if last_solve is not None and last_solve.get("key") == key:
-        c, s, f, eig_g, eig_u = last_solve["blocks"]
-    else:
-        c, s, f = DefectConstants(), StrainField(epsilon, alpha), FieldConfig(b_field, theta)
-        _, (eig_g, eig_u), _ = _parity_blocks(c, s, f)
-        if last_solve is not None:
-            last_solve.update(key=key, blocks=(c, s, f, eig_g, eig_u))
+    c, s, f, eig_g, eig_u = _block_solve(epsilon, alpha, theta, b_field)
     e_g, e_u = eig_g.values / TWO_PI, eig_u.values / TWO_PI
     if e_g[1] - e_g[0] < 1.0:
         raise DegenerateStates("E0 and E1 degenerate within 1 Hz; ordering ambiguous")
@@ -332,14 +330,12 @@ def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True, last
     return obs, np.array([d_omega, d_dss, d_dgs, d_cyc])
 
 
-def observables_at(epsilon, alpha, theta, b_field, last_solve=None):
+def observables_at(epsilon, alpha, theta, b_field):
     """Forward model: (epsilon, alpha, theta) + field magnitude -> observables.
 
-    The value half of observables_and_jacobian: two 4x4 block solves, kept in
-    last_solve when it is given (see observables_and_jacobian).
+    The value half of observables_and_jacobian: two 4x4 block solves.
     """
-    return observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=False,
-                                    last_solve=last_solve)[0]
+    return observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=False)[0]
 
 
 def delta_gs_zero_field(epsilon):
@@ -383,21 +379,21 @@ _STRAIN_PARAMS = tuple(map(fitting.ParamSpec, ("epsilon", "alpha", "theta"), ("H
                            DEFAULT_BOUNDS))
 
 
-def _relative_observables(params, targets, b_field, last_solve=None):
+def _relative_observables(params, targets, b_field):
     """Model observables over targets; +inf outside DEFAULT_BOUNDS or on DegenerateStates."""
     if not all(lo <= v <= hi for v, (lo, hi) in zip(params, DEFAULT_BOUNDS)):
         return np.full(4, math.inf)
     try:
-        obs = observables_at(*params, b_field, last_solve=last_solve)
+        obs = observables_at(*params, b_field)
     except DegenerateStates:
         return np.full(4, math.inf)
     return np.array(obs.as_tuple()) / targets
 
 
-def _relative_jacobian(params, targets, b_field, last_solve=None):
+def _relative_jacobian(params, targets, b_field):
     """d _relative_observables / d params, (4, 3); nan on DegenerateStates."""
     try:
-        _, jac = observables_and_jacobian(*params, b_field, last_solve=last_solve)
+        _, jac = observables_and_jacobian(*params, b_field)
     except DegenerateStates:
         return np.full((4, 3), math.nan)
     return jac / targets[:, None]
@@ -417,8 +413,7 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
     Multi-start Levenberg-Marquardt (fitting.least_squares on the four
     relative residuals, from 8 deterministic starts at 1/3 and 2/3 of each
     DEFAULT_BOUNDS side).  Its steps use the analytic Jacobian of
-    observables_and_jacobian; the covariance behind the sigmas keeps the
-    central differences of least_squares, nan at a DEFAULT_BOUNDS edge (see
+    observables_and_jacobian, and so does the covariance behind the sigmas (see
     EstimationResult).  The ``converged`` flag is False when the best cost
     stalls above 1e-2; the best point is reported either way.
     """
@@ -428,13 +423,10 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
     if b_field is None:
         b_field = field_from_nuclear_larmor(larmor_n)
 
-    # least_squares asks for the Jacobian at the point it has just evaluated, so the
-    # steps reuse that point's block solve
-    last_solve = {}
     model = fitting.ModelSpec(
         "strain", _STRAIN_PARAMS,
-        lambda x, *p: _relative_observables(p, targets, b_field, last_solve),
-        jacobian=lambda x, p: _relative_jacobian(p, targets, b_field, last_solve))
+        lambda x, *p: _relative_observables(p, targets, b_field),
+        jacobian=lambda x, p: _relative_jacobian(p, targets, b_field))
     fits = []
     for start in itertools.product((1.0 / 3.0, 2.0 / 3.0), repeat=3):
         init = {name: lo + f * (hi - lo)

@@ -1,16 +1,17 @@
 """Nonlinear least squares plus the registry of phenomenological models.
 
-The solver is a damped Gauss-Newton (Levenberg-Marquardt style).  Its
-Jacobian is the model's analytic one when the ModelSpec carries a
-``jacobian`` rule, and a central-difference numerical one otherwise.  In the
-registry, single_exp, exp_recovery, rb_decay and rabi_beat (rabi_beat_model(k)
-for any k) carry one; so do readout's binned photon-count mixture and the
-strain estimate of electronic.  Bounded parameters are handled by a logistic
-(two-sided) or exponential (one-sided) change of variables, so the core
-iteration stays unconstrained; an analytic
-Jacobian is carried into those coordinates by the chain rule.
-Standard errors come from the residual-scaled inverse normal matrix at the
-solution, always from central differences in the parameters themselves.
+The solver is a damped Gauss-Newton (Levenberg-Marquardt style).  A fit
+differentiates its model one way, in the parameters themselves: with the
+analytic Jacobian when the ModelSpec carries a ``jacobian`` rule, by central
+differences otherwise.  In the registry, single_exp (also registered as
+exp_recovery), rb_decay and rabi_beat (rabi_beat_model(k) for any k) carry
+one; so do readout's binned photon-count mixture and the strain estimate of
+electronic.  Bounded parameters are handled by a logistic (two-sided) or
+exponential (one-sided) change of variables, so the core iteration stays
+unconstrained; the steps carry the Jacobian into those coordinates by the
+chain rule.  Standard errors come from the residual-scaled inverse normal
+matrix s^2 (J^T J)^-1 with the same Jacobian at the solution (More, Lecture
+Notes in Mathematics 630, 105 (1978)).
 
 All frequency-like parameters are ordinary frequencies (Hz); model formulas
 carry the 2*pi explicitly.
@@ -63,10 +64,10 @@ class ModelSpec:
                 jacobian(x, params) with the full parameter vector and
                 returning d model / d params, shape (len(x), len(params)), in
                 the parameters themselves (not the bound-transformed
-                coordinates).  least_squares uses it for its steps; without
-                it the steps use central differences.  In the registry,
-                single_exp, exp_recovery, rb_decay and rabi_beat (and every
-                rabi_beat_model(k)) carry one.
+                coordinates).  least_squares uses it for its steps and its
+                covariance; without it both use central differences.  In the
+                registry, single_exp (exp_recovery), rb_decay and rabi_beat
+                (and every rabi_beat_model(k)) carry one.
     """
 
     name: str
@@ -168,9 +169,9 @@ def least_squares(model: ModelSpec, x, y, weights=None,
 
     init is a dict of starting values (missing entries fall back to the
     model's initial-guess rule); fixed pins named parameters and removes them
-    from the optimization and the reported uncertainties.  The steps use
-    model.jacobian when the model has one (see ModelSpec); the reported
-    uncertainties always come from central differences.
+    from the optimization and the reported uncertainties.  The steps and the
+    uncertainties share one Jacobian: model.jacobian when the model has one
+    (see ModelSpec), central differences in the parameters otherwise.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -211,19 +212,18 @@ def least_squares(model: ModelSpec, x, y, weights=None,
     def residual(u_vec):
         return w_sqrt * (model(x, external(u_vec)) - y)
 
-    def jacobian(u_vec):
+    def jacobian(params):
+        """d residual / d free params: model.jacobian, or central differences."""
         if model.jacobian is not None:
-            dp_du = [_external_derivative(ui, lo, hi)
-                     for ui, (lo, hi) in zip(u_vec.tolist(), free_bounds)]
-            jac_p = np.asarray(model.jacobian(x, external(u_vec)), dtype=float)
-            return w_sqrt[:, None] * jac_p[:, free_idx] * np.array(dp_du)
-        jac = np.empty((x.size, u_vec.size))
-        for i in range(u_vec.size):
-            h = 1e-6 * abs(u_vec[i]) or 1e-6
-            up, dn = u_vec.copy(), u_vec.copy()
+            return w_sqrt[:, None] * np.asarray(model.jacobian(x, params), dtype=float)[:, free_idx]
+        jac = np.empty((x.size, len(free_idx)))
+        for col, i in enumerate(free_idx):
+            # relative to the start value too: a fitted value near 0 gives no usable step
+            h = 1e-6 * max(abs(params[i]), abs(start[names[i]])) or 1e-6
+            up, dn = params.copy(), params.copy()
             up[i] += h
             dn[i] -= h
-            jac[:, i] = (residual(up) - residual(dn)) / (2.0 * h)
+            jac[:, col] = w_sqrt * (model(x, up) - model(x, dn)) / (2.0 * h)
         return jac
 
     # overflows during trial steps produce a non-finite cost, which simply
@@ -235,7 +235,9 @@ def least_squares(model: ModelSpec, x, y, weights=None,
         flat_count = 0
         converged = False
         for _ in range(max_iterations):
-            jac = jacobian(u)
+            dp_du = [_external_derivative(ui, lo, hi)
+                     for ui, (lo, hi) in zip(u.tolist(), free_bounds)]
+            jac = jacobian(external(u)) * np.array(dp_du)
             g = jac.T @ r
             a = jac.T @ jac
             stepped = False
@@ -270,34 +272,23 @@ def least_squares(model: ModelSpec, x, y, weights=None,
         else:
             raise MaxIterations("no convergence within %d iterations" % max_iterations)
 
-    params = external(u)
-
-    # uncertainties from the external-space Jacobian at the solution
-    n_free = len(free)
-    sigma = np.zeros(len(names))
-    cov_full = np.zeros((len(names), len(names)))
-    if n_free and x.size > n_free:
-        jac_p = np.empty((x.size, n_free))
-        for col, i in enumerate(free_idx):
-            # relative to the start value too: a fitted value near 0 gives no usable step
-            h = 1e-6 * max(abs(params[i]), abs(start[names[i]])) or 1e-6
-            up, dn = params.copy(), params.copy()
-            up[i] += h
-            dn[i] -= h
-            jac_p[:, col] = w_sqrt * (model(x, up) - model(x, dn)) / (2.0 * h)
-        with np.errstate(invalid="ignore"):   # a step past a bound gives inf columns
-            a = jac_p.T @ jac_p
-        try:
-            inv = np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            inv = np.full((n_free, n_free), np.nan)
-        s2 = 2.0 * cost / (x.size - n_free)
-        cov = s2 * inv
-        cov = 0.5 * (cov + cov.T)
-        for rlab, i in enumerate(free_idx):
-            sigma[i] = math.sqrt(max(cov[rlab, rlab], 0.0)) if np.isfinite(cov[rlab, rlab]) else np.nan
-            for clab, j in enumerate(free_idx):
-                cov_full[i, j] = cov[rlab, clab]
+        params = external(u)
+        # uncertainties from the same Jacobian at the solution
+        n_free = len(free)
+        sigma = np.zeros(len(names))
+        cov_full = np.zeros((len(names), len(names)))
+        if n_free and x.size > n_free:
+            jac_p = jacobian(params)
+            try:
+                inv = np.linalg.inv(jac_p.T @ jac_p)
+            except np.linalg.LinAlgError:
+                inv = np.full((n_free, n_free), np.nan)
+            cov = 2.0 * cost / (x.size - n_free) * inv
+            cov = 0.5 * (cov + cov.T)
+            for rlab, i in enumerate(free_idx):
+                sigma[i] = math.sqrt(max(cov[rlab, rlab], 0.0)) if np.isfinite(cov[rlab, rlab]) else np.nan
+                for clab, j in enumerate(free_idx):
+                    cov_full[i, j] = cov[rlab, clab]
 
     return FitResult(params=params, sigma=sigma,
                      residual_norm=float(np.sqrt(2.0 * cost)),
@@ -697,9 +688,6 @@ def model_registry() -> Dict[str, ModelSpec]:
         "gamma2r_model": ModelSpec("gamma2r_model", (
             _p("a", "", _POS), _p("b", "", _POS), _p("c")),
             _gamma2r_model, _guess_gamma2r),
-        "exp_recovery": ModelSpec("exp_recovery", (
-            _p("a"), _p("t", "s", _POS), _p("c")),
-            _single_exp, _guess_single_exp, _single_exp_jacobian),
         "single_exp": ModelSpec("single_exp", (
             _p("a"), _p("t", "s", _POS), _p("c")),
             _single_exp, _guess_single_exp, _single_exp_jacobian),
@@ -712,6 +700,7 @@ def model_registry() -> Dict[str, ModelSpec]:
             _p("a3", "", _POS), _p("mu3"), _p("s3", "", (0.25, math.inf))),
             _three_normal_mixture, _guess_mixture),
     }
+    reg["exp_recovery"] = reg["single_exp"]   # a * exp(-x / t) + c fits decays and recoveries
     reg["damped_sine_sum"] = damped_sine_sum_model(2)
     reg["rabi_beat"] = rabi_beat_model(2)
     return reg

@@ -8,7 +8,7 @@ classified against a photon threshold.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,17 +62,11 @@ class PulseMetrics:
     per_pulse: Optional[List["PulseMetrics"]] = None
 
 
-def _fit_exponential(t, y, t_bounds=None, nss_bounds=None):
-    inf = math.inf
-    spec = fitting.ModelSpec("pump_decay", (
-        fitting.ParamSpec("a"),
-        fitting.ParamSpec("t", "s", t_bounds or (1e-300, inf)),
-        fitting.ParamSpec("c", "", nss_bounds or (0.0, inf))),
-        lambda x, a, tc, c: a * np.exp(-x / tc) + c,
-        lambda x, yy: {"a": yy[0] - yy[-1],
-                       "t": fitting._decay_scale(x, yy),
-                       "c": max(yy[-1], 1e-9)})
-    return fitting.least_squares(spec, t, y)
+def _registry_model(name, bounds, **changes):
+    """The registry's model name with the bounds of the parameters in bounds replaced."""
+    spec = fitting.get_model(name)
+    params = tuple(replace(p, bounds=bounds.get(p.name, p.bounds)) for p in spec.params)
+    return replace(spec, params=params, **changes)
 
 
 def extract_pulse_metrics(counts_trace):
@@ -90,7 +84,8 @@ def extract_pulse_metrics(counts_trace):
         raise ValueError("need at least 10 time bins")
     t = np.arange(collective.size, dtype=float)
 
-    res = _fit_exponential(t, collective)
+    res = fitting.least_squares(_registry_model("exp_recovery", {"c": (0.0, math.inf)}),
+                                t, collective)
     scale = np.linalg.norm(collective - collective.mean())
     if scale > 0 and res.residual_norm > 0.5 * scale:
         raise FitFailed("pump-decay fit residual %.3g exceeds threshold"
@@ -106,7 +101,8 @@ def extract_pulse_metrics(counts_trace):
         n_b = (max(n_ss - 3 * s_n, 0.0), n_ss + 3 * max(s_n, 1e-12 * max(n_ss, 1.0)))
         metrics.per_pulse = []
         for row in trace:
-            r = _fit_exponential(t, row, t_bounds=t_b, nss_bounds=n_b)
+            r = fitting.least_squares(_registry_model("exp_recovery", {"t": t_b, "c": n_b}),
+                                      t, row)
             ap = max(r["a"], 0.0)
             fid = ap / (ap + r["c"]) if (ap + r["c"]) > 0 else 0.0
             metrics.per_pulse.append(PulseMetrics(r["a"], r["c"], r["t"], fid))
@@ -332,19 +328,11 @@ def _mixture_model(centers):
     Means are confined to the counts seen and widths to the data span, so the
     zero-count spike cannot open a flat ridge.
     """
-    generic = fitting.get_model("three_normal_mixture")
     mu_b = (centers[0], centers[-1])
     s_b = (0.25, max(float(np.ptp(centers)), 1.0))
-    params = []
-    for spec in generic.params:
-        if spec.name.startswith("mu"):
-            params.append(fitting.ParamSpec(spec.name, spec.unit, mu_b))
-        elif spec.name.startswith("s"):
-            params.append(fitting.ParamSpec(spec.name, spec.unit, s_b))
-        else:
-            params.append(spec)
-    return fitting.ModelSpec(generic.name, tuple(params), _binned_normal_mixture,
-                             generic.guess, _binned_normal_mixture_jacobian)
+    bounds = {"%s%d" % (name, i): b for i in (1, 2, 3) for name, b in (("mu", mu_b), ("s", s_b))}
+    return _registry_model("three_normal_mixture", bounds, func=_binned_normal_mixture,
+                           jacobian=_binned_normal_mixture_jacobian)
 
 
 def fit_photon_histogram(counts) -> MixtureFit:

@@ -221,7 +221,7 @@ def test_sweep_and_register_validation(out_dir, capsys):
     assert "sweep_points" in capsys.readouterr().err
     for n_shots in ("0", "-3"):
         assert cli.main(["ssr", "--n-shots", n_shots]) == 2
-        assert "config error: n_shots must be >= 1" in capsys.readouterr().err
+        assert "config error: n_shots must lie in [1, 1e+06]" in capsys.readouterr().err
     for gate, key, value, domain in (("cenotn", "f_ie", "0.3", "[0.5, 1]"),
                                      ("identity", "f_in", "0.2", "(0.5, 1]"),
                                      ("cnnote", "f_in", "0.5", "(0.5, 1]")):
@@ -230,6 +230,22 @@ def test_sweep_and_register_validation(out_dir, capsys):
         assert "config error: %s must lie in %s" % (key, domain) in capsys.readouterr().err
     assert not list(out_dir.glob("*.csv"))
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, key, raw", [
+    (["ssr"], "n_shots", 1e12),
+    (["ssr"], "n_shots", 1e300),
+    (["ssr"], "n_shots", 10 ** 6 + 1),
+    (["run", "rabi", "--larmor-n", LARMOR], "sweep_points", 1e12),
+    (["optical", "--mode", "phase"], "sweep_points", 10 ** 5 + 1)])
+def test_count_keys_that_size_an_allocation_have_an_upper_bound(out_dir, capsys, argv, key, raw):
+    path = out_dir / "big.json"
+    path.write_text(json.dumps({key: raw}))
+    assert cli.main(argv + ["--config", str(path)]) == 2
+    assert "config error: %s must lie in [" % key in capsys.readouterr().err
+    assert cli.main(argv + ["--" + key.replace("_", "-"), str(int(raw))]) == 2
+    assert "config error: %s must lie in [" % key in capsys.readouterr().err
+    assert not list(out_dir.glob("*.csv"))
 
 
 _STRUCTURE_AT = {"epsilon": "392e9", "alpha": "0.68", "btheta": "28", "b": "0.335"}

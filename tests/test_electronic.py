@@ -282,18 +282,22 @@ def test_estimate_jacobians_add_no_block_solve(monkeypatch):
 
 
 def test_kept_block_solve_gives_the_fresh_result_bit_for_bit():
-    kept = {}
     point = (EPS_REF, ALPHA_REF, THETA_REF, B_REF)
-    assert observables_at(*point, last_solve=kept) == observables_at(*point)
-    obs, jac = electronic.observables_and_jacobian(*point, last_solve=kept)
+    electronic.observables_and_jacobian(*point)
+    hits = electronic._block_solve.cache_info().hits
+    obs, jac = electronic.observables_and_jacobian(*point)
+    value = observables_at(*point)
+    assert electronic._block_solve.cache_info().hits == hits + 2
+    electronic._block_solve.cache_clear()
     fresh_obs, fresh_jac = electronic.observables_and_jacobian(*point)
-    assert obs == fresh_obs
+    assert obs == fresh_obs == value
     assert np.array_equal(jac, fresh_jac)
     # a call at another point solves afresh and replaces the kept solve
     moved = (EPS_REF * (1 + 1e-9),) + point[1:]
-    obs, _ = electronic.observables_and_jacobian(*moved, last_solve=kept)
+    obs = observables_at(*moved)
+    assert electronic._block_solve.cache_info().currsize == 1
+    electronic._block_solve.cache_clear()
     assert obs == observables_at(*moved)
-    assert kept["key"] == moved
 
 
 def test_estimator_agrees_with_independent_search(estimate_result):
@@ -324,8 +328,21 @@ def test_estimate_reports_finite_small_sigmas_at_the_working_point(estimate_resu
         assert 0.0 <= sigma < 1e-2 * value
 
 
+@pytest.mark.parametrize("alpha", DEFAULT_BOUNDS[1])
+def test_estimate_sigma_is_finite_at_an_alpha_bound(alpha):
+    # the best point sits on a DEFAULT_BOUNDS edge; the analytic Jacobian holds there
+    targets = observables_at(700e9, alpha, THETA_REF, field_from_nuclear_larmor(3.5857929e6))
+    res = estimate_parameters(targets.as_tuple())
+    assert res.converged
+    assert res.strain.alpha == pytest.approx(alpha, rel=1e-9)
+    for sigma, value in zip(res.sigma, (res.strain.epsilon, res.strain.alpha, res.theta)):
+        assert 0.0 <= sigma < 1e-6 * value
+
+
 def test_estimate_sigma_is_nan_at_a_bound():
-    # targets no strain reproduces: the best start ends on DEFAULT_BOUNDS edges
+    # targets no strain reproduces: the best start ends on DEFAULT_BOUNDS edges at
+    # epsilon = 0, where alpha has no effect, so its Jacobian column vanishes and the
+    # normal matrix is singular
     res = estimate_parameters((1.0, 2.0, 3.0, 4.0))
     assert not res.converged
     assert (res.strain.epsilon, res.strain.alpha) == (DEFAULT_BOUNDS[0][0], DEFAULT_BOUNDS[1][0])

@@ -218,12 +218,13 @@ def test_single_exp_analytic_jacobian_matches_central_differences():
         assert got.converged
         assert np.all(np.abs(got.params - want.params) <= 1e-8 * np.abs(want.params)), \
             (true, got.params, want.params)
-        # the uncertainties still come from central differences
+        # the covariance takes each model's own Jacobian too
         np.testing.assert_allclose(got.sigma, want.sigma, rtol=1e-6)
 
 
 # Every model that carries a jacobian rule: the registry's (on their recovery
-# grids), rabi_beat with one component, and readout's binned photon-count mixture.
+# grids), rabi_beat with one and three components, and readout's binned
+# photon-count mixture.
 _JACOBIAN_CASES = {name: (get_model(name),) + RECOVERY_CASES[name][:2]
                    for name, model in sorted(model_registry().items())
                    if model.jacobian is not None}
@@ -231,6 +232,15 @@ _JACOBIAN_CASES["rabi_beat_1"] = (
     rabi_beat_model(1), np.linspace(0.0, 20e-6, 400),
     lambda r: {"a1": r.uniform(0.3, 0.5), "f1": r.uniform(0.4e6, 1.2e6),
                "phi1": r.uniform(0.3, 1.2), "t1": r.uniform(4e-6, 8e-6),
+               "c": r.uniform(0.3, 0.6)})
+_JACOBIAN_CASES["rabi_beat_3"] = (
+    rabi_beat_model(3), np.linspace(0.0, 20e-6, 1000),
+    lambda r: {"a1": r.uniform(0.55, 0.7), "f1": r.uniform(0.9e6, 1.1e6),
+               "phi1": r.uniform(0.3, 0.8), "t1": r.uniform(8e-6, 11e-6),
+               "a2": r.uniform(0.22, 0.3), "f2": r.uniform(2.0e6, 2.6e6),
+               "phi2": r.uniform(0.3, 0.8), "t2": r.uniform(8e-6, 11e-6),
+               "a3": r.uniform(0.1, 0.15), "f3": r.uniform(3.4e6, 3.8e6),
+               "phi3": r.uniform(0.3, 0.8), "t3": r.uniform(8e-6, 11e-6),
                "c": r.uniform(0.3, 0.6)})
 _JACOBIAN_CASES["readout_mixture"] = (
     readout._mixture_model(RECOVERY_CASES["three_normal_mixture"][0]),
@@ -282,6 +292,37 @@ def test_analytic_jacobian_matches_central_differences(name):
         assert got.shape == (x.size, p.size)
         scale = np.max(np.abs(got), axis=0)
         assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-6 * scale + floor), (name, p)
+
+
+def _central_difference_sigma(model, x, y, fit):
+    """The former covariance of least_squares: s^2 (J^T J)^-1 with J from central
+    differences in the parameters, step 1e-6 max(|p|, |start|)."""
+    start = model.initial_guess(x, y)
+    p = fit.params
+    cols = []
+    for i, name in enumerate(model.param_names):
+        h = 1e-6 * max(abs(p[i]), abs(start[name])) or 1e-6
+        up, dn = p.copy(), p.copy()
+        up[i] += h
+        dn[i] -= h
+        cols.append((model(x, up) - model(x, dn)) / (2.0 * h))
+    jac = np.column_stack(cols)
+    s2 = fit.residual_norm ** 2 / (x.size - p.size)
+    return np.sqrt(np.diag(s2 * np.linalg.inv(jac.T @ jac)))
+
+
+@pytest.mark.parametrize("name", sorted(_JACOBIAN_CASES))
+def test_sigma_matches_the_central_difference_covariance(name):
+    """A model's analytic Jacobian gives the sigmas its central differences gave."""
+    model, x, draw = _JACOBIAN_CASES[name]
+    rng = np.random.default_rng(29)
+    true = np.array([draw(rng)[n] for n in model.param_names])
+    y = model(x, true)
+    y = y + 1e-3 * np.ptp(y) * rng.standard_normal(x.size)
+    fit = least_squares(model, x, y, max_iterations=2000)
+    assert fit.converged
+    np.testing.assert_allclose(fit.sigma, _central_difference_sigma(model, x, y, fit),
+                               rtol=1e-6)
 
 
 # one parameter per bound transform: two-sided, lower-only, upper-only, free
