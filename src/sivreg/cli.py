@@ -167,6 +167,11 @@ _DOMAINS = {
     # the optical axis is a phase in mode 'phase', so a rule checks it by mode
     ("optical", "sweep_start"): None,
     ("optical", "sweep_stop"): None,
+    # the axes of DD units and of Cliffords: each count is stepped through
+    ("nucrot", "sweep_start"): Interval(0.0, 1e4, "[]"),
+    ("nucrot", "sweep_stop"): Interval(0.0, 1e4, "[]"),
+    ("rb", "sweep_start"): Interval(0.0, 1e4, "[]"),
+    ("rb", "sweep_stop"): Interval(0.0, 1e4, "[]"),
     "epsilon": Interval(0.0),
     "alpha": Interval(0.0, ends="()"),
     "btheta": Interval(0.0, 90.0, "[]", unit="degrees"),
@@ -179,18 +184,19 @@ _DOMAINS = {
     "omega": Interval(0.0, note="0 is free evolution"),
     "target": Choices(("electron", "nuclear")),
     "kind": Choices(("CPMG", "XY")),
-    ("dd", "n_pulses"): Interval(0),
+    ("dd", "n_pulses"): Interval(0, 10 ** 4, "[]"),
+    ("gates", "n_pulses"): Interval(0, 10 ** 4, "[]"),
     ("spinlock", "mode"): Choices(("tau", "amplitude")),
     "omega_sl": Interval(0.0),
     "tau_fixed": Interval(0.0),
     "f_in": Interval(0.5, 1.0, "(]"),
     "q": Interval(0.0, 1.0, "[]"),
-    "n_random": Interval(1),
+    "n_random": Interval(1, 10 ** 4, "[]"),
     # seeded randomness takes a non-negative integer entropy
     ("rb", "seed"): Interval(0),
     ("ssr", "seed"): Interval(0),
     "initial": Choices(("bright", "dark", "alternate")),
-    "n_blocks": Interval(1),
+    "n_blocks": Interval(1, 10 ** 6, "[]"),
     "t_block": Interval(0.0, ends="()"),
     "p_offres": Interval(0.0, 1.0, "[)"),
     "t_pol_n": Interval(0.0, ends="()"),

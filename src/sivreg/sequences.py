@@ -17,10 +17,18 @@ segments carry a stack of unitaries (``u_free`` and ``u_pulse`` of an array
 of times) and one free time per point; so do the two wait scans of the
 transfer-gate calibration.  Randomized benchmarking evolves the
 randomizations of one sequence length as a stack.  The per-point loops these
-replaced live in the tests as references.  A sweep over the pulse number N
-steps one unit at a time instead of restarting at every N, and so do the
-quarter-rotation search and each RB sequence: every step there continues the
-one before.
+replaced live in the tests as references.
+
+A DD block repeated at one tau (the nuclear Ramsey, nuclear rotation,
+transfer and CeNOTn blocks and the quarter-rotation search) is not walked
+unit by unit: ``Engine.fold`` turns a segment list into one segment, the
+product unitary or, with dephasing, the d^2 x d^2 map of the walk, which
+``Engine.evolve`` applies like any other segment.  ``Engine.dd_block`` folds
+the XY-8 cycle and its first 1..7 units once per Engine; an N-unit block
+steps the cycle N // 8 times and then takes the first N % 8 units.  A sweep
+over the pulse number N reads every N that way, and the quarter-rotation
+search scans one cycle at a time.  The DD sweep (a new unitary per tau) and
+randomized benchmarking (random sequences) walk their segments.
 
 The pi time is ``Engine.t_pi``: every nominal rotation (pi/2 pulses, DD pi
 pulses, RB Cliffords) is driven at the Rabi rate 1/(2 t_pi).  Only explicit
@@ -145,12 +153,17 @@ class TransferMatrix:
 
 
 class Engine:
-    """Caches eigensystems and propagators for one (params, dephasing, t_pi) context.
+    """Caches eigensystems, propagators and folded DD blocks for one
+    (params, dephasing, t_pi) context.
 
     Evolution is a list of (unitary, free time) segments: each applies
     rho -> U rho U^dag, and a segment with free time t > 0 then dephases the
     electron by ``DephasingModel.factor(t)``.  Pulses are segments with free
-    time 0.
+    time 0.  ``fold`` turns a segment list into one segment that acts as the
+    whole walk: the product unitary without dephasing, otherwise the
+    d^2 x d^2 map of the walk, with free time 0.  ``dd_block`` hands out a
+    decoupling block in that folded form: the N of a pulse-number sweep or of
+    a calibration is read from folded cycles, not stepped one unit at a time.
     """
 
     def __init__(self, p: RegisterParams, dephasing: Optional[DephasingModel] = None,
@@ -163,6 +176,7 @@ class Engine:
         self._eig = {}
         self._u_free = {}
         self._u_pulse = {}
+        self._blocks = {}
 
     def _eigensystem(self, rabi, phase):
         """Eigensystem of the Hamiltonian under drive (rabi, phase); rabi 0 is free."""
@@ -231,22 +245,116 @@ class Engine:
                 for segment in half + self.rotation_segments(math.pi, pattern[k % len(pattern)])
                 + half]
 
+    def dd_block(self, tau, n_pulses, pattern=XY8_PHASES, reverse=False):
+        """``dd_block_segments(tau, n_pulses, pattern)`` folded, cached per
+        (tau, n_pulses, pattern, reverse); reverse=True folds the reversed walk, each
+        segment by its adjoint unitary and then its dephasing.
+
+        The first 1, 2, ... len(pattern) units fold in one walk.  A longer block is
+        the cycle of len(pattern) units stepped n_pulses // len(pattern) times and
+        then its first n_pulses % len(pattern) units (the reversed walk takes these
+        in the opposite order).  Without dephasing the block is their product, one
+        unitary; with it, the block steps the cycle map and never multiplies two
+        d^2 x d^2 maps.
+        """
+        key = (tau, n_pulses, pattern, reverse)
+        block = self._blocks.get(key)
+        if block is not None:
+            return block
+        size = len(pattern)
+        if n_pulses <= size:
+            if n_pulses == 0:
+                block = []
+            elif reverse:
+                block = [self.fold(_adjoint(self.dd_block_segments(tau, n_pulses, pattern)))]
+            else:
+                units = [self.dd_unit_segments(tau, phase) for phase in pattern]
+                for k, folded in enumerate(self._fold_steps(units)):
+                    self._blocks[(tau, k + 1, pattern, False)] = [folded]
+                block = self._blocks[key]
+        else:
+            cycles, rest = divmod(n_pulses, size)
+            cycle = self.dd_block(tau, size, pattern, reverse)
+            partial = self.dd_block(tau, rest, pattern, reverse)
+            block = partial + cycle * cycles if reverse else cycle * cycles + partial
+            if self.deph is None:
+                block = [self.fold(block)]
+        self._blocks[key] = block
+        return block
+
+    def fold(self, segments):
+        """One segment that acts as walking the segments in order.
+
+        Without dephasing it is the product unitary (d x d).  With dephasing it
+        is the d^2 x d^2 map of the walk on row-major vec(rho), the convention
+        of ``optics._liouvillian``, stored transposed, so that a stack of
+        states maps as vec(rho) @ M: row k of M is the walked k-th matrix unit.
+        """
+        return self._fold_steps([segments])[0]
+
+    def _fold_steps(self, steps):
+        """The folds of steps[0], steps[0] + steps[1], ... in one walk.
+
+        The matrix units (or, without dephasing, the identity) move through
+        ``evolve``, so a map holds the arithmetic of the walk it replaces.
+        """
+        d = 2 ** (1 + self.p.n_nuclei)
+        folds = []
+        if self.deph is None:
+            u = np.eye(d, dtype=complex)
+            for step in steps:
+                for v, _ in step:
+                    u = v @ u
+                folds.append((u, 0.0))
+            return folds
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        for step in steps:
+            units = self.evolve(units, step)
+            folds.append((units.reshape(d * d, d * d), 0.0))
+        return folds
+
     def evolve(self, rho, segments):
         """Apply the segments in order to a raw density matrix or a stack of them.
 
         A segment's unitary may be one matrix or a stack, and its free time a
         scalar or an array with one value per stacked unitary; rho and the
-        unitaries broadcast over their leading axes.
+        unitaries broadcast over their leading axes.  A folded map (d^2 x d^2,
+        from ``fold``) applies to every rho of the stack.
         """
         for u, t in segments:
-            rho = u @ rho @ u.conj().swapaxes(-1, -2)
+            if u.shape[-1] == rho.shape[-1]:
+                rho = u @ rho @ u.conj().swapaxes(-1, -2)
+            else:
+                rho = _apply_map(u, rho)
             if self.deph is not None and (isinstance(t, np.ndarray) or t):
                 rho = dephase_electron(rho, self.deph.factor(t), self.p.n_nuclei)
         return rho
 
-    def evolve_reversed(self, rho, segments):
-        """Walk the segments backwards, each by its adjoint unitary and then its dephasing."""
-        return self.evolve(rho, [(u.conj().swapaxes(-1, -2), t) for u, t in reversed(segments)])
+
+def _adjoint(segments):
+    """The segments walked backwards, each by its adjoint unitary (free times kept)."""
+    return [(u.conj().swapaxes(-1, -2), t) for u, t in reversed(segments)]
+
+
+# OpenBLAS runs a complex gemm of this many multiply-adds or more on several
+# threads, and also the gemv numpy calls for a one-row product once the map is
+# 64 x 64; those threads spin on after the call and slow the rest of the
+# process.  So a map applies in products below that size, and never to one row.
+_GEMM_SINGLE_THREAD = 65536
+
+
+def _apply_map(m, rho):
+    """A folded map on a rho or a stack of them: vec(rho) @ m, as (rows, d^2) @ (d^2, d^2)
+    products that each stay on one thread."""
+    d2 = m.shape[-1]
+    flat = rho.reshape(-1, d2)
+    if len(flat) == 1:   # doubled: a row of a product does not depend on the other rows
+        return (np.concatenate([flat, flat]) @ m)[:1].reshape(rho.shape)
+    rows = (_GEMM_SINGLE_THREAD - 1) // (d2 * d2)
+    if len(flat) > rows:
+        parts = np.array_split(flat, -(-len(flat) // rows))
+        return np.concatenate([part @ m for part in parts]).reshape(rho.shape)
+    return (flat @ m).reshape(rho.shape)
 
 
 def _initial_rho(p: RegisterParams, f_ie: float, flip=False):
@@ -300,7 +408,7 @@ def run_ramsey(p: RegisterParams, dephasing, delta, taus, target="electron",
 
     tau_rot = params.larmor_period / 2.0 - t_pi
     n_quarter = calibrate_quarter_rotation(params, tau_rot, t_pi=t_pi)
-    block = eng.dd_block_segments(tau_rot, n_quarter)
+    block = eng.dd_block(tau_rot, n_quarter)
     # electron in a definite spin state; target nucleus polarized down
     rho0 = product_state((0.0, 1.0) if electron_up else (1.0, 0.0), [(1.0, 0.0)],
                          params.n_nuclei)
@@ -373,10 +481,11 @@ def run_nuclear_rotation(p: RegisterParams, dephasing, tau_rot, n_sweep,
     auxiliary observable, the sigma_z of the target nucleus prepared spin-down
     under an electron prepared spin-down: the conditional-rotation bookkeeping
     whose first return to the initial value marks one full rotation.  The two
-    branches get the same unit at every step, so they step as one (2, d, d)
-    stack, one unit at a time up to the largest N (each N continues the one
-    before); the stack at every wanted N is kept and all of them are read at
-    the end with one stacked pi/2.
+    branches get the same units, so they evolve as one (2, d, d) stack.  An N
+    of 8c + r units is the folded XY-8 cycle stepped c times and then the first
+    r units, folded: the stack steps the cycle up to the largest N, and every
+    wanted N with the same r takes its r-unit map in one evolve.  All of them
+    are read at the end with one stacked pi/2.
     """
     if not tau_rot > 0:
         raise ValueError("tau_rot must be > 0")
@@ -385,19 +494,23 @@ def run_nuclear_rotation(p: RegisterParams, dephasing, tau_rot, n_sweep,
         raise ValueError("pulse numbers must be >= 0")
     eng = Engine(p, dephasing, t_pi)
     half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    size = len(XY8_PHASES)
 
     # the two branches as one stack: [0] the electron signal (coherence
     # interferometry around the block), [1] the conditional rotation (electron
     # down, target nucleus down, rest mixed)
     rho = np.array([eng.evolve(_initial_rho(p, f_ie), half_pi),
                     product_state((f_ie, 1.0 - f_ie), [(1.0, 0.0)], p.n_nuclei)])
-    wanted = sorted(set(n_sweep))
-    snapshots = [rho] if wanted[0] == 0 else []
-    for n in range(1, wanted[-1] + 1):
-        rho = eng.evolve(rho, eng.dd_unit_segments(tau_rot, XY8_PHASES[(n - 1) % 8]))
-        if n == wanted[len(snapshots)]:
-            snapshots.append(rho)
-    snapshots = np.array(snapshots)
+    wanted = np.array(sorted(set(n_sweep)))
+    cycled = [rho]   # after 0, 8, 16, ... units
+    for _ in range(wanted[-1] // size):
+        cycled.append(eng.evolve(cycled[-1], eng.dd_block(tau_rot, size)))
+    cycled = np.array(cycled)
+    snapshots = np.empty((len(wanted),) + rho.shape, dtype=complex)
+    for rest in range(size):
+        at = wanted % size == rest
+        if at.any():
+            snapshots[at] = eng.evolve(cycled[wanted[at] // size], eng.dd_block(tau_rot, rest))
     signal_at = electron_up_population(eng.evolve(snapshots[:, 0], half_pi))
     sigma_z_at = nuclear_sigma_z(snapshots[:, 1])
     index = np.searchsorted(wanted, n_sweep)
@@ -429,36 +542,48 @@ def calibrate_quarter_rotation(p: RegisterParams, tau_rot, n_max=400,
     Simulates the ideal-limit sigma_z trace of the target nucleus and returns
     the N nearest the first zero crossing (rotation angle pi/2); with
     force_even, the nearer of the two even neighbours, so the pi pulses leave
-    the electron state unchanged.
+    the electron state unchanged.  The trace grows one XY-8 cycle at a time:
+    the stack of the 8 unitaries of the cycle's first 1..8 units gives its next
+    8 values, scanned in order, and the last of them starts the next cycle.
     """
     eng = Engine(replace(p, hyperfine=p.hyperfine[:1], n_nuclei=1), None, t_pi)
+    size = len(XY8_PHASES)
+    prefixes = np.array([eng.dd_block(tau_rot, n)[0][0] for n in range(1, size + 1)])
     rho = product_state((1.0, 0.0), [(1.0, 0.0)])
     trace = [nuclear_sigma_z(rho)]
-    for n in range(1, n_max + 1):
-        rho = eng.evolve(rho, eng.dd_unit_segments(tau_rot, XY8_PHASES[(n - 1) % 8]))
-        trace.append(nuclear_sigma_z(rho))
-        if trace[-1] >= 0.0:
-            if force_even:
-                lo = n - 2 + (n % 2)  # largest even <= n-1
-                hi = lo + 2
-                if hi > n_max or lo < 1:
-                    break
-                rho = eng.evolve(rho, eng.dd_unit_segments(tau_rot, XY8_PHASES[n % 8]))
-                trace.append(nuclear_sigma_z(rho))
-                return lo if abs(trace[lo]) <= abs(trace[hi]) else hi
-            return n if abs(trace[n]) <= abs(trace[n - 1]) else n - 1
-    raise ValueError("no quarter rotation found below n_max; check tau_rot")
+    n = None   # the first N with sigma_z >= 0
+    while n is None or len(trace) <= n + 1:   # up to the unit after the crossing
+        if n is None and len(trace) > n_max:
+            raise ValueError("no quarter rotation found below n_max; check tau_rot")
+        states = eng.evolve(rho, [(prefixes, 0.0)])
+        rho = states[-1]
+        trace.extend(nuclear_sigma_z(states))
+        if n is None:
+            n = next((k for k in range(len(trace) - size, min(len(trace), n_max + 1))
+                      if trace[k] >= 0.0), None)
+    if not force_even:
+        return n if abs(trace[n]) <= abs(trace[n - 1]) else n - 1
+    lo = n - 2 + (n % 2)  # largest even <= n-1
+    hi = lo + 2
+    if hi > n_max or lo < 1:
+        raise ValueError("no quarter rotation found below n_max; check tau_rot")
+    return lo if abs(trace[lo]) <= abs(trace[hi]) else hi
 
 
 # --------------------------------------------------------------------------
 # transfer gate and two-qubit gates
 
 
-def _transfer_segments(eng: Engine, g: GateSpec, wait):
-    """(unitary, free time) segments of the polarization-transfer gate (sans re-pump)."""
-    block = eng.dd_block_segments(g.tau, g.n_pulses)
-    return (eng.rotation_segments(math.pi / 2, math.pi / 2) + block
-            + eng.rotation_segments(math.pi / 2, 0.0) + eng.free_segments(wait) + block)
+def _transfer_segments(eng: Engine, g: GateSpec, wait, reverse=False):
+    """Folded segments of the polarization-transfer gate (sans re-pump); with reverse,
+    the gate walked backwards, each segment by its adjoint unitary and then its
+    dephasing."""
+    block = eng.dd_block(g.tau, g.n_pulses, reverse=reverse)
+    y_half, x_half = (eng.rotation_segments(math.pi / 2, phase) for phase in (math.pi / 2, 0.0))
+    free = eng.free_segments(wait)
+    if reverse:
+        return block + _adjoint(free) + _adjoint(x_half) + block + _adjoint(y_half)
+    return y_half + block + x_half + free + block
 
 
 def calibrate_transfer_wait(p: RegisterParams, g: GateSpec):
@@ -469,14 +594,14 @@ def calibrate_transfer_wait(p: RegisterParams, g: GateSpec):
     over one Larmor period followed by a 33-point refinement around the best.
     The waits are independent points: the wait-independent head of the gate is
     evolved once, then each scan evolves one stack, one rho per wait, through
-    free(wait) and the second block.
+    free(wait) and the second block, folded to one unitary.
     """
     coarse, fine = 48, 33
     single = replace(p, hyperfine=p.hyperfine[:1], n_nuclei=1)
     eng = Engine(single, None, g.t_pi)
     period = single.larmor_period
     # the gate is head + free(wait) + block: evolve the wait-independent head once
-    block = eng.dd_block_segments(g.tau, g.n_pulses)
+    block = eng.dd_block(g.tau, g.n_pulses)
     head = _transfer_segments(eng, g, 0.0)[:-len(block)]
     rho_head = eng.evolve(_initial_rho(single, 1.0), head)
 
@@ -498,14 +623,13 @@ def calibrate_transfer_wait(p: RegisterParams, g: GateSpec):
 
 
 def _ui_forward(p: RegisterParams, dephasing, g: GateSpec, f_ie, flip_first):
-    """Engine, transfer segments and re-pumped final state of the initialization gate."""
+    """Engine, wait and re-pumped final state of the initialization gate."""
     if g.kind != "UI":
         raise InvalidGate("the nuclear initialization gate needs a gate of kind 'UI'")
     wait = g.wait if g.wait is not None else calibrate_transfer_wait(p, g)
     eng = Engine(p, dephasing, g.t_pi)
-    segments = _transfer_segments(eng, g, wait)
-    rho = eng.evolve(_initial_rho(p, f_ie, flip=flip_first), segments)
-    return eng, segments, repump_electron(RegisterState(rho), f_ie)
+    rho = eng.evolve(_initial_rho(p, f_ie, flip=flip_first), _transfer_segments(eng, g, wait))
+    return eng, wait, repump_electron(RegisterState(rho), f_ie)
 
 
 def nuclear_init_gate(p: RegisterParams, dephasing, g: GateSpec, f_ie,
@@ -530,14 +654,16 @@ def ui_probe_signal(p: RegisterParams, dephasing, g: GateSpec, f_ie,
     electron.  The contrast between flip_first=False and True is
     the probe signal of the initialization experiment.
     """
-    eng, segments, state = _ui_forward(p, dephasing, g, f_ie, flip_first)
-    return electron_up_population(eng.evolve_reversed(state.rho, segments))
+    eng, wait, state = _ui_forward(p, dephasing, g, f_ie, flip_first)
+    back = _transfer_segments(eng, g, wait, reverse=True)
+    return electron_up_population(eng.evolve(state.rho, back))
 
 
 def gate_segments(p: RegisterParams, dephasing, g: GateSpec):
     """Engine and (unitary, free time) segments of a CeNOTn, a CnNOTe or the identity.
 
-    The identity has no segments.  A UI gate raises InvalidGate: it ends in a
+    The two DD blocks of a CeNOTn come folded (``Engine.dd_block``).  The
+    identity has no segments.  A UI gate raises InvalidGate: it ends in a
     re-pump and runs through nuclear_init_gate.
     """
     if g.kind == "UI":
@@ -549,8 +675,7 @@ def gate_segments(p: RegisterParams, dephasing, g: GateSpec):
     eng = Engine(p, dephasing, g.t_pi)
     if g.kind == "identity":
         return eng, []
-    return eng, (eng.dd_block_segments(g.tau, g.n_pulses)
-                 + eng.dd_block_segments(g.uncond_tau, g.uncond_n))
+    return eng, eng.dd_block(g.tau, g.n_pulses) + eng.dd_block(g.uncond_tau, g.uncond_n)
 
 
 def calibrate_cenotn(p: RegisterParams, t_pi=T_PI_DEFAULT, n_max=900):

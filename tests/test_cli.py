@@ -205,7 +205,7 @@ def test_sweep_and_register_validation(out_dir, capsys):
     for experiment in ("nucrot", "rb"):
         assert cli.main(["run", experiment, "--larmor-n", LARMOR,
                          "--sweep-start=-10", "--sweep-stop=-5"]) == 2
-        assert "config error: sweep_start must be >= 0" in capsys.readouterr().err
+        assert "config error: sweep_start must lie in [0, 10000]" in capsys.readouterr().err
     for experiment in ("nucrot", "ramsey", "dd", "spinlock", "rb", "gates"):
         assert cli.main(["run", experiment, "--larmor-n", LARMOR, "--t-pi", "0"]) == 2
         assert "config error: t_pi must be > 0" in capsys.readouterr().err
@@ -248,6 +248,48 @@ def test_count_keys_that_size_an_allocation_have_an_upper_bound(out_dir, capsys,
     assert not list(out_dir.glob("*.csv"))
 
 
+def _resolved(argv):
+    """The config values main would run argv with."""
+    args = cli.build_parser().parse_args(argv)
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("command", "run_experiment", "experiment", "config")}
+    return cli.resolve_config(cli.EXPERIMENTS[args.experiment], None, flags).values
+
+
+@pytest.mark.parametrize("argv, key, bound", [
+    (["run", "dd", "--larmor-n", LARMOR], "n_pulses", 10 ** 4),
+    (["run", "gates", "--larmor-n", LARMOR], "n_pulses", 10 ** 4),
+    (["run", "rb", "--larmor-n", LARMOR], "n_random", 10 ** 4),
+    (["ssr"], "n_blocks", 10 ** 6),
+    (["run", "nucrot", "--larmor-n", LARMOR], "sweep_start", 10 ** 4),
+    (["run", "nucrot", "--larmor-n", LARMOR], "sweep_stop", 10 ** 4),
+    (["run", "rb", "--larmor-n", LARMOR], "sweep_start", 10 ** 4),
+    (["run", "rb", "--larmor-n", LARMOR], "sweep_stop", 10 ** 4)])
+def test_counts_that_set_the_work_of_a_run_have_an_upper_bound(out_dir, capsys, argv, key,
+                                                                bound):
+    """A count at its bound resolves; one past it (or 1e12) exits 2 naming the key, and
+    --help states the bound."""
+    flag = "--" + key.replace("_", "-")
+    assert _resolved(argv + [flag, str(bound)])[key] == bound
+    for past in (bound + 2, 10 ** 12):
+        assert cli.main(argv + [flag, str(past)]) == 2
+        assert "config error: %s must lie in [" % key in capsys.readouterr().err
+    assert not list(out_dir.glob("*.csv"))
+    with pytest.raises(SystemExit):
+        cli.main(argv + ["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert ", %g]" % bound in text.split("%s %s " % (flag, key.upper()))[-1].split(" --")[0]
+
+
+def test_nuclear_rotation_runs_at_the_bound_of_its_pulse_axis(out_dir):
+    path = out_dir / "nucrot.csv"
+    assert cli.main(["run", "nucrot", "--larmor-n", LARMOR, "--sweep-start", "9990",
+                     "--sweep-stop", "10000", "--sweep-points", "11",
+                     "--output", str(path)]) == 0
+    rows = path.read_text().splitlines()
+    assert rows[-1].startswith("10000.0,")
+
+
 _STRUCTURE_AT = {"epsilon": "392e9", "alpha": "0.68", "btheta": "28", "b": "0.335"}
 _GATES = ["run", "gates", "--larmor-n", LARMOR]
 
@@ -279,7 +321,7 @@ def _structure_with(key, value):
      "t_pi must be < 1/(2 larmor_n)"),
     (["ssr", "--p-offres", "1.5"], "p_offres must lie in [0, 1)"),
     (["ssr", "--mean-dark", "40"], "need mean_bright > mean_dark >= 0"),
-    (["ssr", "--n-blocks", "0"], "n_blocks must be >= 1"),
+    (["ssr", "--n-blocks", "0"], "n_blocks must lie in [1, 1e+06]"),
     (["ssr", "--t-block", "0"], "t_block must be > 0"),
     (["ssr", "--t-pol-n=-1"], "t_pol_n must be > 0"),
     (["ssr", "--threshold=-1"], "threshold must be >= 0"),
@@ -293,7 +335,7 @@ def _structure_with(key, value):
     (["run", "rb", "--larmor-n", LARMOR, "--q", "1.5"], "q must lie in [0, 1]"),
     (["run", "rb", "--larmor-n", LARMOR, "--f-ie", "0.5"],
      "f_ie must lie in (0.5, 1] for randomized benchmarking"),
-    (["run", "rb", "--larmor-n", LARMOR, "--n-random", "0"], "n_random must be >= 1"),
+    (["run", "rb", "--larmor-n", LARMOR, "--n-random", "0"], "n_random must lie in [1, 10000]"),
     (["run", "rabi", "--larmor-n", LARMOR, "--omega=-1"], "omega must be >= 0"),
     (["optical", "--t1", "0"], "t1 must be > 0"),
     (["optical", "--gamma-phi=-1"], "gamma_phi must be >= 0"),
@@ -303,7 +345,7 @@ def _structure_with(key, value):
     (["optical", "--mode", "decay", "--sweep-start=-1e-9"], "sweep_start must be >= 0"),
     (["optical", "--mode", "rabi", "--sweep-stop=-1e-9"], "sweep_stop must be >= 0"),
     (["run", "dd", "--larmor-n", LARMOR, "--kind", "foo"], "ill-typed value for key 'kind'"),
-    (["run", "dd", "--larmor-n", LARMOR, "--n-pulses=-1"], "n_pulses must be >= 0"),
+    (["run", "dd", "--larmor-n", LARMOR, "--n-pulses=-1"], "n_pulses must lie in [0, 10000]"),
     (["run", "ramsey", "--larmor-n", LARMOR, "--target", "foo"],
      "ill-typed value for key 'target'"),
     (["run", "spinlock", "--larmor-n", LARMOR, "--tau-fixed=-1"], "tau_fixed must be >= 0"),
@@ -362,7 +404,7 @@ def test_negative_counts_are_config_errors(out_dir, capsys, experiment):
     """A count axis reaching below 0 is rejected, not cut down to its counts >= 0."""
     assert cli.main(["run", experiment, "--larmor-n", LARMOR,
                      "--sweep-start=-5", "--sweep-stop", "10"]) == 2
-    assert "config error: sweep_start must be >= 0" in capsys.readouterr().err
+    assert "config error: sweep_start must lie in [0, 10000]" in capsys.readouterr().err
     assert not list(out_dir.glob("*.csv"))
 
 

@@ -96,9 +96,9 @@ def test_transfer_segments_reverse_pass_undoes_forward_pass():
     p = two_nuclei()
     g = GateSpec(kind="UI", tau=81.5e-9, n_pulses=42, wait=0.1e-6)
     eng = Engine(p)
-    segments = _transfer_segments(eng, g, g.wait)
     rho = _coherent_state(eng, 2)
-    back = eng.evolve_reversed(eng.evolve(rho, segments), segments)
+    back = eng.evolve(eng.evolve(rho, _transfer_segments(eng, g, g.wait)),
+                      _transfer_segments(eng, g, g.wait, reverse=True))
     np.testing.assert_allclose(back, rho, rtol=0, atol=1e-12)
 
 
@@ -125,7 +125,7 @@ def test_transfer_segments_reverse_pass_dephases_after_each_free_segment():
     expected = undo(expected, eng.u_rotation(math.pi / 2, 0.0))
     expected = undo_block(expected)
     expected = undo(expected, eng.u_rotation(math.pi / 2, math.pi / 2))
-    got = eng.evolve_reversed(rho, _transfer_segments(eng, g, g.wait))
+    got = eng.evolve(rho, _transfer_segments(eng, g, g.wait, reverse=True))
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 

@@ -397,25 +397,53 @@ def test_dd_block_segments_equal_successive_units(pattern):
         eng.evolve(rho0, eng.dd_block_segments(tau, n_pulses, pattern)), stepped)
 
 
+def _state_evolves(monkeypatch, seen):
+    """Patch Engine.evolve to call seen(eng, rho, segments, out) on every evolve of states.
+
+    Engine._fold_steps builds a map by evolving the matrix units, which are not
+    states, so the evolves inside it are not passed on.
+    """
+    evolve, fold_steps = Engine.evolve, Engine._fold_steps
+    building = []
+
+    def folding(eng, steps):
+        building.append(steps)
+        try:
+            return fold_steps(eng, steps)
+        finally:
+            building.pop()
+
+    def watched(eng, rho, segments):
+        out = evolve(eng, rho, segments)
+        if not building:
+            seen(eng, rho, segments, out)
+        return out
+
+    monkeypatch.setattr(Engine, "_fold_steps", folding)
+    monkeypatch.setattr(Engine, "evolve", watched)
+
+
+def _is_folded_map(u, d):
+    return u.shape[-2:] == (d * d, d * d)
+
+
 def test_every_evolved_state_is_a_valid_density_matrix(monkeypatch):
     """Every rho that Engine.evolve returns has trace 1, is Hermitian and positive.
 
     Engine.evolve is the only way an experiment moves a state, so wrapping it
     checks the state invariants of every experiment on its raw arrays, one
-    matrix at a time when it returns a stack.
+    matrix at a time when it returns a stack, folded DD blocks included.
     """
     calls = []
-    evolve = Engine.evolve
 
-    def checked(eng, rho, segments):
-        out = evolve(eng, rho, segments)
-        assert out.shape[-2:] == (2 ** (1 + eng.p.n_nuclei),) * 2
+    def checked(eng, rho, segments, out):
+        d = 2 ** (1 + eng.p.n_nuclei)
+        assert out.shape[-2:] == (d, d)
         for single in out.reshape((-1,) + out.shape[-2:]):
             RegisterState(single).validate()
-        calls.append(out.shape)
-        return out
+        calls.append((out.shape, any(_is_folded_map(u, d) for u, _ in segments)))
 
-    monkeypatch.setattr(Engine, "evolve", checked)
+    _state_evolves(monkeypatch, checked)
     p = two_nuclei()
     deph = DephasingModel(t_c=4e-6, beta=2.0)
     taus = [0.0, 0.4e-6, 1.3e-6]
@@ -441,12 +469,17 @@ def test_every_evolved_state_is_a_valid_density_matrix(monkeypatch):
         "rb": lambda: run_randomized_benchmarking(p, deph, [1, 3, 5, 8], n_random=2,
                                                   gate_fidelity_noise=0.01),
     }
+    folding = ("nuclear ramsey", "nuclear rotation", "UI gate", "UI probe",
+               "CeNOTn transfer matrix")
     for name, run in runs.items():
         before = len(calls)
         run()
         assert len(calls) > before, name
+        shapes = {shape for shape, _ in calls[before:]}
         if name == "UI gate":   # every rho of the coarse and the fine wait stack was checked
-            assert {(48, 4, 4), (33, 4, 4)} <= set(calls[before:])
+            assert {(48, 4, 4), (33, 4, 4)} <= shapes
+        # the DD blocks of these runs apply as folded maps, and their states were checked
+        assert any(folded for _, folded in calls[before:]) == (name in folding), name
 
 
 # --- stacked sweeps against their per-point references -------------------------
@@ -652,7 +685,7 @@ def _reference_transfer_wait(p, g):
     single = replace(p, hyperfine=p.hyperfine[:1], n_nuclei=1)
     eng = Engine(single, None, g.t_pi)
     period = single.larmor_period
-    block = eng.dd_block_segments(g.tau, g.n_pulses)
+    block = eng.dd_block(g.tau, g.n_pulses)
     head = _transfer_segments(eng, g, 0.0)[:-len(block)]
     rho_head = eng.evolve(_initial_rho(single, 1.0), head)
 
@@ -670,15 +703,10 @@ def _reference_transfer_wait(p, g):
 
 
 def _recording_evolve(monkeypatch):
-    """Patch Engine.evolve to record every returned rho (or stack); return the record."""
+    """Patch Engine.evolve to record every returned rho (or stack) of states; return the
+    record."""
     outputs = []
-    evolve = Engine.evolve
-
-    def recording(eng, rho, segments):
-        outputs.append(evolve(eng, rho, segments))
-        return outputs[-1]
-
-    monkeypatch.setattr(Engine, "evolve", recording)
+    _state_evolves(monkeypatch, lambda eng, rho, segments, out: outputs.append(out))
     return outputs
 
 
@@ -737,7 +765,103 @@ def test_stacked_transfer_matrix_matches_the_per_preparation_reference(
 
 
 def _reference_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie):
-    """The two branches stepped one after the other: the signal and sigma_z per N."""
+    """The two branches one after the other, each N from scratch through the folded
+    XY-8 cycle and the folded first N % 8 units: the signal and sigma_z per N."""
+    eng = Engine(p, dephasing)
+    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    branches = [eng.evolve(_initial_rho(p, f_ie), half_pi),
+                product_state((f_ie, 1.0 - f_ie), [(1.0, 0.0)], p.n_nuclei)]
+    at = []
+    for rho in branches:
+        at.append([])
+        for n in n_sweep:
+            cycled = rho
+            for _ in range(n // 8):
+                cycled = eng.evolve(cycled, eng.dd_block(tau_rot, 8))
+            at[-1].append(eng.evolve(cycled, eng.dd_block(tau_rot, n % 8)))
+    return ([electron_up_population(eng.evolve(rho, half_pi)) for rho in at[0]],
+            [nuclear_sigma_z(rho) for rho in at[1]])
+
+
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+@pytest.mark.parametrize("dephasing", [None, DEPH], ids=["ideal", "dephasing"])
+@pytest.mark.parametrize("f_ie", [1.0, 0.9])
+@pytest.mark.parametrize("n_sweep", [[0, 5, 3, 12, 5, 30], [4, 9, 17]], ids=["from0", "from4"])
+def test_stacked_nuclear_rotation_matches_the_two_branch_reference(
+        monkeypatch, n_nuclei, dephasing, f_ie, n_sweep):
+    """Same signal and sigma_z bit for bit; one evolve per cycle step and per residue
+    N % 8, plus the initial pi/2 and the one stacked readout."""
+    p = _register(n_nuclei)
+    tau_rot = 0.5 * p.larmor_period - T_PI_DEFAULT
+    signal, sigma_z = _reference_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie)
+    outputs = _recording_evolve(monkeypatch)
+    sweep = run_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie=f_ie)
+    np.testing.assert_array_equal(sweep.signal, signal)
+    np.testing.assert_array_equal(sweep.aux["nuclear_sigma_z"], sigma_z)
+    assert len(outputs) == 2 + max(n_sweep) // 8 + len({n % 8 for n in n_sweep})
+
+
+# --- folded DD blocks against the segment walk ----------------------------------
+#
+# A folded block must act as walking its segments one by one, as Engine.evolve
+# does over dd_block_segments: forward, and backwards by the adjoints.
+
+def _walk(eng, rho, segments, reverse=False):
+    """The segment-by-segment walk (reverse: backwards, each segment by its adjoint)."""
+    if reverse:
+        segments = [(u.conj().swapaxes(-1, -2), t) for u, t in reversed(segments)]
+    return eng.evolve(rho, segments)
+
+
+def _coherent_stack(eng, n_states):
+    """Initialized registers rotated by different pulses, so each carries coherences."""
+    rho = product_state(electron_mixture(0.9), [(0.8, 0.2)], eng.p.n_nuclei)
+    return np.array([eng.evolve(rho, eng.rotation_segments(0.3 + 0.4 * k, 0.2 * k)
+                                + eng.dd_unit_segments(0.21e-6, 0.5 * k))
+                     for k in range(n_states)])
+
+
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+@pytest.mark.parametrize("dephasing", [None, DEPH], ids=["ideal", "dephasing"])
+@pytest.mark.parametrize("n_pulses", [1, 7, 8, 16, 17, 23, 42])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_folded_block_matches_the_segment_walk(n_nuclei, dephasing, n_pulses, reverse):
+    p = _register(n_nuclei, detuning=0.1e6)
+    eng = Engine(p, dephasing)
+    tau = 0.5 * p.larmor_period - T_PI_DEFAULT
+    segments = eng.dd_block_segments(tau, n_pulses)
+    block = eng.dd_block(tau, n_pulses, reverse=reverse)
+    assert eng.dd_block(tau, n_pulses, reverse=reverse) is block
+    d = 2 ** (1 + n_nuclei)
+    if dephasing is None:
+        assert len(block) == 1 and block[0][0].shape == (d, d)
+    else:   # the cycle map stepped, then the rest; every segment a d^2 x d^2 map
+        assert len(block) == n_pulses // 8 + (n_pulses % 8 > 0)
+        assert all(_is_folded_map(u, d) and t == 0.0 for u, t in block)
+    for rho in (_coherent_stack(eng, 3), _coherent_stack(eng, 1)[0]):
+        np.testing.assert_allclose(eng.evolve(rho, block), _walk(eng, rho, segments, reverse),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+@pytest.mark.parametrize("dephasing", [None, DEPH], ids=["ideal", "dephasing"])
+def test_fold_of_any_segment_list_matches_the_walk(n_nuclei, dephasing):
+    """Pulses, free evolution and DD units of several lengths, folded into one segment,
+    on one state and on stacks too tall for one single-threaded product."""
+    eng = Engine(_register(n_nuclei, detuning=0.2e6), dephasing)
+    segments = (eng.rotation_segments(math.pi / 2, 0.3) + eng.free_segments(0.7e-6)
+                + eng.dd_block_segments(0.4e-6, 5, CPMG_PHASES)
+                + eng.pulse_segments(3e6, 1.1, 80e-9) + eng.free_segments(1.3e-6))
+    folded = eng.fold(segments)
+    assert folded[1] == 0.0
+    for rho in (_coherent_stack(eng, 1)[0], _coherent_stack(eng, 2), _coherent_stack(eng, 40)):
+        np.testing.assert_allclose(eng.evolve(rho, [folded]), _walk(eng, rho, segments),
+                                   rtol=0, atol=1e-12)
+
+
+def _walked_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie):
+    """The two branches stepped unit by unit through the segment walk: the signal and
+    sigma_z per N."""
     eng = Engine(p, dephasing)
     half_pi = eng.rotation_segments(math.pi / 2, 0.0)
     rho_sig = eng.evolve(_initial_rho(p, f_ie), half_pi)
@@ -755,17 +879,68 @@ def _reference_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie):
 
 @pytest.mark.parametrize("n_nuclei", [1, 2])
 @pytest.mark.parametrize("dephasing", [None, DEPH], ids=["ideal", "dephasing"])
-@pytest.mark.parametrize("f_ie", [1.0, 0.9])
-@pytest.mark.parametrize("n_sweep", [[0, 5, 3, 12, 5, 30], [4, 9, 17]], ids=["from0", "from4"])
-def test_stacked_nuclear_rotation_matches_the_two_branch_reference(
-        monkeypatch, n_nuclei, dephasing, f_ie, n_sweep):
-    """Same signal and sigma_z bit for bit; one evolve per unit step, plus the
-    initial pi/2 and the one stacked readout."""
+def test_nuclear_rotation_matches_the_unit_walk(n_nuclei, dephasing):
     p = _register(n_nuclei)
     tau_rot = 0.5 * p.larmor_period - T_PI_DEFAULT
-    signal, sigma_z = _reference_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie)
-    outputs = _recording_evolve(monkeypatch)
-    sweep = run_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie=f_ie)
-    np.testing.assert_array_equal(sweep.signal, signal)
-    np.testing.assert_array_equal(sweep.aux["nuclear_sigma_z"], sigma_z)
-    assert len(outputs) == max(n_sweep) + 2
+    n_sweep = list(range(0, 60)) + [63, 64, 65, 97, 170]
+    signal, sigma_z = _walked_nuclear_rotation(p, dephasing, tau_rot, n_sweep, 0.9)
+    sweep = run_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie=0.9)
+    np.testing.assert_allclose(sweep.signal, signal, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sweep.aux["nuclear_sigma_z"], sigma_z, rtol=0, atol=1e-12)
+
+
+def _walked_quarter_rotation(p, tau_rot, n_max=400, t_pi=T_PI_DEFAULT, force_even=False):
+    """The quarter-rotation search stepped unit by unit through the segment walk."""
+    eng = Engine(replace(p, hyperfine=p.hyperfine[:1], n_nuclei=1), None, t_pi)
+    rho = product_state((1.0, 0.0), [(1.0, 0.0)])
+    trace = [nuclear_sigma_z(rho)]
+    for n in range(1, n_max + 1):
+        rho = eng.evolve(rho, eng.dd_unit_segments(tau_rot, XY8_PHASES[(n - 1) % 8]))
+        trace.append(nuclear_sigma_z(rho))
+        if trace[-1] >= 0.0:
+            if force_even:
+                lo = n - 2 + (n % 2)
+                hi = lo + 2
+                if hi > n_max or lo < 1:
+                    break
+                rho = eng.evolve(rho, eng.dd_unit_segments(tau_rot, XY8_PHASES[n % 8]))
+                trace.append(nuclear_sigma_z(rho))
+                return lo if abs(trace[lo]) <= abs(trace[hi]) else hi
+            return n if abs(trace[n]) <= abs(trace[n - 1]) else n - 1
+    raise ValueError("no quarter rotation found below n_max; check tau_rot")
+
+
+def _quarter_rotations(p, tau_rot, n_max, force_even):
+    """(walked, calibrated) N, or the ValueError each raised."""
+    results = []
+    for calibrate in (_walked_quarter_rotation, calibrate_quarter_rotation):
+        try:
+            results.append(calibrate(p, tau_rot, n_max=n_max, force_even=force_even))
+        except ValueError as error:
+            results.append(str(error))
+    return results
+
+
+@pytest.mark.parametrize("force_even", [False, True], ids=["any", "even"])
+@pytest.mark.parametrize("a_par", [A_PAR, 0.95 * A_PAR])
+def test_quarter_rotation_returns_the_n_of_the_unit_walk(force_even, a_par):
+    """The same N over the CeNOTn delays, detuned and higher-order ones, and the same N
+    or the same ValueError at every n_max around the crossing."""
+    p = RegisterParams(larmor_n=LARMOR_N, hyperfine=((a_par, A_PERP),), n_nuclei=1)
+    gate = calibrate_cenotn(p)
+    t_l = p.larmor_period
+    taus = (gate.tau, gate.uncond_tau, 0.99 * gate.tau, 1.01 * gate.tau,
+            1.5 * t_l - T_PI_DEFAULT, 2.0 * t_l - T_PI_DEFAULT, 0.5 * gate.tau)
+    found = 0
+    for tau_rot in taus:
+        walked, calibrated = _quarter_rotations(p, tau_rot, 900, force_even)
+        assert calibrated == walked, tau_rot
+        if isinstance(walked, int):
+            found += 1
+            for n_max in range(walked - 3, walked + 4):
+                walked_at, calibrated_at = _quarter_rotations(p, tau_rot, n_max, force_even)
+                assert calibrated_at == walked_at, (tau_rot, n_max)
+    assert found == len(taus) - 1   # 0.5 tau_c is off every resonance: no crossing
+    assert (gate.n_pulses, gate.uncond_n) == tuple(
+        _walked_quarter_rotation(p, tau, n_max=900, force_even=True)
+        for tau in (gate.tau, gate.uncond_tau))
