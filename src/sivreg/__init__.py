@@ -2,11 +2,12 @@
 
 Subpackages/modules:
     linalg     -- dense complex linear algebra kernel (kron, LAPACK eigh eigensolver, propagators)
-    electronic -- 8-level electronic Hamiltonian, derived observables, cyclicity, parameter estimation
+    electronic -- 8-level electronic Hamiltonian, the four observables and their Jacobian from
+                  the parity blocks, strain estimation, Orbach rate
     register   -- electron + nuclear register model: parameters, state, Hamiltonian
     sequences  -- register propagation (Engine) and pulse-sequence experiments (Rabi, Ramsey,
                   DD, spin-lock, nuclear gates, RB)
-    readout    -- optical pumping and single-shot-readout photon statistics
+    readout    -- optical pumping laws, single-shot-readout photon statistics and histogram fit
     optics     -- driven-dissipative two-level optical dipole dynamics
     fitting    -- Levenberg-Marquardt least squares (also behind the strain estimate), model registry
     constants  -- physical constants shared by electronic and fitting

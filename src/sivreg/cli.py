@@ -172,6 +172,7 @@ _DOMAINS = {
     ("nucrot", "sweep_stop"): Interval(0.0, 1e4, "[]"),
     ("rb", "sweep_start"): Interval(0.0, 1e4, "[]"),
     ("rb", "sweep_stop"): Interval(0.0, 1e4, "[]"),
+    "tau_rot": Interval(0.0, note="0 derives T_L/2 - t_pi from larmor_n"),
     "epsilon": Interval(0.0),
     "alpha": Interval(0.0, ends="()"),
     "btheta": Interval(0.0, 90.0, "[]", unit="degrees"),
@@ -205,6 +206,7 @@ _DOMAINS = {
     ("optical", "mode"): Choices(("rabi", "phase", "decay")),
     "t1": Interval(0.0, ends="()"),
     "gamma_phi": Interval(0.0),
+    "t_pulse": Interval(0.0, note="0 derives a pi/2 area, 0.25 / (rabi_per_volt * amplitude)"),
     "buffer": Interval(0.0),
     "p_e0": Interval(0.0, 1.0, "[]"),
     "x_col": Interval(0),
@@ -316,9 +318,9 @@ def _dephasing_exponent(v):
 
 
 def _half_period_delay(v):
-    """A CeNOTn gate, and nucrot at its default tau_rot <= 0, wait T_L/2 - t_pi derived
+    """A CeNOTn gate, and nucrot at its default tau_rot = 0, wait T_L/2 - t_pi derived
     from larmor_n, which must stay positive."""
-    waits = v.get("gate", "").lower() == "cenotn" or v.get("tau_rot", 1.0) <= 0.0
+    waits = v.get("gate", "").lower() == "cenotn" or v.get("tau_rot") == 0.0
     if waits and not 0.5 / v["larmor_n"] - v["t_pi"] > 0.0:
         raise ConfigError("t_pi must be < 1/(2 larmor_n) = %r s: the delay T_L/2 - t_pi "
                           "derived from it is not positive" % (0.5 / v["larmor_n"]))
@@ -331,6 +333,8 @@ def _gate(v):
     if gate not in ("ui", "cenotn", "cnnote", "identity"):
         raise ConfigError("ill-typed value for key 'gate' "
                           "(expected 'UI', 'CeNOTn', 'CnNOTe' or 'identity')")
+    if not (v["wait"] >= 0.0 or v["wait"] == -1.0):
+        raise ConfigError("wait must be >= 0, or -1 to calibrate it by a wait scan")
     if gate == "ui":
         if v["n_pulses"] <= 0 or v["n_pulses"] % 2:
             raise ConfigError("n_pulses must be even and > 0 for gate 'UI'")
@@ -360,7 +364,7 @@ def _optical(v):
             _DOMAINS[key].check(key, v[key])
     if v["mode"] == "decay" and v["sweep_points"] < 4:
         raise ConfigError("sweep_points must be >= 4 for the lifetime fit of mode 'decay'")
-    if (v["mode"] == "phase" and v["t_pulse"] <= 0.0   # t_pulse <= 0 derives it from them
+    if (v["mode"] == "phase" and v["t_pulse"] == 0.0   # t_pulse = 0 derives it from them
             and v["rabi_per_volt"] * v["amplitude"] == 0.0):
         raise ConfigError("amplitude * rabi_per_volt must be nonzero to derive t_pulse")
 
@@ -427,7 +431,7 @@ def _run_spinlock(v):
 
 def _run_nucrot(v):
     tau_rot = v["tau_rot"]
-    if tau_rot <= 0.0:   # default: half a nuclear Larmor period minus the pi time
+    if tau_rot == 0.0:   # default: half a nuclear Larmor period minus the pi time
         tau_rot = 0.5 / v["larmor_n"] - v["t_pi"]
     sweep = sequences.run_nuclear_rotation(_register_params(v), _dephasing(v),
                                            tau_rot, _int_axis(v), f_ie=v["f_ie"],
@@ -441,8 +445,8 @@ def _run_gates(v):
     gate = v["gate"].lower()
     if gate == "ui":
         g = GateSpec(kind="UI", tau=v["tau"], n_pulses=v["n_pulses"], t_pi=v["t_pi"])
-        g = replace(g, wait=v["wait"] if v["wait"] >= 0
-                    else sequences.calibrate_transfer_wait(p, g))
+        g = replace(g, wait=sequences.calibrate_transfer_wait(p, g) if v["wait"] == -1.0
+                    else v["wait"])
         state = sequences.nuclear_init_gate(p, dephasing, g, v["f_ie"])
         rows = [(i, nuclear_sigma_z(state.rho, i)) for i in range(p.n_nuclei)]
         extras = {"wait": g.wait,
@@ -505,7 +509,7 @@ def _run_optical(v):
         return _sweep_table(optics.run_optical_rabi(p, v["amplitude"], _sweep_axis(v)))
     if mode == "phase":
         t_pulse = v["t_pulse"]
-        if t_pulse <= 0.0:   # default: a pi/2 area at the configured amplitude
+        if t_pulse == 0.0:   # default: a pi/2 area at the configured amplitude
             t_pulse = 0.25 / (p.rabi_per_volt * v["amplitude"])
         train = optics.OpticalPulseTrain(
             segments=((v["amplitude"], 0.0, t_pulse), (v["amplitude"], 0.0, t_pulse)),
@@ -749,11 +753,9 @@ _HELP = {
     "sweep_stop": "sweep axis stop",
     "sweep_points": "number of sweep points",
     "sweep_scale": "sweep spacing",
-    "tau_rot": "inter-pulse gap (s) of the DD block; <= 0 derives T_L/2 - t_pi "
-               "from larmor_n",
-    "t_pulse": "duration (s) of each phase-mode pulse; <= 0 derives a pi/2 area, "
-               "0.25 / (rabi_per_volt * amplitude)",
-    "wait": "transfer wait (s) of the UI gate; < 0 calibrates it by a wait scan",
+    "tau_rot": "inter-pulse gap (s) of the DD block",
+    "t_pulse": "duration (s) of each phase-mode pulse",
+    "wait": "transfer wait (s) of the UI gate; >= 0, or -1 to calibrate it by a wait scan",
     "beta_deph": "stretching exponent of the dephasing envelope; in [0.5, 3] when t_c > 0",
     "gate": "UI, CeNOTn, CnNOTe or identity, in any case; CeNOTn, CnNOTe and identity "
             "need f_ie > 0.5",

@@ -12,9 +12,7 @@ the offset-free block eigenvalues and, for the strain estimate, their
 analytic derivatives in (epsilon, alpha, theta).
 
 Inputs are ordinary frequencies (Hz); the assembled Hamiltonian and the
-Eigensystems derived from it are angular (rad/s).  derived_observables
-reads the same observables (Hz) from an 8-level Eigensystem, where they
-carry the rounding of the ~2e14 Hz optical offset.
+Eigensystems derived from it are angular (rad/s).
 """
 
 import functools
@@ -198,45 +196,9 @@ def eigensystem(c: DefectConstants, s: StrainField, f: FieldConfig):
     return Eigensystem(values, _direct_sum(eig_g.vectors, eig_u.vectors))
 
 
-# optical dipole operators entering the cyclicity ratio: SX on the parity slot,
-# so each couples g and u through one 4x4 block of _DIPOLE_BLOCKS
+# optical dipole operators entering the cyclicity ratio: each is SX on the parity
+# slot times one of these 4x4 blocks, so it couples g and u through that block
 _DIPOLE_BLOCKS = np.stack((_STRAIN_Z, -_STRAIN_X, 2.0 * _EYE4))
-_DIPOLES = tuple(kron(SX, d) for d in _DIPOLE_BLOCKS)
-
-
-def cyclicity(eig: Eigensystem):
-    """Squared-dipole ratio of spin-preserving to spin-flipping optical decay.
-
-    Returns math.inf when the spin-flipping channel is numerically dark
-    (denominator below 1e-30).  Raises DegenerateStates when the two lowest
-    eigenstates are degenerate within 1 Hz, since the labeling of |e0> and
-    |e1> would be arbitrary.
-    """
-    values = eig.values
-    if abs(values[1] - values[0]) < TWO_PI * 1.0:
-        raise DegenerateStates("E0 and E1 degenerate within 1 Hz; ordering ambiguous")
-    e0 = eig.vectors[:, 0]
-    e1 = eig.vectors[:, 1]
-    e4 = eig.vectors[:, 4]
-    num = 0.0
-    den = 0.0
-    for dip in _DIPOLES:
-        num += abs(np.vdot(e0, dip @ e4)) ** 2
-        den += abs(np.vdot(e1, dip @ e4)) ** 2
-    if den < 1e-30:
-        return math.inf
-    return num / den
-
-
-def derived_observables(eig: Eigensystem):
-    """Frequency observables (Hz) and cyclicity from an 8-level eigensystem."""
-    e = eig.values / TWO_PI
-    return DerivedObservables(
-        omega_L_e=e[1] - e[0],
-        delta_ss=(e[5] - e[1]) - (e[4] - e[0]),
-        delta_gs=0.5 * (e[2] + e[3]) - 0.5 * (e[0] + e[1]),
-        cyclicity=cyclicity(eig),
-    )
 
 
 # the operators the parameter derivatives of a block are made of: strain
@@ -282,12 +244,15 @@ def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
     theta (degrees); jac is None when jacobian is False.  All four
     observables come from the offset-free block eigenvalues e_g, e_u (Hz):
     omega_L_e = e_g1 - e_g0, delta_ss = (e_u1 - e_u0) - (e_g1 - e_g0),
-    delta_gs the mean gap of the upper and lower g pairs; cyclicity as in
-    cyclicity().  Eigenvalue derivatives are Hellmann-Feynman, <v_n|dH|v_n>
-    (Feynman, Phys. Rev. 56, 340 (1939)); the cyclicity also needs the
-    first-order shifts dv_n = sum_{m != n} v_m <v_m|dH|v_n> / (E_n - E_m) of
-    g0, g1 and u0 inside their blocks.  Raises DegenerateStates when e_g0 and
-    e_g1 lie within 1 Hz.  The block solve of the latest point is kept (_block_solve).
+    delta_gs the mean gap of the upper and lower g pairs; cyclicity the
+    squared-dipole ratio sum_d |<g0|d|u0>|^2 / sum_d |<g1|d|u0>|^2 of
+    spin-preserving to spin-flipping optical decay over _DIPOLE_BLOCKS, and
+    math.inf when the denominator is below 1e-30.  Eigenvalue derivatives
+    are Hellmann-Feynman, <v_n|dH|v_n> (Feynman, Phys. Rev. 56, 340 (1939));
+    the cyclicity also needs the first-order shifts dv_n = sum_{m != n} v_m
+    <v_m|dH|v_n> / (E_n - E_m) of g0, g1 and u0 inside their blocks.  Raises
+    DegenerateStates when e_g0 and e_g1 lie within 1 Hz.  The block solve of
+    the latest point is kept (_block_solve).
     """
     c, s, f, eig_g, eig_u = _block_solve(epsilon, alpha, theta, b_field)
     e_g, e_u = eig_g.values / TWO_PI, eig_u.values / TWO_PI
@@ -397,11 +362,6 @@ def _relative_jacobian(params, targets, b_field):
     except DegenerateStates:
         return np.full((4, 3), math.nan)
     return jac / targets[:, None]
-
-
-def estimation_cost(params, targets, b_field):
-    """Relative-squared mismatch over the four observables, +inf outside physics."""
-    return float(np.sum((_relative_observables(params, targets, b_field) - 1.0) ** 2))
 
 
 def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):

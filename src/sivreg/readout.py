@@ -1,15 +1,14 @@
-"""Optical pumping metrics and Monte-Carlo single-shot nuclear readout.
+"""Optical pumping laws and Monte-Carlo single-shot nuclear readout.
 
-Pumping: polarization-rate and saturation-linewidth laws plus the
-initialization-fidelity extraction from time-binned fluorescence of a pump
-pulse.  Readout: a per-block Markov chain over the nuclear state (bright /
-dark, with an off-resonant branch) whose aggregated window counts are
-classified against a photon threshold.
+Pumping: polarization-rate and saturation-linewidth laws.  Readout: a
+per-block Markov chain over the nuclear state (bright / dark, with an
+off-resonant branch) whose aggregated window counts are classified against a
+photon threshold, and a three-normal fit of the window-count histogram.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Tuple
 
 import numpy as np
 
@@ -47,66 +46,6 @@ def saturation_linewidth(s, gamma0_opt):
         raise ValueError("saturation parameter must be >= 0")
     out = gamma0_opt * np.sqrt(1.0 + s)
     return float(out) if out.ndim == 0 else out
-
-
-# --------------------------------------------------------------------------
-# pump-pulse fluorescence metrics
-
-
-@dataclass
-class PulseMetrics:
-    amplitude: float
-    steady_state: float
-    t_p: float
-    fidelity: float
-    per_pulse: Optional[List["PulseMetrics"]] = None
-
-
-def _registry_model(name, bounds, **changes):
-    """The registry's model name with the bounds of the parameters in bounds replaced."""
-    spec = fitting.get_model(name)
-    params = tuple(replace(p, bounds=bounds.get(p.name, p.bounds)) for p in spec.params)
-    return replace(spec, params=params, **changes)
-
-
-def extract_pulse_metrics(counts_trace):
-    """Initialization-fidelity metrics from time-binned pump fluorescence.
-
-    Fits a * exp(-t / T_p) + n_ss over the bin index (T_p in bins) and reports
-    fidelity a / (a + n_ss).  A 2-D trace (pulses x bins) is fit collectively
-    on the pulse average first; the per-pulse fits then constrain T_p and n_ss
-    to +-3 sigma of the collective values.  Raises FitFailed when the residual
-    norm exceeds half the data's centered norm.
-    """
-    trace = np.asarray(counts_trace, dtype=float)
-    collective = trace.mean(axis=0) if trace.ndim == 2 else trace
-    if collective.size < 10:
-        raise ValueError("need at least 10 time bins")
-    t = np.arange(collective.size, dtype=float)
-
-    res = fitting.least_squares(_registry_model("exp_recovery", {"c": (0.0, math.inf)}),
-                                t, collective)
-    scale = np.linalg.norm(collective - collective.mean())
-    if scale > 0 and res.residual_norm > 0.5 * scale:
-        raise FitFailed("pump-decay fit residual %.3g exceeds threshold"
-                        % res.residual_norm)
-    a, t_p, n_ss = res["a"], res["t"], res["c"]
-    a_pos = max(a, 0.0)
-    fidelity = a_pos / (a_pos + n_ss) if (a_pos + n_ss) > 0 else 0.0
-    metrics = PulseMetrics(a, n_ss, t_p, fidelity)
-
-    if trace.ndim == 2:
-        s_t, s_n = res.error("t"), res.error("c")
-        t_b = (max(t_p - 3 * s_t, 1e-300), t_p + 3 * max(s_t, 1e-12 * t_p))
-        n_b = (max(n_ss - 3 * s_n, 0.0), n_ss + 3 * max(s_n, 1e-12 * max(n_ss, 1.0)))
-        metrics.per_pulse = []
-        for row in trace:
-            r = fitting.least_squares(_registry_model("exp_recovery", {"t": t_b, "c": n_b}),
-                                      t, row)
-            ap = max(r["a"], 0.0)
-            fid = ap / (ap + r["c"]) if (ap + r["c"]) > 0 else 0.0
-            metrics.per_pulse.append(PulseMetrics(r["a"], r["c"], r["t"], fid))
-    return metrics
 
 
 # --------------------------------------------------------------------------
@@ -272,17 +211,6 @@ def classify_threshold(record: PhotonRecord, threshold) -> ClassifyResult:
     return ClassifyResult(labels, f_b, f_d, p_b, p_d, best)
 
 
-def apply_drift_correction(counts, t_window, t_pol_n):
-    """Renormalize window counts for in-window decay of the bright state.
-
-    Divides by the mean bright-survival fraction of an exponential decay over
-    the window, t_pol_n / t_window * (1 - exp(-t_window / t_pol_n)); an
-    optional post-correction applied before histogramming.
-    """
-    frac = t_pol_n / t_window * -math.expm1(-t_window / t_pol_n)
-    return np.asarray(counts, dtype=float) / frac
-
-
 @dataclass
 class MixtureFit:
     weights: Tuple[float, float, float]
@@ -331,8 +259,10 @@ def _mixture_model(centers):
     mu_b = (centers[0], centers[-1])
     s_b = (0.25, max(float(np.ptp(centers)), 1.0))
     bounds = {"%s%d" % (name, i): b for i in (1, 2, 3) for name, b in (("mu", mu_b), ("s", s_b))}
-    return _registry_model("three_normal_mixture", bounds, func=_binned_normal_mixture,
-                           jacobian=_binned_normal_mixture_jacobian)
+    spec = fitting.get_model("three_normal_mixture")
+    params = tuple(replace(p, bounds=bounds.get(p.name, p.bounds)) for p in spec.params)
+    return replace(spec, params=params, func=_binned_normal_mixture,
+                   jacobian=_binned_normal_mixture_jacobian)
 
 
 def fit_photon_histogram(counts) -> MixtureFit:

@@ -356,6 +356,10 @@ def _structure_with(key, value):
      "t_c must be >= 0 (0 disables dephasing)"),
     (["fit", "--model", "single_exp", "--data", "data.csv", "--x-col=-2"], "x_col must be >= 0"),
     (["fit", "--model", "single_exp", "--data", "data.csv", "--y-col=-1"], "y_col must be >= 0"),
+    # a negative value other than the one that derives the default: 0, or -1 for wait
+    (["run", "nucrot", "--larmor-n", LARMOR, "--tau-rot=-1"], "tau_rot must be >= 0 (0 derives"),
+    (["optical", "--mode", "phase", "--t-pulse=-1e-9"], "t_pulse must be >= 0 (0 derives"),
+    (_GATES + ["--wait=-0.5"], "wait must be >= 0, or -1"),
 ])
 def test_out_of_domain_values_are_config_errors_naming_the_key(out_dir, capsys, argv, message):
     assert cli.main(argv) == 2

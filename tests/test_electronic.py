@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from electronic_reference import derived_observables
 from sivreg import electronic
 from sivreg.electronic import (DEFAULT_BOUNDS, DefectConstants, DegenerateStates, FieldConfig,
                                PhysicalConstants, StrainField, SPEED_OF_LIGHT,
-                               build_hamiltonian, cyclicity, delta_gs_zero_field,
-                               derived_observables, eigensystem, estimate_parameters,
-                               estimation_cost, field_from_nuclear_larmor,
+                               build_hamiltonian, delta_gs_zero_field, eigensystem,
+                               estimate_parameters, field_from_nuclear_larmor,
                                observables_at, orbach_rate)
 from sivreg.fitting import SingularNormalMatrix
 from sivreg.linalg import IDENTITY2, SX, SZ, Eigensystem, hermitian_eig, kron
@@ -209,9 +209,14 @@ def test_cyclicity_diverges_without_field():
         observables_at(392e9, 0.68, 28.0, 0.0)
 
 
+def _relative_cost(params, targets, b_field):
+    """Sum of the squared relative residuals the estimator minimizes, +inf outside physics."""
+    return float(np.sum((electronic._relative_observables(params, targets, b_field) - 1.0) ** 2))
+
+
 def test_cost_vanishes_at_generating_point():
     obs = observables_at(EPS_REF, ALPHA_REF, THETA_REF, B_REF)
-    cost = estimation_cost((EPS_REF, ALPHA_REF, THETA_REF), obs.as_tuple(), B_REF)
+    cost = _relative_cost((EPS_REF, ALPHA_REF, THETA_REF), obs.as_tuple(), B_REF)
     assert cost < 1e-20
 
 
@@ -229,7 +234,7 @@ def _grid_polish_oracle(targets, b_field):
     for e in axes[0]:
         for a in axes[1]:
             for t in axes[2]:
-                c = estimation_cost((e, a, t), targets, b_field)
+                c = _relative_cost((e, a, t), targets, b_field)
                 if c < best_cost:
                     best, best_cost = np.array([e, a, t]), c
     step = (hi - lo) / 10.0
@@ -238,7 +243,7 @@ def _grid_polish_oracle(targets, b_field):
             for trial in (best[i] - step[i], best[i] + step[i]):
                 cand = best.copy()
                 cand[i] = min(max(trial, lo[i]), hi[i])
-                c = estimation_cost(tuple(cand), targets, b_field)
+                c = _relative_cost(tuple(cand), targets, b_field)
                 if c < best_cost:
                     best, best_cost = cand, c
         step *= 0.6
@@ -381,16 +386,17 @@ def test_estimator_matches_the_nelder_mead_reference(scale):
     np.testing.assert_allclose((res.strain.epsilon, res.strain.alpha, res.theta),
                                nm_params, rtol=1e-5)
     assert res.cost <= nm_cost * (1 + 1e-6)
-    assert res.cost == pytest.approx(estimation_cost(
+    assert res.cost == pytest.approx(_relative_cost(
         (res.strain.epsilon, res.strain.alpha, res.theta), targets, b_field), rel=1e-9)
 
 
-def test_estimation_cost_is_infinite_outside_the_bounds():
+def test_relative_residuals_are_infinite_outside_the_bounds():
     obs = observables_at(EPS_REF, ALPHA_REF, THETA_REF, B_REF).as_tuple()
     for params in ((-1.0, ALPHA_REF, THETA_REF), (EPS_REF, 2.5, THETA_REF),
                    (EPS_REF, ALPHA_REF, 61.0)):
-        assert estimation_cost(params, obs, B_REF) == math.inf
-    assert estimation_cost((EPS_REF, ALPHA_REF, THETA_REF), obs, 0.0) == math.inf
+        assert np.all(electronic._relative_observables(params, obs, B_REF) == math.inf)
+    assert np.all(electronic._relative_observables((EPS_REF, ALPHA_REF, THETA_REF), obs, 0.0)
+                  == math.inf)
 
 
 def test_estimate_rejects_bad_targets():
@@ -421,15 +427,35 @@ def test_orbach_rate_follows_bose_occupation():
 
 
 @pytest.mark.parametrize("epsilon, alpha, theta", [(392e9, 0.68, 28.0), (150e9, 1.1, 47.0)])
-def test_observables_ignore_eigenvector_phases(epsilon, alpha, theta):
+def test_observables_ignore_eigenvector_phases(monkeypatch, epsilon, alpha, theta):
     # each eigenvector is defined only up to a unit phase; the observables
     # built from them must not depend on the solver's choice
+    point = (epsilon, alpha, theta, B_REF)
+    electronic._block_solve.cache_clear()
+    obs, jac = electronic.observables_and_jacobian(*point)
+    rng = np.random.default_rng(7)
+
+    def rephased_eig(h):
+        eig = hermitian_eig(h)
+        return Eigensystem(eig.values,
+                           eig.vectors * np.exp(2j * np.pi * rng.random(eig.values.size)))
+
+    monkeypatch.setattr(electronic, "hermitian_eig", rephased_eig)
+    electronic._block_solve.cache_clear()
+    rephased_obs, rephased_jac = electronic.observables_and_jacobian(*point)
+    electronic._block_solve.cache_clear()   # keep no rephased solve for later calls
+    np.testing.assert_allclose(rephased_obs.as_tuple(), obs.as_tuple(), rtol=1e-12)
+    # the Jacobian as relative sensitivities, as in the central-difference test: an
+    # entry such as d omega_L / d epsilon (about 1e-4) is a difference of Hellmann-Feynman
+    # terms of order 1, so alone it carries a relative rounding above 1e-12
+    scaled = np.abs(rephased_jac - jac) * np.abs(point[:3]) / np.abs(obs.as_tuple())[:, None]
+    assert np.all(scaled < 1e-12), scaled
+
     s = StrainField(epsilon, alpha)
     eig = hermitian_eig(build_hamiltonian(DefectConstants(), s,
                                           FieldConfig(B_REF, theta)))
     phases = np.exp(2j * np.pi * np.random.default_rng(7).random(eig.values.size))
     rephased = Eigensystem(eig.values, eig.vectors * phases)
-    assert cyclicity(rephased) == pytest.approx(cyclicity(eig), rel=1e-12)
     for temperature in (4.0, 10.0):
         assert orbach_rate(rephased, temperature) == pytest.approx(
             orbach_rate(eig, temperature), rel=1e-12)

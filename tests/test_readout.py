@@ -1,4 +1,4 @@
-"""Optical pumping metrics and Monte-Carlo single-shot nuclear readout."""
+"""Optical pumping laws and Monte-Carlo single-shot nuclear readout."""
 
 import math
 
@@ -8,8 +8,7 @@ from scipy import stats
 
 from sivreg import fitting
 from sivreg.readout import (ClassifyResult, FitFailed, PhotonRecord,
-                            PumpParams, SsrConfig, apply_drift_correction,
-                            classify_threshold, extract_pulse_metrics,
+                            PumpParams, SsrConfig, classify_threshold,
                             fit_photon_histogram, polarization_rate,
                             saturation_linewidth, simulate_ssr)
 
@@ -71,49 +70,6 @@ def test_zero_power_linewidth_recovered_within_one_percent():
     lw = saturation_linewidth(s, g0) * (1.0 + 0.005 * rng.standard_normal(s.size))
     res = fitting.least_squares(fitting.get_model("saturation_law"), s, lw)
     assert res["gamma0"] == pytest.approx(g0, rel=0.01)
-
-
-# --------------------------------------------------------------------------
-# pump-pulse fluorescence metrics
-
-
-def test_pulse_metrics_exact_on_noiseless_decay():
-    t = np.arange(60)
-    trace = 80.0 * np.exp(-t / 5.0) + 20.0
-    m = extract_pulse_metrics(trace)
-    assert m.fidelity == pytest.approx(0.8, abs=1e-6)
-    assert m.amplitude == pytest.approx(80.0, rel=1e-6)
-    assert m.steady_state == pytest.approx(20.0, rel=1e-6)
-    assert m.t_p == pytest.approx(5.0, rel=1e-6)
-    assert m.per_pulse is None
-
-
-def test_pulse_metrics_flat_trace_reports_zero_fidelity():
-    m = extract_pulse_metrics(np.full(40, 25.0))
-    assert m.fidelity == pytest.approx(0.0, abs=1e-12)
-
-
-def test_pulse_metrics_poisson_ensemble():
-    """Collective fit and the per-pulse average both land within 0.02."""
-    rng = np.random.default_rng(9)
-    t = np.arange(60)
-    ideal = 80.0 * np.exp(-t / 5.0) + 20.0
-    trace = rng.poisson(ideal, size=(100, 60))
-    m = extract_pulse_metrics(trace)
-    assert m.fidelity == pytest.approx(0.8, abs=0.02)
-    assert len(m.per_pulse) == 100
-    fids = np.array([p.fidelity for p in m.per_pulse])
-    assert fids.mean() == pytest.approx(0.8, abs=0.02)
-    # single-pulse shots scatter but the +-3 sigma constraints keep them sane
-    assert fids.min() > 0.7 and fids.max() < 0.9
-
-
-def test_pulse_metrics_rejects_short_and_nonexponential_traces():
-    with pytest.raises(ValueError):
-        extract_pulse_metrics(np.ones(5))
-    t = np.arange(80, dtype=float)
-    with pytest.raises(FitFailed):
-        extract_pulse_metrics(10.0 + 8.0 * np.sin(t))
 
 
 # --------------------------------------------------------------------------
@@ -400,17 +356,7 @@ def test_classification_improves_with_count_separation():
 
 
 # --------------------------------------------------------------------------
-# drift correction and histogram decomposition
-
-
-def test_drift_correction_arithmetic():
-    t_w = 3e-3
-    frac = T_POL_N / t_w * -math.expm1(-t_w / T_POL_N)
-    out = apply_drift_correction([10.0, 20.0], t_w, T_POL_N)
-    assert np.allclose(out, [10.0 / frac, 20.0 / frac], rtol=1e-12)
-    # negligible decay over a very short window leaves counts untouched
-    out = apply_drift_correction([10.0], 1e-9, T_POL_N)
-    assert out[0] == pytest.approx(10.0, rel=1e-6)
+# histogram decomposition
 
 
 def test_histogram_fit_on_three_poisson_mixture():
