@@ -466,6 +466,46 @@ def test_fit_consumes_generated_artifact(out_dir):
     assert result["n_points"] == "60"
 
 
+def _fit_pump_trace(out_dir, counts, name):
+    """Fit a*exp(-t/T_p) + c to a pump-pulse fluorescence trace through the CLI."""
+    path = out_dir / (name + ".csv")
+    path.write_text("bin,counts\n" + "".join(
+        "%d,%r\n" % (i, float(y)) for i, y in enumerate(counts)))
+    assert cli.main(["fit", "--model", "exp_recovery", "--data", str(path),
+                     "--output", name + "_fit.csv"]) == 0
+    _, result, _, rows = parse_csv(out_dir / (name + "_fit.csv"))
+    assert result["converged"] == "true"
+    return ({row[0]: float(row[1]) for row in rows},
+            {row[0]: float(row[2]) for row in rows})
+
+
+def test_fit_exp_recovery_on_a_noiseless_pump_trace_is_exact(out_dir):
+    """The pumping fidelity a/(a+c) of a clean decay comes out at 0.8."""
+    values, _ = _fit_pump_trace(out_dir, 80.0 * np.exp(-np.arange(60) / 5.0) + 20.0,
+                                "pump")
+    assert values["a"] == pytest.approx(80.0, rel=1e-6)
+    assert values["t"] == pytest.approx(5.0, rel=1e-6)
+    assert values["c"] == pytest.approx(20.0, rel=1e-6)
+    assert values["a"] / (values["a"] + values["c"]) == pytest.approx(0.8, abs=1e-6)
+
+
+def test_fit_exp_recovery_on_a_flat_trace_reports_zero_fidelity(out_dir):
+    values, _ = _fit_pump_trace(out_dir, np.full(40, 25.0), "flat")
+    assert values["a"] / (values["a"] + values["c"]) == pytest.approx(0.0, abs=1e-12)
+    assert values["c"] == pytest.approx(25.0, rel=1e-12)
+
+
+def test_fit_exp_recovery_on_a_poisson_pulse_ensemble(out_dir):
+    """The mean trace of 100 Poisson pulses gives the fidelity within 0.02."""
+    rng = np.random.default_rng(9)
+    ideal = 80.0 * np.exp(-np.arange(60) / 5.0) + 20.0
+    values, sigma = _fit_pump_trace(out_dir, rng.poisson(ideal, size=(100, 60)).mean(axis=0),
+                                    "ensemble")
+    assert values["a"] / (values["a"] + values["c"]) == pytest.approx(0.8, abs=0.02)
+    for name, true in (("a", 80.0), ("t", 5.0), ("c", 20.0)):
+        assert abs(values[name] - true) < 3.0 * sigma[name]
+
+
 def test_dd_total_time_uses_the_configured_pi_time(out_dir):
     assert cli.main(["run", "dd", "--larmor-n", LARMOR, "--t-pi", "1e-7",
                      "--sweep-points", "3"]) == 0
