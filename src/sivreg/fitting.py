@@ -6,12 +6,15 @@ analytic Jacobian when the ModelSpec carries a ``jacobian`` rule, by central
 differences otherwise.  In the registry, single_exp (also registered as
 exp_recovery), rb_decay and rabi_beat (rabi_beat_model(k) for any k) carry
 one; so do readout's binned photon-count mixture and the strain estimate of
-electronic.  Bounded parameters are handled by a logistic (two-sided) or
-exponential (one-sided) change of variables, so the core iteration stays
-unconstrained; the steps carry the Jacobian into those coordinates by the
-chain rule.  Standard errors come from the residual-scaled inverse normal
-matrix s^2 (J^T J)^-1 with the same Jacobian at the solution (More, Lecture
-Notes in Mathematics 630, 105 (1978)).
+electronic.  Bounds are kept by projection (More, Lecture Notes in
+Mathematics 630, 105 (1978)): the fit starts from the guess clipped into each
+parameter's box; a parameter that sits on a bound while the descent
+direction -J^T r points out of the box is held for that step; the damped
+step is solved over the others and its trial point clipped into the box.  A
+fitted value may so end exactly on a bound.  A step is taken only where the
+cost is finite and not higher and the Jacobian there is finite; that
+Jacobian serves the next step and, at the solution, the standard errors from
+the residual-scaled inverse normal matrix s^2 (J^T J)^-1.
 
 All frequency-like parameters are ordinary frequencies (Hz); model formulas
 carry the 2*pi explicitly.
@@ -62,12 +65,13 @@ class ModelSpec:
 
     jacobian -- optional analytic derivative rule, called as
                 jacobian(x, params) with the full parameter vector and
-                returning d model / d params, shape (len(x), len(params)), in
-                the parameters themselves (not the bound-transformed
-                coordinates).  least_squares uses it for its steps and its
-                covariance; without it both use central differences.  In the
-                registry, single_exp (exp_recovery), rb_decay and rabi_beat
-                (and every rabi_beat_model(k)) carry one.
+                returning d model / d params, shape (len(x), len(params)).
+                least_squares iterates in the parameters themselves, holding
+                one on its bound while descent points out of the box, and
+                uses this rule for its steps and its covariance; without it
+                both use central differences.  In the registry, single_exp
+                (exp_recovery), rb_decay and rabi_beat (and every
+                rabi_beat_model(k)) carry one.
     """
 
     name: str
@@ -121,46 +125,6 @@ class FitResult:
         return float(self.sigma[self.param_names.index(name)])
 
 
-# --------------------------------------------------------------------------
-# bound transforms: internal unconstrained u  <->  bounded parameter p
-
-
-def _to_internal(p, lo, hi):
-    if math.isfinite(lo) and math.isfinite(hi):
-        frac = min(max((p - lo) / (hi - lo), 1e-12), 1.0 - 1e-12)
-        return math.log(frac / (1.0 - frac))
-    if math.isfinite(lo):
-        return math.log(max(p - lo, 1e-300))
-    if math.isfinite(hi):
-        return math.log(max(hi - p, 1e-300))
-    return p
-
-
-def _to_external(u, lo, hi):
-    if math.isfinite(lo) and math.isfinite(hi):
-        if u >= 0:
-            return lo + (hi - lo) / (1.0 + math.exp(-u))
-        e = math.exp(u)
-        return lo + (hi - lo) * e / (1.0 + e)
-    if math.isfinite(lo):
-        return lo + math.exp(min(u, 700.0))
-    if math.isfinite(hi):
-        return hi - math.exp(min(u, 700.0))
-    return u
-
-
-def _external_derivative(u, lo, hi):
-    """d _to_external / du, branch by branch."""
-    if math.isfinite(lo) and math.isfinite(hi):
-        e = math.exp(-abs(u))
-        return (hi - lo) * e / (1.0 + e) ** 2
-    if not (math.isfinite(lo) or math.isfinite(hi)):
-        return 1.0
-    if u >= 700.0:   # the one-sided _to_external is flat past its clamp
-        return 0.0
-    return math.exp(u) if math.isfinite(lo) else -math.exp(u)
-
-
 def least_squares(model: ModelSpec, x, y, weights=None,
                   init: Optional[Dict[str, float]] = None,
                   fixed: Optional[Dict[str, float]] = None,
@@ -197,20 +161,14 @@ def least_squares(model: ModelSpec, x, y, weights=None,
     start.update(init or {})
     start.update(fixed)
 
-    bounds = {p.name: p.bounds for p in model.params}
-    u = np.array([_to_internal(start[n], *bounds[n]) for n in free], dtype=float)
     free_idx = [names.index(n) for n in free]
-    free_bounds = [bounds[n] for n in free]
-    held = np.array([fixed.get(n, 0.0) for n in names], dtype=float)
+    lo = np.array([model.params[i].bounds[0] for i in free_idx], dtype=float)
+    hi = np.array([model.params[i].bounds[1] for i in free_idx], dtype=float)
+    params = np.array([fixed.get(n, 0.0) for n in names], dtype=float)
+    params[free_idx] = np.clip([start[n] for n in free], lo, hi)
 
-    def external(u_vec):
-        full = held.copy()
-        full[free_idx] = [_to_external(ui, lo, hi)
-                          for ui, (lo, hi) in zip(u_vec.tolist(), free_bounds)]
-        return full
-
-    def residual(u_vec):
-        return w_sqrt * (model(x, external(u_vec)) - y)
+    def residual(params):
+        return w_sqrt * (model(x, params) - y)
 
     def jacobian(params):
         """d residual / d free params: model.jacobian, or central differences."""
@@ -226,73 +184,72 @@ def least_squares(model: ModelSpec, x, y, weights=None,
             jac[:, col] = w_sqrt * (model(x, up) - model(x, dn)) / (2.0 * h)
         return jac
 
-    # overflows during trial steps produce a non-finite cost, which simply
-    # rejects the step; keep them from spamming warnings
+    # overflows during trial steps produce a non-finite cost or Jacobian, which
+    # simply rejects the step; keep them from spamming warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r = residual(u)
+        r = residual(params)
         cost = 0.5 * float(r @ r)
+        jac = jacobian(params)
         lam = 1e-3
         flat_count = 0
-        converged = False
         for _ in range(max_iterations):
-            dp_du = [_external_derivative(ui, lo, hi)
-                     for ui, (lo, hi) in zip(u.tolist(), free_bounds)]
-            jac = jacobian(external(u)) * np.array(dp_du)
             g = jac.T @ r
-            a = jac.T @ jac
+            p = params[free_idx]
+            # a parameter on a bound whose descent direction leaves the box stays put
+            move = ~(((p <= lo) & (g > 0)) | ((p >= hi) & (g < 0)))
+            jac_move = jac[:, move]
+            a = jac_move.T @ jac_move
             stepped = False
-            while lam < 1e14:
+            while move.any() and lam < 1e14:
                 m = a + lam * np.diag(np.maximum(np.diag(a), 1e-300))
+                step = np.zeros_like(p)
                 try:
-                    step = np.linalg.solve(m, -g)
+                    step[move] = np.linalg.solve(m, -g[move])
                 except np.linalg.LinAlgError:
                     raise SingularNormalMatrix(
                         "normal matrix is singular for model %r" % model.name)
                 if not np.all(np.isfinite(step)):
                     raise SingularNormalMatrix(
                         "normal matrix is singular for model %r" % model.name)
-                r_new = residual(u + step)
+                trial = params.copy()
+                trial[free_idx] = np.clip(p + step, lo, hi)
+                r_new = residual(trial)
                 cost_new = 0.5 * float(r_new @ r_new)
                 if np.isfinite(cost_new) and cost_new <= cost:
-                    rel = abs(cost - cost_new) / max(cost, 1e-300)
-                    flat_count = flat_count + 1 if rel < 1e-10 else 0
-                    u = u + step
-                    r, cost = r_new, cost_new
-                    lam = max(lam / 10.0, 1e-12)
-                    stepped = True
-                    if flat_count >= 3:
-                        converged = True
-                    break
+                    jac_new = jacobian(trial)
+                    if np.all(np.isfinite(jac_new)):
+                        rel = abs(cost - cost_new) / max(cost, 1e-300)
+                        flat_count = flat_count + 1 if rel < 1e-10 else 0
+                        params, r, cost, jac = trial, r_new, cost_new, jac_new
+                        lam = max(lam / 10.0, 1e-12)
+                        stepped = True
+                        break
                 lam *= 10.0
-            if not stepped:
-                # no downhill step exists at any damping: stationary point
-                converged = True
-            if converged:
+            # no downhill step at any damping is a stationary point too
+            if flat_count >= 3 or not stepped:
                 break
         else:
             raise MaxIterations("no convergence within %d iterations" % max_iterations)
 
-        params = external(u)
-        # uncertainties from the same Jacobian at the solution
+        # uncertainties from the last step's Jacobian, taken at the solution
         n_free = len(free)
         sigma = np.zeros(len(names))
         cov_full = np.zeros((len(names), len(names)))
         if n_free and x.size > n_free:
-            jac_p = jacobian(params)
             try:
-                inv = np.linalg.inv(jac_p.T @ jac_p)
+                inv = np.linalg.inv(jac.T @ jac)
             except np.linalg.LinAlgError:
                 inv = np.full((n_free, n_free), np.nan)
             cov = 2.0 * cost / (x.size - n_free) * inv
             cov = 0.5 * (cov + cov.T)
             for rlab, i in enumerate(free_idx):
-                sigma[i] = math.sqrt(max(cov[rlab, rlab], 0.0)) if np.isfinite(cov[rlab, rlab]) else np.nan
+                sigma[i] = math.sqrt(max(0.0, cov[rlab, rlab])) if np.isfinite(cov[rlab, rlab]) else np.nan
                 for clab, j in enumerate(free_idx):
                     cov_full[i, j] = cov[rlab, clab]
 
     return FitResult(params=params, sigma=sigma,
                      residual_norm=float(np.sqrt(2.0 * cost)),
-                     covariance=cov_full, converged=converged,
+                     covariance=cov_full, converged=True,
                      param_names=names)
 
 

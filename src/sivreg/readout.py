@@ -169,15 +169,6 @@ class ClassifyResult:
     equal_threshold: int
 
 
-def _class_fidelities(record: PhotonRecord, threshold):
-    labels = record.counts > threshold
-    b0 = record.initial_state == "bright"
-    d0 = record.initial_state == "dark"
-    f_b = float(np.mean(labels[b0])) if b0.any() else math.nan
-    f_d = float(np.mean(~labels[d0])) if d0.any() else math.nan
-    return labels, f_b, f_d
-
-
 def classify_threshold(record: PhotonRecord, threshold) -> ClassifyResult:
     """Threshold classification with per-class fidelities.
 
@@ -190,7 +181,11 @@ def classify_threshold(record: PhotonRecord, threshold) -> ClassifyResult:
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    labels, f_b, f_d = _class_fidelities(record, threshold)
+    labels = record.counts > threshold
+    b0 = record.initial_state == "bright"
+    d0 = record.initial_state == "dark"
+    f_b = float(np.mean(labels[b0])) if b0.any() else math.nan
+    f_d = float(np.mean(~labels[d0])) if d0.any() else math.nan
     final_bright = record.final_state == "bright"
     p_b = float(np.mean(final_bright[labels])) if labels.any() else math.nan
     p_d = float(np.mean(~final_bright[~labels])) if (~labels).any() else math.nan
@@ -199,8 +194,6 @@ def classify_threshold(record: PhotonRecord, threshold) -> ClassifyResult:
     # histogram (count > thr exactly when ceil(count) > thr); the first minimum gap wins
     n_thr = int(record.counts.max()) + 1
     best = int(threshold)
-    b0 = record.initial_state == "bright"
-    d0 = record.initial_state == "dark"
     if b0.any() and d0.any():
         ceil_counts = np.ceil(record.counts).astype(np.int64)
         at_or_below = [np.cumsum(np.bincount(ceil_counts[cls], minlength=n_thr)[:n_thr])
