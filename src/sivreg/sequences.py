@@ -2,33 +2,48 @@
 
 ``Engine`` is the one code path that turns the register Hamiltonian of
 ``sivreg.register`` into propagators: it caches eigensystems and unitaries
-per (params, dephasing, t_pi) context and hands out (unitary, free time)
-segment lists.  ``Engine.evolve`` walks such a list over a raw density
-matrix, or over a stack of them (shape (..., d, d)), and is the only way any
-experiment moves a state; every signal is read from the diagonal of the
-result (``register.populations``).  The named experiments (Rabi, Ramsey,
-dynamical decoupling, spin lock, nuclear rotations, transfer gates,
-randomized benchmarking) are all composed from segment lists, and so are the
-two-qubit gates: ``gate_segments`` returns the Engine and segments of a
-CeNOTn, a CnNOTe or the identity, and ``transfer_matrix`` evolves the four
-basis preparations through them as one stack.  A sweep over independent
-points evolves one stack, one state per point, segment by segment: its
-segments carry a stack of unitaries (``u_free`` and ``u_pulse`` of an array
-of times) and one free time per point; so do the two wait scans of the
-transfer-gate calibration.  Randomized benchmarking evolves the
-randomizations of one sequence length as a stack.  The per-point loops these
-replaced live in the tests as references.
+per (params, dephasing, t_pi) context and hands out segment lists.
+``Engine.evolve`` walks such a list over a raw density matrix, or over a
+stack of them (shape (..., d, d)), and is the only way any experiment moves a
+state; every signal is read from the diagonal of the result
+(``register.populations``).  The named experiments (Rabi, Ramsey, dynamical
+decoupling, spin lock, nuclear rotations, transfer gates, randomized
+benchmarking) are all composed from segment lists, and so are the two-qubit
+gates: ``gate_segments`` returns the Engine and segments of a CeNOTn, a
+CnNOTe or the identity, and ``transfer_matrix`` evolves the four basis
+preparations through them as one stack.
+
+Free evolution runs in the eigenframe of the free Hamiltonian.  Every term of
+it commutes with the electron sigma_z, so its eigenvectors are
+W = W_down (+) W_up, one eigensolve per electron block, and W never mixes the
+electron states, not even where levels of the two blocks are degenerate.  In
+that frame a free segment and the electron dephasing after it are one
+elementwise product, rho_ij exp(-i (E_i - E_j) t) f_ij(t), and a stack of
+free times is one stack of such factors (``FreeSegment``).  Free segments sit
+between W^dag and W, so a segment list still maps lab states to lab states;
+inside a decoupling block the pi pulses apply as their cached W^dag U W and
+the state leaves the frame once, at the end of the block.  One unitary on a
+stack applies as two reshaped products over the whole stack.  A sweep over
+independent points evolves one stack, one state per point: its free segments
+carry one factor per point, its pulse segments a stack of unitaries
+(``u_pulse`` of an array of durations); so do the two wait scans of the
+transfer-gate calibration.  Randomized benchmarking evolves every sequence of
+every length as rows of one stack, sorted longest first, at most
+max(n_random, 128) rows at a time: step k moves the rows longer than k, each
+by its own Clifford.  The per-point loops these replaced live in the tests as
+references.
 
 A DD block repeated at one tau (the nuclear Ramsey, nuclear rotation,
 transfer and CeNOTn blocks and the quarter-rotation search) is not walked
 unit by unit: ``Engine.fold`` turns a segment list into one segment, the
 product unitary or, with dephasing, the d^2 x d^2 map of the walk, which
 ``Engine.evolve`` applies like any other segment.  ``Engine.dd_block`` folds
-the XY-8 cycle and its first 1..7 units once per Engine; an N-unit block
-steps the cycle N // 8 times and then takes the first N % 8 units.  A sweep
-over the pulse number N reads every N that way, and the quarter-rotation
-search scans one cycle at a time.  The DD sweep (a new unitary per tau) and
-randomized benchmarking (random sequences) walk their segments.
+the XY-8 cycle and its first 1..7 units once per Engine, walking the matrix
+units through the cycle in the eigenframe; an N-unit block steps the cycle
+N // 8 times and then takes the first N % 8 units.  A sweep over the pulse
+number N reads every N that way, and the quarter-rotation search scans one
+cycle at a time.  The DD sweep (a new free factor per tau) walks its
+segments.
 
 The pi time is ``Engine.t_pi``: every nominal rotation (pi/2 pulses, DD pi
 pulses, RB Cliffords) is driven at the Rabi rate 1/(2 t_pi).  Only explicit
@@ -36,12 +51,13 @@ drives (a Rabi or spin-lock amplitude, the CnNOTe drive) set their own rate.
 All DD blocks use the [tau/2 - pi - tau/2] unit with the pi-pulse duration
 included in the timing, so the pulse-center to pulse-center spacing is
 tau + t_pi; on resonance tau_rot + t_pi equals half the nuclear Larmor
-period.  Dephasing acts after each free segment; pulses are decoherence-free.
+period.  Dephasing acts with each free segment; pulses are decoherence-free.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,7 +66,7 @@ from .linalg import SX, SY, hermitian_eig, propagator_from_eig
 from .register import (DephasingModel, DriveSpec, RegisterParams, RegisterState,
                        dephase_electron, electron_mixture, electron_up_population,
                        hamiltonian, nuclear_sigma_z, populations, product_state,
-                       repump_electron, trace_electron)
+                       repump_electron)
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,18 +168,32 @@ class TransferMatrix:
 # propagator-caching engine
 
 
+class FreeSegment(NamedTuple):
+    """Free evolution for time t (a scalar, or an array for a stack) in the eigenframe
+    of the free Hamiltonian: rho_ij -> rho_ij * factor_ij.  The factor holds the phases
+    exp(-i (E_i - E_j) t) and, between the two electron blocks, the dephasing factor."""
+
+    factor: np.ndarray
+    t: Union[float, np.ndarray]
+
+
 class Engine:
     """Caches eigensystems, propagators and folded DD blocks for one
     (params, dephasing, t_pi) context.
 
-    Evolution is a list of (unitary, free time) segments: each applies
-    rho -> U rho U^dag, and a segment with free time t > 0 then dephases the
-    electron by ``DephasingModel.factor(t)``.  Pulses are segments with free
-    time 0.  ``fold`` turns a segment list into one segment that acts as the
-    whole walk: the product unitary without dephasing, otherwise the
-    d^2 x d^2 map of the walk, with free time 0.  ``dd_block`` hands out a
-    decoupling block in that folded form: the N of a pulse-number sweep or of
-    a calibration is read from folded cycles, not stepped one unit at a time.
+    Evolution is a list of segments.  A (unitary, 0.0) pair applies
+    rho -> U rho U^dag; a ``FreeSegment`` multiplies rho elementwise by its
+    factor, which is the free evolution and its electron dephasing
+    (``DephasingModel.factor(t)``) in the eigenframe of the free Hamiltonian.
+    That frame is W = W_down (+) W_up, one eigensolve per electron block, so it
+    never mixes the electron states.  Free segments therefore sit between the
+    unitaries W^dag (into the frame) and W (out of it), and a pulse inside a
+    decoupling block applies as its cached W^dag U W.  ``fold`` turns a segment
+    list into one segment that acts as the whole walk: the product unitary
+    without dephasing, otherwise the d^2 x d^2 map of the walk.  ``dd_block``
+    hands out a decoupling block in that folded form: the N of a pulse-number
+    sweep or of a calibration is read from folded cycles, not stepped one unit
+    at a time.
     """
 
     def __init__(self, p: RegisterParams, dephasing: Optional[DephasingModel] = None,
@@ -174,54 +204,91 @@ class Engine:
         self.deph = dephasing
         self.t_pi = t_pi
         self._eig = {}
+        self._frame = None
         self._u_free = {}
         self._u_pulse = {}
+        self._u_framed = {}
         self._blocks = {}
 
-    def _eigensystem(self, rabi, phase):
-        """Eigensystem of the Hamiltonian under drive (rabi, phase); rabi 0 is free."""
-        key = (rabi, phase)
-        eig = self._eig.get(key)
-        if eig is None:
-            eig = hermitian_eig(hamiltonian(self.p, DriveSpec(rabi, phase)))
-            self._eig[key] = eig
-        return eig
-
-    def _propagator(self, rabi, phase, t, what):
-        """exp(-i H t) under drive (rabi, phase); a stack for an array of times."""
-        if not np.all(np.asarray(t) >= 0):
-            raise ValueError("%s must be >= 0, got %r" % (what, float(np.min(t))))
-        return propagator_from_eig(self._eigensystem(rabi, phase), t)
+    def frame(self):
+        """(E, W, W^dag) of the free Hamiltonian: the eigenvalues of the electron-down
+        block, then those of the electron-up block, and W = W_down (+) W_up, one
+        ``hermitian_eig`` per block, so that levels degenerate across the blocks
+        cannot mix the electron."""
+        if self._frame is None:
+            h = hamiltonian(self.p)
+            half = h.shape[-1] // 2
+            w = np.zeros_like(h)
+            values = []
+            for block in (slice(None, half), slice(half, None)):
+                eig = hermitian_eig(h[block, block])
+                w[block, block] = eig.vectors
+                values.append(eig.values)
+            self._frame = (np.concatenate(values), w, w.conj().T.copy())
+        return self._frame
 
     def u_free(self, t):
-        """Free propagator for time t; an array of times gives an uncached stack."""
+        """The elementwise factor of free evolution for time t in the eigenframe
+        (``FreeSegment``); an array of times gives an uncached stack."""
         if isinstance(t, np.ndarray):
-            return self._propagator(0.0, 0.0, t, "evolution time")
-        u = self._u_free.get(t)
-        if u is None:
-            u = self._u_free[t] = self._propagator(0.0, 0.0, t, "evolution time")
-        return u
+            return self._free_factor(t)
+        factor = self._u_free.get(t)
+        if factor is None:
+            factor = self._u_free[t] = self._free_factor(t)
+        return factor
+
+    def _free_factor(self, t):
+        if not np.all(np.asarray(t) >= 0):
+            raise ValueError("evolution time must be >= 0, got %r" % (float(np.min(t)),))
+        phases = np.exp(-1j * np.multiply.outer(t, self.frame()[0]))
+        factor = np.einsum("...i,...j->...ij", phases, phases.conj())
+        if self.deph is None:
+            return factor
+        return dephase_electron(factor, self.deph.factor(t), self.p.n_nuclei)
 
     def u_pulse(self, rabi, phase, duration):
         """Pulse propagator; an array of durations gives an uncached stack."""
         if isinstance(duration, np.ndarray):
-            return self._propagator(rabi, phase, duration, "pulse duration")
+            return self._pulse(rabi, phase, duration)
         key = (rabi, phase, duration)
         u = self._u_pulse.get(key)
         if u is None:
-            u = self._u_pulse[key] = self._propagator(rabi, phase, duration, "pulse duration")
+            u = self._u_pulse[key] = self._pulse(rabi, phase, duration)
         return u
+
+    def _pulse(self, rabi, phase, duration):
+        """exp(-i H t) under drive (rabi, phase); a stack for an array of durations."""
+        if not np.all(np.asarray(duration) >= 0):
+            raise ValueError("pulse duration must be >= 0, got %r" % (float(np.min(duration)),))
+        eig = self._eig.get((rabi, phase))
+        if eig is None:
+            eig = self._eig[(rabi, phase)] = hermitian_eig(
+                hamiltonian(self.p, DriveSpec(rabi, phase)))
+        return propagator_from_eig(eig, duration)
 
     def u_rotation(self, angle, phase):
         """Pulse unitary for a nominal rotation angle at Rabi rate 1/(2 t_pi)."""
         rabi = 1.0 / (2.0 * self.t_pi)
         return self.u_pulse(rabi, phase, angle / (TWO_PI * rabi))
 
+    def _framed_rotation(self, angle, phase):
+        """W^dag U W of the rotation pulse: the pulse acting in the eigenframe, cached."""
+        u = self._u_framed.get((angle, phase))
+        if u is None:
+            _, w, w_dag = self.frame()
+            u = self._u_framed[(angle, phase)] = w_dag @ self.u_rotation(angle, phase) @ w
+        return u
+
     # segment lists --------------------------------------------------------
 
+    def _in_frame(self, segments):
+        """Eigenframe segments bracketed by W^dag and W, so that they act on lab states."""
+        _, w, w_dag = self.frame()
+        return [(w_dag, 0.0)] + segments + [(w, 0.0)]
+
     def free_segments(self, t):
-        """Free evolution for t; no segment at all for a scalar t == 0."""
-        return [(self.u_free(t), t)] if isinstance(t, np.ndarray) or t != 0.0 else []
+        """Free evolution for t: into the eigenframe, one elementwise product, out again."""
+        return self._in_frame([FreeSegment(self.u_free(t), t)])
 
     def pulse_segments(self, rabi, phase, duration):
         """Drive at (rabi, phase) for duration."""
@@ -237,18 +304,23 @@ class Engine:
     def dd_block_segments(self, tau, n_pulses, pattern=XY8_PHASES):
         """n_pulses decoupling units, the k-th with pi-pulse phase pattern[k % len(pattern)].
 
-        The half gaps of every unit share one free segment, so an array of taus
-        propagates its stack of U(tau/2) once per block.
+        The units stay in the eigenframe from the first half gap to the last, and the
+        half gaps of every unit share one free segment, so an array of taus forms its
+        stack of factors once per block.
         """
-        half = self.free_segments(tau / 2.0)
+        return self._in_frame(self._dd_units(tau, n_pulses, pattern))
+
+    def _dd_units(self, tau, n_pulses, pattern):
+        """The eigenframe segments of ``dd_block_segments``, without the bracket."""
+        half = [FreeSegment(self.u_free(tau / 2.0), tau / 2.0)]
         return [segment for k in range(n_pulses)
-                for segment in half + self.rotation_segments(math.pi, pattern[k % len(pattern)])
-                + half]
+                for segment in half + [(self._framed_rotation(math.pi, pattern[k % len(pattern)]),
+                                        0.0)] + half]
 
     def dd_block(self, tau, n_pulses, pattern=XY8_PHASES, reverse=False):
         """``dd_block_segments(tau, n_pulses, pattern)`` folded, cached per
         (tau, n_pulses, pattern, reverse); reverse=True folds the reversed walk, each
-        segment by its adjoint unitary and then its dephasing.
+        segment by its adjoint and then its dephasing.
 
         The first 1, 2, ... len(pattern) units fold in one walk.  A longer block is
         the cycle of len(pattern) units stepped n_pulses // len(pattern) times and
@@ -266,9 +338,9 @@ class Engine:
             if n_pulses == 0:
                 block = []
             elif reverse:
-                block = [self.fold(_adjoint(self.dd_block_segments(tau, n_pulses, pattern)))]
+                block = self._fold_steps([_adjoint(self._dd_units(tau, n_pulses, pattern))])
             else:
-                units = [self.dd_unit_segments(tau, phase) for phase in pattern]
+                units = [self._dd_units(tau, 1, (phase,)) for phase in pattern]
                 for k, folded in enumerate(self._fold_steps(units)):
                     self._blocks[(tau, k + 1, pattern, False)] = [folded]
                 block = self._blocks[key]
@@ -289,58 +361,91 @@ class Engine:
         is the d^2 x d^2 map of the walk on row-major vec(rho), the convention
         of ``optics._liouvillian``, stored transposed, so that a stack of
         states maps as vec(rho) @ M: row k of M is the walked k-th matrix unit.
+        The segments act on lab states, so the walk leaves the eigenframe
+        before them and enters it again after them.
         """
-        return self._fold_steps([segments])[0]
+        _, w, w_dag = self.frame()
+        return self._fold_steps([[(w, 0.0)] + segments + [(w_dag, 0.0)]])[0]
 
     def _fold_steps(self, steps):
-        """The folds of steps[0], steps[0] + steps[1], ... in one walk.
+        """The folds of the eigenframe segment lists steps[0], steps[0] + steps[1], ...
+        in one walk, each a segment that acts on lab states.
 
-        The matrix units (or, without dephasing, the identity) move through
-        ``evolve``, so a map holds the arithmetic of the walk it replaces.
+        The matrix units (or, without dephasing, the identity) enter the frame
+        once and move through ``evolve``, so a map holds the arithmetic of the
+        walk it replaces; each fold leaves the frame.  Without dephasing a free
+        factor is the outer product of its diagonal unitary with the conjugate,
+        so its first column is that unitary up to a global phase.
         """
-        d = 2 ** (1 + self.p.n_nuclei)
+        _, w, w_dag = self.frame()
         folds = []
         if self.deph is None:
-            u = np.eye(d, dtype=complex)
+            u = w_dag
             for step in steps:
-                for v, _ in step:
-                    u = v @ u
-                folds.append((u, 0.0))
+                for segment in step:
+                    v = segment[0]
+                    u = v[..., :1] * u if isinstance(segment, FreeSegment) else v @ u
+                folds.append((w @ u, 0.0))
             return folds
-        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        d = w.shape[-1]
+        units = self.evolve(np.eye(d * d, dtype=complex).reshape(d * d, d, d), [(w_dag, 0.0)])
         for step in steps:
             units = self.evolve(units, step)
-            folds.append((units.reshape(d * d, d * d), 0.0))
+            folds.append((self.evolve(units, [(w, 0.0)]).reshape(d * d, d * d), 0.0))
         return folds
 
     def evolve(self, rho, segments):
         """Apply the segments in order to a raw density matrix or a stack of them.
 
-        A segment's unitary may be one matrix or a stack, and its free time a
-        scalar or an array with one value per stacked unitary; rho and the
-        unitaries broadcast over their leading axes.  A folded map (d^2 x d^2,
+        A segment's unitary may be one matrix or a stack, and a free segment's
+        factor one matrix or a stack with one free time each; rho and the
+        segments broadcast over their leading axes.  A folded map (d^2 x d^2,
         from ``fold``) applies to every rho of the stack.
         """
-        for u, t in segments:
-            if u.shape[-1] == rho.shape[-1]:
-                rho = u @ rho @ u.conj().swapaxes(-1, -2)
+        for segment in segments:
+            u = segment[0]
+            if isinstance(segment, FreeSegment):
+                rho = rho * u
+            elif u.shape[-1] == rho.shape[-1]:
+                rho = _conjugate(u, rho)
             else:
                 rho = _apply_map(u, rho)
-            if self.deph is not None and (isinstance(t, np.ndarray) or t):
-                rho = dephase_electron(rho, self.deph.factor(t), self.p.n_nuclei)
         return rho
 
 
 def _adjoint(segments):
-    """The segments walked backwards, each by its adjoint unitary (free times kept)."""
-    return [(u.conj().swapaxes(-1, -2), t) for u, t in reversed(segments)]
+    """The segments walked backwards, each by its adjoint (free times kept): a free
+    factor by its conjugate, since its dephasing part is real."""
+    return [FreeSegment(segment.factor.conj(), segment.t) if isinstance(segment, FreeSegment)
+            else (segment[0].conj().swapaxes(-1, -2), segment[1])
+            for segment in reversed(segments)]
 
 
 # OpenBLAS runs a complex gemm of this many multiply-adds or more on several
 # threads, and also the gemv numpy calls for a one-row product once the map is
 # 64 x 64; those threads spin on after the call and slow the rest of the
-# process.  So a map applies in products below that size, and never to one row.
+# process.  So a map, or one unitary on a stack, applies in products below that
+# size, and a map never to one row.
 _GEMM_SINGLE_THREAD = 65536
+
+
+def _conjugate(u, rho):
+    """u rho u^dag.  One unitary on a stack runs as two reshaped products, u on the
+    columns of all the stacked matrices side by side and then u^dag on all their rows,
+    each below the single-thread size."""
+    u_dag = u.conj().swapaxes(-1, -2)
+    if u.ndim > 2 or rho.ndim == 2:
+        return u @ rho @ u_dag
+    d = u.shape[-1]
+    flat = rho.reshape(-1, d, d)
+    rows = (_GEMM_SINGLE_THREAD - 1) // d ** 3
+    parts = []
+    for start in range(0, len(flat), rows):
+        part = flat[start:start + rows]
+        n = len(part)
+        left = (u @ part.transpose(1, 0, 2).reshape(d, n * d)).reshape(d, n, d)
+        parts.append((left.transpose(1, 0, 2).reshape(n * d, d) @ u_dag).reshape(n, d, d))
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(rho.shape)
 
 
 def _apply_map(m, rho):
@@ -574,16 +679,21 @@ def calibrate_quarter_rotation(p: RegisterParams, tau_rot, n_max=400,
 # transfer gate and two-qubit gates
 
 
+def _transfer_head(eng: Engine, g: GateSpec):
+    """Folded segments of the polarization-transfer gate before its free evolution."""
+    return (eng.rotation_segments(math.pi / 2, math.pi / 2) + eng.dd_block(g.tau, g.n_pulses)
+            + eng.rotation_segments(math.pi / 2, 0.0))
+
+
 def _transfer_segments(eng: Engine, g: GateSpec, wait, reverse=False):
     """Folded segments of the polarization-transfer gate (sans re-pump); with reverse,
-    the gate walked backwards, each segment by its adjoint unitary and then its
-    dephasing."""
-    block = eng.dd_block(g.tau, g.n_pulses, reverse=reverse)
-    y_half, x_half = (eng.rotation_segments(math.pi / 2, phase) for phase in (math.pi / 2, 0.0))
+    the gate walked backwards, each segment by its adjoint and then its dephasing."""
     free = eng.free_segments(wait)
-    if reverse:
-        return block + _adjoint(free) + _adjoint(x_half) + block + _adjoint(y_half)
-    return y_half + block + x_half + free + block
+    if not reverse:
+        return _transfer_head(eng, g) + free + eng.dd_block(g.tau, g.n_pulses)
+    block = eng.dd_block(g.tau, g.n_pulses, reverse=True)
+    y_half, x_half = (eng.rotation_segments(math.pi / 2, phase) for phase in (math.pi / 2, 0.0))
+    return block + _adjoint(free) + _adjoint(x_half) + block + _adjoint(y_half)
 
 
 def calibrate_transfer_wait(p: RegisterParams, g: GateSpec):
@@ -600,17 +710,12 @@ def calibrate_transfer_wait(p: RegisterParams, g: GateSpec):
     single = replace(p, hyperfine=p.hyperfine[:1], n_nuclei=1)
     eng = Engine(single, None, g.t_pi)
     period = single.larmor_period
-    # the gate is head + free(wait) + block: evolve the wait-independent head once
     block = eng.dd_block(g.tau, g.n_pulses)
-    head = _transfer_segments(eng, g, 0.0)[:-len(block)]
-    rho_head = eng.evolve(_initial_rho(single, 1.0), head)
+    rho_head = eng.evolve(_initial_rho(single, 1.0), _transfer_head(eng, g))
 
     def transferred(waits):
         """|sigma_z| after free(wait) + block, one stacked rho per wait."""
-        waits = np.array(waits)
-        segments = eng.free_segments(waits) + block
-        # a zero wait adds no segment, so its unitary is the identity, not U(0)
-        segments[0][0][waits == 0.0] = np.eye(rho_head.shape[-1])
+        segments = eng.free_segments(np.array(waits)) + block
         return np.abs(nuclear_sigma_z(eng.evolve(rho_head, segments)))
 
     waits = [period * i / coarse for i in range(coarse)]
@@ -749,14 +854,57 @@ def _ideal_unitary(angle, phase):
 
 
 def _depolarize_electron(rho, q):
+    """(1 - q) rho + q (1/2 (x) Tr_e rho), in place on a rho or a stack; returns it."""
     if q == 0.0:
         return rho
     half = rho.shape[-1] // 2
-    nuclear = trace_electron(rho)
-    mixed = np.zeros_like(rho)
-    mixed[..., :half, :half] = nuclear / 2.0
-    mixed[..., half:, half:] = nuclear / 2.0
-    return (1.0 - q) * rho + q * mixed
+    down, up = rho[..., :half, :half], rho[..., half:, half:]
+    mixed = (down + up) * (q / 2.0)
+    rho *= 1.0 - q
+    down += mixed
+    up += mixed
+    return rho
+
+
+def _group_key(m):
+    """A 2x2 unitary rounded to 9 decimals, as bytes (+ 0.0 gives -0.0 the key of 0.0)."""
+    return (np.round(m, 9) + 0.0).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _clifford_group():
+    """The group of 2x2 unitaries that the ideal _CLIFFORDS generate (48 elements of
+    SU(2)), element 0 the identity: the table product[k, g], the index of
+    ideal_k @ element_g, and per element the inversion candidate that best maps
+    element |down> onto |up> (index into _CLIFFORDS, len(_CLIFFORDS) for the
+    identity; the first of equal candidates)."""
+    candidates = np.array([_ideal_unitary(angle, phase)
+                           for _, angle, phase in _CLIFFORDS + (("I", 0.0, 0.0),)])
+    elements = [np.eye(2, dtype=complex)]
+    index = {_group_key(elements[0]): 0}
+    product = []
+    while len(product) < len(elements):   # until every element's products are known
+        row = []
+        for ideal in candidates[:-1]:
+            m = ideal @ elements[len(product)]
+            row.append(index.setdefault(_group_key(m), len(elements)))
+            if row[-1] == len(elements):
+                elements.append(m)
+        product.append(row)
+    up_amplitudes = candidates[:, 1, :] @ np.array(elements)[:, :, 0].T
+    best = np.zeros(len(elements), dtype=int)
+    best_overlap = np.full(len(elements), -1.0)
+    for candidate, overlap in enumerate(np.abs(up_amplitudes) ** 2):
+        better = overlap > best_overlap + 1e-12
+        best[better] = candidate
+        best_overlap[better] = overlap[better]
+    return np.array(product).T, best
+
+
+# rows of one stacked RB walk beyond n_random: bounds its memory, and keeps each
+# stacked product small (a (128, 8, 8) complex stack is 128 KiB); at 192-256 rows
+# of 8 x 8 the per-row cost of a fresh product stack doubled on a 2-core host
+_RB_ROWS = 128
 
 
 @dataclass
@@ -785,40 +933,47 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
         raise ValueError("f_ie must lie in (0.5, 1], got %r" % (f_ie,))
     if n_random < 1:
         raise ValueError("n_random must be >= 1, got %r" % (n_random,))
+    for n in n_list:
+        if not (math.isfinite(n) and n >= 0 and n == int(n)):
+            raise ValueError("n_list entry %r is not a non-negative integer" % (n,))
+    n_list = [int(n) for n in n_list]
     eng = Engine(p, dephasing, t_pi)
     n_cliffords = len(_CLIFFORDS)
     unitaries = np.array([eng.u_rotation(angle, phase) for _, angle, phase in _CLIFFORDS])
-    # ideal 2x2 Cliffords, then the identity as the last inversion candidate
-    ideals = np.array([_ideal_unitary(angle, phase)
-                       for _, angle, phase in _CLIFFORDS + (("I", 0.0, 0.0),)])
+    product, inversion = _clifford_group()
 
-    n_list = [int(n) for n in n_list]
-    signal = []
-    for i_n, n_cliff in enumerate(n_list):
-        # sequence i_r draws its picks from its own stream, as if run alone
-        picks = np.array([np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(i_n, i_r))).integers(
-                0, n_cliffords, size=n_cliff) for i_r in range(n_random)])
-        rho = np.repeat(_initial_rho(p, f_ie)[None], n_random, axis=0)
-        ideal = np.broadcast_to(np.eye(2, dtype=complex), (n_random, 2, 2))
-        for k in range(n_cliff):
-            rho = eng.evolve(rho, [(unitaries[picks[:, k]], 0.0)])
-            rho = _depolarize_electron(rho, q)
-            ideal = ideals[picks[:, k]] @ ideal
-        # inversion element: the first candidate that best maps the ideal state
-        # (ideal |down>) onto |up>
-        up_amplitudes = ideals[:, 1, :] @ ideal[:, :, 0].T
-        best = np.zeros(n_random, dtype=int)
-        best_overlap = np.full(n_random, -1.0)
-        for candidate, overlap in enumerate(np.abs(up_amplitudes) ** 2):
-            better = overlap > best_overlap + 1e-12
-            best[better] = candidate
-            best_overlap[better] = overlap[better]
+    # row i_n * n_random + i_r is sequence i_r of length n_list[i_n]; the rows walk
+    # longest first, at most max(n_random, _RB_ROWS) at a time
+    lengths = np.repeat(n_list, n_random)
+    order = np.argsort(-lengths, kind="stable")
+    up = np.empty(len(lengths))
+    rows = max(n_random, _RB_ROWS)
+    for start in range(0, len(order), rows):
+        walk = order[start:start + rows]
+        walk_lengths = lengths[walk]
+        picks = np.zeros((len(walk), walk_lengths[0]), dtype=np.uint8)   # 8 Cliffords
+        for row, (i_n, i_r) in enumerate(zip(*np.divmod(walk, n_random))):
+            # each sequence draws its picks from its own stream, as if run alone
+            picks[row, :walk_lengths[row]] = np.random.default_rng(np.random.SeedSequence(
+                entropy=seed, spawn_key=(int(i_n), int(i_r)))).integers(
+                    0, n_cliffords, size=walk_lengths[row])
+        # per step k, the number of rows longer than k (walk_lengths falls)
+        moving = np.searchsorted(-walk_lengths, -np.arange(walk_lengths[0]))
+        rho = np.repeat(_initial_rho(p, f_ie)[None], len(walk), axis=0)
+        ideal = np.zeros(len(walk), dtype=np.intp)   # index into _clifford_group
+        for k, m in enumerate(moving):
+            rho[:m] = eng.evolve(rho[:m], [(unitaries[picks[:m, k]], 0.0)])
+            _depolarize_electron(rho[:m], q)
+            ideal[:m] = product[picks[:m, k], ideal[:m]]
+        best = inversion[ideal]
         invert = best < n_cliffords   # the identity needs no pulse
         if invert.any():
             rho[invert] = eng.evolve(rho[invert], [(unitaries[best[invert]], 0.0)])
+        up[walk] = electron_up_population(rho)
+    signal = []
+    for values in up.reshape(len(n_list), n_random):
         acc = 0.0
-        for value in electron_up_population(rho):   # summed in sequence order
+        for value in values:   # summed in sequence order
             acc += value
         signal.append(acc / n_random)
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from sivreg import sequences
+from sivreg.linalg import hermitian_eig, propagator_from_eig
 from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
-                             dephase_electron, electron_mixture, nuclear_sigma_z,
-                             product_state)
+                             dephase_electron, electron_mixture, hamiltonian,
+                             nuclear_sigma_z, product_state)
 from sivreg.sequences import (XY8_PHASES, Engine, GateSpec, InvalidGate,
                               T_PI_DEFAULT, TransferMatrix, UncalibratedGate,
                               _transfer_segments,
@@ -112,8 +113,11 @@ def test_transfer_segments_reverse_pass_dephases_after_each_free_segment():
         rho = u.conj().T @ rho @ u
         return dephase_electron(rho, deph.factor(t), 1) if t else rho
 
+    def u_free(t):   # the lab-frame free propagator
+        return propagator_from_eig(hermitian_eig(hamiltonian(p)), t)
+
     def undo_block(rho):
-        half = eng.u_free(g.tau / 2.0)
+        half = u_free(g.tau / 2.0)
         for k in reversed(range(g.n_pulses)):
             pi_u = eng.u_rotation(math.pi, XY8_PHASES[k % 8])
             rho = undo(undo(undo(rho, half, g.tau / 2.0), pi_u), half, g.tau / 2.0)
@@ -121,7 +125,7 @@ def test_transfer_segments_reverse_pass_dephases_after_each_free_segment():
 
     rho = _coherent_state(eng, 1)
     expected = undo_block(rho)
-    expected = undo(expected, eng.u_free(g.wait), g.wait)
+    expected = undo(expected, u_free(g.wait), g.wait)
     expected = undo(expected, eng.u_rotation(math.pi / 2, 0.0))
     expected = undo_block(expected)
     expected = undo(expected, eng.u_rotation(math.pi / 2, math.pi / 2))
@@ -232,7 +236,8 @@ def test_cenotn_transfer_referencing_removes_preparation_errors(cenotn):
 @pytest.mark.parametrize("params", [one_nucleus, two_nuclei], ids=["1", "2"])
 @pytest.mark.parametrize("kind, n_drives", [("CeNOTn", 3), ("CnNOTe", 1), ("identity", 0)])
 def test_transfer_matrix_solves_each_drive_once(monkeypatch, cenotn, params, kind, n_drives):
-    """One eigensolve per distinct drive over all four preparations.
+    """One eigensolve per distinct drive over all four preparations, the free
+    Hamiltonian as its two electron blocks.
 
     A CeNOTn has the free drive and the X and Y pi drives, a CnNOTe its one
     drive, and the identity gate none.
@@ -249,7 +254,9 @@ def test_transfer_matrix_solves_each_drive_once(monkeypatch, cenotn, params, kin
 
     monkeypatch.setattr(sequences, "hermitian_eig", counting)
     transfer_matrix(p, DephasingModel(t_c=4e-6, beta=2.0), g, f_ie=0.9, f_in=0.8)
-    assert len(solves) == n_drives
+    d = 2 ** (1 + p.n_nuclei)
+    n_free = int(kind == "CeNOTn")   # the free drive: one solve per electron block
+    assert sorted(solves) == [(d // 2, d // 2)] * 2 * n_free + [(d, d)] * (n_drives - n_free)
 
 
 def test_transfer_matrix_validation():

@@ -2,18 +2,20 @@
 conditional nuclear rotations."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sivreg import fitting
+from sivreg.linalg import hermitian_eig, propagator_from_eig
 from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
-                             electron_mixture, electron_up_population, nuclear_sigma_z,
-                             populations, product_state)
+                             dephase_electron, electron_mixture, electron_up_population,
+                             hamiltonian, nuclear_sigma_z, populations, product_state)
 from sivreg.sequences import (CPMG_PHASES, XY8_PHASES, Engine, GateSpec, SweepResult,
                               T_PI_DEFAULT, _CLIFFORDS, _depolarize_electron,
-                              _ideal_unitary, _initial_rho, _transfer_segments,
+                              _ideal_unitary, _initial_rho, _transfer_head,
                               calibrate_cenotn, calibrate_cnnote, calibrate_quarter_rotation,
                               calibrate_transfer_wait, gate_segments,
                               extract_full_rotation, nuclear_init_gate,
@@ -320,6 +322,36 @@ def test_rb_rejects_flat_signal_and_empty_sequence_sets(kwargs):
         run_randomized_benchmarking(bare_params(), None, [1, 2], **{"n_random": 1, **kwargs})
 
 
+@pytest.mark.parametrize("n_list,bad", [([-1, 5, 10], "-1"), ([1, 2.7, 4], "2.7"),
+                                        ([1, math.nan], "nan"), ([1, math.inf], "inf")])
+def test_rb_rejects_a_negative_or_non_integral_length(n_list, bad):
+    with pytest.raises(ValueError, match="n_list entry %s is not" % bad):
+        run_randomized_benchmarking(bare_params(), None, n_list, n_random=1)
+
+
+def test_rb_takes_integral_floats_as_their_lengths():
+    kw = dict(n_random=3, gate_fidelity_noise=0.01, seed=4)
+    np.testing.assert_array_equal(
+        run_randomized_benchmarking(bare_params(), None, [1.0, 3.0, 6.0], **kw).sweep.signal,
+        run_randomized_benchmarking(bare_params(), None, [1, 3, 6], **kw).sweep.signal)
+
+
+def test_rb_memory_stays_within_one_bounded_walk():
+    """300 randomizations of 20 lengths walk in stacks of max(n_random, 128) rows, so
+    the peak allocation stays well below one stack of the whole sweep."""
+    p, n_list, n_random = two_nuclei(), list(range(1, 21)), 300
+    run_randomized_benchmarking(p, None, [1, 2], n_random=1)   # first-call caches aside
+    tracemalloc.start()
+    try:
+        run_randomized_benchmarking(p, None, n_list, n_random=n_random,
+                                    gate_fidelity_noise=0.01, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole_sweep = n_random * len(n_list) * 8 * 8 * np.dtype(complex).itemsize
+    assert peak < whole_sweep / 3
+
+
 @pytest.mark.parametrize("omega", [-1.0, -5e6, math.nan])
 def test_rabi_rejects_negative_drive(omega):
     with pytest.raises(ValueError, match="omega"):
@@ -386,15 +418,24 @@ def two_nuclei():
 
 @pytest.mark.parametrize("pattern", [XY8_PHASES, CPMG_PHASES], ids=["XY8", "CPMG"])
 def test_dd_block_segments_equal_successive_units(pattern):
+    """A block is its units in order, all in one eigenframe stretch: the units'
+    segments between one W^dag and one W, so it evolves bit for bit as that walk,
+    and as the units stepped one evolve at a time (each in and out of the frame)."""
     eng = Engine(two_nuclei(), DephasingModel(t_c=4e-6, beta=2.0))
     rho0 = eng.evolve(product_state(electron_mixture(0.9), n_nuclei=2),
                       eng.rotation_segments(math.pi / 2, 0.0))
     tau, n_pulses = 0.3e-6, 11
+    units = [eng.dd_unit_segments(tau, pattern[k % len(pattern)]) for k in range(n_pulses)]
+    walk = units[0][:1] + [segment for unit in units for segment in unit[1:-1]] + units[0][-1:]
+    block = eng.dd_block_segments(tau, n_pulses, pattern)
+    assert [type(segment) for segment in block] == [type(segment) for segment in walk]
+    assert all(got[0] is expected[0] and got[1] == expected[1]
+               for got, expected in zip(block, walk))
+    np.testing.assert_array_equal(eng.evolve(rho0, block), eng.evolve(rho0, walk))
     stepped = rho0
-    for k in range(n_pulses):
-        stepped = eng.evolve(stepped, eng.dd_unit_segments(tau, pattern[k % len(pattern)]))
-    np.testing.assert_array_equal(
-        eng.evolve(rho0, eng.dd_block_segments(tau, n_pulses, pattern)), stepped)
+    for unit in units:
+        stepped = eng.evolve(stepped, unit)
+    np.testing.assert_allclose(eng.evolve(rho0, block), stepped, rtol=0, atol=1e-12)
 
 
 def _state_evolves(monkeypatch, seen):
@@ -637,6 +678,32 @@ def test_stacked_spin_lock_matches_the_per_point_reference(n_nuclei, mode):
     _assert_matches(sweep.signal, _reference_spin_lock(p, DEPH, drives, 0.9))
 
 
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+@pytest.mark.parametrize("a_perp", [0.0, A_PERP], ids=["A0", "Aperp"])
+def test_free_stack_at_a_cross_block_degeneracy_keeps_the_electron(n_nuclei, a_perp):
+    """At Delta = 0 and A_par = 0 every level of the electron-down block is degenerate
+    with one of the electron-up block (A_perp only turns the nuclear axes, differently
+    in the two blocks).  The eigenframe, one eigensolve per block, cannot mix them: a
+    free tau stack started electron-down keeps electron_up_population exactly 0,
+    matches the lab-frame propagator walk to 1e-13, and reads the walk's nuclear
+    sigma_z once it has left the frame."""
+    p = RegisterParams(detuning=0.0, larmor_n=LARMOR_N, hyperfine=((0.0, a_perp),) * n_nuclei,
+                       n_nuclei=n_nuclei)
+    eng = Engine(p, DEPH)
+    taus = np.linspace(0.0, 3e-6, 31)
+    x_up = np.full((2, 2), 0.5, dtype=complex)   # nucleus along +x
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    for _ in range(n_nuclei):
+        rho0 = np.kron(rho0, x_up)
+    out = eng.evolve(rho0, eng.free_segments(taus))
+    assert np.all(electron_up_population(out) == 0.0)
+    walked = _lab_walk(eng, rho0, [_lab_free(eng, taus)])
+    np.testing.assert_allclose(out, walked, rtol=0, atol=1e-13)
+    for index in range(n_nuclei):
+        np.testing.assert_allclose(nuclear_sigma_z(out, index), nuclear_sigma_z(walked, index),
+                                   rtol=0, atol=1e-13)
+
+
 def _clifford_index(eng, stack):
     """Index into _CLIFFORDS of each unitary of a stack, by exact equality."""
     table = np.array([eng.u_rotation(angle, phase) for _, angle, phase in _CLIFFORDS])
@@ -665,12 +732,22 @@ def test_stacked_rb_matches_the_per_sequence_reference(monkeypatch, n_nuclei, q)
     res = run_randomized_benchmarking(p, DEPH, n_list, n_random=n_random,
                                       gate_fidelity_noise=q, seed=seed, f_ie=0.9)
     _assert_matches(res.sweep.signal, signal)
-    for n_cliff, picks, inversions in zip(n_list, picks_at, inversions_at):
-        steps, applied = applied[:n_cliff], applied[n_cliff:]
-        np.testing.assert_array_equal(np.array(steps).reshape(n_cliff, n_random).T, picks)
-        inverted = [c for c in inversions if c < len(_CLIFFORDS)]
-        if inverted:
-            np.testing.assert_array_equal(applied.pop(0), inverted)
+    # all sequences walk as one stack, longest first: stack row j is sequence
+    # order[j], sequence i_r of length n_list[i_n] being i_n * n_random + i_r; step k
+    # moves the rows longer than k, then one evolve applies the inversion elements
+    order = np.argsort(-np.repeat(n_list, n_random), kind="stable")
+    steps, applied = applied[:max(n_list)], applied[max(n_list):]
+    walked = np.full((len(order), max(n_list)), -1)
+    for k, step in enumerate(steps):
+        walked[order[:len(step)], k] = step
+    for i_n, (n_cliff, picks) in enumerate(zip(n_list, picks_at)):
+        rows = walked[i_n * n_random:(i_n + 1) * n_random]
+        np.testing.assert_array_equal(rows[:, :n_cliff], picks)
+        assert np.all(rows[:, n_cliff:] == -1)
+    inverted = [c for c in (inversions_at[r // n_random][r % n_random] for r in order)
+                if c < len(_CLIFFORDS)]
+    if inverted:
+        np.testing.assert_array_equal(applied.pop(0), inverted)
     assert applied == []
 
 
@@ -686,8 +763,7 @@ def _reference_transfer_wait(p, g):
     eng = Engine(single, None, g.t_pi)
     period = single.larmor_period
     block = eng.dd_block(g.tau, g.n_pulses)
-    head = _transfer_segments(eng, g, 0.0)[:-len(block)]
-    rho_head = eng.evolve(_initial_rho(single, 1.0), head)
+    rho_head = eng.evolve(_initial_rho(single, 1.0), _transfer_head(eng, g))
 
     def transferred(wait):
         return abs(nuclear_sigma_z(eng.evolve(rho_head, eng.free_segments(wait) + block)))
@@ -803,14 +879,33 @@ def test_stacked_nuclear_rotation_matches_the_two_branch_reference(
 
 # --- folded DD blocks against the segment walk ----------------------------------
 #
-# A folded block must act as walking its segments one by one, as Engine.evolve
-# does over dd_block_segments: forward, and backwards by the adjoints.
+# A folded block must act as walking its segments one by one: forward, and
+# backwards by the adjoints.  The reference walk below is the lab-frame one the
+# eigenframe replaced: propagators of the full free Hamiltonian from
+# propagator_from_eig, each half gap dephased on its own.
 
-def _walk(eng, rho, segments, reverse=False):
-    """The segment-by-segment walk (reverse: backwards, each segment by its adjoint)."""
+def _lab_walk(eng, rho, steps, reverse=False):
+    """(unitary, free time) steps applied as U rho U^dag, each free step then dephased
+    (reverse: walked backwards, each step by its adjoint and then its dephasing)."""
     if reverse:
-        segments = [(u.conj().swapaxes(-1, -2), t) for u, t in reversed(segments)]
-    return eng.evolve(rho, segments)
+        steps = [(u.conj().swapaxes(-1, -2), t) for u, t in reversed(steps)]
+    for u, t in steps:
+        rho = u @ rho @ u.conj().swapaxes(-1, -2)
+        if eng.deph is not None and (isinstance(t, np.ndarray) or t):
+            rho = dephase_electron(rho, eng.deph.factor(t), eng.p.n_nuclei)
+    return rho
+
+
+def _lab_free(eng, t):
+    """The lab-frame free step: exp(-i H t) of the full free Hamiltonian, and t."""
+    return (propagator_from_eig(hermitian_eig(hamiltonian(eng.p)), t), t)
+
+
+def _lab_dd_block(eng, tau, n_pulses, pattern=XY8_PHASES):
+    """dd_block_segments(tau, n_pulses, pattern) as lab-frame steps."""
+    half = _lab_free(eng, tau / 2.0)
+    return [step for k in range(n_pulses)
+            for step in (half, (eng.u_rotation(math.pi, pattern[k % len(pattern)]), 0.0), half)]
 
 
 def _coherent_stack(eng, n_states):
@@ -829,7 +924,7 @@ def test_folded_block_matches_the_segment_walk(n_nuclei, dephasing, n_pulses, re
     p = _register(n_nuclei, detuning=0.1e6)
     eng = Engine(p, dephasing)
     tau = 0.5 * p.larmor_period - T_PI_DEFAULT
-    segments = eng.dd_block_segments(tau, n_pulses)
+    steps = _lab_dd_block(eng, tau, n_pulses)
     block = eng.dd_block(tau, n_pulses, reverse=reverse)
     assert eng.dd_block(tau, n_pulses, reverse=reverse) is block
     d = 2 ** (1 + n_nuclei)
@@ -839,7 +934,7 @@ def test_folded_block_matches_the_segment_walk(n_nuclei, dephasing, n_pulses, re
         assert len(block) == n_pulses // 8 + (n_pulses % 8 > 0)
         assert all(_is_folded_map(u, d) and t == 0.0 for u, t in block)
     for rho in (_coherent_stack(eng, 3), _coherent_stack(eng, 1)[0]):
-        np.testing.assert_allclose(eng.evolve(rho, block), _walk(eng, rho, segments, reverse),
+        np.testing.assert_allclose(eng.evolve(rho, block), _lab_walk(eng, rho, steps, reverse),
                                    rtol=0, atol=1e-12)
 
 
@@ -847,16 +942,20 @@ def test_folded_block_matches_the_segment_walk(n_nuclei, dephasing, n_pulses, re
 @pytest.mark.parametrize("dephasing", [None, DEPH], ids=["ideal", "dephasing"])
 def test_fold_of_any_segment_list_matches_the_walk(n_nuclei, dephasing):
     """Pulses, free evolution and DD units of several lengths, folded into one segment,
-    on one state and on stacks too tall for one single-threaded product."""
+    on one state and on stacks too tall for one single-threaded product: the same as
+    the segments walked through evolve, and as the lab-frame walk."""
     eng = Engine(_register(n_nuclei, detuning=0.2e6), dephasing)
     segments = (eng.rotation_segments(math.pi / 2, 0.3) + eng.free_segments(0.7e-6)
                 + eng.dd_block_segments(0.4e-6, 5, CPMG_PHASES)
                 + eng.pulse_segments(3e6, 1.1, 80e-9) + eng.free_segments(1.3e-6))
+    steps = (eng.rotation_segments(math.pi / 2, 0.3) + [_lab_free(eng, 0.7e-6)]
+             + _lab_dd_block(eng, 0.4e-6, 5, CPMG_PHASES)
+             + eng.pulse_segments(3e6, 1.1, 80e-9) + [_lab_free(eng, 1.3e-6)])
     folded = eng.fold(segments)
     assert folded[1] == 0.0
     for rho in (_coherent_stack(eng, 1)[0], _coherent_stack(eng, 2), _coherent_stack(eng, 40)):
-        np.testing.assert_allclose(eng.evolve(rho, [folded]), _walk(eng, rho, segments),
-                                   rtol=0, atol=1e-12)
+        for walked in (eng.evolve(rho, segments), _lab_walk(eng, rho, steps)):
+            np.testing.assert_allclose(eng.evolve(rho, [folded]), walked, rtol=0, atol=1e-12)
 
 
 def _walked_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie):
