@@ -35,12 +35,12 @@ references.
 
 A DD block repeated at one tau (the nuclear Ramsey, nuclear rotation,
 transfer and CeNOTn blocks and the quarter-rotation search) is not walked
-unit by unit: ``Engine.fold`` turns a segment list into one segment, the
-product unitary or, with dephasing, the d^2 x d^2 map of the walk, which
-``Engine.evolve`` applies like any other segment.  ``Engine.dd_block`` folds
-the XY-8 cycle and its first 1..7 units once per Engine, walking the matrix
-units through the cycle in the eigenframe; an N-unit block steps the cycle
-N // 8 times and then takes the first N % 8 units.  A sweep over the pulse
+unit by unit: ``Engine.dd_block`` hands it out folded, as the product
+unitary or, with dephasing, as d^2 x d^2 maps of the walk, which
+``Engine.evolve`` applies like any other segment.  It folds the XY-8 cycle
+and its first 1..7 units once per Engine, walking the matrix units through
+the cycle in the eigenframe; an N-unit block steps the cycle N // 8 times
+and then takes the first N % 8 units.  A sweep over the pulse
 number N reads every N that way, and the quarter-rotation search scans one
 cycle at a time.  The DD sweep (a new free factor per tau) walks its
 segments.
@@ -188,10 +188,9 @@ class Engine:
     That frame is W = W_down (+) W_up, one eigensolve per electron block, so it
     never mixes the electron states.  Free segments therefore sit between the
     unitaries W^dag (into the frame) and W (out of it), and a pulse inside a
-    decoupling block applies as its cached W^dag U W.  ``fold`` turns a segment
-    list into one segment that acts as the whole walk: the product unitary
-    without dephasing, otherwise the d^2 x d^2 map of the walk.  ``dd_block``
-    hands out a decoupling block in that folded form: the N of a pulse-number
+    decoupling block applies as its cached W^dag U W.  ``dd_block`` hands out
+    a decoupling block folded: the product unitary without dephasing,
+    otherwise d^2 x d^2 maps of the walk.  So the N of a pulse-number
     sweep or of a calibration is read from folded cycles, not stepped one unit
     at a time.
     """
@@ -297,10 +296,6 @@ class Engine:
     def rotation_segments(self, angle, phase):
         return [(self.u_rotation(angle, phase), 0.0)]
 
-    def dd_unit_segments(self, tau, phase):
-        """One [tau/2 - pi - tau/2] decoupling unit (dephasing per half segment)."""
-        return self.dd_block_segments(tau, 1, (phase,))
-
     def dd_block_segments(self, tau, n_pulses, pattern=XY8_PHASES):
         """n_pulses decoupling units, the k-th with pi-pulse phase pattern[k % len(pattern)].
 
@@ -349,27 +344,21 @@ class Engine:
             cycle = self.dd_block(tau, size, pattern, reverse)
             partial = self.dd_block(tau, rest, pattern, reverse)
             block = partial + cycle * cycles if reverse else cycle * cycles + partial
-            if self.deph is None:
-                block = [self.fold(block)]
+            if self.deph is None:   # one unitary, the product of the folded ones
+                u = block[0][0]
+                for v, _ in block[1:]:
+                    u = v @ u
+                block = [(u, 0.0)]
         self._blocks[key] = block
         return block
 
-    def fold(self, segments):
-        """One segment that acts as walking the segments in order.
-
-        Without dephasing it is the product unitary (d x d).  With dephasing it
-        is the d^2 x d^2 map of the walk on row-major vec(rho), the convention
-        of ``optics._liouvillian``, stored transposed, so that a stack of
-        states maps as vec(rho) @ M: row k of M is the walked k-th matrix unit.
-        The segments act on lab states, so the walk leaves the eigenframe
-        before them and enters it again after them.
-        """
-        _, w, w_dag = self.frame()
-        return self._fold_steps([[(w, 0.0)] + segments + [(w_dag, 0.0)]])[0]
-
     def _fold_steps(self, steps):
         """The folds of the eigenframe segment lists steps[0], steps[0] + steps[1], ...
-        in one walk, each a segment that acts on lab states.
+        in one walk, each one segment that acts on lab states as the walk does:
+        without dephasing the product unitary (d x d), with it the d^2 x d^2 map
+        of the walk on row-major vec(rho), the convention of
+        ``optics._liouvillian``, stored transposed, so that a stack of states
+        maps as vec(rho) @ M (row k of M is the walked k-th matrix unit).
 
         The matrix units (or, without dephasing, the identity) enter the frame
         once and move through ``evolve``, so a map holds the arithmetic of the
@@ -400,7 +389,7 @@ class Engine:
         A segment's unitary may be one matrix or a stack, and a free segment's
         factor one matrix or a stack with one free time each; rho and the
         segments broadcast over their leading axes.  A folded map (d^2 x d^2,
-        from ``fold``) applies to every rho of the stack.
+        from ``dd_block``) applies to every rho of the stack.
         """
         for segment in segments:
             u = segment[0]
@@ -866,39 +855,38 @@ def _depolarize_electron(rho, q):
     return rho
 
 
-def _group_key(m):
-    """A 2x2 unitary rounded to 9 decimals, as bytes (+ 0.0 gives -0.0 the key of 0.0)."""
-    return (np.round(m, 9) + 0.0).tobytes()
-
-
 @functools.lru_cache(maxsize=None)
-def _clifford_group():
-    """The group of 2x2 unitaries that the ideal _CLIFFORDS generate (48 elements of
-    SU(2)), element 0 the identity: the table product[k, g], the index of
-    ideal_k @ element_g, and per element the inversion candidate that best maps
-    element |down> onto |up> (index into _CLIFFORDS, len(_CLIFFORDS) for the
-    identity; the first of equal candidates)."""
+def _clifford_states():
+    """The states ideal |down> that sequences of the ideal _CLIFFORDS reach, up to a
+    phase (the six Bloch axes), state 0 |down>: the table step[k, s], the index of
+    ideal_k |s>, and per state the inversion candidate that best maps it onto |up>
+    (index into _CLIFFORDS, len(_CLIFFORDS) for the identity; the first of equal
+    candidates)."""
     candidates = np.array([_ideal_unitary(angle, phase)
                            for _, angle, phase in _CLIFFORDS + (("I", 0.0, 0.0),)])
-    elements = [np.eye(2, dtype=complex)]
-    index = {_group_key(elements[0]): 0}
-    product = []
-    while len(product) < len(elements):   # until every element's products are known
+
+    def name(state):   # |s><s| to 9 decimals, whatever the phase (+ 0.0: -0.0 as 0.0)
+        return (np.round(np.outer(state, state.conj()), 9) + 0.0).tobytes()
+
+    states = [np.array([1.0, 0.0], dtype=complex)]
+    index = {name(states[0]): 0}
+    step = []
+    while len(step) < len(states):   # until the images of every state are known
         row = []
         for ideal in candidates[:-1]:
-            m = ideal @ elements[len(product)]
-            row.append(index.setdefault(_group_key(m), len(elements)))
-            if row[-1] == len(elements):
-                elements.append(m)
-        product.append(row)
-    up_amplitudes = candidates[:, 1, :] @ np.array(elements)[:, :, 0].T
-    best = np.zeros(len(elements), dtype=int)
-    best_overlap = np.full(len(elements), -1.0)
+            state = ideal @ states[len(step)]
+            row.append(index.setdefault(name(state), len(states)))
+            if row[-1] == len(states):
+                states.append(state)
+        step.append(row)
+    up_amplitudes = candidates[:, 1, :] @ np.array(states).T
+    best = np.zeros(len(states), dtype=int)
+    best_overlap = np.full(len(states), -1.0)
     for candidate, overlap in enumerate(np.abs(up_amplitudes) ** 2):
         better = overlap > best_overlap + 1e-12
         best[better] = candidate
         best_overlap[better] = overlap[better]
-    return np.array(product).T, best
+    return np.array(step).T, best
 
 
 # rows of one stacked RB walk beyond n_random: bounds its memory, and keeps each
@@ -940,7 +928,7 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
     eng = Engine(p, dephasing, t_pi)
     n_cliffords = len(_CLIFFORDS)
     unitaries = np.array([eng.u_rotation(angle, phase) for _, angle, phase in _CLIFFORDS])
-    product, inversion = _clifford_group()
+    step, inversion = _clifford_states()
 
     # row i_n * n_random + i_r is sequence i_r of length n_list[i_n]; the rows walk
     # longest first, at most max(n_random, _RB_ROWS) at a time
@@ -960,11 +948,11 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
         # per step k, the number of rows longer than k (walk_lengths falls)
         moving = np.searchsorted(-walk_lengths, -np.arange(walk_lengths[0]))
         rho = np.repeat(_initial_rho(p, f_ie)[None], len(walk), axis=0)
-        ideal = np.zeros(len(walk), dtype=np.intp)   # index into _clifford_group
+        ideal = np.zeros(len(walk), dtype=np.intp)   # ideal |down>, by _clifford_states
         for k, m in enumerate(moving):
             rho[:m] = eng.evolve(rho[:m], [(unitaries[picks[:m, k]], 0.0)])
             _depolarize_electron(rho[:m], q)
-            ideal[:m] = product[picks[:m, k], ideal[:m]]
+            ideal[:m] = step[picks[:m, k], ideal[:m]]
         best = inversion[ideal]
         invert = best < n_cliffords   # the identity needs no pulse
         if invert.any():

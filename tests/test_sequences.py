@@ -418,24 +418,19 @@ def two_nuclei():
 
 @pytest.mark.parametrize("pattern", [XY8_PHASES, CPMG_PHASES], ids=["XY8", "CPMG"])
 def test_dd_block_segments_equal_successive_units(pattern):
-    """A block is its units in order, all in one eigenframe stretch: the units'
-    segments between one W^dag and one W, so it evolves bit for bit as that walk,
-    and as the units stepped one evolve at a time (each in and out of the frame)."""
+    """A block is its units in order, all in one eigenframe stretch: it evolves bit
+    for bit as the units stepped one evolve at a time between one W^dag and one W."""
     eng = Engine(two_nuclei(), DephasingModel(t_c=4e-6, beta=2.0))
     rho0 = eng.evolve(product_state(electron_mixture(0.9), n_nuclei=2),
                       eng.rotation_segments(math.pi / 2, 0.0))
     tau, n_pulses = 0.3e-6, 11
-    units = [eng.dd_unit_segments(tau, pattern[k % len(pattern)]) for k in range(n_pulses)]
-    walk = units[0][:1] + [segment for unit in units for segment in unit[1:-1]] + units[0][-1:]
-    block = eng.dd_block_segments(tau, n_pulses, pattern)
-    assert [type(segment) for segment in block] == [type(segment) for segment in walk]
-    assert all(got[0] is expected[0] and got[1] == expected[1]
-               for got, expected in zip(block, walk))
-    np.testing.assert_array_equal(eng.evolve(rho0, block), eng.evolve(rho0, walk))
-    stepped = rho0
-    for unit in units:
-        stepped = eng.evolve(stepped, unit)
-    np.testing.assert_allclose(eng.evolve(rho0, block), stepped, rtol=0, atol=1e-12)
+    _, w, w_dag = eng.frame()
+    stepped = eng.evolve(rho0, [(w_dag, 0.0)])
+    for k in range(n_pulses):
+        stepped = eng.evolve(stepped, eng._dd_units(tau, 1, (pattern[k % len(pattern)],)))
+    stepped = eng.evolve(stepped, [(w, 0.0)])
+    np.testing.assert_array_equal(
+        eng.evolve(rho0, eng.dd_block_segments(tau, n_pulses, pattern)), stepped)
 
 
 def _state_evolves(monkeypatch, seen):
@@ -912,7 +907,7 @@ def _coherent_stack(eng, n_states):
     """Initialized registers rotated by different pulses, so each carries coherences."""
     rho = product_state(electron_mixture(0.9), [(0.8, 0.2)], eng.p.n_nuclei)
     return np.array([eng.evolve(rho, eng.rotation_segments(0.3 + 0.4 * k, 0.2 * k)
-                                + eng.dd_unit_segments(0.21e-6, 0.5 * k))
+                                + eng.dd_block_segments(0.21e-6, 1, (0.5 * k,)))
                      for k in range(n_states)])
 
 
@@ -933,29 +928,29 @@ def test_folded_block_matches_the_segment_walk(n_nuclei, dephasing, n_pulses, re
     else:   # the cycle map stepped, then the rest; every segment a d^2 x d^2 map
         assert len(block) == n_pulses // 8 + (n_pulses % 8 > 0)
         assert all(_is_folded_map(u, d) and t == 0.0 for u, t in block)
-    for rho in (_coherent_stack(eng, 3), _coherent_stack(eng, 1)[0]):
+    # one state, and stacks below and above the rows of one single-threaded product
+    for rho in (_coherent_stack(eng, 1)[0], _coherent_stack(eng, 3), _coherent_stack(eng, 40)):
         np.testing.assert_allclose(eng.evolve(rho, block), _lab_walk(eng, rho, steps, reverse),
                                    rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n_nuclei", [1, 2])
-@pytest.mark.parametrize("dephasing", [None, DEPH], ids=["ideal", "dephasing"])
-def test_fold_of_any_segment_list_matches_the_walk(n_nuclei, dephasing):
-    """Pulses, free evolution and DD units of several lengths, folded into one segment,
-    on one state and on stacks too tall for one single-threaded product: the same as
-    the segments walked through evolve, and as the lab-frame walk."""
-    eng = Engine(_register(n_nuclei, detuning=0.2e6), dephasing)
-    segments = (eng.rotation_segments(math.pi / 2, 0.3) + eng.free_segments(0.7e-6)
-                + eng.dd_block_segments(0.4e-6, 5, CPMG_PHASES)
-                + eng.pulse_segments(3e6, 1.1, 80e-9) + eng.free_segments(1.3e-6))
-    steps = (eng.rotation_segments(math.pi / 2, 0.3) + [_lab_free(eng, 0.7e-6)]
-             + _lab_dd_block(eng, 0.4e-6, 5, CPMG_PHASES)
-             + eng.pulse_segments(3e6, 1.1, 80e-9) + [_lab_free(eng, 1.3e-6)])
-    folded = eng.fold(segments)
-    assert folded[1] == 0.0
-    for rho in (_coherent_stack(eng, 1)[0], _coherent_stack(eng, 2), _coherent_stack(eng, 40)):
-        for walked in (eng.evolve(rho, segments), _lab_walk(eng, rho, steps)):
-            np.testing.assert_allclose(eng.evolve(rho, [folded]), walked, rtol=0, atol=1e-12)
+@pytest.mark.parametrize("pattern", [XY8_PHASES, CPMG_PHASES], ids=["XY8", "CPMG"])
+def test_dd_block_segments_match_the_unit_by_unit_lab_walk(pattern):
+    """The block against the lab-frame walk, each half gap dephased on its own, and
+    against the one-unit blocks stepped one evolve at a time (each one entering and
+    leaving the eigenframe): to 1e-12, since the frame changes the rounding."""
+    eng = Engine(two_nuclei(), DephasingModel(t_c=4e-6, beta=2.0))
+    rho0 = eng.evolve(product_state(electron_mixture(0.9), n_nuclei=2),
+                      eng.rotation_segments(math.pi / 2, 0.0))
+    tau, n_pulses = 0.3e-6, 11
+    block = eng.evolve(rho0, eng.dd_block_segments(tau, n_pulses, pattern))
+    np.testing.assert_allclose(block, _lab_walk(eng, rho0, _lab_dd_block(eng, tau, n_pulses,
+                                                                          pattern)),
+                               rtol=0, atol=1e-12)
+    stepped = rho0
+    for k in range(n_pulses):
+        stepped = eng.evolve(stepped, eng.dd_block_segments(tau, 1, (pattern[k % len(pattern)],)))
+    np.testing.assert_allclose(block, stepped, rtol=0, atol=1e-12)
 
 
 def _walked_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie):
@@ -968,7 +963,7 @@ def _walked_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie):
     sig_at, sz_at = {}, {}
     for n in range(max(n_sweep) + 1):
         if n > 0:
-            unit = eng.dd_unit_segments(tau_rot, XY8_PHASES[(n - 1) % 8])
+            unit = eng.dd_block_segments(tau_rot, 1, (XY8_PHASES[(n - 1) % 8],))
             rho_sig = eng.evolve(rho_sig, unit)
             rho_rot = eng.evolve(rho_rot, unit)
         sig_at[n] = electron_up_population(eng.evolve(rho_sig, half_pi))
@@ -994,7 +989,7 @@ def _walked_quarter_rotation(p, tau_rot, n_max=400, t_pi=T_PI_DEFAULT, force_eve
     rho = product_state((1.0, 0.0), [(1.0, 0.0)])
     trace = [nuclear_sigma_z(rho)]
     for n in range(1, n_max + 1):
-        rho = eng.evolve(rho, eng.dd_unit_segments(tau_rot, XY8_PHASES[(n - 1) % 8]))
+        rho = eng.evolve(rho, eng.dd_block_segments(tau_rot, 1, (XY8_PHASES[(n - 1) % 8],)))
         trace.append(nuclear_sigma_z(rho))
         if trace[-1] >= 0.0:
             if force_even:
@@ -1002,7 +997,7 @@ def _walked_quarter_rotation(p, tau_rot, n_max=400, t_pi=T_PI_DEFAULT, force_eve
                 hi = lo + 2
                 if hi > n_max or lo < 1:
                     break
-                rho = eng.evolve(rho, eng.dd_unit_segments(tau_rot, XY8_PHASES[n % 8]))
+                rho = eng.evolve(rho, eng.dd_block_segments(tau_rot, 1, (XY8_PHASES[n % 8],)))
                 trace.append(nuclear_sigma_z(rho))
                 return lo if abs(trace[lo]) <= abs(trace[hi]) else hi
             return n if abs(trace[n]) <= abs(trace[n - 1]) else n - 1
