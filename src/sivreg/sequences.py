@@ -40,10 +40,9 @@ unitary or, with dephasing, as d^2 x d^2 maps of the walk, which
 ``Engine.evolve`` applies like any other segment.  It folds the XY-8 cycle
 and its first 1..7 units once per Engine, walking the matrix units through
 the cycle in the eigenframe; an N-unit block steps the cycle N // 8 times
-and then takes the first N % 8 units.  A sweep over the pulse
-number N reads every N that way, and the quarter-rotation search scans one
-cycle at a time.  The DD sweep (a new free factor per tau) walks its
-segments.
+and then takes the first N % 8 units.  A sweep over the pulse number N reads
+every N that way, and the quarter-rotation search scans one cycle at a time.
+The DD sweep (a new free factor per tau) walks its segments.
 
 The pi time is ``Engine.t_pi``: every nominal rotation (pi/2 pulses, DD pi
 pulses, RB Cliffords) is driven at the Rabi rate 1/(2 t_pi).  Only explicit
