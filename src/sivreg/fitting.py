@@ -22,8 +22,8 @@ carry the 2*pi explicitly.
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 

@@ -2,7 +2,8 @@
 
 ``Engine`` is the one code path that turns the register Hamiltonian of
 ``sivreg.register`` into propagators: it caches eigensystems and unitaries
-per (params, dephasing, t_pi) context and hands out segment lists.
+per (params, dephasing, t_pi) context and hands out segment lists (their
+format and their backward walk are stated in the ``Engine`` docstring).
 ``Engine.evolve`` walks such a list over a raw density matrix, or over a
 stack of them (shape (..., d, d)), and is the only way any experiment moves a
 state; every signal is read from the diagonal of the result
@@ -42,7 +43,9 @@ and its first 1..7 units once per Engine, walking the matrix units through
 the cycle in the eigenframe; an N-unit block steps the cycle N // 8 times
 and then takes the first N % 8 units.  A sweep over the pulse number N reads
 every N that way, and the quarter-rotation search scans one cycle at a time.
-The DD sweep (a new free factor per tau) walks its segments.
+The DD sweep (a new free factor per tau) walks its segments.  The UI probe runs
+the transfer gate backwards as ``_adjoint`` of its forward segments, so its
+folded blocks are the conjugate transposes of the cached forward ones.
 
 The pi time is ``Engine.t_pi``: every nominal rotation (pi/2 pulses, DD pi
 pulses, RB Cliffords) is driven at the Rabi rate 1/(2 t_pi).  Only explicit
@@ -56,7 +59,7 @@ period.  Dephasing acts with each free segment; pulses are decoherence-free.
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -168,22 +171,25 @@ class TransferMatrix:
 
 
 class FreeSegment(NamedTuple):
-    """Free evolution for time t (a scalar, or an array for a stack) in the eigenframe
-    of the free Hamiltonian: rho_ij -> rho_ij * factor_ij.  The factor holds the phases
-    exp(-i (E_i - E_j) t) and, between the two electron blocks, the dephasing factor."""
+    """Free evolution in the eigenframe of the free Hamiltonian: rho_ij -> rho_ij *
+    factor_ij.  The factor holds the phases exp(-i (E_i - E_j) t) and, between the two
+    electron blocks, the dephasing factor; a stack of free times is a stack of factors."""
 
     factor: np.ndarray
-    t: Union[float, np.ndarray]
 
 
 class Engine:
     """Caches eigensystems, propagators and folded DD blocks for one
     (params, dephasing, t_pi) context.
 
-    Evolution is a list of segments.  A (unitary, 0.0) pair applies
-    rho -> U rho U^dag; a ``FreeSegment`` multiplies rho elementwise by its
-    factor, which is the free evolution and its electron dephasing
-    (``DephasingModel.factor(t)``) in the eigenframe of the free Hamiltonian.
+    Evolution is a list of segments, each one of two kinds:
+
+    - a bare ndarray: a d x d unitary U (rho -> U rho U^dag), a stack of them
+      (one per rho of a stack), or a folded d^2 x d^2 map of a walk;
+    - a ``FreeSegment``, whose factor multiplies rho elementwise: the free
+      evolution and its electron dephasing (``DephasingModel.factor(t)``) in the
+      eigenframe of the free Hamiltonian.
+
     That frame is W = W_down (+) W_up, one eigensolve per electron block, so it
     never mixes the electron states.  Free segments therefore sit between the
     unitaries W^dag (into the frame) and W (out of it), and a pulse inside a
@@ -192,6 +198,11 @@ class Engine:
     otherwise d^2 x d^2 maps of the walk.  So the N of a pulse-number
     sweep or of a calibration is read from folded cycles, not stepped one unit
     at a time.
+
+    Any segment list walks backwards as ``_adjoint(segments)``: the segments in
+    reverse order, each by its Hilbert-Schmidt adjoint, which for a unitary, a
+    stack or a folded map is its conjugate transpose and for a free factor its
+    conjugate (the dephasing part is real).
     """
 
     def __init__(self, p: RegisterParams, dephasing: Optional[DephasingModel] = None,
@@ -282,18 +293,11 @@ class Engine:
     def _in_frame(self, segments):
         """Eigenframe segments bracketed by W^dag and W, so that they act on lab states."""
         _, w, w_dag = self.frame()
-        return [(w_dag, 0.0)] + segments + [(w, 0.0)]
+        return [w_dag] + segments + [w]
 
     def free_segments(self, t):
         """Free evolution for t: into the eigenframe, one elementwise product, out again."""
-        return self._in_frame([FreeSegment(self.u_free(t), t)])
-
-    def pulse_segments(self, rabi, phase, duration):
-        """Drive at (rabi, phase) for duration."""
-        return [(self.u_pulse(rabi, phase, duration), 0.0)]
-
-    def rotation_segments(self, angle, phase):
-        return [(self.u_rotation(angle, phase), 0.0)]
+        return self._in_frame([FreeSegment(self.u_free(t))])
 
     def dd_block_segments(self, tau, n_pulses, pattern=XY8_PHASES):
         """n_pulses decoupling units, the k-th with pi-pulse phase pattern[k % len(pattern)].
@@ -306,48 +310,40 @@ class Engine:
 
     def _dd_units(self, tau, n_pulses, pattern):
         """The eigenframe segments of ``dd_block_segments``, without the bracket."""
-        half = [FreeSegment(self.u_free(tau / 2.0), tau / 2.0)]
+        half = [FreeSegment(self.u_free(tau / 2.0))]
         return [segment for k in range(n_pulses)
-                for segment in half + [(self._framed_rotation(math.pi, pattern[k % len(pattern)]),
-                                        0.0)] + half]
+                for segment in half + [self._framed_rotation(math.pi, pattern[k % len(pattern)])]
+                + half]
 
-    def dd_block(self, tau, n_pulses, pattern=XY8_PHASES, reverse=False):
-        """``dd_block_segments(tau, n_pulses, pattern)`` folded, cached per
-        (tau, n_pulses, pattern, reverse); reverse=True folds the reversed walk, each
-        segment by its adjoint and then its dephasing.
+    def dd_block(self, tau, n_pulses):
+        """``dd_block_segments(tau, n_pulses)`` (the XY-8 pattern) folded, cached per
+        (tau, n_pulses); its backward walk is ``_adjoint`` of it.
 
-        The first 1, 2, ... len(pattern) units fold in one walk.  A longer block is
-        the cycle of len(pattern) units stepped n_pulses // len(pattern) times and
-        then its first n_pulses % len(pattern) units (the reversed walk takes these
-        in the opposite order).  Without dephasing the block is their product, one
-        unitary; with it, the block steps the cycle map and never multiplies two
-        d^2 x d^2 maps.
+        The first 1, 2, ... 8 units fold in one walk.  A longer block is the cycle of
+        8 units stepped n_pulses // 8 times and then its first n_pulses % 8 units.
+        Without dephasing the block is their product, one unitary; with it, the block
+        steps the cycle map and never multiplies two d^2 x d^2 maps.
         """
-        key = (tau, n_pulses, pattern, reverse)
+        key = (tau, n_pulses)
         block = self._blocks.get(key)
         if block is not None:
             return block
-        size = len(pattern)
-        if n_pulses <= size:
-            if n_pulses == 0:
-                block = []
-            elif reverse:
-                block = self._fold_steps([_adjoint(self._dd_units(tau, n_pulses, pattern))])
-            else:
-                units = [self._dd_units(tau, 1, (phase,)) for phase in pattern]
-                for k, folded in enumerate(self._fold_steps(units)):
-                    self._blocks[(tau, k + 1, pattern, False)] = [folded]
-                block = self._blocks[key]
+        size = len(XY8_PHASES)
+        if n_pulses == 0:
+            block = []
+        elif n_pulses <= size:
+            units = [self._dd_units(tau, 1, (phase,)) for phase in XY8_PHASES]
+            for k, folded in enumerate(self._fold_steps(units)):
+                self._blocks[(tau, k + 1)] = [folded]
+            block = self._blocks[key]
         else:
             cycles, rest = divmod(n_pulses, size)
-            cycle = self.dd_block(tau, size, pattern, reverse)
-            partial = self.dd_block(tau, rest, pattern, reverse)
-            block = partial + cycle * cycles if reverse else cycle * cycles + partial
+            block = self.dd_block(tau, size) * cycles + self.dd_block(tau, rest)
             if self.deph is None:   # one unitary, the product of the folded ones
-                u = block[0][0]
-                for v, _ in block[1:]:
+                u = block[0]
+                for v in block[1:]:
                     u = v @ u
-                block = [(u, 0.0)]
+                block = [u]
         self._blocks[key] = block
         return block
 
@@ -371,41 +367,41 @@ class Engine:
             u = w_dag
             for step in steps:
                 for segment in step:
-                    v = segment[0]
-                    u = v[..., :1] * u if isinstance(segment, FreeSegment) else v @ u
-                folds.append((w @ u, 0.0))
+                    u = (segment.factor[..., :1] * u if isinstance(segment, FreeSegment)
+                         else segment @ u)
+                folds.append(w @ u)
             return folds
         d = w.shape[-1]
-        units = self.evolve(np.eye(d * d, dtype=complex).reshape(d * d, d, d), [(w_dag, 0.0)])
+        units = self.evolve(np.eye(d * d, dtype=complex).reshape(d * d, d, d), [w_dag])
         for step in steps:
             units = self.evolve(units, step)
-            folds.append((self.evolve(units, [(w, 0.0)]).reshape(d * d, d * d), 0.0))
+            folds.append(self.evolve(units, [w]).reshape(d * d, d * d))
         return folds
 
     def evolve(self, rho, segments):
         """Apply the segments in order to a raw density matrix or a stack of them.
 
-        A segment's unitary may be one matrix or a stack, and a free segment's
-        factor one matrix or a stack with one free time each; rho and the
-        segments broadcast over their leading axes.  A folded map (d^2 x d^2,
-        from ``dd_block``) applies to every rho of the stack.
+        A unitary segment may be one matrix or a stack, and a free segment's factor
+        one matrix or a stack with one free time each; rho and the segments
+        broadcast over their leading axes.  A folded map (d^2 x d^2, from
+        ``dd_block``) applies to every rho of the stack.
         """
         for segment in segments:
-            u = segment[0]
             if isinstance(segment, FreeSegment):
-                rho = rho * u
-            elif u.shape[-1] == rho.shape[-1]:
-                rho = _conjugate(u, rho)
+                rho = rho * segment.factor
+            elif segment.shape[-1] == rho.shape[-1]:
+                rho = _conjugate(segment, rho)
             else:
-                rho = _apply_map(u, rho)
+                rho = _apply_map(segment, rho)
         return rho
 
 
 def _adjoint(segments):
-    """The segments walked backwards, each by its adjoint (free times kept): a free
-    factor by its conjugate, since its dephasing part is real."""
-    return [FreeSegment(segment.factor.conj(), segment.t) if isinstance(segment, FreeSegment)
-            else (segment[0].conj().swapaxes(-1, -2), segment[1])
+    """The segments walked backwards, each by its adjoint: a unitary, a stack or a
+    folded map by its conjugate transpose, a free factor by its conjugate (its
+    dephasing part is real)."""
+    return [FreeSegment(segment.factor.conj()) if isinstance(segment, FreeSegment)
+            else segment.conj().swapaxes(-1, -2)
             for segment in reversed(segments)]
 
 
@@ -450,6 +446,13 @@ def _apply_map(m, rho):
     return (flat @ m).reshape(rho.shape)
 
 
+def _pulse_number(name, n):
+    """n as an int; a ValueError naming it unless it is a non-negative integer."""
+    if not (math.isfinite(n) and n >= 0 and n == int(n)):
+        raise ValueError("%s %r is not a non-negative integer" % (name, n))
+    return int(n)
+
+
 def _initial_rho(p: RegisterParams, f_ie: float, flip=False):
     """Electron initialization mixture (optionally ideally inverted) x mixed nuclei."""
     return product_state(electron_mixture(f_ie, flip), n_nuclei=p.n_nuclei)
@@ -468,8 +471,7 @@ def run_rabi(p: RegisterParams, dephasing, omega, durations, f_ie=1.0,
     eng = Engine(p, dephasing)
     durations = np.asarray(durations, dtype=float)
     rho0 = initial.rho if initial is not None else _initial_rho(p, f_ie)
-    drive = (eng.pulse_segments(omega, 0.0, durations) if omega > 0
-             else eng.free_segments(durations))
+    drive = [eng.u_pulse(omega, 0.0, durations)] if omega > 0 else eng.free_segments(durations)
     signal = electron_up_population(eng.evolve(rho0, drive))
     return SweepResult(durations, signal, name="rabi", axis_label="pulse duration (s)")
 
@@ -491,7 +493,7 @@ def run_ramsey(p: RegisterParams, dephasing, delta, taus, target="electron",
     taus = np.asarray(taus, dtype=float)
 
     if target == "electron":
-        half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+        half_pi = [eng.u_rotation(math.pi / 2, 0.0)]
         rho0 = eng.evolve(_initial_rho(params, f_ie), half_pi)
         signal = electron_up_population(eng.evolve(rho0, eng.free_segments(taus) + half_pi))
         return SweepResult(taus, signal, name="ramsey", axis_label="tau (s)")
@@ -521,12 +523,11 @@ def run_dd(p: RegisterParams, dephasing, kind, n_pulses, taus, f_ie=1.0,
     """
     if kind not in ("CPMG", "XY"):
         raise ValueError("kind must be 'CPMG' or 'XY'")
-    if n_pulses < 0:
-        raise ValueError("n_pulses must be >= 0")
+    n_pulses = _pulse_number("n_pulses", n_pulses)
     pattern = CPMG_PHASES if kind == "CPMG" else XY8_PHASES
     eng = Engine(p, dephasing, t_pi)
     taus = np.asarray(taus, dtype=float)
-    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    half_pi = [eng.u_rotation(math.pi / 2, 0.0)]
     rho0 = eng.evolve(_initial_rho(p, f_ie), half_pi)
     block = (eng.free_segments(taus) if n_pulses == 0
              else eng.dd_block_segments(taus, n_pulses, pattern))
@@ -548,11 +549,11 @@ def run_spin_lock(p: RegisterParams, dephasing, omega_sl, tau_sl=None,
     if (tau_sl is None) == (amplitudes is None):
         raise ValueError("provide exactly one of tau_sl or amplitudes")
     eng = Engine(p, dephasing, t_pi)
-    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    half_pi = [eng.u_rotation(math.pi / 2, 0.0)]
     rho0 = eng.evolve(_initial_rho(p, f_ie), half_pi)
     if tau_sl is not None:
         axis = np.asarray(tau_sl, dtype=float)
-        lock = eng.pulse_segments(omega_sl, math.pi / 2, axis)
+        lock = [eng.u_pulse(omega_sl, math.pi / 2, axis)]
         label, name = "lock duration (s)", "spin_lock_time"
     else:
         if tau_fixed is None:
@@ -560,7 +561,7 @@ def run_spin_lock(p: RegisterParams, dephasing, omega_sl, tau_sl=None,
         axis = np.asarray(amplitudes, dtype=float)
         # one drive Hamiltonian per amplitude: its unitaries stacked along the axis
         units = [eng.u_pulse(float(omega), math.pi / 2, tau_fixed) for omega in axis]
-        lock = [(np.array(units).reshape(axis.shape + rho0.shape), 0.0)]
+        lock = [np.array(units).reshape(axis.shape + rho0.shape)]
         label, name = "lock amplitude (Hz)", "spin_lock_amplitude"
     signal = electron_up_population(eng.evolve(rho0, lock + half_pi))
     return SweepResult(axis, signal, name=name, axis_label=label)
@@ -582,11 +583,11 @@ def run_nuclear_rotation(p: RegisterParams, dephasing, tau_rot, n_sweep,
     """
     if not tau_rot > 0:
         raise ValueError("tau_rot must be > 0")
-    n_sweep = [int(n) for n in n_sweep]
-    if any(n < 0 for n in n_sweep):
-        raise ValueError("pulse numbers must be >= 0")
+    n_sweep = [_pulse_number("n_sweep entry", n) for n in n_sweep]
+    if not n_sweep:
+        raise ValueError("n_sweep holds no pulse number")
     eng = Engine(p, dephasing, t_pi)
-    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    half_pi = [eng.u_rotation(math.pi / 2, 0.0)]
     size = len(XY8_PHASES)
 
     # the two branches as one stack: [0] the electron signal (coherence
@@ -641,14 +642,14 @@ def calibrate_quarter_rotation(p: RegisterParams, tau_rot, n_max=400,
     """
     eng = Engine(replace(p, hyperfine=p.hyperfine[:1], n_nuclei=1), None, t_pi)
     size = len(XY8_PHASES)
-    prefixes = np.array([eng.dd_block(tau_rot, n)[0][0] for n in range(1, size + 1)])
+    prefixes = np.array([eng.dd_block(tau_rot, n)[0] for n in range(1, size + 1)])
     rho = product_state((1.0, 0.0), [(1.0, 0.0)])
     trace = [nuclear_sigma_z(rho)]
     n = None   # the first N with sigma_z >= 0
     while n is None or len(trace) <= n + 1:   # up to the unit after the crossing
         if n is None and len(trace) > n_max:
             raise ValueError("no quarter rotation found below n_max; check tau_rot")
-        states = eng.evolve(rho, [(prefixes, 0.0)])
+        states = eng.evolve(rho, [prefixes])
         rho = states[-1]
         trace.extend(nuclear_sigma_z(states))
         if n is None:
@@ -669,19 +670,13 @@ def calibrate_quarter_rotation(p: RegisterParams, tau_rot, n_max=400,
 
 def _transfer_head(eng: Engine, g: GateSpec):
     """Folded segments of the polarization-transfer gate before its free evolution."""
-    return (eng.rotation_segments(math.pi / 2, math.pi / 2) + eng.dd_block(g.tau, g.n_pulses)
-            + eng.rotation_segments(math.pi / 2, 0.0))
+    return ([eng.u_rotation(math.pi / 2, math.pi / 2)] + eng.dd_block(g.tau, g.n_pulses)
+            + [eng.u_rotation(math.pi / 2, 0.0)])
 
 
-def _transfer_segments(eng: Engine, g: GateSpec, wait, reverse=False):
-    """Folded segments of the polarization-transfer gate (sans re-pump); with reverse,
-    the gate walked backwards, each segment by its adjoint and then its dephasing."""
-    free = eng.free_segments(wait)
-    if not reverse:
-        return _transfer_head(eng, g) + free + eng.dd_block(g.tau, g.n_pulses)
-    block = eng.dd_block(g.tau, g.n_pulses, reverse=True)
-    y_half, x_half = (eng.rotation_segments(math.pi / 2, phase) for phase in (math.pi / 2, 0.0))
-    return block + _adjoint(free) + _adjoint(x_half) + block + _adjoint(y_half)
+def _transfer_segments(eng: Engine, g: GateSpec, wait):
+    """Folded segments of the polarization-transfer gate (sans re-pump)."""
+    return _transfer_head(eng, g) + eng.free_segments(wait) + eng.dd_block(g.tau, g.n_pulses)
 
 
 def calibrate_transfer_wait(p: RegisterParams, g: GateSpec):
@@ -743,17 +738,17 @@ def ui_probe_signal(p: RegisterParams, dephasing, g: GateSpec, f_ie,
 
     Runs the initialization gate, then maps the prepared nuclear polarization
     back onto the electron by walking the same transfer segments backwards
-    with their adjoints (dephasing after each free segment) and reads the
-    electron.  The contrast between flip_first=False and True is
-    the probe signal of the initialization experiment.
+    (their ``_adjoint``, which dephases with each free segment as the forward
+    walk does) and reads the electron.  The contrast between flip_first=False
+    and True is the probe signal of the initialization experiment.
     """
     eng, wait, state = _ui_forward(p, dephasing, g, f_ie, flip_first)
-    back = _transfer_segments(eng, g, wait, reverse=True)
+    back = _adjoint(_transfer_segments(eng, g, wait))
     return electron_up_population(eng.evolve(state.rho, back))
 
 
 def gate_segments(p: RegisterParams, dephasing, g: GateSpec):
-    """Engine and (unitary, free time) segments of a CeNOTn, a CnNOTe or the identity.
+    """Engine and segments (see ``Engine``) of a CeNOTn, a CnNOTe or the identity.
 
     The two DD blocks of a CeNOTn come folded (``Engine.dd_block``).  The
     identity has no segments.  A UI gate raises InvalidGate: it ends in a
@@ -764,7 +759,7 @@ def gate_segments(p: RegisterParams, dephasing, g: GateSpec):
     if g.kind == "CnNOTe":
         # drive resonant with the electron transition of the nuclear-down manifold
         eng = Engine(replace(p, detuning=p.hyperfine[0][0] / 2.0))
-        return eng, eng.pulse_segments(g.rabi, 0.0, 1.0 / (2.0 * g.rabi))
+        return eng, [eng.u_pulse(g.rabi, 0.0, 1.0 / (2.0 * g.rabi))]
     eng = Engine(p, dephasing, g.t_pi)
     if g.kind == "identity":
         return eng, []
@@ -920,10 +915,7 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
         raise ValueError("f_ie must lie in (0.5, 1], got %r" % (f_ie,))
     if n_random < 1:
         raise ValueError("n_random must be >= 1, got %r" % (n_random,))
-    for n in n_list:
-        if not (math.isfinite(n) and n >= 0 and n == int(n)):
-            raise ValueError("n_list entry %r is not a non-negative integer" % (n,))
-    n_list = [int(n) for n in n_list]
+    n_list = [_pulse_number("n_list entry", n) for n in n_list]
     eng = Engine(p, dephasing, t_pi)
     n_cliffords = len(_CLIFFORDS)
     unitaries = np.array([eng.u_rotation(angle, phase) for _, angle, phase in _CLIFFORDS])
@@ -949,13 +941,13 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
         rho = np.repeat(_initial_rho(p, f_ie)[None], len(walk), axis=0)
         ideal = np.zeros(len(walk), dtype=np.intp)   # ideal |down>, by _clifford_states
         for k, m in enumerate(moving):
-            rho[:m] = eng.evolve(rho[:m], [(unitaries[picks[:m, k]], 0.0)])
+            rho[:m] = eng.evolve(rho[:m], [unitaries[picks[:m, k]]])
             _depolarize_electron(rho[:m], q)
             ideal[:m] = step[picks[:m, k], ideal[:m]]
         best = inversion[ideal]
         invert = best < n_cliffords   # the identity needs no pulse
         if invert.any():
-            rho[invert] = eng.evolve(rho[invert], [(unitaries[best[invert]], 0.0)])
+            rho[invert] = eng.evolve(rho[invert], [unitaries[best[invert]]])
         up[walk] = electron_up_population(rho)
     signal = []
     for values in up.reshape(len(n_list), n_random):

@@ -13,7 +13,7 @@ from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
                              nuclear_sigma_z, product_state)
 from sivreg.sequences import (XY8_PHASES, Engine, GateSpec, InvalidGate,
                               T_PI_DEFAULT, TransferMatrix, UncalibratedGate,
-                              _transfer_segments,
+                              _adjoint, _transfer_segments,
                               calibrate_cenotn, calibrate_cnnote,
                               calibrate_quarter_rotation,
                               calibrate_transfer_wait, gate_segments,
@@ -90,7 +90,8 @@ def test_single_nucleus_probe_overestimates_contrast():
 def _coherent_state(eng, n_nuclei):
     """Initialized register rotated so it carries electron and nuclear coherences."""
     rho = product_state(electron_mixture(0.9), n_nuclei=n_nuclei)
-    return eng.evolve(rho, eng.rotation_segments(1.1, 0.4) + eng.dd_block_segments(0.3e-6, 1, (0.7,)))
+    return eng.evolve(rho, [eng.u_rotation(1.1, 0.4)]
+                      + eng.dd_block_segments(0.3e-6, 1, (0.7,)))
 
 
 def test_transfer_segments_reverse_pass_undoes_forward_pass():
@@ -98,14 +99,15 @@ def test_transfer_segments_reverse_pass_undoes_forward_pass():
     g = GateSpec(kind="UI", tau=81.5e-9, n_pulses=42, wait=0.1e-6)
     eng = Engine(p)
     rho = _coherent_state(eng, 2)
-    back = eng.evolve(eng.evolve(rho, _transfer_segments(eng, g, g.wait)),
-                      _transfer_segments(eng, g, g.wait, reverse=True))
+    segments = _transfer_segments(eng, g, g.wait)
+    back = eng.evolve(eng.evolve(rho, segments), _adjoint(segments))
     np.testing.assert_allclose(back, rho, rtol=0, atol=1e-12)
 
 
-def test_transfer_segments_reverse_pass_dephases_after_each_free_segment():
+@pytest.mark.parametrize("n_pulses", [6, 42])
+def test_transfer_segments_reverse_pass_dephases_after_each_free_segment(n_pulses):
     p = one_nucleus()
-    g = GateSpec(kind="UI", tau=81.5e-9, n_pulses=6, wait=0.1e-6)
+    g = GateSpec(kind="UI", tau=81.5e-9, n_pulses=n_pulses, wait=0.1e-6)
     deph = DephasingModel(t_c=4e-6, beta=2.0)
     eng = Engine(p, deph, g.t_pi)
 
@@ -129,7 +131,7 @@ def test_transfer_segments_reverse_pass_dephases_after_each_free_segment():
     expected = undo(expected, eng.u_rotation(math.pi / 2, 0.0))
     expected = undo_block(expected)
     expected = undo(expected, eng.u_rotation(math.pi / 2, math.pi / 2))
-    got = eng.evolve(rho, _transfer_segments(eng, g, g.wait, reverse=True))
+    got = eng.evolve(rho, _adjoint(_transfer_segments(eng, g, g.wait)))
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 

@@ -81,7 +81,7 @@ def test_pi_pulse_inverts_electron():
     st0 = RegisterState(product_state(electron_mixture(1.0), n_nuclei=1))
     rabi = 1.0 / (2 * 55.715e-9)
     eng = Engine(p)
-    flipped = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(rabi, 0.0, 55.715e-9)))
+    flipped = RegisterState(eng.evolve(st0.rho, [eng.u_pulse(rabi, 0.0, 55.715e-9)]))
     assert electron_up_population(flipped.rho) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -89,7 +89,7 @@ def test_mixed_electron_reads_half():
     st0 = RegisterState(product_state(electron_mixture(0.5), n_nuclei=1))
     assert electron_up_population(st0.rho) == pytest.approx(0.5, abs=1e-9)
     eng = Engine(params(1))
-    rotated = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.3, 30e-9)))
+    rotated = RegisterState(eng.evolve(st0.rho, [eng.u_pulse(8.97e6, 0.3, 30e-9)]))
     assert electron_up_population(rotated.rho) == pytest.approx(0.5, abs=1e-9)
 
 
@@ -112,7 +112,7 @@ def test_free_evolution_preserves_trace_and_positivity():
     p = params(2)
     st0 = RegisterState(product_state(electron_mixture(0.9), n_nuclei=2))
     eng = Engine(p)
-    out = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.0, 28e-9)
+    out = RegisterState(eng.evolve(st0.rho, [eng.u_pulse(8.97e6, 0.0, 28e-9)]
                                     + eng.free_segments(1.7e-6)))
     assert np.trace(out.rho).real == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.eigvalsh(out.rho).min() > -1e-12
@@ -129,7 +129,7 @@ def test_pulse_rejects_negative_duration(duration):
     eng = Engine(params(1))
     with pytest.raises(ValueError):
         eng.evolve(product_state(electron_mixture(1.0)),
-                   eng.pulse_segments(8.97e6, 0.0, duration))
+                   [eng.u_pulse(8.97e6, 0.0, duration)])
 
 
 # --- dephasing ---------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_dephasing_acts_only_on_electron_coherences():
     st0 = RegisterState(product_state(electron_mixture(1.0), n_nuclei=1))
     # build a state with coherences everywhere
     eng = Engine(p)
-    rho = eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.0, 30e-9))
+    rho = eng.evolve(st0.rho, [eng.u_pulse(8.97e6, 0.0, 30e-9)])
     rho[0, 1] = rho[1, 0] = 0.01      # nuclear coherence inside the down block
     factor = 0.3
     out = dephase_electron(rho, factor, 1)
@@ -175,7 +175,7 @@ def test_stacked_readouts_and_dephasing_act_per_density_matrix(n_nuclei):
     """A (3, d, d) stack reads and dephases as its three matrices do one at a time."""
     eng = Engine(params(n_nuclei, detuning=1e6))
     rho0 = product_state(electron_mixture(0.9), [(0.8, 0.2)], n_nuclei)
-    stack = np.array([eng.evolve(rho0, eng.pulse_segments(8e6, 0.3, t) + eng.free_segments(u))
+    stack = np.array([eng.evolve(rho0, [eng.u_pulse(8e6, 0.3, t)] + eng.free_segments(u))
                       for t, u in ((10e-9, 0.2e-6), (40e-9, 0.0), (70e-9, 1.1e-6))])
     model = DephasingModel(t_c=1e-6, beta=1.5)
     times = np.array([0.0, 0.4e-6, 2e-6])
@@ -215,7 +215,7 @@ def test_repump_keeps_nuclear_marginal():
     p = params(1)
     st0 = RegisterState(product_state(electron_mixture(0.9), n_nuclei=1))
     eng = Engine(p)
-    evolved = RegisterState(eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.1, 40e-9)
+    evolved = RegisterState(eng.evolve(st0.rho, [eng.u_pulse(8.97e6, 0.1, 40e-9)]
                                        + eng.free_segments(0.8e-6)))
     half = 2
     marginal_before = evolved.rho[:half, :half] + evolved.rho[half:, half:]
@@ -267,12 +267,12 @@ def test_pulse_is_unitary_conjugation():
     st0 = RegisterState(product_state(electron_mixture(0.8), n_nuclei=1))
     eng = Engine(params(1))
     u = eng.u_pulse(8.97e6, 0.3, 30e-9)
-    np.testing.assert_array_equal(eng.evolve(st0.rho, eng.pulse_segments(8.97e6, 0.3, 30e-9)),
+    np.testing.assert_array_equal(eng.evolve(st0.rho, [eng.u_pulse(8.97e6, 0.3, 30e-9)]),
                                   u @ st0.rho @ u.conj().T)
     # a pi pulse on the bare electron is the hard flip sigma_x (up to a global phase)
     bare = Engine(RegisterParams(hyperfine=((0.0, 0.0),), n_nuclei=1))
     rabi = 1.0 / (2 * 55.715e-9)
-    out = RegisterState(bare.evolve(st0.rho, bare.pulse_segments(rabi, 0.0, 55.715e-9)))
+    out = RegisterState(bare.evolve(st0.rho, [bare.u_pulse(rabi, 0.0, 55.715e-9)]))
     flip = op_at(SX, 0, 2)
     np.testing.assert_allclose(out.rho, flip @ st0.rho @ flip, atol=1e-12)
     assert electron_up_population(out.rho) == pytest.approx(0.8, rel=1e-12)

@@ -13,8 +13,9 @@ from sivreg.linalg import hermitian_eig, propagator_from_eig
 from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
                              dephase_electron, electron_mixture, electron_up_population,
                              hamiltonian, nuclear_sigma_z, populations, product_state)
-from sivreg.sequences import (CPMG_PHASES, XY8_PHASES, Engine, GateSpec, SweepResult,
-                              T_PI_DEFAULT, _CLIFFORDS, _depolarize_electron,
+from sivreg.sequences import (CPMG_PHASES, XY8_PHASES, Engine, FreeSegment, GateSpec,
+                              SweepResult, T_PI_DEFAULT, _CLIFFORDS, _adjoint,
+                              _depolarize_electron,
                               _ideal_unitary, _initial_rho, _transfer_head,
                               calibrate_cenotn, calibrate_cnnote, calibrate_quarter_rotation,
                               calibrate_transfer_wait, gate_segments,
@@ -329,6 +330,22 @@ def test_rb_rejects_a_negative_or_non_integral_length(n_list, bad):
         run_randomized_benchmarking(bare_params(), None, n_list, n_random=1)
 
 
+@pytest.mark.parametrize("run,match", [
+    (lambda p: run_nuclear_rotation(p, None, 0.2e-6, [0, 2.5, 4]), "n_sweep entry 2.5 is not"),
+    (lambda p: run_nuclear_rotation(p, None, 0.2e-6, [3, -1]), "n_sweep entry -1 is not"),
+    (lambda p: run_nuclear_rotation(p, None, 0.2e-6, [1, math.nan]), "n_sweep entry nan is not"),
+    (lambda p: run_nuclear_rotation(p, None, 0.2e-6, []), "n_sweep holds no pulse number"),
+    (lambda p: run_dd(p, None, "XY", 2.5, [1e-7]), "n_pulses 2.5 is not"),
+    (lambda p: run_dd(p, None, "CPMG", -1, [1e-7]), "n_pulses -1 is not"),
+    (lambda p: run_dd(p, None, "XY", math.inf, [1e-7]), "n_pulses inf is not"),
+], ids=["nucrot-2.5", "nucrot-negative", "nucrot-nan", "nucrot-empty", "dd-2.5",
+        "dd-negative", "dd-inf"])
+def test_pulse_numbers_must_be_non_negative_integers(run, match):
+    """A bad pulse number is named in the wording RB uses for n_list, never truncated."""
+    with pytest.raises(ValueError, match=match):
+        run(one_nucleus())
+
+
 def test_rb_takes_integral_floats_as_their_lengths():
     kw = dict(n_random=3, gate_fidelity_noise=0.01, seed=4)
     np.testing.assert_array_equal(
@@ -422,13 +439,13 @@ def test_dd_block_segments_equal_successive_units(pattern):
     for bit as the units stepped one evolve at a time between one W^dag and one W."""
     eng = Engine(two_nuclei(), DephasingModel(t_c=4e-6, beta=2.0))
     rho0 = eng.evolve(product_state(electron_mixture(0.9), n_nuclei=2),
-                      eng.rotation_segments(math.pi / 2, 0.0))
+                      [eng.u_rotation(math.pi / 2, 0.0)])
     tau, n_pulses = 0.3e-6, 11
     _, w, w_dag = eng.frame()
-    stepped = eng.evolve(rho0, [(w_dag, 0.0)])
+    stepped = eng.evolve(rho0, [w_dag])
     for k in range(n_pulses):
         stepped = eng.evolve(stepped, eng._dd_units(tau, 1, (pattern[k % len(pattern)],)))
-    stepped = eng.evolve(stepped, [(w, 0.0)])
+    stepped = eng.evolve(stepped, [w])
     np.testing.assert_array_equal(
         eng.evolve(rho0, eng.dd_block_segments(tau, n_pulses, pattern)), stepped)
 
@@ -477,7 +494,8 @@ def test_every_evolved_state_is_a_valid_density_matrix(monkeypatch):
         assert out.shape[-2:] == (d, d)
         for single in out.reshape((-1,) + out.shape[-2:]):
             RegisterState(single).validate()
-        calls.append((out.shape, any(_is_folded_map(u, d) for u, _ in segments)))
+        calls.append((out.shape, any(_is_folded_map(u, d) for u in segments
+                                     if not isinstance(u, FreeSegment))))
 
     _state_evolves(monkeypatch, checked)
     p = two_nuclei()
@@ -534,7 +552,7 @@ def _register(n_nuclei, detuning=0.0):
 def _reference_rabi(p, dephasing, omega, durations, f_ie):
     eng = Engine(p, dephasing)
     rho0 = _initial_rho(p, f_ie)
-    drive = ((lambda t: eng.pulse_segments(omega, 0.0, t)) if omega > 0
+    drive = ((lambda t: [eng.u_pulse(omega, 0.0, t)]) if omega > 0
              else eng.free_segments)
     return [electron_up_population(eng.evolve(rho0, drive(float(t)))) for t in durations]
 
@@ -543,7 +561,7 @@ def _reference_ramsey(p, dephasing, delta, taus, target, f_ie, electron_up):
     params = replace(p, detuning=delta)
     eng = Engine(params, dephasing)
     if target == "electron":
-        half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+        half_pi = [eng.u_rotation(math.pi / 2, 0.0)]
         rho0 = eng.evolve(_initial_rho(params, f_ie), half_pi)
         return [electron_up_population(eng.evolve(rho0, eng.free_segments(float(tau))
                                                    + half_pi)) for tau in taus]
@@ -559,7 +577,7 @@ def _reference_ramsey(p, dephasing, delta, taus, target, f_ie, electron_up):
 def _reference_dd(p, dephasing, kind, n_pulses, taus, f_ie):
     pattern = CPMG_PHASES if kind == "CPMG" else XY8_PHASES
     eng = Engine(p, dephasing)
-    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    half_pi = [eng.u_rotation(math.pi / 2, 0.0)]
     rho0 = eng.evolve(_initial_rho(p, f_ie), half_pi)
 
     def block(tau):
@@ -573,10 +591,10 @@ def _reference_dd(p, dephasing, kind, n_pulses, taus, f_ie):
 
 def _reference_spin_lock(p, dephasing, drives, f_ie):
     eng = Engine(p, dephasing)
-    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    half_pi = [eng.u_rotation(math.pi / 2, 0.0)]
     rho0 = eng.evolve(_initial_rho(p, f_ie), half_pi)
     return [electron_up_population(eng.evolve(
-        rho0, eng.pulse_segments(rabi, math.pi / 2, duration) + half_pi))
+        rho0, [eng.u_pulse(rabi, math.pi / 2, duration)] + half_pi))
         for rabi, duration in drives]
 
 
@@ -600,7 +618,7 @@ def _reference_rb(p, dephasing, n_list, n_random, q, seed, f_ie):
             ideal = np.eye(2, dtype=complex)
             for k in picks:
                 _, angle, phase = _CLIFFORDS[k]
-                rho = eng.evolve(rho, eng.rotation_segments(angle, phase))
+                rho = eng.evolve(rho, [eng.u_rotation(angle, phase)])
                 rho = _depolarize_electron(rho, q)
                 ideal = _ideal_unitary(angle, phase) @ ideal
             best, best_overlap = None, -1.0
@@ -611,7 +629,7 @@ def _reference_rb(p, dephasing, n_list, n_random, q, seed, f_ie):
                     best, best_overlap = c, overlap
             _, angle, phase = candidates[best]
             if angle > 0.0:
-                rho = eng.evolve(rho, eng.rotation_segments(angle, phase))
+                rho = eng.evolve(rho, [eng.u_rotation(angle, phase)])
             acc += electron_up_population(rho)
             picks_at[-1].append(picks)
             inversions_at[-1].append(best)
@@ -719,7 +737,7 @@ def test_stacked_rb_matches_the_per_sequence_reference(monkeypatch, n_nuclei, q)
     evolve = Engine.evolve
 
     def recording(eng, rho, segments):
-        for u, _ in segments:
+        for u in segments:
             applied.append(_clifford_index(eng, u))
         return evolve(eng, rho, segments)
 
@@ -839,7 +857,7 @@ def _reference_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie):
     """The two branches one after the other, each N from scratch through the folded
     XY-8 cycle and the folded first N % 8 units: the signal and sigma_z per N."""
     eng = Engine(p, dephasing)
-    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    half_pi = [eng.u_rotation(math.pi / 2, 0.0)]
     branches = [eng.evolve(_initial_rho(p, f_ie), half_pi),
                 product_state((f_ie, 1.0 - f_ie), [(1.0, 0.0)], p.n_nuclei)]
     at = []
@@ -906,7 +924,7 @@ def _lab_dd_block(eng, tau, n_pulses, pattern=XY8_PHASES):
 def _coherent_stack(eng, n_states):
     """Initialized registers rotated by different pulses, so each carries coherences."""
     rho = product_state(electron_mixture(0.9), [(0.8, 0.2)], eng.p.n_nuclei)
-    return np.array([eng.evolve(rho, eng.rotation_segments(0.3 + 0.4 * k, 0.2 * k)
+    return np.array([eng.evolve(rho, [eng.u_rotation(0.3 + 0.4 * k, 0.2 * k)]
                                 + eng.dd_block_segments(0.21e-6, 1, (0.5 * k,)))
                      for k in range(n_states)])
 
@@ -920,17 +938,18 @@ def test_folded_block_matches_the_segment_walk(n_nuclei, dephasing, n_pulses, re
     eng = Engine(p, dephasing)
     tau = 0.5 * p.larmor_period - T_PI_DEFAULT
     steps = _lab_dd_block(eng, tau, n_pulses)
-    block = eng.dd_block(tau, n_pulses, reverse=reverse)
-    assert eng.dd_block(tau, n_pulses, reverse=reverse) is block
+    block = eng.dd_block(tau, n_pulses)
+    assert eng.dd_block(tau, n_pulses) is block
     d = 2 ** (1 + n_nuclei)
     if dephasing is None:
-        assert len(block) == 1 and block[0][0].shape == (d, d)
+        assert len(block) == 1 and block[0].shape == (d, d)
     else:   # the cycle map stepped, then the rest; every segment a d^2 x d^2 map
         assert len(block) == n_pulses // 8 + (n_pulses % 8 > 0)
-        assert all(_is_folded_map(u, d) and t == 0.0 for u, t in block)
+        assert all(_is_folded_map(u, d) for u in block)
+    walked = _adjoint(block) if reverse else block
     # one state, and stacks below and above the rows of one single-threaded product
     for rho in (_coherent_stack(eng, 1)[0], _coherent_stack(eng, 3), _coherent_stack(eng, 40)):
-        np.testing.assert_allclose(eng.evolve(rho, block), _lab_walk(eng, rho, steps, reverse),
+        np.testing.assert_allclose(eng.evolve(rho, walked), _lab_walk(eng, rho, steps, reverse),
                                    rtol=0, atol=1e-12)
 
 
@@ -941,7 +960,7 @@ def test_dd_block_segments_match_the_unit_by_unit_lab_walk(pattern):
     leaving the eigenframe): to 1e-12, since the frame changes the rounding."""
     eng = Engine(two_nuclei(), DephasingModel(t_c=4e-6, beta=2.0))
     rho0 = eng.evolve(product_state(electron_mixture(0.9), n_nuclei=2),
-                      eng.rotation_segments(math.pi / 2, 0.0))
+                      [eng.u_rotation(math.pi / 2, 0.0)])
     tau, n_pulses = 0.3e-6, 11
     block = eng.evolve(rho0, eng.dd_block_segments(tau, n_pulses, pattern))
     np.testing.assert_allclose(block, _lab_walk(eng, rho0, _lab_dd_block(eng, tau, n_pulses,
@@ -957,7 +976,7 @@ def _walked_nuclear_rotation(p, dephasing, tau_rot, n_sweep, f_ie):
     """The two branches stepped unit by unit through the segment walk: the signal and
     sigma_z per N."""
     eng = Engine(p, dephasing)
-    half_pi = eng.rotation_segments(math.pi / 2, 0.0)
+    half_pi = [eng.u_rotation(math.pi / 2, 0.0)]
     rho_sig = eng.evolve(_initial_rho(p, f_ie), half_pi)
     rho_rot = product_state((f_ie, 1.0 - f_ie), [(1.0, 0.0)], p.n_nuclei)
     sig_at, sz_at = {}, {}
