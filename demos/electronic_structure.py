@@ -33,8 +33,7 @@ for name, got, want in zip(("omega_L_e", "delta_ss", "delta_gs", "cyclicity"),
 
 print("\n== zero-field closed form ==")
 for eps in (200e9, 392e9, 700e9):
-    eig = electronic.eigensystem(electronic.DefectConstants(),
-                                 electronic.StrainField(eps, 0.68),
+    eig = electronic.eigensystem(electronic.StrainField(eps, 0.68),
                                  electronic.FieldConfig(0.0, 0.0))
     levels = eig.values / (2.0 * math.pi)
     split = 0.5 * (levels[2] + levels[3]) - 0.5 * (levels[0] + levels[1])
@@ -44,8 +43,7 @@ for eps in (200e9, 392e9, 700e9):
 
 print("\n== two-phonon relaxation vs temperature (normalized at 10 K) ==")
 strain = res.strain
-eig = electronic.eigensystem(electronic.DefectConstants(), strain,
-                             electronic.FieldConfig(B_FIELD, res.theta))
+eig = electronic.eigensystem(strain, electronic.FieldConfig(B_FIELD, res.theta))
 temperatures = np.array([3.0, 4.0, 5.0, 7.0, 10.0])
 rates = np.array([electronic.orbach_rate(eig, t) for t in temperatures])
 for t, r in zip(temperatures, rates / rates[-1]):

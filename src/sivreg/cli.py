@@ -34,8 +34,6 @@ from . import electronic, fitting, optics, readout, sequences
 from .register import DephasingModel, RegisterParams, nuclear_sigma_z
 from .sequences import GateSpec, T_PI_DEFAULT
 
-TWO_PI = 2.0 * math.pi
-
 UNITS_LINE = ("frequencies in Hz (plain, not angular); times in s; "
               "magnetic field in T; angles in degrees unless a column "
               "states otherwise")
@@ -457,7 +455,7 @@ def _run_gates(v):
         extras = {"tau": g.tau, "n_pulses": g.n_pulses,
                   "uncond_tau": g.uncond_tau, "uncond_n": g.uncond_n}
     elif gate == "cnnote":
-        g = sequences.calibrate_cnnote(p, t_pi=v["t_pi"])
+        g = sequences.calibrate_cnnote(p)
         extras = {"rabi": g.rabi}
     else:
         g = GateSpec(kind="identity")

@@ -4,15 +4,17 @@ Basis ordering: parity {g, u} (slowest) x orbital {e_x, e_y} x spin {down, up}
 (fastest).  Spin-orbit, orbital and spin Zeeman and strain act inside one
 parity manifold, so H = H_g (+) H_u, plus the optical offset -f_c/2 (g),
 +f_c/2 (u) that sets the lowest g -> u transition to c /
-transition_C_wavelength.  Both 4x4 blocks are sums of one set of six orbital
+TRANSITION_C_WAVELENGTH.  Both 4x4 blocks are sums of one set of six orbital
 x spin operators; each is solved once, and the 8-level Eigensystem holds the
 ground manifold at indices 0..3 and the excited one at 4..7.  The forward
 model (observables_and_jacobian, observables_at) reads its observables from
 the offset-free block eigenvalues and, for the strain estimate, their
 analytic derivatives in (epsilon, alpha, theta).
 
-Inputs are ordinary frequencies (Hz); the assembled Hamiltonian and the
-Eigensystems derived from it are angular (rad/s).
+The defect constants are the module constants below; a model point is a
+StrainField and a FieldConfig.  Inputs are ordinary frequencies (Hz); the
+assembled Hamiltonian and the Eigensystems derived from it are angular
+(rad/s).
 """
 
 import functools
@@ -24,36 +26,26 @@ from typing import Tuple
 import numpy as np
 
 from . import fitting
-from .constants import PhysicalConstants
+from .constants import BOHR_MAGNETON_OVER_H as _MU_B, BOLTZMANN_OVER_H, GYROMAG_13C
 from .linalg import IDENTITY2, SX, SZ, Eigensystem, hermitian_eig, kron
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 TWO_PI = 2.0 * math.pi
 
+# defect constants (frequencies in Hz): spin-orbit coupling lambda, orbital
+# quenching p, orbital g factor gL and spin-Zeeman anisotropy deltaP of the
+# ground (g) and excited (u) manifolds, the spin g factor and the C-line
+# wavelength
+LAMBDA_G, LAMBDA_U = 50e9, 260e9
+P_G, P_U = 0.308, 0.128
+GL_G, GL_U = 0.328, 0.782
+G_S = 2.0023
+DELTA_P_G, DELTA_P_U = 0.003, 0.028
+TRANSITION_C_WAVELENGTH = 736.9e-9  # m
+
 
 class DegenerateStates(RuntimeError):
     """State labeling by energy order is ambiguous (E0 and E1 coincide)."""
-
-
-@dataclass(frozen=True)
-class DefectConstants:
-    """Fixed defect parameters (all frequencies in Hz)."""
-
-    lambda_g: float = 50e9
-    lambda_u: float = 260e9
-    p_g: float = 0.308
-    p_u: float = 0.128
-    gL_g: float = 0.328
-    gL_u: float = 0.782
-    gS: float = 2.0023
-    deltaP_g: float = 0.003
-    deltaP_u: float = 0.028
-    transition_C_wavelength: float = 736.9e-9  # m
-
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if not value > 0:
-                raise ValueError("%s must be strictly positive" % name)
 
 
 @dataclass(frozen=True)
@@ -131,7 +123,6 @@ _SO, _ORB, _SPIN_X, _SPIN_Z, _STRAIN_Z, _STRAIN_X = (
     kron(-_OY, SZ), kron(-_OY, IDENTITY2), kron(IDENTITY2, SX / 2.0),
     kron(IDENTITY2, SZ / 2.0), kron(_OZ, IDENTITY2), kron(SX, IDENTITY2))
 _EYE4 = np.eye(4, dtype=complex)
-_MU_B = PhysicalConstants().bohr_magneton_over_h
 
 
 def _direct_sum(g, u):
@@ -143,26 +134,26 @@ def _direct_sum(g, u):
 
 def field_from_nuclear_larmor(larmor_n):
     """Field magnitude (T) implied by a 13C nuclear Larmor frequency (Hz)."""
-    return larmor_n / PhysicalConstants().gyromag_13C
+    return larmor_n / GYROMAG_13C
 
 
-def _parity_blocks(c: DefectConstants, s: StrainField, f: FieldConfig):
+def _parity_blocks(s: StrainField, f: FieldConfig):
     """Assemble the g and u blocks and solve each once.
 
     Returns the two 4x4 blocks (Hz, no offset), their Eigensystems (rad/s,
     no offset) and the offset f_c (Hz) that pins the lowest u <- g gap to
-    c / transition_C_wavelength.
+    c / TRANSITION_C_WAVELENGTH.
     """
     theta = math.radians(f.theta)
     bx, bz = f.magnitude * math.sin(theta), f.magnitude * math.cos(theta)
     blocks = []
-    for lam, p, g_l, d_p, eps in ((c.lambda_g, c.p_g, c.gL_g, c.deltaP_g, s.epsilon),
-                                  (c.lambda_u, c.p_u, c.gL_u, c.deltaP_u, s.alpha * s.epsilon)):
+    for lam, p, g_l, d_p, eps in ((LAMBDA_G, P_G, GL_G, DELTA_P_G, s.epsilon),
+                                  (LAMBDA_U, P_U, GL_U, DELTA_P_U, s.alpha * s.epsilon)):
         h = -lam / 2.0 * _SO
         h += _MU_B * p * g_l * bz * _ORB
         # spin Zeeman, full vector, plus its small anisotropy correction
-        h += _MU_B * c.gS * bx * _SPIN_X
-        h += _MU_B * c.gS * bz * _SPIN_Z
+        h += _MU_B * G_S * bx * _SPIN_X
+        h += _MU_B * G_S * bz * _SPIN_Z
         h += _MU_B * 2.0 * d_p * g_l * bz * _SPIN_Z
         h += eps * _STRAIN_Z
         h += eps * _STRAIN_X
@@ -170,10 +161,10 @@ def _parity_blocks(c: DefectConstants, s: StrainField, f: FieldConfig):
     eig_g, eig_u = (hermitian_eig(TWO_PI * h) for h in blocks)
     # divide first: subtracting at the rad/s scale would move f_c by an ulp
     gap = eig_u.values[0] / TWO_PI - eig_g.values[0] / TWO_PI
-    return blocks, (eig_g, eig_u), SPEED_OF_LIGHT / c.transition_C_wavelength - gap
+    return blocks, (eig_g, eig_u), SPEED_OF_LIGHT / TRANSITION_C_WAVELENGTH - gap
 
 
-def build_hamiltonian(c: DefectConstants, s: StrainField, f: FieldConfig):
+def build_hamiltonian(s: StrainField, f: FieldConfig):
     """The 8x8 electronic Hamiltonian (rad/s): H_g - f_c/2 (+) H_u + f_c/2.
 
     Each block adds its terms in the order of the term-by-term Kronecker
@@ -181,16 +172,16 @@ def build_hamiltonian(c: DefectConstants, s: StrainField, f: FieldConfig):
     equals that assembly bit for bit (tests/test_electronic.py keeps it as
     the oracle).
     """
-    (h_g, h_u), _, f_c = _parity_blocks(c, s, f)
+    (h_g, h_u), _, f_c = _parity_blocks(s, f)
     return TWO_PI * _direct_sum(h_g - f_c / 2.0 * _EYE4, h_u + f_c / 2.0 * _EYE4)
 
 
-def eigensystem(c: DefectConstants, s: StrainField, f: FieldConfig):
+def eigensystem(s: StrainField, f: FieldConfig):
     """Eigensystem of build_hamiltonian (rad/s) from the two block solves, no 8x8 solve.
 
     values are 2 pi [e_g - f_c/2, e_u + f_c/2]; vectors are embedded block by block.
     """
-    _, (eig_g, eig_u), f_c = _parity_blocks(c, s, f)
+    _, (eig_g, eig_u), f_c = _parity_blocks(s, f)
     values = TWO_PI * np.concatenate((eig_g.values / TWO_PI - f_c / 2.0,
                                       eig_u.values / TWO_PI + f_c / 2.0))
     return Eigensystem(values, _direct_sum(eig_g.vectors, eig_u.vectors))
@@ -206,7 +197,7 @@ _DIPOLE_BLOCKS = np.stack((_STRAIN_Z, -_STRAIN_X, 2.0 * _EYE4))
 _DERIVATIVE_OPS = np.stack((_STRAIN_Z + _STRAIN_X, _ORB, _SPIN_X, _SPIN_Z)).reshape(4, 16)
 
 
-def _block_derivatives(c: DefectConstants, s: StrainField, f: FieldConfig):
+def _block_derivatives(s: StrainField, f: FieldConfig):
     """d H_b / d (epsilon, alpha, theta) of the blocks of _parity_blocks.
 
     Shape (block g/u, param, 4, 4), in Hz per Hz, Hz and Hz per degree.
@@ -218,22 +209,22 @@ def _block_derivatives(c: DefectConstants, s: StrainField, f: FieldConfig):
     bx, bz = f.magnitude * math.sin(theta), f.magnitude * math.cos(theta)
     k = math.radians(1.0) * _MU_B
     coef = [[[strain_eps, 0.0, 0.0, 0.0], [strain_alpha, 0.0, 0.0, 0.0],
-             [0.0, -k * p * g_l * bx, k * c.gS * bz, -k * (c.gS + 2.0 * d_p * g_l) * bx]]
+             [0.0, -k * p * g_l * bx, k * G_S * bz, -k * (G_S + 2.0 * d_p * g_l) * bx]]
             for strain_eps, strain_alpha, p, g_l, d_p in (
-                (1.0, 0.0, c.p_g, c.gL_g, c.deltaP_g),
-                (s.alpha, s.epsilon, c.p_u, c.gL_u, c.deltaP_u))]
+                (1.0, 0.0, P_G, GL_G, DELTA_P_G),
+                (s.alpha, s.epsilon, P_U, GL_U, DELTA_P_U))]
     return (np.array(coef) @ _DERIVATIVE_OPS).reshape(2, 3, 4, 4)
 
 
 @functools.lru_cache(maxsize=1)
 def _block_solve(epsilon, alpha, theta, b_field):
-    """The parity-block solves at one point: (constants, strain, field, eig_g, eig_u).
+    """The parity-block solves at one point: (strain, field, eig_g, eig_u).
 
     Keeps the latest point: the strain estimate asks for each Jacobian at the point it
     has just evaluated, and that call reuses the solve."""
-    c, s, f = DefectConstants(), StrainField(epsilon, alpha), FieldConfig(b_field, theta)
-    _, (eig_g, eig_u), _ = _parity_blocks(c, s, f)
-    return c, s, f, eig_g, eig_u
+    s, f = StrainField(epsilon, alpha), FieldConfig(b_field, theta)
+    _, (eig_g, eig_u), _ = _parity_blocks(s, f)
+    return s, f, eig_g, eig_u
 
 
 def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
@@ -254,7 +245,7 @@ def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
     DegenerateStates when e_g0 and e_g1 lie within 1 Hz.  The block solve of
     the latest point is kept (_block_solve).
     """
-    c, s, f, eig_g, eig_u = _block_solve(epsilon, alpha, theta, b_field)
+    s, f, eig_g, eig_u = _block_solve(epsilon, alpha, theta, b_field)
     e_g, e_u = eig_g.values / TWO_PI, eig_u.values / TWO_PI
     if e_g[1] - e_g[0] < 1.0:
         raise DegenerateStates("E0 and E1 degenerate within 1 Hz; ordering ambiguous")
@@ -275,7 +266,7 @@ def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
 
     vecs = np.stack((eig_g.vectors, eig_u.vectors))
     # <v_m| dH/dp |v_n> in each block, (block, param, m, n)
-    m = np.swapaxes(vecs.conj(), 1, 2)[:, None] @ _block_derivatives(c, s, f) @ vecs[:, None]
+    m = np.swapaxes(vecs.conj(), 1, 2)[:, None] @ _block_derivatives(s, f) @ vecs[:, None]
     de_g, de_u = m.diagonal(axis1=2, axis2=3).real
     d_omega = de_g[:, 1] - de_g[:, 0]
     d_dss = (de_u[:, 1] - de_u[:, 0]) - d_omega
@@ -305,7 +296,7 @@ def observables_at(epsilon, alpha, theta, b_field):
 
 def delta_gs_zero_field(epsilon):
     """Closed-form ground-state splitting at B = 0: sqrt(lambda_g^2 + 8 eps^2)."""
-    return math.sqrt(DefectConstants.lambda_g ** 2 + 8.0 * epsilon ** 2)
+    return math.sqrt(LAMBDA_G ** 2 + 8.0 * epsilon ** 2)
 
 
 # unit-strain direction of the gerade strain term, used by the Orbach rate
@@ -324,7 +315,7 @@ def orbach_rate(eig: Eigensystem, temperature):
         raise ValueError("temperature must be > 0")
     e = eig.values / TWO_PI
     delta_gs = 0.5 * (e[2] + e[3]) - 0.5 * (e[0] + e[1])
-    x = delta_gs / (PhysicalConstants().boltzmann_over_h * temperature)
+    x = delta_gs / (BOLTZMANN_OVER_H * temperature)
     if x > 700.0:
         bose = 0.0
     else:
@@ -340,8 +331,7 @@ def orbach_rate(eig: Eigensystem, temperature):
 
 
 DEFAULT_BOUNDS = ((0.0, 1e12), (0.1, 2.0), (0.0, 60.0))  # epsilon (Hz), alpha, theta (deg)
-_STRAIN_PARAMS = tuple(map(fitting.ParamSpec, ("epsilon", "alpha", "theta"), ("Hz", "", "deg"),
-                           DEFAULT_BOUNDS))
+_STRAIN_PARAMS = tuple(map(fitting.ParamSpec, ("epsilon", "alpha", "theta"), DEFAULT_BOUNDS))
 
 
 def _relative_observables(params, targets, b_field):

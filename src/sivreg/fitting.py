@@ -27,9 +27,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .constants import PhysicalConstants
-
-_KB_H = PhysicalConstants().boltzmann_over_h  # Hz/K
+from .constants import BOLTZMANN_OVER_H as _KB_H  # Hz/K
 
 
 class UnknownModel(KeyError):
@@ -50,8 +48,9 @@ class FitFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class ParamSpec:
+    """One fit parameter: its name and the box (lo, hi) that least_squares keeps it in."""
+
     name: str
-    unit: str = ""
     bounds: Tuple[float, float] = (-math.inf, math.inf)
 
     def __post_init__(self):
@@ -61,7 +60,7 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Named model: parameter specs, evaluation rule, initial-guess rule.
+    """Named model: parameter specs (name and bounds), evaluation rule, initial-guess rule.
 
     jacobian -- optional analytic derivative rule, called as
                 jacobian(x, params) with the full parameter vector and
@@ -576,10 +575,6 @@ def _guess_mixture(x, y):
 # registry
 
 
-def _p(name, unit="", bounds=(-math.inf, math.inf)):
-    return ParamSpec(name, unit, bounds)
-
-
 _POS = (1e-300, math.inf)
 
 
@@ -587,9 +582,9 @@ def damped_sine_sum_model(k):
     """Sum of k stretched-exponential damped sines plus an offset."""
     params = []
     for i in range(1, k + 1):
-        params += [_p("a%d" % i), _p("f%d" % i, "Hz", _POS), _p("phi%d" % i),
-                   _p("t%d" % i, "s", _POS), _p("beta%d" % i, "", (0.1, 5.0))]
-    params.append(_p("c"))
+        params += [ParamSpec("a%d" % i), ParamSpec("f%d" % i, _POS), ParamSpec("phi%d" % i),
+                   ParamSpec("t%d" % i, _POS), ParamSpec("beta%d" % i, (0.1, 5.0))]
+    params.append(ParamSpec("c"))
     return ModelSpec("damped_sine_sum_%d" % k, tuple(params),
                      _make_damped_sine_sum(k), _make_guess_damped_sum(k, True))
 
@@ -598,9 +593,9 @@ def rabi_beat_model(k):
     """Sum of k exponentially damped sines plus an offset."""
     params = []
     for i in range(1, k + 1):
-        params += [_p("a%d" % i), _p("f%d" % i, "Hz", _POS), _p("phi%d" % i),
-                   _p("t%d" % i, "s", _POS)]
-    params.append(_p("c"))
+        params += [ParamSpec("a%d" % i), ParamSpec("f%d" % i, _POS), ParamSpec("phi%d" % i),
+                   ParamSpec("t%d" % i, _POS)]
+    params.append(ParamSpec("c"))
     return ModelSpec("rabi_beat_%d" % k, tuple(params),
                      _make_rabi_beat(k), _make_guess_damped_sum(k, False),
                      _make_rabi_beat_jacobian(k))
@@ -610,51 +605,51 @@ def model_registry() -> Dict[str, ModelSpec]:
     """All named fit models; fresh specs on every call."""
     reg = {
         "ramsey": ModelSpec("ramsey", (
-            _p("a_sin"), _p("f", "Hz", _POS), _p("phi"), _p("a_exp"),
-            _p("t2", "s", _POS), _p("beta", "", (0.1, 5.0)), _p("c")),
+            ParamSpec("a_sin"), ParamSpec("f", _POS), ParamSpec("phi"), ParamSpec("a_exp"),
+            ParamSpec("t2", _POS), ParamSpec("beta", (0.1, 5.0)), ParamSpec("c")),
             _ramsey, _guess_ramsey),
         "stretched_exp": ModelSpec("stretched_exp", (
-            _p("a"), _p("t", "s", _POS), _p("beta", "", (0.1, 5.0)), _p("c")),
+            ParamSpec("a"), ParamSpec("t", _POS), ParamSpec("beta", (0.1, 5.0)), ParamSpec("c")),
             _stretched_exp, _guess_stretched),
         "power_scaling": ModelSpec("power_scaling", (
-            _p("a", "", _POS), _p("gamma")), _power_scaling, _guess_power),
+            ParamSpec("a", _POS), ParamSpec("gamma")), _power_scaling, _guess_power),
         "lorentzian_pair": ModelSpec("lorentzian_pair", (
-            _p("a1"), _p("x1"), _p("w1", "", _POS),
-            _p("a2"), _p("x2"), _p("w2", "", _POS), _p("c")),
+            ParamSpec("a1"), ParamSpec("x1"), ParamSpec("w1", _POS),
+            ParamSpec("a2"), ParamSpec("x2"), ParamSpec("w2", _POS), ParamSpec("c")),
             _lorentzian_pair, _guess_lorentzian_pair),
         "saturation_law": ModelSpec("saturation_law", (
-            _p("gamma0", "Hz", _POS),), _saturation_law, _guess_saturation),
+            ParamSpec("gamma0", _POS),), _saturation_law, _guess_saturation),
         "pol_rate": ModelSpec("pol_rate", (
-            _p("gamma0", "Hz", _POS), _p("eta", "", _POS)),
+            ParamSpec("gamma0", _POS), ParamSpec("eta", _POS)),
             _pol_rate, _guess_pol_rate),
         "parabola": ModelSpec("parabola", (
-            _p("a"), _p("x0"), _p("c")), _parabola, _guess_parabola),
+            ParamSpec("a"), ParamSpec("x0"), ParamSpec("c")), _parabola, _guess_parabola),
         "orbach_offset": ModelSpec("orbach_offset", (
-            _p("gamma0", "Hz", (0.0, math.inf)), _p("a", "", _POS),
-            _p("alpha", "", (0.2, 5.0)), _p("delta", "Hz", _POS)),
+            ParamSpec("gamma0", (0.0, math.inf)), ParamSpec("a", _POS),
+            ParamSpec("alpha", (0.2, 5.0)), ParamSpec("delta", _POS)),
             _orbach_offset, _guess_orbach),
         "power_law_offset": ModelSpec("power_law_offset", (
-            _p("a", "", _POS), _p("b"), _p("c")),
+            ParamSpec("a", _POS), ParamSpec("b"), ParamSpec("c")),
             _power_law_offset, _guess_power_offset),
         "rb_decay": ModelSpec("rb_decay", (
-            _p("f_i", "", (0.5, 1.0)), _p("f_g", "", (0.0, 1.0))),
+            ParamSpec("f_i", (0.5, 1.0)), ParamSpec("f_g", (0.0, 1.0))),
             _rb_decay, _guess_rb, _rb_decay_jacobian),
         "rb_decay_free": ModelSpec("rb_decay_free", (
-            _p("a"), _p("f_g", "", (0.0, 1.0)), _p("c")),
+            ParamSpec("a"), ParamSpec("f_g", (0.0, 1.0)), ParamSpec("c")),
             _rb_decay_free, _guess_rb),
         "gamma2r_model": ModelSpec("gamma2r_model", (
-            _p("a", "", _POS), _p("b", "", _POS), _p("c")),
+            ParamSpec("a", _POS), ParamSpec("b", _POS), ParamSpec("c")),
             _gamma2r_model, _guess_gamma2r),
         "single_exp": ModelSpec("single_exp", (
-            _p("a"), _p("t", "s", _POS), _p("c")),
+            ParamSpec("a"), ParamSpec("t", _POS), ParamSpec("c")),
             _single_exp, _guess_single_exp, _single_exp_jacobian),
         "gaussian": ModelSpec("gaussian", (
-            _p("a"), _p("mu"), _p("sigma", "", _POS), _p("c")),
+            ParamSpec("a"), ParamSpec("mu"), ParamSpec("sigma", _POS), ParamSpec("c")),
             _gaussian, _guess_gaussian),
         "three_normal_mixture": ModelSpec("three_normal_mixture", (
-            _p("a1", "", _POS), _p("mu1"), _p("s1", "", (0.25, math.inf)),
-            _p("a2", "", _POS), _p("mu2"), _p("s2", "", (0.25, math.inf)),
-            _p("a3", "", _POS), _p("mu3"), _p("s3", "", (0.25, math.inf))),
+            ParamSpec("a1", _POS), ParamSpec("mu1"), ParamSpec("s1", (0.25, math.inf)),
+            ParamSpec("a2", _POS), ParamSpec("mu2"), ParamSpec("s2", (0.25, math.inf)),
+            ParamSpec("a3", _POS), ParamSpec("mu3"), ParamSpec("s3", (0.25, math.inf))),
             _three_normal_mixture, _guess_mixture),
     }
     reg["exp_recovery"] = reg["single_exp"]   # a * exp(-x / t) + c fits decays and recoveries

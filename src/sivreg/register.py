@@ -6,8 +6,9 @@ readouts.  It does not evolve states: ``sequences.Engine`` is the one code
 path that turns the Hamiltonian into propagators and applies them.  Every
 readout reads the real diagonal of rho (``populations``): the electron-up
 population and the nuclear sigma_z are sums over it.  The dephasing, the
-partial trace and the readouts also take a stack of density matrices,
-shape (..., d, d), and then act on (or return one value per) leading index.
+partial trace and the readouts read the number of nuclei from the shape of
+rho, and also take a stack of density matrices, shape (..., d, d), and then
+act on (or return one value per) leading index.
 
 Tensor ordering: electron is the slowest index, then nucleus 1, then nucleus 2.
 Every 2-level slot is ordered (down, up), i.e. index 0 is the spin-down state
@@ -164,7 +165,7 @@ def product_state(electron, nuclei=(), n_nuclei=1):
     return rho
 
 
-def dephase_electron(rho, factor, n_nuclei):
+def dephase_electron(rho, factor):
     """Scale all coherences between the electron-down and electron-up blocks.
 
     For a stack of rho, ``factor`` may hold one value per leading index.
@@ -173,7 +174,7 @@ def dephase_electron(rho, factor, n_nuclei):
         factor = factor[..., None, None]
     elif factor == 1.0:
         return rho
-    half = 2 ** n_nuclei
+    half = rho.shape[-1] // 2
     out = rho.copy()
     out[..., :half, half:] *= factor
     out[..., half:, :half] *= factor

@@ -59,7 +59,7 @@ period.  Dephasing acts with each free segment; pulses are decoherence-free.
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Tuple
+from typing import ClassVar, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -153,7 +153,7 @@ class TransferMatrix:
     """Referenced population-transfer amplitudes over {dd, du, ud, uu} (electron, nucleus)."""
 
     matrix: np.ndarray
-    labels: Tuple[str, ...] = ("down_Down", "down_Up", "up_Down", "up_Up")
+    labels: ClassVar[Tuple[str, ...]] = ("down_Down", "down_Up", "up_Down", "up_Up")
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -253,7 +253,7 @@ class Engine:
         factor = np.einsum("...i,...j->...ij", phases, phases.conj())
         if self.deph is None:
             return factor
-        return dephase_electron(factor, self.deph.factor(t), self.p.n_nuclei)
+        return dephase_electron(factor, self.deph.factor(t))
 
     def u_pulse(self, rabi, phase, duration):
         """Pulse propagator; an array of durations gives an uncached stack."""
@@ -766,21 +766,21 @@ def gate_segments(p: RegisterParams, dephasing, g: GateSpec):
     return eng, eng.dd_block(g.tau, g.n_pulses) + eng.dd_block(g.uncond_tau, g.uncond_n)
 
 
-def calibrate_cenotn(p: RegisterParams, t_pi=T_PI_DEFAULT, n_max=900):
+def calibrate_cenotn(p: RegisterParams, t_pi=T_PI_DEFAULT):
     """GateSpec for a CeNOTn: conditional + unconditional quarter rotations."""
     t_l = p.larmor_period
     tau_c = t_l / 2.0 - t_pi
     tau_u = t_l - t_pi
-    n_c = calibrate_quarter_rotation(p, tau_c, n_max=n_max, t_pi=t_pi, force_even=True)
-    n_u = calibrate_quarter_rotation(p, tau_u, n_max=n_max, t_pi=t_pi, force_even=True)
+    n_c = calibrate_quarter_rotation(p, tau_c, n_max=900, t_pi=t_pi, force_even=True)
+    n_u = calibrate_quarter_rotation(p, tau_u, n_max=900, t_pi=t_pi, force_even=True)
     return GateSpec(kind="CeNOTn", tau=tau_c, n_pulses=n_c,
                     t_pi=t_pi, uncond_tau=tau_u, uncond_n=n_u)
 
 
-def calibrate_cnnote(p: RegisterParams, t_pi=T_PI_DEFAULT):
+def calibrate_cnnote(p: RegisterParams):
     """GateSpec for a CnNOTe: drive amplitude A_par/sqrt(3) on the down manifold."""
     a_par = p.hyperfine[0][0]
-    return GateSpec(kind="CnNOTe", t_pi=t_pi, rabi=a_par / math.sqrt(3.0))
+    return GateSpec(kind="CnNOTe", rabi=a_par / math.sqrt(3.0))
 
 
 def _joint_populations(rho):
@@ -916,6 +916,9 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
     if n_random < 1:
         raise ValueError("n_random must be >= 1, got %r" % (n_random,))
     n_list = [_pulse_number("n_list entry", n) for n in n_list]
+    if len(set(n_list)) < 2:
+        raise ValueError("n_list %r holds fewer than two distinct lengths: the decay fit "
+                         "needs two" % (n_list,))
     eng = Engine(p, dephasing, t_pi)
     n_cliffords = len(_CLIFFORDS)
     unitaries = np.array([eng.u_rotation(angle, phase) for _, angle, phase in _CLIFFORDS])

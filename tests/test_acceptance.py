@@ -57,8 +57,7 @@ def test_02_zero_field_splitting_closed_form():
     start = time.perf_counter()
     failures = []
     for eps in (50e9, 100e9, 200e9, 392e9, 700e9, 1000e9):
-        h = electronic.build_hamiltonian(electronic.DefectConstants(),
-                                         electronic.StrainField(eps, 0.68),
+        h = electronic.build_hamiltonian(electronic.StrainField(eps, 0.68),
                                          electronic.FieldConfig(0.0, 0.0))
         levels = np.sort(hermitian_eig(h).values) / (2.0 * math.pi)
         split = 0.5 * (levels[2] + levels[3]) - 0.5 * (levels[0] + levels[1])

@@ -9,8 +9,9 @@ from scipy import optimize
 
 from electronic_reference import derived_observables
 from sivreg import electronic
-from sivreg.electronic import (DEFAULT_BOUNDS, DefectConstants, DegenerateStates, FieldConfig,
-                               PhysicalConstants, StrainField, SPEED_OF_LIGHT,
+from sivreg.constants import BOHR_MAGNETON_OVER_H, BOLTZMANN_OVER_H
+from sivreg.electronic import (DEFAULT_BOUNDS, DegenerateStates, FieldConfig,
+                               StrainField, SPEED_OF_LIGHT,
                                build_hamiltonian, delta_gs_zero_field, eigensystem,
                                estimate_parameters, field_from_nuclear_larmor,
                                observables_at, orbach_rate)
@@ -33,15 +34,14 @@ def test_field_from_nuclear_larmor():
 @pytest.mark.parametrize("epsilon", [0.0, 1e9, 50e9, 392e9, 1e12])
 def test_zero_field_ground_splitting_closed_form(epsilon):
     # eigenvalue route (no field, orbital-only physics) vs the closed form
-    h = build_hamiltonian(DefectConstants(), StrainField(epsilon, 1.0),
-                          FieldConfig(0.0, 0.0))
+    h = build_hamiltonian(StrainField(epsilon, 1.0), FieldConfig(0.0, 0.0))
     e = hermitian_eig(h).values / (2 * math.pi)
     delta_gs = 0.5 * (e[2] + e[3]) - 0.5 * (e[0] + e[1])
     expected = delta_gs_zero_field(epsilon)
     assert delta_gs == pytest.approx(expected, rel=1e-9, abs=1e-3)
 
 
-def _kron_reference_hamiltonian(c, s, f):
+def _kron_reference_hamiltonian(s, f):
     """The term-by-term assembly: every operator is a fresh Kronecker product."""
     proj_g, proj_u = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
     o_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -53,23 +53,24 @@ def _kron_reference_hamiltonian(c, s, f):
     theta = math.radians(f.theta)
     bx = f.magnitude * math.sin(theta)
     bz = f.magnitude * math.cos(theta)
-    mu_b = PhysicalConstants().bohr_magneton_over_h
+    mu_b = BOHR_MAGNETON_OVER_H
     sx, sz = SX / 2.0, SZ / 2.0
     h = np.zeros((8, 8), dtype=complex)
     manifolds = [
-        (proj_g, c.lambda_g, c.p_g, c.gL_g, c.deltaP_g, s.epsilon, s.epsilon),
-        (proj_u, c.lambda_u, c.p_u, c.gL_u, c.deltaP_u,
+        (proj_g, electronic.LAMBDA_G, electronic.P_G, electronic.GL_G, electronic.DELTA_P_G,
+         s.epsilon, s.epsilon),
+        (proj_u, electronic.LAMBDA_U, electronic.P_U, electronic.GL_U, electronic.DELTA_P_U,
          s.alpha * s.epsilon, s.alpha * s.epsilon),
     ]
     for proj, lam, p, g_l, d_p, eps_x, eps_y in manifolds:
         h += -lam / 2.0 * kron3(proj, -o_y, SZ)
         h += mu_b * p * g_l * bz * kron3(proj, -o_y, IDENTITY2)
-        h += mu_b * c.gS * kron3(proj, IDENTITY2, sx * bx + sz * bz)
+        h += mu_b * electronic.G_S * kron3(proj, IDENTITY2, sx * bx + sz * bz)
         h += mu_b * 2.0 * d_p * g_l * bz * kron3(proj, IDENTITY2, sz)
         h += kron3(proj, eps_x * o_z + eps_y * SX, IDENTITY2)
     e_g = hermitian_eig(2 * math.pi * h[0:4, 0:4]).values / (2 * math.pi)
     e_u = hermitian_eig(2 * math.pi * h[4:8, 4:8]).values / (2 * math.pi)
-    f_c = SPEED_OF_LIGHT / c.transition_C_wavelength - (e_u[0] - e_g[0])
+    f_c = SPEED_OF_LIGHT / electronic.TRANSITION_C_WAVELENGTH - (e_u[0] - e_g[0])
     h = h + f_c / 2.0 * kron3(SZ, IDENTITY2, IDENTITY2)
     return 2 * math.pi * h
 
@@ -82,11 +83,10 @@ def test_assembly_equals_the_kron_reference_exactly():
              (0.0, 0.1, 90.0, 0.0)]
     drawn = zip(rng.uniform(0.0, 1e12, 1000), rng.uniform(0.1, 2.0, 1000),
                 rng.uniform(0.0, 90.0, 1000), rng.uniform(0.0, 1.0, 1000))
-    c = DefectConstants()
     for eps, alpha, theta, b in edges + list(drawn):
         s, f = StrainField(eps, alpha), FieldConfig(b, theta)
-        assert np.array_equal(build_hamiltonian(c, s, f),
-                              _kron_reference_hamiltonian(c, s, f)), (eps, alpha, theta, b)
+        assert np.array_equal(build_hamiltonian(s, f),
+                              _kron_reference_hamiltonian(s, f)), (eps, alpha, theta, b)
 
 
 def test_one_forward_call_forms_no_kron_and_solves_each_block_once(monkeypatch):
@@ -114,11 +114,10 @@ def _strain_map_box(n, seed):
 
 def test_block_eigensystem_matches_the_full_eigensolve():
     b_field = field_from_nuclear_larmor(3.5857929e6)
-    c = DefectConstants()
     for eps, alpha, theta in _strain_map_box(300, seed=21):
         s, f = StrainField(eps, alpha), FieldConfig(b_field, theta)
-        full = hermitian_eig(build_hamiltonian(c, s, f))
-        np.testing.assert_allclose(eigensystem(c, s, f).values, full.values, rtol=1e-14)
+        full = hermitian_eig(build_hamiltonian(s, f))
+        np.testing.assert_allclose(eigensystem(s, f).values, full.values, rtol=1e-14)
         got = observables_at(eps, alpha, theta, b_field).as_tuple()
         want = derived_observables(full).as_tuple()
         for g, w, rtol in zip(got, want, (1e-10, 1e-7, 1e-12, 1e-8)):
@@ -128,10 +127,9 @@ def test_block_eigensystem_matches_the_full_eigensolve():
 def test_block_observables_are_within_a_tenth_of_a_hertz_of_extended_precision():
     mpmath = pytest.importorskip("mpmath")
     b_field = field_from_nuclear_larmor(3.5857929e6)
-    c = DefectConstants()
     for eps, alpha, theta in _strain_map_box(5, seed=21):
         s, f = StrainField(eps, alpha), FieldConfig(b_field, theta)
-        blocks, _, _ = electronic._parity_blocks(c, s, f)
+        blocks, _, _ = electronic._parity_blocks(s, f)
         with mpmath.workdps(40):
             # the offset cancels in both splittings, so the float blocks suffice
             (g0, g1), (u0, u1) = (sorted(mpmath.eighe(mpmath.matrix((2 * math.pi * h).tolist()),
@@ -189,8 +187,7 @@ def test_closed_form_reference_value():
 
 
 def test_optical_gap_pinned_to_transition_wavelength():
-    h = build_hamiltonian(DefectConstants(), StrainField(EPS_REF, ALPHA_REF),
-                          FieldConfig(B_REF, THETA_REF))
+    h = build_hamiltonian(StrainField(EPS_REF, ALPHA_REF), FieldConfig(B_REF, THETA_REF))
     e = hermitian_eig(h).values / (2 * math.pi)
     gap = e[4] - e[0]
     assert gap == pytest.approx(SPEED_OF_LIGHT / 736.9e-9, rel=1e-12)
@@ -414,9 +411,9 @@ def test_estimate_without_field_finds_no_start():
 
 def test_orbach_rate_follows_bose_occupation():
     s = StrainField(EPS_REF, ALPHA_REF)
-    h = build_hamiltonian(DefectConstants(), s, FieldConfig(B_REF, THETA_REF))
+    h = build_hamiltonian(s, FieldConfig(B_REF, THETA_REF))
     eig = hermitian_eig(h)
-    kb = PhysicalConstants().boltzmann_over_h
+    kb = BOLTZMANN_OVER_H
     e = eig.values / (2 * math.pi)
     delta = 0.5 * (e[2] + e[3]) - 0.5 * (e[0] + e[1])
     r1, r2 = orbach_rate(eig, 4.0), orbach_rate(eig, 10.0)
@@ -452,8 +449,7 @@ def test_observables_ignore_eigenvector_phases(monkeypatch, epsilon, alpha, thet
     assert np.all(scaled < 1e-12), scaled
 
     s = StrainField(epsilon, alpha)
-    eig = hermitian_eig(build_hamiltonian(DefectConstants(), s,
-                                          FieldConfig(B_REF, theta)))
+    eig = hermitian_eig(build_hamiltonian(s, FieldConfig(B_REF, theta)))
     phases = np.exp(2j * np.pi * np.random.default_rng(7).random(eig.values.size))
     rephased = Eigensystem(eig.values, eig.vectors * phases)
     for temperature in (4.0, 10.0):

@@ -113,7 +113,7 @@ def test_transfer_segments_reverse_pass_dephases_after_each_free_segment(n_pulse
 
     def undo(rho, u, t=0.0):
         rho = u.conj().T @ rho @ u
-        return dephase_electron(rho, deph.factor(t), 1) if t else rho
+        return dephase_electron(rho, deph.factor(t)) if t else rho
 
     def u_free(t):   # the lab-frame free propagator
         return propagator_from_eig(hermitian_eig(hamiltonian(p)), t)

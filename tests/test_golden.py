@@ -1,0 +1,78 @@
+"""Golden CSVs: each CLI invocation below must write exactly the bytes in tests/golden/.
+
+The invocations are the 13 of the benchmark's ``cli_defaults`` workload (taken
+from bench/cli_defaults.py, with a fixed seed), the register runs with two
+nuclei and dephasing, the CnNOTe and identity gates, a nuclear Ramsey and a
+logarithmic DD sweep.  All run through ``cli.main`` in this process.  Every
+file is compared byte for byte, so a change that moves any value, or the
+formatting of any value, fails here.  A change that means to move values
+regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and states the differences it accepts.
+"""
+
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from sivreg import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH_DIR)
+try:
+    from cli_defaults import LARMOR, invocations
+finally:
+    sys.path.remove(BENCH_DIR)
+
+SEED = 7
+TWO_NUCLEI = LARMOR + ["--t-c", "5e-6", "--n-nuclei", "2"]
+INVOCATIONS = invocations(SEED) + [
+    ("run_dd_2n", ["run", "dd"] + TWO_NUCLEI),
+    ("run_nucrot_2n", ["run", "nucrot"] + TWO_NUCLEI),
+    ("run_gates_2n", ["run", "gates"] + TWO_NUCLEI),
+    ("run_rb_2n", ["run", "rb", "--seed", str(SEED)] + TWO_NUCLEI),
+    ("run_gates_cenotn_2n", ["run", "gates", "--gate", "CeNOTn"] + TWO_NUCLEI),
+    ("run_gates_cnnote", ["run", "gates", "--gate", "CnNOTe"] + LARMOR),
+    ("run_gates_identity", ["run", "gates", "--gate", "identity"] + LARMOR),
+    ("run_ramsey_nuclear", ["run", "ramsey", "--target", "nuclear"] + LARMOR),
+    ("run_dd_log", ["run", "dd", "--sweep-scale", "log"] + LARMOR),
+]
+
+
+def run_invocation(argv, out_dir):
+    """Run one invocation with its CSV written into out_dir; returns the CSV bytes."""
+    before = os.environ.get("SIVREG_OUTPUT_DIR")
+    os.environ["SIVREG_OUTPUT_DIR"] = str(out_dir)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        if before is None:
+            del os.environ["SIVREG_OUTPUT_DIR"]
+        else:
+            os.environ["SIVREG_OUTPUT_DIR"] = before
+    (path,) = Path(out_dir).glob("*.csv")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("label, argv", INVOCATIONS, ids=[label for label, _ in INVOCATIONS])
+def test_csv_is_byte_identical_to_its_golden_file(label, argv, tmp_path):
+    written = run_invocation(argv, tmp_path)
+    assert written == (GOLDEN / (label + ".csv")).read_bytes()
+
+
+def test_every_golden_file_has_an_invocation():
+    assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == sorted(l for l, _ in INVOCATIONS)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for label, argv in INVOCATIONS:
+        with tempfile.TemporaryDirectory() as out_dir:
+            (GOLDEN / (label + ".csv")).write_bytes(run_invocation(argv, out_dir))

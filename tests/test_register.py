@@ -164,7 +164,7 @@ def test_dephasing_acts_only_on_electron_coherences():
     rho = eng.evolve(st0.rho, [eng.u_pulse(8.97e6, 0.0, 30e-9)])
     rho[0, 1] = rho[1, 0] = 0.01      # nuclear coherence inside the down block
     factor = 0.3
-    out = dephase_electron(rho, factor, 1)
+    out = dephase_electron(rho, factor)
     np.testing.assert_allclose(np.diag(out), np.diag(rho), atol=1e-15)
     assert out[0, 1] == pytest.approx(0.01, abs=1e-15)       # untouched
     np.testing.assert_allclose(out[:2, 2:], factor * rho[:2, 2:], atol=1e-15)
@@ -182,10 +182,10 @@ def test_stacked_readouts_and_dephasing_act_per_density_matrix(n_nuclei):
     factors = model.factor(times)
     np.testing.assert_allclose(factors, [model.factor(float(t)) for t in times],
                                rtol=1e-15, atol=0)
-    dephased = dephase_electron(stack, factors, n_nuclei)
+    dephased = dephase_electron(stack, factors)
     assert populations(stack).shape == (3,) + (2,) * (1 + n_nuclei)
     for k, rho in enumerate(stack):
-        np.testing.assert_array_equal(dephased[k], dephase_electron(rho, factors[k], n_nuclei))
+        np.testing.assert_array_equal(dephased[k], dephase_electron(rho, factors[k]))
         np.testing.assert_array_equal(populations(stack)[k], populations(rho))
         assert electron_up_population(stack)[k] == pytest.approx(
             electron_up_population(rho), rel=0, abs=1e-15)

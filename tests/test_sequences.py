@@ -323,10 +323,21 @@ def test_rb_rejects_flat_signal_and_empty_sequence_sets(kwargs):
         run_randomized_benchmarking(bare_params(), None, [1, 2], **{"n_random": 1, **kwargs})
 
 
-@pytest.mark.parametrize("n_list,bad", [([-1, 5, 10], "-1"), ([1, 2.7, 4], "2.7"),
-                                        ([1, math.nan], "nan"), ([1, math.inf], "inf")])
-def test_rb_rejects_a_negative_or_non_integral_length(n_list, bad):
-    with pytest.raises(ValueError, match="n_list entry %s is not" % bad):
+@pytest.mark.parametrize("n_list,match", [
+    ([-1, 5, 10], "n_list entry -1 is not"), ([1, 2.7, 4], "n_list entry 2.7 is not"),
+    ([1, math.nan], "n_list entry nan is not"), ([1, math.inf], "n_list entry inf is not"),
+    ([], r"n_list \[\] holds fewer than two distinct lengths"),
+    ([5], r"n_list \[5\] holds fewer than two distinct lengths"),
+    ([5, 5], r"n_list \[5, 5\] holds fewer than two distinct lengths"),
+], ids=["negative", "2.7", "nan", "inf", "empty", "one-length", "one-distinct-length"])
+def test_rb_rejects_a_bad_length_list_before_any_walk(n_list, match, monkeypatch):
+    """A negative, non-integral or non-finite length, or fewer than the two distinct
+    lengths the decay fit needs, is a ValueError naming n_list; no sequence is walked."""
+    def walk(*args):
+        raise AssertionError("a sequence was walked")
+
+    monkeypatch.setattr(Engine, "evolve", walk)
+    with pytest.raises(ValueError, match=match):
         run_randomized_benchmarking(bare_params(), None, n_list, n_random=1)
 
 
@@ -905,7 +916,7 @@ def _lab_walk(eng, rho, steps, reverse=False):
     for u, t in steps:
         rho = u @ rho @ u.conj().swapaxes(-1, -2)
         if eng.deph is not None and (isinstance(t, np.ndarray) or t):
-            rho = dephase_electron(rho, eng.deph.factor(t), eng.p.n_nuclei)
+            rho = dephase_electron(rho, eng.deph.factor(t))
     return rho
 
 
