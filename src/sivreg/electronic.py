@@ -9,7 +9,8 @@ x spin operators; each is solved once, and the 8-level Eigensystem holds the
 ground manifold at indices 0..3 and the excited one at 4..7.  The forward
 model (observables_and_jacobian, observables_at) reads its observables from
 the offset-free block eigenvalues and, for the strain estimate, their
-analytic derivatives in (epsilon, alpha, theta).
+analytic derivatives in (epsilon, alpha, theta); it takes arrays of points
+and solves their (K, 2, 4, 4) blocks as one stack.
 
 The defect constants are the module constants below; a model point is a
 StrainField and a FieldConfig.  Inputs are ordinary frequencies (Hz); the
@@ -17,7 +18,6 @@ assembled Hamiltonian and the Eigensystems derived from it are angular
 (rad/s).
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -137,31 +137,52 @@ def field_from_nuclear_larmor(larmor_n):
     return larmor_n / GYROMAG_13C
 
 
-def _parity_blocks(s: StrainField, f: FieldConfig):
-    """Assemble the g and u blocks and solve each once.
+def _field_xz(theta, b_field):
+    """Field components (bx, bz) (T) for a list of polar angles theta (deg), by
+    the scalar sine and cosine of each."""
+    bxz = b_field * np.array([(math.sin(r), math.cos(r)) for r in map(math.radians, theta)])
+    return bxz[:, 0], bxz[:, 1]
 
-    Returns the two 4x4 blocks (Hz, no offset), their Eigensystems (rad/s,
-    no offset) and the offset f_c (Hz) that pins the lowest u <- g gap to
+
+# the seven terms of a block in the order of the term-by-term assembly:
+# spin-orbit, orbital Zeeman, spin x, spin z and its anisotropy correction, and
+# the strain pair; and the per-block (g, u) factors of the first five
+# coefficients, each product formed in the order of that assembly
+_TERMS = np.stack((_SO, _ORB, _SPIN_X, _SPIN_Z, _SPIN_Z, _STRAIN_Z, _STRAIN_X))[:, None, None]
+_K_SO = np.array([-LAMBDA_G / 2.0, -LAMBDA_U / 2.0])
+_K_FIELD = np.array([[_MU_B * P_G * GL_G, _MU_B * P_U * GL_U],                   # bz
+                     [_MU_B * G_S] * 2,                                           # bx
+                     [_MU_B * G_S] * 2,                                           # bz
+                     [_MU_B * 2.0 * DELTA_P_G * GL_G, _MU_B * 2.0 * DELTA_P_U * GL_U]])  # bz
+
+
+def _block_stack(epsilon, alpha, bx, bz):
+    """Assemble the g and u blocks of K points and solve them as one stack.
+
+    Takes arrays of shape (K,).  Returns the (K, 2, 4, 4) blocks (Hz, no
+    offset), their stacked Eigensystem (rad/s, no offset) and the offsets f_c
+    (Hz, shape (K,)) that pin each lowest u <- g gap to
     c / TRANSITION_C_WAVELENGTH.
     """
-    theta = math.radians(f.theta)
-    bx, bz = f.magnitude * math.sin(theta), f.magnitude * math.cos(theta)
-    blocks = []
-    for lam, p, g_l, d_p, eps in ((LAMBDA_G, P_G, GL_G, DELTA_P_G, s.epsilon),
-                                  (LAMBDA_U, P_U, GL_U, DELTA_P_U, s.alpha * s.epsilon)):
-        h = -lam / 2.0 * _SO
-        h += _MU_B * p * g_l * bz * _ORB
-        # spin Zeeman, full vector, plus its small anisotropy correction
-        h += _MU_B * G_S * bx * _SPIN_X
-        h += _MU_B * G_S * bz * _SPIN_Z
-        h += _MU_B * 2.0 * d_p * g_l * bz * _SPIN_Z
-        h += eps * _STRAIN_Z
-        h += eps * _STRAIN_X
-        blocks.append(h)
-    eig_g, eig_u = (hermitian_eig(TWO_PI * h) for h in blocks)
+    coef = np.empty((len(_TERMS), epsilon.size, 2))     # (term, K, block)
+    coef[0] = _K_SO
+    coef[1:5] = _K_FIELD[:, None, :] * np.array([bz, bx, bz, bz])[..., None]
+    coef[5:, :, 0] = epsilon
+    coef[5:, :, 1] = alpha * epsilon
+    # the terms added one by one, as the assembly does: a running sum, not a reduction
+    h = np.add.accumulate(coef[..., None, None] * _TERMS)[-1]
+    eig = hermitian_eig(TWO_PI * h)
     # divide first: subtracting at the rad/s scale would move f_c by an ulp
-    gap = eig_u.values[0] / TWO_PI - eig_g.values[0] / TWO_PI
-    return blocks, (eig_g, eig_u), SPEED_OF_LIGHT / TRANSITION_C_WAVELENGTH - gap
+    gap = eig.values[:, 1, 0] / TWO_PI - eig.values[:, 0, 0] / TWO_PI
+    return h, eig, SPEED_OF_LIGHT / TRANSITION_C_WAVELENGTH - gap
+
+
+def _parity_blocks(s: StrainField, f: FieldConfig):
+    """_block_stack at one point: its two blocks (2, 4, 4), their Eigensystem
+    (values (2, 4), vectors (2, 4, 4)) and f_c."""
+    h, eig, f_c = _block_stack(np.array([s.epsilon]), np.array([s.alpha]),
+                               *_field_xz([f.theta], f.magnitude))
+    return h[0], Eigensystem(eig.values[0], eig.vectors[0]), f_c[0]
 
 
 def build_hamiltonian(s: StrainField, f: FieldConfig):
@@ -181,10 +202,10 @@ def eigensystem(s: StrainField, f: FieldConfig):
 
     values are 2 pi [e_g - f_c/2, e_u + f_c/2]; vectors are embedded block by block.
     """
-    _, (eig_g, eig_u), f_c = _parity_blocks(s, f)
-    values = TWO_PI * np.concatenate((eig_g.values / TWO_PI - f_c / 2.0,
-                                      eig_u.values / TWO_PI + f_c / 2.0))
-    return Eigensystem(values, _direct_sum(eig_g.vectors, eig_u.vectors))
+    _, eig, f_c = _parity_blocks(s, f)
+    (e_g, e_u), (v_g, v_u) = eig.values, eig.vectors
+    values = TWO_PI * np.concatenate((e_g / TWO_PI - f_c / 2.0, e_u / TWO_PI + f_c / 2.0))
+    return Eigensystem(values, _direct_sum(v_g, v_u))
 
 
 # optical dipole operators entering the cyclicity ratio: each is SX on the parity
@@ -197,99 +218,118 @@ _DIPOLE_BLOCKS = np.stack((_STRAIN_Z, -_STRAIN_X, 2.0 * _EYE4))
 _DERIVATIVE_OPS = np.stack((_STRAIN_Z + _STRAIN_X, _ORB, _SPIN_X, _SPIN_Z)).reshape(4, 16)
 
 
-def _block_derivatives(s: StrainField, f: FieldConfig):
-    """d H_b / d (epsilon, alpha, theta) of the blocks of _parity_blocks.
+_K_DEG = math.radians(1.0) * _MU_B
+_K_DORB = np.array([-_K_DEG * P_G * GL_G, -_K_DEG * P_U * GL_U])
+_K_DSPIN_X = _K_DEG * G_S
+_K_DSPIN_Z = np.array([-_K_DEG * (G_S + 2.0 * DELTA_P_G * GL_G),
+                       -_K_DEG * (G_S + 2.0 * DELTA_P_U * GL_U)])
 
-    Shape (block g/u, param, 4, 4), in Hz per Hz, Hz and Hz per degree.
+
+def _block_derivatives(epsilon, alpha, bx, bz):
+    """d H_b / d (epsilon, alpha, theta) of the blocks of _block_stack.
+
+    Shape (K, block g/u, param, 4, 4), in Hz per Hz, Hz and Hz per degree.
     epsilon and alpha enter through the strain pair (epsilon on g, alpha
     epsilon on u); theta only through the field terms, with d(bx, bz)/d theta
     = (bz, -bx) per radian.
     """
-    theta = math.radians(f.theta)
-    bx, bz = f.magnitude * math.sin(theta), f.magnitude * math.cos(theta)
-    k = math.radians(1.0) * _MU_B
-    coef = [[[strain_eps, 0.0, 0.0, 0.0], [strain_alpha, 0.0, 0.0, 0.0],
-             [0.0, -k * p * g_l * bx, k * G_S * bz, -k * (G_S + 2.0 * d_p * g_l) * bx]]
-            for strain_eps, strain_alpha, p, g_l, d_p in (
-                (1.0, 0.0, P_G, GL_G, DELTA_P_G),
-                (s.alpha, s.epsilon, P_U, GL_U, DELTA_P_U))]
-    return (np.array(coef) @ _DERIVATIVE_OPS).reshape(2, 3, 4, 4)
-
-
-@functools.lru_cache(maxsize=1)
-def _block_solve(epsilon, alpha, theta, b_field):
-    """The parity-block solves at one point: (strain, field, eig_g, eig_u).
-
-    Keeps the latest point: the strain estimate asks for each Jacobian at the point it
-    has just evaluated, and that call reuses the solve."""
-    s, f = StrainField(epsilon, alpha), FieldConfig(b_field, theta)
-    _, (eig_g, eig_u), _ = _parity_blocks(s, f)
-    return s, f, eig_g, eig_u
+    coef = np.zeros((epsilon.size, 2, 3, 4))
+    coef[:, 0, 0, 0] = 1.0
+    coef[:, 1, 0, 0] = alpha
+    coef[:, 1, 1, 0] = epsilon
+    coef[:, :, 2, 1] = _K_DORB * bx[:, None]
+    coef[:, :, 2, 2] = (_K_DSPIN_X * bz)[:, None]
+    coef[:, :, 2, 3] = _K_DSPIN_Z * bx[:, None]
+    return (coef @ _DERIVATIVE_OPS).reshape(epsilon.size, 2, 3, 4, 4)
 
 
 def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
     """Forward model and its analytic Jacobian from one solve of each parity block.
 
-    Returns (DerivedObservables, jac) with jac[i, j] = d observable_i /
-    d parameter_j, shape (4, 3), the parameters being epsilon (Hz), alpha and
-    theta (degrees); jac is None when jacobian is False.  All four
-    observables come from the offset-free block eigenvalues e_g, e_u (Hz):
-    omega_L_e = e_g1 - e_g0, delta_ss = (e_u1 - e_u0) - (e_g1 - e_g0),
+    epsilon (Hz), alpha and theta (degrees) are scalars or arrays of one shape
+    (K,); b_field (T) is one magnitude.  For arrays, returns (obs, jac):
+    obs[k] = (omega_L_e, delta_ss, delta_gs, cyclicity), shape (K, 4), and
+    jac[k, i, j] = d observable_i / d parameter_j, shape (K, 4, 3), or None
+    when jacobian is False; the 2K blocks are checked and solved as one
+    hermitian_eig stack.  A row whose e_g0 and e_g1 lie within 1 Hz, where
+    the state labelling by energy order is ambiguous, reads inf in obs and
+    nan in jac.  For scalars, returns (DerivedObservables, jac of shape (4, 3))
+    and raises DegenerateStates for such a point.
+
+    All four observables come from the offset-free block eigenvalues e_g, e_u
+    (Hz): omega_L_e = e_g1 - e_g0, delta_ss = (e_u1 - e_u0) - (e_g1 - e_g0),
     delta_gs the mean gap of the upper and lower g pairs; cyclicity the
     squared-dipole ratio sum_d |<g0|d|u0>|^2 / sum_d |<g1|d|u0>|^2 of
     spin-preserving to spin-flipping optical decay over _DIPOLE_BLOCKS, and
-    math.inf when the denominator is below 1e-30.  Eigenvalue derivatives
-    are Hellmann-Feynman, <v_n|dH|v_n> (Feynman, Phys. Rev. 56, 340 (1939));
-    the cyclicity also needs the first-order shifts dv_n = sum_{m != n} v_m
-    <v_m|dH|v_n> / (E_n - E_m) of g0, g1 and u0 inside their blocks.  Raises
-    DegenerateStates when e_g0 and e_g1 lie within 1 Hz.  The block solve of
-    the latest point is kept (_block_solve).
+    inf when the denominator is below 1e-30.  Eigenvalue derivatives are
+    Hellmann-Feynman, <v_n|dH|v_n> (Feynman, Phys. Rev. 56, 340 (1939)); the
+    cyclicity also needs the first-order shifts dv_n = sum_{m != n} v_m
+    <v_m|dH|v_n> / (E_n - E_m) of g0, g1 and u0 inside their blocks.
     """
-    s, f, eig_g, eig_u = _block_solve(epsilon, alpha, theta, b_field)
-    e_g, e_u = eig_g.values / TWO_PI, eig_u.values / TWO_PI
-    if e_g[1] - e_g[0] < 1.0:
+    scalar = np.ndim(epsilon) == 0
+    epsilon, alpha, theta = (np.array(v, dtype=float, ndmin=1)
+                             for v in (epsilon, alpha, theta))
+    theta_list = theta.tolist()
+    if any(v < 0 for v in epsilon.tolist()):
+        raise ValueError("epsilon must be >= 0")
+    if not all(v > 0 for v in alpha.tolist()):
+        raise ValueError("alpha must be > 0")
+    if b_field < 0:
+        raise ValueError("field magnitude must be >= 0")
+    if not all(0.0 <= v <= 90.0 for v in theta_list):
+        raise ValueError("theta must lie in [0, 90] degrees")
+    bx, bz = _field_xz(theta_list, b_field)
+    _, eig, _ = _block_stack(epsilon, alpha, bx, bz)
+    e, vecs = eig.values / TWO_PI, eig.vectors         # (K, block, 4), (K, block, 4, 4)
+    e_g, e_u = e[:, 0], e[:, 1]
+    degenerate = e_g[:, 1] - e_g[:, 0] < 1.0
+    if scalar and degenerate[0]:
         raise DegenerateStates("E0 and E1 degenerate within 1 Hz; ordering ambiguous")
-    g01, u0 = eig_g.vectors[:, :2], eig_u.vectors[:, 0]
-    dip_u0 = _DIPOLE_BLOCKS @ u0                      # (dipole, 4)
-    amp = g01.conj().T @ dip_u0.T                     # <g_n| d |u0>, (n, dipole)
-    num, den = np.sum(np.abs(amp) ** 2, axis=1)
-    cyc = math.inf if den < 1e-30 else float(num / den)
-    omega_l = e_g[1] - e_g[0]
-    obs = DerivedObservables(
-        omega_L_e=omega_l,
-        delta_ss=(e_u[1] - e_u[0]) - omega_l,
-        delta_gs=0.5 * (e_g[2] + e_g[3]) - 0.5 * (e_g[0] + e_g[1]),
-        cyclicity=cyc,
-    )
-    if not jacobian:
-        return obs, None
+    g01, u0 = vecs[:, 0, :, :2], vecs[:, 1, :, 0]
+    dip_u0 = (_DIPOLE_BLOCKS @ u0[:, None, :, None])[..., 0]          # (K, dipole, 4)
+    amp = g01.conj().swapaxes(-1, -2) @ dip_u0.swapaxes(-1, -2)     # <g_n| d |u0>, (K, n, dipole)
+    sums = (np.abs(amp) ** 2).sum(axis=-1)
+    num, den = sums[:, 0], sums[:, 1]
+    obs = np.empty((e.shape[0], 4))
+    obs[:, 0] = omega_l = e_g[:, 1] - e_g[:, 0]
+    obs[:, 1] = (e_u[:, 1] - e_u[:, 0]) - omega_l
+    obs[:, 2] = 0.5 * (e_g[:, 2] + e_g[:, 3]) - 0.5 * (e_g[:, 0] + e_g[:, 1])
+    obs[:, 3] = cyc = np.divide(num, den, out=np.full_like(num, math.inf), where=~(den < 1e-30))
+    obs[degenerate] = math.inf
+    jac = None
+    if jacobian:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # <v_m| dH/dp |v_n> in each block, (K, block, param, m, n)
+            m = (vecs.conj().swapaxes(-1, -2)[:, :, None]
+                 @ _block_derivatives(epsilon, alpha, bx, bz) @ vecs[:, :, None])
+            de = m.diagonal(axis1=-2, axis2=-1).real
+            de_g, de_u = de[:, 0], de[:, 1]                             # (K, param, 4)
+            d_omega = de_g[..., 1] - de_g[..., 0]
+            d_dss = (de_u[..., 1] - de_u[..., 0]) - d_omega
+            d_dgs = 0.5 * (de_g[..., 2] + de_g[..., 3]) - 0.5 * (de_g[..., 0] + de_g[..., 1])
 
-    vecs = np.stack((eig_g.vectors, eig_u.vectors))
-    # <v_m| dH/dp |v_n> in each block, (block, param, m, n)
-    m = np.swapaxes(vecs.conj(), 1, 2)[:, None] @ _block_derivatives(s, f) @ vecs[:, None]
-    de_g, de_u = m.diagonal(axis1=2, axis2=3).real
-    d_omega = de_g[:, 1] - de_g[:, 0]
-    d_dss = (de_u[:, 1] - de_u[:, 0]) - d_omega
-    d_dgs = 0.5 * (de_g[:, 2] + de_g[:, 3]) - 0.5 * (de_g[:, 0] + de_g[:, 1])
-
-    # first-order shifts d v_n = sum_{m != n} v_m m_mn / (E_n - E_m): gap[m, n]
-    # = E_n - E_m, infinite on the diagonal so v_n gets no component along itself
-    e = np.stack((e_g, e_u))
-    gap = e[:, None, :] - e[:, :, None] + np.diag(np.full(4, math.inf))
-    dv = vecs[:, None] @ (m / gap[:, None])
-    dg01, du0 = dv[0, :, :, :2], dv[1, :, :, 0]
-    # d <g_n| d |u0> = <dg_n| d |u0> + <g_n| d |du0>, (param, n, dipole)
-    d_amp = (np.einsum("pin,di->pnd", dg01.conj(), dip_u0)
-             + np.einsum("in,dij,pj->pnd", g01.conj(), _DIPOLE_BLOCKS, du0))
-    d_num, d_den = 2.0 * np.sum((amp.conj() * d_amp).real, axis=2).T
-    d_cyc = (d_num - cyc * d_den) / den
-    return obs, np.array([d_omega, d_dss, d_dgs, d_cyc])
+            # first-order shifts d v_n = sum_{m != n} v_m m_mn / (E_n - E_m): gap[m, n]
+            # = E_n - E_m, infinite on the diagonal so v_n gets no component along itself
+            gap = e[..., None, :] - e[..., :, None] + np.diag(np.full(4, math.inf))
+            dv = vecs[:, :, None] @ (m / gap[:, :, None])
+            dg01, du0 = dv[:, 0, :, :, :2], dv[:, 1, :, :, 0]
+            # d <g_n| d |u0> = <dg_n| d |u0> + <g_n| d |du0>, (K, param, n, dipole)
+            d_amp = (np.einsum("kpin,kdi->kpnd", dg01.conj(), dip_u0)
+                     + np.einsum("kin,dij,kpj->kpnd", g01.conj(), _DIPOLE_BLOCKS, du0))
+            d_sums = 2.0 * (amp.conj()[:, None] * d_amp).real.sum(axis=-1)
+            d_num, d_den = d_sums[..., 0], d_sums[..., 1]
+            d_cyc = (d_num - cyc[:, None] * d_den) / den[:, None]
+            jac = np.stack((d_omega, d_dss, d_dgs, d_cyc), axis=1)
+            jac[degenerate] = math.nan
+    if scalar:
+        return DerivedObservables(*obs[0].tolist()), None if jac is None else jac[0]
+    return obs, jac
 
 
 def observables_at(epsilon, alpha, theta, b_field):
     """Forward model: (epsilon, alpha, theta) + field magnitude -> observables.
 
-    The value half of observables_and_jacobian: two 4x4 block solves.
+    The value half of observables_and_jacobian at one point: two 4x4 block solves.
     """
     return observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=False)[0]
 
@@ -334,24 +374,41 @@ DEFAULT_BOUNDS = ((0.0, 1e12), (0.1, 2.0), (0.0, 60.0))  # epsilon (Hz), alpha, 
 _STRAIN_PARAMS = tuple(map(fitting.ParamSpec, ("epsilon", "alpha", "theta"), DEFAULT_BOUNDS))
 
 
-def _relative_observables(params, targets, b_field):
-    """Model observables over targets; +inf outside DEFAULT_BOUNDS or on DegenerateStates."""
-    if not all(lo <= v <= hi for v, (lo, hi) in zip(params, DEFAULT_BOUNDS)):
-        return np.full(4, math.inf)
-    try:
-        obs = observables_at(*params, b_field)
-    except DegenerateStates:
-        return np.full(4, math.inf)
-    return np.array(obs.as_tuple()) / targets
+_LO, _HI = np.transpose(DEFAULT_BOUNDS)
 
 
-def _relative_jacobian(params, targets, b_field):
-    """d _relative_observables / d params, (4, 3); nan on DegenerateStates."""
-    try:
-        _, jac = observables_and_jacobian(*params, b_field)
-    except DegenerateStates:
-        return np.full((4, 3), math.nan)
-    return jac / targets[:, None]
+def _relative_observables(params, targets, b_field, jacobian=False):
+    """Model observables over targets at (epsilon, alpha, theta), shape (3,) or a
+    (K, 3) stack; +inf outside DEFAULT_BOUNDS and at degenerate points.  With
+    jacobian=True, also d / d params, (..., 4, 3): nan at degenerate points."""
+    params = np.asarray(params, dtype=float)
+    stack = np.atleast_2d(params)
+    inside = ((_LO <= stack) & (stack <= _HI)).all(axis=1)
+    rel = np.full((len(stack), 4), math.inf)
+    jac = np.full((len(stack), 4, 3), math.nan) if jacobian else None
+    if inside.any():
+        obs, d_obs = observables_and_jacobian(*stack[inside].T, b_field, jacobian=jacobian)
+        rel[inside] = obs / targets
+        if jacobian:
+            jac[inside] = d_obs / targets[:, None]
+    if params.ndim == 1:
+        rel, jac = rel[0], None if jac is None else jac[0]
+    return (rel, jac) if jacobian else rel
+
+
+# the 8 starts of the strain estimate: 1/3 and 2/3 of each DEFAULT_BOUNDS side
+_STARTS = tuple({spec.name: lo + f * (hi - lo)
+                 for spec, f, (lo, hi) in zip(_STRAIN_PARAMS, start, DEFAULT_BOUNDS)}
+                for start in itertools.product((1.0 / 3.0, 2.0 / 3.0), repeat=3))
+
+
+def _strain_model(targets, b_field):
+    """The estimate's model: relative observables of (epsilon, alpha, theta), fitted
+    to ones; each evaluation of a stack also gives its Jacobian (ModelSpec.joint)."""
+    return fitting.ModelSpec(
+        "strain", _STRAIN_PARAMS,
+        lambda x, *p: _relative_observables(np.hstack(p), targets, b_field),
+        joint=lambda x, p: _relative_observables(p, targets, b_field, jacobian=True))
 
 
 def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
@@ -360,10 +417,12 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
     targets -- (omega_L_e, delta_ss, delta_gs, cyclicity), Hz/Hz/Hz/ratio
     b_field -- field magnitude (T); defaults to larmor_n / gyromag_13C
 
-    Multi-start Levenberg-Marquardt (fitting.least_squares on the four
+    Multi-start Levenberg-Marquardt (fitting.least_squares_rows on the four
     relative residuals, from 8 deterministic starts at 1/3 and 2/3 of each
-    DEFAULT_BOUNDS side).  Its steps use the analytic Jacobian of
-    observables_and_jacobian, and so does the covariance behind the sigmas (see
+    DEFAULT_BOUNDS side, run as the 8 rows of one lockstep fit).  Each round
+    evaluates the trial points of all starts still stepping, with their
+    analytic Jacobians (observables_and_jacobian), as one stack; that Jacobian
+    serves the steps and the covariance behind the sigmas (see
     EstimationResult).  The ``converged`` flag is False when the best cost
     stalls above 1e-2; the best point is reported either way.
     """
@@ -373,18 +432,10 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
     if b_field is None:
         b_field = field_from_nuclear_larmor(larmor_n)
 
-    model = fitting.ModelSpec(
-        "strain", _STRAIN_PARAMS,
-        lambda x, *p: _relative_observables(p, targets, b_field),
-        jacobian=lambda x, p: _relative_jacobian(p, targets, b_field))
-    fits = []
-    for start in itertools.product((1.0 / 3.0, 2.0 / 3.0), repeat=3):
-        init = {name: lo + f * (hi - lo)
-                for name, f, (lo, hi) in zip(model.param_names, start, DEFAULT_BOUNDS)}
-        try:
-            fits.append(fitting.least_squares(model, np.arange(4.0), np.ones(4), init=init))
-        except (fitting.SingularNormalMatrix, fitting.MaxIterations):
-            pass   # the other starts still count
+    rows = fitting.least_squares_rows(_strain_model(targets, b_field), np.arange(4.0),
+                                      np.ones((len(_STARTS), 4)), init=_STARTS)
+    # a start that failed (SingularNormalMatrix, MaxIterations) drops out; the others count
+    fits = [fit for fit in rows if isinstance(fit, fitting.FitResult)]
     if not fits:
         raise fitting.SingularNormalMatrix("no start of the strain estimate converged")
     best = min(fits, key=lambda fit: fit.residual_norm)

@@ -1,20 +1,31 @@
 """Nonlinear least squares plus the registry of phenomenological models.
 
-The solver is a damped Gauss-Newton (Levenberg-Marquardt style).  A fit
-differentiates its model one way, in the parameters themselves: with the
-analytic Jacobian when the ModelSpec carries a ``jacobian`` rule, by central
-differences otherwise.  In the registry, single_exp (also registered as
-exp_recovery), rb_decay and rabi_beat (rabi_beat_model(k) for any k) carry
-one; so do readout's binned photon-count mixture and the strain estimate of
-electronic.  Bounds are kept by projection (More, Lecture Notes in
-Mathematics 630, 105 (1978)): the fit starts from the guess clipped into each
-parameter's box; a parameter that sits on a bound while the descent
-direction -J^T r points out of the box is held for that step; the damped
-step is solved over the others and its trial point clipped into the box.  A
-fitted value may so end exactly on a bound.  A step is taken only where the
-cost is finite and not higher and the Jacobian there is finite; that
-Jacobian serves the next step and, at the solution, the standard errors from
-the residual-scaled inverse normal matrix s^2 (J^T J)^-1.
+The solver is a damped Gauss-Newton (Levenberg-Marquardt style) loop that
+runs K fits of one model in lockstep (least_squares_rows); least_squares is
+that loop at K = 1.  Each row keeps its own parameters, damping, flat-step
+count, iteration count and failure.  In each round the trial points of the
+rows still stepping go to the model as one (K_active, n) parameter stack, and
+the accepted rows' Jacobians as one more call.  A fit differentiates its model
+one way, in the parameters themselves: with the analytic Jacobian when the
+ModelSpec carries a ``jacobian`` (or ``joint``) rule, by central differences
+otherwise.  In the registry, single_exp (also registered as exp_recovery),
+rb_decay and rabi_beat (rabi_beat_model(k) for any k) carry one; so do
+readout's binned photon-count mixture and the strain estimate of electronic.
+Bounds are kept by projection (More, Lecture Notes in Mathematics 630, 105
+(1978)): the fit starts from the guess clipped into each parameter's box; a
+parameter that sits on a bound while the descent direction -J^T r points out
+of the box is held for that step; the damped step is solved over the others
+and its trial point clipped into the box.  A fitted value may so end exactly
+on a bound.  A step is taken only where the cost is finite and not higher and
+the Jacobian there is finite; that Jacobian serves the next step and, at the
+solution, the standard errors from the residual-scaled inverse normal matrix
+s^2 (J^T J)^-1.
+
+Broadcasting contract: a model takes one parameter vector, shape (n,), and
+returns its values at x, shape (N,); or a parameter stack, shape (K, n), and
+returns (K, N), with x of shape (N,) or (K, N).  A jacobian rule returns
+d model / d params as (N, n), or (K, N, n) for a stack.  Each row of a stack
+equals its single-vector evaluation bit for bit.
 
 All frequency-like parameters are ordinary frequencies (Hz); model formulas
 carry the 2*pi explicitly.
@@ -62,15 +73,23 @@ class ParamSpec:
 class ModelSpec:
     """Named model: parameter specs (name and bounds), evaluation rule, initial-guess rule.
 
+    func     -- func(x, *params): the model values.  Called with the scalars
+                of one parameter vector, or with (K, 1) columns of a (K, n)
+                stack (see the module docstring), so its formula broadcasts.
     jacobian -- optional analytic derivative rule, called as
-                jacobian(x, params) with the full parameter vector and
-                returning d model / d params, shape (len(x), len(params)).
-                least_squares iterates in the parameters themselves, holding
-                one on its bound while descent points out of the box, and
-                uses this rule for its steps and its covariance; without it
-                both use central differences.  In the registry, single_exp
-                (exp_recovery), rb_decay and rabi_beat (and every
-                rabi_beat_model(k)) carry one.
+                jacobian(x, params) with the full parameter vector, shape
+                (n,), or a stack, shape (K, n), and returning d model /
+                d params, shape (N, n) or (K, N, n).  least_squares iterates in
+                the parameters themselves, holding one on its bound while
+                descent points out of the box, and uses this rule for its
+                steps and its covariance; without it both use central
+                differences.  In the registry, single_exp (exp_recovery),
+                rb_decay and rabi_beat (and every rabi_beat_model(k)) carry one.
+    joint    -- optional rule joint(x, params) -> (values, jacobian) on a
+                (K, n) stack, for a model whose values and derivatives share
+                their costly work (the strain estimate's block solves):
+                least_squares then takes the Jacobian of every trial point
+                from the call that evaluates it.
     """
 
     name: str
@@ -78,13 +97,21 @@ class ModelSpec:
     func: Callable
     guess: Optional[Callable] = None
     jacobian: Optional[Callable] = None
+    joint: Optional[Callable] = None
 
     @property
     def param_names(self):
         return tuple(p.name for p in self.params)
 
-    def __call__(self, x, params):
-        return self.func(np.asarray(x, dtype=float), *params)
+    def __call__(self, x, params, jacobian=False):
+        """Model values at x for one parameter vector, (N,), or a (K, n) stack,
+        (K, N); with jacobian=True, (values, jacobian) of a stack from ``joint``."""
+        x = np.asarray(x, dtype=float)
+        if jacobian:
+            return self.joint(x, np.asarray(params, dtype=float))
+        if getattr(params, "ndim", 1) == 2:
+            return self.func(x, *params.T[..., None])
+        return self.func(x, *params)
 
     def initial_guess(self, x, y):
         """Rule-based starting values (dict), clipped into the bounds."""
@@ -110,12 +137,18 @@ class ModelSpec:
 
 @dataclass
 class FitResult:
+    """One fit.  evaluations and jacobian_evaluations count the points at which
+    the fit took the model values and the Jacobian (a central-difference
+    Jacobian counts once)."""
+
     params: np.ndarray
     sigma: np.ndarray
     residual_norm: float
     covariance: np.ndarray
     converged: bool
     param_names: Tuple[str, ...] = ()
+    evaluations: int = 0
+    jacobian_evaluations: int = 0
 
     def __getitem__(self, name):
         return float(self.params[self.param_names.index(name)])
@@ -128,128 +161,287 @@ def least_squares(model: ModelSpec, x, y, weights=None,
                   init: Optional[Dict[str, float]] = None,
                   fixed: Optional[Dict[str, float]] = None,
                   max_iterations=200):
-    """Damped Gauss-Newton fit of a registry model.
+    """Damped Gauss-Newton fit of a registry model: least_squares_rows at K = 1.
 
     init is a dict of starting values (missing entries fall back to the
     model's initial-guess rule); fixed pins named parameters and removes them
     from the optimization and the reported uncertainties.  The steps and the
     uncertainties share one Jacobian: model.jacobian when the model has one
-    (see ModelSpec), central differences in the parameters otherwise.
+    (see ModelSpec), central differences in the parameters otherwise.  Raises
+    SingularNormalMatrix or MaxIterations when the fit fails.
+    """
+    y = np.asarray(y, dtype=float)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)[None]
+    fit, = least_squares_rows(model, x, y[None], weights, init, fixed, max_iterations)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
+                       fixed: Optional[Dict[str, float]] = None,
+                       max_iterations=200):
+    """K fits of one model in lockstep: row k fits y[k], shape (K, N), at x,
+    shape (N,) or (K, N).
+
+    weights match y; init is None, one dict for every row or a sequence of K
+    dicts; fixed pins parameters in every row.  Returns a list with each
+    row's FitResult, or the SingularNormalMatrix or MaxIterations that stopped
+    the row.  Each row takes the steps and the model and Jacobian evaluations
+    of its fit alone (least_squares), bit for bit.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
+    if y.ndim != 2 or x.shape not in (y.shape, y.shape[1:]):
         raise ValueError("x and y lengths differ")
+    n_rows, n_points = y.shape
     fixed = dict(fixed or {})
     names = model.param_names
     for key in fixed:
         if key not in names:
             raise ValueError("fixed parameter %r is not a model parameter" % key)
     free = [n for n in names if n not in fixed]
-    if x.size < len(free) + 1:
+    if n_points < len(free) + 1:
         raise ValueError("need at least n_free_params + 1 data points")
     if weights is None:
-        w_sqrt = np.ones_like(y)
+        w_sqrt = None   # unit weights: multiplying by 1.0 changes no bit
     else:
         w = np.asarray(weights, dtype=float)
         if w.shape != y.shape or (w < 0).any():
             raise ValueError("weights must be nonnegative and match y")
         w_sqrt = np.sqrt(w)
+    inits = [init] * n_rows if init is None or isinstance(init, dict) else list(init)
+    if len(inits) != n_rows:
+        raise ValueError("init needs one dict per row of y")
 
-    start = model.initial_guess(x, y)
-    start.update(init or {})
-    start.update(fixed)
+    x_rows = np.broadcast_to(x, y.shape)
+    start = np.empty((n_rows, len(names)))
+    for k in range(n_rows):
+        values = model.initial_guess(x_rows[k], y[k])
+        values.update(inits[k] or {})
+        values.update(fixed)
+        start[k] = [values[n] for n in names]
 
     free_idx = [names.index(n) for n in free]
+    n_free = len(free)
+    # the free parameters as a view where none is fixed
+    free_cols = slice(None) if n_free == len(names) else free_idx
     lo = np.array([model.params[i].bounds[0] for i in free_idx], dtype=float)
     hi = np.array([model.params[i].bounds[1] for i in free_idx], dtype=float)
-    params = np.array([fixed.get(n, 0.0) for n in names], dtype=float)
-    params[free_idx] = np.clip([start[n] for n in free], lo, hi)
+    params = np.tile([fixed.get(n, 0.0) for n in names], (n_rows, 1)).astype(float)
+    params[:, free_idx] = np.clip(start[:, free_idx], lo, hi)
+    analytic = model.jacobian is not None or model.joint is not None
+    diag = np.arange(n_free)
 
-    def residual(params):
-        return w_sqrt * (model(x, params) - y)
+    def at(rows):
+        """Index of a list of rows: a view while it holds every row."""
+        return slice(None) if len(rows) == n_rows else np.array(rows)
 
-    def jacobian(params):
-        """d residual / d free params: model.jacobian, or central differences."""
-        if model.jacobian is not None:
-            return w_sqrt[:, None] * np.asarray(model.jacobian(x, params), dtype=float)[:, free_idx]
-        jac = np.empty((x.size, len(free_idx)))
-        for col, i in enumerate(free_idx):
-            # relative to the start value too: a fitted value near 0 gives no usable step
-            h = 1e-6 * max(abs(params[i]), abs(start[names[i]])) or 1e-6
-            up, dn = params.copy(), params.copy()
-            up[i] += h
-            dn[i] -= h
-            jac[:, col] = w_sqrt * (model(x, up) - model(x, dn)) / (2.0 * h)
-        return jac
+    def weighted(i, a):
+        """a, shape (rows, N) or (rows, free, N), times the square-root weights of rows i."""
+        if w_sqrt is None:
+            return a
+        return np.multiply(w_sqrt[i] if a.ndim == 2 else w_sqrt[i][:, None, :], a, order="C")
 
+    def residuals(i, p):
+        """Weighted residuals of rows i at p, and their Jacobians from a joint rule."""
+        x_i = x if x.ndim == 1 else x[i]
+        if model.joint is not None:
+            values, jac = model(x_i, p, jacobian=True)
+        else:
+            values, jac = model(x_i, p), None
+        return weighted(i, values - y[i]), jac
+
+    def jacobians(i, p, jac=None):
+        """d residual / d free params of rows i at p, in the memory layout of a
+        single fit's Jacobian, whose J^T products these reproduce: (rows, free,
+        N) from a rule, (rows, N, free) from central differences."""
+        if analytic:
+            if jac is None:
+                jac = model.jacobian(x if x.ndim == 1 else x[i], p)
+            jac = np.asarray(jac, dtype=float).swapaxes(-1, -2)[:, free_cols]
+            return np.ascontiguousarray(weighted(i, jac))
+        if not n_free:
+            return np.zeros((len(p), n_points, 0))
+        # relative to the start value too: a fitted value near 0 gives no usable step
+        p_free, s_free = np.abs(p[:, free_idx]), np.abs(start[i][:, free_idx])
+        h = 1e-6 * np.where(s_free > p_free, s_free, p_free)
+        h[h == 0] = 1e-6
+        shifted = np.repeat(p[:, None, :], 2 * n_free, axis=1)
+        shifted[:, diag, free_idx] += h
+        shifted[:, n_free + diag, free_idx] -= h
+        xs = x if x.ndim == 1 else np.repeat(x[i], 2 * n_free, axis=0)
+        values = model(xs, shifted.reshape(-1, len(names))).reshape(len(p), 2, n_free, -1)
+        cols = weighted(i, values[:, 0] - values[:, 1]) / (2.0 * h)[..., None]
+        return np.ascontiguousarray(cols.swapaxes(1, 2))
+
+    def transposed(jac):
+        """J^T of each row (a view): a rule's rows are stored so."""
+        return jac if analytic else jac.swapaxes(-1, -2)
+
+    def begin(rows):
+        """Start an iteration of each row: gradient and normal matrix at its point.
+        Returns the rows with a parameter that may move."""
+        if not n_free:
+            return []
+        i = at(rows)
+        jt = transposed(jac[i])
+        g[i] = (jt @ r[i][..., None])[..., 0]
+        p = params[i][:, free_cols]
+        at_lo, at_hi = p <= lo, p >= hi
+        jt = np.ascontiguousarray(jt)
+        a[i] = jt @ jt.swapaxes(-1, -2)
+        if not (held or at_lo.any() or at_hi.any()):
+            return rows
+        # a parameter on a bound whose descent direction leaves the box stays put
+        hold = (at_lo & (g[i] > 0)) | (at_hi & (g[i] < 0))
+        moving = []
+        for k, jt_k, hold_k in zip(rows, jt, hold):
+            held.pop(k, None)
+            if hold_k.any():
+                if hold_k.all():
+                    continue   # no parameter can move: a stationary point
+                jm = jt_k[~hold_k]
+                held[k] = ~hold_k, jm @ jm.T
+            moving.append(k)
+        return moving
+
+    def solve(rows, i):
+        """Damped steps of the rows; nan where a normal matrix is singular."""
+        if not (held and any(k in held for k in rows)):   # one stacked solve
+            a_i = a[i]
+            damping = np.zeros(a_i.shape)
+            damping.reshape(len(rows), -1)[:, ::n_free + 1] = np.maximum(
+                a_i.diagonal(axis1=1, axis2=2), 1e-300)
+            m = a_i + np.array([lam[k] for k in rows])[:, None, None] * damping
+            try:
+                return np.linalg.solve(m, -g[i][..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                pass
+        step = np.zeros((len(rows), n_free))
+        for j, k in enumerate(rows):
+            move, a_k = held.get(k, (slice(None), a[k]))
+            m = a_k + lam[k] * np.diag(np.maximum(np.diag(a_k), 1e-300))
+            try:
+                step[j, move] = np.linalg.solve(m, -g[k][move])
+            except np.linalg.LinAlgError:
+                step[j] = np.nan
+        return step
+
+    failures = [None] * n_rows
+    evaluations = [1] * n_rows
+    jacobian_evaluations = [1] * n_rows
+    lam = [1e-3] * n_rows
+    flat = [0] * n_rows
+    iterations = [0] * n_rows
+    g = np.zeros((n_rows, n_free))
+    a = np.zeros((n_rows, n_free, n_free))
+    held = {}   # rows that hold a parameter on a bound: (moving mask, their normal matrix)
     # overflows during trial steps produce a non-finite cost or Jacobian, which
     # simply rejects the step; keep them from spamming warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r = residual(params)
-        cost = 0.5 * float(r @ r)
-        jac = jacobian(params)
-        lam = 1e-3
-        flat_count = 0
-        for _ in range(max_iterations):
-            g = jac.T @ r
-            p = params[free_idx]
-            # a parameter on a bound whose descent direction leaves the box stays put
-            move = ~(((p <= lo) & (g > 0)) | ((p >= hi) & (g < 0)))
-            jac_move = jac[:, move]
-            a = jac_move.T @ jac_move
-            stepped = False
-            while move.any() and lam < 1e14:
-                m = a + lam * np.diag(np.maximum(np.diag(a), 1e-300))
-                step = np.zeros_like(p)
-                try:
-                    step[move] = np.linalg.solve(m, -g[move])
-                except np.linalg.LinAlgError:
-                    raise SingularNormalMatrix(
-                        "normal matrix is singular for model %r" % model.name)
-                if not np.all(np.isfinite(step)):
-                    raise SingularNormalMatrix(
-                        "normal matrix is singular for model %r" % model.name)
-                trial = params.copy()
-                trial[free_idx] = np.clip(p + step, lo, hi)
-                r_new = residual(trial)
-                cost_new = 0.5 * float(r_new @ r_new)
-                if np.isfinite(cost_new) and cost_new <= cost:
-                    jac_new = jacobian(trial)
-                    if np.all(np.isfinite(jac_new)):
-                        rel = abs(cost - cost_new) / max(cost, 1e-300)
-                        flat_count = flat_count + 1 if rel < 1e-10 else 0
-                        params, r, cost, jac = trial, r_new, cost_new, jac_new
-                        lam = max(lam / 10.0, 1e-12)
-                        stepped = True
-                        break
-                lam *= 10.0
-            # no downhill step at any damping is a stationary point too
-            if flat_count >= 3 or not stepped:
-                break
+        r, jac = residuals(slice(None), params)
+        cost = [0.5 * float(r_k @ r_k) for r_k in r]
+        jac = jacobians(slice(None), params, jac)
+        if max_iterations > 0:
+            rows = begin(list(range(n_rows)))
         else:
-            raise MaxIterations("no convergence within %d iterations" % max_iterations)
+            rows = []
+            failures = [MaxIterations("no convergence within %d iterations" % max_iterations)
+                        for _ in range(n_rows)]
+        while rows:
+            i = at(rows)
+            step = solve(rows, i)
+            if not np.isfinite(step).all():
+                finite = np.isfinite(step).all(axis=1)
+                for k, ok in zip(rows, finite.tolist()):
+                    if not ok:
+                        failures[k] = SingularNormalMatrix(
+                            "normal matrix is singular for model %r" % model.name)
+                        held.pop(k, None)
+                rows, step = [k for k, ok in zip(rows, finite.tolist()) if ok], step[finite]
+                if not rows:
+                    break
+                i = at(rows)
+            trial = np.array(params[i])
+            trial[:, free_cols] = (trial[:, free_cols] + step).clip(lo, hi)
+            r_new, jac_new = residuals(i, trial)
+            cost_new = [0.5 * float(r_k @ r_k) for r_k in r_new]
+            down = []
+            for j, k in enumerate(rows):
+                evaluations[k] += 1
+                jacobian_evaluations[k] += model.joint is not None
+                if math.isfinite(cost_new[j]) and cost_new[j] <= cost[k]:
+                    down.append(j)
+                    jacobian_evaluations[k] += model.joint is None
+            taken = []
+            if down:
+                every = len(down) == len(rows)
+                d = slice(None) if every else down
+                jac_d = jacobians(i if every else np.array(rows)[down], trial[d],
+                                  None if jac_new is None else jac_new[d])
+                if np.isfinite(jac_d).all():
+                    taken = down
+                else:
+                    finite = np.isfinite(jac_d).all(axis=(1, 2))
+                    taken, jac_d = [j for j, ok in zip(down, finite.tolist()) if ok], jac_d[finite]
+                if taken:
+                    t = slice(None) if len(taken) == len(rows) else taken
+                    acc = at([rows[j] for j in taken])
+                    params[acc], r[acc], jac[acc] = trial[t], r_new[t], jac_d
+            stepped, waiting = [], []
+            for j, k in enumerate(rows):
+                if j in taken:
+                    rel = abs(cost[k] - cost_new[j]) / max(cost[k], 1e-300)
+                    flat[k] = flat[k] + 1 if rel < 1e-10 else 0
+                    cost[k] = cost_new[j]
+                    lam[k] = max(lam[k] / 10.0, 1e-12)
+                    iterations[k] += 1
+                    if flat[k] < 3 and iterations[k] >= max_iterations:
+                        failures[k] = MaxIterations(
+                            "no convergence within %d iterations" % max_iterations)
+                    elif flat[k] < 3:
+                        stepped.append(k)
+                        continue
+                else:
+                    lam[k] *= 10.0
+                    # no downhill step at any damping is a stationary point too
+                    if lam[k] < 1e14:
+                        waiting.append(k)
+                        continue
+                held.pop(k, None)
+            rows = sorted(waiting + begin(stepped)) if stepped else waiting
 
         # uncertainties from the last step's Jacobian, taken at the solution
-        n_free = len(free)
-        sigma = np.zeros(len(names))
-        cov_full = np.zeros((len(names), len(names)))
-        if n_free and x.size > n_free:
+        n = len(names)
+        sigma = np.zeros((n_rows, n))
+        cov_full = np.zeros((n_rows, n, n))
+        if n_free:
+            jt = transposed(jac)
+            normal = jt @ jt.swapaxes(-1, -2)
             try:
-                inv = np.linalg.inv(jac.T @ jac)
+                inv = np.linalg.inv(normal)
             except np.linalg.LinAlgError:
-                inv = np.full((n_free, n_free), np.nan)
-            cov = 2.0 * cost / (x.size - n_free) * inv
-            cov = 0.5 * (cov + cov.T)
-            for rlab, i in enumerate(free_idx):
-                sigma[i] = math.sqrt(max(0.0, cov[rlab, rlab])) if np.isfinite(cov[rlab, rlab]) else np.nan
-                for clab, j in enumerate(free_idx):
-                    cov_full[i, j] = cov[rlab, clab]
+                inv = np.full_like(normal, np.nan)
+                for k in range(n_rows):
+                    try:
+                        inv[k] = np.linalg.inv(normal[k])
+                    except np.linalg.LinAlgError:
+                        pass
+            cov = (2.0 * np.array(cost) / (n_points - n_free))[:, None, None] * inv
+            cov = 0.5 * (cov + cov.swapaxes(1, 2))
+            var = cov[:, diag, diag]
+            sigma[:, free_idx] = np.where(np.isfinite(var),
+                                          np.sqrt(np.where(var > 0.0, var, 0.0)), np.nan)
+            cov_full[:, np.array(free_idx)[:, None], free_idx] = cov
 
-    return FitResult(params=params, sigma=sigma,
-                     residual_norm=float(np.sqrt(2.0 * cost)),
-                     covariance=cov_full, converged=True,
-                     param_names=names)
+    return [failures[k] or FitResult(params=params[k].copy(), sigma=sigma[k],
+                                     residual_norm=float(np.sqrt(2.0 * cost[k])),
+                                     covariance=cov_full[k], converged=True,
+                                     param_names=names, evaluations=evaluations[k],
+                                     jacobian_evaluations=jacobian_evaluations[k])
+            for k in range(n_rows)]
 
 
 # --------------------------------------------------------------------------
@@ -304,6 +496,33 @@ def _fft_phase(x, y, f):
 # model functions
 
 
+def _columns(p):
+    """A jacobian rule's parameters: the scalars of one vector, or the (K, 1)
+    columns of a (K, n) stack, which broadcast against x as ModelSpec passes them
+    to func."""
+    p = np.asarray(p, dtype=float)
+    return p if p.ndim == 1 else np.transpose(p)[..., None]
+
+
+def _stack_columns(cols):
+    """d model / d params from its columns, the first of full shape: (N, n), or
+    (K, N, n) for a stack."""
+    out = np.empty(np.shape(cols[0]) + (len(cols),))
+    for j, col in enumerate(cols):
+        out[..., j] = col
+    return out
+
+
+def _param_pow(p, k):
+    """p ** k for a parameter, or element by element for a column of a stack, by
+    the scalar power of one parameter vector: numpy's array power rounds
+    differently (a square, or a vectorized pow), so a row of a stack would not
+    equal its single-vector evaluation bit for bit."""
+    if np.ndim(p) == 0:
+        return p ** k
+    return np.array([v ** k for v in p.ravel()]).reshape(p.shape)
+
+
 def _ramsey(x, a_sin, f, phi, a_exp, t2, beta, c):
     return (a_sin * np.sin(2 * np.pi * f * x + phi) + a_exp) * \
         np.exp(-(x / t2) ** beta) + c
@@ -315,7 +534,7 @@ def _stretched_exp(x, a, t, beta, c):
 
 def _make_damped_sine_sum(k):
     def func(x, *p):
-        out = np.full_like(x, p[-1])
+        out = p[-1]
         for i in range(k):
             a, f, phi, t, beta = p[5 * i: 5 * i + 5]
             out = out + a * np.sin(2 * np.pi * f * x + phi) * np.exp(-(x / t) ** beta)
@@ -328,8 +547,9 @@ def _power_scaling(x, a, gamma):
 
 
 def _lorentzian_pair(x, a1, x1, w1, a2, x2, w2, c):
-    return (a1 * w1 ** 2 / ((x - x1) ** 2 + w1 ** 2)
-            + a2 * w2 ** 2 / ((x - x2) ** 2 + w2 ** 2) + c)
+    w1_2, w2_2 = _param_pow(w1, 2), _param_pow(w2, 2)
+    return (a1 * w1_2 / ((x - x1) ** 2 + w1_2)
+            + a2 * w2_2 / ((x - x2) ** 2 + w2_2) + c)
 
 
 def _saturation_law(x, gamma0):
@@ -345,7 +565,7 @@ def _parabola(x, a, x0, c):
 
 
 def _orbach_offset(x, gamma0, a, alpha, delta):
-    return gamma0 + a * delta ** 3 / np.expm1(delta / (_KB_H * alpha * x))
+    return gamma0 + a * _param_pow(delta, 3) / np.expm1(delta / (_KB_H * alpha * x))
 
 
 def _power_law_offset(x, a, b, c):
@@ -357,8 +577,8 @@ def _rb_decay(x, f_i, f_g):
 
 
 def _rb_decay_jacobian(x, p):
-    f_i, f_g = p
-    return np.column_stack([f_g ** x, (f_i - 0.5) * x * f_g ** (x - 1.0)])
+    f_i, f_g = _columns(p)
+    return _stack_columns([f_g ** x, (f_i - 0.5) * x * f_g ** (x - 1.0)])
 
 
 def _rb_decay_free(x, a, f_g, c):
@@ -367,7 +587,7 @@ def _rb_decay_free(x, a, f_g, c):
 
 def _make_rabi_beat(k):
     def func(x, *p):
-        out = np.full_like(x, p[-1])
+        out = p[-1]
         for i in range(k):
             a, f, phi, t = p[4 * i: 4 * i + 4]
             out = out + a * np.sin(2 * np.pi * f * x + phi) * np.exp(-x / t)
@@ -377,6 +597,7 @@ def _make_rabi_beat(k):
 
 def _make_rabi_beat_jacobian(k):
     def jacobian(x, p):
+        p = _columns(p)
         cols = []
         for i in range(k):
             a, f, phi, t = p[4 * i: 4 * i + 4]
@@ -384,9 +605,9 @@ def _make_rabi_beat_jacobian(k):
             env = np.exp(-x / t)
             sin_env, cos_env = np.sin(arg) * env, np.cos(arg) * env
             cols += [sin_env, a * 2 * np.pi * x * cos_env, a * cos_env,
-                     a * x / t ** 2 * sin_env]
+                     a * x / _param_pow(t, 2) * sin_env]
         cols.append(np.ones_like(x))
-        return np.column_stack(cols)
+        return _stack_columns(cols)
     return jacobian
 
 
@@ -399,9 +620,9 @@ def _single_exp(x, a, t, c):
 
 
 def _single_exp_jacobian(x, p):
-    a, t, _ = p
+    a, t, _ = _columns(p)
     e = np.exp(-x / t)
-    return np.column_stack([e, a * x / t ** 2 * e, np.ones_like(x)])
+    return _stack_columns([e, a * x / _param_pow(t, 2) * e, np.ones_like(x)])
 
 
 def _gaussian(x, a, mu, sigma, c):

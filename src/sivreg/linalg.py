@@ -9,6 +9,7 @@ units the Hamiltonian was assembled in (angular frequency, rad/s, for all
 physics modules here).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class Eigensystem:
     values  -- real eigenvalues, ascending (angular frequency, rad/s, for
                Hamiltonians built by this package)
     vectors -- orthonormal eigenvectors as columns, vectors[:, i] <-> values[i]
+
+    For a stack of matrices both carry the stack's leading axes.
     """
 
     values: np.ndarray
@@ -42,11 +45,12 @@ class Eigensystem:
 
 def _as_square(a):
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix, got shape %r" % (a.shape,))
-    if a.shape[0] > DIM_CAP:
-        raise ValueError("dimension %d exceeds the cap of %d" % (a.shape[0], DIM_CAP))
-    if not np.all(np.isfinite(a.view(float))):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them, got shape %r"
+                         % (a.shape,))
+    if a.shape[-1] > DIM_CAP:
+        raise ValueError("dimension %d exceeds the cap of %d" % (a.shape[-1], DIM_CAP))
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -60,29 +64,53 @@ def kron(a, b):
     return np.kron(a, b)
 
 
-def check_hermitian(h):
-    """Return h validated as Hermitian within a 1e-10 relative Frobenius tolerance."""
-    h = _as_square(h)
-    scale = np.linalg.norm(h)
-    defect = np.linalg.norm(h - h.conj().T)
-    if defect > 1e-10 * max(scale, 1.0):
+def _squared_norms(a):
+    """Squared Frobenius norm of each matrix of a complex stack."""
+    v = np.ascontiguousarray(a).view(float)
+    return np.einsum("...ij,...ij->...", v, v)
+
+
+def _require_hermitian(h, h_dag):
+    """Raise NotHermitian unless each matrix of h is within a 1e-10 relative
+    Frobenius tolerance of its adjoint h_dag: ||h - h^dag|| <= 1e-10 max(||h||, 1)."""
+    defect = h - h_dag
+    if not defect.any():   # exactly Hermitian
+        return
+    defect2 = _squared_norms(defect)
+    scale2 = _squared_norms(h)
+    bad = defect2 > 1e-20 * np.maximum(scale2, 1.0)
+    if bad.any():
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         raise NotHermitian(
-            "matrix is not Hermitian: ||h - h^dag|| = %.3e (scale %.3e)" % (defect, scale)
-        )
+            "matrix%s is not Hermitian: ||h - h^dag|| = %.3e (scale %.3e)"
+            % (" %s" % (index,) if index else "", math.sqrt(defect2[index]),
+               math.sqrt(scale2[index])))
+
+
+def check_hermitian(h):
+    """Return h (a matrix or a (..., d, d) stack) validated as Hermitian: each
+    matrix within a 1e-10 relative Frobenius tolerance."""
+    h = _as_square(h)
+    _require_hermitian(h, h.conj().swapaxes(-1, -2))
     return h
 
 
 def hermitian_eig(h):
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a (..., d, d)
+    stack, by LAPACK (``numpy.linalg.eigh``).
 
-    Returns an Eigensystem with ascending eigenvalues.  Raises NotHermitian
-    if ``h`` is not Hermitian within the 1e-10 relative tolerance of
-    ``check_hermitian``.
+    Returns an Eigensystem with ascending eigenvalues (values (..., d), vectors
+    (..., d, d)); one finiteness scan, one Hermiticity check and one ``eigh``
+    serve the whole stack.  Raises NotHermitian, naming the index of the first
+    offending matrix of a stack, if a matrix is not Hermitian within the 1e-10
+    relative tolerance of ``check_hermitian``.
     """
-    h = check_hermitian(h)
+    h = _as_square(h)
+    h_dag = h.conj().swapaxes(-1, -2)
+    _require_hermitian(h, h_dag)
     # Work on the exactly Hermitian part so roundoff in the input cannot
     # leak imaginary components into the eigenvalues.
-    values, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
+    values, vectors = np.linalg.eigh(0.5 * (h + h_dag))
     return Eigensystem(values=values, vectors=vectors)
 
 

@@ -227,6 +227,38 @@ def fluorescence_decay(p: OpticalParams, times, p_e0=1.0):
     return p_e0 * np.exp(-np.asarray(times, dtype=float) / p.t1)
 
 
+def _lifetime_fits(traces):
+    """(t1, amplitude), or the error that rejects it, of each decay trace.
+
+    The traces of one length are fitted as the rows of one lockstep
+    single_exp fit (fitting.least_squares_rows)."""
+    traces = [tuple(np.asarray(a, dtype=float) for a in tr) for tr in traces]
+    out = [ValueError("decay trace needs matching times/values, >= 4 points")
+           if t.shape != y.shape or t.size < 4 else None for t, y in traces]
+    by_length = {}
+    for i, (t, _) in enumerate(traces):
+        if out[i] is None:
+            by_length.setdefault(t.size, []).append(i)
+    for rows in by_length.values():
+        t, y = (np.stack([traces[i][j] for i in rows]) for j in (0, 1))
+        fits = fitting.least_squares_rows(fitting.get_model("single_exp"), t, y)
+        for i, y_i, res in zip(rows, y, fits):
+            out[i] = _judge_lifetime(y_i, res)
+    return out
+
+
+def _judge_lifetime(y, res):
+    """(t1, amplitude) of a lifetime fit, or the FitFailed that rejects it."""
+    if isinstance(res, Exception):
+        return FitFailed("lifetime fit failed: %s" % res)
+    scale = np.linalg.norm(y - y.mean())
+    if scale > 0 and res.residual_norm > 0.5 * scale:
+        return FitFailed("lifetime fit residual %.3g exceeds threshold" % res.residual_norm)
+    if res["a"] <= 0:
+        return FitFailed("trace does not decay")
+    return res["t"], res["a"]
+
+
 def extract_lifetime(decay_trace):
     """Single-exponential fit of a fluorescence decay; returns (t1, amplitude).
 
@@ -234,27 +266,26 @@ def extract_lifetime(decay_trace):
     Raises FitFailed when the residual norm exceeds half the trace's centered
     norm or the fitted amplitude is not positive.
     """
-    t, y = (np.asarray(a, dtype=float) for a in decay_trace)
-    if t.shape != y.shape or t.size < 4:
-        raise ValueError("decay trace needs matching times/values, >= 4 points")
-    try:
-        res = fitting.least_squares(fitting.get_model("single_exp"), t, y)
-    except (fitting.SingularNormalMatrix, fitting.MaxIterations) as exc:
-        raise FitFailed("lifetime fit failed: %s" % exc)
-    scale = np.linalg.norm(y - y.mean())
-    if scale > 0 and res.residual_norm > 0.5 * scale:
-        raise FitFailed("lifetime fit residual %.3g exceeds threshold"
-                        % res.residual_norm)
-    if res["a"] <= 0:
-        raise FitFailed("trace does not decay")
-    return res["t"], res["a"]
+    result, = _lifetime_fits([decay_trace])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def lifetime_ensemble(traces):
-    """Fit many decay traces; returns (mean T1, standard deviation)."""
-    values = [extract_lifetime(tr)[0] for tr in traces]
-    if not values:
+    """Fit many decay traces as one lockstep fit; returns (mean T1, standard deviation).
+
+    Each trace is judged as by extract_lifetime, and the error of the first
+    rejected trace is raised.
+    """
+    results = _lifetime_fits(traces)
+    if not results:
         raise ValueError("need at least one trace")
+    values = []
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+        values.append(result[0])
     arr = np.asarray(values)
     return float(arr.mean()), float(arr.std())
 

@@ -221,26 +221,28 @@ def _binned_normal_mixture(x, *params):
     Component i contributes a_i [Phi((x + 1/2 - mu_i) / s_i) - Phi((x - 1/2 - mu_i) / s_i)],
     so a_i is its area however narrow it is; x must be the centres of adjacent unit bins.
     """
-    edges = np.append(x - 0.5, x[-1] + 0.5)
+    edges = np.concatenate((x - 0.5, x[..., -1:] + 0.5), axis=-1)
     out = np.zeros_like(x)
     for a, mu, s in zip(params[0::3], params[1::3], params[2::3]):
-        out += 0.5 * a * np.diff(_erf((edges - mu) / (s * math.sqrt(2.0))).astype(float))
+        out = out + 0.5 * a * np.diff(_erf((edges - mu) / (s * math.sqrt(2.0))).astype(float))
     return out
 
 
 def _binned_normal_mixture_jacobian(x, params):
-    """d _binned_normal_mixture / d (a_i, mu_i, s_i), shape (len(x), len(params)).
+    """d _binned_normal_mixture / d (a_i, mu_i, s_i), shape (len(x), len(params)),
+    or (K, len(x), n) for a (K, n) parameter stack.
 
     With z = (edge - mu_i) / s_i at the bin edges: diff(Phi(z)), -a_i/s_i diff(phi(z))
     and -a_i/s_i diff(z phi(z)), the erf of all components taken in one pass.
     """
-    a, mu, s = (np.asarray(params[i::3], dtype=float)[:, None] for i in range(3))
-    z = (np.append(x - 0.5, x[-1] + 0.5) - mu) / s
+    params = np.asarray(params, dtype=float)
+    a, mu, s = (params[..., i::3, None] for i in range(3))
+    z = (np.concatenate((x - 0.5, x[..., -1:] + 0.5), axis=-1)[..., None, :] - mu) / s
     big_phi = 0.5 * _erf(z / math.sqrt(2.0)).astype(float)
     phi = np.exp(-0.5 * z ** 2) / math.sqrt(2.0 * math.pi)
     cols = np.stack([np.diff(big_phi), -a / s * np.diff(phi), -a / s * np.diff(z * phi)],
-                    axis=1)   # (component, a/mu/s, bin)
-    return cols.reshape(len(params), x.size).T
+                    axis=-2)   # (..., component, a/mu/s, bin)
+    return cols.reshape(params.shape + (-1,)).swapaxes(-1, -2)
 
 
 def _mixture_model(centers):

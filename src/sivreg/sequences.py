@@ -221,19 +221,16 @@ class Engine:
 
     def frame(self):
         """(E, W, W^dag) of the free Hamiltonian: the eigenvalues of the electron-down
-        block, then those of the electron-up block, and W = W_down (+) W_up, one
-        ``hermitian_eig`` per block, so that levels degenerate across the blocks
-        cannot mix the electron."""
+        block, then those of the electron-up block, and W = W_down (+) W_up, both
+        blocks solved as one ``hermitian_eig`` stack, so that levels degenerate
+        across the blocks cannot mix the electron."""
         if self._frame is None:
             h = hamiltonian(self.p)
             half = h.shape[-1] // 2
+            eig = hermitian_eig(np.stack((h[:half, :half], h[half:, half:])))
             w = np.zeros_like(h)
-            values = []
-            for block in (slice(None, half), slice(half, None)):
-                eig = hermitian_eig(h[block, block])
-                w[block, block] = eig.vectors
-                values.append(eig.values)
-            self._frame = (np.concatenate(values), w, w.conj().T.copy())
+            w[:half, :half], w[half:, half:] = eig.vectors
+            self._frame = (eig.values.reshape(-1), w, w.conj().T.copy())
         return self._frame
 
     def u_free(self, t):

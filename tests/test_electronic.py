@@ -15,7 +15,7 @@ from sivreg.electronic import (DEFAULT_BOUNDS, DegenerateStates, FieldConfig,
                                build_hamiltonian, delta_gs_zero_field, eigensystem,
                                estimate_parameters, field_from_nuclear_larmor,
                                observables_at, orbach_rate)
-from sivreg.fitting import SingularNormalMatrix
+from sivreg.fitting import MaxIterations, SingularNormalMatrix, least_squares, least_squares_rows
 from sivreg.linalg import IDENTITY2, SX, SZ, Eigensystem, hermitian_eig, kron
 
 # documented working point and its measured observables
@@ -102,8 +102,8 @@ def test_one_forward_call_forms_no_kron_and_solves_each_block_once(monkeypatch):
     monkeypatch.setattr(electronic, "hermitian_eig",
                         counted("eig", electronic.hermitian_eig))
     observables_at(EPS_REF, ALPHA_REF, THETA_REF, B_REF)
-    # one 4x4 solve per parity block, and no 8x8 solve
-    assert calls == {"kron": [], "eig": [(4, 4), (4, 4)]}
+    # one 4x4 solve per parity block, both in one stack, and no 8x8 solve
+    assert calls == {"kron": [], "eig": [(1, 2, 4, 4)]}
 
 
 def _strain_map_box(n, seed):
@@ -248,8 +248,9 @@ def _grid_polish_oracle(targets, b_field):
 
 
 def test_default_estimate_makes_at_most_900_block_eigensolves(monkeypatch):
-    # analytic Jacobian on the kept solve: 402 block solves (604 solving again for
-    # each Jacobian, 1,678 with central-difference columns)
+    # values and analytic Jacobian of each trial point from one solve: 366 block
+    # solves in stacks (402 with a separate Jacobian call on a kept solve, 604
+    # solving again for each Jacobian, 1,678 with central-difference columns)
     calls = []
 
     def counted(h):
@@ -259,47 +260,122 @@ def test_default_estimate_makes_at_most_900_block_eigensolves(monkeypatch):
     monkeypatch.setattr(electronic, "hermitian_eig", counted)
     res = estimate_parameters(TARGETS)
     assert res.converged
-    assert set(calls) == {(4, 4)}
-    assert len(calls) <= 900
+    assert {shape[-2:] for shape in calls} == {(4, 4)}
+    assert sum(math.prod(shape[:-2]) for shape in calls) <= 900
 
 
 def test_estimate_jacobians_add_no_block_solve(monkeypatch):
-    # least_squares asks for each Jacobian at the point it has just evaluated
-    solves, with_jacobian = [], []
+    # each evaluation of a stack of points gives their Jacobians from the same solve
+    solves, points, with_jacobian = [], [], []
     forward = electronic.observables_and_jacobian
 
     def counted_eig(h):
-        solves.append(h)
+        solves.append(math.prod(np.shape(h)[:-2]))
         return hermitian_eig(h)
 
-    def counted_forward(*args, jacobian=True, **kwargs):
+    def counted_forward(epsilon, *args, jacobian=True, **kwargs):
+        points.append(np.size(epsilon))
         with_jacobian.append(jacobian)
-        return forward(*args, jacobian=jacobian, **kwargs)
+        return forward(epsilon, *args, jacobian=jacobian, **kwargs)
 
     monkeypatch.setattr(electronic, "hermitian_eig", counted_eig)
     monkeypatch.setattr(electronic, "observables_and_jacobian", counted_forward)
     estimate_parameters(TARGETS)
     assert any(with_jacobian)
-    assert len(solves) <= 2 * with_jacobian.count(False)
+    assert sum(solves) == 2 * sum(points)
 
 
-def test_kept_block_solve_gives_the_fresh_result_bit_for_bit():
-    point = (EPS_REF, ALPHA_REF, THETA_REF, B_REF)
-    electronic.observables_and_jacobian(*point)
-    hits = electronic._block_solve.cache_info().hits
-    obs, jac = electronic.observables_and_jacobian(*point)
-    value = observables_at(*point)
-    assert electronic._block_solve.cache_info().hits == hits + 2
-    electronic._block_solve.cache_clear()
-    fresh_obs, fresh_jac = electronic.observables_and_jacobian(*point)
-    assert obs == fresh_obs == value
-    assert np.array_equal(jac, fresh_jac)
-    # a call at another point solves afresh and replaces the kept solve
-    moved = (EPS_REF * (1 + 1e-9),) + point[1:]
-    obs = observables_at(*moved)
-    assert electronic._block_solve.cache_info().currsize == 1
-    electronic._block_solve.cache_clear()
-    assert obs == observables_at(*moved)
+def test_stacked_forward_model_equals_the_per_point_call_bit_for_bit():
+    points = np.array(list(_strain_map_box(64, seed=9)))
+    obs, jac = electronic.observables_and_jacobian(*points.T, B_REF)
+    assert obs.shape == (64, 4) and jac.shape == (64, 4, 3)
+    for k, point in enumerate(points):
+        one_obs, one_jac = electronic.observables_and_jacobian(*point, B_REF)
+        assert one_obs.as_tuple() == tuple(obs[k])
+        assert np.array_equal(one_jac, jac[k])
+        assert observables_at(*point, B_REF) == one_obs
+    values, none = electronic.observables_and_jacobian(*points.T, B_REF, jacobian=False)
+    assert none is None and np.array_equal(values, obs)
+
+
+def test_stack_flags_degenerate_and_out_of_bounds_rows_only(monkeypatch):
+    targets = np.array(TARGETS)
+    inside = [(EPS_REF, ALPHA_REF, THETA_REF), (300e9, 0.6, 20.0), (450e9, 0.8, 35.0)]
+    stack = np.array(inside[:2] + [(EPS_REF, ALPHA_REF, 61.0)] + inside[2:])
+    want = [electronic._relative_observables(p, targets, B_REF, jacobian=True) for p in inside]
+    solve = electronic.hermitian_eig
+
+    def degenerate_second_row(h):
+        # E1 = E0 in the g block of the second point of the stack
+        eig = solve(h)
+        if len(h) > 1:
+            eig.values[1, 0, 1] = eig.values[1, 0, 0]
+        return eig
+
+    monkeypatch.setattr(electronic, "hermitian_eig", degenerate_second_row)
+    rel, jac = electronic._relative_observables(stack, targets, B_REF, jacobian=True)
+    for row in (1, 2):   # degenerate, out of DEFAULT_BOUNDS
+        assert np.all(rel[row] == math.inf) and np.all(np.isnan(jac[row]))
+    for row, (want_rel, want_jac) in zip((0, 3), (want[0], want[2])):
+        assert np.array_equal(rel[row], want_rel) and np.array_equal(jac[row], want_jac)
+
+
+def _emitter_targets(n, seed):
+    """Forward observables of seeded strain-map points, as the benchmark draws them."""
+    out = []
+    for point in _strain_map_box(n, seed):
+        targets = observables_at(*point, B_REF).as_tuple()
+        if all(math.isfinite(t) and t > 0 for t in targets):
+            out.append(targets)
+    return out
+
+
+def _same_fit(row, alone):
+    if isinstance(alone, Exception):
+        return type(row) is type(alone) and str(row) == str(alone)
+    return (np.array_equal(row.params, alone.params) and np.array_equal(row.sigma, alone.sigma)
+            and row.residual_norm == alone.residual_norm
+            and (row.evaluations, row.jacobian_evaluations)
+            == (alone.evaluations, alone.jacobian_evaluations))
+
+
+def _fit_alone(model, init):
+    try:
+        return least_squares(model, np.arange(4.0), np.ones(4), init=init)
+    except (SingularNormalMatrix, MaxIterations) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("case", ["readme", "emitters"])
+def test_each_start_of_the_lockstep_estimate_equals_its_fit_alone(case):
+    cases = [TARGETS] if case == "readme" else _emitter_targets(24, seed=33)
+    for targets in cases:
+        model = electronic._strain_model(np.array(targets), B_REF)
+        rows = least_squares_rows(model, np.arange(4.0), np.ones((8, 4)), init=electronic._STARTS)
+        for row, init in zip(rows, electronic._STARTS):
+            assert _same_fit(row, _fit_alone(model, init)), (targets, init)
+
+
+def test_a_start_at_a_degenerate_point_drops_only_that_start(monkeypatch):
+    targets = np.array(TARGETS)
+    model = electronic._strain_model(targets, B_REF)
+    clean = least_squares_rows(model, np.arange(4.0), np.ones((8, 4)), init=electronic._STARTS)
+    forward = electronic.observables_and_jacobian
+    first = tuple(electronic._STARTS[0].values())
+
+    def degenerate_first_start(epsilon, alpha, theta, b_field, jacobian=True):
+        obs, jac = forward(epsilon, alpha, theta, b_field, jacobian=jacobian)
+        if np.ndim(epsilon):   # a stack of the fit, not the estimate's last point
+            hit = (epsilon == first[0]) & (alpha == first[1]) & (theta == first[2])
+            obs[hit], jac[hit] = math.inf, math.nan
+        return obs, jac
+
+    monkeypatch.setattr(electronic, "observables_and_jacobian", degenerate_first_start)
+    rows = least_squares_rows(model, np.arange(4.0), np.ones((8, 4)), init=electronic._STARTS)
+    assert isinstance(rows[0], SingularNormalMatrix)
+    assert all(_same_fit(row, alone) for row, alone in zip(rows[1:], clean[1:]))
+    estimate = estimate_parameters(TARGETS, b_field=B_REF)
+    assert estimate.strain.epsilon == min(clean[1:], key=lambda f: f.residual_norm)["epsilon"]
 
 
 def test_estimator_agrees_with_independent_search(estimate_result):
@@ -428,19 +504,16 @@ def test_observables_ignore_eigenvector_phases(monkeypatch, epsilon, alpha, thet
     # each eigenvector is defined only up to a unit phase; the observables
     # built from them must not depend on the solver's choice
     point = (epsilon, alpha, theta, B_REF)
-    electronic._block_solve.cache_clear()
     obs, jac = electronic.observables_and_jacobian(*point)
     rng = np.random.default_rng(7)
 
     def rephased_eig(h):
         eig = hermitian_eig(h)
-        return Eigensystem(eig.values,
-                           eig.vectors * np.exp(2j * np.pi * rng.random(eig.values.size)))
+        phases = np.exp(2j * np.pi * rng.random(eig.values.shape))
+        return Eigensystem(eig.values, eig.vectors * phases[..., None, :])
 
     monkeypatch.setattr(electronic, "hermitian_eig", rephased_eig)
-    electronic._block_solve.cache_clear()
     rephased_obs, rephased_jac = electronic.observables_and_jacobian(*point)
-    electronic._block_solve.cache_clear()   # keep no rephased solve for later calls
     np.testing.assert_allclose(rephased_obs.as_tuple(), obs.as_tuple(), rtol=1e-12)
     # the Jacobian as relative sensitivities, as in the central-difference test: an
     # entry such as d omega_L / d epsilon (about 1e-4) is a difference of Hellmann-Feynman

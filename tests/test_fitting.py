@@ -15,6 +15,7 @@ from sivreg import readout
 from sivreg.fitting import (MaxIterations, ModelSpec, ParamSpec,
                             SingularNormalMatrix, UnknownModel,
                             damped_sine_sum_model, get_model, least_squares,
+                            least_squares_rows,
                             model_registry, rabi_beat_model)
 
 # --------------------------------------------------------------------------
@@ -333,9 +334,10 @@ def _branch_model(x, a, k, m, c):
 
 
 def _branch_jacobian(x, params):
-    a, k, m, _ = params
+    # a parameter vector, or the (K, 1) columns of a (K, 4) stack
+    a, k, m, _ = np.moveaxis(np.asarray(params, dtype=float)[..., None], -2, 0)
     e = np.exp(-k * x)
-    return np.column_stack([e, -a * x * e, x ** 2, np.ones_like(x)])
+    return np.stack(np.broadcast_arrays(e, -a * x * e, x ** 2, np.ones_like(x)), axis=-1)
 
 
 @pytest.mark.parametrize("start", [{"a": 1.0, "k": 1.0, "m": -1.0, "c": 0.0},
@@ -591,3 +593,107 @@ def test_coherence_vs_drive_minimum_at_analytic_point():
     omega = np.linspace(5e7, 1.2e9, 200001)
     grid_min = omega[np.argmin(model(omega, [a, b, c]))]
     assert grid_min == pytest.approx(math.sqrt(a / b), rel=1e-4)
+
+
+# --------------------------------------------------------------------------
+# parameter stacks and fits in lockstep
+
+
+_STACK_CASES = dict(_JACOBIAN_CASES, **{
+    name: (get_model(name), x, draw) for name, (x, draw, _) in RECOVERY_CASES.items()})
+
+
+@pytest.mark.parametrize("name", sorted(_STACK_CASES))
+def test_a_parameter_stack_equals_its_row_evaluations_bit_for_bit(name):
+    model, x, draw = _STACK_CASES[name]
+    rng = np.random.default_rng(41)
+    stack = np.array([[draw(rng)[n] for n in model.param_names] for _ in range(3)])
+    values = model(x, stack)
+    assert values.shape == (3, x.size)
+    for row, p in zip(values, stack):
+        assert np.array_equal(row, model(x, p))
+    if model.jacobian is not None:
+        jac = model.jacobian(x, stack)
+        assert jac.shape == (3, x.size, len(model.params))
+        for row, p in zip(jac, stack):
+            assert np.array_equal(row, model.jacobian(x, p))
+
+
+@pytest.mark.parametrize("name", ["single_exp", "rabi_beat"])
+def test_a_stack_overflows_as_its_rows_do(name):
+    # the fit rejects a step whose Jacobian overflows; a stack must overflow to
+    # inf as each single parameter vector does, not raise
+    model, x, draw = _JACOBIAN_CASES[name]
+    rng = np.random.default_rng(53)
+    stack = np.array([[draw(rng)[n] for n in model.param_names] for _ in range(2)])
+    t = model.param_names.index("t" if name == "single_exp" else "t1")
+    stack[1, t] = 1e200
+    with np.errstate(over="ignore"):
+        jac = model.jacobian(x, stack)
+        assert np.array_equal(jac[1], model.jacobian(x, stack[1]))
+    assert not jac[1, :, t].any()   # a x / t^2 ... with t^2 = inf
+
+
+def _noisy_decays(n, seed):
+    model, x, draw = _JACOBIAN_CASES["single_exp"]
+    rng = np.random.default_rng(seed)
+    y = np.array([model(x, [draw(rng)[n] for n in model.param_names]) for _ in range(n)])
+    return model, x, y + 0.02 * rng.standard_normal(y.shape)
+
+
+def _assert_same_fit(row, alone):
+    assert np.array_equal(row.params, alone.params)
+    assert np.array_equal(row.sigma, alone.sigma)
+    assert np.array_equal(row.covariance, alone.covariance)
+    assert row.residual_norm == alone.residual_norm
+    assert (row.evaluations, row.jacobian_evaluations) == (
+        alone.evaluations, alone.jacobian_evaluations)
+
+
+@pytest.mark.parametrize("per_row_x", [False, True])
+def test_each_row_of_a_lockstep_fit_equals_its_fit_alone(per_row_x):
+    model, x, y = _noisy_decays(20, seed=43)
+    xs = np.tile(x, (len(y), 1)) if per_row_x else x
+    rows = least_squares_rows(model, xs, y)
+    for row, y_k in zip(rows, y):
+        _assert_same_fit(row, least_squares(model, x, y_k))
+
+
+def test_a_central_difference_row_equals_its_fit_alone():
+    model = get_model("stretched_exp")
+    x, draw, _ = RECOVERY_CASES["stretched_exp"]
+    rng = np.random.default_rng(47)
+    y = np.array([model(x, [draw(rng)[n] for n in model.param_names]) for _ in range(5)])
+    y = y + 0.01 * rng.standard_normal(y.shape)
+    w = rng.uniform(0.5, 2.0, y.shape)
+    rows = least_squares_rows(model, x, y, weights=w, fixed={"beta": 1.3})
+    for row, y_k, w_k in zip(rows, y, w):
+        _assert_same_fit(row, least_squares(model, x, y_k, weights=w_k, fixed={"beta": 1.3}))
+
+
+def test_a_failing_row_drops_only_itself():
+    model = get_model("single_exp")
+    x = np.linspace(0.0, 1.0, 30)
+    exact = np.exp(-x / 0.3) + 0.1
+    nan_row = exact.copy()
+    nan_row[3] = np.nan
+    y = np.array([exact, exact, nan_row, exact])
+    far = {"a": 5.0, "t": 3.0, "c": -2.0}
+    inits = [{"a": 1.0, "t": 0.3, "c": 0.1}, far, None, None]
+    rows = least_squares_rows(model, x, y, init=inits, max_iterations=8)
+    assert isinstance(rows[1], MaxIterations) and isinstance(rows[2], SingularNormalMatrix)
+    with pytest.raises(MaxIterations):
+        least_squares(model, x, exact, init=far, max_iterations=8)
+    for k in (0, 3):
+        _assert_same_fit(rows[k], least_squares(model, x, y[k], init=inits[k], max_iterations=8))
+
+
+def test_lockstep_input_validation():
+    model = get_model("single_exp")
+    x = np.linspace(0.0, 1.0, 20)
+    with pytest.raises(ValueError):
+        least_squares_rows(model, x, np.ones(20))             # y must be (K, N)
+    with pytest.raises(ValueError):
+        least_squares_rows(model, x[:-1], np.ones((2, 20)))
+    with pytest.raises(ValueError):
+        least_squares_rows(model, x, np.ones((2, 20)), init=[{}])

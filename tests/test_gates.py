@@ -239,7 +239,7 @@ def test_cenotn_transfer_referencing_removes_preparation_errors(cenotn):
 @pytest.mark.parametrize("kind, n_drives", [("CeNOTn", 3), ("CnNOTe", 1), ("identity", 0)])
 def test_transfer_matrix_solves_each_drive_once(monkeypatch, cenotn, params, kind, n_drives):
     """One eigensolve per distinct drive over all four preparations, the free
-    Hamiltonian as its two electron blocks.
+    Hamiltonian as a stack of its two electron blocks.
 
     A CeNOTn has the free drive and the X and Y pi drives, a CnNOTe its one
     drive, and the identity gate none.
@@ -257,8 +257,8 @@ def test_transfer_matrix_solves_each_drive_once(monkeypatch, cenotn, params, kin
     monkeypatch.setattr(sequences, "hermitian_eig", counting)
     transfer_matrix(p, DephasingModel(t_c=4e-6, beta=2.0), g, f_ie=0.9, f_in=0.8)
     d = 2 ** (1 + p.n_nuclei)
-    n_free = int(kind == "CeNOTn")   # the free drive: one solve per electron block
-    assert sorted(solves) == [(d // 2, d // 2)] * 2 * n_free + [(d, d)] * (n_drives - n_free)
+    n_free = int(kind == "CeNOTn")   # the free drive: its two electron blocks as one stack
+    assert sorted(solves) == [(2, d // 2, d // 2)] * n_free + [(d, d)] * (n_drives - n_free)
 
 
 def test_transfer_matrix_validation():

@@ -1,6 +1,7 @@
 """Driven damped optical two-level dynamics, phase control, lifetime fits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -317,6 +318,21 @@ def test_lifetime_ensemble_recovers_distribution():
     assert std == pytest.approx(0.377e-9, rel=0.05)
     with pytest.raises(ValueError):
         lifetime_ensemble([])
+
+
+def test_lifetime_ensemble_raises_what_extract_lifetime_raises_at_the_first_bad_trace():
+    times = np.linspace(0.0, 8e-9, 50)
+    good = (times, 0.9 * np.exp(-times / T1))
+    rising = (times, 1.0 - np.exp(-times / T1))
+    ringing = (times, np.sin(times / 2e-10))
+    short = (times[:3], np.ones(3))
+    for traces in ([good, rising, ringing], [good, ringing, rising], [good, short, rising],
+                   [good, rising, short]):
+        first_bad = next(tr for tr in traces if tr is not good)
+        with pytest.raises(Exception) as alone:
+            extract_lifetime(first_bad)
+        with pytest.raises(type(alone.value), match="^%s$" % re.escape(str(alone.value))):
+            lifetime_ensemble(traces)
 
 
 def test_fourier_limit_arithmetic():
