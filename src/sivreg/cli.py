@@ -22,6 +22,7 @@ output paths (default: current directory).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -30,9 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import electronic, fitting, optics, readout, sequences
-from .register import DephasingModel, RegisterParams, nuclear_sigma_z
-from .sequences import GateSpec, T_PI_DEFAULT
+from .constants import RABI_MAX, T_PI_DEFAULT
 
 UNITS_LINE = ("frequencies in Hz (plain, not angular); times in s; "
               "magnetic field in T; angles in degrees unless a column "
@@ -69,6 +68,7 @@ class ExperimentSpec:
     group: str            # "" for top-level subcommands, "run" for run group
     defaults: dict        # key -> default value (type inferred)
     runner: object        # cfg values dict -> (columns, rows, extras)
+    layer: str            # the module the runner calls; main imports it once named
     help: str = ""
     rules: tuple = ()     # cfg values dict -> None, run after _DOMAINS; raise ConfigError
     required: dict = field(default_factory=dict)   # key -> type (no default; must be provided)
@@ -286,6 +286,7 @@ def _int_axis(v):
 
 
 def _register_params(v):
+    from .register import RegisterParams
     hyperfine = [(v["a_par"], v["a_perp"])]
     if v["n_nuclei"] == 2:
         hyperfine.append((v["a_par2"], v["a_perp2"]))
@@ -294,6 +295,7 @@ def _register_params(v):
 
 
 def _dephasing(v):
+    from .register import DephasingModel
     if v["t_c"] <= 0.0:
         return None
     return DephasingModel(t_c=v["t_c"], beta=v["beta_deph"])
@@ -382,12 +384,14 @@ def _sweep_table(sweep, **extras):
 
 
 def _run_structure(v):
+    from . import electronic
     obs = electronic.observables_at(v["epsilon"], v["alpha"], v["btheta"], v["b"])
     cols = ["omega_l_e_hz", "delta_ss_hz", "delta_gs_hz", "cyclicity"]
     return cols, [obs.as_tuple()], {}
 
 
 def _run_estimate(v):
+    from . import electronic
     targets = (v["wl"], v["dss"], v["dgs"], v["eta"])
     b_field = v["b"] if v["b"] > 0 else None
     res = electronic.estimate_parameters(targets, b_field=b_field,
@@ -400,23 +404,27 @@ def _run_estimate(v):
 
 
 def _run_rabi(v):
+    from . import sequences
     return _sweep_table(sequences.run_rabi(_register_params(v), _dephasing(v), v["omega"],
                                            _sweep_axis(v), f_ie=v["f_ie"]))
 
 
 def _run_ramsey(v):
+    from . import sequences
     return _sweep_table(sequences.run_ramsey(
         _register_params(v), _dephasing(v), v["delta_ramsey"], _sweep_axis(v),
         target=v["target"], f_ie=v["f_ie"], t_pi=v["t_pi"]))
 
 
 def _run_dd(v):
+    from . import sequences
     return _sweep_table(sequences.run_dd(
         _register_params(v), _dephasing(v), v["kind"], v["n_pulses"], _sweep_axis(v),
         f_ie=v["f_ie"], t_pi=v["t_pi"]))
 
 
 def _run_spinlock(v):
+    from . import sequences
     kwargs = {"f_ie": v["f_ie"], "t_pi": v["t_pi"]}
     if v["mode"] == "tau":
         kwargs["tau_sl"] = _sweep_axis(v)
@@ -428,6 +436,7 @@ def _run_spinlock(v):
 
 
 def _run_nucrot(v):
+    from . import sequences
     tau_rot = v["tau_rot"]
     if tau_rot == 0.0:   # default: half a nuclear Larmor period minus the pi time
         tau_rot = 0.5 / v["larmor_n"] - v["t_pi"]
@@ -438,6 +447,9 @@ def _run_nucrot(v):
 
 
 def _run_gates(v):
+    from . import sequences
+    from .register import nuclear_sigma_z
+    from .sequences import GateSpec
     p = _register_params(v)
     dephasing = _dephasing(v)
     gate = v["gate"].lower()
@@ -467,6 +479,7 @@ def _run_gates(v):
 
 
 def _run_rb(v):
+    from . import sequences
     res = sequences.run_randomized_benchmarking(
         _register_params(v), _dephasing(v), _int_axis(v),
         n_random=v["n_random"], gate_fidelity_noise=v["q"], seed=v["seed"],
@@ -477,6 +490,7 @@ def _run_rb(v):
 
 
 def _run_ssr(v):
+    from . import readout
     cfg = readout.SsrConfig(n_blocks=v["n_blocks"], t_block=v["t_block"],
                             mean_bright=v["mean_bright"], mean_dark=v["mean_dark"],
                             p_offres=v["p_offres"], t_pol_n=v["t_pol_n"],
@@ -500,6 +514,7 @@ def _run_ssr(v):
 
 
 def _run_optical(v):
+    from . import optics
     p = optics.OpticalParams(rabi_per_volt=v["rabi_per_volt"], detuning=v["detuning"],
                              t1=v["t1"], gamma_phi=v["gamma_phi"])
     mode = v["mode"]
@@ -551,6 +566,7 @@ def _read_xy(path, x_col, y_col):
 
 
 def _run_fit(v):
+    from . import fitting
     model = fitting.get_model(v["model"])
     x, y = _read_xy(v["data"], v["x_col"], v["y_col"])
     res = fitting.least_squares(model, x, y)
@@ -581,6 +597,7 @@ _register(ExperimentSpec(
     required={"epsilon": float, "alpha": float, "btheta": float, "b": float},
     defaults={},
     runner=_run_structure,
+    layer="electronic",
     help="derived observables of the 8-level electronic model at one working point"))
 
 _register(ExperimentSpec(
@@ -588,12 +605,14 @@ _register(ExperimentSpec(
     defaults={"wl": 9.431e9, "dss": 254.654e6, "dgs": 1110.755e9,
               "eta": 816.285, "b": 0.0, "larmor_n": 3.5857929e6},
     runner=_run_estimate,
+    layer="electronic",
     help="fit (epsilon, alpha, btheta) to measured observables"))
 
 _register(ExperimentSpec(
     "rabi", "run",
     defaults={"omega": 5.0e6, **_sweep_defaults(0.0, 1.0e-6, 201)},
     runner=_run_rabi,
+    layer="sequences",
     help="electron Rabi oscillation vs pulse duration"))
 
 _register(ExperimentSpec(
@@ -601,12 +620,14 @@ _register(ExperimentSpec(
     defaults={"delta_ramsey": 1.0e6, "target": "electron",
               **_sweep_defaults(0.0, 5.0e-6, 201)},
     runner=_run_ramsey,
+    layer="sequences",
     help="electron or nuclear Ramsey fringes vs free-evolution time"))
 
 _register(ExperimentSpec(
     "dd", "run",
     defaults={"kind": "XY", "n_pulses": 8, **_sweep_defaults(1.0e-7, 1.0e-5, 101)},
     runner=_run_dd,
+    layer="sequences",
     help="dynamical-decoupling signal vs inter-pulse spacing"))
 
 _register(ExperimentSpec(
@@ -614,12 +635,14 @@ _register(ExperimentSpec(
     defaults={"omega_sl": 3.5857929e6, "mode": "tau", "tau_fixed": 2.0e-5,
               **_sweep_defaults(0.0, 5.0e-5, 101)},
     runner=_run_spinlock,
+    layer="sequences",
     help="spin-locking sweep over lock duration or drive amplitude"))
 
 _register(ExperimentSpec(
     "nucrot", "run",
     defaults={"tau_rot": 0.0, **_sweep_defaults(0.0, 200.0, 201)},
     runner=_run_nucrot,
+    layer="sequences",
     help="conditional nuclear rotation vs pulse number",
     rules=(_half_period_delay,)))
 
@@ -627,6 +650,7 @@ _register(ExperimentSpec(
     "gates", "run",
     defaults={"gate": "UI", "tau": 81.5e-9, "n_pulses": 42, "wait": -1.0, "f_in": 1.0},
     runner=_run_gates,
+    layer="sequences",
     help="nuclear initialization or two-qubit gate characterization",
     rules=(_gate, _half_period_delay)))
 
@@ -635,6 +659,7 @@ _register(ExperimentSpec(
     defaults={"a_par": 0.0, "a_perp": 0.0, "n_random": 20, "q": 0.0,
               **_sweep_defaults(1.0, 100.0, 8)},
     runner=_run_rb,
+    layer="sequences",
     help="randomized benchmarking of the electron Clifford set",
     rules=(_rb,)))
 
@@ -645,6 +670,7 @@ _register(ExperimentSpec(
               "t_pol_n": 41.6178057e-3, "threshold": 21, "n_shots": 1000,
               "initial": "alternate"},
     runner=_run_ssr,
+    layer="readout",
     help="Monte-Carlo single-shot readout windows and threshold classification",
     rules=(_ssr_means,)))
 
@@ -652,10 +678,11 @@ _register(ExperimentSpec(
     "optical", "",
     defaults={"mode": "rabi", "amplitude": 0.5, "detuning": 0.0,
               "t1": 1.6535e-9, "gamma_phi": 0.0,
-              "rabi_per_volt": optics.RABI_MAX, "t_pulse": 0.0,
+              "rabi_per_volt": RABI_MAX, "t_pulse": 0.0,
               "buffer": 0.8e-9, "p_e0": 1.0,
               **_sweep_defaults(0.0, 5.0e-9, 201)},
     runner=_run_optical,
+    layer="optics",
     help="driven-dissipative optical dynamics: Rabi, phase control or decay",
     rules=(_optical,)))
 
@@ -664,6 +691,7 @@ _register(ExperimentSpec(
     required={"model": str, "data": str},
     defaults={"x_col": 0, "y_col": 1},
     runner=_run_fit,
+    layer="fitting",
     help="least-squares fit of a registry model to a two-column CSV"))
 
 
@@ -797,6 +825,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the experiment named by the first word, or the second after "run": load its layer
+    # before the parser is built, where its compile peaks lower than inside the runner
+    words = argv[:2] if argv[:1] == ["run"] else argv[:1]
+    named = EXPERIMENTS.get(words[-1]) if words else None
+    if named is not None:
+        importlib.import_module("." + named.layer, __package__)
     args = build_parser().parse_args(argv)
     flag_values = {k: v for k, v in vars(args).items()
                    if k not in ("command", "run_experiment", "experiment", "config")}

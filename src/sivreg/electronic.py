@@ -267,6 +267,21 @@ def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
     <v_m|dH|v_n> / (E_n - E_m) of g0, g1 and u0 inside their blocks.
     """
     scalar = np.ndim(epsilon) == 0
+    obs, jacobian_of = _forward_stack(epsilon, alpha, theta, b_field)
+    if scalar and obs[0, 0] == math.inf:
+        raise DegenerateStates("E0 and E1 degenerate within 1 Hz; ordering ambiguous")
+    jac = jacobian_of(slice(None)) if jacobian else None
+    if scalar:
+        return DerivedObservables(*obs[0].tolist()), None if jac is None else jac[0]
+    return obs, jac
+
+
+def _forward_stack(epsilon, alpha, theta, b_field):
+    """observables_and_jacobian of K points as (obs, jacobian_of): obs of shape
+    (K, 4), from one hermitian_eig stack of their 2K blocks, and jacobian_of(rows),
+    which forms the (len(rows), 4, 3) Jacobian of the chosen rows (a slice or an
+    increasing index list) from the eigenvectors of that same solve.  Row for
+    row, both equal the full stack's bit for bit."""
     epsilon, alpha, theta = (np.array(v, dtype=float, ndmin=1)
                              for v in (epsilon, alpha, theta))
     theta_list = theta.tolist()
@@ -283,8 +298,6 @@ def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
     e, vecs = eig.values / TWO_PI, eig.vectors         # (K, block, 4), (K, block, 4, 4)
     e_g, e_u = e[:, 0], e[:, 1]
     degenerate = e_g[:, 1] - e_g[:, 0] < 1.0
-    if scalar and degenerate[0]:
-        raise DegenerateStates("E0 and E1 degenerate within 1 Hz; ordering ambiguous")
     g01, u0 = vecs[:, 0, :, :2], vecs[:, 1, :, 0]
     dip_u0 = (_DIPOLE_BLOCKS @ u0[:, None, :, None])[..., 0]          # (K, dipole, 4)
     amp = g01.conj().swapaxes(-1, -2) @ dip_u0.swapaxes(-1, -2)     # <g_n| d |u0>, (K, n, dipole)
@@ -296,12 +309,16 @@ def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
     obs[:, 2] = 0.5 * (e_g[:, 2] + e_g[:, 3]) - 0.5 * (e_g[:, 0] + e_g[:, 1])
     obs[:, 3] = cyc = np.divide(num, den, out=np.full_like(num, math.inf), where=~(den < 1e-30))
     obs[degenerate] = math.inf
-    jac = None
-    if jacobian:
+
+    def jacobian_of(rows):
+        e_r, vecs_r, amp_r, dip_r, cyc_r, den_r = (
+            a[rows] for a in (e, vecs, amp, dip_u0, cyc, den))
+        g01_r = vecs_r[:, 0, :, :2]
         with np.errstate(divide="ignore", invalid="ignore"):
             # <v_m| dH/dp |v_n> in each block, (K, block, param, m, n)
-            m = (vecs.conj().swapaxes(-1, -2)[:, :, None]
-                 @ _block_derivatives(epsilon, alpha, bx, bz) @ vecs[:, :, None])
+            m = (vecs_r.conj().swapaxes(-1, -2)[:, :, None]
+                 @ _block_derivatives(epsilon[rows], alpha[rows], bx[rows], bz[rows])
+                 @ vecs_r[:, :, None])
             de = m.diagonal(axis1=-2, axis2=-1).real
             de_g, de_u = de[:, 0], de[:, 1]                             # (K, param, 4)
             d_omega = de_g[..., 1] - de_g[..., 0]
@@ -310,20 +327,20 @@ def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
 
             # first-order shifts d v_n = sum_{m != n} v_m m_mn / (E_n - E_m): gap[m, n]
             # = E_n - E_m, infinite on the diagonal so v_n gets no component along itself
-            gap = e[..., None, :] - e[..., :, None] + np.diag(np.full(4, math.inf))
-            dv = vecs[:, :, None] @ (m / gap[:, :, None])
+            gap = e_r[..., None, :] - e_r[..., :, None] + np.diag(np.full(4, math.inf))
+            dv = vecs_r[:, :, None] @ (m / gap[:, :, None])
             dg01, du0 = dv[:, 0, :, :, :2], dv[:, 1, :, :, 0]
             # d <g_n| d |u0> = <dg_n| d |u0> + <g_n| d |du0>, (K, param, n, dipole)
-            d_amp = (np.einsum("kpin,kdi->kpnd", dg01.conj(), dip_u0)
-                     + np.einsum("kin,dij,kpj->kpnd", g01.conj(), _DIPOLE_BLOCKS, du0))
-            d_sums = 2.0 * (amp.conj()[:, None] * d_amp).real.sum(axis=-1)
+            d_amp = (np.einsum("kpin,kdi->kpnd", dg01.conj(), dip_r)
+                     + np.einsum("kin,dij,kpj->kpnd", g01_r.conj(), _DIPOLE_BLOCKS, du0))
+            d_sums = 2.0 * (amp_r.conj()[:, None] * d_amp).real.sum(axis=-1)
             d_num, d_den = d_sums[..., 0], d_sums[..., 1]
-            d_cyc = (d_num - cyc[:, None] * d_den) / den[:, None]
+            d_cyc = (d_num - cyc_r[:, None] * d_den) / den_r[:, None]
             jac = np.stack((d_omega, d_dss, d_dgs, d_cyc), axis=1)
-            jac[degenerate] = math.nan
-    if scalar:
-        return DerivedObservables(*obs[0].tolist()), None if jac is None else jac[0]
-    return obs, jac
+            jac[degenerate[rows]] = math.nan
+        return jac
+
+    return obs, jacobian_of
 
 
 def observables_at(epsilon, alpha, theta, b_field):
@@ -377,23 +394,34 @@ _STRAIN_PARAMS = tuple(map(fitting.ParamSpec, ("epsilon", "alpha", "theta"), DEF
 _LO, _HI = np.transpose(DEFAULT_BOUNDS)
 
 
-def _relative_observables(params, targets, b_field, jacobian=False):
+def _relative_observables(params, targets, b_field):
     """Model observables over targets at (epsilon, alpha, theta), shape (3,) or a
-    (K, 3) stack; +inf outside DEFAULT_BOUNDS and at degenerate points.  With
-    jacobian=True, also d / d params, (..., 4, 3): nan at degenerate points."""
+    (K, 3) stack; +inf outside DEFAULT_BOUNDS and at degenerate points."""
     params = np.asarray(params, dtype=float)
-    stack = np.atleast_2d(params)
+    rel, _ = _relative_stack(np.atleast_2d(params), targets, b_field)
+    return rel[0] if params.ndim == 1 else rel
+
+
+def _relative_stack(stack, targets, b_field):
+    """_relative_observables of a (K, 3) stack as (rel, jacobian_of), the joint rule
+    of the strain model: jacobian_of(rows) forms d rel / d params, (len(rows), 4, 3),
+    of the chosen rows (a slice or an increasing index list) only, from the solve
+    that gave rel; nan outside DEFAULT_BOUNDS and at degenerate points."""
     inside = ((_LO <= stack) & (stack <= _HI)).all(axis=1)
     rel = np.full((len(stack), 4), math.inf)
-    jac = np.full((len(stack), 4, 3), math.nan) if jacobian else None
     if inside.any():
-        obs, d_obs = observables_and_jacobian(*stack[inside].T, b_field, jacobian=jacobian)
+        obs, forward_jacobian = _forward_stack(*stack[inside].T, b_field)
         rel[inside] = obs / targets
-        if jacobian:
-            jac[inside] = d_obs / targets[:, None]
-    if params.ndim == 1:
-        rel, jac = rel[0], None if jac is None else jac[0]
-    return (rel, jac) if jacobian else rel
+    forward_row = np.cumsum(inside) - 1
+
+    def jacobian_of(rows):
+        picked = inside[rows]
+        jac = np.full((len(picked), 4, 3), math.nan)
+        if picked.any():
+            jac[picked] = forward_jacobian(forward_row[rows][picked]) / targets[:, None]
+        return jac
+
+    return rel, jacobian_of
 
 
 # the 8 starts of the strain estimate: 1/3 and 2/3 of each DEFAULT_BOUNDS side
@@ -404,11 +432,12 @@ _STARTS = tuple({spec.name: lo + f * (hi - lo)
 
 def _strain_model(targets, b_field):
     """The estimate's model: relative observables of (epsilon, alpha, theta), fitted
-    to ones; each evaluation of a stack also gives its Jacobian (ModelSpec.joint)."""
+    to ones; each evaluation of a stack also returns the function that forms the
+    Jacobians of its rows from the same solve (ModelSpec.joint)."""
     return fitting.ModelSpec(
         "strain", _STRAIN_PARAMS,
         lambda x, *p: _relative_observables(np.hstack(p), targets, b_field),
-        joint=lambda x, p: _relative_observables(p, targets, b_field, jacobian=True))
+        joint=lambda x, p: _relative_stack(p, targets, b_field))
 
 
 def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
@@ -420,8 +449,9 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
     Multi-start Levenberg-Marquardt (fitting.least_squares_rows on the four
     relative residuals, from 8 deterministic starts at 1/3 and 2/3 of each
     DEFAULT_BOUNDS side, run as the 8 rows of one lockstep fit).  Each round
-    evaluates the trial points of all starts still stepping, with their
-    analytic Jacobians (observables_and_jacobian), as one stack; that Jacobian
+    evaluates the trial points of all starts still stepping as one stack, and
+    forms the analytic Jacobians (observables_and_jacobian) of the accepted
+    points only, from the eigenvectors of the same solve; that Jacobian
     serves the steps and the covariance behind the sigmas (see
     EstimationResult).  The ``converged`` flag is False when the best cost
     stalls above 1e-2; the best point is reported either way.

@@ -85,11 +85,14 @@ class ModelSpec:
                 steps and its covariance; without it both use central
                 differences.  In the registry, single_exp (exp_recovery),
                 rb_decay and rabi_beat (and every rabi_beat_model(k)) carry one.
-    joint    -- optional rule joint(x, params) -> (values, jacobian) on a
+    joint    -- optional rule joint(x, params) -> (values, jacobian_of) on a
                 (K, n) stack, for a model whose values and derivatives share
                 their costly work (the strain estimate's block solves):
-                least_squares then takes the Jacobian of every trial point
-                from the call that evaluates it.
+                jacobian_of(rows), rows a slice or an increasing index list
+                into the stack, returns the (len(rows), N, n) Jacobian of
+                those rows from the work of the same call.  least_squares
+                calls it for the starting points and for accepted trial
+                points only.
     """
 
     name: str
@@ -105,7 +108,7 @@ class ModelSpec:
 
     def __call__(self, x, params, jacobian=False):
         """Model values at x for one parameter vector, (N,), or a (K, n) stack,
-        (K, N); with jacobian=True, (values, jacobian) of a stack from ``joint``."""
+        (K, N); with jacobian=True, (values, jacobian_of) of a stack from ``joint``."""
         x = np.asarray(x, dtype=float)
         if jacobian:
             return self.joint(x, np.asarray(params, dtype=float))
@@ -245,13 +248,13 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
         return np.multiply(w_sqrt[i] if a.ndim == 2 else w_sqrt[i][:, None, :], a, order="C")
 
     def residuals(i, p):
-        """Weighted residuals of rows i at p, and their Jacobians from a joint rule."""
+        """Weighted residuals of rows i at p, and a joint rule's jacobian_of (or None)."""
         x_i = x if x.ndim == 1 else x[i]
         if model.joint is not None:
-            values, jac = model(x_i, p, jacobian=True)
+            values, jacobian_of = model(x_i, p, jacobian=True)
         else:
-            values, jac = model(x_i, p), None
-        return weighted(i, values - y[i]), jac
+            values, jacobian_of = model(x_i, p), None
+        return weighted(i, values - y[i]), jacobian_of
 
     def jacobians(i, p, jac=None):
         """d residual / d free params of rows i at p, in the memory layout of a
@@ -341,9 +344,10 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     # overflows during trial steps produce a non-finite cost or Jacobian, which
     # simply rejects the step; keep them from spamming warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r, jac = residuals(slice(None), params)
+        r, jacobian_of = residuals(slice(None), params)
         cost = [0.5 * float(r_k @ r_k) for r_k in r]
-        jac = jacobians(slice(None), params, jac)
+        jac = jacobians(slice(None), params,
+                        None if jacobian_of is None else jacobian_of(slice(None)))
         if max_iterations > 0:
             rows = begin(list(range(n_rows)))
         else:
@@ -366,21 +370,20 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
                 i = at(rows)
             trial = np.array(params[i])
             trial[:, free_cols] = (trial[:, free_cols] + step).clip(lo, hi)
-            r_new, jac_new = residuals(i, trial)
+            r_new, jacobian_of = residuals(i, trial)
             cost_new = [0.5 * float(r_k @ r_k) for r_k in r_new]
             down = []
             for j, k in enumerate(rows):
                 evaluations[k] += 1
-                jacobian_evaluations[k] += model.joint is not None
                 if math.isfinite(cost_new[j]) and cost_new[j] <= cost[k]:
                     down.append(j)
-                    jacobian_evaluations[k] += model.joint is None
+                    jacobian_evaluations[k] += 1
             taken = []
             if down:
                 every = len(down) == len(rows)
                 d = slice(None) if every else down
                 jac_d = jacobians(i if every else np.array(rows)[down], trial[d],
-                                  None if jac_new is None else jac_new[d])
+                                  None if jacobian_of is None else jacobian_of(d))
                 if np.isfinite(jac_d).all():
                     taken = down
                 else:

@@ -7,10 +7,14 @@ electronic parity blocks are 4x4, electron + two nuclei is 8x8).
 Eigensystem values follow the internal convention of the package: whatever
 units the Hamiltonian was assembled in (angular frequency, rad/s, for all
 physics modules here).
+
+SweepResult, the record every sweep of sequences and optics returns, lives
+here, in the one module both import, so optics needs no sequences.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -41,6 +45,31 @@ class Eigensystem:
 
     values: np.ndarray
     vectors: np.ndarray
+
+
+@dataclass
+class SweepResult:
+    """Sweep axis plus a bounded signal and optional auxiliary observables."""
+
+    axis: np.ndarray
+    signal: np.ndarray
+    aux: Optional[dict] = None
+    name: str = ""
+    axis_label: str = ""
+
+    def __post_init__(self):
+        self.axis = np.asarray(self.axis, dtype=float)
+        self.signal = np.asarray(self.signal, dtype=float)
+        if self.axis.shape != self.signal.shape:
+            raise ValueError("axis and signal lengths differ")
+        if not (np.all(np.isfinite(self.axis)) and np.all(np.isfinite(self.signal))):
+            raise ValueError("axis and signal values must be finite")
+        if self.signal.size and (self.signal.min() < -1e-9 or self.signal.max() > 1 + 1e-9):
+            raise ValueError("signal values must lie in [0, 1]")
+        if self.aux:
+            for key, values in self.aux.items():
+                if len(values) != self.axis.size:
+                    raise ValueError("aux %r length differs from axis" % key)
 
 
 def _as_square(a):

@@ -21,12 +21,10 @@ import numpy as np
 
 from . import fitting
 from .fitting import FitFailed
-from .linalg import SX, SY, SZ
-from .sequences import SweepResult
+from .constants import RABI_MAX
+from .linalg import SX, SY, SZ, SweepResult
 
 TWO_PI = 2.0 * math.pi
-
-RABI_MAX = 1.14422658e9  # Hz, accepted maximum calibrated drive
 
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 _P_EXC = np.diag([0.0, 1.0]).astype(complex)

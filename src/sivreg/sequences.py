@@ -64,15 +64,14 @@ from typing import ClassVar, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import fitting
-from .linalg import SX, SY, hermitian_eig, propagator_from_eig
+from .constants import T_PI_DEFAULT
+from .linalg import SX, SY, SweepResult, hermitian_eig, propagator_from_eig
 from .register import (DephasingModel, DriveSpec, RegisterParams, RegisterState,
                        dephase_electron, electron_mixture, electron_up_population,
                        hamiltonian, nuclear_sigma_z, populations, product_state,
                        repump_electron)
 
 TWO_PI = 2.0 * math.pi
-
-T_PI_DEFAULT = 55.715e-9  # s, microwave pi-pulse duration used throughout
 
 # phase pattern (rad) of the XY-8 block, relative to the initial pi/2 at phase 0
 XY8_PHASES = (0.0, math.pi / 2, 0.0, math.pi / 2,
@@ -87,31 +86,6 @@ class InvalidGate(ValueError):
 
 class UncalibratedGate(ValueError):
     """GateSpec lacks the calibration values the gate needs."""
-
-
-@dataclass
-class SweepResult:
-    """Sweep axis plus a bounded signal and optional auxiliary observables."""
-
-    axis: np.ndarray
-    signal: np.ndarray
-    aux: Optional[dict] = None
-    name: str = ""
-    axis_label: str = ""
-
-    def __post_init__(self):
-        self.axis = np.asarray(self.axis, dtype=float)
-        self.signal = np.asarray(self.signal, dtype=float)
-        if self.axis.shape != self.signal.shape:
-            raise ValueError("axis and signal lengths differ")
-        if not (np.all(np.isfinite(self.axis)) and np.all(np.isfinite(self.signal))):
-            raise ValueError("axis and signal values must be finite")
-        if self.signal.size and (self.signal.min() < -1e-9 or self.signal.max() > 1 + 1e-9):
-            raise ValueError("signal values must lie in [0, 1]")
-        if self.aux:
-            for key, values in self.aux.items():
-                if len(values) != self.axis.size:
-                    raise ValueError("aux %r length differs from axis" % key)
 
 
 @dataclass(frozen=True)

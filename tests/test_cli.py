@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sivreg import cli
+from test_golden import SEED, invocations
 
 LARMOR = "3.5857929e6"
 
@@ -565,17 +566,89 @@ def test_estimate_subcommand_recovers_strain_parameters(out_dir):
     assert all(math.isfinite(float(cell)) for cell in rows[0])
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # a fresh interpreter, importing the same sivreg package as this suite
+def _fresh_python(code, *args, cwd=None, **env_extra):
+    """stdout of ``code`` run with args in a fresh interpreter that imports the same
+    sivreg package as this suite."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **env_extra)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, sivreg.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+# defines loaded(package): the sorted names of the package's loaded modules
+_LOADED = ("def loaded(package):\n"
+           "    return sorted(m for m in sys.modules if m.split('.')[0] == package)\n")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import json, sys\n" + _LOADED + "import sivreg.cli\n"
+            "print(json.dumps([loaded('sivreg'), loaded('scipy')]))")
+    sivreg_modules, scipy_modules = json.loads(_fresh_python(code))
+    assert sivreg_modules == ["sivreg", "sivreg.cli", "sivreg.constants"]
+    assert scipy_modules == []
+
+
+# the layers each subcommand loads, besides sivreg, sivreg.cli and sivreg.constants
+_SUBCOMMAND_LAYERS = {
+    "structure": ("electronic", "fitting", "linalg"),
+    "estimate": ("electronic", "fitting", "linalg"),
+    "run": ("fitting", "linalg", "register", "sequences"),
+    "ssr": ("fitting", "readout"),
+    "optical": ("fitting", "linalg", "optics"),
+    "fit": ("fitting",),
+    "--help": (),
+}
+_MODULE_SET_INVOCATIONS = invocations(SEED) + [
+    ("fit", ["fit", "--model", "single_exp", "--data", "trace.csv"]), ("help", ["--help"])]
+
+
+@pytest.mark.parametrize("label, argv", _MODULE_SET_INVOCATIONS,
+                         ids=[label for label, _ in _MODULE_SET_INVOCATIONS])
+def test_each_subcommand_loads_only_the_layers_it_runs(label, argv, tmp_path):
+    (tmp_path / "trace.csv").write_text(
+        "".join("%r,%r\n" % (0.5 * i, 2.0 * math.exp(-0.5 * i / 3.0) + 0.5) for i in range(21)))
+    code = ("import json, sys\n" + _LOADED + "from sivreg.cli import main\n"
+            "try:\n"
+            "    exit_code = main(sys.argv[1:])\n"
+            "except SystemExit as stop:\n"
+            "    exit_code = stop.code\n"
+            "print(json.dumps([exit_code, loaded('sivreg'), loaded('scipy')]))")
+    last = _fresh_python(code, *argv, cwd=tmp_path,
+                         SIVREG_OUTPUT_DIR=str(tmp_path)).splitlines()[-1]
+    exit_code, sivreg_modules, scipy_modules = json.loads(last)
+    assert exit_code == 0
+    layers = _SUBCOMMAND_LAYERS[argv[0]]
+    assert sivreg_modules == sorted(["sivreg", "sivreg.cli", "sivreg.constants"]
+                                    + ["sivreg." + layer for layer in layers])
+    assert scipy_modules == []
+
+
+def test_the_package_loads_a_layer_on_first_access():
+    code = ("import json, sys\n" + _LOADED + "import sivreg\n"
+            "steps = [loaded('sivreg'), dir(sivreg), loaded('sivreg')]\n"
+            "steps += [sivreg.optics.__name__, loaded('sivreg')]\n"
+            "try:\n"
+            "    sivreg.no_such_layer\n"
+            "except AttributeError as exc:\n"
+            "    steps.append(str(exc))\n"
+            "from sivreg import *\n"
+            "steps += [sorted(n for n in sivreg.__all__ if n in globals()), loaded('sivreg')]\n"
+            "print(json.dumps(steps))")
+    (bare, names, after_dir, optics_name, after_optics, missing,
+     star_names, after_star) = json.loads(_fresh_python(code))
+    layers = ["linalg", "electronic", "register", "sequences", "readout", "optics", "fitting"]
+    assert bare == after_dir == ["sivreg"]
+    assert set(layers) | {"__version__", "__all__"} <= set(names)
+    assert optics_name == "sivreg.optics"
+    assert after_optics == ["sivreg", "sivreg.constants", "sivreg.fitting", "sivreg.linalg",
+                            "sivreg.optics"]
+    assert missing == "module 'sivreg' has no attribute 'no_such_layer'"
+    assert star_names == sorted(layers)
+    assert after_star == sorted(["sivreg", "sivreg.constants"]
+                                + ["sivreg." + layer for layer in layers])
 
 
 def test_dd_with_a_vanishing_coherence_time_dephases_fully(out_dir):

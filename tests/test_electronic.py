@@ -265,23 +265,28 @@ def test_default_estimate_makes_at_most_900_block_eigensolves(monkeypatch):
 
 
 def test_estimate_jacobians_add_no_block_solve(monkeypatch):
-    # each evaluation of a stack of points gives their Jacobians from the same solve
-    solves, points, with_jacobian = [], [], []
-    forward = electronic.observables_and_jacobian
+    # each evaluation of a stack of points forms its Jacobians from the same solve
+    solves, points, jacobian_rows = [], [], []
+    forward = electronic._forward_stack
 
     def counted_eig(h):
         solves.append(math.prod(np.shape(h)[:-2]))
         return hermitian_eig(h)
 
-    def counted_forward(epsilon, *args, jacobian=True, **kwargs):
+    def counted_forward(epsilon, *args):
         points.append(np.size(epsilon))
-        with_jacobian.append(jacobian)
-        return forward(epsilon, *args, jacobian=jacobian, **kwargs)
+        obs, jacobian_of = forward(epsilon, *args)
+
+        def counted_jacobian(rows):
+            jac = jacobian_of(rows)
+            jacobian_rows.append(len(jac))
+            return jac
+        return obs, counted_jacobian
 
     monkeypatch.setattr(electronic, "hermitian_eig", counted_eig)
-    monkeypatch.setattr(electronic, "observables_and_jacobian", counted_forward)
+    monkeypatch.setattr(electronic, "_forward_stack", counted_forward)
     estimate_parameters(TARGETS)
-    assert any(with_jacobian)
+    assert sum(jacobian_rows) > 0
     assert sum(solves) == 2 * sum(points)
 
 
@@ -296,13 +301,17 @@ def test_stacked_forward_model_equals_the_per_point_call_bit_for_bit():
         assert observables_at(*point, B_REF) == one_obs
     values, none = electronic.observables_and_jacobian(*points.T, B_REF, jacobian=False)
     assert none is None and np.array_equal(values, obs)
+    _, jacobian_of = electronic._forward_stack(*points.T, B_REF)
+    for rows in (list(range(0, 64, 3)), [5], [0, 63]):
+        assert np.array_equal(jacobian_of(rows), jac[rows])
 
 
 def test_stack_flags_degenerate_and_out_of_bounds_rows_only(monkeypatch):
     targets = np.array(TARGETS)
     inside = [(EPS_REF, ALPHA_REF, THETA_REF), (300e9, 0.6, 20.0), (450e9, 0.8, 35.0)]
     stack = np.array(inside[:2] + [(EPS_REF, ALPHA_REF, 61.0)] + inside[2:])
-    want = [electronic._relative_observables(p, targets, B_REF, jacobian=True) for p in inside]
+    want = [(rel[0], jacobian_of(slice(None))[0]) for rel, jacobian_of in (
+        electronic._relative_stack(np.array([p]), targets, B_REF) for p in inside)]
     solve = electronic.hermitian_eig
 
     def degenerate_second_row(h):
@@ -313,7 +322,10 @@ def test_stack_flags_degenerate_and_out_of_bounds_rows_only(monkeypatch):
         return eig
 
     monkeypatch.setattr(electronic, "hermitian_eig", degenerate_second_row)
-    rel, jac = electronic._relative_observables(stack, targets, B_REF, jacobian=True)
+    rel, jacobian_of = electronic._relative_stack(stack, targets, B_REF)
+    jac = jacobian_of(slice(None))
+    for rows in ([0, 3], [1, 2, 3], [2], [3]):   # the Jacobians of chosen rows only
+        assert np.array_equal(jacobian_of(rows), jac[rows], equal_nan=True)
     for row in (1, 2):   # degenerate, out of DEFAULT_BOUNDS
         assert np.all(rel[row] == math.inf) and np.all(np.isnan(jac[row]))
     for row, (want_rel, want_jac) in zip((0, 3), (want[0], want[2])):
@@ -360,17 +372,23 @@ def test_a_start_at_a_degenerate_point_drops_only_that_start(monkeypatch):
     targets = np.array(TARGETS)
     model = electronic._strain_model(targets, B_REF)
     clean = least_squares_rows(model, np.arange(4.0), np.ones((8, 4)), init=electronic._STARTS)
-    forward = electronic.observables_and_jacobian
+    forward = electronic._forward_stack
     first = tuple(electronic._STARTS[0].values())
 
-    def degenerate_first_start(epsilon, alpha, theta, b_field, jacobian=True):
-        obs, jac = forward(epsilon, alpha, theta, b_field, jacobian=jacobian)
-        if np.ndim(epsilon):   # a stack of the fit, not the estimate's last point
-            hit = (epsilon == first[0]) & (alpha == first[1]) & (theta == first[2])
-            obs[hit], jac[hit] = math.inf, math.nan
-        return obs, jac
+    def degenerate_first_start(epsilon, alpha, theta, b_field):
+        obs, jacobian_of = forward(epsilon, alpha, theta, b_field)
+        if not np.ndim(epsilon):   # the estimate's last point, not a stack of the fit
+            return obs, jacobian_of
+        hit = (epsilon == first[0]) & (alpha == first[1]) & (theta == first[2])
+        obs[hit] = math.inf
 
-    monkeypatch.setattr(electronic, "observables_and_jacobian", degenerate_first_start)
+        def jacobian_with_nan_rows(rows):
+            jac = jacobian_of(rows)
+            jac[hit[rows]] = math.nan
+            return jac
+        return obs, jacobian_with_nan_rows
+
+    monkeypatch.setattr(electronic, "_forward_stack", degenerate_first_start)
     rows = least_squares_rows(model, np.arange(4.0), np.ones((8, 4)), init=electronic._STARTS)
     assert isinstance(rows[0], SingularNormalMatrix)
     assert all(_same_fit(row, alone) for row, alone in zip(rows[1:], clean[1:]))

@@ -5,14 +5,18 @@ from bench/cli_defaults.py, with a fixed seed), the register runs with two
 nuclei and dephasing, the CnNOTe and identity gates, a nuclear Ramsey and a
 logarithmic DD sweep.  All run through ``cli.main`` in this process.  Every
 file is compared byte for byte, so a change that moves any value, or the
-formatting of any value, fails here.  A change that means to move values
-regenerates the files with
+formatting of any value, fails here.  The ``help*.txt`` files hold the
+``--help`` text of ``sivreg`` and of every subcommand, formatted for 80
+columns.  A change that means to move values or help text regenerates the
+files with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and states the differences it accepts.
 """
 
+import contextlib
+import io
 import os
 import sys
 from pathlib import Path
@@ -43,6 +47,31 @@ INVOCATIONS = invocations(SEED) + [
     ("run_dd_log", ["run", "dd", "--sweep-scale", "log"] + LARMOR),
 ]
 
+HELP_INVOCATIONS = [("help", [])] + [
+    ("help_" + "_".join(words), words)
+    for words in (["structure"], ["estimate"], ["run"], ["run", "rabi"], ["run", "ramsey"],
+                  ["run", "dd"], ["run", "spinlock"], ["run", "nucrot"], ["run", "gates"],
+                  ["run", "rb"], ["ssr"], ["optical"], ["fit"])]
+
+
+def help_text(words):
+    """What ``sivreg WORDS --help`` prints on an 80-column terminal."""
+    before = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            try:
+                cli.main(words + ["--help"])
+            except SystemExit as stop:
+                assert stop.code == 0
+    finally:
+        if before is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = before
+    return out.getvalue()
+
 
 def run_invocation(argv, out_dir):
     """Run one invocation with its CSV written into out_dir; returns the CSV bytes."""
@@ -65,8 +94,15 @@ def test_csv_is_byte_identical_to_its_golden_file(label, argv, tmp_path):
     assert written == (GOLDEN / (label + ".csv")).read_bytes()
 
 
+@pytest.mark.parametrize("label, words", HELP_INVOCATIONS,
+                         ids=[label for label, _ in HELP_INVOCATIONS])
+def test_help_text_is_identical_to_its_golden_file(label, words):
+    assert help_text(words) == (GOLDEN / (label + ".txt")).read_text()
+
+
 def test_every_golden_file_has_an_invocation():
     assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == sorted(l for l, _ in INVOCATIONS)
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(l for l, _ in HELP_INVOCATIONS)
 
 
 if __name__ == "__main__":
@@ -76,3 +112,5 @@ if __name__ == "__main__":
     for label, argv in INVOCATIONS:
         with tempfile.TemporaryDirectory() as out_dir:
             (GOLDEN / (label + ".csv")).write_bytes(run_invocation(argv, out_dir))
+    for label, words in HELP_INVOCATIONS:
+        (GOLDEN / (label + ".txt")).write_text(help_text(words))

@@ -1,27 +1,34 @@
-"""Pinned work counts of the lockstep fits, counted by wrappers around sivreg
-functions as tests/test_bench_contract.py wraps them.
+"""Pinned work counts of the lockstep fits and of the golden CLI invocations,
+counted by wrappers around sivreg functions as tests/test_bench_contract.py
+wraps them.
 
 A change that alters how much work one of these calls does updates the pinned
 number here, and so states its before and after.  At the README targets the
 strain estimate ran, before its starts were stepped in lockstep, 8 separate
 fits: 188 model evaluations, 266 forward-model calls (77 of them with the
-Jacobian) and 322 single-block eigensolves.
+Jacobian) and 322 single-block eigensolves.  Stepped in lockstep, it formed
+the Jacobian of every trial point, 188 rows in 29 calls, before it formed
+them at the starts and the accepted points only.
 """
 
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 
-from sivreg import electronic, fitting, optics
+from sivreg import electronic, fitting, linalg, optics, readout, register, sequences
+from test_golden import INVOCATIONS, run_invocation
 
 TARGETS = (9.431e9, 254.654e6, 1110.755e9, 816.285)
 
 
 def test_strain_estimate_work_at_the_readme_targets(monkeypatch):
-    counts = {"lsq": 0, "rows": 0, "model": 0, "model_jacobian": 0, "eig": 0, "blocks": 0}
+    counts = {"lsq": 0, "rows": 0, "model": 0, "model_jacobian": 0, "eig": 0, "blocks": 0,
+              "jacobian_calls": 0, "jacobian_rows": 0}
     fits = []
     call, rows, eig = fitting.ModelSpec.__call__, fitting.least_squares_rows, electronic.hermitian_eig
+    forward = electronic._forward_stack
 
     def counted_call(self, x, params, jacobian=False):
         counts["model"] += 1
@@ -42,17 +49,30 @@ def test_strain_estimate_work_at_the_readme_targets(monkeypatch):
         counts["blocks"] += math.prod(np.shape(h)[:-2])
         return eig(h)
 
+    def counted_forward(*args):
+        obs, jacobian_of = forward(*args)
+
+        def counted_jacobian(rows):
+            jac = jacobian_of(rows)
+            counts["jacobian_calls"] += 1
+            counts["jacobian_rows"] += len(jac)
+            return jac
+        return obs, counted_jacobian
+
     monkeypatch.setattr(fitting.ModelSpec, "__call__", counted_call)
     monkeypatch.setattr(fitting, "least_squares_rows", counted_rows)
     monkeypatch.setattr(fitting, "least_squares", counted_lsq)
     monkeypatch.setattr(electronic, "hermitian_eig", counted_eig)
+    monkeypatch.setattr(electronic, "_forward_stack", counted_forward)
     electronic.estimate_parameters(TARGETS)
     # one K = 8 fit: 28 rounds after the first evaluation, each one stacked call
-    # that gives values and Jacobians; one more solve for the reported observables
+    # through the joint rule; one more solve for the reported observables.  The
+    # Jacobians of the 8 starts and of the 69 accepted points are formed, in the
+    # first call and the 18 rounds with an accepted row: 77 of the 188 rows
     assert counts == {"lsq": 0, "rows": 1, "model": 29, "model_jacobian": 29,
-                      "eig": 30, "blocks": 378}
+                      "eig": 30, "blocks": 378, "jacobian_calls": 19, "jacobian_rows": 77}
     assert [(f.evaluations, f.jacobian_evaluations) for f in fits] == [
-        (23, 23), (23, 23), (25, 25), (21, 21), (23, 23), (23, 23), (29, 29), (21, 21)]
+        (23, 9), (23, 9), (25, 10), (21, 9), (23, 9), (23, 9), (29, 12), (21, 10)]
 
 
 def test_lifetime_ensemble_is_one_lockstep_fit(monkeypatch):
@@ -92,3 +112,57 @@ def test_lifetime_ensemble_is_one_lockstep_fit(monkeypatch):
     # Jacobian call per round with an accepted row (as 20 separate fits: 312
     # model calls and 150 Jacobian calls)
     assert calls == {"rows": [(20, 40)], "lsq": 0, "model": 23, "jacobian": 20}
+
+
+# (hermitian_eig calls, Engine builds) of each golden CLI invocation
+# (tests/test_golden.py), counted at the commit that introduced this table
+CLI_WORK = {
+    "structure": (1, 0),
+    "estimate": (30, 0),
+    "run_rabi": (1, 1),
+    "run_ramsey": (2, 1),
+    "run_dd": (3, 1),
+    "run_spinlock": (2, 1),
+    "run_nucrot": (3, 1),
+    "run_gates": (9, 3),
+    "run_rb": (4, 1),
+    "ssr": (0, 0),
+    "optical_rabi": (0, 0),
+    "optical_phase": (0, 0),
+    "optical_decay": (0, 0),
+    "run_dd_2n": (3, 1),
+    "run_nucrot_2n": (3, 1),
+    "run_gates_2n": (9, 3),
+    "run_rb_2n": (4, 1),
+    "run_gates_cenotn_2n": (9, 3),
+    "run_gates_cnnote": (1, 1),
+    "run_gates_identity": (0, 1),
+    "run_ramsey_nuclear": (6, 2),
+    "run_dd_log": (3, 1),
+}
+
+
+@pytest.mark.parametrize("label, argv", INVOCATIONS, ids=[label for label, _ in INVOCATIONS])
+def test_cli_invocation_work(label, argv, monkeypatch, tmp_path):
+    counts = {"eig": 0, "engine": 0}
+    eig, init = linalg.hermitian_eig, sequences.Engine.__init__
+
+    def counted_eig(h):
+        counts["eig"] += 1
+        return eig(h)
+
+    def counted_init(self, *args, **kwargs):
+        counts["engine"] += 1
+        init(self, *args, **kwargs)
+
+    for module in (linalg, electronic, register, sequences, readout, optics, fitting):
+        for name, value in list(vars(module).items()):
+            if value is eig:
+                monkeypatch.setattr(module, name, counted_eig)
+    monkeypatch.setattr(sequences.Engine, "__init__", counted_init)
+    run_invocation(argv, tmp_path)
+    assert (counts["eig"], counts["engine"]) == CLI_WORK[label]
+
+
+def test_every_golden_invocation_has_its_work_counts():
+    assert sorted(CLI_WORK) == sorted(label for label, _ in INVOCATIONS)
