@@ -391,12 +391,9 @@ DEFAULT_BOUNDS = ((0.0, 1e12), (0.1, 2.0), (0.0, 60.0))  # epsilon (Hz), alpha, 
 _STRAIN_PARAMS = tuple(map(fitting.ParamSpec, ("epsilon", "alpha", "theta"), DEFAULT_BOUNDS))
 
 
-_LO, _HI = np.transpose(DEFAULT_BOUNDS)
-
-
 def _relative_observables(params, targets, b_field):
     """Model observables over targets at (epsilon, alpha, theta), shape (3,) or a
-    (K, 3) stack; +inf outside DEFAULT_BOUNDS and at degenerate points."""
+    (K, 3) stack; +inf at degenerate points."""
     params = np.asarray(params, dtype=float)
     rel, _ = _relative_stack(np.atleast_2d(params), targets, b_field)
     return rel[0] if params.ndim == 1 else rel
@@ -406,22 +403,10 @@ def _relative_stack(stack, targets, b_field):
     """_relative_observables of a (K, 3) stack as (rel, jacobian_of), the joint rule
     of the strain model: jacobian_of(rows) forms d rel / d params, (len(rows), 4, 3),
     of the chosen rows (a slice or an increasing index list) only, from the solve
-    that gave rel; nan outside DEFAULT_BOUNDS and at degenerate points."""
-    inside = ((_LO <= stack) & (stack <= _HI)).all(axis=1)
-    rel = np.full((len(stack), 4), math.inf)
-    if inside.any():
-        obs, forward_jacobian = _forward_stack(*stack[inside].T, b_field)
-        rel[inside] = obs / targets
-    forward_row = np.cumsum(inside) - 1
-
-    def jacobian_of(rows):
-        picked = inside[rows]
-        jac = np.full((len(picked), 4, 3), math.nan)
-        if picked.any():
-            jac[picked] = forward_jacobian(forward_row[rows][picked]) / targets[:, None]
-        return jac
-
-    return rel, jacobian_of
+    that gave rel; nan at degenerate points.  The fit evaluates points inside
+    DEFAULT_BOUNDS only: it clips its starts and its trial points into them."""
+    obs, forward_jacobian = _forward_stack(*stack.T, b_field)
+    return obs / targets, lambda rows: forward_jacobian(rows) / targets[:, None]
 
 
 # the 8 starts of the strain estimate: 1/3 and 2/3 of each DEFAULT_BOUNDS side

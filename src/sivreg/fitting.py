@@ -13,10 +13,11 @@ rb_decay and rabi_beat (rabi_beat_model(k) for any k) carry one; so do
 readout's binned photon-count mixture and the strain estimate of electronic.
 Bounds are kept by projection (More, Lecture Notes in Mathematics 630, 105
 (1978)): the fit starts from the guess clipped into each parameter's box; a
-parameter that sits on a bound while the descent direction -J^T r points out
-of the box is held for that step; the damped step is solved over the others
-and its trial point clipped into the box.  A fitted value may so end exactly
-on a bound.  A step is taken only where the cost is finite and not higher and
+parameter on a bound while the descent direction -J^T r points out of the box
+is held for that step, its row and column of the damped normal matrix the
+identity's and its gradient entry 0, so it steps by 0 and the others solve the
+damped system without it; the trial point is clipped into the box.  A fitted
+value may so end exactly on a bound.  A step is taken only where the cost is finite and not higher and
 the Jacobian there is finite; that Jacobian serves the next step and, at the
 solution, the standard errors from the residual-scaled inverse normal matrix
 s^2 (J^T J)^-1.
@@ -80,11 +81,12 @@ class ModelSpec:
                 jacobian(x, params) with the full parameter vector, shape
                 (n,), or a stack, shape (K, n), and returning d model /
                 d params, shape (N, n) or (K, N, n).  least_squares iterates in
-                the parameters themselves, holding one on its bound while
-                descent points out of the box, and uses this rule for its
-                steps and its covariance; without it both use central
-                differences.  In the registry, single_exp (exp_recovery),
-                rb_decay and rabi_beat (and every rabi_beat_model(k)) carry one.
+                the parameters themselves, inside their boxes, with a zero step
+                for one on its bound while descent points out of the box, and
+                uses this rule for its steps and its covariance; without it
+                both use central differences.  In the registry, single_exp
+                (exp_recovery), rb_decay and rabi_beat (and every
+                rabi_beat_model(k)) carry one.
     joint    -- optional rule joint(x, params) -> (values, jacobian_of) on a
                 (K, n) stack, for a model whose values and derivatives share
                 their costly work (the strain estimate's block solves):
@@ -257,16 +259,17 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
         return weighted(i, values - y[i]), jacobian_of
 
     def jacobians(i, p, jac=None):
-        """d residual / d free params of rows i at p, in the memory layout of a
-        single fit's Jacobian, whose J^T products these reproduce: (rows, free,
-        N) from a rule, (rows, N, free) from central differences."""
+        """J^T, d residual / d free params of rows i at p, shape (rows, free, N):
+        C-ordered from a rule, from central differences a transposed view of a
+        C-ordered (rows, N, free) array, the memory layout whose products a
+        single fit reproduces."""
         if analytic:
             if jac is None:
                 jac = model.jacobian(x if x.ndim == 1 else x[i], p)
             jac = np.asarray(jac, dtype=float).swapaxes(-1, -2)[:, free_cols]
             return np.ascontiguousarray(weighted(i, jac))
         if not n_free:
-            return np.zeros((len(p), n_points, 0))
+            return np.zeros((len(p), 0, n_points))
         # relative to the start value too: a fitted value near 0 gives no usable step
         p_free, s_free = np.abs(p[:, free_idx]), np.abs(start[i][:, free_idx])
         h = 1e-6 * np.where(s_free > p_free, s_free, p_free)
@@ -277,60 +280,44 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
         xs = x if x.ndim == 1 else np.repeat(x[i], 2 * n_free, axis=0)
         values = model(xs, shifted.reshape(-1, len(names))).reshape(len(p), 2, n_free, -1)
         cols = weighted(i, values[:, 0] - values[:, 1]) / (2.0 * h)[..., None]
-        return np.ascontiguousarray(cols.swapaxes(1, 2))
-
-    def transposed(jac):
-        """J^T of each row (a view): a rule's rows are stored so."""
-        return jac if analytic else jac.swapaxes(-1, -2)
+        return np.ascontiguousarray(cols.swapaxes(1, 2)).swapaxes(1, 2)
 
     def begin(rows):
-        """Start an iteration of each row: gradient and normal matrix at its point.
-        Returns the rows with a parameter that may move."""
+        """Start an iteration of each row: gradient, normal matrix and held
+        parameters at its point.  Returns the rows with a parameter that may move."""
+        nonlocal bounded
         if not n_free:
             return []
         i = at(rows)
-        jt = transposed(jac[i])
+        jt = jac[i]
         g[i] = (jt @ r[i][..., None])[..., 0]
         p = params[i][:, free_cols]
         at_lo, at_hi = p <= lo, p >= hi
         jt = np.ascontiguousarray(jt)
         a[i] = jt @ jt.swapaxes(-1, -2)
-        if not (held or at_lo.any() or at_hi.any()):
+        # a held parameter keeps its bound, so a row off every bound holds none
+        if not (at_lo.any() or at_hi.any()):
             return rows
         # a parameter on a bound whose descent direction leaves the box stays put
-        hold = (at_lo & (g[i] > 0)) | (at_hi & (g[i] < 0))
-        moving = []
-        for k, jt_k, hold_k in zip(rows, jt, hold):
-            held.pop(k, None)
-            if hold_k.any():
-                if hold_k.all():
-                    continue   # no parameter can move: a stationary point
-                jm = jt_k[~hold_k]
-                held[k] = ~hold_k, jm @ jm.T
-            moving.append(k)
-        return moving
+        bounded = True
+        hold[i] = (at_lo & (g[i] > 0)) | (at_hi & (g[i] < 0))
+        # a row that can move no parameter is at a stationary point
+        return [k for k, stuck in zip(rows, hold[i].all(axis=1).tolist()) if not stuck]
 
     def solve(rows, i):
-        """Damped steps of the rows; nan where a normal matrix is singular."""
-        if not (held and any(k in held for k in rows)):   # one stacked solve
-            a_i = a[i]
-            damping = np.zeros(a_i.shape)
-            damping.reshape(len(rows), -1)[:, ::n_free + 1] = np.maximum(
-                a_i.diagonal(axis1=1, axis2=2), 1e-300)
-            m = a_i + np.array([lam[k] for k in rows])[:, None, None] * damping
-            try:
-                return np.linalg.solve(m, -g[i][..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                pass
-        step = np.zeros((len(rows), n_free))
-        for j, k in enumerate(rows):
-            move, a_k = held.get(k, (slice(None), a[k]))
-            m = a_k + lam[k] * np.diag(np.maximum(np.diag(a_k), 1e-300))
-            try:
-                step[j, move] = np.linalg.solve(m, -g[k][move])
-            except np.linalg.LinAlgError:
-                step[j] = np.nan
-        return step
+        """Damped steps of the rows, from one stacked solve; nan where a damped
+        matrix is singular.  A held parameter's row and column of the damped
+        matrix are the identity's and its gradient entry is 0: its step is 0 and
+        the others solve the system without it."""
+        m = np.array(a[i])
+        d = m.reshape(len(rows), -1)[:, ::n_free + 1]   # a view of the diagonals
+        d += np.array([lam[k] for k in rows])[:, None] * np.maximum(d, 1e-300)
+        b = -g[i]
+        if bounded:
+            h = hold[i]
+            m[h] = m.swapaxes(1, 2)[h] = b[h] = 0.0
+            d[h] = 1.0
+        return _solve_stack(m, b[..., None])[..., 0]
 
     failures = [None] * n_rows
     evaluations = [1] * n_rows
@@ -340,7 +327,8 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     iterations = [0] * n_rows
     g = np.zeros((n_rows, n_free))
     a = np.zeros((n_rows, n_free, n_free))
-    held = {}   # rows that hold a parameter on a bound: (moving mask, their normal matrix)
+    hold = np.zeros((n_rows, n_free), dtype=bool)
+    bounded = False   # whether a row has been on a bound: else hold is all False
     # overflows during trial steps produce a non-finite cost or Jacobian, which
     # simply rejects the step; keep them from spamming warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -363,7 +351,6 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
                     if not ok:
                         failures[k] = SingularNormalMatrix(
                             "normal matrix is singular for model %r" % model.name)
-                        held.pop(k, None)
                 rows, step = [k for k, ok in zip(rows, finite.tolist()) if ok], step[finite]
                 if not rows:
                     break
@@ -406,14 +393,11 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
                             "no convergence within %d iterations" % max_iterations)
                     elif flat[k] < 3:
                         stepped.append(k)
-                        continue
                 else:
                     lam[k] *= 10.0
                     # no downhill step at any damping is a stationary point too
                     if lam[k] < 1e14:
                         waiting.append(k)
-                        continue
-                held.pop(k, None)
             rows = sorted(waiting + begin(stepped)) if stepped else waiting
 
         # uncertainties from the last step's Jacobian, taken at the solution
@@ -421,17 +405,8 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
         sigma = np.zeros((n_rows, n))
         cov_full = np.zeros((n_rows, n, n))
         if n_free:
-            jt = transposed(jac)
-            normal = jt @ jt.swapaxes(-1, -2)
-            try:
-                inv = np.linalg.inv(normal)
-            except np.linalg.LinAlgError:
-                inv = np.full_like(normal, np.nan)
-                for k in range(n_rows):
-                    try:
-                        inv[k] = np.linalg.inv(normal[k])
-                    except np.linalg.LinAlgError:
-                        pass
+            normal = jac @ jac.swapaxes(-1, -2)
+            inv = _solve_stack(normal, np.broadcast_to(np.eye(n_free), normal.shape))
             cov = (2.0 * np.array(cost) / (n_points - n_free))[:, None, None] * inv
             cov = 0.5 * (cov + cov.swapaxes(1, 2))
             var = cov[:, diag, diag]
@@ -445,6 +420,21 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
                                      param_names=names, evaluations=evaluations[k],
                                      jacobian_evaluations=jacobian_evaluations[k])
             for k in range(n_rows)]
+
+
+def _solve_stack(m, b):
+    """x with m[k] @ x[k] = b[k] for a (K, n, n) stack m and a (K, n, j) stack b;
+    nan in the rows whose matrix is singular."""
+    try:
+        return np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for k in range(len(m)):
+            try:
+                x[k] = np.linalg.solve(m[k], b[k])
+            except np.linalg.LinAlgError:
+                pass
+        return x
 
 
 # --------------------------------------------------------------------------

@@ -306,12 +306,12 @@ def test_stacked_forward_model_equals_the_per_point_call_bit_for_bit():
         assert np.array_equal(jacobian_of(rows), jac[rows])
 
 
-def test_stack_flags_degenerate_and_out_of_bounds_rows_only(monkeypatch):
+def test_stack_flags_degenerate_rows_only(monkeypatch):
     targets = np.array(TARGETS)
-    inside = [(EPS_REF, ALPHA_REF, THETA_REF), (300e9, 0.6, 20.0), (450e9, 0.8, 35.0)]
-    stack = np.array(inside[:2] + [(EPS_REF, ALPHA_REF, 61.0)] + inside[2:])
+    points = [(EPS_REF, ALPHA_REF, THETA_REF), (300e9, 0.6, 20.0), (450e9, 0.8, 35.0)]
+    stack = np.array(points)
     want = [(rel[0], jacobian_of(slice(None))[0]) for rel, jacobian_of in (
-        electronic._relative_stack(np.array([p]), targets, B_REF) for p in inside)]
+        electronic._relative_stack(np.array([p]), targets, B_REF) for p in points)]
     solve = electronic.hermitian_eig
 
     def degenerate_second_row(h):
@@ -324,11 +324,10 @@ def test_stack_flags_degenerate_and_out_of_bounds_rows_only(monkeypatch):
     monkeypatch.setattr(electronic, "hermitian_eig", degenerate_second_row)
     rel, jacobian_of = electronic._relative_stack(stack, targets, B_REF)
     jac = jacobian_of(slice(None))
-    for rows in ([0, 3], [1, 2, 3], [2], [3]):   # the Jacobians of chosen rows only
+    for rows in ([0, 2], [1, 2], [1], [2]):   # the Jacobians of chosen rows only
         assert np.array_equal(jacobian_of(rows), jac[rows], equal_nan=True)
-    for row in (1, 2):   # degenerate, out of DEFAULT_BOUNDS
-        assert np.all(rel[row] == math.inf) and np.all(np.isnan(jac[row]))
-    for row, (want_rel, want_jac) in zip((0, 3), (want[0], want[2])):
+    assert np.all(rel[1] == math.inf) and np.all(np.isnan(jac[1]))
+    for row, (want_rel, want_jac) in zip((0, 2), (want[0], want[2])):
         assert np.array_equal(rel[row], want_rel) and np.array_equal(jac[row], want_jac)
 
 
@@ -481,13 +480,31 @@ def test_estimator_matches_the_nelder_mead_reference(scale):
         (res.strain.epsilon, res.strain.alpha, res.theta), targets, b_field), rel=1e-9)
 
 
-def test_relative_residuals_are_infinite_outside_the_bounds():
+def test_relative_residuals_are_infinite_at_a_degenerate_point():
     obs = observables_at(EPS_REF, ALPHA_REF, THETA_REF, B_REF).as_tuple()
-    for params in ((-1.0, ALPHA_REF, THETA_REF), (EPS_REF, 2.5, THETA_REF),
-                   (EPS_REF, ALPHA_REF, 61.0)):
-        assert np.all(electronic._relative_observables(params, obs, B_REF) == math.inf)
     assert np.all(electronic._relative_observables((EPS_REF, ALPHA_REF, THETA_REF), obs, 0.0)
                   == math.inf)
+
+
+def test_the_estimate_evaluates_only_points_inside_the_bounds(monkeypatch):
+    # the strain model computes any stack it is given: the fit's clipped starts
+    # and clipped trial points are what keep it inside DEFAULT_BOUNDS
+    forward, points = electronic._forward_stack, []
+
+    def recorded(*args):
+        points.extend(np.column_stack(np.broadcast_arrays(*map(np.atleast_1d, args[:3]))))
+        return forward(*args)
+
+    monkeypatch.setattr(electronic, "_forward_stack", recorded)
+    b_field = field_from_nuclear_larmor(3.5857929e6)
+    edges = [observables_at(700e9, alpha, THETA_REF, b_field).as_tuple()
+             for alpha in DEFAULT_BOUNDS[1]]
+    for targets in [TARGETS] + edges + [(1.0, 2.0, 3.0, 4.0)]:
+        count = len(points)
+        estimate_parameters(targets)
+        assert len(points) > count
+    lo, hi = np.array(DEFAULT_BOUNDS).T
+    assert np.all((lo <= np.array(points)) & (np.array(points) <= hi))
 
 
 def test_estimate_rejects_bad_targets():

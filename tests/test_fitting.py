@@ -386,6 +386,22 @@ def test_fit_started_on_a_bound_leaves_it(k0):
     assert abs(fit["c"] - 0.1) <= 1e-10
 
 
+@pytest.mark.parametrize("name", ["rb_decay", "rb_decay_free"])
+def test_holding_a_parameter_on_its_bound_equals_fixing_it(name):
+    # a growing signal: descent pushes f_g above its upper bound 1 throughout, so
+    # the fit started there holds it and steps the others as the fit without it
+    n = np.arange(1.0, 101.0)
+    y = 0.5 + 0.4 * 1.002 ** n + 1e-3 * np.random.default_rng(5).standard_normal(n.size)
+    model = get_model(name)
+    held = least_squares(model, n, y, init={"f_g": 1.0})
+    fixed = least_squares(model, n, y, fixed={"f_g": 1.0})
+    assert held["f_g"] == 1.0
+    assert np.array_equal(held.params, fixed.params)
+    assert held.residual_norm == fixed.residual_norm
+    assert ((held.evaluations, held.jacobian_evaluations)
+            == (fixed.evaluations, fixed.jacobian_evaluations))
+
+
 def test_noisy_orbach_offset_keeps_its_plateau():
     x, draw, fixed_names = RECOVERY_CASES["orbach_offset"]
     model = get_model("orbach_offset")

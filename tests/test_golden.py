@@ -3,7 +3,10 @@
 The invocations are the 13 of the benchmark's ``cli_defaults`` workload (taken
 from bench/cli_defaults.py, with a fixed seed), the register runs with two
 nuclei and dephasing, the CnNOTe and identity gates, a nuclear Ramsey and a
-logarithmic DD sweep.  All run through ``cli.main`` in this process.  Every
+logarithmic DD sweep, and three ``fit`` runs on golden CSVs: an analytic-rule
+fit, a central-difference fit and an ``rb_decay`` fit that ends on its upper
+bounds.  The fits run in tests/golden, so their ``# config data=`` line holds
+the bare file name.  All run through ``cli.main`` in this process.  Every
 file is compared byte for byte, so a change that moves any value, or the
 formatting of any value, fails here.  The ``help*.txt`` files hold the
 ``--help`` text of ``sivreg`` and of every subcommand, formatted for 80
@@ -35,7 +38,8 @@ finally:
 
 SEED = 7
 TWO_NUCLEI = LARMOR + ["--t-c", "5e-6", "--n-nuclei", "2"]
-INVOCATIONS = invocations(SEED) + [
+# (label, argv, working directory or None)
+INVOCATIONS = [(label, argv, None) for label, argv in invocations(SEED) + [
     ("run_dd_2n", ["run", "dd"] + TWO_NUCLEI),
     ("run_nucrot_2n", ["run", "nucrot"] + TWO_NUCLEI),
     ("run_gates_2n", ["run", "gates"] + TWO_NUCLEI),
@@ -45,7 +49,11 @@ INVOCATIONS = invocations(SEED) + [
     ("run_gates_identity", ["run", "gates", "--gate", "identity"] + LARMOR),
     ("run_ramsey_nuclear", ["run", "ramsey", "--target", "nuclear"] + LARMOR),
     ("run_dd_log", ["run", "dd", "--sweep-scale", "log"] + LARMOR),
-]
+]] + [(label, ["fit", "--model", model, "--data", data], GOLDEN) for label, model, data in (
+    ("fit_single_exp", "single_exp", "optical_decay.csv"),
+    ("fit_stretched_exp", "stretched_exp", "optical_decay.csv"),
+    ("fit_rb_decay", "rb_decay", "run_rb.csv"),
+)]
 
 HELP_INVOCATIONS = [("help", [])] + [
     ("help_" + "_".join(words), words)
@@ -73,13 +81,16 @@ def help_text(words):
     return out.getvalue()
 
 
-def run_invocation(argv, out_dir):
-    """Run one invocation with its CSV written into out_dir; returns the CSV bytes."""
-    before = os.environ.get("SIVREG_OUTPUT_DIR")
+def run_invocation(argv, out_dir, cwd=None):
+    """Run one invocation, in the working directory cwd if given, with its CSV
+    written into out_dir; returns the CSV bytes."""
+    before, here = os.environ.get("SIVREG_OUTPUT_DIR"), os.getcwd()
     os.environ["SIVREG_OUTPUT_DIR"] = str(out_dir)
     try:
+        os.chdir(cwd or here)
         assert cli.main(argv) == 0
     finally:
+        os.chdir(here)
         if before is None:
             del os.environ["SIVREG_OUTPUT_DIR"]
         else:
@@ -88,9 +99,10 @@ def run_invocation(argv, out_dir):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("label, argv", INVOCATIONS, ids=[label for label, _ in INVOCATIONS])
-def test_csv_is_byte_identical_to_its_golden_file(label, argv, tmp_path):
-    written = run_invocation(argv, tmp_path)
+@pytest.mark.parametrize("label, argv, cwd", INVOCATIONS,
+                         ids=[label for label, _, _ in INVOCATIONS])
+def test_csv_is_byte_identical_to_its_golden_file(label, argv, cwd, tmp_path):
+    written = run_invocation(argv, tmp_path, cwd)
     assert written == (GOLDEN / (label + ".csv")).read_bytes()
 
 
@@ -101,7 +113,7 @@ def test_help_text_is_identical_to_its_golden_file(label, words):
 
 
 def test_every_golden_file_has_an_invocation():
-    assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == sorted(l for l, _ in INVOCATIONS)
+    assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == sorted(l for l, _, _ in INVOCATIONS)
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(l for l, _ in HELP_INVOCATIONS)
 
 
@@ -109,8 +121,8 @@ if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    for label, argv in INVOCATIONS:
+    for label, argv, cwd in INVOCATIONS:
         with tempfile.TemporaryDirectory() as out_dir:
-            (GOLDEN / (label + ".csv")).write_bytes(run_invocation(argv, out_dir))
+            (GOLDEN / (label + ".csv")).write_bytes(run_invocation(argv, out_dir, cwd))
     for label, words in HELP_INVOCATIONS:
         (GOLDEN / (label + ".txt")).write_text(help_text(words))

@@ -139,13 +139,30 @@ CLI_WORK = {
     "run_gates_identity": (0, 1),
     "run_ramsey_nuclear": (6, 2),
     "run_dd_log": (3, 1),
+    "fit_single_exp": (0, 0),
+    "fit_stretched_exp": (0, 0),
+    "fit_rb_decay": (0, 0),
+}
+
+# (evaluations, jacobian_evaluations) of every FitResult a golden CLI invocation
+# produces, in the order of its fits; an invocation not named here fits nothing
+FIT_WORK = {
+    "estimate": [(23, 9), (23, 9), (25, 10), (21, 9), (23, 9), (23, 9), (29, 12), (21, 10)],
+    "run_rb": [(6, 6)],
+    "run_rb_2n": [(7, 7)],
+    "optical_decay": [(11, 11)],
+    "fit_single_exp": [(11, 11)],
+    "fit_stretched_exp": [(29, 14)],
+    "fit_rb_decay": [(9, 9)],
 }
 
 
-@pytest.mark.parametrize("label, argv", INVOCATIONS, ids=[label for label, _ in INVOCATIONS])
-def test_cli_invocation_work(label, argv, monkeypatch, tmp_path):
+@pytest.mark.parametrize("label, argv, cwd", INVOCATIONS,
+                         ids=[label for label, _, _ in INVOCATIONS])
+def test_cli_invocation_work(label, argv, cwd, monkeypatch, tmp_path):
     counts = {"eig": 0, "engine": 0}
-    eig, init = linalg.hermitian_eig, sequences.Engine.__init__
+    fits = []
+    eig, init, rows = linalg.hermitian_eig, sequences.Engine.__init__, fitting.least_squares_rows
 
     def counted_eig(h):
         counts["eig"] += 1
@@ -155,14 +172,23 @@ def test_cli_invocation_work(label, argv, monkeypatch, tmp_path):
         counts["engine"] += 1
         init(self, *args, **kwargs)
 
+    def counted_rows(*args, **kwargs):
+        out = rows(*args, **kwargs)
+        fits.extend((f.evaluations, f.jacobian_evaluations) if isinstance(f, fitting.FitResult)
+                    else type(f).__name__ for f in out)
+        return out
+
     for module in (linalg, electronic, register, sequences, readout, optics, fitting):
         for name, value in list(vars(module).items()):
             if value is eig:
                 monkeypatch.setattr(module, name, counted_eig)
     monkeypatch.setattr(sequences.Engine, "__init__", counted_init)
-    run_invocation(argv, tmp_path)
+    monkeypatch.setattr(fitting, "least_squares_rows", counted_rows)
+    run_invocation(argv, tmp_path, cwd)
     assert (counts["eig"], counts["engine"]) == CLI_WORK[label]
+    assert fits == FIT_WORK.get(label, [])
 
 
 def test_every_golden_invocation_has_its_work_counts():
-    assert sorted(CLI_WORK) == sorted(label for label, _ in INVOCATIONS)
+    assert sorted(CLI_WORK) == sorted(label for label, _, _ in INVOCATIONS)
+    assert set(FIT_WORK) <= set(CLI_WORK)
