@@ -24,7 +24,7 @@ print("threshold equalizing the two error rates: %d counts"
       % result.equal_threshold)
 
 bright = readout.simulate_ssr(cfg, initial_nuclear="bright", n_shots=20000)
-loss = float(np.mean(bright.final_state == "dark"))
+loss = float(np.mean(bright.final_state == readout.DARK))
 analytic = 1.0 - np.exp(-cfg.t_window / cfg.t_pol_n)
 print("bright-state polarization loss per window: %.4f (analytic %.4f)"
       % (loss, analytic))

@@ -498,11 +498,13 @@ def _run_ssr(v):
     record = readout.simulate_ssr(cfg, initial_nuclear=v["initial"],
                                   n_shots=v["n_shots"])
     res = readout.classify_threshold(record, cfg.threshold)
-    bright0 = record.initial_state == "bright"
-    loss = float(np.mean(record.final_state[bright0] == "dark")) if bright0.any() else 0.0
+    bright0 = record.initial_state == readout.BRIGHT
+    loss = float(np.mean(record.final_state[bright0] == readout.DARK)) if bright0.any() else 0.0
+    names = np.array(readout.STATES, dtype=object)   # the CSV names each state code
     cols = ["shot", "counts", "initial_state", "final_state", "label"]
-    rows = list(zip(range(len(record)), record.counts.tolist(), record.initial_state.tolist(),
-                    record.final_state.tolist(), res.labels.tolist()))
+    rows = list(zip(range(len(record)), record.counts.tolist(),
+                    names[record.initial_state].tolist(), names[record.final_state].tolist(),
+                    res.labels.tolist()))
     rates = {"fidelity_bright": res.fidelity_bright,
              "fidelity_dark": res.fidelity_dark,
              "posterior_bright": res.posterior_bright,

@@ -84,27 +84,41 @@ class SsrConfig:
         return self.n_blocks * self.t_block
 
 
+# a shot's nuclear state is an int8 code into STATES
+STATES = ("bright", "dark", "offres")
+BRIGHT, DARK, OFFRES = range(len(STATES))
+
+
 @dataclass
 class PhotonRecord:
-    """Per-shot aggregated window counts with latent-state bookkeeping."""
+    """Per-shot aggregated window counts with latent-state bookkeeping.
+
+    initial_state and final_state are int8 codes into STATES (BRIGHT, DARK,
+    OFFRES): the prepared state, OFFRES for a shot whose emitter stayed
+    off-resonant, and the nuclear state after the window, BRIGHT or DARK.
+    STATES[code] names a code; the `ssr` CSV writes the names.
+    """
 
     counts: np.ndarray
-    initial_state: np.ndarray   # 'bright' | 'dark' | 'offres'
-    final_state: np.ndarray     # 'bright' | 'dark' (nuclear state after the window)
+    initial_state: np.ndarray
+    final_state: np.ndarray
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts)
         if (self.counts < 0).any() or not np.isfinite(self.counts.astype(float)).all():
             raise ValueError("counts must be finite and >= 0")
+        for name in ("initial_state", "final_state"):
+            codes = np.asarray(getattr(self, name))
+            if codes.dtype.kind not in "iu" or (codes.size and not (
+                    0 <= codes.min() and codes.max() < len(STATES))):
+                raise ValueError("%s must hold int codes in range(%d) into STATES"
+                                 % (name, len(STATES)))
+            setattr(self, name, codes.astype(np.int8, copy=False))
         if not (len(self.counts) == len(self.initial_state) == len(self.final_state)):
             raise ValueError("record arrays must have equal length")
 
     def __len__(self):
         return len(self.counts)
-
-
-# one shared string object per state: a shot's entry costs one 8-byte reference
-_STATES = np.array(["bright", "dark", "offres"], dtype=object)
 
 
 def simulate_ssr(c: SsrConfig, initial_nuclear="bright", n_shots=1) -> PhotonRecord:
@@ -154,9 +168,9 @@ def simulate_ssr(c: SsrConfig, initial_nuclear="bright", n_shots=1) -> PhotonRec
     del mean
     counts[offres] = 0
 
-    initial = dark0.view(np.int8)   # codes into _STATES, written over dark0
-    initial[offres] = 2
-    return PhotonRecord(counts, _STATES[initial], _STATES[final_dark.view(np.int8)])
+    initial = dark0.view(np.int8)   # BRIGHT 0 or DARK 1, written over dark0
+    initial[offres] = OFFRES
+    return PhotonRecord(counts, initial, final_dark.view(np.int8))
 
 
 @dataclass
@@ -182,11 +196,11 @@ def classify_threshold(record: PhotonRecord, threshold) -> ClassifyResult:
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     labels = record.counts > threshold
-    b0 = record.initial_state == "bright"
-    d0 = record.initial_state == "dark"
+    b0 = record.initial_state == BRIGHT
+    d0 = record.initial_state == DARK
     f_b = float(np.mean(labels[b0])) if b0.any() else math.nan
     f_d = float(np.mean(~labels[d0])) if d0.any() else math.nan
-    final_bright = record.final_state == "bright"
+    final_bright = record.final_state == BRIGHT
     p_b = float(np.mean(final_bright[labels])) if labels.any() else math.nan
     p_d = float(np.mean(~final_bright[~labels])) if (~labels).any() else math.nan
 

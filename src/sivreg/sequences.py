@@ -58,6 +58,7 @@ period.  Dephasing acts with each free segment; pulses are decoherence-free.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple, Optional, Tuple
 
@@ -854,6 +855,73 @@ def _clifford_states():
     return np.array(step).T, best
 
 
+# numpy's SeedSequence hash (NEP 19; numpy/random/bit_generator.pyx): start and
+# multiplier of its entropy-mixing (A) and state-output (B) hash constants, its mix
+# multipliers, and the PCG64 LCG multiplier (O'Neill, HMC-CS-2014-0905)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+
+
+def _hashmix(value, const, mult):
+    """One SeedSequence hash of a word (int) or words (uint32 array): (hash, next const)."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two words (ints or uint32 arrays)."""
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _clifford_picks(seed, keys, lengths):
+    """Row i holds default_rng(SeedSequence(seed, spawn_key=(keys[0][i], keys[1][i])))
+    .integers(0, 8, size=lengths[i]), bit for bit; entries past a row's length are unused.
+
+    seed is an int >= 0 and the keys arrays of ints below 2**32.  The SeedSequence
+    hash runs once over all rows: the seed words (zero-padded to the pool's 4) mix as
+    ints, the same for every row, and the two key words as uint32 arrays.  Each row's
+    PCG64 state then goes into one reused PCG64 for its random_raw draws.  integers(0, 8)
+    takes 32 bits per draw, low half of each 64-bit output first, and keeps the top 3:
+    Lemire's method with threshold (2**32 - 8) % 8 = 0, so it never rejects.
+    """
+    words = [seed >> 32 * i & _MASK32 for i in range(max(4, -(-seed.bit_length() // 32)))]
+    const, pool = _INIT_A, []
+    for word in words[:4]:
+        value, const = _hashmix(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[4:] + [np.asarray(key, np.uint32) for key in keys]:
+        for dst in range(4):
+            value, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    const, state = _INIT_B, []   # generate_state(4, np.uint64): 8 words, little-endian
+    for i in range(8):
+        value, const = _hashmix(pool[i % 4], const, _MULT_B)
+        state.append(value.astype(np.uint64))
+    n_raw = ((np.asarray(lengths) + 1) // 2).tolist()   # 64-bit outputs per row
+    raw = np.zeros((len(n_raw), max(n_raw)), "<u8")
+    pcg = {"state": 0, "inc": 0}
+    bitgen, full = np.random.PCG64(0), {"bit_generator": "PCG64", "state": pcg,
+                                        "has_uint32": 0, "uinteger": 0}
+    seeds = ((state[i] | state[i + 1] << 32).tolist() for i in range(0, 8, 2))
+    for row, (s_hi, s_lo, i_hi, i_lo, n) in enumerate(zip(*seeds, n_raw)):
+        pcg["inc"] = inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128   # pcg64_set_seed
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bitgen.state = full
+        raw[row, :n] = bitgen.random_raw(n)
+    picks = raw.view("<u4")
+    picks >>= 29
+    return picks
+
+
 # rows of one stacked RB walk beyond n_random: bounds its memory, and keeps each
 # stacked product small (a (128, 8, 8) complex stack is 128 KiB); at 192-256 rows
 # of 8 x 8 the per-row cost of a fresh product stack doubled on a 2-core host
@@ -878,6 +946,9 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
     gate_fidelity_noise applied after every Clifford.  The mean signal decays
     as (F_I - 0.5) F_G^N + 0.5; the fitted F_G is reported.  At f_ie = 0.5
     the signal is flat and holds no F_G, so f_ie must lie in (0.5, 1].
+    Sequence i_r of length n_list[i_n] picks its Cliffords as
+    default_rng(SeedSequence(seed, spawn_key=(i_n, i_r))).integers(0, 8) would
+    (``_clifford_picks``), so seed must be an int >= 0.
     """
     q = gate_fidelity_noise
     if not 0.0 <= q <= 1.0:
@@ -886,6 +957,9 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
         raise ValueError("f_ie must lie in (0.5, 1], got %r" % (f_ie,))
     if n_random < 1:
         raise ValueError("n_random must be >= 1, got %r" % (n_random,))
+    seed = operator.index(seed)   # an int, as SeedSequence takes it
+    if seed < 0:
+        raise ValueError("seed must be >= 0, got %r" % (seed,))
     n_list = [_pulse_number("n_list entry", n) for n in n_list]
     if len(set(n_list)) < 2:
         raise ValueError("n_list %r holds fewer than two distinct lengths: the decay fit "
@@ -904,12 +978,8 @@ def run_randomized_benchmarking(p: RegisterParams, dephasing, n_list,
     for start in range(0, len(order), rows):
         walk = order[start:start + rows]
         walk_lengths = lengths[walk]
-        picks = np.zeros((len(walk), walk_lengths[0]), dtype=np.uint8)   # 8 Cliffords
-        for row, (i_n, i_r) in enumerate(zip(*np.divmod(walk, n_random))):
-            # each sequence draws its picks from its own stream, as if run alone
-            picks[row, :walk_lengths[row]] = np.random.default_rng(np.random.SeedSequence(
-                entropy=seed, spawn_key=(int(i_n), int(i_r)))).integers(
-                    0, n_cliffords, size=walk_lengths[row])
+        # each sequence draws its picks from its own stream, as if run alone
+        picks = _clifford_picks(seed, np.divmod(walk, n_random), walk_lengths)
         # per step k, the number of rows longer than k (walk_lengths falls)
         moving = np.searchsorted(-walk_lengths, -np.arange(walk_lengths[0]))
         rho = np.repeat(_initial_rho(p, f_ie)[None], len(walk), axis=0)

@@ -203,7 +203,7 @@ def test_07_single_shot_readout():
     record = readout.simulate_ssr(cfg, initial_nuclear="alternate", n_shots=10000)
     res = readout.classify_threshold(record, cfg.threshold)
     bright = readout.simulate_ssr(cfg, initial_nuclear="bright", n_shots=10000)
-    loss = float(np.mean(bright.final_state == "dark"))
+    loss = float(np.mean(bright.final_state == readout.DARK))
     elapsed = time.perf_counter() - start
     failures = []
     if not abs(res.posterior_bright - 0.925) <= 0.05:

@@ -7,8 +7,8 @@ import pytest
 from scipy import stats
 
 from sivreg import fitting
-from sivreg.readout import (ClassifyResult, FitFailed, PhotonRecord,
-                            PumpParams, SsrConfig, classify_threshold,
+from sivreg.readout import (BRIGHT, DARK, OFFRES, STATES, ClassifyResult, FitFailed,
+                            PhotonRecord, PumpParams, SsrConfig, classify_threshold,
                             fit_photon_histogram, polarization_rate,
                             saturation_linewidth, simulate_ssr)
 
@@ -96,15 +96,15 @@ def test_ssr_bright_survival_loss(paper_record):
     cfg, rec = paper_record
     analytic = -math.expm1(-cfg.t_window / cfg.t_pol_n)
     assert analytic == pytest.approx(0.0695, abs=5e-4)
-    prepared_bright = rec.initial_state == "bright"
-    loss = float(np.mean(rec.final_state[prepared_bright] == "dark"))
+    prepared_bright = rec.initial_state == BRIGHT
+    loss = float(np.mean(rec.final_state[prepared_bright] == DARK))
     n = int(prepared_bright.sum())
     assert abs(loss - analytic) <= 3.0 * math.sqrt(analytic * (1 - analytic) / n)
 
 
 def test_ssr_off_resonant_branch(paper_record):
     cfg, rec = paper_record
-    offres = rec.initial_state == "offres"
+    offres = rec.initial_state == OFFRES
     frac = float(offres.mean())
     assert abs(frac - cfg.p_offres) <= 3.0 * math.sqrt(
         cfg.p_offres * (1 - cfg.p_offres) / len(rec))
@@ -134,28 +134,28 @@ def _per_shot_reference_ssr(c, initial_nuclear="bright", n_shots=1):
     lam_d = c.mean_dark / c.n_blocks
 
     counts = np.zeros(n_shots, dtype=np.int64)
-    initial = np.empty(n_shots, dtype=object)
-    final = np.empty(n_shots, dtype=object)
+    initial = np.empty(n_shots, dtype=np.int8)
+    final = np.empty(n_shots, dtype=np.int8)
     for i in range(n_shots):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=c.seed, spawn_key=(i,)))
         bright0 = initial_nuclear == "bright" or (
             initial_nuclear == "alternate" and i % 2 == 0)
         if rng.random() < c.p_offres:
-            initial[i] = "offres"
-            final[i] = "bright" if bright0 else "dark"
+            initial[i] = OFFRES
+            final[i] = BRIGHT if bright0 else DARK
             counts[i] = 0
             continue
-        initial[i] = "bright" if bright0 else "dark"
+        initial[i] = BRIGHT if bright0 else DARK
         if not bright0:
             counts[i] = rng.poisson(c.mean_dark)
-            final[i] = "dark"
+            final[i] = DARK
             continue
         # block index at whose end the nucleus flips (1-based)
         g = rng.geometric(p_flip) if p_flip > 0 else c.n_blocks + 1
         n_bright = min(g, c.n_blocks)
         counts[i] = rng.poisson(lam_b * n_bright + lam_d * (c.n_blocks - n_bright))
-        final[i] = "bright" if g > c.n_blocks else "dark"
+        final[i] = BRIGHT if g > c.n_blocks else DARK
     return PhotonRecord(counts, initial, final)
 
 
@@ -185,16 +185,16 @@ def test_batched_ssr_matches_the_per_shot_reference(initial):
     cfg = SsrConfig(seed=11)
     new, ref = simulate_ssr(cfg, initial, n), _per_shot_reference_ssr(cfg, initial, n)
     classes = ("bright", "dark") if initial == "alternate" else (initial,)
-    for state in classes:
+    for state in (STATES.index(name) for name in classes):
         a, b = new.counts[new.initial_state == state], ref.counts[ref.initial_state == state]
         sigma = math.sqrt(a.var() / a.size + b.var() / b.size)
         assert abs(a.mean() - b.mean()) <= 4.0 * sigma, (state, a.mean(), b.mean())
-    f_a, f_b = np.mean(new.initial_state == "offres"), np.mean(ref.initial_state == "offres")
+    f_a, f_b = np.mean(new.initial_state == OFFRES), np.mean(ref.initial_state == OFFRES)
     assert abs(f_a - f_b) <= 4.0 * _proportion_gap_sigma(f_a, n, f_b, n)
     if "bright" in classes:
-        bright_a, bright_b = new.initial_state == "bright", ref.initial_state == "bright"
-        loss_a = np.mean(new.final_state[bright_a] == "dark")
-        loss_b = np.mean(ref.final_state[bright_b] == "dark")
+        bright_a, bright_b = new.initial_state == BRIGHT, ref.initial_state == BRIGHT
+        loss_a = np.mean(new.final_state[bright_a] == DARK)
+        loss_b = np.mean(ref.final_state[bright_b] == DARK)
         assert abs(loss_a - loss_b) <= 4.0 * _proportion_gap_sigma(
             loss_a, bright_a.sum(), loss_b, bright_b.sum())
     n_bins = int(max(new.counts.max(), ref.counts.max())) + 1
@@ -207,12 +207,12 @@ def test_batched_ssr_matches_the_per_shot_reference(initial):
 @pytest.mark.parametrize("initial", ["bright", "dark", "alternate"])
 def test_off_resonant_shots_emit_nothing_and_keep_their_prepared_state(initial):
     rec = simulate_ssr(SsrConfig(seed=4, p_offres=0.3), initial, 4000)
-    offres = rec.initial_state == "offres"
+    offres = rec.initial_state == OFFRES
     assert 0 < offres.sum() < len(rec)
     assert np.all(rec.counts[offres] == 0)
     shot = np.arange(len(rec))
     prepared = np.where((initial == "dark") | ((initial == "alternate") & (shot % 2 == 1)),
-                        "dark", "bright")
+                        DARK, BRIGHT)
     assert np.array_equal(rec.final_state[offres], prepared[offres])
     assert np.array_equal(rec.initial_state[~offres], prepared[~offres])
 
@@ -232,7 +232,7 @@ def test_ssr_without_flips_keeps_every_bright_nucleus():
     # t_block / t_pol_n underflows to 0: the per-block flip probability is exactly 0
     cfg = SsrConfig(t_block=5e-324, t_pol_n=10.0, p_offres=0.0)
     rec = simulate_ssr(cfg, "bright", 3000)
-    assert np.all(rec.final_state == "bright")
+    assert np.all(rec.final_state == BRIGHT)
     assert rec.counts.mean() == pytest.approx(32.0, abs=4.0 * math.sqrt(32.0 / 3000))
 
 
@@ -254,12 +254,29 @@ def test_ssr_config_validation():
 
 def test_photon_record_validation():
     with pytest.raises(ValueError):
-        PhotonRecord(np.array([-1]), np.array(["bright"]), np.array(["bright"]))
+        PhotonRecord(np.array([-1]), np.array([BRIGHT]), np.array([BRIGHT]))
     with pytest.raises(ValueError):
-        PhotonRecord(np.array([1, 2]), np.array(["bright"]),
-                     np.array(["bright", "dark"]))
+        PhotonRecord(np.array([1, 2]), np.array([BRIGHT]), np.array([BRIGHT, DARK]))
     with pytest.raises(ValueError):
         simulate_ssr(SsrConfig(), initial_nuclear="sideways")
+
+
+@pytest.mark.parametrize("codes", [[0, 3], [-1, 0], [0, 1000], np.array([0, 255], np.uint8),
+                                   ["bright", "dark"], [0.0, 1.0], [True, False]])
+@pytest.mark.parametrize("field", ["initial_state", "final_state"])
+def test_photon_record_rejects_codes_outside_states(codes, field):
+    states = {"initial_state": [BRIGHT, DARK], "final_state": [BRIGHT, DARK], field: codes}
+    with pytest.raises(ValueError, match=field):
+        PhotonRecord(np.array([3, 4]), **states)
+
+
+def test_photon_record_holds_int8_codes_into_states():
+    record = PhotonRecord(np.array([0, 5, 9]), np.array([OFFRES, DARK, BRIGHT]), [1, 1, 0])
+    assert record.initial_state.dtype == record.final_state.dtype == np.int8
+    assert [STATES[c] for c in record.initial_state] == ["offres", "dark", "bright"]
+    assert [STATES[c] for c in record.final_state] == ["dark", "dark", "bright"]
+    empty = PhotonRecord(np.array([], int), np.array([], np.int8), np.array([], np.int8))
+    assert len(empty) == 0
 
 
 # --------------------------------------------------------------------------
@@ -269,8 +286,8 @@ def test_photon_record_validation():
 def test_classification_perfectly_separated():
     record = PhotonRecord(
         np.array([0, 1, 0, 100, 99, 100]),
-        np.array(["dark"] * 3 + ["bright"] * 3, dtype=object),
-        np.array(["dark"] * 3 + ["bright"] * 3, dtype=object))
+        np.array([DARK] * 3 + [BRIGHT] * 3),
+        np.array([DARK] * 3 + [BRIGHT] * 3))
     res = classify_threshold(record, 21)
     assert isinstance(res, ClassifyResult)
     assert res.fidelity_bright == 1.0 and res.fidelity_dark == 1.0
@@ -293,8 +310,8 @@ def test_classification_fidelities_at_paper_parameters(paper_record):
 def _scanned_equal_threshold(record, threshold):
     """Equal-fidelity threshold by classifying every shot at every threshold."""
     best, best_gap = int(threshold), math.inf
-    b0 = record.initial_state == "bright"
-    d0 = record.initial_state == "dark"
+    b0 = record.initial_state == BRIGHT
+    d0 = record.initial_state == DARK
     for thr in range(int(record.counts.max()) + 1):
         labels = record.counts > thr
         f_b = float(np.mean(labels[b0])) if b0.any() else math.nan
@@ -311,12 +328,52 @@ def test_equal_threshold_matches_scan_over_every_threshold(paper_record):
                        for initial, n in (("alternate", 1000), ("alternate", 7),
                                           ("bright", 500), ("dark", 500))]
     # fractional (drift-corrected) counts, and a gap that ties at thresholds 1, 2 and 3
-    states = np.array(["bright", "dark", "dark", "bright", "offres"], dtype=object)
+    states = np.array([BRIGHT, DARK, DARK, BRIGHT, OFFRES])
     records.append(PhotonRecord(np.array([2.5, 0.5, 3.0, 4.0, 7.2]), states, states))
     records.append(PhotonRecord(np.array([1, 2, 2, 4]), states[:4], states[:4]))
     for record in records:
         assert classify_threshold(record, 21).equal_threshold == \
             _scanned_equal_threshold(record, 21), record.counts[:8]
+
+
+def _string_classify_reference(counts, initial, final, threshold):
+    """classify_threshold as it read when a record held its states as the strings
+    'bright', 'dark' and 'offres' (object arrays), kept as the reference of the codes."""
+    labels = counts > threshold
+    b0 = initial == "bright"
+    d0 = initial == "dark"
+    f_b = float(np.mean(labels[b0])) if b0.any() else math.nan
+    f_d = float(np.mean(~labels[d0])) if d0.any() else math.nan
+    final_bright = final == "bright"
+    p_b = float(np.mean(final_bright[labels])) if labels.any() else math.nan
+    p_d = float(np.mean(~final_bright[~labels])) if (~labels).any() else math.nan
+    n_thr = int(counts.max()) + 1
+    best = int(threshold)
+    if b0.any() and d0.any():
+        ceil_counts = np.ceil(counts).astype(np.int64)
+        at_or_below = [np.cumsum(np.bincount(ceil_counts[cls], minlength=n_thr)[:n_thr])
+                       for cls in (b0, d0)]
+        n_b, n_d = int(b0.sum()), int(d0.sum())
+        gap = np.abs((n_b - at_or_below[0]) / n_b - at_or_below[1] / n_d)
+        best = int(np.argmin(gap))
+    return ClassifyResult(labels, f_b, f_d, p_b, p_d, best)
+
+
+@pytest.mark.parametrize("initial", ["bright", "dark", "alternate"])
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 40 + 3])
+def test_classification_on_codes_matches_the_string_reference(seed, initial):
+    rec = simulate_ssr(SsrConfig(seed=seed, p_offres=0.2), initial, 3000)
+    names = np.array(STATES, dtype=object)
+    initial_names, final_names = names[rec.initial_state], names[rec.final_state]
+    assert set(initial_names) <= set(STATES) and set(final_names) <= {"bright", "dark"}
+    for threshold in (0, 5, 10, 21, 33, 80):
+        new = classify_threshold(rec, threshold)
+        ref = _string_classify_reference(rec.counts, initial_names, final_names, threshold)
+        np.testing.assert_array_equal(new.labels, ref.labels)
+        for field in ("fidelity_bright", "fidelity_dark", "posterior_bright",
+                      "posterior_dark", "equal_threshold"):
+            a, b = getattr(new, field), getattr(ref, field)
+            assert a == b or (math.isnan(a) and math.isnan(b)), (threshold, field, a, b)
 
 
 def test_equalizing_threshold_minimizes_class_gap(paper_record):

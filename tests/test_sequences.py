@@ -15,7 +15,7 @@ from sivreg.register import (DephasingModel, RegisterParams, RegisterState,
                              hamiltonian, nuclear_sigma_z, populations, product_state)
 from sivreg.sequences import (CPMG_PHASES, XY8_PHASES, Engine, FreeSegment, GateSpec,
                               SweepResult, T_PI_DEFAULT, _CLIFFORDS, _adjoint,
-                              _depolarize_electron,
+                              _clifford_picks, _depolarize_electron,
                               _ideal_unitary, _initial_rho, _transfer_head,
                               calibrate_cenotn, calibrate_cnnote, calibrate_quarter_rotation,
                               calibrate_transfer_wait, gate_segments,
@@ -773,6 +773,40 @@ def test_stacked_rb_matches_the_per_sequence_reference(monkeypatch, n_nuclei, q)
     if inverted:
         np.testing.assert_array_equal(applied.pop(0), inverted)
     assert applied == []
+
+
+def _picks_oracle_seeds():
+    """Edge seeds, then 50 drawn ones of 1 to 6 32-bit words: any non-negative int is a
+    valid RB seed, so multi-word entropy reaches the picks."""
+    rng = np.random.default_rng(2024)
+    seeds = [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 130 + 7]
+    for n_words in rng.integers(1, 7, size=50):
+        words = rng.integers(0, 2 ** 32, size=n_words, dtype=np.uint64)
+        seeds.append(sum(int(w) << 32 * i for i, w in enumerate(words)))
+    return seeds
+
+
+@pytest.mark.parametrize("seed", _picks_oracle_seeds())
+def test_clifford_picks_equal_numpy_per_sequence_streams(seed):
+    """Row i of the one vectorised draw is numpy's own per-sequence stream,
+    default_rng(SeedSequence(seed, spawn_key=(i_n, i_r))).integers(0, 8, size=length),
+    so a numpy that changes SeedSequence, PCG64 or integers fails here."""
+    rng = np.random.default_rng(seed % 2 ** 32)
+    i_n = np.concatenate(([0, 0, 1, 6, 2 ** 32 - 1], rng.integers(0, 2 ** 32, size=5)))
+    i_r = np.concatenate(([0, 59, 0, 2 ** 31, 2 ** 32 - 1], rng.integers(0, 300, size=5)))
+    lengths = np.concatenate(([1, 2, 3, 101, 0], rng.integers(1, 64, size=5)))
+    picks = _clifford_picks(seed, (i_n, i_r), lengths)
+    assert picks.shape[1] >= lengths.max()
+    for row, (a, b, n) in enumerate(zip(i_n.tolist(), i_r.tolist(), lengths.tolist())):
+        expected = np.random.default_rng(np.random.SeedSequence(
+            entropy=seed, spawn_key=(a, b))).integers(0, len(_CLIFFORDS), size=n)
+        np.testing.assert_array_equal(picks[row, :n], expected, err_msg=str((a, b, n)))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_rb_rejects_a_seed_that_is_not_a_non_negative_int(seed):
+    with pytest.raises((ValueError, TypeError)):
+        run_randomized_benchmarking(bare_params(), None, [1, 2], n_random=1, seed=seed)
 
 
 # --- stacked transfer-wait scan, transfer matrix and rotation branches ----------

@@ -192,3 +192,30 @@ def test_cli_invocation_work(label, argv, cwd, monkeypatch, tmp_path):
 def test_every_golden_invocation_has_its_work_counts():
     assert sorted(CLI_WORK) == sorted(label for label, _, _ in INVOCATIONS)
     assert set(FIT_WORK) <= set(CLI_WORK)
+
+
+def test_rb_work_at_the_lab_chain_shape(monkeypatch):
+    """420 sequences (7 lengths x 60) walk in stacks of 128, 128, 128 and 36 rows,
+    longest first: max(length) steps per stack, 100 + 60 + 20 + 1 = 181 Clifford steps,
+    and one inversion evolve per stack.  The picks come from one vectorised draw per
+    stack, not from a generator per sequence (420 default_rng calls before)."""
+    counts = {"evolve": 0, "steps": 0, "default_rng": 0, "seed_sequence": 0}
+    evolve, depolarize = sequences.Engine.evolve, sequences._depolarize_electron
+    default_rng, seed_sequence = np.random.default_rng, np.random.SeedSequence
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    p = register.RegisterParams(larmor_n=3.5857929e6,
+                                hyperfine=((621.75027e3, 140.1041e3), (50.0e3, 101.19309e3)),
+                                n_nuclei=2)
+    monkeypatch.setattr(sequences.Engine, "evolve", counted("evolve", evolve))
+    monkeypatch.setattr(sequences, "_depolarize_electron", counted("steps", depolarize))
+    monkeypatch.setattr(np.random, "default_rng", counted("default_rng", default_rng))
+    monkeypatch.setattr(np.random, "SeedSequence", counted("seed_sequence", seed_sequence))
+    sequences.run_randomized_benchmarking(p, None, [1, 10, 20, 40, 60, 80, 100], n_random=60,
+                                          gate_fidelity_noise=0.01, seed=7)
+    assert counts == {"evolve": 185, "steps": 181, "default_rng": 0, "seed_sequence": 0}
