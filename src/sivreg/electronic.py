@@ -18,6 +18,7 @@ assembled Hamiltonian and the Eigensystems derived from it are angular
 (rad/s).
 """
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -391,20 +392,13 @@ DEFAULT_BOUNDS = ((0.0, 1e12), (0.1, 2.0), (0.0, 60.0))  # epsilon (Hz), alpha, 
 _STRAIN_PARAMS = tuple(map(fitting.ParamSpec, ("epsilon", "alpha", "theta"), DEFAULT_BOUNDS))
 
 
-def _relative_observables(params, targets, b_field):
-    """Model observables over targets at (epsilon, alpha, theta), shape (3,) or a
-    (K, 3) stack; +inf at degenerate points."""
-    params = np.asarray(params, dtype=float)
-    rel, _ = _relative_stack(np.atleast_2d(params), targets, b_field)
-    return rel[0] if params.ndim == 1 else rel
-
-
 def _relative_stack(stack, targets, b_field):
-    """_relative_observables of a (K, 3) stack as (rel, jacobian_of), the joint rule
-    of the strain model: jacobian_of(rows) forms d rel / d params, (len(rows), 4, 3),
-    of the chosen rows (a slice or an increasing index list) only, from the solve
-    that gave rel; nan at degenerate points.  The fit evaluates points inside
-    DEFAULT_BOUNDS only: it clips its starts and its trial points into them."""
+    """Model observables over targets of a (K, 3) stack of (epsilon, alpha, theta)
+    as (rel, jacobian_of), the strain model's evaluate: rel, shape (K, 4), is +inf
+    at degenerate points; jacobian_of(rows) forms d rel / d params, (len(rows), 4,
+    3), of the chosen rows (a slice or an increasing index list) only, from the
+    solve that gave rel; nan at degenerate points.  The fit evaluates points
+    inside DEFAULT_BOUNDS only: it clips its starts and its trial points into them."""
     obs, forward_jacobian = _forward_stack(*stack.T, b_field)
     return obs / targets, lambda rows: forward_jacobian(rows) / targets[:, None]
 
@@ -418,11 +412,9 @@ _STARTS = tuple({spec.name: lo + f * (hi - lo)
 def _strain_model(targets, b_field):
     """The estimate's model: relative observables of (epsilon, alpha, theta), fitted
     to ones; each evaluation of a stack also returns the function that forms the
-    Jacobians of its rows from the same solve (ModelSpec.joint)."""
-    return fitting.ModelSpec(
-        "strain", _STRAIN_PARAMS,
-        lambda x, *p: _relative_observables(np.hstack(p), targets, b_field),
-        joint=lambda x, p: _relative_stack(p, targets, b_field))
+    Jacobians of its rows from the same solve (ModelSpec.evaluate)."""
+    return fitting.ModelSpec("strain", _STRAIN_PARAMS,
+                             lambda x, p: _relative_stack(p, targets, b_field))
 
 
 def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
@@ -439,7 +431,9 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
     points only, from the eigenvectors of the same solve; that Jacobian
     serves the steps and the covariance behind the sigmas (see
     EstimationResult).  The ``converged`` flag is False when the best cost
-    stalls above 1e-2; the best point is reported either way.
+    stalls above 1e-2; the best point is reported either way.  When every start
+    fails, raises the kind of failure most of them met (SingularNormalMatrix or
+    MaxIterations), with the count of each kind.
     """
     targets = np.array([float(t) for t in targets])
     if len(targets) != 4 or not all(math.isfinite(t) and t > 0 for t in targets):
@@ -452,7 +446,10 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
     # a start that failed (SingularNormalMatrix, MaxIterations) drops out; the others count
     fits = [fit for fit in rows if isinstance(fit, fitting.FitResult)]
     if not fits:
-        raise fitting.SingularNormalMatrix("no start of the strain estimate converged")
+        # the failures' own kind, the most frequent one, with the count of each
+        kinds = collections.Counter(type(fit) for fit in rows).most_common()
+        raise kinds[0][0]("no start of the strain estimate converged: %s" % ", ".join(
+            "%d %s" % (n, kind.__name__) for kind, n in kinds))
     best = min(fits, key=lambda fit: fit.residual_norm)
     eps, alpha, theta = (float(v) for v in best.params)
     cost = best.residual_norm ** 2

@@ -5,28 +5,28 @@ runs K fits of one model in lockstep (least_squares_rows); least_squares is
 that loop at K = 1.  Each row keeps its own parameters, damping, flat-step
 count, iteration count and failure.  In each round the trial points of the
 rows still stepping go to the model as one (K_active, n) parameter stack, and
-the accepted rows' Jacobians as one more call.  A fit differentiates its model
-one way, in the parameters themselves: with the analytic Jacobian when the
-ModelSpec carries a ``jacobian`` (or ``joint``) rule, by central differences
-otherwise.  In the registry, single_exp (also registered as exp_recovery),
-rb_decay and rabi_beat (rabi_beat_model(k) for any k) carry one; so do
-readout's binned photon-count mixture and the strain estimate of electronic.
+the accepted rows' Jacobians from that call's jacobian_of.  A fit differentiates
+its model one way, in the parameters themselves: with the model's jacobian_of
+when it has one, by central differences when it is None.  In the registry,
+single_exp (also registered as exp_recovery), rb_decay and rabi_beat
+(rabi_beat_model(k) for any k) have one; so do readout's binned photon-count
+mixture and the strain estimate of electronic.
 Bounds are kept by projection (More, Lecture Notes in Mathematics 630, 105
 (1978)): the fit starts from the guess clipped into each parameter's box; a
 parameter on a bound while the descent direction -J^T r points out of the box
 is held for that step, its row and column of the damped normal matrix the
 identity's and its gradient entry 0, so it steps by 0 and the others solve the
 damped system without it; the trial point is clipped into the box.  A fitted
-value may so end exactly on a bound.  A step is taken only where the cost is finite and not higher and
-the Jacobian there is finite; that Jacobian serves the next step and, at the
-solution, the standard errors from the residual-scaled inverse normal matrix
-s^2 (J^T J)^-1.
+value may so end exactly on a bound.  A step is taken only where the cost is
+finite and not higher and the Jacobian there is finite; that Jacobian serves
+the next step and, at the solution, the standard errors from the
+residual-scaled inverse normal matrix s^2 (J^T J)^-1.
 
-Broadcasting contract: a model takes one parameter vector, shape (n,), and
-returns its values at x, shape (N,); or a parameter stack, shape (K, n), and
-returns (K, N), with x of shape (N,) or (K, N).  A jacobian rule returns
-d model / d params as (N, n), or (K, N, n) for a stack.  Each row of a stack
-equals its single-vector evaluation bit for bit.
+Broadcasting contract: a model evaluates a parameter stack, shape (K, n), at
+x, shape (N,) or (K, N), to its values, shape (K, N), and jacobian_of(rows),
+which returns d values / d params of the chosen rows, shape (len(rows), N, n).
+Each row of a stack, values and Jacobian, equals its evaluation as a 1-row
+stack bit for bit.
 
 All frequency-like parameters are ordinary frequencies (Hz); model formulas
 carry the 2*pi explicitly.
@@ -74,49 +74,37 @@ class ParamSpec:
 class ModelSpec:
     """Named model: parameter specs (name and bounds), evaluation rule, initial-guess rule.
 
-    func     -- func(x, *params): the model values.  Called with the scalars
-                of one parameter vector, or with (K, 1) columns of a (K, n)
-                stack (see the module docstring), so its formula broadcasts.
-    jacobian -- optional analytic derivative rule, called as
-                jacobian(x, params) with the full parameter vector, shape
-                (n,), or a stack, shape (K, n), and returning d model /
-                d params, shape (N, n) or (K, N, n).  least_squares iterates in
-                the parameters themselves, inside their boxes, with a zero step
-                for one on its bound while descent points out of the box, and
-                uses this rule for its steps and its covariance; without it
-                both use central differences.  In the registry, single_exp
-                (exp_recovery), rb_decay and rabi_beat (and every
-                rabi_beat_model(k)) carry one.
-    joint    -- optional rule joint(x, params) -> (values, jacobian_of) on a
-                (K, n) stack, for a model whose values and derivatives share
-                their costly work (the strain estimate's block solves):
-                jacobian_of(rows), rows a slice or an increasing index list
-                into the stack, returns the (len(rows), N, n) Jacobian of
-                those rows from the work of the same call.  least_squares
-                calls it for the starting points and for accepted trial
-                points only.
+    evaluate -- evaluate(x, p) -> (values, jacobian_of) on a (K, n) parameter
+                stack p (see the module docstring).  jacobian_of(rows), rows a
+                slice or an increasing index list into the stack, returns
+                d values / d params of those rows, shape (len(rows), N, n); it
+                is None for a model with no derivative rule, whose fits take
+                central differences.  least_squares calls it for the starting
+                points and the accepted trial points only, so a model whose
+                values and derivatives share their costly work (the strain
+                estimate's block solves) forms the Jacobians from the work of
+                the same call.  formula(func, jacobian) builds it from a
+                formula.
+    guess    -- optional rule guess(x, y) -> dict of starting values.
     """
 
     name: str
     params: Tuple[ParamSpec, ...]
-    func: Callable
+    evaluate: Callable
     guess: Optional[Callable] = None
-    jacobian: Optional[Callable] = None
-    joint: Optional[Callable] = None
 
     @property
     def param_names(self):
         return tuple(p.name for p in self.params)
 
     def __call__(self, x, params, jacobian=False):
-        """Model values at x for one parameter vector, (N,), or a (K, n) stack,
-        (K, N); with jacobian=True, (values, jacobian_of) of a stack from ``joint``."""
-        x = np.asarray(x, dtype=float)
-        if jacobian:
-            return self.joint(x, np.asarray(params, dtype=float))
-        if getattr(params, "ndim", 1) == 2:
-            return self.func(x, *params.T[..., None])
-        return self.func(x, *params)
+        """Model values at x of a (K, n) parameter stack, (K, N), or of one vector,
+        (N,), evaluated as a 1-row stack; with jacobian=True, (values, jacobian_of)."""
+        p = np.asarray(params, dtype=float)
+        values, jacobian_of = self.evaluate(np.asarray(x, dtype=float), np.atleast_2d(p))
+        if p.ndim == 1:
+            values = values[0]
+        return (values, jacobian_of) if jacobian else values
 
     def initial_guess(self, x, y):
         """Rule-based starting values (dict), clipped into the bounds."""
@@ -171,7 +159,7 @@ def least_squares(model: ModelSpec, x, y, weights=None,
     init is a dict of starting values (missing entries fall back to the
     model's initial-guess rule); fixed pins named parameters and removes them
     from the optimization and the reported uncertainties.  The steps and the
-    uncertainties share one Jacobian: model.jacobian when the model has one
+    uncertainties share one Jacobian: the model's jacobian_of when it has one
     (see ModelSpec), central differences in the parameters otherwise.  Raises
     SingularNormalMatrix or MaxIterations when the fit fails.
     """
@@ -236,7 +224,6 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     hi = np.array([model.params[i].bounds[1] for i in free_idx], dtype=float)
     params = np.tile([fixed.get(n, 0.0) for n in names], (n_rows, 1)).astype(float)
     params[:, free_idx] = np.clip(start[:, free_idx], lo, hi)
-    analytic = model.jacobian is not None or model.joint is not None
     diag = np.arange(n_free)
 
     def at(rows):
@@ -250,23 +237,17 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
         return np.multiply(w_sqrt[i] if a.ndim == 2 else w_sqrt[i][:, None, :], a, order="C")
 
     def residuals(i, p):
-        """Weighted residuals of rows i at p, and a joint rule's jacobian_of (or None)."""
-        x_i = x if x.ndim == 1 else x[i]
-        if model.joint is not None:
-            values, jacobian_of = model(x_i, p, jacobian=True)
-        else:
-            values, jacobian_of = model(x_i, p), None
+        """Weighted residuals of rows i at p, and the model's jacobian_of (or None)."""
+        values, jacobian_of = model(x if x.ndim == 1 else x[i], p, jacobian=True)
         return weighted(i, values - y[i]), jacobian_of
 
-    def jacobians(i, p, jac=None):
-        """J^T, d residual / d free params of rows i at p, shape (rows, free, N):
-        C-ordered from a rule, from central differences a transposed view of a
-        C-ordered (rows, N, free) array, the memory layout whose products a
-        single fit reproduces."""
-        if analytic:
-            if jac is None:
-                jac = model.jacobian(x if x.ndim == 1 else x[i], p)
-            jac = np.asarray(jac, dtype=float).swapaxes(-1, -2)[:, free_cols]
+    def jacobians(i, p, jacobian_of, d):
+        """J^T, d residual / d free params of rows i at p, rows d of the stack
+        jacobian_of came from, shape (rows, free, N): C-ordered from jacobian_of,
+        from central differences a transposed view of a C-ordered (rows, N,
+        free) array, the memory layout whose products a single fit reproduces."""
+        if jacobian_of is not None:
+            jac = np.asarray(jacobian_of(d), dtype=float).swapaxes(-1, -2)[:, free_cols]
             return np.ascontiguousarray(weighted(i, jac))
         if not n_free:
             return np.zeros((len(p), 0, n_points))
@@ -334,8 +315,7 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r, jacobian_of = residuals(slice(None), params)
         cost = [0.5 * float(r_k @ r_k) for r_k in r]
-        jac = jacobians(slice(None), params,
-                        None if jacobian_of is None else jacobian_of(slice(None)))
+        jac = jacobians(slice(None), params, jacobian_of, slice(None))
         if max_iterations > 0:
             rows = begin(list(range(n_rows)))
         else:
@@ -370,7 +350,7 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
                 every = len(down) == len(rows)
                 d = slice(None) if every else down
                 jac_d = jacobians(i if every else np.array(rows)[down], trial[d],
-                                  None if jacobian_of is None else jacobian_of(d))
+                                  jacobian_of, d)
                 if np.isfinite(jac_d).all():
                     taken = down
                 else:
@@ -489,17 +469,27 @@ def _fft_phase(x, y, f):
 # model functions
 
 
+def formula(func, jacobian=None):
+    """ModelSpec.evaluate of a model given by its formula func(x, *params), which
+    is called with the (K, 1) columns of the stack, so it broadcasts against x.
+    jacobian, an optional rule jacobian(x, p) -> d func / d params, shape
+    (K, N, n), is called by jacobian_of on the chosen rows of x (when it is
+    (K, N)) and of the stack."""
+    def evaluate(x, p):
+        values = func(x, *_columns(p))
+        if jacobian is None:
+            return values, None
+        return values, lambda rows: jacobian(x if x.ndim == 1 else x[rows], p[rows])
+    return evaluate
+
+
 def _columns(p):
-    """A jacobian rule's parameters: the scalars of one vector, or the (K, 1)
-    columns of a (K, n) stack, which broadcast against x as ModelSpec passes them
-    to func."""
-    p = np.asarray(p, dtype=float)
-    return p if p.ndim == 1 else np.transpose(p)[..., None]
+    """The (K, 1) columns of a (K, n) parameter stack, which broadcast against x."""
+    return np.transpose(p)[..., None]
 
 
 def _stack_columns(cols):
-    """d model / d params from its columns, the first of full shape: (N, n), or
-    (K, N, n) for a stack."""
+    """d model / d params, (K, N, n), from its columns, the first of full shape."""
     out = np.empty(np.shape(cols[0]) + (len(cols),))
     for j, col in enumerate(cols):
         out[..., j] = col
@@ -507,12 +497,9 @@ def _stack_columns(cols):
 
 
 def _param_pow(p, k):
-    """p ** k for a parameter, or element by element for a column of a stack, by
-    the scalar power of one parameter vector: numpy's array power rounds
-    differently (a square, or a vectorized pow), so a row of a stack would not
-    equal its single-vector evaluation bit for bit."""
-    if np.ndim(p) == 0:
-        return p ** k
+    """p ** k for a column of a stack, element by element by the scalar power:
+    numpy's array power rounds differently (a square, or a vectorized pow), so
+    a row of a stack would not keep its bits whatever the stack's length."""
     return np.array([v ** k for v in p.ravel()]).reshape(p.shape)
 
 
@@ -800,7 +787,7 @@ def damped_sine_sum_model(k):
                    ParamSpec("t%d" % i, _POS), ParamSpec("beta%d" % i, (0.1, 5.0))]
     params.append(ParamSpec("c"))
     return ModelSpec("damped_sine_sum_%d" % k, tuple(params),
-                     _make_damped_sine_sum(k), _make_guess_damped_sum(k, True))
+                     formula(_make_damped_sine_sum(k)), _make_guess_damped_sum(k, True))
 
 
 def rabi_beat_model(k):
@@ -811,8 +798,8 @@ def rabi_beat_model(k):
                    ParamSpec("t%d" % i, _POS)]
     params.append(ParamSpec("c"))
     return ModelSpec("rabi_beat_%d" % k, tuple(params),
-                     _make_rabi_beat(k), _make_guess_damped_sum(k, False),
-                     _make_rabi_beat_jacobian(k))
+                     formula(_make_rabi_beat(k), _make_rabi_beat_jacobian(k)),
+                     _make_guess_damped_sum(k, False))
 
 
 def model_registry() -> Dict[str, ModelSpec]:
@@ -821,50 +808,50 @@ def model_registry() -> Dict[str, ModelSpec]:
         "ramsey": ModelSpec("ramsey", (
             ParamSpec("a_sin"), ParamSpec("f", _POS), ParamSpec("phi"), ParamSpec("a_exp"),
             ParamSpec("t2", _POS), ParamSpec("beta", (0.1, 5.0)), ParamSpec("c")),
-            _ramsey, _guess_ramsey),
+            formula(_ramsey), _guess_ramsey),
         "stretched_exp": ModelSpec("stretched_exp", (
             ParamSpec("a"), ParamSpec("t", _POS), ParamSpec("beta", (0.1, 5.0)), ParamSpec("c")),
-            _stretched_exp, _guess_stretched),
+            formula(_stretched_exp), _guess_stretched),
         "power_scaling": ModelSpec("power_scaling", (
-            ParamSpec("a", _POS), ParamSpec("gamma")), _power_scaling, _guess_power),
+            ParamSpec("a", _POS), ParamSpec("gamma")), formula(_power_scaling), _guess_power),
         "lorentzian_pair": ModelSpec("lorentzian_pair", (
             ParamSpec("a1"), ParamSpec("x1"), ParamSpec("w1", _POS),
             ParamSpec("a2"), ParamSpec("x2"), ParamSpec("w2", _POS), ParamSpec("c")),
-            _lorentzian_pair, _guess_lorentzian_pair),
+            formula(_lorentzian_pair), _guess_lorentzian_pair),
         "saturation_law": ModelSpec("saturation_law", (
-            ParamSpec("gamma0", _POS),), _saturation_law, _guess_saturation),
+            ParamSpec("gamma0", _POS),), formula(_saturation_law), _guess_saturation),
         "pol_rate": ModelSpec("pol_rate", (
             ParamSpec("gamma0", _POS), ParamSpec("eta", _POS)),
-            _pol_rate, _guess_pol_rate),
+            formula(_pol_rate), _guess_pol_rate),
         "parabola": ModelSpec("parabola", (
-            ParamSpec("a"), ParamSpec("x0"), ParamSpec("c")), _parabola, _guess_parabola),
+            ParamSpec("a"), ParamSpec("x0"), ParamSpec("c")), formula(_parabola), _guess_parabola),
         "orbach_offset": ModelSpec("orbach_offset", (
             ParamSpec("gamma0", (0.0, math.inf)), ParamSpec("a", _POS),
             ParamSpec("alpha", (0.2, 5.0)), ParamSpec("delta", _POS)),
-            _orbach_offset, _guess_orbach),
+            formula(_orbach_offset), _guess_orbach),
         "power_law_offset": ModelSpec("power_law_offset", (
             ParamSpec("a", _POS), ParamSpec("b"), ParamSpec("c")),
-            _power_law_offset, _guess_power_offset),
+            formula(_power_law_offset), _guess_power_offset),
         "rb_decay": ModelSpec("rb_decay", (
             ParamSpec("f_i", (0.5, 1.0)), ParamSpec("f_g", (0.0, 1.0))),
-            _rb_decay, _guess_rb, _rb_decay_jacobian),
+            formula(_rb_decay, _rb_decay_jacobian), _guess_rb),
         "rb_decay_free": ModelSpec("rb_decay_free", (
             ParamSpec("a"), ParamSpec("f_g", (0.0, 1.0)), ParamSpec("c")),
-            _rb_decay_free, _guess_rb),
+            formula(_rb_decay_free), _guess_rb),
         "gamma2r_model": ModelSpec("gamma2r_model", (
             ParamSpec("a", _POS), ParamSpec("b", _POS), ParamSpec("c")),
-            _gamma2r_model, _guess_gamma2r),
+            formula(_gamma2r_model), _guess_gamma2r),
         "single_exp": ModelSpec("single_exp", (
             ParamSpec("a"), ParamSpec("t", _POS), ParamSpec("c")),
-            _single_exp, _guess_single_exp, _single_exp_jacobian),
+            formula(_single_exp, _single_exp_jacobian), _guess_single_exp),
         "gaussian": ModelSpec("gaussian", (
             ParamSpec("a"), ParamSpec("mu"), ParamSpec("sigma", _POS), ParamSpec("c")),
-            _gaussian, _guess_gaussian),
+            formula(_gaussian), _guess_gaussian),
         "three_normal_mixture": ModelSpec("three_normal_mixture", (
             ParamSpec("a1", _POS), ParamSpec("mu1"), ParamSpec("s1", (0.25, math.inf)),
             ParamSpec("a2", _POS), ParamSpec("mu2"), ParamSpec("s2", (0.25, math.inf)),
             ParamSpec("a3", _POS), ParamSpec("mu3"), ParamSpec("s3", (0.25, math.inf))),
-            _three_normal_mixture, _guess_mixture),
+            formula(_three_normal_mixture), _guess_mixture),
     }
     reg["exp_recovery"] = reg["single_exp"]   # a * exp(-x / t) + c fits decays and recoveries
     reg["damped_sine_sum"] = damped_sine_sum_model(2)

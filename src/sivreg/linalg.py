@@ -116,14 +116,6 @@ def _require_hermitian(h, h_dag):
                math.sqrt(scale2[index])))
 
 
-def check_hermitian(h):
-    """Return h (a matrix or a (..., d, d) stack) validated as Hermitian: each
-    matrix within a 1e-10 relative Frobenius tolerance."""
-    h = _as_square(h)
-    _require_hermitian(h, h.conj().swapaxes(-1, -2))
-    return h
-
-
 def hermitian_eig(h):
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a (..., d, d)
     stack, by LAPACK (``numpy.linalg.eigh``).
@@ -132,7 +124,7 @@ def hermitian_eig(h):
     (..., d, d)); one finiteness scan, one Hermiticity check and one ``eigh``
     serve the whole stack.  Raises NotHermitian, naming the index of the first
     offending matrix of a stack, if a matrix is not Hermitian within the 1e-10
-    relative tolerance of ``check_hermitian``.
+    relative Frobenius tolerance of ``_require_hermitian``.
     """
     h = _as_square(h)
     h_dag = h.conj().swapaxes(-1, -2)

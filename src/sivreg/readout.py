@@ -243,8 +243,8 @@ def _binned_normal_mixture(x, *params):
 
 
 def _binned_normal_mixture_jacobian(x, params):
-    """d _binned_normal_mixture / d (a_i, mu_i, s_i), shape (len(x), len(params)),
-    or (K, len(x), n) for a (K, n) parameter stack.
+    """d _binned_normal_mixture / d (a_i, mu_i, s_i) of a (K, n) parameter stack,
+    shape (K, len(x), n).
 
     With z = (edge - mu_i) / s_i at the bin edges: diff(Phi(z)), -a_i/s_i diff(phi(z))
     and -a_i/s_i diff(z phi(z)), the erf of all components taken in one pass.
@@ -270,8 +270,8 @@ def _mixture_model(centers):
     bounds = {"%s%d" % (name, i): b for i in (1, 2, 3) for name, b in (("mu", mu_b), ("s", s_b))}
     spec = fitting.get_model("three_normal_mixture")
     params = tuple(replace(p, bounds=bounds.get(p.name, p.bounds)) for p in spec.params)
-    return replace(spec, params=params, func=_binned_normal_mixture,
-                   jacobian=_binned_normal_mixture_jacobian)
+    return replace(spec, params=params, evaluate=fitting.formula(
+        _binned_normal_mixture, _binned_normal_mixture_jacobian))
 
 
 def fit_photon_histogram(counts) -> MixtureFit:

@@ -206,9 +206,15 @@ def test_cyclicity_diverges_without_field():
         observables_at(392e9, 0.68, 28.0, 0.0)
 
 
+def _relative_observables(params, targets, b_field):
+    """The strain model's relative observables at one point (epsilon, alpha, theta)."""
+    model = electronic._strain_model(np.asarray(targets, dtype=float), b_field)
+    return model(np.arange(4.0), params)
+
+
 def _relative_cost(params, targets, b_field):
     """Sum of the squared relative residuals the estimator minimizes, +inf outside physics."""
-    return float(np.sum((electronic._relative_observables(params, targets, b_field) - 1.0) ** 2))
+    return float(np.sum((_relative_observables(params, targets, b_field) - 1.0) ** 2))
 
 
 def test_cost_vanishes_at_generating_point():
@@ -482,8 +488,7 @@ def test_estimator_matches_the_nelder_mead_reference(scale):
 
 def test_relative_residuals_are_infinite_at_a_degenerate_point():
     obs = observables_at(EPS_REF, ALPHA_REF, THETA_REF, B_REF).as_tuple()
-    assert np.all(electronic._relative_observables((EPS_REF, ALPHA_REF, THETA_REF), obs, 0.0)
-                  == math.inf)
+    assert np.all(_relative_observables((EPS_REF, ALPHA_REF, THETA_REF), obs, 0.0) == math.inf)
 
 
 def test_the_estimate_evaluates_only_points_inside_the_bounds(monkeypatch):
@@ -516,8 +521,16 @@ def test_estimate_rejects_bad_targets():
 
 def test_estimate_without_field_finds_no_start():
     # every start is Kramers-degenerate: +inf residuals, nan analytic Jacobian
-    with pytest.raises(SingularNormalMatrix):
+    with pytest.raises(SingularNormalMatrix, match="converged: 8 SingularNormalMatrix$"):
         estimate_parameters(TARGETS, b_field=0.0)
+
+
+def test_estimate_whose_starts_all_run_out_of_iterations_says_so():
+    # every start steps on past the iteration limit here: the failure names that
+    # kind, not a singular normal matrix
+    targets = (9404078777.780762, 315991.8559875488, 2357470594908.6807, 103.00051462781191)
+    with pytest.raises(MaxIterations, match="converged: 8 MaxIterations$"):
+        estimate_parameters(targets)
 
 
 def test_orbach_rate_follows_bose_occupation():

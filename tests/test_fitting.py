@@ -6,15 +6,16 @@ against the closed-form normal equations on a model that is linear in its
 parameters.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sivreg import readout
+from sivreg import electronic, readout
 from sivreg.fitting import (MaxIterations, ModelSpec, ParamSpec,
                             SingularNormalMatrix, UnknownModel,
-                            damped_sine_sum_model, get_model, least_squares,
+                            damped_sine_sum_model, formula, get_model, least_squares,
                             least_squares_rows,
                             model_registry, rabi_beat_model)
 
@@ -204,10 +205,27 @@ def test_zero_weight_points_are_ignored():
 # analytic Jacobian hook vs the central-difference path
 
 
+def _jacobian_of(model):
+    """The model's jacobian_of at x = 1 and all-ones parameters: None without a rule."""
+    return model(np.ones(1), np.ones(len(model.params)), jacobian=True)[1]
+
+
+def _jacobian(model, x, p):
+    """d model / d params at one parameter vector, (N, n), or a (K, n) stack, (K, N, n)."""
+    p = np.asarray(p, dtype=float)
+    jac = model(x, p, jacobian=True)[1](slice(None))
+    return jac if p.ndim == 2 else jac[0]
+
+
+def _without_jacobian(model):
+    """The model with its derivative rule dropped: its fits take central differences."""
+    return dataclasses.replace(model, evaluate=lambda x, p: (model.evaluate(x, p)[0], None))
+
+
 def test_single_exp_analytic_jacobian_matches_central_differences():
     analytic = get_model("single_exp")
-    assert analytic.jacobian is not None
-    numeric = ModelSpec(analytic.name, analytic.params, analytic.func, analytic.guess)
+    assert _jacobian_of(analytic) is not None
+    numeric = _without_jacobian(analytic)
     rng = np.random.default_rng(17)
     x = np.linspace(0.0, 2.0, 80)
     for true in ([0.8, 0.3, 0.2], [-1.5, 0.05, 3.0], [2.0, 1.7, -0.4]):
@@ -226,7 +244,7 @@ def test_single_exp_analytic_jacobian_matches_central_differences():
 # photon-count mixture.
 _JACOBIAN_CASES = {name: (get_model(name),) + RECOVERY_CASES[name][:2]
                    for name, model in sorted(model_registry().items())
-                   if model.jacobian is not None}
+                   if _jacobian_of(model) is not None}
 _JACOBIAN_CASES["rabi_beat_1"] = (
     rabi_beat_model(1), np.linspace(0.0, 20e-6, 400),
     lambda r: {"a1": r.uniform(0.3, 0.5), "f1": r.uniform(0.4e6, 1.2e6),
@@ -271,6 +289,35 @@ def _near_each_bound(model, p):
 
 def test_every_model_with_a_jacobian_is_checked():
     assert {"single_exp", "exp_recovery", "rb_decay", "rabi_beat"} <= set(_JACOBIAN_CASES)
+    # the other registry models, ramsey among them, have no rule: jacobian_of is None
+    assert _jacobian_of(get_model("ramsey")) is None
+    assert {name for name, model in model_registry().items()
+            if _jacobian_of(model) is not None} == {
+        "single_exp", "exp_recovery", "rb_decay", "rabi_beat"}
+
+
+def _strain_case():
+    """The strain estimate's model at the README targets, and a draw inside its bounds."""
+    targets = np.array((9.431e9, 254.654e6, 1110.755e9, 816.285))
+    model = electronic._strain_model(targets, electronic.field_from_nuclear_larmor(3.5857929e6))
+    lo, hi = np.array(electronic.DEFAULT_BOUNDS).T
+    return model, np.arange(4.0), lambda r: dict(zip(model.param_names,
+                                                     lo + (hi - lo) * r.uniform(0.1, 0.9, 3)))
+
+
+@pytest.mark.parametrize("name", sorted(_JACOBIAN_CASES) + ["strain"])
+def test_jacobian_of_chosen_rows_equals_those_rows_of_the_stack(name):
+    """jacobian_of(rows), rows an increasing index list, is those rows of
+    jacobian_of(slice(None)) bit for bit, with x shared or one shifted x row per point."""
+    model, x, draw = _strain_case() if name == "strain" else _JACOBIAN_CASES[name]
+    rng = np.random.default_rng(59)
+    stack = np.array([[draw(rng)[n] for n in model.param_names] for _ in range(6)])
+    for xs in (x, x + 1e-3 * np.ptp(x) * np.arange(len(stack))[:, None]):
+        _, jacobian_of = model(xs, stack, jacobian=True)
+        jac = jacobian_of(slice(None))
+        assert jac.shape == (len(stack), x.size, len(model.params))
+        for rows in ([0, 2, 5], [1], [3, 4], list(range(6))):
+            assert np.array_equal(jacobian_of(rows), jac[rows]), (name, rows)
 
 
 @pytest.mark.parametrize("name", sorted(_JACOBIAN_CASES))
@@ -286,7 +333,7 @@ def test_analytic_jacobian_matches_central_differences(name):
     points = [np.array([guess[n] for n in model.param_names]), fitted,
               *_near_each_bound(model, fitted)]
     for p in points:
-        got = np.asarray(model.jacobian(x, p))
+        got = _jacobian(model, x, p)
         want, floor = _central_difference_jacobian(model, x, p)
         assert got.shape == (x.size, p.size)
         scale = np.max(np.abs(got), axis=0)
@@ -334,8 +381,8 @@ def _branch_model(x, a, k, m, c):
 
 
 def _branch_jacobian(x, params):
-    # a parameter vector, or the (K, 1) columns of a (K, 4) stack
-    a, k, m, _ = np.moveaxis(np.asarray(params, dtype=float)[..., None], -2, 0)
+    # the (K, 1) columns of a (K, 4) stack
+    a, k, m, _ = np.moveaxis(params[..., None], -2, 0)
     e = np.exp(-k * x)
     return np.stack(np.broadcast_arrays(e, -a * x * e, x ** 2, np.ones_like(x)), axis=-1)
 
@@ -346,9 +393,8 @@ def test_analytic_jacobian_through_every_bound_kind(start):
     x = np.linspace(0.0, 3.0, 60)
     true = [2.2, 1.6, -0.7, 0.35]
     y = _branch_model(x, *true)
-    numeric = ModelSpec("branches", _BRANCH_PARAMS, _branch_model)
-    analytic = ModelSpec("branches", _BRANCH_PARAMS, _branch_model,
-                         jacobian=_branch_jacobian)
+    numeric = ModelSpec("branches", _BRANCH_PARAMS, formula(_branch_model))
+    analytic = ModelSpec("branches", _BRANCH_PARAMS, formula(_branch_model, _branch_jacobian))
     want = least_squares(numeric, x, y, init=start)
     got = least_squares(analytic, x, y, init=start)
     assert got.converged
@@ -360,8 +406,7 @@ def test_analytic_jacobian_through_every_bound_kind(start):
 def test_analytic_jacobian_skips_fixed_columns():
     x = np.linspace(0.0, 3.0, 60)
     y = _branch_model(x, 2.2, 1.6, -0.7, 0.35)
-    analytic = ModelSpec("branches", _BRANCH_PARAMS, _branch_model,
-                         jacobian=_branch_jacobian)
+    analytic = ModelSpec("branches", _BRANCH_PARAMS, formula(_branch_model, _branch_jacobian))
     got = least_squares(analytic, x, y, fixed={"k": 1.6},
                         init={"a": 1.0, "m": -1.0, "c": 0.0})
     np.testing.assert_allclose(got.params, [2.2, 1.6, -0.7, 0.35], rtol=1e-8)
@@ -379,7 +424,7 @@ def _line(x, k, c):
 @pytest.mark.parametrize("k0", [0.0, 1.0])
 def test_fit_started_on_a_bound_leaves_it(k0):
     x = np.linspace(0.0, 1.0, 20)
-    model = ModelSpec("line", (ParamSpec("k", bounds=(0.0, 1.0)), ParamSpec("c")), _line)
+    model = ModelSpec("line", (ParamSpec("k", bounds=(0.0, 1.0)), ParamSpec("c")), formula(_line))
     fit = least_squares(model, x, _line(x, 0.5, 0.1), init={"k": k0, "c": 0.0})
     assert fit.converged
     assert abs(fit["k"] - 0.5) <= 1e-10
@@ -550,7 +595,7 @@ def test_initial_guess_respects_bounds():
 
 def test_initial_guess_clips_out_of_bounds_rule():
     spec = ModelSpec("toy", (ParamSpec("k", bounds=(0.0, 1.0)),),
-                     lambda x, k: k * x, lambda x, y: {"k": 7.0})
+                     formula(lambda x, k: k * x), lambda x, y: {"k": 7.0})
     guess = spec.initial_guess(np.arange(4.0), np.arange(4.0))
     assert 0.0 < guess["k"] < 1.0
 
@@ -558,7 +603,7 @@ def test_initial_guess_clips_out_of_bounds_rule():
 def test_tiny_positive_guesses_survive_clipping():
     # a lower bound of 1e-300 must not inflate a legitimately small start
     spec = ModelSpec("toy", (ParamSpec("k", bounds=(1e-300, math.inf)),),
-                     lambda x, k: k * x, lambda x, y: {"k": 3e-31})
+                     formula(lambda x, k: k * x), lambda x, y: {"k": 3e-31})
     guess = spec.initial_guess(np.arange(4.0), np.arange(4.0))
     assert guess["k"] == 3e-31
 
@@ -624,15 +669,15 @@ def test_a_parameter_stack_equals_its_row_evaluations_bit_for_bit(name):
     model, x, draw = _STACK_CASES[name]
     rng = np.random.default_rng(41)
     stack = np.array([[draw(rng)[n] for n in model.param_names] for _ in range(3)])
-    values = model(x, stack)
+    values, jacobian_of = model(x, stack, jacobian=True)
     assert values.shape == (3, x.size)
     for row, p in zip(values, stack):
         assert np.array_equal(row, model(x, p))
-    if model.jacobian is not None:
-        jac = model.jacobian(x, stack)
+    if jacobian_of is not None:
+        jac = jacobian_of(slice(None))
         assert jac.shape == (3, x.size, len(model.params))
         for row, p in zip(jac, stack):
-            assert np.array_equal(row, model.jacobian(x, p))
+            assert np.array_equal(row, _jacobian(model, x, p))
 
 
 @pytest.mark.parametrize("name", ["single_exp", "rabi_beat"])
@@ -645,8 +690,8 @@ def test_a_stack_overflows_as_its_rows_do(name):
     t = model.param_names.index("t" if name == "single_exp" else "t1")
     stack[1, t] = 1e200
     with np.errstate(over="ignore"):
-        jac = model.jacobian(x, stack)
-        assert np.array_equal(jac[1], model.jacobian(x, stack[1]))
+        jac = _jacobian(model, x, stack)
+        assert np.array_equal(jac[1], _jacobian(model, x, stack[1]))
     assert not jac[1, :, t].any()   # a x / t^2 ... with t^2 = inf
 
 

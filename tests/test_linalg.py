@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sivreg.linalg import (Eigensystem, NotHermitian, check_hermitian,
-                           hermitian_eig, kron, propagator_from_eig)
+from sivreg.linalg import Eigensystem, NotHermitian, hermitian_eig, kron, propagator_from_eig
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -51,7 +50,7 @@ def test_not_hermitian_rejected():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitian):
-        check_hermitian(np.array([[0.0, 1.0j], [1.0j, 0.0]]))
+        hermitian_eig(np.array([[0.0, 1.0j], [1.0j, 0.0]]))
 
 
 def _expm_taylor(a, terms=40):

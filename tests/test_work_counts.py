@@ -66,7 +66,7 @@ def test_strain_estimate_work_at_the_readme_targets(monkeypatch):
     monkeypatch.setattr(electronic, "_forward_stack", counted_forward)
     electronic.estimate_parameters(TARGETS)
     # one K = 8 fit: 28 rounds after the first evaluation, each one stacked call
-    # through the joint rule; one more solve for the reported observables.  The
+    # through the model's evaluate; one more solve for the reported observables.  The
     # Jacobians of the 8 starts and of the 69 accepted points are formed, in the
     # first call and the 18 rounds with an accepted row: 77 of the 188 rows
     assert counts == {"lsq": 0, "rows": 1, "model": 29, "model_jacobian": 29,
@@ -94,10 +94,14 @@ def test_lifetime_ensemble_is_one_lockstep_fit(monkeypatch):
     def counted_model(name):
         spec = get_model(name)
 
-        def jacobian(x, p):
-            calls["jacobian"] += 1
-            return spec.jacobian(x, p)
-        return dataclasses.replace(spec, jacobian=jacobian)
+        def evaluate(x, p):
+            values, jacobian_of = spec.evaluate(x, p)
+
+            def counted_jacobian(rows):
+                calls["jacobian"] += 1
+                return jacobian_of(rows)
+            return values, counted_jacobian
+        return dataclasses.replace(spec, evaluate=evaluate)
 
     monkeypatch.setattr(fitting, "least_squares_rows", counted_rows)
     monkeypatch.setattr(fitting, "least_squares", counted_lsq)
