@@ -92,14 +92,17 @@ class DerivedObservables:
 
 @dataclass
 class EstimationResult:
-    """Best start of the strain estimate.
+    """The strain estimate: its closed-form start or, on the fallback, the
+    best start of the grid.
 
     sigma -- one-standard-deviation uncertainties (epsilon in Hz, alpha,
-             theta in degrees) from the best start's Levenberg-Marquardt
+             theta in degrees) from that start's Levenberg-Marquardt
              covariance s^2 (J^T J)^-1, s^2 the residual sum of squares per
              degree of freedom (More, Lecture Notes in Mathematics 630, 105
              (1978)), J the analytic Jacobian of observables_and_jacobian
              that the steps use.
+    path  -- "closed_form" when the one closed-form start gave the result,
+             "grid" when it fell back to the 8-start grid.
     """
 
     strain: StrainField
@@ -108,6 +111,7 @@ class EstimationResult:
     converged: bool
     observables: DerivedObservables
     sigma: Tuple[float, float, float]
+    path: str
 
 
 # --- operators of one parity block (orbital x spin) --------------------------
@@ -357,6 +361,12 @@ def delta_gs_zero_field(epsilon):
     return math.sqrt(LAMBDA_G ** 2 + 8.0 * epsilon ** 2)
 
 
+def epsilon_from_delta_gs(delta_gs):
+    """Inverse of delta_gs_zero_field: sqrt(max(delta_gs^2 - lambda_g^2, 0) / 8),
+    so 0 for a splitting below lambda_g."""
+    return math.sqrt(max((delta_gs - LAMBDA_G) * (delta_gs + LAMBDA_G), 0.0) / 8.0)
+
+
 # unit-strain direction of the gerade strain term, used by the Orbach rate
 _UNIT_STRAIN_G = _direct_sum(_STRAIN_Z + _STRAIN_X, np.zeros((4, 4)))
 
@@ -403,7 +413,11 @@ def _relative_stack(stack, targets, b_field):
     return obs / targets, lambda rows: forward_jacobian(rows) / targets[:, None]
 
 
-# the 8 starts of the strain estimate: 1/3 and 2/3 of each DEFAULT_BOUNDS side
+# the estimate's cost (sum of squared relative residuals) at or below which it
+# is converged; a closed-form start that ends above it falls back to the grid
+CONVERGED_COST = 1e-2
+
+# the 8 starts of the strain estimate's grid: 1/3 and 2/3 of each DEFAULT_BOUNDS side
 _STARTS = tuple({spec.name: lo + f * (hi - lo)
                  for spec, f, (lo, hi) in zip(_STRAIN_PARAMS, start, DEFAULT_BOUNDS)}
                 for start in itertools.product((1.0 / 3.0, 2.0 / 3.0), repeat=3))
@@ -417,23 +431,40 @@ def _strain_model(targets, b_field):
                              lambda x, p: _relative_stack(p, targets, b_field))
 
 
+def _closed_form_start(targets):
+    """The estimate's first start: epsilon from the measured delta_gs through
+    the zero-field closed form, alpha 0.7 and theta 30 deg."""
+    return {"epsilon": epsilon_from_delta_gs(targets[2]), "alpha": 0.7, "theta": 30.0}
+
+
+def _fit_rows(model, inits):
+    """The strain model fitted from each start in inits, as the rows of one
+    lockstep fit: a FitResult or the SingularNormalMatrix or MaxIterations
+    that stopped it, per start."""
+    return fitting.least_squares_rows(model, np.arange(4.0), np.ones((len(inits), 4)), init=inits)
+
+
 def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
     """Estimate (epsilon, alpha, theta) from measured observables.
 
     targets -- (omega_L_e, delta_ss, delta_gs, cyclicity), Hz/Hz/Hz/ratio
     b_field -- field magnitude (T); defaults to larmor_n / gyromag_13C
 
-    Multi-start Levenberg-Marquardt (fitting.least_squares_rows on the four
-    relative residuals, from 8 deterministic starts at 1/3 and 2/3 of each
-    DEFAULT_BOUNDS side, run as the 8 rows of one lockstep fit).  Each round
+    Levenberg-Marquardt (fitting.least_squares_rows) on the four relative
+    residuals, first from one closed-form start: epsilon_from_delta_gs of the
+    measured delta_gs (the zero-field splitting inverted), alpha 0.7 and theta
+    30 deg.  When that start fails or ends above CONVERGED_COST, the estimate
+    falls back to the grid: 8 deterministic starts at 1/3 and 2/3 of each
+    DEFAULT_BOUNDS side, run as the 8 rows of one lockstep fit, of which the
+    best is kept; the result then comes from the grid alone.  Each round
     evaluates the trial points of all starts still stepping as one stack, and
     forms the analytic Jacobians (observables_and_jacobian) of the accepted
     points only, from the eigenvectors of the same solve; that Jacobian
     serves the steps and the covariance behind the sigmas (see
     EstimationResult).  The ``converged`` flag is False when the best cost
-    stalls above 1e-2; the best point is reported either way.  When every start
-    fails, raises the kind of failure most of them met (SingularNormalMatrix or
-    MaxIterations), with the count of each kind.
+    stalls above CONVERGED_COST; the best point is reported either way.  When
+    every grid start fails, raises the kind of failure most of them met
+    (SingularNormalMatrix or MaxIterations), with the count of each kind.
     """
     targets = np.array([float(t) for t in targets])
     if len(targets) != 4 or not all(math.isfinite(t) and t > 0 for t in targets):
@@ -441,23 +472,28 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
     if b_field is None:
         b_field = field_from_nuclear_larmor(larmor_n)
 
-    rows = fitting.least_squares_rows(_strain_model(targets, b_field), np.arange(4.0),
-                                      np.ones((len(_STARTS), 4)), init=_STARTS)
-    # a start that failed (SingularNormalMatrix, MaxIterations) drops out; the others count
-    fits = [fit for fit in rows if isinstance(fit, fitting.FitResult)]
-    if not fits:
-        # the failures' own kind, the most frequent one, with the count of each
-        kinds = collections.Counter(type(fit) for fit in rows).most_common()
-        raise kinds[0][0]("no start of the strain estimate converged: %s" % ", ".join(
-            "%d %s" % (n, kind.__name__) for kind, n in kinds))
-    best = min(fits, key=lambda fit: fit.residual_norm)
+    model = _strain_model(targets, b_field)
+    best, = _fit_rows(model, [_closed_form_start(targets)])
+    path = "closed_form"
+    if not (isinstance(best, fitting.FitResult) and best.residual_norm ** 2 <= CONVERGED_COST):
+        path = "grid"
+        rows = _fit_rows(model, _STARTS)
+        # a start that failed (SingularNormalMatrix, MaxIterations) drops out; the others count
+        fits = [fit for fit in rows if isinstance(fit, fitting.FitResult)]
+        if not fits:
+            # the failures' own kind, the most frequent one, with the count of each
+            kinds = collections.Counter(type(fit) for fit in rows).most_common()
+            raise kinds[0][0]("no start of the strain estimate converged: %s" % ", ".join(
+                "%d %s" % (n, kind.__name__) for kind, n in kinds))
+        best = min(fits, key=lambda fit: fit.residual_norm)
     eps, alpha, theta = (float(v) for v in best.params)
     cost = best.residual_norm ** 2
     return EstimationResult(
         strain=StrainField(eps, alpha),
         theta=theta,
         cost=cost,
-        converged=bool(cost <= 1e-2),
+        converged=bool(cost <= CONVERGED_COST),
         observables=observables_at(eps, alpha, theta, b_field),
         sigma=tuple(float(v) for v in best.sigma),
+        path=path,
     )

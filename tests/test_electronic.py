@@ -253,10 +253,11 @@ def _grid_polish_oracle(targets, b_field):
     return best, best_cost
 
 
-def test_default_estimate_makes_at_most_900_block_eigensolves(monkeypatch):
-    # values and analytic Jacobian of each trial point from one solve: 366 block
-    # solves in stacks (402 with a separate Jacobian call on a kept solve, 604
-    # solving again for each Jacobian, 1,678 with central-difference columns)
+def test_default_estimate_makes_at_most_48_block_eigensolves(monkeypatch):
+    # values and analytic Jacobian of each trial point from one solve: the closed-form
+    # start's 17 evaluations and the reported point, 36 block solves (50 solving again
+    # for each of its 7 Jacobians, 120 with central-difference columns, 412 with the
+    # 8-start grid run after it)
     calls = []
 
     def counted(h):
@@ -267,7 +268,7 @@ def test_default_estimate_makes_at_most_900_block_eigensolves(monkeypatch):
     res = estimate_parameters(TARGETS)
     assert res.converged
     assert {shape[-2:] for shape in calls} == {(4, 4)}
-    assert sum(math.prod(shape[:-2]) for shape in calls) <= 900
+    assert sum(math.prod(shape[:-2]) for shape in calls) <= 48
 
 
 def test_estimate_jacobians_add_no_block_solve(monkeypatch):
@@ -379,12 +380,16 @@ def test_a_start_at_a_degenerate_point_drops_only_that_start(monkeypatch):
     clean = least_squares_rows(model, np.arange(4.0), np.ones((8, 4)), init=electronic._STARTS)
     forward = electronic._forward_stack
     first = tuple(electronic._STARTS[0].values())
+    # the closed-form start is degenerate too, so that the estimate falls back to the grid
+    closed_form = tuple(electronic._closed_form_start(targets).values())
 
     def degenerate_first_start(epsilon, alpha, theta, b_field):
         obs, jacobian_of = forward(epsilon, alpha, theta, b_field)
         if not np.ndim(epsilon):   # the estimate's last point, not a stack of the fit
             return obs, jacobian_of
-        hit = (epsilon == first[0]) & (alpha == first[1]) & (theta == first[2])
+        hit = np.zeros(np.shape(epsilon), dtype=bool)
+        for point in (first, closed_form):
+            hit |= (epsilon == point[0]) & (alpha == point[1]) & (theta == point[2])
         obs[hit] = math.inf
 
         def jacobian_with_nan_rows(rows):
@@ -398,6 +403,7 @@ def test_a_start_at_a_degenerate_point_drops_only_that_start(monkeypatch):
     assert isinstance(rows[0], SingularNormalMatrix)
     assert all(_same_fit(row, alone) for row, alone in zip(rows[1:], clean[1:]))
     estimate = estimate_parameters(TARGETS, b_field=B_REF)
+    assert estimate.path == "grid"
     assert estimate.strain.epsilon == min(clean[1:], key=lambda f: f.residual_norm)["epsilon"]
 
 
@@ -504,10 +510,12 @@ def test_the_estimate_evaluates_only_points_inside_the_bounds(monkeypatch):
     b_field = field_from_nuclear_larmor(3.5857929e6)
     edges = [observables_at(700e9, alpha, THETA_REF, b_field).as_tuple()
              for alpha in DEFAULT_BOUNDS[1]]
+    paths = set()
     for targets in [TARGETS] + edges + [(1.0, 2.0, 3.0, 4.0)]:
         count = len(points)
-        estimate_parameters(targets)
+        paths.add(estimate_parameters(targets).path)
         assert len(points) > count
+    assert paths == {"closed_form", "grid"}
     lo, hi = np.array(DEFAULT_BOUNDS).T
     assert np.all((lo <= np.array(points)) & (np.array(points) <= hi))
 
@@ -531,6 +539,75 @@ def test_estimate_whose_starts_all_run_out_of_iterations_says_so():
     targets = (9404078777.780762, 315991.8559875488, 2357470594908.6807, 103.00051462781191)
     with pytest.raises(MaxIterations, match="converged: 8 MaxIterations$"):
         estimate_parameters(targets)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e9, 392e9, 1e12])
+def test_epsilon_from_delta_gs_inverts_the_zero_field_closed_form(epsilon):
+    got = electronic.epsilon_from_delta_gs(delta_gs_zero_field(epsilon))
+    assert got == pytest.approx(epsilon, rel=1e-12, abs=0.0)
+
+
+def test_epsilon_from_delta_gs_is_zero_below_the_spin_orbit_splitting():
+    assert electronic.epsilon_from_delta_gs(0.5 * electronic.LAMBDA_G) == 0.0
+
+
+def _grid_best(targets, b_field):
+    """The best row of the 8-start grid, fitted on its own."""
+    model = electronic._strain_model(np.array(targets), b_field)
+    rows = least_squares_rows(model, np.arange(4.0), np.ones((8, 4)), init=electronic._STARTS)
+    return min((row for row in rows if not isinstance(row, Exception)),
+               key=lambda fit: fit.residual_norm)
+
+
+def _agreement_targets():
+    """Forward observables of 15 seeded points of the strain-map box and of 15 drawn
+    over all of DEFAULT_BOUNDS, each point's four finite and > 0."""
+    box = _emitter_targets(15, seed=32)
+    assert len(box) == 15
+    lo, hi = np.array(DEFAULT_BOUNDS).T
+    rng = np.random.default_rng(32)
+    wide = []
+    while len(wide) < 15:
+        targets = observables_at(*(lo + rng.random(3) * (hi - lo)), B_REF).as_tuple()
+        if all(math.isfinite(t) and t > 0 for t in targets):
+            wide.append(targets)
+    return box + wide
+
+
+# how far the closed-form start's estimate may lie from the grid's best row, relative,
+# per parameter (epsilon, alpha, theta): both end at one minimum by the same stopping
+# rule, which leaves each within about 4e-11 of the other on 162 targets (epsilon
+# within 4e-13); the minimum itself is far sharper than that in epsilon
+AGREEMENT_RTOL = (1e-11, 1e-9, 1e-9)
+
+
+def test_the_closed_form_start_agrees_with_the_grid():
+    for targets in _agreement_targets():
+        res = estimate_parameters(targets, b_field=B_REF)
+        assert res.path == "closed_form", targets
+        grid = _grid_best(targets, B_REF)
+        got = (res.strain.epsilon, res.strain.alpha, res.theta)
+        agrees = all(g == pytest.approx(w, rel=rtol, abs=0.0)
+                     for g, w, rtol in zip(got, grid.params, AGREEMENT_RTOL))
+        assert agrees or res.cost < grid.residual_norm ** 2, (targets, got, tuple(grid.params))
+
+
+def test_a_closed_form_start_above_the_converged_cost_falls_back_to_the_grid():
+    # no strain reproduces these targets: the one start ends above the threshold,
+    # and the result is the grid's best row, bit for bit
+    targets = (1.0, 2.0, 3.0, 4.0)
+    b_field = field_from_nuclear_larmor(3.5857929e6)
+    model = electronic._strain_model(np.array(targets), b_field)
+    one, = least_squares_rows(model, np.arange(4.0), np.ones((1, 4)),
+                              init=[electronic._closed_form_start(targets)])
+    assert one.residual_norm ** 2 > electronic.CONVERGED_COST
+    res = estimate_parameters(targets)
+    grid = _grid_best(targets, b_field)
+    assert res.path == "grid" and not res.converged
+    assert (res.strain.epsilon, res.strain.alpha, res.theta) == tuple(grid.params)
+    assert res.cost == grid.residual_norm ** 2
+    assert np.array_equal(res.sigma, grid.sigma, equal_nan=True)
+    assert res.observables == observables_at(*grid.params, b_field)
 
 
 def test_orbach_rate_follows_bose_occupation():

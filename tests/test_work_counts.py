@@ -8,7 +8,10 @@ strain estimate ran, before its starts were stepped in lockstep, 8 separate
 fits: 188 model evaluations, 266 forward-model calls (77 of them with the
 Jacobian) and 322 single-block eigensolves.  Stepped in lockstep, it formed
 the Jacobian of every trial point, 188 rows in 29 calls, before it formed
-them at the starts and the accepted points only.
+them at the starts and the accepted points only.  Before it ran one
+closed-form start first, with the 8-start grid only as its fallback, the
+estimate always ran the grid: one K = 8 fit of 29 stacked evaluations, 30
+hermitian_eig calls solving 378 blocks, and 77 Jacobian rows in 19 calls.
 """
 
 import dataclasses
@@ -37,12 +40,13 @@ def test_strain_estimate_work_at_the_readme_targets(monkeypatch):
 
     def counted_rows(*args, **kwargs):
         counts["rows"] += 1
-        fits.extend(rows(*args, **kwargs))
-        return fits
+        out = rows(*args, **kwargs)
+        fits.extend(out)
+        return out
 
     def counted_lsq(*args, **kwargs):
         counts["lsq"] += 1
-        raise AssertionError("the estimate runs its starts as one lockstep fit")
+        raise AssertionError("the estimate fits through least_squares_rows")
 
     def counted_eig(h):
         counts["eig"] += 1
@@ -65,14 +69,13 @@ def test_strain_estimate_work_at_the_readme_targets(monkeypatch):
     monkeypatch.setattr(electronic, "hermitian_eig", counted_eig)
     monkeypatch.setattr(electronic, "_forward_stack", counted_forward)
     electronic.estimate_parameters(TARGETS)
-    # one K = 8 fit: 28 rounds after the first evaluation, each one stacked call
-    # through the model's evaluate; one more solve for the reported observables.  The
-    # Jacobians of the 8 starts and of the 69 accepted points are formed, in the
-    # first call and the 18 rounds with an accepted row: 77 of the 188 rows
-    assert counts == {"lsq": 0, "rows": 1, "model": 29, "model_jacobian": 29,
-                      "eig": 30, "blocks": 378, "jacobian_calls": 19, "jacobian_rows": 77}
-    assert [(f.evaluations, f.jacobian_evaluations) for f in fits] == [
-        (23, 9), (23, 9), (25, 10), (21, 9), (23, 9), (23, 9), (29, 12), (21, 10)]
+    # one K = 1 fit from the closed-form start, which converges, so the grid does not
+    # run: 16 rounds after the first evaluation, each one call through the model's
+    # evaluate; one more solve for the reported observables.  The Jacobians of the
+    # start and of the 6 accepted points are formed, one row per call
+    assert counts == {"lsq": 0, "rows": 1, "model": 17, "model_jacobian": 17,
+                      "eig": 18, "blocks": 36, "jacobian_calls": 7, "jacobian_rows": 7}
+    assert [(f.evaluations, f.jacobian_evaluations) for f in fits] == [(17, 7)]
 
 
 def test_lifetime_ensemble_is_one_lockstep_fit(monkeypatch):
@@ -122,7 +125,7 @@ def test_lifetime_ensemble_is_one_lockstep_fit(monkeypatch):
 # (tests/test_golden.py), counted at the commit that introduced this table
 CLI_WORK = {
     "structure": (1, 0),
-    "estimate": (30, 0),
+    "estimate": (18, 0),
     "run_rabi": (1, 1),
     "run_ramsey": (2, 1),
     "run_dd": (3, 1),
@@ -151,7 +154,7 @@ CLI_WORK = {
 # (evaluations, jacobian_evaluations) of every FitResult a golden CLI invocation
 # produces, in the order of its fits; an invocation not named here fits nothing
 FIT_WORK = {
-    "estimate": [(23, 9), (23, 9), (25, 10), (21, 9), (23, 9), (23, 9), (29, 12), (21, 10)],
+    "estimate": [(17, 7)],
     "run_rb": [(6, 6)],
     "run_rb_2n": [(7, 7)],
     "optical_decay": [(11, 11)],
