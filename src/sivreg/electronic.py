@@ -165,9 +165,7 @@ def _block_stack(epsilon, alpha, bx, bz):
     """Assemble the g and u blocks of K points and solve them as one stack.
 
     Takes arrays of shape (K,).  Returns the (K, 2, 4, 4) blocks (Hz, no
-    offset), their stacked Eigensystem (rad/s, no offset) and the offsets f_c
-    (Hz, shape (K,)) that pin each lowest u <- g gap to
-    c / TRANSITION_C_WAVELENGTH.
+    offset) and their stacked Eigensystem (rad/s, no offset).
     """
     coef = np.empty((len(_TERMS), epsilon.size, 2))     # (term, K, block)
     coef[0] = _K_SO
@@ -176,18 +174,19 @@ def _block_stack(epsilon, alpha, bx, bz):
     coef[5:, :, 1] = alpha * epsilon
     # the terms added one by one, as the assembly does: a running sum, not a reduction
     h = np.add.accumulate(coef[..., None, None] * _TERMS)[-1]
-    eig = hermitian_eig(TWO_PI * h)
-    # divide first: subtracting at the rad/s scale would move f_c by an ulp
-    gap = eig.values[:, 1, 0] / TWO_PI - eig.values[:, 0, 0] / TWO_PI
-    return h, eig, SPEED_OF_LIGHT / TRANSITION_C_WAVELENGTH - gap
+    return h, hermitian_eig(TWO_PI * h)
 
 
 def _parity_blocks(s: StrainField, f: FieldConfig):
     """_block_stack at one point: its two blocks (2, 4, 4), their Eigensystem
-    (values (2, 4), vectors (2, 4, 4)) and f_c."""
-    h, eig, f_c = _block_stack(np.array([s.epsilon]), np.array([s.alpha]),
-                               *_field_xz([f.theta], f.magnitude))
-    return h[0], Eigensystem(eig.values[0], eig.vectors[0]), f_c[0]
+    (values (2, 4), vectors (2, 4, 4)) and the offset f_c (Hz) that pins the
+    lowest u <- g gap to c / TRANSITION_C_WAVELENGTH."""
+    h, eig = _block_stack(np.array([s.epsilon]), np.array([s.alpha]),
+                          *_field_xz([f.theta], f.magnitude))
+    values = eig.values[0]
+    # divide first: subtracting at the rad/s scale would move f_c by an ulp
+    f_c = SPEED_OF_LIGHT / TRANSITION_C_WAVELENGTH - (values[1, 0] / TWO_PI - values[0, 0] / TWO_PI)
+    return h[0], Eigensystem(values, eig.vectors[0]), f_c
 
 
 def build_hamiltonian(s: StrainField, f: FieldConfig):
@@ -222,6 +221,9 @@ _DIPOLE_BLOCKS = np.stack((_STRAIN_Z, -_STRAIN_X, 2.0 * _EYE4))
 # pair, orbital Zeeman, spin x, spin z
 _DERIVATIVE_OPS = np.stack((_STRAIN_Z + _STRAIN_X, _ORB, _SPIN_X, _SPIN_Z)).reshape(4, 16)
 
+
+# added to the level gaps of a block in jacobian_of: infinite on the diagonal
+_SELF_GAP = np.diag(np.full(4, math.inf))
 
 _K_DEG = math.radians(1.0) * _MU_B
 _K_DORB = np.array([-_K_DEG * P_G * GL_G, -_K_DEG * P_U * GL_U])
@@ -299,7 +301,7 @@ def _forward_stack(epsilon, alpha, theta, b_field):
     if not all(0.0 <= v <= 90.0 for v in theta_list):
         raise ValueError("theta must lie in [0, 90] degrees")
     bx, bz = _field_xz(theta_list, b_field)
-    _, eig, _ = _block_stack(epsilon, alpha, bx, bz)
+    _, eig = _block_stack(epsilon, alpha, bx, bz)
     e, vecs = eig.values / TWO_PI, eig.vectors         # (K, block, 4), (K, block, 4, 4)
     e_g, e_u = e[:, 0], e[:, 1]
     degenerate = e_g[:, 1] - e_g[:, 0] < 1.0
@@ -332,7 +334,7 @@ def _forward_stack(epsilon, alpha, theta, b_field):
 
             # first-order shifts d v_n = sum_{m != n} v_m m_mn / (E_n - E_m): gap[m, n]
             # = E_n - E_m, infinite on the diagonal so v_n gets no component along itself
-            gap = e_r[..., None, :] - e_r[..., :, None] + np.diag(np.full(4, math.inf))
+            gap = e_r[..., None, :] - e_r[..., :, None] + _SELF_GAP
             dv = vecs_r[:, :, None] @ (m / gap[:, :, None])
             dg01, du0 = dv[:, 0, :, :, :2], dv[:, 1, :, :, 0]
             # d <g_n| d |u0> = <dg_n| d |u0> + <g_n| d |du0>, (K, param, n, dipole)
@@ -456,10 +458,12 @@ def estimate_parameters(targets, b_field=None, larmor_n=3.5857929e6):
     30 deg.  When that start fails or ends above CONVERGED_COST, the estimate
     falls back to the grid: 8 deterministic starts at 1/3 and 2/3 of each
     DEFAULT_BOUNDS side, run as the 8 rows of one lockstep fit, of which the
-    best is kept; the result then comes from the grid alone.  Each round
-    evaluates the trial points of all starts still stepping as one stack, and
-    forms the analytic Jacobians (observables_and_jacobian) of the accepted
-    points only, from the eigenvectors of the same solve; that Jacobian
+    best is kept; the result then comes from the grid alone.  Each start stops
+    by itself on the step and cost tests of fitting (XTOL, FTOL), so it ends
+    once its steps reach the roundoff floor of the relative residuals.  Each
+    round evaluates the trial points of all starts still stepping as one
+    stack, and forms the analytic Jacobians (observables_and_jacobian) of the
+    accepted points only, from the eigenvectors of the same solve; that Jacobian
     serves the steps and the covariance behind the sigmas (see
     EstimationResult).  The ``converged`` flag is False when the best cost
     stalls above CONVERGED_COST; the best point is reported either way.  When

@@ -2,10 +2,10 @@
 
 The solver is a damped Gauss-Newton (Levenberg-Marquardt style) loop that
 runs K fits of one model in lockstep (least_squares_rows); least_squares is
-that loop at K = 1.  Each row keeps its own parameters, damping, flat-step
-count, iteration count and failure.  In each round the trial points of the
-rows still stepping go to the model as one (K_active, n) parameter stack, and
-the accepted rows' Jacobians from that call's jacobian_of.  A fit differentiates
+that loop at K = 1.  Each row keeps its own parameters, damping, iteration
+count, stop reason and failure.  In each round the trial points of the rows
+still stepping go to the model as one (K_active, n) parameter stack, and the
+accepted rows' Jacobians from that call's jacobian_of.  A fit differentiates
 its model one way, in the parameters themselves: with the model's jacobian_of
 when it has one, by central differences when it is None.  In the registry,
 single_exp (also registered as exp_recovery), rb_decay and rabi_beat
@@ -21,6 +21,15 @@ value may so end exactly on a bound.  A step is taken only where the cost is
 finite and not higher and the Jacobian there is finite; that Jacobian serves
 the next step and, at the solution, the standard errors from the
 residual-scaled inverse normal matrix s^2 (J^T J)^-1.
+Each row stops by itself on the relative tests of MINPACK (More, Garbow and
+Hillstrom, ANL-80-74 (1980)): the step test, when a trial step, accepted or
+rejected, moves no free parameter p by more than XTOL (|p| + XTOL), so a
+rising damping that shrinks the rejected steps ends the fit like MINPACK's
+shrinking trust radius; and the cost test, when one accepted step lowers the
+cost by at most FTOL of it.  A row with no downhill step at any damping
+(damping 1e14) or with no free parameter that may move is stationary, and
+one that takes max_iterations accepted steps without a test holding raises
+MaxIterations.  FitResult.stop_reason says which ended the fit.
 
 Broadcasting contract: a model evaluates a parameter stack, shape (K, n), at
 x, shape (N,) or (K, N), to its values, shape (K, N), and jacobian_of(rows),
@@ -56,6 +65,13 @@ class MaxIterations(RuntimeError):
 
 class FitFailed(RuntimeError):
     """An extraction fit (optics, readout) did not describe the data."""
+
+
+# the tolerances of the step and cost tests (module docstring); XTOL sits just
+# above the strain estimate's steps at its roundoff floor, up to 1.4e-12 of
+# alpha and theta
+XTOL = 2e-12
+FTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -132,7 +148,10 @@ class ModelSpec:
 class FitResult:
     """One fit.  evaluations and jacobian_evaluations count the points at which
     the fit took the model values and the Jacobian (a central-difference
-    Jacobian counts once)."""
+    Jacobian counts once); iterations counts its accepted steps.  stop_reason
+    says which test ended it: "step" (a trial step within XTOL), "cost" (an
+    accepted step that lowered the cost by at most FTOL of it) or "stationary"
+    (no downhill step at any damping, or no free parameter that may move)."""
 
     params: np.ndarray
     sigma: np.ndarray
@@ -142,6 +161,8 @@ class FitResult:
     param_names: Tuple[str, ...] = ()
     evaluations: int = 0
     jacobian_evaluations: int = 0
+    stop_reason: str = ""
+    iterations: int = 0
 
     def __getitem__(self, name):
         return float(self.params[self.param_names.index(name)])
@@ -160,8 +181,10 @@ def least_squares(model: ModelSpec, x, y, weights=None,
     model's initial-guess rule); fixed pins named parameters and removes them
     from the optimization and the reported uncertainties.  The steps and the
     uncertainties share one Jacobian: the model's jacobian_of when it has one
-    (see ModelSpec), central differences in the parameters otherwise.  Raises
-    SingularNormalMatrix or MaxIterations when the fit fails.
+    (see ModelSpec), central differences in the parameters otherwise.  The fit
+    stops on the step test (XTOL) or the cost test (FTOL) of the module
+    docstring, or at a stationary point, and says which in stop_reason.
+    Raises SingularNormalMatrix or MaxIterations when the fit fails.
     """
     y = np.asarray(y, dtype=float)
     if weights is not None:
@@ -181,8 +204,9 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     weights match y; init is None, one dict for every row or a sequence of K
     dicts; fixed pins parameters in every row.  Returns a list with each
     row's FitResult, or the SingularNormalMatrix or MaxIterations that stopped
-    the row.  Each row takes the steps and the model and Jacobian evaluations
-    of its fit alone (least_squares), bit for bit.
+    the row.  Each row runs the stopping tests on its own steps and costs, so it
+    takes the steps, the model and Jacobian evaluations and the stop of its fit
+    alone (least_squares), bit for bit.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -304,8 +328,8 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     evaluations = [1] * n_rows
     jacobian_evaluations = [1] * n_rows
     lam = [1e-3] * n_rows
-    flat = [0] * n_rows
     iterations = [0] * n_rows
+    stop = ["stationary"] * n_rows   # until a step or cost test fires
     g = np.zeros((n_rows, n_free))
     a = np.zeros((n_rows, n_free, n_free))
     hold = np.zeros((n_rows, n_free), dtype=bool)
@@ -336,7 +360,11 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
                     break
                 i = at(rows)
             trial = np.array(params[i])
-            trial[:, free_cols] = (trial[:, free_cols] + step).clip(lo, hi)
+            p_free = trial[:, free_cols]
+            moved = (p_free + step).clip(lo, hi)
+            # the step test, on every trial: no free parameter moves by more than XTOL
+            small = (np.abs(moved - p_free) <= XTOL * (np.abs(p_free) + XTOL)).all(axis=1).tolist()
+            trial[:, free_cols] = moved
             r_new, jacobian_of = residuals(i, trial)
             cost_new = [0.5 * float(r_k @ r_k) for r_k in r_new]
             down = []
@@ -363,16 +391,21 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
             stepped, waiting = [], []
             for j, k in enumerate(rows):
                 if j in taken:
-                    rel = abs(cost[k] - cost_new[j]) / max(cost[k], 1e-300)
-                    flat[k] = flat[k] + 1 if rel < 1e-10 else 0
+                    reduction = (cost[k] - cost_new[j]) / max(cost[k], 1e-300)
                     cost[k] = cost_new[j]
                     lam[k] = max(lam[k] / 10.0, 1e-12)
                     iterations[k] += 1
-                    if flat[k] < 3 and iterations[k] >= max_iterations:
+                    if small[j]:
+                        stop[k] = "step"
+                    elif reduction <= FTOL:
+                        stop[k] = "cost"
+                    elif iterations[k] >= max_iterations:
                         failures[k] = MaxIterations(
                             "no convergence within %d iterations" % max_iterations)
-                    elif flat[k] < 3:
+                    else:
                         stepped.append(k)
+                elif small[j]:
+                    stop[k] = "step"
                 else:
                     lam[k] *= 10.0
                     # no downhill step at any damping is a stationary point too
@@ -398,7 +431,8 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
                                      residual_norm=float(np.sqrt(2.0 * cost[k])),
                                      covariance=cov_full[k], converged=True,
                                      param_names=names, evaluations=evaluations[k],
-                                     jacobian_evaluations=jacobian_evaluations[k])
+                                     jacobian_evaluations=jacobian_evaluations[k],
+                                     stop_reason=stop[k], iterations=iterations[k])
             for k in range(n_rows)]
 
 

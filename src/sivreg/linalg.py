@@ -101,10 +101,11 @@ def _squared_norms(a):
 
 def _require_hermitian(h, h_dag):
     """Raise NotHermitian unless each matrix of h is within a 1e-10 relative
-    Frobenius tolerance of its adjoint h_dag: ||h - h^dag|| <= 1e-10 max(||h||, 1)."""
+    Frobenius tolerance of its adjoint h_dag: ||h - h^dag|| <= 1e-10 max(||h||, 1).
+    Returns whether every matrix equals its adjoint exactly."""
     defect = h - h_dag
-    if not defect.any():   # exactly Hermitian
-        return
+    if not defect.any():
+        return True
     defect2 = _squared_norms(defect)
     scale2 = _squared_norms(h)
     bad = defect2 > 1e-20 * np.maximum(scale2, 1.0)
@@ -114,6 +115,7 @@ def _require_hermitian(h, h_dag):
             "matrix%s is not Hermitian: ||h - h^dag|| = %.3e (scale %.3e)"
             % (" %s" % (index,) if index else "", math.sqrt(defect2[index]),
                math.sqrt(scale2[index])))
+    return False
 
 
 def hermitian_eig(h):
@@ -128,10 +130,11 @@ def hermitian_eig(h):
     """
     h = _as_square(h)
     h_dag = h.conj().swapaxes(-1, -2)
-    _require_hermitian(h, h_dag)
-    # Work on the exactly Hermitian part so roundoff in the input cannot
-    # leak imaginary components into the eigenvalues.
-    values, vectors = np.linalg.eigh(0.5 * (h + h_dag))
+    if not _require_hermitian(h, h_dag):
+        # Work on the exactly Hermitian part so roundoff in the input cannot
+        # leak imaginary components into the eigenvalues.
+        h = 0.5 * (h + h_dag)
+    values, vectors = np.linalg.eigh(h)
     return Eigensystem(values=values, vectors=vectors)
 
 

@@ -255,8 +255,8 @@ def _grid_polish_oracle(targets, b_field):
 
 def test_default_estimate_makes_at_most_48_block_eigensolves(monkeypatch):
     # values and analytic Jacobian of each trial point from one solve: the closed-form
-    # start's 17 evaluations and the reported point, 36 block solves (50 solving again
-    # for each of its 7 Jacobians, 120 with central-difference columns, 412 with the
+    # start's 6 evaluations and the reported point, 14 block solves (24 solving again
+    # for each of its 5 Jacobians, 74 with central-difference columns, 148 with the
     # 8-start grid run after it)
     calls = []
 
@@ -353,8 +353,9 @@ def _same_fit(row, alone):
         return type(row) is type(alone) and str(row) == str(alone)
     return (np.array_equal(row.params, alone.params) and np.array_equal(row.sigma, alone.sigma)
             and row.residual_norm == alone.residual_norm
-            and (row.evaluations, row.jacobian_evaluations)
-            == (alone.evaluations, alone.jacobian_evaluations))
+            and (row.evaluations, row.jacobian_evaluations, row.iterations, row.stop_reason)
+            == (alone.evaluations, alone.jacobian_evaluations, alone.iterations,
+                alone.stop_reason))
 
 
 def _fit_alone(model, init):
@@ -590,6 +591,26 @@ def test_the_closed_form_start_agrees_with_the_grid():
         agrees = all(g == pytest.approx(w, rel=rtol, abs=0.0)
                      for g, w, rtol in zip(got, grid.params, AGREEMENT_RTOL))
         assert agrees or res.cost < grid.residual_norm ** 2, (targets, got, tuple(grid.params))
+
+
+def test_the_closed_form_start_stops_at_its_roundoff_floor(monkeypatch):
+    # the step test ends each estimate of the strain-map box within 14 model
+    # evaluations, once its steps bounce at a cost of about 1e-24; a rule that waits
+    # for 3 accepted steps each lowering the cost by less than 1e-10 takes 22-38
+    fits = []
+    rows = least_squares_rows
+
+    def recorded(*args, **kwargs):
+        out = rows(*args, **kwargs)
+        fits.extend(out)
+        return out
+
+    monkeypatch.setattr(electronic.fitting, "least_squares_rows", recorded)
+    for targets in _emitter_targets(15, seed=32):
+        fits.clear()
+        assert estimate_parameters(targets, b_field=B_REF).path == "closed_form"
+        (fit,) = fits
+        assert fit.evaluations <= 14, (targets, fit.evaluations, fit.stop_reason)
 
 
 def test_a_closed_form_start_above_the_converged_cost_falls_back_to_the_grid():
