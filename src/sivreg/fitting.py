@@ -202,11 +202,11 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     shape (N,) or (K, N).
 
     weights match y; init is None, one dict for every row or a sequence of K
-    dicts; fixed pins parameters in every row.  Returns a list with each
-    row's FitResult, or the SingularNormalMatrix or MaxIterations that stopped
-    the row.  Each row runs the stopping tests on its own steps and costs, so it
-    takes the steps, the model and Jacobian evaluations and the stop of its fit
-    alone (least_squares), bit for bit.
+    dicts; fixed pins parameters in every row; max_iterations is at least 1.
+    Returns a list with each row's FitResult, or the SingularNormalMatrix or
+    MaxIterations that stopped the row.  Each row runs the stopping tests on its
+    own steps and costs, so it takes the steps, the model and Jacobian
+    evaluations and the stop of its fit alone (least_squares), bit for bit.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -231,6 +231,8 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     inits = [init] * n_rows if init is None or isinstance(init, dict) else list(init)
     if len(inits) != n_rows:
         raise ValueError("init needs one dict per row of y")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1, got %r" % (max_iterations,))
 
     x_rows = np.broadcast_to(x, y.shape)
     start = np.empty((n_rows, len(names)))
@@ -340,12 +342,7 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
         r, jacobian_of = residuals(slice(None), params)
         cost = [0.5 * float(r_k @ r_k) for r_k in r]
         jac = jacobians(slice(None), params, jacobian_of, slice(None))
-        if max_iterations > 0:
-            rows = begin(list(range(n_rows)))
-        else:
-            rows = []
-            failures = [MaxIterations("no convergence within %d iterations" % max_iterations)
-                        for _ in range(n_rows)]
+        rows = begin(list(range(n_rows)))
         while rows:
             i = at(rows)
             step = solve(rows, i)

@@ -1,8 +1,9 @@
 """Dense complex linear algebra kernel.
 
-Kronecker products, Hermitian eigendecomposition (LAPACK ``eigh``) and unitary
-propagators for the small matrices this package works with (dim <= 16: the
-electronic parity blocks are 4x4, electron + two nuclei is 8x8).
+Kronecker products (of two matrices or of two stacks, broadcast), Hermitian
+eigendecomposition (LAPACK ``eigh``) and unitary propagators for the small
+matrices this package works with (dim <= 16: the electronic parity blocks are
+4x4, electron + two nuclei is 8x8).
 
 Eigensystem values follow the internal convention of the package: whatever
 units the Hamiltonian was assembled in (angular frequency, rad/s, for all
@@ -85,12 +86,16 @@ def _as_square(a):
 
 
 def kron(a, b):
-    """Kronecker product with the left factor as the slowest index."""
+    """Kronecker product, left factor slowest, of two square matrices or stacks
+    (..., m, m) and (..., n, n) broadcast over their leading axes: (..., mn, mn).
+    Each entry is the one product a_ij b_kl, as ``np.kron`` forms it."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("kron expects two square matrices")
-    return np.kron(a, b)
+    if any(m.ndim < 2 or m.shape[-1] != m.shape[-2] for m in (a, b)):
+        raise ValueError("kron expects two square matrices or stacks of them")
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    n = a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (n, n))
 
 
 def _squared_norms(a):

@@ -9,8 +9,9 @@ linearly onto a Rabi frequency (Hz).
 
 The generator is constant on each pulse segment, so the sweeps propagate
 exactly: exp(L t) of the 4x4 Liouvillian, by scaling and squaring, for the
-whole sweep axis at once.  ``evolve_lindblad`` is the independent fixed-step
-4th-order reference integrator.
+whole sweep axis at once; the Liouvillians of a stack of drive phases are
+``linalg.kron`` products broadcast over the stack.  ``evolve_lindblad`` is the
+independent fixed-step 4th-order reference integrator.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy as np
 from . import fitting
 from .fitting import FitFailed
 from .constants import RABI_MAX
-from .linalg import SX, SY, SZ, SweepResult
+from .linalg import SX, SY, SZ, SweepResult, kron
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,26 +134,21 @@ GROUND = np.diag([1.0, 0.0]).astype(complex)
 _TRACE = np.eye(2).reshape(4)  # tr(rho) = _TRACE @ rho.reshape(4)
 
 
-def _kron(a, b):
-    """Kronecker product of 2x2 matrices, broadcast over leading axes."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (4, 4))
-
-
 def _liouvillian(p: OpticalParams, amplitude, phase):
     """4x4 master-equation generator, the RK4 right-hand side, acting on rho.reshape(4).
 
     Row-major vectorization: vec(A rho B) = kron(A, B^T) vec(rho).  An array
-    of phases gives a stack of generators of shape phase.shape + (4, 4).
+    of phases gives a stack of generators of shape phase.shape + (4, 4), its
+    ``kron`` products broadcast over the stack.
     """
     phase = np.asarray(phase, dtype=float)[..., None, None]
     omega = amplitude * p.rabi_per_volt
     h = TWO_PI * (0.5 * p.detuning * SZ
                   + 0.5 * omega * (np.cos(phase) * SX + np.sin(phase) * SY))
     eye = np.eye(2)
-    gen = -1j * (_kron(h, eye) - _kron(eye, np.swapaxes(h, -1, -2)))
-    decay = _kron(_LOWER, _LOWER.conj()) - 0.5 * (_kron(_P_EXC, eye) + _kron(eye, _P_EXC.T))
-    dephase = 0.5 * (_kron(SZ, SZ.T) - np.eye(4))
+    gen = -1j * (kron(h, eye) - kron(eye, np.swapaxes(h, -1, -2)))
+    decay = kron(_LOWER, _LOWER.conj()) - 0.5 * (kron(_P_EXC, eye) + kron(eye, _P_EXC.T))
+    dephase = 0.5 * (kron(SZ, SZ.T) - np.eye(4))
     return gen + decay / p.t1 + p.gamma_phi * dephase
 
 

@@ -88,8 +88,6 @@ class DephasingModel:
             with np.errstate(over="ignore"):   # t / t_c may overflow to inf: capped below
                 ratio = np.minimum(t / self.t_c, 1e100)
             return np.exp(-(ratio ** self.beta))
-        if t == 0.0:
-            return 1.0
         # t / t_c capped at 1e100 keeps the power finite for beta <= 3; exp gives 0.0 either way
         return math.exp(-(min(t / self.t_c, 1e100) ** self.beta))
 
@@ -172,8 +170,6 @@ def dephase_electron(rho, factor):
     """
     if isinstance(factor, np.ndarray):
         factor = factor[..., None, None]
-    elif factor == 1.0:
-        return rho
     half = rho.shape[-1] // 2
     out = rho.copy()
     out[..., :half, half:] *= factor

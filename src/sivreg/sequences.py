@@ -1,9 +1,10 @@
 """Register propagation and the pulse-sequence experiments built on it.
 
 ``Engine`` is the one code path that turns the register Hamiltonian of
-``sivreg.register`` into propagators: it caches eigensystems and unitaries
-per (params, dephasing, t_pi) context and hands out segment lists (their
-format and their backward walk are stated in the ``Engine`` docstring).
+``sivreg.register`` into propagators: it caches the drive eigensystems, the
+free factors, the eigenframe rotations and the folded DD blocks per (params,
+dephasing, t_pi) context and hands out segment lists (their format and their
+backward walk are stated in the ``Engine`` docstring).
 ``Engine.evolve`` walks such a list over a raw density matrix, or over a
 stack of them (shape (..., d, d)), and is the only way any experiment moves a
 state; every signal is read from the diagonal of the result
@@ -154,8 +155,10 @@ class FreeSegment(NamedTuple):
 
 
 class Engine:
-    """Caches eigensystems, propagators and folded DD blocks for one
-    (params, dephasing, t_pi) context.
+    """Caches, for one (params, dephasing, t_pi) context, the eigensystem of each
+    drive (rabi, phase), the free factor of each scalar time, the eigenframe
+    pulse W^dag U W of each rotation and each folded DD block.  A pulse unitary
+    is not cached: ``u_pulse`` forms it from its drive's eigensystem each time.
 
     Evolution is a list of segments, each one of two kinds:
 
@@ -190,7 +193,6 @@ class Engine:
         self._eig = {}
         self._frame = None
         self._u_free = {}
-        self._u_pulse = {}
         self._u_framed = {}
         self._blocks = {}
 
@@ -228,17 +230,8 @@ class Engine:
         return dephase_electron(factor, self.deph.factor(t))
 
     def u_pulse(self, rabi, phase, duration):
-        """Pulse propagator; an array of durations gives an uncached stack."""
-        if isinstance(duration, np.ndarray):
-            return self._pulse(rabi, phase, duration)
-        key = (rabi, phase, duration)
-        u = self._u_pulse.get(key)
-        if u is None:
-            u = self._u_pulse[key] = self._pulse(rabi, phase, duration)
-        return u
-
-    def _pulse(self, rabi, phase, duration):
-        """exp(-i H t) under drive (rabi, phase); a stack for an array of durations."""
+        """exp(-i H t) under drive (rabi, phase), from its cached eigensystem; a stack
+        for an array of durations."""
         if not np.all(np.asarray(duration) >= 0):
             raise ValueError("pulse duration must be >= 0, got %r" % (float(np.min(duration)),))
         eig = self._eig.get((rabi, phase))

@@ -557,6 +557,9 @@ def test_input_validation():
         least_squares(model, x, y, weights=-np.ones_like(y))
     with pytest.raises(ValueError):
         least_squares(model, x, y, weights=np.ones(5))
+    for max_iterations in (0, -1):
+        with pytest.raises(ValueError, match="max_iterations"):
+            least_squares(model, x, y, max_iterations=max_iterations)
 
 
 def test_param_spec_rejects_inverted_bounds():
@@ -806,3 +809,6 @@ def test_lockstep_input_validation():
         least_squares_rows(model, x[:-1], np.ones((2, 20)))
     with pytest.raises(ValueError):
         least_squares_rows(model, x, np.ones((2, 20)), init=[{}])
+    for max_iterations in (0, -1):
+        with pytest.raises(ValueError, match="max_iterations"):
+            least_squares_rows(model, x, np.ones((2, 20)), max_iterations=max_iterations)

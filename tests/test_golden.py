@@ -2,10 +2,12 @@
 
 The invocations are the 13 of the benchmark's ``cli_defaults`` workload (taken
 from bench/cli_defaults.py, with a fixed seed), the register runs with two
-nuclei and dephasing, the CnNOTe and identity gates, a nuclear Ramsey and a
-logarithmic DD sweep, and three ``fit`` runs on golden CSVs: an analytic-rule
-fit, a central-difference fit and an ``rb_decay`` fit that ends on its upper
-bounds.  The fits run in tests/golden, so their ``# config data=`` line holds
+nuclei and dephasing, the CnNOTe and identity gates, a nuclear Ramsey, a
+logarithmic and a CPMG DD sweep, a spin-lock amplitude sweep, ``ssr`` from
+bright and from dark starts, and three ``fit`` runs on golden CSVs: an
+analytic-rule fit, a central-difference fit and an ``rb_decay`` fit that ends
+on its upper bounds; so every option of a kind, mode, target or initial key
+runs.  The fits run in tests/golden, so their ``# config data=`` line holds
 the bare file name.  All run through ``cli.main`` in this process.  Every
 file is compared byte for byte, so a change that moves any value, or the
 formatting of any value, fails here.  The ``help*.txt`` files hold the
@@ -49,6 +51,13 @@ INVOCATIONS = [(label, argv, None) for label, argv in invocations(SEED) + [
     ("run_gates_identity", ["run", "gates", "--gate", "identity"] + LARMOR),
     ("run_ramsey_nuclear", ["run", "ramsey", "--target", "nuclear"] + LARMOR),
     ("run_dd_log", ["run", "dd", "--sweep-scale", "log"] + LARMOR),
+    ("run_dd_cpmg", ["run", "dd", "--kind", "CPMG"] + LARMOR),
+    # the default axis serves mode tau (seconds): sweep the drive across the
+    # Hartmann-Hahn dip near the Larmor frequency instead
+    ("run_spinlock_amplitude", ["run", "spinlock", "--mode", "amplitude",
+                                "--sweep-start", "3.0e6", "--sweep-stop", "4.2e6"] + LARMOR),
+    ("ssr_bright", ["ssr", "--initial", "bright", "--seed", str(SEED)]),
+    ("ssr_dark", ["ssr", "--initial", "dark", "--seed", str(SEED)]),
 ]] + [(label, ["fit", "--model", model, "--data", data], GOLDEN) for label, model, data in (
     ("fit_single_exp", "single_exp", "optical_decay.csv"),
     ("fit_stretched_exp", "stretched_exp", "optical_decay.csv"),
@@ -110,6 +119,27 @@ def test_csv_is_byte_identical_to_its_golden_file(label, argv, cwd, tmp_path):
                          ids=[label for label, _ in HELP_INVOCATIONS])
 def test_help_text_is_identical_to_its_golden_file(label, words):
     assert help_text(words) == (GOLDEN / (label + ".txt")).read_text()
+
+
+def test_every_choice_has_a_golden_invocation():
+    """Each option of a kind, mode, target or initial key is that key's value, given by a
+    flag or by default, in at least one golden invocation of the experiment."""
+    keys = ("kind", "mode", "target", "initial")
+    parser = cli.build_parser()
+    covered = set()
+    for _, argv, _ in INVOCATIONS:
+        flags = vars(parser.parse_args(argv))
+        spec = cli.EXPERIMENTS[flags["experiment"]]
+        covered.update((spec.name, key, flags.get(key, spec.defaults.get(key)))
+                       for key in keys if key in spec.schema())
+    options = set()
+    for name, spec in cli.EXPERIMENTS.items():
+        for key in keys:
+            if key in spec.schema():
+                domain = cli._domain(name, key)
+                assert isinstance(domain, cli.Choices), (name, key)
+                options.update((name, key, option) for option in domain.options)
+    assert sorted(options - covered) == []
 
 
 def test_every_golden_file_has_an_invocation():

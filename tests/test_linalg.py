@@ -116,9 +116,24 @@ def test_kron_bilinearity(seed):
     np.testing.assert_allclose(kron(c, a + b), kron(c, a) + kron(c, b), atol=1e-12)
 
 
+@pytest.mark.parametrize("na, nb", [(2, 2), (2, 4), (4, 2), (1, 3)])
+def test_kron_of_stacks_is_each_np_kron_bit_for_bit(na, nb):
+    rng = np.random.default_rng(na + 10 * nb)
+    a = rng.normal(size=(5, na, na)) + 1j * rng.normal(size=(5, na, na))
+    b = rng.normal(size=(5, nb, nb)) + 1j * rng.normal(size=(5, nb, nb))
+    stacked = kron(a, b)
+    assert stacked.shape == (5, na * nb, na * nb)
+    assert np.array_equal(stacked, [np.kron(a_k, b_k) for a_k, b_k in zip(a, b)])
+    # a stack against one matrix broadcasts it over the stack, and 2-D inputs are np.kron
+    assert np.array_equal(kron(a, b[0]), [np.kron(a_k, b[0]) for a_k in a])
+    assert np.array_equal(kron(a[0], b[0]), np.kron(a[0], b[0]))
+
+
 def test_kron_rejects_non_square():
-    with pytest.raises(ValueError):
-        kron(np.ones((2, 3)), np.eye(2))
+    for a, b in [(np.ones((2, 3)), np.eye(2)), (np.eye(2), np.ones((3, 2, 3))),
+                 (np.ones((3, 2, 3)), np.ones((3, 2, 2))), (np.ones(4), np.eye(2))]:
+        with pytest.raises(ValueError, match="square"):
+            kron(a, b)
 
 
 def test_degenerate_spectrum_gives_orthonormal_eigenpairs():

@@ -154,6 +154,10 @@ CLI_WORK = {
     "fit_single_exp": (0, 0),
     "fit_stretched_exp": (0, 0),
     "fit_rb_decay": (0, 0),
+    "run_dd_cpmg": (3, 1),
+    "run_spinlock_amplitude": (102, 1),
+    "ssr_bright": (0, 0),
+    "ssr_dark": (0, 0),
 }
 
 # (evaluations, jacobian_evaluations) of every FitResult a golden CLI invocation
@@ -168,11 +172,52 @@ FIT_WORK = {
     "fit_rb_decay": [(6, 6)],
 }
 
+# (hits, misses) of three Engine caches in each golden CLI invocation: the free factors
+# of scalar times (u_free), the eigenframe rotations (_framed_rotation) and the drive
+# eigensystems (_eig); an invocation not named here looks up none of them.  Over all
+# invocations: (100, 18), (111, 33) and (29, 149).  Over the 25 invocations other than
+# run_dd_cpmg, run_spinlock_amplitude, ssr_bright and ssr_dark they read (100, 18),
+# (104, 32) and (25, 45) while u_pulse also kept its scalar pulses in a cache, which hit
+# 4 of 72 lookups there; each of those 4 pulses now looks up its eigensystem, a hit.
+CACHE_WORK = {
+    "run_rabi": ((0, 0), (0, 0), (0, 1)),
+    "run_ramsey": ((0, 0), (0, 0), (0, 1)),
+    "run_dd": ((0, 0), (6, 2), (1, 2)),
+    "run_spinlock": ((0, 0), (0, 0), (0, 2)),
+    "run_nucrot": ((7, 1), (6, 2), (1, 2)),
+    "run_gates": ((22, 5), (18, 6), (8, 6)),
+    "run_rb": ((0, 0), (0, 0), (4, 4)),
+    "run_dd_2n": ((0, 0), (6, 2), (1, 2)),
+    "run_nucrot_2n": ((7, 1), (6, 2), (1, 2)),
+    "run_gates_2n": ((22, 5), (18, 6), (8, 6)),
+    "run_rb_2n": ((0, 0), (0, 0), (4, 4)),
+    "run_gates_cenotn_2n": ((28, 4), (26, 6), (0, 6)),
+    "run_gates_cnnote": ((0, 0), (0, 0), (0, 1)),
+    "run_ramsey_nuclear": ((14, 2), (12, 4), (0, 4)),
+    "run_dd_log": ((0, 0), (6, 2), (1, 2)),
+    "run_dd_cpmg": ((0, 0), (7, 1), (0, 2)),
+    "run_spinlock_amplitude": ((0, 0), (0, 0), (0, 102)),
+}
+CACHES = ("_u_free", "_u_framed", "_eig")
+
+
+class _CountedCache(dict):
+    """A cache dict that counts each get as a hit or a miss."""
+
+    def __init__(self, counts):
+        super().__init__()
+        self.counts = counts
+
+    def get(self, key, default=None):
+        self.counts[key not in self] += 1
+        return super().get(key, default)
+
 
 @pytest.mark.parametrize("label, argv, cwd", INVOCATIONS,
                          ids=[label for label, _, _ in INVOCATIONS])
 def test_cli_invocation_work(label, argv, cwd, monkeypatch, tmp_path):
     counts = {"eig": 0, "engine": 0}
+    cache_counts = {name: [0, 0] for name in CACHES}
     fits = []
     eig, init, rows = linalg.hermitian_eig, sequences.Engine.__init__, fitting.least_squares_rows
 
@@ -183,6 +228,8 @@ def test_cli_invocation_work(label, argv, cwd, monkeypatch, tmp_path):
     def counted_init(self, *args, **kwargs):
         counts["engine"] += 1
         init(self, *args, **kwargs)
+        for name in CACHES:
+            setattr(self, name, _CountedCache(cache_counts[name]))
 
     def counted_rows(*args, **kwargs):
         out = rows(*args, **kwargs)
@@ -199,11 +246,14 @@ def test_cli_invocation_work(label, argv, cwd, monkeypatch, tmp_path):
     run_invocation(argv, tmp_path, cwd)
     assert (counts["eig"], counts["engine"]) == CLI_WORK[label]
     assert fits == FIT_WORK.get(label, [])
+    assert tuple(tuple(cache_counts[name]) for name in CACHES) == CACHE_WORK.get(
+        label, ((0, 0),) * len(CACHES))
 
 
 def test_every_golden_invocation_has_its_work_counts():
     assert sorted(CLI_WORK) == sorted(label for label, _, _ in INVOCATIONS)
     assert set(FIT_WORK) <= set(CLI_WORK)
+    assert set(CACHE_WORK) <= set(CLI_WORK)
 
 
 def test_rb_work_at_the_lab_chain_shape(monkeypatch):
