@@ -10,7 +10,9 @@ ground manifold at indices 0..3 and the excited one at 4..7.  The forward
 model (observables_and_jacobian, observables_at) reads its observables from
 the offset-free block eigenvalues and, for the strain estimate, their
 analytic derivatives in (epsilon, alpha, theta); it takes arrays of points
-and solves their (K, 2, 4, 4) blocks as one stack.
+and solves their (K, 2, 4, 4) blocks as one stack in numpy, with each point's
+coefficients and observables in its Python floats (_forward_stack).  Nearly
+every call is one point (K = 1); only the estimate's grid fallback has K = 8.
 
 The defect constants are the module constants below; a model point is a
 StrainField and a FieldConfig.  Inputs are ordinary frequencies (Hz); the
@@ -49,6 +51,20 @@ class DegenerateStates(RuntimeError):
     """State labeling by energy order is ambiguous (E0 and E1 coincide)."""
 
 
+# the domain of each input of the forward model, in the order it is checked
+_DOMAINS = (("epsilon must be finite and >= 0", lambda v: 0.0 <= v < math.inf),
+            ("alpha must be finite and > 0", lambda v: 0.0 < v < math.inf),
+            ("field magnitude must be finite and >= 0", lambda v: 0.0 <= v < math.inf),
+            ("theta must lie in [0, 90] degrees", lambda v: 0.0 <= v <= 90.0))
+
+
+def _check_domains(*columns):
+    """Raise the ValueError of the first input of _DOMAINS with a value outside it."""
+    for (message, inside), values in zip(_DOMAINS, columns):
+        if not all(map(inside, values)):
+            raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class StrainField:
     """Transverse strain epsilon (Hz) and ungerade/gerade ratio alpha."""
@@ -57,10 +73,7 @@ class StrainField:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        _check_domains([self.epsilon], [self.alpha])
 
 
 @dataclass(frozen=True)
@@ -71,10 +84,7 @@ class FieldConfig:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.magnitude < 0:
-            raise ValueError("field magnitude must be >= 0")
-        if not 0.0 <= self.theta <= 90.0:
-            raise ValueError("theta must lie in [0, 90] degrees")
+        _check_domains((), (), [self.magnitude], [self.theta])
 
 
 @dataclass(frozen=True)
@@ -142,47 +152,38 @@ def field_from_nuclear_larmor(larmor_n):
     return larmor_n / GYROMAG_13C
 
 
-def _field_xz(theta, b_field):
-    """Field components (bx, bz) (T) for a list of polar angles theta (deg), by
-    the scalar sine and cosine of each."""
-    bxz = b_field * np.array([(math.sin(r), math.cos(r)) for r in map(math.radians, theta)])
-    return bxz[:, 0], bxz[:, 1]
-
-
 # the seven terms of a block in the order of the term-by-term assembly:
 # spin-orbit, orbital Zeeman, spin x, spin z and its anisotropy correction, and
-# the strain pair; and the per-block (g, u) factors of the first five
-# coefficients, each product formed in the order of that assembly
+# the strain pair; and the (g, u) factors of the first five coefficients
 _TERMS = np.stack((_SO, _ORB, _SPIN_X, _SPIN_Z, _SPIN_Z, _STRAIN_Z, _STRAIN_X))[:, None, None]
-_K_SO = np.array([-LAMBDA_G / 2.0, -LAMBDA_U / 2.0])
-_K_FIELD = np.array([[_MU_B * P_G * GL_G, _MU_B * P_U * GL_U],                   # bz
-                     [_MU_B * G_S] * 2,                                           # bx
-                     [_MU_B * G_S] * 2,                                           # bz
-                     [_MU_B * 2.0 * DELTA_P_G * GL_G, _MU_B * 2.0 * DELTA_P_U * GL_U]])  # bz
+_K_SO_G, _K_SO_U, _K_SPIN = -LAMBDA_G / 2.0, -LAMBDA_U / 2.0, _MU_B * G_S
+_K_ORB_G, _K_ORB_U = _MU_B * P_G * GL_G, _MU_B * P_U * GL_U
+_K_DP_G, _K_DP_U = _MU_B * 2.0 * DELTA_P_G * GL_G, _MU_B * 2.0 * DELTA_P_U * GL_U
 
 
-def _block_stack(epsilon, alpha, bx, bz):
-    """Assemble the g and u blocks of K points and solve them as one stack.
-
-    Takes arrays of shape (K,).  Returns the (K, 2, 4, 4) blocks (Hz, no
-    offset) and their stacked Eigensystem (rad/s, no offset).
+def _block_stack(epsilon, alpha, theta, b_field):
+    """Assemble the g and u blocks of K points (lists of floats, theta in degrees)
+    and solve them as one stack.  Returns the (K, 2, 4, 4) blocks (Hz, no
+    offset), their stacked Eigensystem (rad/s, no offset) and each point as
+    (epsilon, alpha, bx, bz), with the field components bx and bz in T.
     """
-    coef = np.empty((len(_TERMS), epsilon.size, 2))     # (term, K, block)
-    coef[0] = _K_SO
-    coef[1:5] = _K_FIELD[:, None, :] * np.array([bz, bx, bz, bz])[..., None]
-    coef[5:, :, 0] = epsilon
-    coef[5:, :, 1] = alpha * epsilon
+    coef, points = [], []
+    for eps, a, r in zip(epsilon, alpha, map(math.radians, theta)):
+        bx, bz, eps_u = b_field * math.sin(r), b_field * math.cos(r), a * eps
+        points.append((eps, a, bx, bz))
+        coef += (_K_SO_G, _K_SO_U, _K_ORB_G * bz, _K_ORB_U * bz, _K_SPIN * bx, _K_SPIN * bx,
+                 _K_SPIN * bz, _K_SPIN * bz, _K_DP_G * bz, _K_DP_U * bz, eps, eps_u, eps, eps_u)
+    coef = np.array(coef).reshape(-1, 7, 2).swapaxes(0, 1)       # (term, K, block)
     # the terms added one by one, as the assembly does: a running sum, not a reduction
     h = np.add.accumulate(coef[..., None, None] * _TERMS)[-1]
-    return h, hermitian_eig(TWO_PI * h)
+    return h, hermitian_eig(TWO_PI * h), points
 
 
 def _parity_blocks(s: StrainField, f: FieldConfig):
     """_block_stack at one point: its two blocks (2, 4, 4), their Eigensystem
     (values (2, 4), vectors (2, 4, 4)) and the offset f_c (Hz) that pins the
     lowest u <- g gap to c / TRANSITION_C_WAVELENGTH."""
-    h, eig = _block_stack(np.array([s.epsilon]), np.array([s.alpha]),
-                          *_field_xz([f.theta], f.magnitude))
+    h, eig, _ = _block_stack([s.epsilon], [s.alpha], [f.theta], f.magnitude)
     values = eig.values[0]
     # divide first: subtracting at the rad/s scale would move f_c by an ulp
     f_c = SPEED_OF_LIGHT / TRANSITION_C_WAVELENGTH - (values[1, 0] / TWO_PI - values[0, 0] / TWO_PI)
@@ -226,42 +227,40 @@ _DERIVATIVE_OPS = np.stack((_STRAIN_Z + _STRAIN_X, _ORB, _SPIN_X, _SPIN_Z)).resh
 _SELF_GAP = np.diag(np.full(4, math.inf))
 
 _K_DEG = math.radians(1.0) * _MU_B
-_K_DORB = np.array([-_K_DEG * P_G * GL_G, -_K_DEG * P_U * GL_U])
-_K_DSPIN_X = _K_DEG * G_S
-_K_DSPIN_Z = np.array([-_K_DEG * (G_S + 2.0 * DELTA_P_G * GL_G),
-                       -_K_DEG * (G_S + 2.0 * DELTA_P_U * GL_U)])
+# the g and u factors of the theta derivative: orbital Zeeman (bx), spin x (bz), spin z (bx)
+_K_DTHETA = ((-_K_DEG * P_G * GL_G, _K_DEG * G_S, -_K_DEG * (G_S + 2.0 * DELTA_P_G * GL_G)),
+             (-_K_DEG * P_U * GL_U, _K_DEG * G_S, -_K_DEG * (G_S + 2.0 * DELTA_P_U * GL_U)))
 
 
-def _block_derivatives(epsilon, alpha, bx, bz):
-    """d H_b / d (epsilon, alpha, theta) of the blocks of _block_stack.
+def _block_derivatives(points):
+    """d H_b / d (epsilon, alpha, theta) of the blocks of _block_stack at its points.
 
     Shape (K, block g/u, param, 4, 4), in Hz per Hz, Hz and Hz per degree.
     epsilon and alpha enter through the strain pair (epsilon on g, alpha
     epsilon on u); theta only through the field terms, with d(bx, bz)/d theta
     = (bz, -bx) per radian.
     """
-    coef = np.zeros((epsilon.size, 2, 3, 4))
-    coef[:, 0, 0, 0] = 1.0
-    coef[:, 1, 0, 0] = alpha
-    coef[:, 1, 1, 0] = epsilon
-    coef[:, :, 2, 1] = _K_DORB * bx[:, None]
-    coef[:, :, 2, 2] = (_K_DSPIN_X * bz)[:, None]
-    coef[:, :, 2, 3] = _K_DSPIN_Z * bx[:, None]
-    return (coef @ _DERIVATIVE_OPS).reshape(epsilon.size, 2, 3, 4, 4)
+    coef = []
+    for eps, a, bx, bz in points:
+        for (k_orb, k_sx, k_sz), d_eps, d_alpha in zip(_K_DTHETA, (1.0, a), (0.0, eps)):
+            coef += (d_eps, 0.0, 0.0, 0.0, d_alpha, 0.0, 0.0, 0.0,
+                     0.0, k_orb * bx, k_sx * bz, k_sz * bx)
+    return (np.array(coef).reshape(-1, 2, 3, 4) @ _DERIVATIVE_OPS).reshape(-1, 2, 3, 4, 4)
 
 
 def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
     """Forward model and its analytic Jacobian from one solve of each parity block.
 
     epsilon (Hz), alpha and theta (degrees) are scalars or arrays of one shape
-    (K,); b_field (T) is one magnitude.  For arrays, returns (obs, jac):
-    obs[k] = (omega_L_e, delta_ss, delta_gs, cyclicity), shape (K, 4), and
-    jac[k, i, j] = d observable_i / d parameter_j, shape (K, 4, 3), or None
-    when jacobian is False; the 2K blocks are checked and solved as one
-    hermitian_eig stack.  A row whose e_g0 and e_g1 lie within 1 Hz, where
-    the state labelling by energy order is ambiguous, reads inf in obs and
-    nan in jac.  For scalars, returns (DerivedObservables, jac of shape (4, 3))
-    and raises DegenerateStates for such a point.
+    (K,); b_field (T) is one magnitude.  When any of the three is an array,
+    returns (obs, jac): obs[k] = (omega_L_e, delta_ss, delta_gs, cyclicity),
+    shape (K, 4), and jac[k, i, j] = d observable_i / d parameter_j, shape
+    (K, 4, 3), or None when jacobian is False; the 2K blocks are checked and
+    solved as one hermitian_eig stack.  A row whose e_g0 and e_g1 lie within
+    1 Hz, where the state labelling by energy order is ambiguous, reads inf in
+    obs and nan in jac.  For scalars, returns (DerivedObservables, jac of
+    shape (4, 3)) and raises DegenerateStates for such a point.  An input
+    outside its domain, nan or inf, raises a ValueError that names it.
 
     All four observables come from the offset-free block eigenvalues e_g, e_u
     (Hz): omega_L_e = e_g1 - e_g0, delta_ss = (e_u1 - e_u0) - (e_g1 - e_g0),
@@ -273,14 +272,14 @@ def observables_and_jacobian(epsilon, alpha, theta, b_field, jacobian=True):
     cyclicity also needs the first-order shifts dv_n = sum_{m != n} v_m
     <v_m|dH|v_n> / (E_n - E_m) of g0, g1 and u0 inside their blocks.
     """
-    scalar = np.ndim(epsilon) == 0
+    scalar = all(isinstance(v, (int, float)) or np.ndim(v) == 0 for v in (epsilon, alpha, theta))
     obs, jacobian_of = _forward_stack(epsilon, alpha, theta, b_field)
-    if scalar and obs[0, 0] == math.inf:
+    if not scalar:
+        return obs, jacobian_of(slice(None)) if jacobian else None
+    row = obs[0].tolist()
+    if row[0] == math.inf:
         raise DegenerateStates("E0 and E1 degenerate within 1 Hz; ordering ambiguous")
-    jac = jacobian_of(slice(None)) if jacobian else None
-    if scalar:
-        return DerivedObservables(*obs[0].tolist()), None if jac is None else jac[0]
-    return obs, jac
+    return DerivedObservables(*row), jacobian_of(slice(None))[0] if jacobian else None
 
 
 def _forward_stack(epsilon, alpha, theta, b_field):
@@ -288,64 +287,65 @@ def _forward_stack(epsilon, alpha, theta, b_field):
     (K, 4), from one hermitian_eig stack of their 2K blocks, and jacobian_of(rows),
     which forms the (len(rows), 4, 3) Jacobian of the chosen rows (a slice or an
     increasing index list) from the eigenvectors of that same solve.  Row for
-    row, both equal the full stack's bit for bit."""
-    epsilon, alpha, theta = (np.array(v, dtype=float, ndmin=1)
+    row, both equal the full stack's bit for bit.
+
+    numpy runs the stack: the term sum, the one hermitian_eig, the amplitudes
+    |<g_n|d|u0>| and the Jacobian's eigenvector products.  Each row's coefficients,
+    observables and Jacobian entries are its Python floats, by the IEEE operations
+    of the array form in its order.  Calls are K = 1, save the grid fallback (K = 8).
+    """
+    epsilon, alpha, theta = ([float(v)] if isinstance(v, (int, float))
+                             else np.array(v, dtype=float, ndmin=1).tolist()
                              for v in (epsilon, alpha, theta))
-    theta_list = theta.tolist()
-    if any(v < 0 for v in epsilon.tolist()):
-        raise ValueError("epsilon must be >= 0")
-    if not all(v > 0 for v in alpha.tolist()):
-        raise ValueError("alpha must be > 0")
-    if b_field < 0:
-        raise ValueError("field magnitude must be >= 0")
-    if not all(0.0 <= v <= 90.0 for v in theta_list):
-        raise ValueError("theta must lie in [0, 90] degrees")
-    bx, bz = _field_xz(theta_list, b_field)
-    _, eig = _block_stack(epsilon, alpha, bx, bz)
-    e, vecs = eig.values / TWO_PI, eig.vectors         # (K, block, 4), (K, block, 4, 4)
-    e_g, e_u = e[:, 0], e[:, 1]
-    degenerate = e_g[:, 1] - e_g[:, 0] < 1.0
+    if not len(epsilon) == len(alpha) == len(theta):
+        raise ValueError("epsilon, alpha and theta must have one shape")
+    _check_domains(epsilon, alpha, [b_field], theta)
+    _, eig, points = _block_stack(epsilon, alpha, theta, float(b_field))
+    vecs = eig.vectors                                  # (K, block, 4, 4)
     g01, u0 = vecs[:, 0, :, :2], vecs[:, 1, :, 0]
     dip_u0 = (_DIPOLE_BLOCKS @ u0[:, None, :, None])[..., 0]          # (K, dipole, 4)
     amp = g01.conj().swapaxes(-1, -2) @ dip_u0.swapaxes(-1, -2)     # <g_n| d |u0>, (K, n, dipole)
-    sums = (np.abs(amp) ** 2).sum(axis=-1)
-    num, den = sums[:, 0], sums[:, 1]
-    obs = np.empty((e.shape[0], 4))
-    obs[:, 0] = omega_l = e_g[:, 1] - e_g[:, 0]
-    obs[:, 1] = (e_u[:, 1] - e_u[:, 0]) - omega_l
-    obs[:, 2] = 0.5 * (e_g[:, 2] + e_g[:, 3]) - 0.5 * (e_g[:, 0] + e_g[:, 1])
-    obs[:, 3] = cyc = np.divide(num, den, out=np.full_like(num, math.inf), where=~(den < 1e-30))
-    obs[degenerate] = math.inf
+    # sum_d |<g_n|d|u0>|^2 of n = 0, 1, added in the order of the array sum
+    sums = [[(a0 * a0 + a1 * a1) + a2 * a2 for a0, a1, a2 in row] for row in np.abs(amp).tolist()]
+    obs_rows = []
+    for (g, u), (num, den) in zip(eig.values.tolist(), sums):
+        e_g, e_u = [v / TWO_PI for v in g], [v / TWO_PI for v in u[:2]]
+        omega_l = e_g[1] - e_g[0]
+        obs_rows.append([math.inf] * 4 if omega_l < 1.0 else [
+            omega_l, (e_u[1] - e_u[0]) - omega_l,
+            0.5 * (e_g[2] + e_g[3]) - 0.5 * (e_g[0] + e_g[1]),
+            math.inf if den < 1e-30 else num / den])
+    obs = np.array(obs_rows)
 
     def jacobian_of(rows):
-        e_r, vecs_r, amp_r, dip_r, cyc_r, den_r = (
-            a[rows] for a in (e, vecs, amp, dip_u0, cyc, den))
-        g01_r = vecs_r[:, 0, :, :2]
+        picks = range(len(obs_rows))[rows] if isinstance(rows, slice) else rows
+        e_r, vecs_r, amp_r, dip_r = (a[rows] for a in (eig.values / TWO_PI, vecs, amp, dip_u0))
         with np.errstate(divide="ignore", invalid="ignore"):
             # <v_m| dH/dp |v_n> in each block, (K, block, param, m, n)
             m = (vecs_r.conj().swapaxes(-1, -2)[:, :, None]
-                 @ _block_derivatives(epsilon[rows], alpha[rows], bx[rows], bz[rows])
+                 @ _block_derivatives([points[k] for k in picks])
                  @ vecs_r[:, :, None])
-            de = m.diagonal(axis1=-2, axis2=-1).real
-            de_g, de_u = de[:, 0], de[:, 1]                             # (K, param, 4)
-            d_omega = de_g[..., 1] - de_g[..., 0]
-            d_dss = (de_u[..., 1] - de_u[..., 0]) - d_omega
-            d_dgs = 0.5 * (de_g[..., 2] + de_g[..., 3]) - 0.5 * (de_g[..., 0] + de_g[..., 1])
-
             # first-order shifts d v_n = sum_{m != n} v_m m_mn / (E_n - E_m): gap[m, n]
             # = E_n - E_m, infinite on the diagonal so v_n gets no component along itself
             gap = e_r[..., None, :] - e_r[..., :, None] + _SELF_GAP
             dv = vecs_r[:, :, None] @ (m / gap[:, :, None])
             dg01, du0 = dv[:, 0, :, :, :2], dv[:, 1, :, :, 0]
             # d <g_n| d |u0> = <dg_n| d |u0> + <g_n| d |du0>, (K, param, n, dipole)
-            d_amp = (np.einsum("kpin,kdi->kpnd", dg01.conj(), dip_r)
-                     + np.einsum("kin,dij,kpj->kpnd", g01_r.conj(), _DIPOLE_BLOCKS, du0))
+            d_amp = (np.einsum("kpin,kdi->kpnd", dg01.conj(), dip_r) + np.einsum(
+                "kin,dij,kpj->kpnd", vecs_r[:, 0, :, :2].conj(), _DIPOLE_BLOCKS, du0))
             d_sums = 2.0 * (amp_r.conj()[:, None] * d_amp).real.sum(axis=-1)
-            d_num, d_den = d_sums[..., 0], d_sums[..., 1]
-            d_cyc = (d_num - cyc_r[:, None] * d_den) / den_r[:, None]
-            jac = np.stack((d_omega, d_dss, d_dgs, d_cyc), axis=1)
-            jac[degenerate[rows]] = math.nan
-        return jac
+        jac = []
+        de = m.diagonal(axis1=-2, axis2=-1).real.tolist()           # (K, block, param, 4)
+        for k, (de_g, de_u), d_sums_k in zip(picks, de, d_sums.tolist()):
+            (omega_l, _, _, cyc), (_, den) = obs_rows[k], sums[k]
+            d_omega = [d[1] - d[0] for d in de_g]
+            d_cyc = [d_num - cyc * d_den for d_num, d_den in d_sums_k]
+            jac += [math.nan] * 12 if omega_l == math.inf else (
+                d_omega + [(du[1] - du[0]) - do for du, do in zip(de_u, d_omega)]
+                + [0.5 * (d[2] + d[3]) - 0.5 * (d[0] + d[1]) for d in de_g]
+                # d * inf is the IEEE d / +0.0, where Python would raise
+                + [d / den if den else d * math.inf for d in d_cyc])
+        return np.array(jac).reshape(-1, 4, 3)
 
     return obs, jacobian_of
 

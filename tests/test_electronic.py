@@ -338,6 +338,69 @@ def test_stack_flags_degenerate_rows_only(monkeypatch):
         assert np.array_equal(rel[row], want_rel) and np.array_equal(jac[row], want_jac)
 
 
+@pytest.mark.parametrize("index, value, name", [
+    (0, math.nan, "epsilon"), (0, math.inf, "epsilon"), (0, -1.0, "epsilon"),
+    (1, math.nan, "alpha"), (1, math.inf, "alpha"), (1, 0.0, "alpha"),
+    (2, math.nan, "theta"), (2, math.inf, "theta"), (2, 90.5, "theta"),
+    (3, math.nan, "field magnitude"), (3, math.inf, "field magnitude"),
+    (3, -0.1, "field magnitude")])
+def test_a_point_outside_the_domain_is_named_before_any_assembly(monkeypatch, index, value,
+                                                                 name):
+    def no_solve(h):
+        raise AssertionError("assembled and solved a point outside the domain")
+
+    monkeypatch.setattr(electronic, "hermitian_eig", no_solve)
+    point = [EPS_REF, ALPHA_REF, THETA_REF, B_REF]
+    point[index] = value
+    # two-point stacks whose second point is this one
+    stack = [np.array([ref, v]) for ref, v in zip((EPS_REF, ALPHA_REF, THETA_REF), point)]
+    for call in (lambda: observables_at(*point),
+                 lambda: electronic.observables_and_jacobian(*point),
+                 lambda: electronic.observables_and_jacobian(*stack, point[3])):
+        with pytest.raises(ValueError, match="^" + name):
+            call()
+    eps, alpha, theta, b = point
+    with pytest.raises(ValueError, match="^" + name):
+        StrainField(eps, alpha), FieldConfig(b, theta)
+
+
+def _float_forms(value):
+    """The forms a float argument of the forward model may take, with equal value."""
+    forms = [np.float64(value), np.array(value)]
+    if value == int(value):
+        forms.append(int(value))
+    return forms
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_each_argument_form_gives_the_bits_of_a_float(index):
+    point = (392e9, 1.0, 28.0, 1.0)   # every coordinate an integer, so int is a form too
+    obs, jac = electronic.observables_and_jacobian(*point)
+    stack_obs, stack_jac = electronic.observables_and_jacobian(
+        *(np.array([v]) for v in point[:3]), point[3])
+    assert np.array_equal(stack_obs[0], obs.as_tuple()) and np.array_equal(stack_jac[0], jac)
+    for form in _float_forms(point[index]):
+        args = list(point)
+        args[index] = form
+        got_obs, got_jac = electronic.observables_and_jacobian(*args)
+        assert isinstance(got_obs, electronic.DerivedObservables)
+        assert got_obs.as_tuple() == obs.as_tuple() and np.array_equal(got_jac, jac)
+        assert [v.hex() for v in got_obs.as_tuple()] == [v.hex() for v in obs.as_tuple()]
+        assert observables_at(*args) == obs
+        if index < 3:
+            # a 1-element array in any of epsilon, alpha and theta gives the stack form
+            args[index] = np.array([point[index]])
+            got_obs, got_jac = electronic.observables_and_jacobian(*args)
+            assert got_obs.shape == (1, 4) and got_jac.shape == (1, 4, 3)
+            assert np.array_equal(got_obs, stack_obs) and np.array_equal(got_jac, stack_jac)
+
+
+def test_arrays_of_different_lengths_are_rejected():
+    with pytest.raises(ValueError, match="one shape"):
+        electronic.observables_and_jacobian(np.array([EPS_REF, 300e9]), np.array([ALPHA_REF, 0.6]),
+                                            np.array([THETA_REF]), B_REF)
+
+
 def _emitter_targets(n, seed):
     """Forward observables of seeded strain-map points, as the benchmark draws them."""
     out = []
