@@ -4,16 +4,18 @@ The invocations are the 13 of the benchmark's ``cli_defaults`` workload (taken
 from bench/cli_defaults.py, with a fixed seed), the register runs with two
 nuclei and dephasing, the CnNOTe and identity gates, a nuclear Ramsey, a
 logarithmic and a CPMG DD sweep, a spin-lock amplitude sweep, ``ssr`` from
-bright and from dark starts, and three ``fit`` runs on golden CSVs: an
-analytic-rule fit, a central-difference fit and an ``rb_decay`` fit that ends
-on its upper bounds; so every option of a kind, mode, target or initial key
-runs.  The fits run in tests/golden, so their ``# config data=`` line holds
-the bare file name.  All run through ``cli.main`` in this process.  Every
+bright and from dark starts, an ``estimate`` whose keys come from a config
+file and whose targets send it to its 8-start grid, and one ``fit`` of each
+model of the registry (FITS): on a golden CSV the model describes, else on a
+seeded data CSV of tests/data; so every option of a kind, mode, target,
+initial or model key runs.  Each fit runs in the directory of its data file,
+so its ``# config data=`` line holds the bare file name.  All run through
+``cli.main`` in this process.  Every
 file is compared byte for byte, so a change that moves any value, or the
 formatting of any value, fails here.  The ``help*.txt`` files hold the
 ``--help`` text of ``sivreg`` and of every subcommand, formatted for 80
 columns.  A change that means to move values or help text regenerates the
-files with
+files, and the seeded data CSVs, with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -26,9 +28,10 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sivreg import cli
+from sivreg import cli, fitting
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -38,7 +41,34 @@ try:
 finally:
     sys.path.remove(BENCH_DIR)
 
+DATA = Path(__file__).resolve().parent / "data"
 SEED = 7
+# one fit of each model of the registry (exp_recovery is single_exp under another
+# name): on a golden CSV where the model describes one, else on a seeded data CSV
+# of tests/data written by write_fit_data, run in the directory of its data file
+FITS = [(model, data, GOLDEN) for model, data in (
+    ("single_exp", "optical_decay.csv"),
+    ("stretched_exp", "optical_decay.csv"),
+    ("rb_decay", "run_rb.csv"),
+    ("rb_decay_free", "run_rb_2n.csv"),
+    ("ramsey", "optical_rabi.csv"),
+    ("damped_sine_sum", "run_spinlock.csv"),
+    ("rabi_beat", "run_spinlock.csv"),
+    ("gaussian", "run_spinlock_amplitude.csv"),
+    ("parabola", "run_spinlock_amplitude.csv"),
+)] + [(model, model + ".csv", DATA) for model in (
+    "lorentzian_pair", "power_scaling", "saturation_law", "pol_rate", "orbach_offset",
+    "power_law_offset", "gamma2r_model", "three_normal_mixture")]
+# the seeded data: x, the true parameters and the relative noise of each model's CSV
+FIT_DATA = {
+    "lorentzian_pair": (np.linspace(-10.0, 10.0, 81), [1.0, -3.0, 0.8, 0.6, 4.0, 1.2, 0.1], 0.01),
+    "power_scaling": (np.linspace(0.5, 10.0, 40), [2.0, 1.5], 0.01),
+    "saturation_law": (np.linspace(0.0, 10.0, 40), [50e6], 0.01),
+    "pol_rate": (np.linspace(0.0, 10.0, 40), [2e3, 0.8], 0.01),
+    "orbach_offset": (np.linspace(2.0, 20.0, 40), [100.0, 1e-29, 1.0, 1110.755e9], 0.01),
+    "power_law_offset": (np.linspace(1.0, 20.0, 40), [0.5, 1.7, 3.0], 0.01),
+    "gamma2r_model": (np.linspace(0.5, 10.0, 40), [5.0, 0.8, 1.0], 0.01),
+}
 TWO_NUCLEI = LARMOR + ["--t-c", "5e-6", "--n-nuclei", "2"]
 # (label, argv, working directory or None)
 INVOCATIONS = [(label, argv, None) for label, argv in invocations(SEED) + [
@@ -58,11 +88,12 @@ INVOCATIONS = [(label, argv, None) for label, argv in invocations(SEED) + [
                                 "--sweep-start", "3.0e6", "--sweep-stop", "4.2e6"] + LARMOR),
     ("ssr_bright", ["ssr", "--initial", "bright", "--seed", str(SEED)]),
     ("ssr_dark", ["ssr", "--initial", "dark", "--seed", str(SEED)]),
-]] + [(label, ["fit", "--model", model, "--data", data], GOLDEN) for label, model, data in (
-    ("fit_single_exp", "single_exp", "optical_decay.csv"),
-    ("fit_stretched_exp", "stretched_exp", "optical_decay.csv"),
-    ("fit_rb_decay", "rb_decay", "run_rb.csv"),
-)]
+]] + [
+    # targets no strain fits, so the closed-form start ends above CONVERGED_COST and the
+    # estimate falls back to its 8-start grid; the keys come from a config file
+    ("estimate_grid", ["estimate", "--config", "estimate_grid.json"], DATA),
+] + [("fit_" + model, ["fit", "--model", model, "--data", data], cwd)
+     for model, data, cwd in FITS]
 
 HELP_INVOCATIONS = [("help", [])] + [
     ("help_" + "_".join(words), words)
@@ -123,15 +154,18 @@ def test_help_text_is_identical_to_its_golden_file(label, words):
 
 def test_every_choice_has_a_golden_invocation():
     """Each option of a kind, mode, target or initial key is that key's value, given by a
-    flag or by default, in at least one golden invocation of the experiment."""
+    flag or by default, in at least one golden invocation of the experiment; and each
+    distinct model of the registry (by its spec's name) is the model key of one."""
     keys = ("kind", "mode", "target", "initial")
     parser = cli.build_parser()
-    covered = set()
+    covered, models = set(), set()
     for _, argv, _ in INVOCATIONS:
         flags = vars(parser.parse_args(argv))
         spec = cli.EXPERIMENTS[flags["experiment"]]
         covered.update((spec.name, key, flags.get(key, spec.defaults.get(key)))
                        for key in keys if key in spec.schema())
+        if "model" in flags:
+            models.add(fitting.get_model(flags["model"]).name)
     options = set()
     for name, spec in cli.EXPERIMENTS.items():
         for key in keys:
@@ -140,6 +174,7 @@ def test_every_choice_has_a_golden_invocation():
                 assert isinstance(domain, cli.Choices), (name, key)
                 options.update((name, key, option) for option in domain.options)
     assert sorted(options - covered) == []
+    assert models == {spec.name for spec in fitting.model_registry().values()}
 
 
 def test_every_golden_file_has_an_invocation():
@@ -147,9 +182,29 @@ def test_every_golden_file_has_an_invocation():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(l for l, _ in HELP_INVOCATIONS)
 
 
+def write_fit_data():
+    """Write the seeded data CSVs of tests/data: each model of FIT_DATA at its true
+    parameters, times 1 + noise N(0, 1) of seed 5, and three normal populations of
+    2000, 3000 and 5000 seeded counts binned by one."""
+    rng = np.random.default_rng(5)
+    counts = np.concatenate([rng.normal(3.0, 1.5, 2000), rng.normal(14.0, 3.5, 3000),
+                             rng.normal(32.0, 5.7, 5000)])
+    edges = np.arange(-5.5, 60.5, 1.0)
+    tables = {"three_normal_mixture": (0.5 * (edges[1:] + edges[:-1]),
+                                       np.histogram(counts, edges)[0].astype(float))}
+    for model, (x, params, noise) in FIT_DATA.items():
+        y = fitting.get_model(model)(x, params)
+        tables[model] = x, y * (1.0 + noise * np.random.default_rng(5).standard_normal(x.size))
+    DATA.mkdir(exist_ok=True)
+    for model, (x, y) in tables.items():
+        (DATA / (model + ".csv")).write_text("# seeded data for a %s fit\nx,y\n%s\n" % (
+            model, "\n".join("%r,%r" % (float(a), float(b)) for a, b in zip(x, y))))
+
+
 if __name__ == "__main__":
     import tempfile
 
+    write_fit_data()
     GOLDEN.mkdir(exist_ok=True)
     for label, argv, cwd in INVOCATIONS:
         with tempfile.TemporaryDirectory() as out_dir:

@@ -83,6 +83,34 @@ def test_strain_estimate_work_at_the_readme_targets(monkeypatch):
             for f in fits] == [(6, 5, "cost", 4)]
 
 
+def test_value_only_map_work_at_the_readme_point(monkeypatch):
+    """A 64-point map of scalar observables_at calls around the README working point,
+    as the strain-map benchmark runs it: one hermitian_eig stack of the two blocks per
+    point, and no Jacobian."""
+    counts = {"eig": 0, "blocks": 0, "jacobian_calls": 0}
+    eig, forward = electronic.hermitian_eig, electronic._forward_stack
+
+    def counted_eig(h):
+        counts["eig"] += 1
+        counts["blocks"] += math.prod(np.shape(h)[:-2])
+        return eig(h)
+
+    def counted_forward(*args):
+        obs, jacobian_of = forward(*args)
+
+        def counted_jacobian(rows):
+            counts["jacobian_calls"] += 1
+            return jacobian_of(rows)
+        return obs, counted_jacobian
+
+    monkeypatch.setattr(electronic, "hermitian_eig", counted_eig)
+    monkeypatch.setattr(electronic, "_forward_stack", counted_forward)
+    for eps in np.linspace(0.95, 1.05, 8) * 392e9:
+        for theta in np.linspace(23.0, 33.0, 8):
+            electronic.observables_at(float(eps), 0.68, float(theta), 0.3348577)
+    assert counts == {"eig": 64, "blocks": 128, "jacobian_calls": 0}
+
+
 def test_lifetime_ensemble_is_one_lockstep_fit(monkeypatch):
     calls = {"rows": [], "lsq": 0, "model": 0, "jacobian": 0}
     rows, call, get_model = fitting.least_squares_rows, fitting.ModelSpec.__call__, fitting.get_model
@@ -158,6 +186,21 @@ CLI_WORK = {
     "run_spinlock_amplitude": (102, 1),
     "ssr_bright": (0, 0),
     "ssr_dark": (0, 0),
+    "estimate_grid": (36, 0),
+    "fit_rb_decay_free": (0, 0),
+    "fit_ramsey": (0, 0),
+    "fit_damped_sine_sum": (0, 0),
+    "fit_rabi_beat": (0, 0),
+    "fit_gaussian": (0, 0),
+    "fit_parabola": (0, 0),
+    "fit_lorentzian_pair": (0, 0),
+    "fit_power_scaling": (0, 0),
+    "fit_saturation_law": (0, 0),
+    "fit_pol_rate": (0, 0),
+    "fit_orbach_offset": (0, 0),
+    "fit_power_law_offset": (0, 0),
+    "fit_gamma2r_model": (0, 0),
+    "fit_three_normal_mixture": (0, 0),
 }
 
 # (evaluations, jacobian_evaluations) of every FitResult a golden CLI invocation
@@ -170,6 +213,23 @@ FIT_WORK = {
     "fit_single_exp": [(9, 9)],
     "fit_stretched_exp": [(18, 9)],
     "fit_rb_decay": [(6, 6)],
+    # the closed-form start, then the 8 rows of the grid
+    "estimate_grid": [(10, 10), (11, 9), (10, 10), (10, 10), (10, 10), (10, 10), (10, 10),
+                      (25, 8), (10, 10)],
+    "fit_rb_decay_free": [(252, 130)],
+    "fit_ramsey": [(107, 62)],
+    "fit_damped_sine_sum": [(200, 128)],
+    "fit_rabi_beat": [(86, 79)],
+    "fit_gaussian": [(40, 24)],
+    "fit_parabola": [(2, 2)],
+    "fit_lorentzian_pair": [(6, 6)],
+    "fit_power_scaling": [(5, 5)],
+    "fit_saturation_law": [(7, 4)],
+    "fit_pol_rate": [(7, 5)],
+    "fit_orbach_offset": [(5, 5)],
+    "fit_power_law_offset": [(8, 7)],
+    "fit_gamma2r_model": [(5, 5)],
+    "fit_three_normal_mixture": [(7, 7)],
 }
 
 # (hits, misses) of three Engine caches in each golden CLI invocation: the free factors
