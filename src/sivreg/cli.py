@@ -8,6 +8,8 @@ Configuration is resolved in three layers (later wins):
 
     built-in defaults  <  flat JSON config file (--config)  <  command flags
 
+where the built-in defaults of an experiment may differ by mode (mode_defaults).
+
 The config file is a single flat JSON object holding strings and numbers
 only.  Keys mirror the field names of the underlying module types.  Unknown
 or ill-typed keys, non-finite numbers, values outside the key's domain in
@@ -72,6 +74,7 @@ class ExperimentSpec:
     help: str = ""
     rules: tuple = ()     # cfg values dict -> None, run after _DOMAINS; raise ConfigError
     required: dict = field(default_factory=dict)   # key -> type (no default; must be provided)
+    mode_defaults: dict = field(default_factory=dict)   # mode -> {key: its default in that mode}
 
     def schema(self):
         keys = dict(self.required)
@@ -235,10 +238,12 @@ def _coerce(key, value, expected):
 
 
 def resolve_config(spec: ExperimentSpec, config_path, flag_values: dict) -> RunConfig:
-    """defaults < config file < flags; validate presence, types, finiteness, the domain
-    of each key and then the rules of the experiment."""
+    """defaults (a mode's own, where the experiment sets them) < config file < flags;
+    validate presence, types, finiteness, the domain of each key and then the rules
+    of the experiment."""
     schema = spec.schema()
     values = dict(spec.defaults)
+    given = set()   # the keys that the config file or a flag sets
 
     if config_path:
         try:
@@ -254,9 +259,15 @@ def resolve_config(spec: ExperimentSpec, config_path, flag_values: dict) -> RunC
             if key not in schema:
                 raise ConfigError(f"unknown config key '{key}' for experiment '{spec.name}'")
             values[key] = _coerce(key, raw, schema[key])
+            given.add(key)
 
     for key, val in flag_values.items():
         if key in schema:
+            values[key] = val
+            given.add(key)
+    # a mode's own defaults replace the others' where neither file nor flag set the key
+    for key, val in spec.mode_defaults.get(values.get("mode"), {}).items():
+        if key not in given:
             values[key] = val
 
     for key in spec.required:
@@ -636,6 +647,8 @@ _register(ExperimentSpec(
     "spinlock", "run",
     defaults={"omega_sl": 3.5857929e6, "mode": "tau", "tau_fixed": 2.0e-5,
               **_sweep_defaults(0.0, 5.0e-5, 101)},
+    # the amplitude axis (Hz) crosses the Hartmann-Hahn dip at larmor_n = 3.5857929e6 Hz
+    mode_defaults={"amplitude": {"sweep_start": 3.0e6, "sweep_stop": 4.2e6}},
     runner=_run_spinlock,
     layer="sequences",
     help="spin-locking sweep over lock duration or drive amplitude"))
@@ -800,8 +813,9 @@ def _add_flags(parser, spec: ExperimentSpec):
     for key, typ in sorted(spec.schema().items()):
         domain = _domain(spec.name, key)
         note = [_HELP.get(key, ""), "(%s)" % domain.help() if domain is not None else "",
-                "(required)" if key in spec.required
-                else "(default: %s)" % _fmt(spec.defaults[key])]
+                "(required)" if key in spec.required else "(default: %s)" % "; ".join(
+                    [_fmt(spec.defaults[key])] + ["%s in mode %s" % (_fmt(d[key]), mode) for
+                                                  mode, d in spec.mode_defaults.items() if key in d])]
         parser.add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
                             default=argparse.SUPPRESS, help=" ".join(filter(None, note)))
     parser.set_defaults(experiment=spec.name)

@@ -404,6 +404,24 @@ def test_negative_sweep_axes_are_config_errors(out_dir, capsys, experiment):
     assert not list(out_dir.glob("*.csv"))
 
 
+def test_spinlock_amplitude_mode_has_its_own_default_axis(out_dir):
+    """At its defaults, mode amplitude sweeps the drive (Hz) across the Hartmann-Hahn
+    dip near the Larmor frequency; a file or flag key still wins over the mode default."""
+    spec = cli.EXPERIMENTS["spinlock"]
+    config = out_dir / "amplitude.json"
+    config.write_text(json.dumps({"mode": "amplitude", "larmor_n": float(LARMOR)}))
+    for path, flags, axis in ((None, {"mode": "amplitude", "larmor_n": 1.0}, (3.0e6, 4.2e6)),
+                              (str(config), {}, (3.0e6, 4.2e6)),
+                              (str(config), {"sweep_start": 3.5e6}, (3.5e6, 4.2e6)),
+                              (None, {"larmor_n": 1.0}, (0.0, 5.0e-5))):
+        values = cli.resolve_config(spec, path, flags).values
+        assert (values["sweep_start"], values["sweep_stop"]) == axis
+    assert cli.main(["run", "spinlock", "--mode", "amplitude", "--larmor-n", LARMOR]) == 0
+    _, _, _, rows = parse_csv(out_dir / "spinlock.csv")
+    signal = [float(row[1]) for row in rows]
+    assert min(signal) < 0.6 and max(signal) > 0.99
+
+
 @pytest.mark.parametrize("experiment", ["nucrot", "rb"])
 def test_negative_counts_are_config_errors(out_dir, capsys, experiment):
     """A count axis reaching below 0 is rejected, not cut down to its counts >= 0."""

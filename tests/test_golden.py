@@ -82,10 +82,8 @@ INVOCATIONS = [(label, argv, None) for label, argv in invocations(SEED) + [
     ("run_ramsey_nuclear", ["run", "ramsey", "--target", "nuclear"] + LARMOR),
     ("run_dd_log", ["run", "dd", "--sweep-scale", "log"] + LARMOR),
     ("run_dd_cpmg", ["run", "dd", "--kind", "CPMG"] + LARMOR),
-    # the default axis serves mode tau (seconds): sweep the drive across the
-    # Hartmann-Hahn dip near the Larmor frequency instead
-    ("run_spinlock_amplitude", ["run", "spinlock", "--mode", "amplitude",
-                                "--sweep-start", "3.0e6", "--sweep-stop", "4.2e6"] + LARMOR),
+    # the mode's own default axis: the drive across the Hartmann-Hahn dip
+    ("run_spinlock_amplitude", ["run", "spinlock", "--mode", "amplitude"] + LARMOR),
     ("ssr_bright", ["ssr", "--initial", "bright", "--seed", str(SEED)]),
     ("ssr_dark", ["ssr", "--initial", "dark", "--seed", str(SEED)]),
 ]] + [
