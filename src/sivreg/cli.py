@@ -812,10 +812,11 @@ def _add_flags(parser, spec: ExperimentSpec):
                         help="flat JSON config file (flags override it)")
     for key, typ in sorted(spec.schema().items()):
         domain = _domain(spec.name, key)
+        defaults = [_fmt(spec.defaults.get(key))] + [
+            "%s in mode %s" % (_fmt(d[key]), mode) for mode, d in spec.mode_defaults.items()
+            if key in d]
         note = [_HELP.get(key, ""), "(%s)" % domain.help() if domain is not None else "",
-                "(required)" if key in spec.required else "(default: %s)" % "; ".join(
-                    [_fmt(spec.defaults[key])] + ["%s in mode %s" % (_fmt(d[key]), mode) for
-                                                  mode, d in spec.mode_defaults.items() if key in d])]
+                "(required)" if key in spec.required else "(default: %s)" % "; ".join(defaults)]
         parser.add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
                             default=argparse.SUPPRESS, help=" ".join(filter(None, note)))
     parser.set_defaults(experiment=spec.name)

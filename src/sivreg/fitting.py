@@ -2,8 +2,12 @@
 
 The solver is a damped Gauss-Newton (Levenberg-Marquardt style) loop that
 runs K fits of one model in lockstep (least_squares_rows); least_squares is
-that loop at K = 1.  Each row keeps its own parameters, damping, iteration
-count, stop reason and failure.  In each round the trial points of the rows
+that loop at K = 1.  Each row keeps its own parameters, gradient J r, normal
+matrix J J^T, damping, iteration count, stop reason and failure as Python
+floats; numpy forms the residuals, the Jacobians, their BLAS products and one
+stacked np.linalg.solve per round.  A K = 1 strain fit (5 rounds) so spends
+about 310 us outside its model, Jacobians and solves (415 us with array rows;
+process time, 2 cores, OpenBLAS).  In each round the trial points of the rows
 still stepping go to the model as one (K_active, n) parameter stack, and the
 accepted rows' Jacobians from that call's jacobian_of.  A fit differentiates
 its model one way, in the parameters themselves: with the model's jacobian_of
@@ -117,7 +121,8 @@ class ModelSpec:
         """Model values at x of a (K, n) parameter stack, (K, N), or of one vector,
         (N,), evaluated as a 1-row stack; with jacobian=True, (values, jacobian_of)."""
         p = np.asarray(params, dtype=float)
-        values, jacobian_of = self.evaluate(np.asarray(x, dtype=float), np.atleast_2d(p))
+        values, jacobian_of = self.evaluate(np.asarray(x, dtype=float),
+                                            p if p.ndim >= 2 else p.reshape(1, -1))
         if p.ndim == 1:
             values = values[0]
         return (values, jacobian_of) if jacobian else values
@@ -234,10 +239,9 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1, got %r" % (max_iterations,))
 
-    x_rows = np.broadcast_to(x, y.shape)
     start = np.empty((n_rows, len(names)))
     for k in range(n_rows):
-        values = model.initial_guess(x_rows[k], y[k])
+        values = model.initial_guess(x if x.ndim == 1 else x[k], y[k])
         values.update(inits[k] or {})
         values.update(fixed)
         start[k] = [values[n] for n in names]
@@ -246,11 +250,13 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     n_free = len(free)
     # the free parameters as a view where none is fixed
     free_cols = slice(None) if n_free == len(names) else free_idx
-    lo = np.array([model.params[i].bounds[0] for i in free_idx], dtype=float)
-    hi = np.array([model.params[i].bounds[1] for i in free_idx], dtype=float)
-    params = np.tile([fixed.get(n, 0.0) for n in names], (n_rows, 1)).astype(float)
-    params[:, free_idx] = np.clip(start[:, free_idx], lo, hi)
-    diag = np.arange(n_free)
+    lo, hi = zip(*(model.params[i].bounds for i in free_idx)) if n_free else ((), ())
+    # each row's parameters, gradient J r, normal matrix J J^T and held parameters as
+    # Python floats and lists; the residuals r and J^T stay arrays for the BLAS products
+    p_rows = start.copy()   # the fixed values, and the free ones clipped into their boxes
+    p_rows[:, free_idx] = np.clip(start[:, free_idx], lo, hi)
+    p_rows = p_rows.tolist()
+    g_rows, a_rows, held = [None] * n_rows, [None] * n_rows, [None] * n_rows
 
     def at(rows):
         """Index of a list of rows: a view while it holds every row."""
@@ -282,8 +288,8 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
         h = 1e-6 * np.where(s_free > p_free, s_free, p_free)
         h[h == 0] = 1e-6
         shifted = np.repeat(p[:, None, :], 2 * n_free, axis=1)
-        shifted[:, diag, free_idx] += h
-        shifted[:, n_free + diag, free_idx] -= h
+        shifted[:, np.arange(n_free), free_idx] += h
+        shifted[:, n_free + np.arange(n_free), free_idx] -= h
         xs = x if x.ndim == 1 else np.repeat(x[i], 2 * n_free, axis=0)
         values = model(xs, shifted.reshape(-1, len(names))).reshape(len(p), 2, n_free, -1)
         cols = weighted(i, values[:, 0] - values[:, 1]) / (2.0 * h)[..., None]
@@ -292,39 +298,30 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     def begin(rows):
         """Start an iteration of each row: gradient, normal matrix and held
         parameters at its point.  Returns the rows with a parameter that may move."""
-        nonlocal bounded
         if not n_free:
             return []
         i = at(rows)
         jt = jac[i]
-        g[i] = (jt @ r[i][..., None])[..., 0]
-        p = params[i][:, free_cols]
-        at_lo, at_hi = p <= lo, p >= hi
+        g_new = (jt @ r[i][..., None])[..., 0].tolist()
         jt = np.ascontiguousarray(jt)
-        a[i] = jt @ jt.swapaxes(-1, -2)
-        # a held parameter keeps its bound, so a row off every bound holds none
-        if not (at_lo.any() or at_hi.any()):
-            return rows
-        # a parameter on a bound whose descent direction leaves the box stays put
-        bounded = True
-        hold[i] = (at_lo & (g[i] > 0)) | (at_hi & (g[i] < 0))
+        for k, g_k, a_k in zip(rows, g_new, (jt @ jt.swapaxes(-1, -2)).tolist()):
+            g_rows[k], a_rows[k] = g_k, a_k
+            # a parameter on a bound whose descent direction leaves the box stays put
+            held[k] = [(v <= l and d > 0) or (v >= h and d < 0) for v, l, h, d in zip(
+                [p_rows[k][j] for j in free_idx], lo, hi, g_k)]
         # a row that can move no parameter is at a stationary point
-        return [k for k, stuck in zip(rows, hold[i].all(axis=1).tolist()) if not stuck]
+        return [k for k in rows if not all(held[k])]
 
-    def solve(rows, i):
+    def solve(rows):
         """Damped steps of the rows, from one stacked solve; nan where a damped
         matrix is singular.  A held parameter's row and column of the damped
         matrix are the identity's and its gradient entry is 0: its step is 0 and
         the others solve the system without it."""
-        m = np.array(a[i])
-        d = m.reshape(len(rows), -1)[:, ::n_free + 1]   # a view of the diagonals
-        d += np.array([lam[k] for k in rows])[:, None] * np.maximum(d, 1e-300)
-        b = -g[i]
-        if bounded:
-            h = hold[i]
-            m[h] = m.swapaxes(1, 2)[h] = b[h] = 0.0
-            d[h] = 1.0
-        return _solve_stack(m, b[..., None])[..., 0]
+        m = [[[float(j == c) if hold[j] or hold[c] else v + lam[k] * max(v, 1e-300) if j == c
+               else v for c, v in enumerate(row)] for j, row in enumerate(a_rows[k])]
+             for k, hold in zip(rows, map(held.__getitem__, rows))]
+        b = [[[0.0 if h else -v] for h, v in zip(held[k], g_rows[k])] for k in rows]
+        return _solve_stack(np.array(m), np.array(b))[..., 0].tolist()
 
     failures = [None] * n_rows
     evaluations = [1] * n_rows
@@ -332,37 +329,33 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     lam = [1e-3] * n_rows
     iterations = [0] * n_rows
     stop = ["stationary"] * n_rows   # until a step or cost test fires
-    g = np.zeros((n_rows, n_free))
-    a = np.zeros((n_rows, n_free, n_free))
-    hold = np.zeros((n_rows, n_free), dtype=bool)
-    bounded = False   # whether a row has been on a bound: else hold is all False
     # overflows during trial steps produce a non-finite cost or Jacobian, which
     # simply rejects the step; keep them from spamming warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r, jacobian_of = residuals(slice(None), params)
+        r, jacobian_of = residuals(slice(None), np.array(p_rows))
         cost = [0.5 * float(r_k @ r_k) for r_k in r]
-        jac = jacobians(slice(None), params, jacobian_of, slice(None))
+        jac = jacobians(slice(None), np.array(p_rows), jacobian_of, slice(None))
         rows = begin(list(range(n_rows)))
         while rows:
+            steps = solve(rows)
+            for k, step in zip(rows, steps):
+                if not all(map(math.isfinite, step)):
+                    failures[k] = SingularNormalMatrix(
+                        "normal matrix is singular for model %r" % model.name)
+            steps = [step for k, step in zip(rows, steps) if not failures[k]]
+            rows = [k for k in rows if not failures[k]]
+            if not rows:
+                break
             i = at(rows)
-            step = solve(rows, i)
-            if not np.isfinite(step).all():
-                finite = np.isfinite(step).all(axis=1)
-                for k, ok in zip(rows, finite.tolist()):
-                    if not ok:
-                        failures[k] = SingularNormalMatrix(
-                            "normal matrix is singular for model %r" % model.name)
-                rows, step = [k for k, ok in zip(rows, finite.tolist()) if ok], step[finite]
-                if not rows:
-                    break
-                i = at(rows)
-            trial = np.array(params[i])
-            p_free = trial[:, free_cols]
-            moved = (p_free + step).clip(lo, hi)
-            # the step test, on every trial: no free parameter moves by more than XTOL
-            small = (np.abs(moved - p_free) <= XTOL * (np.abs(p_free) + XTOL)).all(axis=1).tolist()
-            trial[:, free_cols] = moved
-            r_new, jacobian_of = residuals(i, trial)
+            trial, small = [list(p_rows[k]) for k in rows], [True] * len(rows)
+            for t, (p, step) in enumerate(zip(trial, steps)):
+                for j, s, l, h in zip(free_idx, step, lo, hi):
+                    v = min(max(p[j] + s, l), h)   # clipped into the box
+                    # the step test, on every trial: no free parameter moves by more than XTOL
+                    small[t] = small[t] and abs(v - p[j]) <= XTOL * (abs(p[j]) + XTOL)
+                    p[j] = v
+            trial_stack = np.array(trial)
+            r_new, jacobian_of = residuals(i, trial_stack)
             cost_new = [0.5 * float(r_k @ r_k) for r_k in r_new]
             down = []
             for j, k in enumerate(rows):
@@ -374,22 +367,25 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
             if down:
                 every = len(down) == len(rows)
                 d = slice(None) if every else down
-                jac_d = jacobians(i if every else np.array(rows)[down], trial[d],
+                jac_d = jacobians(i if every else np.array(rows)[down], trial_stack[d],
                                   jacobian_of, d)
                 if np.isfinite(jac_d).all():
                     taken = down
                 else:
                     finite = np.isfinite(jac_d).all(axis=(1, 2))
                     taken, jac_d = [j for j, ok in zip(down, finite.tolist()) if ok], jac_d[finite]
-                if taken:
+                if len(taken) == n_rows:
+                    r, jac = r_new, jac_d
+                elif taken:
                     t = slice(None) if len(taken) == len(rows) else taken
                     acc = at([rows[j] for j in taken])
-                    params[acc], r[acc], jac[acc] = trial[t], r_new[t], jac_d
+                    r[acc], jac[acc] = r_new[t], jac_d
             stepped, waiting = [], []
             for j, k in enumerate(rows):
                 if j in taken:
                     reduction = (cost[k] - cost_new[j]) / max(cost[k], 1e-300)
                     cost[k] = cost_new[j]
+                    p_rows[k] = trial[j]
                     lam[k] = max(lam[k] / 10.0, 1e-12)
                     iterations[k] += 1
                     if small[j]:
@@ -410,27 +406,27 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
                         waiting.append(k)
             rows = sorted(waiting + begin(stepped)) if stepped else waiting
 
-        # uncertainties from the last step's Jacobian, taken at the solution
-        n = len(names)
-        sigma = np.zeros((n_rows, n))
-        cov_full = np.zeros((n_rows, n, n))
-        if n_free:
-            normal = jac @ jac.swapaxes(-1, -2)
-            inv = _solve_stack(normal, np.broadcast_to(np.eye(n_free), normal.shape))
-            cov = (2.0 * np.array(cost) / (n_points - n_free))[:, None, None] * inv
-            cov = 0.5 * (cov + cov.swapaxes(1, 2))
-            var = cov[:, diag, diag]
-            sigma[:, free_idx] = np.where(np.isfinite(var),
-                                          np.sqrt(np.where(var > 0.0, var, 0.0)), np.nan)
-            cov_full[:, np.array(free_idx)[:, None], free_idx] = cov
+        # uncertainties from the last step's Jacobian, taken at the solution:
+        # s^2 (J J^T)^-1, symmetrised, in each row's Python floats
+        inv = _solve_stack(jac @ jac.swapaxes(-1, -2), np.eye(n_free)[None].repeat(
+            n_rows, axis=0)).tolist() if n_free else [[]] * n_rows
 
-    return [failures[k] or FitResult(params=params[k].copy(), sigma=sigma[k],
-                                     residual_norm=float(np.sqrt(2.0 * cost[k])),
-                                     covariance=cov_full[k], converged=True,
-                                     param_names=names, evaluations=evaluations[k],
-                                     jacobian_evaluations=jacobian_evaluations[k],
-                                     stop_reason=stop[k], iterations=iterations[k])
-            for k in range(n_rows)]
+    fits = []
+    for k, inv_k in enumerate(inv):
+        s2 = 2.0 * cost[k] / (n_points - n_free)
+        cov, sigma = [[0.0] * len(names) for _ in names], [0.0] * len(names)
+        for a, (j, row) in enumerate(zip(free_idx, inv_k)):
+            for b, (c, v) in enumerate(zip(free_idx, row)):
+                cov[j][c] = 0.5 * (s2 * v + s2 * inv_k[b][a])
+            var = cov[j][j]
+            sigma[j] = (math.sqrt(var) if var > 0.0 else 0.0) if math.isfinite(var) else math.nan
+        fits.append(failures[k] or FitResult(
+            params=np.array(p_rows[k]), sigma=np.array(sigma),
+            residual_norm=math.sqrt(2.0 * cost[k]), covariance=np.array(cov), converged=True,
+            param_names=names, evaluations=evaluations[k],
+            jacobian_evaluations=jacobian_evaluations[k], stop_reason=stop[k],
+            iterations=iterations[k]))
+    return fits
 
 
 def _solve_stack(m, b):

@@ -108,9 +108,9 @@ def _require_hermitian(h, h_dag):
     """Raise NotHermitian unless each matrix of h is within a 1e-10 relative
     Frobenius tolerance of its adjoint h_dag: ||h - h^dag|| <= 1e-10 max(||h||, 1).
     Returns whether every matrix equals its adjoint exactly."""
-    defect = h - h_dag
-    if not defect.any():
+    if (h == h_dag).all():   # h is finite (_as_square), so equal means a zero defect
         return True
+    defect = h - h_dag
     defect2 = _squared_norms(defect)
     scale2 = _squared_norms(h)
     bad = defect2 > 1e-20 * np.maximum(scale2, 1.0)
