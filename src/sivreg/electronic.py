@@ -13,9 +13,7 @@ analytic derivatives in (epsilon, alpha, theta); it takes arrays of points
 and solves their (K, 2, 4, 4) blocks as one stack in numpy, with each point's
 coefficients and observables in its Python floats (_forward_stack).  Nearly
 every call is one point (K = 1); only the estimate's grid fallback has K = 8.
-One point of observables_at takes about 38 us of process time (42 us before
-its spare numpy calls went), 19 us of it in hermitian_eig, and of
-observables_and_jacobian 109 us (114 us; 2 cores, OpenBLAS).
+A point of observables_at takes 38 us of process time (42 us before; 2 cores).
 
 The defect constants are the module constants below; a model point is a
 StrainField and a FieldConfig.  Inputs are ordinary frequencies (Hz); the
@@ -64,9 +62,8 @@ _DOMAINS = (("epsilon must be finite and >= 0", lambda v: 0.0 <= v < math.inf),
 def _check_domains(*columns):
     """Raise the ValueError of the first input of _DOMAINS with a value outside it."""
     for (message, inside), values in zip(_DOMAINS, columns):
-        for v in values:
-            if not inside(v):
-                raise ValueError(message)
+        if not all(map(inside, values)):
+            raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,7 @@ def _block_stack(epsilon, alpha, theta, b_field):
         points.append((eps, a, bx, bz))
         coef += (_K_SO_G, _K_SO_U, _K_ORB_G * bz, _K_ORB_U * bz, _K_SPIN * bx, _K_SPIN * bx,
                  _K_SPIN * bz, _K_SPIN * bz, _K_DP_G * bz, _K_DP_U * bz, eps, eps_u, eps, eps_u)
-    # the terms added one by one, as the assembly does: a reduction over the term
-    # axis, which is not the innermost, adds them in order
+    # a reduction over the term axis, not the innermost, adds the terms in order like the assembly
     h = np.add.reduce(np.array(coef).reshape(-1, 7, 2, 1, 1) * _TERMS, axis=1)
     return h, hermitian_eig(TWO_PI * h), points
 

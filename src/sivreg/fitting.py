@@ -2,12 +2,10 @@
 
 The solver is a damped Gauss-Newton (Levenberg-Marquardt style) loop that
 runs K fits of one model in lockstep (least_squares_rows); least_squares is
-that loop at K = 1.  Each row keeps its own parameters, gradient J r, normal
-matrix J J^T, damping, iteration count, stop reason and failure as Python
-floats; numpy forms the residuals, the Jacobians, their BLAS products and one
-stacked np.linalg.solve per round.  A K = 1 strain fit (5 rounds) so spends
-about 310 us outside its model, Jacobians and solves (415 us with array rows;
-process time, 2 cores, OpenBLAS).  In each round the trial points of the rows
+that loop at K = 1.  Each row keeps its own parameters, damping, iteration
+count, stop reason and failure, and takes its trial step and step test in
+Python floats: the strain estimate's K = 1 fit (5 rounds) takes 1.01 ms of
+process time, 1.16 ms before.  In each round the trial points of the rows
 still stepping go to the model as one (K_active, n) parameter stack, and the
 accepted rows' Jacobians from that call's jacobian_of.  A fit differentiates
 its model one way, in the parameters themselves: with the model's jacobian_of
@@ -121,8 +119,7 @@ class ModelSpec:
         """Model values at x of a (K, n) parameter stack, (K, N), or of one vector,
         (N,), evaluated as a 1-row stack; with jacobian=True, (values, jacobian_of)."""
         p = np.asarray(params, dtype=float)
-        values, jacobian_of = self.evaluate(np.asarray(x, dtype=float),
-                                            p if p.ndim >= 2 else p.reshape(1, -1))
+        values, jacobian_of = self.evaluate(np.asarray(x, dtype=float), np.atleast_2d(p))
         if p.ndim == 1:
             values = values[0]
         return (values, jacobian_of) if jacobian else values
@@ -250,13 +247,11 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     n_free = len(free)
     # the free parameters as a view where none is fixed
     free_cols = slice(None) if n_free == len(names) else free_idx
-    lo, hi = zip(*(model.params[i].bounds for i in free_idx)) if n_free else ((), ())
-    # each row's parameters, gradient J r, normal matrix J J^T and held parameters as
-    # Python floats and lists; the residuals r and J^T stay arrays for the BLAS products
-    p_rows = start.copy()   # the fixed values, and the free ones clipped into their boxes
-    p_rows[:, free_idx] = np.clip(start[:, free_idx], lo, hi)
-    p_rows = p_rows.tolist()
-    g_rows, a_rows, held = [None] * n_rows, [None] * n_rows, [None] * n_rows
+    lo = np.array([model.params[i].bounds[0] for i in free_idx], dtype=float)
+    hi = np.array([model.params[i].bounds[1] for i in free_idx], dtype=float)
+    params = start.copy()   # the fixed values, and the free ones clipped into their boxes
+    params[:, free_idx] = np.clip(start[:, free_idx], lo, hi)
+    box = list(zip(free_idx, lo.tolist(), hi.tolist()))
 
     def at(rows):
         """Index of a list of rows: a view while it holds every row."""
@@ -298,30 +293,39 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     def begin(rows):
         """Start an iteration of each row: gradient, normal matrix and held
         parameters at its point.  Returns the rows with a parameter that may move."""
+        nonlocal bounded
         if not n_free:
             return []
         i = at(rows)
         jt = jac[i]
-        g_new = (jt @ r[i][..., None])[..., 0].tolist()
+        g[i] = (jt @ r[i][..., None])[..., 0]
+        p = params[i][:, free_cols]
+        at_lo, at_hi = p <= lo, p >= hi
         jt = np.ascontiguousarray(jt)
-        for k, g_k, a_k in zip(rows, g_new, (jt @ jt.swapaxes(-1, -2)).tolist()):
-            g_rows[k], a_rows[k] = g_k, a_k
-            # a parameter on a bound whose descent direction leaves the box stays put
-            held[k] = [(v <= l and d > 0) or (v >= h and d < 0) for v, l, h, d in zip(
-                [p_rows[k][j] for j in free_idx], lo, hi, g_k)]
+        a[i] = jt @ jt.swapaxes(-1, -2)
+        # a held parameter keeps its bound, so a row off every bound holds none
+        if not (at_lo.any() or at_hi.any()):
+            return rows
+        # a parameter on a bound whose descent direction leaves the box stays put
+        bounded = True
+        hold[i] = (at_lo & (g[i] > 0)) | (at_hi & (g[i] < 0))
         # a row that can move no parameter is at a stationary point
-        return [k for k in rows if not all(held[k])]
+        return [k for k, stuck in zip(rows, hold[i].all(axis=1).tolist()) if not stuck]
 
-    def solve(rows):
+    def solve(rows, i):
         """Damped steps of the rows, from one stacked solve; nan where a damped
         matrix is singular.  A held parameter's row and column of the damped
         matrix are the identity's and its gradient entry is 0: its step is 0 and
         the others solve the system without it."""
-        m = [[[float(j == c) if hold[j] or hold[c] else v + lam[k] * max(v, 1e-300) if j == c
-               else v for c, v in enumerate(row)] for j, row in enumerate(a_rows[k])]
-             for k, hold in zip(rows, map(held.__getitem__, rows))]
-        b = [[[0.0 if h else -v] for h, v in zip(held[k], g_rows[k])] for k in rows]
-        return _solve_stack(np.array(m), np.array(b))[..., 0].tolist()
+        m = np.array(a[i])
+        d = m.reshape(len(rows), -1)[:, ::n_free + 1]   # a view of the diagonals
+        d += np.array([lam[k] for k in rows])[:, None] * np.maximum(d, 1e-300)
+        b = -g[i]
+        if bounded:
+            h = hold[i]
+            m[h] = m.swapaxes(1, 2)[h] = b[h] = 0.0
+            d[h] = 1.0
+        return _solve_stack(m, b[..., None])[..., 0].tolist()
 
     failures = [None] * n_rows
     evaluations = [1] * n_rows
@@ -329,31 +333,36 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     lam = [1e-3] * n_rows
     iterations = [0] * n_rows
     stop = ["stationary"] * n_rows   # until a step or cost test fires
+    g = np.zeros((n_rows, n_free))
+    a = np.zeros((n_rows, n_free, n_free))
+    hold = np.zeros((n_rows, n_free), dtype=bool)
+    bounded = False   # whether a row has been on a bound: else hold is all False
     # overflows during trial steps produce a non-finite cost or Jacobian, which
     # simply rejects the step; keep them from spamming warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r, jacobian_of = residuals(slice(None), np.array(p_rows))
+        r, jacobian_of = residuals(slice(None), params)
         cost = [0.5 * float(r_k @ r_k) for r_k in r]
-        jac = jacobians(slice(None), np.array(p_rows), jacobian_of, slice(None))
+        jac = jacobians(slice(None), params, jacobian_of, slice(None))
         rows = begin(list(range(n_rows)))
         while rows:
-            steps = solve(rows)
-            for k, step in zip(rows, steps):
+            steps = dict(zip(rows, solve(rows, at(rows))))
+            for k, step in steps.items():
                 if not all(map(math.isfinite, step)):
                     failures[k] = SingularNormalMatrix(
                         "normal matrix is singular for model %r" % model.name)
-            steps = [step for k, step in zip(rows, steps) if not failures[k]]
             rows = [k for k in rows if not failures[k]]
             if not rows:
                 break
             i = at(rows)
-            trial, small = [list(p_rows[k]) for k in rows], [True] * len(rows)
-            for t, (p, step) in enumerate(zip(trial, steps)):
-                for j, s, l, h in zip(free_idx, step, lo, hi):
+            trial, small = params[i].tolist(), []
+            for p, step in zip(trial, map(steps.get, rows)):
+                tiny = True
+                for (j, l, h), s in zip(box, step):
                     v = min(max(p[j] + s, l), h)   # clipped into the box
                     # the step test, on every trial: no free parameter moves by more than XTOL
-                    small[t] = small[t] and abs(v - p[j]) <= XTOL * (abs(p[j]) + XTOL)
+                    tiny = tiny and abs(v - p[j]) <= XTOL * (abs(p[j]) + XTOL)
                     p[j] = v
+                small.append(tiny)
             trial_stack = np.array(trial)
             r_new, jacobian_of = residuals(i, trial_stack)
             cost_new = [0.5 * float(r_k @ r_k) for r_k in r_new]
@@ -374,18 +383,15 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
                 else:
                     finite = np.isfinite(jac_d).all(axis=(1, 2))
                     taken, jac_d = [j for j, ok in zip(down, finite.tolist()) if ok], jac_d[finite]
-                if len(taken) == n_rows:
-                    r, jac = r_new, jac_d
-                elif taken:
+                if taken:
                     t = slice(None) if len(taken) == len(rows) else taken
                     acc = at([rows[j] for j in taken])
-                    r[acc], jac[acc] = r_new[t], jac_d
+                    params[acc], r[acc], jac[acc] = trial_stack[t], r_new[t], jac_d
             stepped, waiting = [], []
             for j, k in enumerate(rows):
                 if j in taken:
                     reduction = (cost[k] - cost_new[j]) / max(cost[k], 1e-300)
                     cost[k] = cost_new[j]
-                    p_rows[k] = trial[j]
                     lam[k] = max(lam[k] / 10.0, 1e-12)
                     iterations[k] += 1
                     if small[j]:
@@ -406,27 +412,25 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
                         waiting.append(k)
             rows = sorted(waiting + begin(stepped)) if stepped else waiting
 
-        # uncertainties from the last step's Jacobian, taken at the solution:
-        # s^2 (J J^T)^-1, symmetrised, in each row's Python floats
+        # uncertainties from the last step's Jacobian at the solution: s^2 (J J^T)^-1, symmetrised
         inv = _solve_stack(jac @ jac.swapaxes(-1, -2), np.eye(n_free)[None].repeat(
             n_rows, axis=0)).tolist() if n_free else [[]] * n_rows
 
-    fits = []
+    cov, sigma = np.zeros((n_rows, len(names), len(names))), np.zeros((n_rows, len(names)))
     for k, inv_k in enumerate(inv):
         s2 = 2.0 * cost[k] / (n_points - n_free)
-        cov, sigma = [[0.0] * len(names) for _ in names], [0.0] * len(names)
         for a, (j, row) in enumerate(zip(free_idx, inv_k)):
             for b, (c, v) in enumerate(zip(free_idx, row)):
-                cov[j][c] = 0.5 * (s2 * v + s2 * inv_k[b][a])
-            var = cov[j][j]
-            sigma[j] = (math.sqrt(var) if var > 0.0 else 0.0) if math.isfinite(var) else math.nan
-        fits.append(failures[k] or FitResult(
-            params=np.array(p_rows[k]), sigma=np.array(sigma),
-            residual_norm=math.sqrt(2.0 * cost[k]), covariance=np.array(cov), converged=True,
-            param_names=names, evaluations=evaluations[k],
-            jacobian_evaluations=jacobian_evaluations[k], stop_reason=stop[k],
-            iterations=iterations[k]))
-    return fits
+                cov[k, j, c] = 0.5 * (s2 * v + s2 * inv_k[b][a])
+            var = cov[k, j, j]
+            sigma[k, j] = (math.sqrt(var) if var > 0.0 else 0.0) if math.isfinite(var) else math.nan
+    return [failures[k] or FitResult(params=params[k].copy(), sigma=sigma[k],
+                                     residual_norm=math.sqrt(2.0 * cost[k]),
+                                     covariance=cov[k], converged=True,
+                                     param_names=names, evaluations=evaluations[k],
+                                     jacobian_evaluations=jacobian_evaluations[k],
+                                     stop_reason=stop[k], iterations=iterations[k])
+            for k in range(n_rows)]
 
 
 def _solve_stack(m, b):
