@@ -419,9 +419,9 @@ def least_squares_rows(model: ModelSpec, x, y, weights=None, init=None,
     cov, sigma = np.zeros((n_rows, len(names), len(names))), np.zeros((n_rows, len(names)))
     for k, inv_k in enumerate(inv):
         s2 = 2.0 * cost[k] / (n_points - n_free)
-        for a, (j, row) in enumerate(zip(free_idx, inv_k)):
-            for b, (c, v) in enumerate(zip(free_idx, row)):
-                cov[k, j, c] = 0.5 * (s2 * v + s2 * inv_k[b][a])
+        for p, (j, row) in enumerate(zip(free_idx, inv_k)):
+            for q, (c, v) in enumerate(zip(free_idx, row)):
+                cov[k, j, c] = 0.5 * (s2 * v + s2 * inv_k[q][p])
             var = cov[k, j, j]
             sigma[k, j] = (math.sqrt(var) if var > 0.0 else 0.0) if math.isfinite(var) else math.nan
     return [failures[k] or FitResult(params=params[k].copy(), sigma=sigma[k],
