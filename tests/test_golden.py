@@ -10,9 +10,9 @@ model of the registry (FITS): on a golden CSV the model describes, else on a
 seeded data CSV of tests/data; so every option of a kind, mode, target,
 initial or model key runs.  Each fit runs in the directory of its data file,
 so its ``# config data=`` line holds the bare file name.  All run through
-``cli.main`` in this process.  Every
-file is compared byte for byte, so a change that moves any value, or the
-formatting of any value, fails here.  The ``help*.txt`` files hold the
+``cli.main`` in this process.  Every file is compared byte for byte, so a
+change that moves any value, or the formatting of any value, fails here.
+The ``help*.txt`` files hold the
 ``--help`` text of ``sivreg`` and of every subcommand, formatted for 80
 columns.  A change that means to move values or help text regenerates the
 files, and the seeded data CSVs, with
